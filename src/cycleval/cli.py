@@ -83,23 +83,25 @@ def cmd_run(args) -> int:
                 results = [futures[name].result() for name in names]
         else:
             results = [run_suite(name, config) for name in names]
+        report = ValuationReport(
+            environment={
+                "package": "cycleval",
+                "version": __version__,
+                "n": config.n,
+                "seed": config.seed,
+            },
+            inputs_digest=config_digest(config.to_dict()),
+            suites=results,
+        )
+        # serialise before writing: a non-finite value raises here
+        report_json = report.to_json()
     except Exception as exc:  # noqa: BLE001 - the contract is exit code 3
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME_ERROR
 
-    report = ValuationReport(
-        environment={
-            "package": "cycleval",
-            "version": __version__,
-            "n": config.n,
-            "seed": config.seed,
-        },
-        inputs_digest=config_digest(config.to_dict()),
-        suites=results,
-    )
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "report.json").write_text(report.to_json())
+    (outdir / "report.json").write_text(report_json)
     (outdir / "summary.txt").write_text(
         f"started: {started}\n" + report.summary_text())
     print(report.summary_text(), end="")

@@ -16,13 +16,34 @@ multiplication, exact partial differentiation and linear substitutions in x:
 A coefficient is a finite sum of such atoms.  Atoms with distinct bump
 signatures are treated as linearly independent, which is sound for every
 identity asserted by the workbench (claimed zeros are genuine zeros).
+
+Interning and caches.  Every distinct bump matrix (entries compared as
+fractions, so ``1`` and ``Fraction(2, 2)`` give the same matrix) is interned
+once per process, under a lock, as a small integer id; a
+:class:`BumpFactor` hashes and compares by ``(id, beta_pow, denom_pow)``
+and never rehashes its matrix.  ``q_M`` is built once per (id, number of
+ring variables), the x-gradient of ``q_M`` once per (id, ring size,
+variable), and ``G^T M G`` once per (id, G).  The caches hold only such
+small exact objects and are never evicted.
+
+Canonical by construction.  An atom is canonical when no ``q_M`` with
+``denom_pow > 0`` in its signature divides its polynomial; a
+:class:`CoefficientFn` holds only canonical, nonzero atoms with distinct
+sorted signatures, so equality is a dictionary comparison.  The public
+constructor canonicalises every atom it is given.  The algebra divides by
+``q_M`` only where such a factor can appear: where contributions are
+summed (atoms present on both sides of ``+``, and ``*``, ``diff`` and
+``subs_linear``, which also bring in new polynomial factors).  Negation,
+scaling by a nonzero constant and atoms of ``+`` present on one side only
+keep canonical atoms canonical and are taken over without a division.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import threading
 from fractions import Fraction
+from operator import attrgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,18 +56,6 @@ BoxT = tuple   # tuple[tuple[Fraction, Fraction], ...]
 
 class SupportError(ValueError):
     """Raised when an operation needs a horizontal support that is missing."""
-
-
-def _sym_matrix(M, n: int) -> Matrix:
-    rows = []
-    for i in range(n):
-        rows.append(tuple(_as_fraction(M[i][j]) for j in range(n)))
-    M = tuple(rows)
-    for i in range(n):
-        for j in range(n):
-            if M[i][j] != M[j][i]:
-                raise ValueError("bump matrix must be symmetric")
-    return M
 
 
 def _mat_inverse(M: Matrix) -> Matrix:
@@ -78,25 +87,113 @@ def _sqrt_upper(x: Fraction) -> Fraction:
     return up
 
 
-@dataclass(frozen=True)
-class BumpFactor:
-    """``beta_M(x)^beta_pow / q_M(x)^denom_pow`` with q_M = 1 - x^T M x."""
+# -- interned bump matrices -------------------------------------------------------
 
-    M: Matrix
-    beta_pow: int = 1
-    denom_pow: int = 0
+_INTERN_LOCK = threading.Lock()
+_MATRICES: list = []                 # id -> matrix of Fractions
+_MATRIX_IDS: dict = {}               # matrix -> id
+_FACTORS: dict = {}                  # (id, beta_pow, denom_pow) -> BumpFactor
+_Q_POLYS: dict = {}                  # (id, nvars) -> q_M
+_Q_GRADS: dict = {}                  # (id, nvars, var) -> dq_M / dx_var
+_TRANSFORMS: dict = {}               # (id, G) -> id of G^T M G
+
+
+def _matrix_key(M) -> Matrix:
+    return tuple(tuple(_as_fraction(v) for v in row) for row in M)
+
+
+def _intern(M) -> int:
+    """Id of the matrix ``M``; equal matrices share one id in every thread."""
+    key = _matrix_key(M)
+    mid = _MATRIX_IDS.get(key)
+    if mid is None:
+        with _INTERN_LOCK:
+            mid = _MATRIX_IDS.get(key)
+            if mid is None:
+                mid = len(_MATRICES)
+                _MATRICES.append(key)
+                _MATRIX_IDS[key] = mid
+    return mid
+
+
+def _factor(mid: int, beta_pow: int, denom_pow: int) -> "BumpFactor":
+    """The shared BumpFactor of an interned matrix with the given powers."""
+    ident = (mid, beta_pow, denom_pow)
+    f = _FACTORS.get(ident)
+    if f is None:
+        f = object.__new__(BumpFactor)
+        f._init(mid, beta_pow, denom_pow)
+        f = _FACTORS.setdefault(ident, f)
+    return f
+
+
+class BumpFactor:
+    """``beta_M(x)^beta_pow / q_M(x)^denom_pow`` with q_M = 1 - x^T M x.
+
+    Immutable; equal factors hash and compare equal by interned matrix id.
+    """
+
+    __slots__ = ("M", "beta_pow", "denom_pow", "mid", "order", "_ident", "_hash")
+
+    def __init__(self, M: Matrix, beta_pow: int = 1, denom_pow: int = 0):
+        self._init(_intern(M), beta_pow, denom_pow)
+
+    def _init(self, mid: int, beta_pow: int, denom_pow: int) -> None:
+        ident = (mid, beta_pow, denom_pow)
+        init = object.__setattr__
+        init(self, "M", _MATRICES[mid])
+        init(self, "beta_pow", beta_pow)
+        init(self, "denom_pow", denom_pow)
+        init(self, "mid", mid)
+        # sort key of factors within a signature: by matrix entries, so
+        # atom order does not depend on the order of interning
+        init(self, "order", (_MATRICES[mid], beta_pow, denom_pow))
+        init(self, "_ident", ident)
+        init(self, "_hash", hash(ident))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, BumpFactor):
+            return NotImplemented
+        return self._ident == other._ident
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return (f"BumpFactor(M={self.M!r}, beta_pow={self.beta_pow!r}, "
+                f"denom_pow={self.denom_pow!r})")
+
+    def __reduce__(self):
+        # ids are per process: rebuild from the matrix
+        return (BumpFactor, (self.M, self.beta_pow, self.denom_pow))
 
     def q_poly(self, nvars: int) -> Poly:
-        n = len(self.M)
-        terms = {(0,) * nvars: Q(1)}
-        p = Poly(nvars, terms)
-        for i in range(n):
-            for j in range(n):
-                if self.M[i][j]:
+        key = (self.mid, nvars)
+        p = _Q_POLYS.get(key)
+        if p is None:
+            p = _Q_POLYS.setdefault(key, _build_q_poly(self.M, nvars))
+        return p
+
+    def q_grad(self, var: int, nvars: int) -> Poly:
+        """``dq_M / dx_var = -2 (M x)_var`` in a ring of ``nvars`` variables."""
+        key = (self.mid, nvars, var)
+        p = _Q_GRADS.get(key)
+        if p is None:
+            terms = {}
+            for j, m in enumerate(self.M[var]):
+                if m:
                     e = [0] * nvars
-                    e[i] += 1
-                    e[j] += 1
-                    p = p - Poly(nvars, {tuple(e): self.M[i][j]})
+                    e[j] = 1
+                    terms[tuple(e)] = -2 * m
+            p = _Q_GRADS.setdefault(key, Poly._trusted(nvars, terms))
         return p
 
     def bbox(self) -> BoxT:
@@ -110,15 +207,38 @@ class BumpFactor:
 
     def transform(self, G: Sequence[Sequence[Fraction]]) -> "BumpFactor":
         """Bump factor of ``x -> beta_M(G x)``; new matrix is G^T M G."""
-        n = len(self.M)
+        return _factor(_transformed_id(self.mid, _matrix_key(G)),
+                       self.beta_pow, self.denom_pow)
+
+
+def _build_q_poly(M: Matrix, nvars: int) -> Poly:
+    n = len(M)
+    p = Poly.const(nvars, 1)
+    for i in range(n):
+        for j in range(n):
+            if M[i][j]:
+                e = [0] * nvars
+                e[i] += 1
+                e[j] += 1
+                p = p - Poly(nvars, {tuple(e): M[i][j]})
+    return p
+
+
+def _transformed_id(mid: int, G: Matrix) -> int:
+    key = (mid, G)
+    out = _TRANSFORMS.get(key)
+    if out is None:
+        M = _MATRICES[mid]
+        n = len(M)
         GT_M_G = tuple(
             tuple(
-                sum(G[a][i] * self.M[a][b] * G[b][j] for a in range(n) for b in range(n))
+                sum(G[a][i] * M[a][b] * G[b][j] for a in range(n) for b in range(n))
                 for j in range(n)
             )
             for i in range(n)
         )
-        return BumpFactor(GT_M_G, self.beta_pow, self.denom_pow)
+        out = _TRANSFORMS.setdefault(key, _intern(GT_M_G))
+    return out
 
 
 def ball_bump(n: int, R) -> BumpFactor:
@@ -128,19 +248,19 @@ def ball_bump(n: int, R) -> BumpFactor:
     return BumpFactor(M)
 
 
-Signature = tuple  # tuple[BumpFactor, ...] sorted
+Signature = tuple  # tuple[BumpFactor, ...] sorted by BumpFactor.order
+
+_ORDER = attrgetter("order")
 
 
 def _merge_bumps(a: Signature, b: Signature) -> Signature:
-    by_m: dict[Matrix, list[int]] = {}
-    for f in list(a) + list(b):
-        pows = by_m.setdefault(f.M, [0, 0])
+    by_m: dict[int, list[int]] = {}
+    for f in a + b:
+        pows = by_m.setdefault(f.mid, [0, 0])
         pows[0] += f.beta_pow
         pows[1] += f.denom_pow
     return tuple(sorted(
-        (BumpFactor(M, bp, dp) for M, (bp, dp) in by_m.items()),
-        key=lambda f: (f.M, f.beta_pow, f.denom_pow),
-    ))
+        (_factor(mid, bp, dp) for mid, (bp, dp) in by_m.items()), key=_ORDER))
 
 
 class CoefficientFn:
@@ -156,22 +276,24 @@ class CoefficientFn:
 
     def __init__(self, n: int, atoms=None, declared_box: Optional[BoxT] = None):
         self.n = n
-        norm: dict[Signature, Poly] = {}
-        if atoms:
-            for sig, poly in (atoms.items() if isinstance(atoms, dict) else atoms):
-                sig, poly = _canonical_atom(sig, poly)
-                if poly.is_zero():
-                    continue
-                if sig in norm:
-                    s = norm[sig] + poly
-                    if s.is_zero():
-                        del norm[sig]
-                    else:
-                        norm[sig] = s
-                else:
-                    norm[sig] = poly
-        self.atoms = norm
+        self.atoms = _canonical_atoms(
+            atoms.items() if isinstance(atoms, dict) else atoms or ())
         self.declared_box = _norm_box(declared_box)
+
+    @classmethod
+    def _trusted(cls, n: int, atoms: dict, declared_box: Optional[BoxT]) -> "CoefficientFn":
+        """Wrap atoms that are already canonical, nonzero and keyed by sorted
+        signatures, with an already normalised box."""
+        c = object.__new__(cls)
+        c.n = n
+        c.atoms = atoms
+        c.declared_box = declared_box
+        return c
+
+    @classmethod
+    def _canonicalised(cls, n: int, atoms: dict, declared_box: Optional[BoxT]) -> "CoefficientFn":
+        """Canonicalise every atom; the box is already normalised."""
+        return cls._trusted(n, _canonical_atoms(atoms.items()), declared_box)
 
     # -- constructors --------------------------------------------------------
 
@@ -221,9 +343,7 @@ class CoefficientFn:
             return NotImplemented
         if self.n != other.n:
             return False
-        if set(self.atoms) != set(other.atoms):
-            return False
-        return all(self.atoms[s] == other.atoms[s] for s in self.atoms)
+        return self.atoms == other.atoms
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -238,24 +358,27 @@ class CoefficientFn:
 
     # -- algebra ---------------------------------------------------------------
 
-    def _with_box(self, box) -> "CoefficientFn":
-        out = CoefficientFn(self.n, dict(self.atoms), declared_box=box)
-        return out
-
     def __add__(self, other: "CoefficientFn") -> "CoefficientFn":
         if self.n != other.n:
             raise ValueError("dimension mismatch")
+        box = _box_union(self.declared_box, other.declared_box)
         merged: dict[Signature, Poly] = dict(self.atoms)
+        summed = set()
         for sig, poly in other.atoms.items():
-            if sig in merged:
-                merged[sig] = merged[sig] + poly
-            else:
+            old = merged.get(sig)
+            if old is None:
                 merged[sig] = poly
-        return CoefficientFn(self.n, merged, declared_box=_box_union(self.declared_box, other.declared_box))
+            else:
+                merged[sig] = old + poly
+                summed.add(sig)
+        if summed:
+            # only a sum of two atoms can turn into a multiple of q_M
+            merged = _canonical_atoms(merged.items(), summed)
+        return CoefficientFn._trusted(self.n, merged, box)
 
     def __neg__(self) -> "CoefficientFn":
-        return CoefficientFn(self.n, {s: -p for s, p in self.atoms.items()},
-                             declared_box=self.declared_box)
+        return CoefficientFn._trusted(self.n, {s: -p for s, p in self.atoms.items()},
+                                      self.declared_box)
 
     def __sub__(self, other: "CoefficientFn") -> "CoefficientFn":
         return self + (-other)
@@ -264,15 +387,15 @@ class CoefficientFn:
         c = _as_fraction(c)
         if c == 0:
             return CoefficientFn.zero(self.n)
-        return CoefficientFn(self.n, {s: p.scale(c) for s, p in self.atoms.items()},
-                             declared_box=self.declared_box)
+        return CoefficientFn._trusted(self.n, {s: p.scale(c) for s, p in self.atoms.items()},
+                                      self.declared_box)
 
     def __mul__(self, other) -> "CoefficientFn":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if isinstance(other, Poly):
-            return CoefficientFn(self.n, {s: p * other for s, p in self.atoms.items()},
-                                 declared_box=self.declared_box)
+            return CoefficientFn._canonicalised(
+                self.n, {s: p * other for s, p in self.atoms.items()}, self.declared_box)
         if self.n != other.n:
             raise ValueError("dimension mismatch")
         out: dict[Signature, Poly] = {}
@@ -284,48 +407,57 @@ class CoefficientFn:
                     out[sig] = out[sig] + poly
                 else:
                     out[sig] = poly
-        return CoefficientFn(self.n, out,
-                             declared_box=_box_intersection(self.declared_box, other.declared_box))
+        return CoefficientFn._canonicalised(
+            self.n, out, _box_intersection(self.declared_box, other.declared_box))
 
     __rmul__ = __mul__
 
     # -- calculus ---------------------------------------------------------------
 
     def diff(self, var: int) -> "CoefficientFn":
-        """Exact partial derivative; ``var`` indexes (x..., y..., params...)."""
+        """Exact partial derivative; ``var`` indexes (x..., y..., params...).
+
+        For a canonical atom ``p beta^a / q^m`` with ``m > 0`` the new atoms
+        ``p dq beta^a / q^(m+1)`` and ``/ q^(m+2)`` are canonical again:
+        ``dq`` is a linear form in x, prime to every q_M (q_M(0) = 1), so a
+        q_M dividing ``p dq`` would divide ``p``.  They are not divided by
+        q_M unless another contribution lands on their signature.
+        """
         n = self.n
         out: dict[Signature, Poly] = {}
+        unreduced = set()  # signatures that may hold a multiple of q_M
 
-        def acc(sig, poly):
+        def acc(sig, poly, canonical):
             if poly.is_zero():
                 return
-            if sig in out:
-                out[sig] = out[sig] + poly
-            else:
+            old = out.get(sig)
+            if old is None:
                 out[sig] = poly
+                if not canonical:
+                    unreduced.add(sig)
+            else:
+                out[sig] = old + poly
+                unreduced.add(sig)
 
         for sig, poly in self.atoms.items():
-            acc(sig, poly.diff(var))
+            acc(sig, poly.diff(var), False)
             if var < n:
                 # bump factors depend on x only
                 for idx, f in enumerate(sig):
-                    dq = Poly.zero(poly.nvars)  # dq/dx_var = -2 (M x)_var
-                    for j in range(n):
-                        if f.M[var][j]:
-                            e = [0] * poly.nvars
-                            e[j] = 1
-                            dq = dq + Poly(poly.nvars, {tuple(e): -2 * f.M[var][j]})
+                    dq = f.q_grad(var, poly.nvars)
                     if dq.is_zero():
                         continue
                     # d(beta^a)/dx = a beta^a q^{-2} dq ; d(q^{-m})/dx = -m q^{-m-1} dq
+                    pdq = poly * dq
                     rest = list(sig)
-                    rest[idx] = BumpFactor(f.M, f.beta_pow, f.denom_pow + 2)
-                    acc(tuple(rest), poly * dq * Q(f.beta_pow))
+                    rest[idx] = _factor(f.mid, f.beta_pow, f.denom_pow + 2)
+                    acc(tuple(rest), pdq.scale(f.beta_pow), f.denom_pow > 0)
                     if f.denom_pow:
                         rest = list(sig)
-                        rest[idx] = BumpFactor(f.M, f.beta_pow, f.denom_pow + 1)
-                        acc(tuple(rest), poly * dq * Q(-f.denom_pow))
-        return CoefficientFn(self.n, out, declared_box=self.declared_box)
+                        rest[idx] = _factor(f.mid, f.beta_pow, f.denom_pow + 1)
+                        acc(tuple(rest), pdq.scale(-f.denom_pow), True)
+        return CoefficientFn._trusted(self.n, _canonical_atoms(out.items(), unreduced),
+                                      self.declared_box)
 
     def subs_linear(self, repl: Sequence[Poly]) -> "CoefficientFn":
         """Compose with a polynomial map; needs the x-part linear in x.
@@ -341,12 +473,13 @@ class CoefficientFn:
 
         G = None
         if any(sig for sig in self.atoms):
-            G = _linear_x_matrix(full_repl[:n], n)
+            G = _matrix_key(_linear_x_matrix(full_repl[:n], n))
 
         out: dict[Signature, Poly] = {}
         for sig, poly in self.atoms.items():
-            new_sig = tuple(sorted((f.transform(G) for f in sig),
-                                   key=lambda f: (f.M, f.beta_pow, f.denom_pow))) if sig else sig
+            new_sig = tuple(sorted(
+                (_factor(_transformed_id(f.mid, G), f.beta_pow, f.denom_pow) for f in sig),
+                key=_ORDER)) if sig else sig
             newp = poly.extend(m).subs(full_repl[:m])
             if new_sig in out:
                 out[new_sig] = out[new_sig] + newp
@@ -354,7 +487,7 @@ class CoefficientFn:
                 out[new_sig] = newp
         new_box = (_box_subs(self.declared_box, full_repl[:n], n)
                    if self.declared_box is not None else None)
-        return CoefficientFn(self.n, out, declared_box=new_box)
+        return CoefficientFn._canonicalised(self.n, out, new_box)
 
     # -- numerics -----------------------------------------------------------------
 
@@ -401,7 +534,7 @@ class CoefficientFn:
             kept = {e: c for e, c in poly.terms.items() if not any(e[n:2 * n])}
             if kept:
                 out[sig] = Poly(poly.nvars, kept)
-        return CoefficientFn(self.n, out, declared_box=self.declared_box)
+        return CoefficientFn._canonicalised(self.n, out, self.declared_box)
 
     def support_box(self) -> Optional[BoxT]:
         """Axis-aligned over-cover of the horizontal support, if known."""
@@ -450,24 +583,69 @@ def _pad(pts: np.ndarray, nvars: int) -> np.ndarray:
 
 
 def _canonical_atom(sig: Signature, poly: Poly) -> tuple[Signature, Poly]:
-    """Divide out explicit q_M factors so equal functions share one atom."""
-    sig = tuple(sorted(sig, key=lambda f: (f.M, f.beta_pow, f.denom_pow)))
+    """Divide out explicit q_M factors so equal functions share one atom.
+
+    Factors of one matrix are merged first, so a signature holds each
+    matrix once, sorted by ``BumpFactor.order``.
+    """
+    return _reduce_atom(_merge_bumps(tuple(sig), ()), poly)
+
+
+def _reduce_atom(sig: Signature, poly: Poly) -> tuple[Signature, Poly]:
+    """``_canonical_atom`` for a signature that is already sorted."""
     changed = True
-    while changed and not poly.is_zero():
+    while changed and poly.terms:
         changed = False
         for idx, f in enumerate(sig):
             if f.denom_pow <= 0:
                 continue
-            q = f.q_poly(poly.nvars)
-            quo = poly.divide_exact(q)
+            quo = poly.divide_exact(f.q_poly(poly.nvars))
             if quo is not None:
                 poly = quo
                 lst = list(sig)
-                lst[idx] = BumpFactor(f.M, f.beta_pow, f.denom_pow - 1)
+                lst[idx] = _factor(f.mid, f.beta_pow, f.denom_pow - 1)
                 sig = tuple(lst)
                 changed = True
                 break
     return sig, poly
+
+
+def _canonical_atoms(items, unreduced=None) -> dict:
+    """Canonical atoms of the ``(sig, poly)`` pairs in ``items``.
+
+    With ``unreduced`` given, only atoms whose signature is in it are divided
+    by q_M; the caller guarantees that the others are canonical already.
+    """
+    norm: dict[Signature, Poly] = {}
+    for sig, poly in items:
+        if unreduced is None or sig in unreduced:
+            sig, poly = _canonical_atom(sig, poly)
+        _accumulate(norm, sig, poly)
+    return norm
+
+
+def _accumulate(norm: dict, sig: Signature, poly: Poly) -> None:
+    """Add the canonical atom ``(sig, poly)`` to ``norm`` in place.
+
+    A sum with an atom already present is canonicalised again; if it loses
+    a factor of q_M it moves to its new signature.  New signatures are
+    appended, so atom order follows first appearance.
+    """
+    while poly.terms:
+        old = norm.get(sig)
+        if old is None:
+            norm[sig] = poly
+            return
+        total = old + poly
+        new_sig, new_poly = _reduce_atom(sig, total)
+        if new_sig == sig:
+            if new_poly.terms:
+                norm[sig] = new_poly
+            else:
+                del norm[sig]
+            return
+        del norm[sig]
+        sig, poly = new_sig, new_poly
 
 
 def _linear_x_matrix(x_repl: Sequence[Poly], n: int):

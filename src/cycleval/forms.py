@@ -185,12 +185,6 @@ def key_from_ij(n: int, I: Sequence[int], J: Sequence[int]) -> Key:
     return tuple(i - 1 for i in I) + tuple(n + j - 1 for j in J)
 
 
-def ij_from_key(n: int, key: Key) -> tuple[tuple, tuple]:
-    I = tuple(v + 1 for v in key if v < n)
-    J = tuple(v - n + 1 for v in key if v >= n)
-    return I, J
-
-
 def _gen_name(v: int, n: int) -> str:
     return f"dx{v + 1}" if v < n else f"dy{v - n + 1}"
 

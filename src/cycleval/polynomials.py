@@ -14,7 +14,7 @@ through pullbacks but never differentiated.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -51,6 +51,16 @@ class Poly:
                 if c != 0:
                     clean[tuple(e)] = c
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, nvars: int, terms: dict) -> "Poly":
+        """Wrap ``terms`` without checks: the caller guarantees exponent
+        tuples of length ``nvars`` and nonzero :class:`Fraction` values."""
+        p = object.__new__(cls)
+        p._eval_cache = None
+        p.nvars = nvars
+        p.terms = terms
+        return p
 
     # -- constructors ------------------------------------------------------
 
@@ -116,9 +126,9 @@ class Poly:
             for e in self.terms:
                 if any(e[nvars:]):
                     raise ValueError("cannot shrink ring: trailing variable in use")
-            return Poly(nvars, {e[:nvars]: c for e, c in self.terms.items()})
+            return Poly._trusted(nvars, {e[:nvars]: c for e, c in self.terms.items()})
         pad = (0,) * (nvars - self.nvars)
-        return Poly(nvars, {e + pad: c for e, c in self.terms.items()})
+        return Poly._trusted(nvars, {e + pad: c for e, c in self.terms.items()})
 
     # -- arithmetic --------------------------------------------------------
 
@@ -130,15 +140,19 @@ class Poly:
         a, b = self._align(other)
         out = dict(a.terms)
         for e, c in b.terms.items():
-            s = out.get(e, Q(0)) + c
-            if s:
-                out[e] = s
+            old = out.get(e)
+            if old is None:
+                out[e] = c
             else:
-                out.pop(e, None)
-        return Poly(a.nvars, out)
+                s = old + c
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+        return Poly._trusted(a.nvars, out)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Poly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -151,20 +165,28 @@ class Poly:
         for e1, c1 in a.terms.items():
             for e2, c2 in b.terms.items():
                 e = tuple(i + j for i, j in zip(e1, e2))
-                s = out.get(e, Q(0)) + c1 * c2
-                if s:
-                    out[e] = s
+                old = out.get(e)
+                if old is None:
+                    out[e] = c1 * c2
                 else:
-                    out.pop(e, None)
-        return Poly(a.nvars, out)
+                    s = old + c1 * c2
+                    if s:
+                        out[e] = s
+                    else:
+                        del out[e]
+        return Poly._trusted(a.nvars, out)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "Poly":
         c = _as_fraction(c)
+        if c == 1:
+            return self
         if c == 0:
             return Poly.zero(self.nvars)
-        return Poly(self.nvars, {e: c * v for e, v in self.terms.items()})
+        if c == -1:
+            return -self
+        return Poly._trusted(self.nvars, {e: c * v for e, v in self.terms.items()})
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
@@ -187,13 +209,8 @@ class Poly:
             if p:
                 e2 = list(e)
                 e2[var] = p - 1
-                key = tuple(e2)
-                s = out.get(key, Q(0)) + c * p
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return Poly(self.nvars, out)
+                out[tuple(e2)] = c * p  # distinct e give distinct e2
+        return Poly._trusted(self.nvars, out)
 
     def subs(self, repl: Sequence["Poly"]) -> "Poly":
         """Substitute ``z_v -> repl[v]``; all replacements share one ring."""
@@ -207,8 +224,9 @@ class Poly:
         # cache powers of each replacement
         powers: list[list[Poly]] = [[Poly.const(nv, 1)] for _ in range(self.nvars)]
         out = Poly.zero(nv)
+        origin = (0,) * nv
         for e, c in self.terms.items():
-            term = Poly.const(nv, c)
+            term = Poly._trusted(nv, {origin: c})
             for v, p in enumerate(e):
                 if p == 0:
                     continue
@@ -283,7 +301,7 @@ class Poly:
                     rem[e] = s
                 else:
                     rem.pop(e, None)
-        return Poly(a.nvars, quo)
+        return Poly._trusted(a.nvars, quo)
 
     # -- integration ---------------------------------------------------------
 
@@ -308,7 +326,7 @@ class Poly:
                     acc[key] = s
                 else:
                     acc.pop(key, None)
-            out = Poly(out.nvars, acc)
+            out = Poly._trusted(out.nvars, acc)
         return out
 
     def integrate_simplex(self, vars_: Sequence[int]) -> Fraction:
@@ -337,20 +355,3 @@ def _factorial(k: int) -> Fraction:
     for i in range(2, k + 1):
         out *= i
     return out
-
-
-def rational_from_float(x: float, denom: int = 2**30) -> Fraction:
-    """Nearby rational with a fixed power-of-two denominator."""
-    return Fraction(round(x * denom), denom)
-
-
-def poly_from_coeffs_1d(nvars: int, var: int, coeffs: Iterable) -> Poly:
-    """Univariate helper: ``sum c_k * z_var**k``."""
-    terms = {}
-    for k, c in enumerate(coeffs):
-        e = [0] * nvars
-        e[var] = k
-        c = _as_fraction(c)
-        if c:
-            terms[tuple(e)] = c
-    return Poly(nvars, terms)

@@ -141,6 +141,13 @@ class ExperimentConfig:
         unknown = [s for s in self.suites if s not in SUITES]
         if unknown:
             raise ValueError(f"unknown suites: {unknown}")
+        # tol() and size() fall back to the defaults, so a misspelt key
+        # would otherwise be ignored without a word
+        for field_name, known in (("tolerances", DEFAULT_TOLERANCES),
+                                  ("sizes", DEFAULT_SIZES)):
+            unknown = sorted(set(getattr(self, field_name)) - set(known))
+            if unknown:
+                raise ValueError(f"unknown {field_name} keys: {unknown}")
 
     def tol(self, key: str) -> float:
         return float(self.tolerances.get(key, DEFAULT_TOLERANCES[key]))

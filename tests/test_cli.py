@@ -67,6 +67,35 @@ def test_exit_code_parse_error(tmp_path):
     assert main(["run", str(cfg2), "--out", str(tmp_path)]) == 2
 
 
+def test_exit_code_unknown_tolerance_or_size(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path / "cfg.json", tolerances={"kernel_fwd": 1})
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert "kernel_fwd" in capsys.readouterr().err
+    cfg2 = _write_config(tmp_path / "cfg2.json", sizes={**QUICK_SIZES, "identity_form": 3})
+    assert main(["run", str(cfg2), "--out", str(out)]) == 2
+    assert "identity_form" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_exit_code_non_finite_residual(tmp_path, monkeypatch, capsys):
+    import cycleval.cli as cli
+
+    real_run_suite = cli.run_suite
+
+    def nan_residual(name, config):
+        result = real_run_suite(name, config)
+        result.entries[0].residual = float("nan")
+        return result
+
+    monkeypatch.setattr(cli, "run_suite", nan_residual)
+    cfg = _write_config(tmp_path / "cfg.json", suites=["mass"])
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 3
+    assert "runtime error:" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_exit_code_suite_failure(tmp_path):
     # an impossible tolerance forces a failing suite
     cfg = _write_config(tmp_path / "cfg.json", suites=["consistency"],

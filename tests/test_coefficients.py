@@ -1,0 +1,186 @@
+import pickle
+import sys
+import threading
+from fractions import Fraction as Q
+
+import numpy as np
+
+from cycleval.coefficients import BumpFactor, CoefficientFn, ball_bump
+from cycleval.forms import exterior_derivative, linear_lift
+from cycleval.lab import random_bump_form
+from cycleval.polynomials import Poly
+
+
+def _x(nvars, i=0):
+    return Poly.variable(nvars, i)
+
+
+def _is_canonical(c: CoefficientFn) -> bool:
+    """No q_M of a factor with a denominator divides its atom's polynomial."""
+    for sig, poly in c.atoms.items():
+        if poly.is_zero():
+            return False
+        for f in sig:
+            if f.denom_pow > 0 and poly.divide_exact(f.q_poly(poly.nvars)) is not None:
+                return False
+    return True
+
+
+def _bump_coefficients(n, rng, count=6):
+    """Coefficients of random bump forms and of their derivatives, so that
+    atoms with q_M denominators and two different matrices occur."""
+    out = []
+    for k in range(count):
+        a = random_bump_form(rng, n, degree=int(rng.integers(0, n + 1)), nterms=3,
+                             radius=1 + k % 2)
+        if k % 3 == 2:
+            b = random_bump_form(rng, n, degree=0, nterms=1, radius=3)
+            a = a.map_coefficients(lambda c, b=b: c * b.terms[()]) if b.terms else a
+        for form in (a, exterior_derivative(a)):
+            out.extend(form.terms.values())
+    return [c for c in out if c.has_bump()]
+
+
+def test_bump_factors_hash_by_matrix_value():
+    a = BumpFactor(((1, 0), (0, 2)), 1, 2)
+    b = BumpFactor(((Q(1), Q(0)), (Q(0), Q(4, 2))), 1, 2)
+    assert a == b and hash(a) == hash(b) and a.mid == b.mid
+    assert a != BumpFactor(b.M, 1, 1)
+    assert {a: 1}[b] == 1
+    assert pickle.loads(pickle.dumps(a)) == a
+    assert repr(a) == ("BumpFactor(M=((Fraction(1, 1), Fraction(0, 1)), "
+                       "(Fraction(0, 1), Fraction(2, 1))), beta_pow=1, denom_pow=2)")
+
+
+def test_interning_is_thread_safe():
+    # a matrix no other test interns, built by many threads at once from
+    # equal entries of different types
+    variants = [
+        ((Q(1, 2), 0), (0, Q(7919, 3))),
+        ((Q(2, 4), Q(0)), (Q(0), Q(15838, 6))),
+        ((Q(1, 2), Q(0, 5)), (0, Q(7919, 3))),
+    ]
+    threads, built = 12, []
+    barrier = threading.Barrier(threads)
+    lock = threading.Lock()
+
+    def work(k):
+        barrier.wait(timeout=30)
+        f = BumpFactor(variants[k % len(variants)], 1, k % 2)
+        with lock:
+            built.append(f)
+
+    pool = [threading.Thread(target=work, args=(k,)) for k in range(threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in pool:
+            t.start()
+        for t in pool:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in pool)
+    assert len(built) == threads
+    assert len({f.mid for f in built}) == 1
+    for f in built:
+        g = BumpFactor(variants[0], 1, f.denom_pow)
+        assert f == g and hash(f) == hash(g)
+        assert f.M == built[0].M
+
+
+def test_transform_is_gt_m_g():
+    M = ((Q(1), Q(1, 3)), (Q(1, 3), Q(2)))
+    G = ((Q(1), Q(1, 2)), (Q(-1, 3), Q(1)))
+    got = BumpFactor(M, 2, 1).transform(G)
+    want = tuple(tuple(sum(G[a][i] * M[a][b] * G[b][j] for a in range(2) for b in range(2))
+                       for j in range(2)) for i in range(2))
+    assert got == BumpFactor(want, 2, 1)
+    # cached result is the same factor
+    assert BumpFactor(M, 2, 1).transform([list(r) for r in G]) == got
+
+
+def test_sum_collapses_to_lower_denominator():
+    # (1 + (-x^2)) beta / q = beta  for  q = 1 - x^2
+    M = ((Q(1),),)
+    nv = 2
+    a = CoefficientFn(1, {(BumpFactor(M, 1, 1),): Poly.const(nv, 1)})
+    b = CoefficientFn(1, {(BumpFactor(M, 1, 1),): -(_x(nv) ** 2)})
+    total = a + b
+    assert total.atoms == {(BumpFactor(M, 1, 0),): Poly.const(nv, 1)}
+    assert total == CoefficientFn.bump(1, BumpFactor(M))
+    # the collapsed atom merges with an atom already at the lower power
+    c = CoefficientFn(1, {(BumpFactor(M, 1, 0),): _x(nv),
+                          (BumpFactor(M, 1, 1),): Poly.const(nv, 1)})
+    assert (c + b).atoms == {(BumpFactor(M, 1, 0),): _x(nv) + Poly.const(nv, 1)}
+    # and cancels to zero when it is the negative of that atom
+    d = CoefficientFn(1, {(BumpFactor(M, 1, 0),): Poly.const(nv, -1),
+                          (BumpFactor(M, 1, 1),): Poly.const(nv, 1)})
+    assert (d + b).is_zero()
+
+
+def test_product_reduces_when_factors_multiply_to_q():
+    # q = 1 - x^2 = (1 - x)(1 + x) is reducible for M = [[1]]
+    M = ((Q(1),),)
+    nv = 2
+    one, x = Poly.const(nv, 1), _x(nv)
+    a = CoefficientFn(1, {(BumpFactor(M, 1, 1),): one - x})
+    want = {(BumpFactor(M, 1, 0),): one}
+    assert (a * (one + x)).atoms == want
+    assert (a * CoefficientFn.from_poly(1, one + x)).atoms == want
+    b = CoefficientFn(1, {(BumpFactor(M, 2, 0),): one + x})
+    assert (a * b).atoms == {(BumpFactor(M, 3, 0),): one}
+
+
+def test_diff_reduces_a_derivative_divisible_by_q():
+    # d/dx (x^3 - 3x) = -3 (1 - x^2) = -3 q  for M = [[1]]
+    M = ((Q(1),),)
+    nv = 2
+    x = _x(nv)
+    p = x ** 3 - x.scale(3)
+    c = CoefficientFn(1, {(BumpFactor(M, 1, 1),): p})
+    dc = c.diff(0)
+    assert dc.atoms[(BumpFactor(M, 1, 0),)] == Poly.const(nv, -3)
+    assert (BumpFactor(M, 1, 1),) not in dc.atoms
+    assert _is_canonical(dc)
+    # beta itself: d beta = -2x beta / q^2, and (1 - x^2) beta / q^2 = beta / q
+    e = CoefficientFn(1, {(BumpFactor(M, 1, 0),): Poly.const(nv, 1) - x ** 2})
+    de = e.diff(0)
+    assert _is_canonical(de)
+    assert de == CoefficientFn(1, list(de.atoms.items()))
+
+
+def test_trusted_operations_match_full_canonicalisation():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3):
+        lift = linear_lift(n, [[Q(1) if i == j else Q(i + 1, 3 + j) * (j > i)
+                                for j in range(n)] for i in range(n)])
+        G = [[lift.components[i].terms.get(tuple(int(v == j) for v in range(2 * n)), Q(0))
+              for j in range(n)] for i in range(n)]
+        coeffs = _bump_coefficients(n, rng)
+        assert coeffs
+        for c in coeffs:
+            assert _is_canonical(c)
+            for got, raw in (
+                (-c, [(s, -p) for s, p in c.atoms.items()]),
+                (c.scale(Q(-3, 5)), [(s, p.scale(Q(-3, 5))) for s, p in c.atoms.items()]),
+                (c.scale(2), [(s, p.scale(2)) for s, p in c.atoms.items()]),
+            ):
+                full = CoefficientFn(n, raw, declared_box=c.declared_box)
+                assert list(got.atoms.items()) == list(full.atoms.items())
+            subs = c.subs_linear(lift.components)
+            m = max(c.nvars(), 2 * n)
+            raw = [(tuple(f.transform(G) for f in s), p.extend(m).subs(lift.components))
+                   for s, p in c.atoms.items()]
+            full = CoefficientFn(n, raw)
+            assert list(subs.atoms.items()) == list(full.atoms.items())
+            # every result is already in canonical form
+            for got in (-c, c.scale(7), subs, c.diff(0), c.diff(n - 1), c + subs,
+                        c + c.scale(-1), c * coeffs[0]):
+                assert _is_canonical(got)
+                assert got.atoms == CoefficientFn(n, list(got.atoms.items())).atoms
+
+
+def test_ball_bump_shares_interned_matrix():
+    assert ball_bump(2, 2) == ball_bump(2, Q(2)) == BumpFactor(((Q(1, 4), 0), (0, Q(1, 4))))
+    assert ball_bump(2, 2).q_poly(4) is ball_bump(2, 2).q_poly(4)
