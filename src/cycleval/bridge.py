@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .coefficients import SupportError
+from .coefficients import EvalCache, SupportError
 from .convex import ConvexBody, body_restriction
 from .cycles import EvalResult, eval_smooth
 from .forms import Form
@@ -119,11 +119,12 @@ def conormal_eval(K: ConvexBody, tau: Form,
         Y = grad[:, :n]
         dY = np.einsum("nab,nbj->naj", hess, dU)[:, :n, :]
         pts = np.concatenate([X, Y], axis=1)
+        cache = EvalCache()
         out = np.zeros(Z.shape[0])
         for coeff, I, J in terms:
             rows = [dX[:, i, :] for i in I] + [dY[:, j, :] for j in J]
             M = np.stack(rows, axis=1)
-            out += coeff.eval_array(pts) * np.linalg.det(M)
+            out += coeff.eval_array(pts, cache) * np.linalg.det(M)
         return out
 
     from .quadrature import integrate_box

@@ -8,7 +8,8 @@
 (canonical, timestamp-free: identical config and seed give byte-identical
 bytes) and ``summary.txt`` next to it, and exits 0 only if every suite
 passed: 1 on suite failures, 2 on config/parse errors, 3 on runtime errors.
-The default job count comes from CYCLEVAL_JOBS.
+The default job count comes from CYCLEVAL_JOBS; a job count below 1 or a
+CYCLEVAL_JOBS that is not an integer is a config error.
 """
 
 from __future__ import annotations
@@ -41,9 +42,8 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("config", help="path to a JSON experiment config, "
                       "or 'default' for the bundled n=1 configuration")
     runp.add_argument("--out", default=".", help="output directory")
-    runp.add_argument("--jobs", type=int,
-                      default=int(os.environ.get("CYCLEVAL_JOBS", "1")),
-                      help="suites to run concurrently")
+    runp.add_argument("--jobs", type=int, default=None,
+                      help="suites to run concurrently (default: CYCLEVAL_JOBS, else 1)")
 
     sub.add_parser("list-catalog", help="print constructors and the grammar")
 
@@ -62,8 +62,22 @@ def _resolve_config_path(arg: str) -> Path:
     return Path(arg)
 
 
+def _job_count(jobs) -> int:
+    """``--jobs``, else CYCLEVAL_JOBS, else 1; raises ValueError below 1."""
+    if jobs is None:
+        env = os.environ.get("CYCLEVAL_JOBS", "1")
+        try:
+            jobs = int(env)
+        except ValueError:
+            raise ValueError(f"CYCLEVAL_JOBS must be an integer, got {env!r}") from None
+    if jobs < 1:
+        raise ValueError(f"the job count must be at least 1, got {jobs}")
+    return jobs
+
+
 def cmd_run(args) -> int:
     try:
+        jobs = _job_count(args.jobs)
         raw = json.loads(_resolve_config_path(args.config).read_text())
         config = ExperimentConfig.from_dict(raw)
         # parse declared objects now so malformed specs exit with code 2
@@ -77,8 +91,8 @@ def cmd_run(args) -> int:
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
     try:
         names = list(config.suites)
-        if args.jobs > 1:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as ex:
+        if jobs > 1:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as ex:
                 futures = {name: ex.submit(run_suite, name, config) for name in names}
                 results = [futures[name].result() for name in names]
         else:

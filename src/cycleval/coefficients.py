@@ -36,6 +36,19 @@ summed (atoms present on both sides of ``+``, and ``*``, ``diff`` and
 ``subs_linear``, which also bring in new polynomial factors).  Negation,
 scaling by a nonzero constant and atoms of ``+`` present on one side only
 keep canonical atoms canonical and are taken over without a division.
+A division is tried only when the x-degrees of the polynomial's terms span
+at least 2: ``q_M r`` holds the lowest x-degree part of ``r`` and a part
+two degrees above its highest one.
+
+Numerics.  The float copy of each bump matrix is cached per matrix id, next
+to the exact caches.  :meth:`CoefficientFn.eval_array` keeps what it
+computes on one node array in an :class:`EvalCache`: the power columns
+``x_v^p`` that :meth:`Poly.eval_array` builds, ``q_M`` once per matrix id
+and ``beta_M^a / q_M^m`` once per ``(id, a, m)``, so atoms that share a
+matrix or a monomial share the work.  A caller that evaluates several
+coefficients on the same nodes, such as one call of a graph-pullback
+integrand, passes them one cache; it lives for that call and is dropped
+with the nodes.
 """
 
 from __future__ import annotations
@@ -96,6 +109,7 @@ _FACTORS: dict = {}                  # (id, beta_pow, denom_pow) -> BumpFactor
 _Q_POLYS: dict = {}                  # (id, nvars) -> q_M
 _Q_GRADS: dict = {}                  # (id, nvars, var) -> dq_M / dx_var
 _TRANSFORMS: dict = {}               # (id, G) -> id of G^T M G
+_FLOAT_MATRICES: dict = {}           # id -> matrix as a float array
 
 
 def _matrix_key(M) -> Matrix:
@@ -239,6 +253,54 @@ def _transformed_id(mid: int, G: Matrix) -> int:
         )
         out = _TRANSFORMS.setdefault(key, _intern(GT_M_G))
     return out
+
+
+def _float_matrix(mid: int) -> np.ndarray:
+    M = _FLOAT_MATRICES.get(mid)
+    if M is None:
+        M = _FLOAT_MATRICES.setdefault(mid, np.array(_MATRICES[mid], dtype=float))
+    return M
+
+
+class EvalCache:
+    """Float values on one node array, shared by the coefficients evaluated
+    on it: power columns, ``q_M`` per matrix id and bump factors per
+    ``(id, beta_pow, denom_pow)``.  Valid only for the nodes it was filled
+    on; make a new one for new nodes."""
+
+    __slots__ = ("powers", "_q", "_factors")
+
+    def __init__(self):
+        self.powers: dict = {}      # (var, exponent) -> column, see Poly.eval_array
+        self._q: dict = {}          # id -> (inside mask, q inside, beta inside)
+        self._factors: dict = {}    # (id, beta_pow, denom_pow) -> column
+
+    def _q_inside(self, mid: int, pts: np.ndarray):
+        out = self._q.get(mid)
+        if out is None:
+            M = _float_matrix(mid)
+            X = pts[:, :len(M)]
+            MX = X @ M.T
+            quad = MX[:, 0] * X[:, 0]
+            for i in range(1, len(M)):
+                quad += MX[:, i] * X[:, i]
+            q = 1.0 - quad
+            inside = q > 1e-300
+            q_in = q[inside]
+            with np.errstate(over="ignore", under="ignore"):
+                beta_in = np.exp(1.0 - 1.0 / q_in)
+            out = self._q[mid] = (inside, q_in, beta_in)
+        return out
+
+    def factor(self, f: BumpFactor, pts: np.ndarray) -> np.ndarray:
+        """``beta_M^a / q_M^m`` at ``pts``, zero outside the ellipsoid."""
+        val = self._factors.get(f._ident)
+        if val is None:
+            inside, q_in, beta_in = self._q_inside(f.mid, pts)
+            val = np.zeros(pts.shape[0])
+            val[inside] = beta_in ** f.beta_pow / q_in ** f.denom_pow
+            self._factors[f._ident] = val
+        return val
 
 
 def ball_bump(n: int, R) -> BumpFactor:
@@ -491,27 +553,25 @@ class CoefficientFn:
 
     # -- numerics -----------------------------------------------------------------
 
-    def eval_array(self, pts: np.ndarray) -> np.ndarray:
-        """Evaluate at points of shape (N, >= 2n); parameters must be absent."""
+    def eval_array(self, pts: np.ndarray, cache: Optional[EvalCache] = None) -> np.ndarray:
+        """Evaluate at points of shape (N, >= 2n); parameters must be absent.
+
+        ``cache`` holds values already computed on the same ``pts`` (see
+        :class:`EvalCache`); without one the call makes its own.
+        """
         if self.has_params():
             raise ValueError("cannot evaluate a coefficient with free parameters")
         pts = np.asarray(pts, dtype=float)
-        n = self.n
+        width = self.nvars()
+        if pts.shape[1] < width:
+            pts = _pad(pts, width)
+        if cache is None:
+            cache = EvalCache()
         out = np.zeros(pts.shape[0])
         for sig, poly in self.atoms.items():
-            vals = poly.eval_array(pts[:, :poly.nvars] if pts.shape[1] >= poly.nvars
-                                   else _pad(pts, poly.nvars))
+            vals = poly.eval_array(pts, cache.powers)
             for f in sig:
-                M = np.array([[float(v) for v in row] for row in f.M])
-                quad = np.einsum("ni,ij,nj->n", pts[:, :n], M, pts[:, :n])
-                q = 1.0 - quad
-                inside = q > 1e-300
-                beta = np.zeros_like(q)
-                with np.errstate(over="ignore", under="ignore"):
-                    beta[inside] = np.exp(1.0 - 1.0 / q[inside])
-                factor = np.zeros_like(q)
-                factor[inside] = beta[inside] ** f.beta_pow / q[inside] ** f.denom_pow
-                vals = vals * factor
+                vals = vals * cache.factor(f, pts)
             out += vals
         return out
 
@@ -591,6 +651,12 @@ def _canonical_atom(sig: Signature, poly: Poly) -> tuple[Signature, Poly]:
     return _reduce_atom(_merge_bumps(tuple(sig), ()), poly)
 
 
+def _x_degree_span(poly: Poly, n: int) -> int:
+    """Spread of the total degrees of ``poly``'s terms in its first n variables."""
+    degs = [sum(e[:n]) for e in poly.terms]
+    return max(degs) - min(degs)
+
+
 def _reduce_atom(sig: Signature, poly: Poly) -> tuple[Signature, Poly]:
     """``_canonical_atom`` for a signature that is already sorted."""
     changed = True
@@ -599,7 +665,12 @@ def _reduce_atom(sig: Signature, poly: Poly) -> tuple[Signature, Poly]:
         for idx, f in enumerate(sig):
             if f.denom_pow <= 0:
                 continue
-            quo = poly.divide_exact(f.q_poly(poly.nvars))
+            q = f.q_poly(poly.nvars)
+            # a multiple q_M r has the lowest x-degree part of r and, from
+            # x^T M x (when it is not zero), a part two degrees above r's top
+            if len(q.terms) > 1 and _x_degree_span(poly, len(f.M)) < 2:
+                continue
+            quo = poly.divide_exact(q)
             if quo is not None:
                 poly = quo
                 lst = list(sig)

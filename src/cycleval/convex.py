@@ -219,10 +219,12 @@ class LogSumExp(ConvexFunction):
     def hessian_array(self, X):
         w, _ = self._weights(X)
         a = self.base._af
+        n = a.shape[1]
         mean = w @ a
         # beta * (E[a a^T] - E[a] E[a]^T) under the softmax weights
-        second = np.einsum("nm,mi,mj->nij", w, a, a)
-        outer = np.einsum("ni,nj->nij", mean, mean)
+        aa = (a[:, :, None] * a[:, None, :]).reshape(len(a), n * n)
+        second = (w @ aa).reshape(-1, n, n)
+        outer = mean[:, :, None] * mean[:, None, :]
         return self.beta * (second - outer)
 
     def sup_abs_bound(self, rho):

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .coefficients import CoefficientFn, SupportError
+from .coefficients import CoefficientFn, EvalCache, SupportError
 from .convex import (
     ConvexFunction,
     MaxAffine,
@@ -51,15 +51,6 @@ class EvalResult:
 
     def __float__(self):
         return float(self.value)
-
-
-@dataclass
-class SmoothGraphCycle:
-    """Integration of graph pullbacks under x -> (x, grad f(x)) over a box."""
-
-    f: ConvexFunction
-    box: Sequence
-    spec: QuadratureSpec
 
 
 def _dets(H: np.ndarray, rows, cols) -> np.ndarray:
@@ -103,9 +94,10 @@ def graph_pullback_integrand(f: ConvexFunction, form: Form):
         Y = f.gradient_array(X)
         H = f.hessian_array(X)
         pts = np.concatenate([X, Y], axis=1)
+        cache = EvalCache()
         out = np.zeros(X.shape[0])
         for coeff, J, Ic, sign in pieces:
-            vals = coeff.eval_array(pts)
+            vals = coeff.eval_array(pts, cache)
             out += sign * vals * _dets(H, J, Ic)
         return out
 
@@ -144,6 +136,19 @@ def _gl_on(lo: float, hi: float, order: int):
     return 0.5 * (lo + hi) + half * x, half * w
 
 
+def _gl_pieces(cuts, order: int):
+    """Gauss-Legendre nodes and weights of ``order`` on each piece of ``cuts``."""
+    pieces = [_gl_on(lo, hi, order) for lo, hi in zip(cuts, cuts[1:])]
+    return (np.concatenate([p for p, _ in pieces]),
+            np.concatenate([w for _, w in pieces]))
+
+
+# Nodes per integrand call of the ridge-aligned evaluator: consecutive
+# triangles are evaluated together up to this many nodes, which keeps the
+# call count low and the per-call arrays (and peak memory) bounded.
+_RIDGE_BLOCK = 8192
+
+
 def eval_smooth_ridge_aligned(f: ConvexFunction, base: MaxAffine, form: Form,
                               layer: float = 1e-2,
                               order: int = 24, refine: int = 32) -> EvalResult:
@@ -155,7 +160,8 @@ def eval_smooth_ridge_aligned(f: ConvexFunction, base: MaxAffine, form: Form,
     max-affine regions, each region fanned into triangles from its centroid,
     and every triangle integrated on a tensor grid in (edge, radial)
     coordinates graded so that the boundary layers of width ``layer`` are
-    resolved at their own scale.
+    resolved at their own scale.  The nodes of consecutive intervals or
+    triangles are evaluated together, in blocks of about ``_RIDGE_BLOCK``.
     """
     from .polyhedral import _clip_to_box, build_polyhedral, window_for
 
@@ -166,16 +172,13 @@ def eval_smooth_ridge_aligned(f: ConvexFunction, base: MaxAffine, form: Form,
     integrand = graph_pullback_integrand(f, form)
     cycle = build_polyhedral(base, window=window_for(base, box))
 
-    def interval_pass(a, b, o):
-        total = 0.0
+    def interval_nodes(a, b, o):
         length = b - a
-        cuts = [a + t * length for t in _graded_cuts(layer / max(length, 1e-12))]
-        for lo, hi in zip(cuts, cuts[1:]):
-            pts, wts = _gl_on(lo, hi, o)
-            total += float(np.dot(wts, integrand(pts[:, None])))
-        return total
+        pts, wts = _gl_pieces(
+            [a + t * length for t in _graded_cuts(layer / max(length, 1e-12))], o)
+        return pts[:, None], wts
 
-    def triangle_pass(v0, v1, v2, o):
+    def triangle_nodes(v0, v1, v2, o):
         # P(u, r) = v0 + r (v1 + u (v2 - v1) - v0); |Jacobian| = 2 area r
         v0 = np.asarray(v0, dtype=float)
         v1 = np.asarray(v1, dtype=float)
@@ -183,26 +186,19 @@ def eval_smooth_ridge_aligned(f: ConvexFunction, base: MaxAffine, form: Form,
         e = v2 - v1
         area2 = abs((v1 - v0)[0] * (v2 - v0)[1] - (v1 - v0)[1] * (v2 - v0)[0])
         if area2 == 0.0:
-            return 0.0
+            return None
         elen = float(np.linalg.norm(e))
         h = area2 / elen  # distance from v0 to the edge line
-        ucuts = _graded_cuts(layer / elen)
-        rcuts = [0.0, 1.0 - min(max(layer / h, 1e-12), 1.0 / 3.0), 1.0]
-        total = 0.0
-        for ulo, uhi in zip(ucuts, ucuts[1:]):
-            up, uw = _gl_on(ulo, uhi, o)
-            for rlo, rhi in zip(rcuts, rcuts[1:]):
-                rp, rw = _gl_on(rlo, rhi, o)
-                U, R = np.meshgrid(up, rp, indexing="ij")
-                WU, WR = np.meshgrid(uw, rw, indexing="ij")
-                E = v1[None, :] + U.ravel()[:, None] * e[None, :]
-                pts = v0[None, :] + R.ravel()[:, None] * (E - v0[None, :])
-                wts = (WU * WR).ravel() * R.ravel() * area2
-                total += float(np.dot(wts, integrand(pts)))
-        return total
+        up, uw = _gl_pieces(_graded_cuts(layer / elen), o)
+        rp, rw = _gl_pieces([0.0, 1.0 - min(max(layer / h, 1e-12), 1.0 / 3.0), 1.0], o)
+        U, R = np.meshgrid(up, rp, indexing="ij")
+        WU, WR = np.meshgrid(uw, rw, indexing="ij")
+        E = v1[None, :] + U.ravel()[:, None] * e[None, :]
+        pts = v0[None, :] + R.ravel()[:, None] * (E - v0[None, :])
+        wts = (WU * WR).ravel() * R.ravel() * area2
+        return pts, wts
 
-    def one_pass(o):
-        total = 0.0
+    def node_sets(o):
         for cell in cycle.cells:
             if cell.dim_x != n:
                 continue
@@ -211,20 +207,41 @@ def eval_smooth_ridge_aligned(f: ConvexFunction, base: MaxAffine, form: Form,
                 continue
             if n == 1:
                 (a,), (b,) = clipped
-                total += interval_pass(float(a), float(b), o)
+                yield interval_nodes(float(a), float(b), o)
             else:
                 centroid = [sum(float(v[k]) for v in clipped) / len(clipped)
                             for k in range(2)]
                 m = len(clipped)
                 for i in range(m):
-                    total += triangle_pass(centroid,
-                                           [float(v) for v in clipped[i]],
-                                           [float(v) for v in clipped[(i + 1) % m]], o)
+                    tri = triangle_nodes(centroid,
+                                         [float(v) for v in clipped[i]],
+                                         [float(v) for v in clipped[(i + 1) % m]], o)
+                    if tri is not None:
+                        yield tri
+
+    def one_pass(o):
+        total = 0.0
+        pending, count = [], 0
+        for pts, wts in node_sets(o):
+            pending.append((pts, wts))
+            count += len(wts)
+            if count >= _RIDGE_BLOCK:
+                total += _weighted_sum(integrand, pending)
+                pending, count = [], 0
+        if pending:
+            total += _weighted_sum(integrand, pending)
         return total
 
     v1 = one_pass(order)
     v2 = one_pass(refine)
     return EvalResult(v2, abs(v2 - v1))
+
+
+def _weighted_sum(integrand, node_sets) -> float:
+    """Sum of ``weights . integrand(nodes)`` over node sets, in one call."""
+    pts = np.concatenate([p for p, _ in node_sets])
+    wts = np.concatenate([w for _, w in node_sets])
+    return float(np.dot(wts, integrand(pts)))
 
 
 def mass_smooth(f: ConvexFunction, R: float, order: int = 64) -> float:

@@ -727,18 +727,6 @@ def sampled_rotations_2d(N: int = 64, denom: int = 2 ** 20) -> list:
     return out
 
 
-def rotation_3d_from_quaternion(a, b, c, d):
-    a, b, c, d = (_as_fraction(v) for v in (a, b, c, d))
-    s = a * a + b * b + c * c + d * d
-    if s == 0:
-        raise ValueError("zero quaternion")
-    return [
-        [(a * a + b * b - c * c - d * d) / s, 2 * (b * c - a * d) / s, 2 * (b * d + a * c) / s],
-        [2 * (b * c + a * d) / s, (a * a - b * b + c * c - d * d) / s, 2 * (c * d - a * b) / s],
-        [2 * (b * d - a * c) / s, 2 * (c * d + a * b) / s, (a * a - b * b - c * c + d * d) / s],
-    ]
-
-
 def octahedral_rotations() -> list:
     """The 24 integer rotation matrices of the octahedral group."""
     from itertools import permutations, product
@@ -754,18 +742,6 @@ def octahedral_rotations() -> list:
             if _fraction_det([row[:] for row in M]) == 1:
                 out.append(M)
     return out
-
-
-def sampled_rotations_3d(N: int = 40, seed: int = 11) -> list:
-    """Octahedral subgroup plus random rational-quaternion rotations."""
-    rng = np.random.default_rng(seed)
-    out = octahedral_rotations()
-    while len(out) < N:
-        q = [int(v) for v in rng.integers(-9, 10, size=4)]
-        if all(v == 0 for v in q):
-            continue
-        out.append(rotation_3d_from_quaternion(*q))
-    return out[:N]
 
 
 @dataclass

@@ -239,8 +239,13 @@ class Poly:
 
     # -- numeric evaluation --------------------------------------------------
 
-    def eval_array(self, pts: np.ndarray) -> np.ndarray:
-        """Evaluate at ``pts`` of shape (N, nvars) (or (N, m) with m >= nvars)."""
+    def eval_array(self, pts: np.ndarray, powers: dict | None = None) -> np.ndarray:
+        """Evaluate at ``pts`` of shape (N, nvars) (or (N, m) with m >= nvars).
+
+        ``powers`` maps ``(v, p)`` to the column ``pts[:, v] ** p``; polynomials
+        evaluated on the same ``pts`` may share one dict, so that each power
+        column is computed once.
+        """
         pts = np.asarray(pts, dtype=float)
         if self._eval_cache is None:
             self._eval_cache = [
@@ -248,7 +253,8 @@ class Poly:
                 for e, c in sorted(self.terms.items())
             ]
         out = np.zeros(pts.shape[0])
-        powers: dict = {}
+        if powers is None:
+            powers = {}
         for factors, c in self._eval_cache:
             term = None
             for key in factors:

@@ -118,34 +118,3 @@ def disk_nodes(radius: float, order_r: int = 32, order_t: int = 64) -> tuple[np.
     pts = np.stack([(R * np.cos(T)).ravel(), (R * np.sin(T)).ravel()], axis=-1)
     wts = np.multiply.outer(wr * r, wt).ravel()
     return pts, wts
-
-
-def triangle_nodes(v0, v1, v2, order: int = 16) -> tuple[np.ndarray, np.ndarray]:
-    """Duffy-transformed tensor nodes on a triangle; exact area weighting."""
-    v0 = np.asarray(v0, dtype=float)
-    v1 = np.asarray(v1, dtype=float)
-    v2 = np.asarray(v2, dtype=float)
-    x, w = _leggauss(order)
-    u = 0.5 * (x + 1.0)
-    wu = 0.5 * w
-    U, V = np.meshgrid(u, u, indexing="ij")
-    WU, WV = np.meshgrid(wu, wu, indexing="ij")
-    # map the unit square onto {s >= 0, t >= 0, s + t <= 1}
-    s = U
-    t = V * (1.0 - U)
-    jac = (1.0 - U)
-    pts = v0[None, :] + np.outer(s.ravel(), v1 - v0) + np.outer(t.ravel(), v2 - v0)
-    area2 = abs((v1 - v0)[0] * (v2 - v0)[1] - (v1 - v0)[1] * (v2 - v0)[0])
-    wts = (WU * WV * jac).ravel() * area2
-    return pts, wts
-
-
-def segment_nodes(p, q, order: int = 32) -> tuple[np.ndarray, np.ndarray, float]:
-    """Nodes on a straight segment plus its length; nodes shape (N, dim)."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    x, w = _leggauss(order)
-    u = 0.5 * (x + 1.0)
-    pts = p[None, :] + np.outer(u, q - p)
-    length = float(np.linalg.norm(q - p))
-    return pts, 0.5 * w, length

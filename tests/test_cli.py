@@ -78,6 +78,20 @@ def test_exit_code_unknown_tolerance_or_size(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_exit_code_bad_job_count(tmp_path, monkeypatch, capsys):
+    cfg = _write_config(tmp_path / "cfg.json", suites=["mass"])
+    out = tmp_path / "out"
+    monkeypatch.setenv("CYCLEVAL_JOBS", "abc")
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "CYCLEVAL_JOBS" in err
+    monkeypatch.delenv("CYCLEVAL_JOBS")
+    for jobs in ("0", "-2"):
+        assert main(["run", str(cfg), "--out", str(out), "--jobs", jobs]) == 2
+        assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_code_non_finite_residual(tmp_path, monkeypatch, capsys):
     import cycleval.cli as cli
 

@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 
 import numpy as np
 
-from cycleval.coefficients import BumpFactor, CoefficientFn, ball_bump
+from cycleval.coefficients import BumpFactor, CoefficientFn, EvalCache, ball_bump
 from cycleval.forms import exterior_derivative, linear_lift
 from cycleval.lab import random_bump_form
 from cycleval.polynomials import Poly
@@ -184,3 +184,115 @@ def test_trusted_operations_match_full_canonicalisation():
 def test_ball_bump_shares_interned_matrix():
     assert ball_bump(2, 2) == ball_bump(2, Q(2)) == BumpFactor(((Q(1, 4), 0), (0, Q(1, 4))))
     assert ball_bump(2, 2).q_poly(4) is ball_bump(2, 2).q_poly(4)
+
+
+def _random_poly(rng, nvars, nterms=4, max_deg=3):
+    terms = {}
+    for _ in range(nterms):
+        e = tuple(int(v) for v in rng.integers(0, max_deg, size=nvars))
+        terms[e] = Q(int(rng.integers(-9, 10)), int(rng.integers(1, 5)))
+    return Poly(nvars, terms)
+
+
+def test_multiple_of_q_reduces_to_quotient():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3):
+        nv = 2 * n
+        M = tuple(tuple(Q(2 if i == j else 1, 3 + i + j) for j in range(n))
+                  for i in range(n))
+        q = BumpFactor(M).q_poly(nv)
+        for k in range(8):
+            r = _random_poly(rng, nv, nterms=1 + k % 4)
+            if r.is_zero():
+                continue
+            c = CoefficientFn(n, {(BumpFactor(M, 1, 1),): q * r})
+            assert c.atoms == {(BumpFactor(M, 1, 0),): r}
+            # beta_pow 0: q r / q is the bare polynomial r
+            c0 = CoefficientFn(n, {(BumpFactor(M, 0, 1),): q * r})
+            assert c0.atoms == {(BumpFactor(M, 0, 0),): r}
+
+
+def _reference_eval(c: CoefficientFn, pts: np.ndarray):
+    """Per-atom values, each polynomial times its own float bump factors."""
+    n = c.n
+    width = max(c.nvars(), pts.shape[1])
+    full = np.zeros((pts.shape[0], width))
+    full[:, :pts.shape[1]] = pts
+    atoms = []
+    for sig, poly in c.atoms.items():
+        vals = poly.eval_array(full)
+        for f in sig:
+            M = np.array([[float(v) for v in row] for row in f.M])
+            q = 1.0 - np.einsum("ni,ij,nj->n", full[:, :n], M, full[:, :n])
+            factor = np.zeros_like(q)
+            inside = q > 1e-300
+            with np.errstate(over="ignore", under="ignore"):
+                beta = np.exp(1.0 - 1.0 / q[inside])
+            factor[inside] = beta ** f.beta_pow / q[inside] ** f.denom_pow
+            vals = vals * factor
+        atoms.append(vals)
+    return np.array(atoms)
+
+
+def _eval_cases(n, rng):
+    """Coefficients with atoms sharing a matrix, two matrices in one atom and
+    across atoms, and factors with beta_pow 0 and denom_pow > 0."""
+    nv = 2 * n
+    A = ball_bump(n, 2).M
+    B = tuple(tuple(Q(3 if i == j else -1, 4 + i + j) for j in range(n)) for i in range(n))
+    polys = [_random_poly(rng, nv) for _ in range(6)]
+    shared = CoefficientFn(n, {
+        (BumpFactor(A, 1, 0),): polys[0],
+        (BumpFactor(A, 2, 1),): polys[1],
+        (BumpFactor(A, 0, 2),): polys[2],
+    })
+    two = CoefficientFn(n, {
+        (BumpFactor(A, 1, 1), BumpFactor(B, 1, 0)): polys[3],
+        (BumpFactor(B, 0, 1),): polys[4],
+        (): polys[5],
+    })
+    # a ring with an unused parameter slot: wider than the 2n input columns
+    wide = CoefficientFn(n, {(BumpFactor(B, 1, 2),): polys[0].extend(nv + 1)
+                             + Poly.variable(nv + 1, 0)})
+    return shared, two, wide
+
+
+def _eval_nodes(n, rng):
+    inside = rng.uniform(-1.5, 1.5, size=(40, 2 * n)) / np.sqrt(n)
+    outside = rng.uniform(-4, 4, size=(40, 2 * n))
+    on = np.zeros((2 * n, 2 * n))  # on the sphere of radius 2 of ball_bump(n, 2)
+    for i in range(n):
+        on[2 * i, i] = 2.0
+        on[2 * i + 1, i] = -2.0
+    return np.concatenate([inside, outside, on])
+
+
+def test_eval_array_matches_per_atom_reference():
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 3):
+        pts = _eval_nodes(n, rng)
+        cases = _eval_cases(n, rng)
+        for c in cases:
+            ref = _reference_eval(c, pts)
+            scale = np.abs(ref).sum(axis=0) + 1e-300
+            got = c.eval_array(pts)
+            assert np.all(np.abs(got - ref.sum(axis=0)) <= 1e-13 * scale)
+        # the last nodes lie on the ellipsoid of the shared matrix: value 0
+        assert np.all(cases[0].eval_array(pts)[-2 * n:] == 0)
+        # the x-only entry point pads the y columns with zeros
+        c = cases[0]
+        x = pts[:, :n]
+        want = _reference_eval(c, np.concatenate([x, np.zeros_like(x)], axis=1)).sum(axis=0)
+        assert np.allclose(c.eval_x_array(x), want, rtol=1e-13, atol=0)
+
+
+def test_shared_cache_equals_separate_calls():
+    rng = np.random.default_rng(8)
+    for n in (1, 2):
+        pts = _eval_nodes(n, rng)
+        first, second, wide = _eval_cases(n, rng)
+        cache = EvalCache()
+        together = [c.eval_array(pts, cache) for c in (first, second, wide, first)]
+        apart = [c.eval_array(pts) for c in (first, second, wide, first)]
+        for a, b in zip(together, apart):
+            assert np.array_equal(a, b)

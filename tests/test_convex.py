@@ -229,3 +229,18 @@ def test_as_max_affine_unwraps():
     X = rng.uniform(-2, 2, size=(32, 2))
     assert np.allclose(ma.eval_array(X), g.eval_array(X))
     assert as_max_affine(Quadratic(np.eye(2))) is None
+
+
+def test_lse_hessian_matches_einsum_formula():
+    rng = np.random.default_rng(6)
+    for base in (MaxAffine([([1], 0), ([-2], 1), ([3], -1)]),
+                 MaxAffine([([1, 0], 0), ([-1, 1], 0.5), ([0, -1], -0.5), ([2, 1], 0)])):
+        lse = LogSumExp(base, 9.0)
+        X = rng.uniform(-2, 2, size=(64, base.n))
+        w, _ = lse._weights(X)
+        a = base._af
+        mean = w @ a
+        want = lse.beta * (np.einsum("nm,mi,mj->nij", w, a, a)
+                           - np.einsum("ni,nj->nij", mean, mean))
+        scale = lse.beta * float((a * a).max())
+        assert np.abs(lse.hessian_array(X) - want).max() <= 1e-13 * scale

@@ -191,3 +191,58 @@ def test_lse_consistency_converges():
     assert gaps[0] > gaps[1]
     assert gaps[2] < 1e-4
     assert gaps[2] < gaps[0]
+
+
+def test_ridge_aligned_batches_match_per_triangle_sum():
+    from cycleval.convex import LogSumExp
+    from cycleval.cycles import (_gl_on, _graded_cuts, eval_smooth_ridge_aligned,
+                                 graph_pullback_integrand)
+    from cycleval.polyhedral import _clip_to_box, build_polyhedral, window_for
+
+    n = 2
+    ma = MaxAffine([([1, 0], 0), ([-1, 1], Q(1, 2)), ([0, -1], Q(-1, 2)), ([1, 1], 0)])
+    f = LogSumExp(ma, 40.0)
+    x1 = Poly.variable(4, 0)
+    tau = (Form.monomial(n, [1], [2], beta_coeff(n, 2, Poly.const(4, 1) + x1))
+           + Form.monomial(n, [1, 2], [], beta_coeff(n, Q(3, 2), x1 * x1))
+           + Form.monomial(n, [], [1, 2], beta_coeff(n, 2)))
+    layer = 0.05
+
+    def reference(o):
+        # one integrand call per (u, r) sub-rectangle of each triangle
+        integrand = graph_pullback_integrand(f, tau)
+        box = tau.support_box()
+        total = 0.0
+        for cell in build_polyhedral(ma, window=window_for(ma, box)).cells:
+            if cell.dim_x != n:
+                continue
+            clipped, _ = _clip_to_box(cell.x_vertices, n, box)
+            if not clipped:
+                continue
+            c = np.array([[float(v) for v in p] for p in clipped]).mean(axis=0)
+            for i in range(len(clipped)):
+                v1 = np.array([float(v) for v in clipped[i]])
+                v2 = np.array([float(v) for v in clipped[(i + 1) % len(clipped)]])
+                e = v2 - v1
+                area2 = abs((v1 - c)[0] * (v2 - c)[1] - (v1 - c)[1] * (v2 - c)[0])
+                if area2 == 0.0:
+                    continue
+                h = area2 / np.linalg.norm(e)
+                ucuts = _graded_cuts(layer / np.linalg.norm(e))
+                rcuts = [0.0, 1.0 - min(max(layer / h, 1e-12), 1.0 / 3.0), 1.0]
+                for ulo, uhi in zip(ucuts, ucuts[1:]):
+                    up, uw = _gl_on(ulo, uhi, o)
+                    for rlo, rhi in zip(rcuts, rcuts[1:]):
+                        rp, rw = _gl_on(rlo, rhi, o)
+                        U, R = np.meshgrid(up, rp, indexing="ij")
+                        W = np.outer(uw, rw).ravel() * R.ravel() * area2
+                        E = v1 + U.ravel()[:, None] * e
+                        pts = c + R.ravel()[:, None] * (E - c)
+                        total += float(np.dot(W, integrand(pts)))
+        return total
+
+    got = eval_smooth_ridge_aligned(f, ma, tau, layer=layer, order=12, refine=40)
+    coarse, fine = reference(12), reference(40)
+    assert abs(fine) > 1e-3
+    assert abs(got.value - fine) <= 1e-12 * max(1.0, abs(fine))
+    assert abs(got.error - abs(fine - coarse)) <= 1e-12 * max(1.0, abs(fine))
