@@ -23,6 +23,7 @@ import numpy as np
 from .coefficients import EvalCache, SupportError
 from .convex import ConvexBody, body_restriction
 from .cycles import EvalResult, eval_smooth
+from .exactla import det
 from .forms import Form
 from .lab import Valuation, evaluate
 from .quadrature import QuadratureSpec, default_spec
@@ -123,8 +124,8 @@ def conormal_eval(K: ConvexBody, tau: Form,
         out = np.zeros(Z.shape[0])
         for coeff, I, J in terms:
             rows = [dX[:, i, :] for i in I] + [dY[:, j, :] for j in J]
-            M = np.stack(rows, axis=1)
-            out += coeff.eval_array(pts, cache) * np.linalg.det(M)
+            M = [[r[:, c] for c in range(n)] for r in rows]
+            out += coeff.eval_array(pts, cache) * det(M)
         return out
 
     from .quadrature import integrate_box

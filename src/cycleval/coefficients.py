@@ -61,6 +61,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .exactla import inverse
 from .polynomials import Poly, Q, _as_fraction
 
 Matrix = tuple  # tuple[tuple[Fraction, ...], ...]
@@ -69,24 +70,6 @@ BoxT = tuple   # tuple[tuple[Fraction, Fraction], ...]
 
 class SupportError(ValueError):
     """Raised when an operation needs a horizontal support that is missing."""
-
-
-def _mat_inverse(M: Matrix) -> Matrix:
-    n = len(M)
-    a = [[Q(M[i][j]) for j in range(n)] + [Q(1) if k == i else Q(0) for k in range(n)]
-         for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        pv = a[col][col]
-        a[col] = [v / pv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return tuple(tuple(a[i][n + j] for j in range(n)) for i in range(n))
 
 
 def _sqrt_upper(x: Fraction) -> Fraction:
@@ -211,7 +194,7 @@ class BumpFactor:
         return p
 
     def bbox(self) -> BoxT:
-        inv = _mat_inverse(self.M)
+        inv = inverse(self.M)
         n = len(self.M)
         out = []
         for i in range(n):

@@ -16,7 +16,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .coefficients import CoefficientFn, _mat_inverse
+from .coefficients import CoefficientFn
+from .exactla import inverse
 from .polynomials import Q, _as_fraction
 
 
@@ -430,7 +431,7 @@ def legendre(f: Quadratic) -> Quadratic:
     eig = np.linalg.eigvalsh(f._Af)
     if eig.min() <= 1e-12:
         raise CatalogError("Legendre transform needs a positive definite matrix")
-    Ainv = _mat_inverse(f.A)
+    Ainv = inverse(f.A)
     n = f.n
     binv = tuple(-sum(Ainv[i][j] * f.b[j] for j in range(n)) for i in range(n))
     chalf = sum(f.b[i] * Ainv[i][j] * f.b[j] for i in range(n) for j in range(n))
@@ -551,9 +552,6 @@ class PiecewiseLinear1D:
     def kinks(self):
         """List of (breakpoint, left slope, right slope)."""
         return [(b, self.slopes[i], self.slopes[i + 1]) for i, b in enumerate(self.breaks)]
-
-    def is_convex(self) -> bool:
-        return all(s2 >= s1 for s1, s2 in zip(self.slopes, self.slopes[1:]))
 
     def pointwise(self, other: "PiecewiseLinear1D", take_max: bool) -> "PiecewiseLinear1D":
         lines_f = self._lines()

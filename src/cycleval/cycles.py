@@ -26,6 +26,7 @@ from .convex import (
     PiecewiseLinear1D,
     Quadratic,
 )
+from .exactla import det, inverse
 from .forms import (
     Form,
     fiber_scaling,
@@ -40,6 +41,7 @@ from .quadrature import (
     box_nodes,
     default_spec,
     disk_nodes,
+    gl_interval,
     integrate_box,
 )
 
@@ -51,25 +53,6 @@ class EvalResult:
 
     def __float__(self):
         return float(self.value)
-
-
-def _dets(H: np.ndarray, rows, cols) -> np.ndarray:
-    """Vectorized determinants of H[:, rows, :][:, :, cols] for sizes 0..3."""
-    k = len(rows)
-    if k != len(cols):
-        raise ValueError("determinant needs a square block")
-    if k == 0:
-        return np.ones(H.shape[0])
-    sub = H[:, rows, :][:, :, cols]
-    if k == 1:
-        return sub[:, 0, 0]
-    if k == 2:
-        return sub[:, 0, 0] * sub[:, 1, 1] - sub[:, 0, 1] * sub[:, 1, 0]
-    if k == 3:
-        return (sub[:, 0, 0] * (sub[:, 1, 1] * sub[:, 2, 2] - sub[:, 1, 2] * sub[:, 2, 1])
-                - sub[:, 0, 1] * (sub[:, 1, 0] * sub[:, 2, 2] - sub[:, 1, 2] * sub[:, 2, 0])
-                + sub[:, 0, 2] * (sub[:, 1, 0] * sub[:, 2, 1] - sub[:, 1, 1] * sub[:, 2, 0]))
-    return np.linalg.det(sub)
 
 
 def graph_pullback_integrand(f: ConvexFunction, form: Form):
@@ -98,7 +81,7 @@ def graph_pullback_integrand(f: ConvexFunction, form: Form):
         out = np.zeros(X.shape[0])
         for coeff, J, Ic, sign in pieces:
             vals = coeff.eval_array(pts, cache)
-            out += sign * vals * _dets(H, J, Ic)
+            out += sign * vals * det([[H[:, r, c] for c in Ic] for r in J])
         return out
 
     return integrand
@@ -128,17 +111,9 @@ def _graded_cuts(width: float) -> list:
     return [0.0, w, 1.0 - w, 1.0]
 
 
-def _gl_on(lo: float, hi: float, order: int):
-    from .quadrature import _leggauss
-
-    x, w = _leggauss(order)
-    half = 0.5 * (hi - lo)
-    return 0.5 * (lo + hi) + half * x, half * w
-
-
 def _gl_pieces(cuts, order: int):
     """Gauss-Legendre nodes and weights of ``order`` on each piece of ``cuts``."""
-    pieces = [_gl_on(lo, hi, order) for lo, hi in zip(cuts, cuts[1:])]
+    pieces = [gl_interval(lo, hi, order) for lo, hi in zip(cuts, cuts[1:])]
     return (np.concatenate([p for p, _ in pieces]),
             np.concatenate([w for _, w in pieces]))
 
@@ -255,8 +230,8 @@ def mass_smooth(f: ConvexFunction, R: float, order: int = 64) -> float:
         raise NotImplementedError("mass quadrature implemented for n <= 2")
     H = f.hessian_array(pts)
     HtH = np.einsum("nij,njk->nik", np.transpose(H, (0, 2, 1)), H)
-    eye = np.eye(n)[None, :, :]
-    dets = np.linalg.det(eye + HtH)
+    G = np.eye(n)[None, :, :] + HtH
+    dets = det([[G[:, i, j] for j in range(n)] for i in range(n)])
     return float((wts * np.sqrt(dets)).sum())
 
 
@@ -456,13 +431,12 @@ def transform_identity_residual(f: ConvexFunction, form: Form, transform: tuple,
         return abs(float(lhs) - float(rhs))
     if kind == "linear":
         _, g = transform
-        from .rumin import _det_sign, _mat_inv_list
+        from .rumin import _det_sign
 
         sgn = _det_sign(g, n)
-        ginv = _mat_inv_list(g, n)
         lhs = eval_smooth(LinearPrecompose(f, [[float(v) for v in row] for row in g]),
                           form, spec=spec).value
-        pulled = pullback(linear_lift(n, ginv), form)
+        pulled = pullback(linear_lift(n, inverse(g)), form)
         rhs = sgn * float(eval_smooth(f, pulled, spec=spec,
                                       box=pulled.support_box()).value)
         return abs(float(lhs) - rhs)

@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .coefficients import BoxT, CoefficientFn, SupportError, _box_union
+from .exactla import inverse
 from .polynomials import Poly, Q, _as_fraction
 from .quadrature import QuadratureSpec, default_spec, integrate_box
 
@@ -397,8 +398,7 @@ def fiber_scaling(n: int, t=None) -> PolynomialMap:
 def linear_lift(n: int, g: Sequence[Sequence]) -> PolynomialMap:
     """Lift of x -> g x to T*R^n, (x, y) -> (g x, g^{-T} y); needs g invertible."""
     G = tuple(tuple(_as_fraction(g[i][j]) for j in range(n)) for i in range(n))
-    from .coefficients import _mat_inverse
-    Ginv = _mat_inverse(G)  # raises on singular g
+    Ginv = inverse(G)  # raises on singular g
     nv = 2 * n
     comps = []
     for i in range(n):
@@ -461,27 +461,8 @@ def _lefschetz_inverse_matrix(n: int):
             if s == 0:
                 continue
             mat[dst_index[merged]][j] += s
-    inv = _invert_fraction_matrix(mat)
-    _LEF_CACHE[n] = (src, dst, inv)
+    _LEF_CACHE[n] = (src, dst, inverse(mat))
     return _LEF_CACHE[n]
-
-
-def _invert_fraction_matrix(mat):
-    m = len(mat)
-    a = [[Q(v) for v in row] + [Q(1) if k == i else Q(0) for k in range(m)]
-         for i, row in enumerate(mat)]
-    for col in range(m):
-        piv = next((r for r in range(col, m) if a[r][col] != 0), None)
-        if piv is None:
-            raise AssertionError("Lefschetz matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        pv = a[col][col]
-        a[col] = [v / pv for v in a[col]]
-        for r in range(m):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [[a[i][m + j] for j in range(m)] for i in range(m)]
 
 
 def lefschetz_L_inverse(a: Form) -> Form:

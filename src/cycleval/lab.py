@@ -39,6 +39,7 @@ from .cycles import (
     eval_smooth,
     eval_smooth_ridge_aligned,
 )
+from .exactla import det, inverse, polarized_det, solve
 from .forms import (
     Form,
     integrate_zero_section,
@@ -347,9 +348,6 @@ class HomogeneityFit:
     values: list
     scale: float
 
-    def dominant_degree(self) -> int:
-        return int(np.argmax(np.abs(self.coefficients)))
-
 
 def homogeneity_fit(val: Valuation, f: ConvexFunction,
                     t_grid: Optional[Sequence[float]] = None) -> HomogeneityFit:
@@ -486,21 +484,8 @@ def mixed_discriminant(matrices: Sequence) -> Fraction | float:
     n = len(matrices)
     exact = all(isinstance(matrices[i][p][q], (int, Fraction))
                 for i in range(n) for p in range(n) for q in range(n))
-    total: Fraction | float = Q(0) if exact else 0.0
-    for r in range(1, n + 1):
-        for S in combinations(range(n), r):
-            if exact:
-                M = [[sum(_as_fraction(matrices[i][p][q]) for i in S)
-                      for q in range(n)] for p in range(n)]
-                from .rumin import _fraction_det
-
-                det = _fraction_det(M)
-            else:
-                M = sum(np.asarray(matrices[i], dtype=float) for i in S)
-                det = float(np.linalg.det(M))
-            total = total + ((-1) ** (n - r)) * det
-    fact = math.factorial(n)
-    return total / fact
+    coerce = _as_fraction if exact else float
+    return polarized_det([[[coerce(v) for v in row] for row in m] for m in matrices])
 
 
 @dataclass
@@ -534,18 +519,12 @@ def hessian_valuation(spec: MixedDiscriminantSpec, f: ConvexFunction,
     if box is None:
         raise ValueError("weight needs a support box")
     quad = quad or default_spec(n)
-    A_float = [np.asarray([[float(v) for v in row] for row in m]) for m in spec.A]
+    A_float = [[[float(v) for v in row] for row in m] for m in spec.A]
 
     def fn(pts):
         H = f.hessian_array(pts)
-        N = pts.shape[0]
-        total = np.zeros(N)
-        mats = [H] * k + [np.broadcast_to(a, (N, n, n)) for a in A_float]
-        for r in range(1, n + 1):
-            for S in combinations(range(n), r):
-                M = sum(mats[i] for i in S)
-                total += ((-1) ** (n - r)) * np.linalg.det(M)
-        return spec.B.eval_x_array(pts) * total / math.factorial(n)
+        Hrows = [[H[:, p, q] for q in range(n)] for p in range(n)]
+        return spec.B.eval_x_array(pts) * polarized_det([Hrows] * k + A_float)
 
     v, _ = integrate_box(fn, box, quad)
     return v
@@ -570,7 +549,7 @@ def hessian_form(spec: MixedDiscriminantSpec) -> Form:
 
     Hsym = [[hvar(p, q) for q in range(n)] for p in range(n)]
     Amats = [[[Poly.const(nh, v) for v in row] for row in m] for m in spec.A]
-    target = _poly_mixed_discriminant([Hsym] * k + Amats)
+    target = polarized_det([Hsym] * k + Amats)
 
     # basis of candidate monomials dx_I ^ dy_J of bidegree (n-k, k)
     pairs = []
@@ -586,7 +565,7 @@ def hessian_form(spec: MixedDiscriminantSpec) -> Form:
     monomials = sorted(set().union(*[set(p.terms) for p in cols + [target]]))
     rows = [[col.terms.get(m, Q(0)) for col in cols] for m in monomials]
     rhs = [target.terms.get(m, Q(0)) for m in monomials]
-    sol = _solve_exact(rows, rhs)
+    sol, _ = solve(rows, rhs)
     if sol is None:
         raise AssertionError("mixed-discriminant expansion is not representable")
     # symbolic verification of the postcondition
@@ -606,80 +585,10 @@ def hessian_form(spec: MixedDiscriminantSpec) -> Form:
     return Form(n, n, terms)
 
 
-def _poly_mixed_discriminant(mats: list) -> Poly:
-    """Symbolic polarization of det over matrices with Poly entries."""
-    n = len(mats)
-    nh = mats[0][0][0].nvars
-    total = Poly.zero(nh)
-    for r in range(1, n + 1):
-        for S in combinations(range(n), r):
-            M = [[Poly.zero(nh) for _ in range(n)] for _ in range(n)]
-            for i in S:
-                for p in range(n):
-                    for q in range(n):
-                        M[p][q] = M[p][q] + mats[i][p][q]
-            total = total + _poly_det(M).scale((-1) ** (n - r))
-    return total.scale(Q(1, math.factorial(n)))
-
-
-def _poly_det(M: list) -> Poly:
-    from itertools import permutations
-
-    n = len(M)
-    nh = M[0][0].nvars
-    out = Poly.zero(nh)
-    for perm in permutations(range(n)):
-        sign = 1
-        seen = list(perm)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if seen[i] > seen[j]:
-                    sign = -sign
-        term = Poly.const(nh, sign)
-        for i in range(n):
-            term = term * M[i][perm[i]]
-        out = out + term
-    return out
-
-
 def _poly_minor(H: list, rows: list, cols: list) -> Poly:
-    sub = [[H[r][c] for c in cols] for r in rows]
-    if not sub:
+    if not rows:
         return Poly.const(H[0][0].nvars, 1)
-    return _poly_det(sub)
-
-
-def _solve_exact(rows: list, rhs: list) -> Optional[list]:
-    """Exact solve of an overdetermined consistent system; free vars -> 0."""
-    m = len(rows)
-    if m == 0:
-        return []
-    ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        piv = next((s for s in range(row, m) if aug[s][col] != 0), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        pv = aug[row][col]
-        aug[row] = [v / pv for v in aug[row]]
-        for s in range(m):
-            if s != row and aug[s][col] != 0:
-                f = aug[s][col]
-                aug[s] = [v - f * w for v, w in zip(aug[s], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    for s in range(row, m):
-        if aug[s][ncols] != 0:
-            return None
-    sol = [Q(0)] * ncols
-    for r, col in enumerate(pivots):
-        sol[col] = aug[r][ncols]
-    return sol
+    return det([[H[r][c] for c in cols] for r in rows])
 
 
 # -- group averaging and rigidity ------------------------------------------------------
@@ -697,15 +606,14 @@ def check_orthogonal(g) -> None:
 
 def group_average(tau: Form, gs: Sequence) -> Form:
     """(1/N) sum over g of sign(det g) pullback(lift(g^{-1}), tau)."""
-    from .rumin import _det_sign, _mat_inv_list
+    from .rumin import _det_sign
 
     n = tau.n
     acc = None
     for g in gs:
         check_orthogonal(g)
         sgn = _det_sign(g, n)
-        ginv = _mat_inv_list(g, n)
-        piece = pullback(linear_lift(n, ginv), tau).scale(sgn)
+        piece = pullback(linear_lift(n, inverse(g)), tau).scale(sgn)
         acc = piece if acc is None else acc + piece
     return acc.scale(Q(1, len(gs)))
 
@@ -737,9 +645,7 @@ def octahedral_rotations() -> list:
             M = [[Q(0)] * 3 for _ in range(3)]
             for i, (p, s) in enumerate(zip(perm, signs)):
                 M[i][p] = Q(s)
-            from .rumin import _fraction_det
-
-            if _fraction_det([row[:] for row in M]) == 1:
+            if det(M) == 1:
                 out.append(M)
     return out
 

@@ -27,8 +27,9 @@ import numpy as np
 from .coefficients import BoxT, CoefficientFn, SupportError
 from .convex import MaxAffine, PiecewiseLinear1D
 from .forms import Form
-from .polynomials import Poly, Q, _as_fraction
-from .quadrature import _leggauss
+from .exactla import det, solve
+from .polynomials import Poly, Q, _as_fraction, dirichlet_moment
+from .quadrature import gl_interval
 
 
 class WindowTooSmall(ValueError):
@@ -163,37 +164,13 @@ def _dominated(ai, bi, others, n) -> bool:
 
 def _convex_combo(target, gradients) -> Optional[list]:
     """Solve sum lam_j g_j = target, sum lam_j = 1, lam >= 0 exactly."""
-    n = len(target)
-    r = len(gradients)
-    rows = []
-    for k in range(n):
-        rows.append([g[k] for g in gradients] + [target[k]])
-    rows.append([Q(1)] * r + [Q(1)])
-    # Gaussian elimination on the r unknowns
-    m = len(rows)
-    pivots = []
-    row = 0
-    for col in range(r):
-        piv = next((s for s in range(row, m) if rows[s][col] != 0), None)
-        if piv is None:
-            continue
-        rows[row], rows[piv] = rows[piv], rows[row]
-        pv = rows[row][col]
-        rows[row] = [v / pv for v in rows[row]]
-        for s in range(m):
-            if s != row and rows[s][col] != 0:
-                f = rows[s][col]
-                rows[s] = [v - f * w for v, w in zip(rows[s], rows[row])]
-        pivots.append(col)
-        row += 1
-    for s in range(row, m):
-        if rows[s][-1] != 0:
-            return None  # inconsistent
-    if row < r:
+    rows = [[g[k] for g in gradients] for k in range(len(target))]
+    rows.append([Q(1)] * len(gradients))
+    lam, rank = solve(rows, list(target) + [Q(1)])
+    if lam is None:
+        return None  # inconsistent
+    if rank < len(gradients):
         return None  # underdetermined; a smaller subset will be tried
-    lam = [Q(0)] * r
-    for s, col in enumerate(pivots):
-        lam[col] = rows[s][-1]
     if any(v < 0 for v in lam):
         return None
     return lam
@@ -506,31 +483,13 @@ def cell_orientation(cell: Cell) -> int:
     """Minty sign of the cell's first simplex product, for inspection."""
     sx = _triangulate(cell.x_vertices, cell.dim_x)[0]
     sy = _triangulate(cell.y_vertices, cell.dim_y)[0]
-    d = _det(_frame(sx) + _frame(sy))
+    d = det(_frame(sx) + _frame(sy))
     return 0 if d == 0 else (1 if d > 0 else -1)
 
 
-def _det(cols) -> Fraction:
-    m = len(cols)
-    if m == 0:
-        return Q(1)
-    rows = [[cols[j][i] for j in range(m)] for i in range(len(cols[0]))]
-    if len(rows) != m:
-        raise ValueError("non-square determinant")
-    if m == 1:
-        return rows[0][0]
-    if m == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    if m == 3:
-        return (rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
-                - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
-                + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0]))
-    raise NotImplementedError
-
-
 def _submatrix_det(frame, rows) -> Fraction:
-    cols = [tuple(v[r] for r in rows) for v in frame]
-    return _det(cols)
+    """Determinant of the frame vectors restricted to the coordinates ``rows``."""
+    return det([[v[r] for r in rows] for v in frame])
 
 
 def eval_polyhedral(cycle: PolyhedralLagrangianCycle, form: Form,
@@ -563,28 +522,31 @@ def eval_polyhedral(cycle: PolyhedralLagrangianCycle, form: Form,
             raise SupportError("cannot evaluate a form with free parameters")
         I = [v for v in key if v < n]
         J = [v - n for v in key if v >= n]
+        # the y simplices of a cell, their frames and y minors do not
+        # depend on the atom
+        cells = []
+        for cell in cycle.cells:
+            if cell.dim_x == len(I) and cell.dim_y == len(J):
+                ys = [(sy, _frame(sy)) for sy in _triangulate(cell.y_vertices, cell.dim_y)]
+                cells.append((cell, [(sy, W, _submatrix_det(W, J)) for sy, W in ys]))
         for sig, poly in coeff.atoms.items():
             atom = CoefficientFn(n, {sig: poly}, declared_box=coeff.declared_box)
             box = atom.support_box()
             if box is None:
                 raise SupportError("polynomial coefficient needs a declared window")
             exact_atom = not sig
-            for cell in cycle.cells:
-                if cell.dim_x != len(I) or cell.dim_y != len(J):
-                    continue
+            for cell, ys in cells:
                 clipped, _ = _clip_to_box(cell.x_vertices, cell.dim_x, box)
                 if not clipped:
                     continue
                 for sx in _triangulate(clipped, cell.dim_x):
-                    for sy in _triangulate(cell.y_vertices, cell.dim_y):
-                        U = _frame(sx)
-                        W = _frame(sy)
-                        Mdet = _det(U + W)
+                    U = _frame(sx)
+                    dU = _submatrix_det(U, I)
+                    for sy, W, dW in ys:
+                        Mdet = det(U + W)
                         if Mdet == 0:
                             continue
                         sign = 1 if Mdet > 0 else -1
-                        dU = _submatrix_det(U, I)
-                        dW = _submatrix_det(W, J)
                         scale = sign * dU * dW
                         if scale == 0:
                             continue
@@ -635,29 +597,15 @@ def _integrate_poly_cell(poly: Poly, n: int, sx, sy) -> Fraction:
     for e, c in composed.terms.items():
         gs = e[:dx]
         gt = e[dx:dx + dy]
-        total += c * _dirichlet(gs) * _dirichlet(gt)
+        total += c * dirichlet_moment(gs) * dirichlet_moment(gt)
     return total
-
-
-def _dirichlet(g) -> Fraction:
-    d = len(g)
-    num = Q(1)
-    for gi in g:
-        for k in range(2, gi + 1):
-            num *= k
-    den = Q(1)
-    for k in range(2, d + sum(g) + 1):
-        den *= k
-    return num / den
 
 
 def _simplex_nodes(dim: int, order: int):
     """Nodes/weights on the standard simplex (weights sum to its volume)."""
     if dim == 0:
         return np.zeros((1, 0)), np.ones(1)
-    x, w = _leggauss(order)
-    u = 0.5 * (x + 1.0)
-    wu = 0.5 * w
+    u, wu = gl_interval(0.0, 1.0, order)
     if dim == 1:
         return u[:, None], wu
     U, V = np.meshgrid(u, u, indexing="ij")

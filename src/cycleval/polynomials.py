@@ -13,6 +13,7 @@ through pullbacks but never differentiated.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -112,12 +113,6 @@ class Poly:
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
-    def degree_in(self, var: int) -> int:
-        return max((e[var] for e in self.terms), default=0)
-
-    def depends_on(self, var: int) -> bool:
-        return any(e[var] for e in self.terms)
-
     def extend(self, nvars: int) -> "Poly":
         """Embed into a ring with more trailing variables."""
         if nvars == self.nvars:
@@ -187,6 +182,9 @@ class Poly:
         if c == -1:
             return -self
         return Poly._trusted(self.nvars, {e: c * v for e, v in self.terms.items()})
+
+    def __truediv__(self, c) -> "Poly":
+        return self.scale(1 / _as_fraction(c))
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
@@ -342,22 +340,16 @@ class Poly:
         Dirichlet formula: the integral of ``prod t_i^{g_i}`` over the
         d-simplex {t_i >= 0, sum t_i <= 1} is ``(prod g_i!) / (d + sum g_i)!``.
         """
-        d = len(vars_)
         total = Q(0)
         for e, c in self.terms.items():
             for v in range(self.nvars):
                 if e[v] and v not in vars_:
                     raise ValueError("polynomial depends on a non-integration variable")
-            g = [e[v] for v in vars_]
-            num = Q(1)
-            for gi in g:
-                num *= _factorial(gi)
-            total += c * num / _factorial(d + sum(g))
+            total += c * dirichlet_moment([e[v] for v in vars_])
         return total
 
 
-def _factorial(k: int) -> Fraction:
-    out = Q(1)
-    for i in range(2, k + 1):
-        out *= i
-    return out
+def dirichlet_moment(g) -> Fraction:
+    """Integral of ``prod t_i^{g_i}`` over the standard d-simplex, d = len(g):
+    ``(prod g_i!) / (d + sum g_i)!``."""
+    return Fraction(math.prod(map(math.factorial, g)), math.factorial(len(g) + sum(g)))

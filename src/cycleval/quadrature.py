@@ -53,17 +53,21 @@ def _leggauss(order: int):
     return np.polynomial.legendre.leggauss(order)
 
 
+def gl_interval(lo: float, hi: float, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of ``order`` on [lo, hi]."""
+    x, w = _leggauss(order)
+    half = 0.5 * (hi - lo)
+    return 0.5 * (lo + hi) + half * x, half * w
+
+
 def box_nodes(box: Box, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Tensor-product nodes/weights for a box; nodes shape (N, dim)."""
     axes_pts = []
     axes_wts = []
     for lo, hi in box:
-        lo = float(lo)
-        hi = float(hi)
-        x, w = _leggauss(order)
-        half = 0.5 * (hi - lo)
-        axes_pts.append(0.5 * (lo + hi) + half * x)
-        axes_wts.append(half * w)
+        pts, wts = gl_interval(float(lo), float(hi), order)
+        axes_pts.append(pts)
+        axes_wts.append(wts)
     grids = np.meshgrid(*axes_pts, indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)
     wts = axes_wts[0]

@@ -31,7 +31,8 @@ from .forms import (
     wedge,
     zero_section_coefficient,
 )
-from .polynomials import Poly, Q
+from .exactla import det, inverse
+from .polynomials import Poly, Q, _as_fraction
 from .quadrature import QuadratureSpec, default_spec, integrate_box
 
 
@@ -259,8 +260,7 @@ def g_invariance_conditions(tau: Form, g: Sequence[Sequence], tol: float = 1e-9,
     lift = linear_lift(n, g)
     Dtau = rumin_d(tau)
     pb_ok = pullback(lift, Dtau) == Dtau.scale(sgn)
-    ginv = _mat_inv_list(g, n)
-    lift_inv = linear_lift(n, ginv)
+    lift_inv = linear_lift(n, inverse(g))
     spec = spec or default_spec(n)
     left = integrate_zero_section(tau, spec)
     right = integrate_zero_section(pullback(lift_inv, tau), spec)
@@ -274,38 +274,7 @@ def g_invariance_conditions(tau: Form, g: Sequence[Sequence], tol: float = 1e-9,
 
 
 def _det_sign(g, n: int) -> int:
-    rows = [[Fraction(str(g[i][j])) if not isinstance(g[i][j], (int, Fraction)) else Fraction(g[i][j])
-             for j in range(n)] for i in range(n)]
-    det = _fraction_det(rows)
-    if det == 0:
+    d = det([[_as_fraction(g[i][j]) for j in range(n)] for i in range(n)])
+    if d == 0:
         raise ValueError("singular linear map")
-    return 1 if det > 0 else -1
-
-
-def _fraction_det(rows) -> Fraction:
-    n = len(rows)
-    a = [row[:] for row in rows]
-    det = Q(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Q(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] * inv
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return det
-
-
-def _mat_inv_list(g, n: int):
-    from .coefficients import _mat_inverse
-
-    G = tuple(tuple(Fraction(g[i][j]) if isinstance(g[i][j], (int, Fraction))
-                    else Fraction(str(g[i][j])) for j in range(n)) for i in range(n))
-    inv = _mat_inverse(G)
-    return [list(row) for row in inv]
+    return 1 if d > 0 else -1

@@ -287,6 +287,14 @@ def _random_poly_form(rng, n, degree, nterms=2, max_deg=2):
 # -- kernel -----------------------------------------------------------------------
 
 
+# Bump-kind kernel forms are checked on smooth functions only.  While the
+# smooth sub-battery holds fewer than _KERNEL_SMOOTH_MIN functions (or fewer
+# than the whole battery but two), batteries drawn at these seed offsets top
+# it up.
+_KERNEL_SMOOTH_MIN = 30
+_KERNEL_TOP_UP_SEEDS = range(78, 90)
+
+
 def suite_kernel(config: ExperimentConfig) -> list:
     entries = []
     tol_f = config.tol("kernel_forward")
@@ -300,13 +308,13 @@ def suite_kernel(config: ExperimentConfig) -> list:
         # polyhedral and ridge-aligned routes need exact-integrable windows
         # to hit 1e-7; the smooth sub-battery absorbs bump-kind forms
         smooth_fam = [f for f in fam if f.smooth and _ridge_base_of(f) is None]
-        top_up = 78
-        while len(smooth_fam) < max(30, len(fam) - 2) and top_up < 90:
-            extra = battery(n, seed=config.seed + top_up,
+        for offset in _KERNEL_TOP_UP_SEEDS:
+            if len(smooth_fam) >= max(_KERNEL_SMOOTH_MIN, len(fam) - 2):
+                break
+            extra = battery(n, seed=config.seed + offset,
                             size=int(config.size("kernel_battery")))
             smooth_fam += [f for f in extra
                            if f.smooth and _ridge_base_of(f) is None]
-            top_up += 1
         nforms = int(config.size("kernel_forms"))
         n_bump = max(1, nforms // 5)
         for i in range(nforms):

@@ -195,9 +195,10 @@ def test_lse_consistency_converges():
 
 def test_ridge_aligned_batches_match_per_triangle_sum():
     from cycleval.convex import LogSumExp
-    from cycleval.cycles import (_gl_on, _graded_cuts, eval_smooth_ridge_aligned,
+    from cycleval.cycles import (_graded_cuts, eval_smooth_ridge_aligned,
                                  graph_pullback_integrand)
     from cycleval.polyhedral import _clip_to_box, build_polyhedral, window_for
+    from cycleval.quadrature import gl_interval as _gl_on
 
     n = 2
     ma = MaxAffine([([1, 0], 0), ([-1, 1], Q(1, 2)), ([0, -1], Q(-1, 2)), ([1, 1], 0)])
