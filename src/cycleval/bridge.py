@@ -22,11 +22,11 @@ import numpy as np
 
 from .coefficients import EvalCache, SupportError
 from .convex import ConvexBody, body_restriction
-from .cycles import EvalResult, eval_smooth
+from .cycles import eval_smooth
 from .exactla import det
 from .forms import Form
 from .lab import Valuation, evaluate
-from .quadrature import QuadratureSpec, default_spec
+from .quadrature import EvalResult, QuadratureSpec, default_spec, integrate_box
 
 
 @dataclass
@@ -128,10 +128,7 @@ def conormal_eval(K: ConvexBody, tau: Form,
             out += coeff.eval_array(pts, cache) * det(M)
         return out
 
-    from .quadrature import integrate_box
-
-    v, e = integrate_box(integrand, box, spec)
-    return EvalResult(v, e)
+    return integrate_box(integrand, box, spec)
 
 
 @dataclass

@@ -1,19 +1,18 @@
-"""Differential-cycle evaluators.
-
-Three realizations of D(f)[tau]:
+"""Differential-cycle evaluators of D(f)[tau] on gradient graphs and polylines:
 
 * smooth gradient graphs (quadrature of the graph pullback, C^2 catalog),
-* exact polyhedral Lagrangian cycles (max-affine f, see polyhedral.py),
-* exact 1D polylines for piecewise-linear functions on R, convex or not.
+  plain or ridge-aligned for log-sum-exp smoothings, and their mass,
+* 1D polylines for piecewise-linear f on R, convex or not, and their mass,
+* the pushforward identities under linear maps, quadratics and scalings.
 
-All evaluators share one orientation convention, the Minty transport; for a
-smooth convex graph it reduces to the standard orientation of the base.
+Polyhedral cycles of max-affine f live in polyhedral.py.  All evaluators
+share one orientation convention, the Minty transport; for a smooth convex
+graph it reduces to the standard orientation of the base.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -37,22 +36,16 @@ from .forms import (
 )
 from .polynomials import Poly, Q, _as_fraction
 from .quadrature import (
+    EvalResult,
     QuadratureSpec,
     box_nodes,
     default_spec,
     disk_nodes,
     gl_interval,
     integrate_box,
+    sum_parts,
+    two_pass,
 )
-
-
-@dataclass
-class EvalResult:
-    value: float | Fraction
-    error: float = 0.0
-
-    def __float__(self):
-        return float(self.value)
 
 
 def graph_pullback_integrand(f: ConvexFunction, form: Form):
@@ -100,9 +93,8 @@ def eval_smooth(f: ConvexFunction, form: Form,
     box = box or form.support_box()
     if box is None:
         raise SupportError("form needs horizontally compact (or windowed) support")
-    spec = spec or default_spec(n)
-    val, err = integrate_box(graph_pullback_integrand(f, form), box, spec)
-    return EvalResult(val, err)
+    return integrate_box(graph_pullback_integrand(f, form), box,
+                         spec or default_spec(n))
 
 
 def _graded_cuts(width: float) -> list:
@@ -207,9 +199,7 @@ def eval_smooth_ridge_aligned(f: ConvexFunction, base: MaxAffine, form: Form,
             total += _weighted_sum(integrand, pending)
         return total
 
-    v1 = one_pass(order)
-    v2 = one_pass(refine)
-    return EvalResult(v2, abs(v2 - v1))
+    return two_pass(one_pass, order, refine)
 
 
 def _weighted_sum(integrand, node_sets) -> float:
@@ -271,84 +261,50 @@ def build_1d(f: PiecewiseLinear1D | MaxAffine) -> Polyline1DCycle:
     return Polyline1DCycle(f)
 
 
-def eval_polyline(cycle: Polyline1DCycle, form: Form,
-                  order: int = 128, refine: int = 192,
-                  with_error: bool = False):
+def eval_polyline(cycle: Polyline1DCycle, form: Form) -> EvalResult:
     """Exact for polynomial atoms with windows; quadrature for bump atoms."""
-    n = 1
-    if form.n != n or form.degree != 1:
+    if form.n != 1 or form.degree != 1:
         raise ValueError("polyline evaluation needs a 1-form on T*R")
-    support = form.support_box()
-    if support is None:
+    if form.support_box() is None:
         raise SupportError("form needs horizontally compact (or windowed) support")
-
-    total_exact = Q(0)
-    total_float = 0.0
-    err = 0.0
-    inexact = False
-    cdx = form.terms.get((0,), CoefficientFn.zero(n))
-    cdy = form.terms.get((1,), CoefficientFn.zero(n))
-    if cdx.has_params() or cdy.has_params():
+    coeffs = [(axis, form.terms[(axis,)]) for axis in (0, 1) if (axis,) in form.terms]
+    if any(c.has_params() for _, c in coeffs):
         raise SupportError("cannot evaluate a form with free parameters")
+    return sum_parts(_polyline_parts(cycle, coeffs))
 
-    for sig, poly in cdx.atoms.items():
-        atom = CoefficientFn(n, {sig: poly}, declared_box=cdx.declared_box)
-        box = atom.support_box()
-        if box is None:
-            raise SupportError("polynomial coefficient needs a declared window")
-        lo, hi = box[0]
-        horiz, _ = cycle.segments(lo, hi)
-        for (a, b), slope in horiz:
-            if b <= a:
-                continue
-            if not sig:
-                restricted = poly.extend(2).subs([Poly.variable(1, 0),
-                                                  Poly.const(1, slope)])
-                val = restricted.integrate_box([(a, b)], [0])
-                total_exact += val.eval_point([Q(0)] * val.nvars)
+
+def _polyline_parts(cycle: Polyline1DCycle, coeffs):
+    """Integral of each dx (axis 0) or dy (axis 1) atom over each segment
+    along its axis: pieces left to right at y = slope, kinks at x = kink
+    from left to right slope."""
+    spec = default_spec(1)
+    for axis, coeff in coeffs:
+        for sig, poly in coeff.atoms.items():
+            atom = CoefficientFn(1, {sig: poly}, declared_box=coeff.declared_box)
+            box = atom.support_box()
+            if box is None:
+                raise SupportError("polynomial coefficient needs a declared window")
+            horiz, vert = cycle.segments(*box[0])
+            if axis == 0:
+                segments = [(s, a, b) for (a, b), s in horiz if b > a]
             else:
-                fs = float(slope)
-                fn = lambda p: atom.eval_array(
-                    np.stack([p[:, 0], np.full(p.shape[0], fs)], axis=1))
-                v, e = integrate_box(fn, [(a, b)],
-                                     QuadratureSpec(order=order, refine_order=refine))
-                total_float += v
-                err += e
-                inexact = True
+                segments = vert
+            for fixed, start, end in segments:
+                if not sig:
+                    line = [Poly.variable(1, 0), Poly.const(1, fixed)]
+                    restricted = poly.extend(2).subs(line[::-1] if axis else line)
+                    val = restricted.integrate_box([(start, end)], [0])
+                    yield val.eval_point([Q(0)] * val.nvars)
+                    continue
+                ff = float(fixed)
 
-    for sig, poly in cdy.atoms.items():
-        atom = CoefficientFn(n, {sig: poly}, declared_box=cdy.declared_box)
-        box = atom.support_box()
-        if box is None:
-            raise SupportError("polynomial coefficient needs a declared window")
-        lo, hi = box[0]
-        _, vert = cycle.segments(lo, hi)
-        for x0, sl, sr in vert:
-            if not sig:
-                restricted = poly.extend(2).subs([Poly.const(1, x0),
-                                                  Poly.variable(1, 0)])
-                val = restricted.integrate_box([(sl, sr)], [0])
-                total_exact += val.eval_point([Q(0)] * val.nvars)
-            else:
-                fx = float(x0)
-                fn = lambda p: atom.eval_array(
-                    np.stack([np.full(p.shape[0], fx), p[:, 0]], axis=1))
-                a, b = (float(sl), float(sr))
-                sgn = 1.0
-                if b < a:
-                    a, b = b, a
-                    sgn = -1.0
-                v, e = integrate_box(fn, [(a, b)],
-                                     QuadratureSpec(order=order, refine_order=refine))
-                total_float += sgn * v
-                err += e
-                inexact = True
+                def fn(p):
+                    cols = [p[:, 0], np.full(p.shape[0], ff)]
+                    return atom.eval_array(np.stack(cols[::-1] if axis else cols, axis=1))
 
-    if inexact:
-        value = float(total_exact) + total_float
-    else:
-        value = total_exact
-    return (value, err) if with_error else value
+                a, b = float(start), float(end)
+                res = integrate_box(fn, [(min(a, b), max(a, b))], spec)
+                yield EvalResult((-1.0 if b < a else 1.0) * res.value, res.error)
 
 
 def mass_polyline(cycle: Polyline1DCycle, R: float) -> float:

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 from .coefficients import BoxT, CoefficientFn, SupportError, _box_union
 from .exactla import inverse
 from .polynomials import Poly, Q, _as_fraction
-from .quadrature import QuadratureSpec, default_spec, integrate_box
+from .quadrature import EvalResult, QuadratureSpec, default_spec, integrate_box, sum_parts
 
 MAX_DIMENSION = 4  # basis matrices for the Lefschetz inverse stay tiny
 
@@ -512,39 +512,31 @@ def zero_section_coefficient(a: Form) -> CoefficientFn:
     return a.terms.get(key, CoefficientFn.zero(n)).restrict_y_zero()
 
 
-def integrate_zero_section(a: Form, spec: Optional[QuadratureSpec] = None,
-                           with_error: bool = False):
-    """Integral over the zero section V -> T*V.
+def integrate_zero_section(a: Form,
+                           spec: Optional[QuadratureSpec] = None) -> EvalResult:
+    """Integral over the zero section V -> T*V."""
+    return integrate_coefficient(zero_section_coefficient(a),
+                                 spec or default_spec(a.n))
+
+
+def integrate_coefficient(c: CoefficientFn, spec: QuadratureSpec) -> EvalResult:
+    """Integral of a y-independent coefficient over R^n in x.
 
     Exact (a Fraction) for polynomial atoms with a declared window; tensor
     quadrature with a reported error estimate for bump atoms.
     """
-    if spec is None:
-        spec = default_spec(a.n)
-    c = zero_section_coefficient(a)
-    total_exact = Q(0)
-    total_float = 0.0
-    err = 0.0
-    inexact = False
-    for sig, poly in c.atoms.items():
-        part = CoefficientFn(c.n, {sig: poly}, declared_box=c.declared_box)
-        if not sig:
-            if c.declared_box is None:
-                raise SupportError("polynomial coefficient needs a declared support box")
-            if poly.nvars > 2 * c.n and any(any(e[2 * c.n:]) for e in poly.terms):
-                raise SupportError("cannot integrate a coefficient with free parameters")
-            val = poly.integrate_box(c.declared_box, list(range(c.n)))
-            total_exact += val.eval_point([Q(0)] * val.nvars)
-        else:
-            if part.integral_vanishes_by_parity():
+    def parts():
+        for sig, poly in c.atoms.items():
+            if not sig:
+                if c.declared_box is None:
+                    raise SupportError("polynomial coefficient needs a declared support box")
+                if poly.nvars > 2 * c.n and any(any(e[2 * c.n:]) for e in poly.terms):
+                    raise SupportError("cannot integrate a coefficient with free parameters")
+                val = poly.integrate_box(c.declared_box, list(range(c.n)))
+                yield val.eval_point([Q(0)] * val.nvars)
                 continue
-            box = part.support_box()
-            v, e = integrate_box(lambda p: part.eval_x_array(p), box, spec)
-            total_float += v
-            err += e
-            inexact = True
-    if inexact:
-        value: Fraction | float = float(total_exact) + total_float
-    else:
-        value = total_exact
-    return (value, err) if with_error else value
+            part = CoefficientFn(c.n, {sig: poly}, declared_box=c.declared_box)
+            if not part.integral_vanishes_by_parity():
+                yield integrate_box(part.eval_x_array, part.support_box(), spec)
+
+    return sum_parts(parts())

@@ -33,7 +33,6 @@ from .convex import (
     as_max_affine,
 )
 from .cycles import (
-    EvalResult,
     build_1d,
     eval_polyline,
     eval_smooth,
@@ -49,7 +48,7 @@ from .forms import (
 )
 from .polyhedral import build_polyhedral, eval_polyhedral, window_for
 from .polynomials import Poly, Q, _as_fraction
-from .quadrature import QuadratureSpec, default_spec, integrate_box
+from .quadrature import EvalResult, QuadratureSpec, default_spec, integrate_box
 from .rumin import RuminResult, rumin_d
 
 
@@ -72,21 +71,12 @@ class Valuation:
         return self._rumin
 
 
-def _ridge_base(f: ConvexFunction) -> Optional[MaxAffine]:
-    """Max-affine skeleton marking the Hessian ridges of LSE-like functions."""
-    if isinstance(f, LogSumExp):
-        return f.base
-    if isinstance(f, (Shifted, Scaled)):
-        return _ridge_base(f.inner)
-    return None
-
-
-def _lse_beta(f: ConvexFunction) -> Optional[float]:
-    if isinstance(f, LogSumExp):
-        return f.beta
-    if isinstance(f, (Shifted, Scaled)):
-        return _lse_beta(f.inner)
-    return None
+def _wrapped_lse(f: ConvexFunction) -> Optional[LogSumExp]:
+    """The log-sum-exp smoothing under shifts and scalings of ``f``, if any:
+    its max-affine base marks the Hessian ridges of ``f``."""
+    while isinstance(f, (Shifted, Scaled)):
+        f = f.inner
+    return f if isinstance(f, LogSumExp) else None
 
 
 def evaluate(val: Valuation, f: ConvexFunction | PiecewiseLinear1D,
@@ -96,18 +86,15 @@ def evaluate(val: Valuation, f: ConvexFunction | PiecewiseLinear1D,
     plain graph quadrature otherwise."""
     tau = val.tau
     if isinstance(f, PiecewiseLinear1D):
-        v, e = eval_polyline(build_1d(f), tau, with_error=True)
-        return EvalResult(v, e)
+        return eval_polyline(build_1d(f), tau)
     ma = as_max_affine(f)
     if ma is not None:
         cycle = build_polyhedral(ma, window=window_for(ma, tau.support_box()))
-        v, e = eval_polyhedral(cycle, tau, with_error=True)
-        return EvalResult(v, e)
-    base = _ridge_base(f)
-    if base is not None and base.n <= 2:
-        beta = _lse_beta(f) or 1.0
-        layer = min(0.25, 50.0 / beta)
-        return eval_smooth_ridge_aligned(f, base, tau, layer=layer,
+        return eval_polyhedral(cycle, tau)
+    lse = _wrapped_lse(f)
+    if lse is not None and lse.n <= 2:
+        layer = min(0.25, 50.0 / lse.beta)
+        return eval_smooth_ridge_aligned(f, lse.base, tau, layer=layer,
                                          order=32, refine=44)
     return eval_smooth(f, tau, spec=spec)
 
@@ -271,8 +258,8 @@ def random_kernel_form(rng, n: int, radius=2, kind: str = "window") -> Form:
             box=tuple((-_as_fraction(radius), _as_fraction(radius))
                       for _ in range(n)))
         probe_form = Form(n, n, {tuple(range(n)): probe})
-        i_tau = integrate_zero_section(tau)
-        i_probe = integrate_zero_section(probe_form)
+        i_tau = integrate_zero_section(tau).value
+        i_probe = integrate_zero_section(probe_form).value
         return tau + probe_form.scale(-Fraction(i_tau) / Fraction(i_probe))
 
     rho = random_bump_form(rng, n, degree=n - 1, radius=radius, nterms=2)
@@ -395,8 +382,7 @@ def first_variation_check(val: Valuation, f: ConvexFunction, psi: SmoothField,
     boxes = _split_at_support(box, psi.coeff.support_box()) if n == 1 else [box]
     if spec is None and n > 1 and psi.coeff.has_bump():
         # interior Hessian layers at the perturbation's support sphere
-        spec = QuadratureSpec(mode="adaptive", order=24, refine_order=32,
-                              tol=1e-9, max_depth=10)
+        spec = QuadratureSpec(order=24, refine_order=32, tol=1e-9, max_depth=10)
     spec = spec or default_spec(n)
 
     def mu(g, form):
@@ -468,8 +454,7 @@ def integral_against_density(f: ConvexFunction, phi: CoefficientFn,
     def fn(pts):
         return f.eval_array(pts) * phi.eval_x_array(pts)
 
-    v, _ = integrate_box(fn, box, spec)
-    return v
+    return integrate_box(fn, box, spec).value
 
 
 # -- mixed discriminants and Hessian valuations -------------------------------------------
@@ -526,8 +511,7 @@ def hessian_valuation(spec: MixedDiscriminantSpec, f: ConvexFunction,
         Hrows = [[H[:, p, q] for q in range(n)] for p in range(n)]
         return spec.B.eval_x_array(pts) * polarized_det([Hrows] * k + A_float)
 
-    v, _ = integrate_box(fn, box, quad)
-    return v
+    return integrate_box(fn, box, quad).value
 
 
 def hessian_form(spec: MixedDiscriminantSpec) -> Form:

@@ -29,7 +29,7 @@ from .convex import MaxAffine, PiecewiseLinear1D
 from .forms import Form
 from .exactla import det, solve
 from .polynomials import Poly, Q, _as_fraction, dirichlet_moment
-from .quadrature import gl_interval
+from .quadrature import EvalResult, gl_interval, sum_parts, two_pass
 
 
 class WindowTooSmall(ValueError):
@@ -492,14 +492,12 @@ def _submatrix_det(frame, rows) -> Fraction:
     return det([[v[r] for r in rows] for v in frame])
 
 
-def eval_polyhedral(cycle: PolyhedralLagrangianCycle, form: Form,
-                    order: int = 64, refine: int = 88,
-                    with_error: bool = False):
+def eval_polyhedral(cycle: PolyhedralLagrangianCycle, form: Form) -> EvalResult:
     """Integrate an n-form over the cycle.
 
     Polynomial atoms with declared windows integrate exactly over simplex
     products (Dirichlet formula); bump atoms use per-cell tensor quadrature
-    with a refinement error estimate.  The result is a Fraction when every
+    with a refinement error estimate.  The value is a Fraction when every
     atom is exact.
     """
     n = cycle.n
@@ -512,11 +510,12 @@ def eval_polyhedral(cycle: PolyhedralLagrangianCycle, form: Form,
         if slo < wlo or shi > whi:
             raise WindowTooSmall(
                 f"form support exceeds the cycle window along x_{k + 1}")
+    return sum_parts(_polyhedral_parts(cycle, form))
 
-    total_exact = Q(0)
-    total_float = 0.0
-    err = 0.0
-    inexact = False
+
+def _polyhedral_parts(cycle: PolyhedralLagrangianCycle, form: Form):
+    """Integral of each atom over each simplex product of each cell."""
+    n = cycle.n
     for key, coeff in form.terms.items():
         if coeff.has_params():
             raise SupportError("cannot evaluate a form with free parameters")
@@ -534,7 +533,6 @@ def eval_polyhedral(cycle: PolyhedralLagrangianCycle, form: Form,
             box = atom.support_box()
             if box is None:
                 raise SupportError("polynomial coefficient needs a declared window")
-            exact_atom = not sig
             for cell, ys in cells:
                 clipped, _ = _clip_to_box(cell.x_vertices, cell.dim_x, box)
                 if not clipped:
@@ -550,20 +548,12 @@ def eval_polyhedral(cycle: PolyhedralLagrangianCycle, form: Form,
                         scale = sign * dU * dW
                         if scale == 0:
                             continue
-                        if exact_atom:
-                            total_exact += scale * _integrate_poly_cell(
-                                poly, n, sx, sy)
+                        if not sig:
+                            yield scale * _integrate_poly_cell(poly, n, sx, sy)
                         else:
-                            v, e = _integrate_atom_cell_quad(
-                                atom, n, sx, sy, order, refine)
-                            total_float += float(scale) * v
-                            err += abs(float(scale)) * e
-                            inexact = True
-    if inexact:
-        value = float(total_exact) + total_float
-    else:
-        value = total_exact
-    return (value, err) if with_error else value
+                            res = _integrate_atom_cell_quad(atom, n, sx, sy)
+                            yield EvalResult(float(scale) * res.value,
+                                             abs(float(scale)) * res.error)
 
 
 def _affine_subs_polys(n: int, sx, sy, nvars: int) -> list:
@@ -616,8 +606,11 @@ def _simplex_nodes(dim: int, order: int):
     return np.stack([s.ravel(), t.ravel()], axis=-1), wts
 
 
-def _integrate_atom_cell_quad(atom: CoefficientFn, n: int, sx, sy,
-                              order: int, refine: int) -> tuple[float, float]:
+# Per-axis Gauss-Legendre orders of the cell quadrature and its refinement.
+_CELL_ORDER, _CELL_REFINE = 64, 88
+
+
+def _integrate_atom_cell_quad(atom: CoefficientFn, n: int, sx, sy) -> EvalResult:
     dx = len(sx) - 1
     dy = len(sy) - 1
 
@@ -639,9 +632,7 @@ def _integrate_atom_cell_quad(atom: CoefficientFn, n: int, sx, sy,
         vals = atom.eval_array(pts)
         return float((np.repeat(ws, Nt) * np.tile(wt, Ns) * vals).sum())
 
-    v1 = run(order)
-    v2 = run(refine)
-    return v2, abs(v2 - v1)
+    return two_pass(run, _CELL_ORDER, _CELL_REFINE)
 
 
 # -- mass ----------------------------------------------------------------------------------

@@ -1,32 +1,75 @@
-"""Tensor Gauss-Legendre quadrature on boxes, with refinement-based error
-estimates and an adaptive (dyadic subdivision) mode for peaked integrands."""
+"""Tensor Gauss-Legendre quadrature on boxes with refinement-based error
+estimates, bisected up to ``max_depth`` times for peaked integrands, and the
+one result type of every integral: exact where the atoms allow it,
+quadrature with an error estimate elsewhere."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 Box = Sequence[tuple]  # [(lo, hi)] per axis, rational or float bounds
 
 
+@dataclass
+class EvalResult:
+    """An integral: a Fraction when exact, else a float with its error estimate."""
+
+    value: float | Fraction
+    error: float = 0.0
+
+    def __float__(self):
+        return float(self.value)
+
+
+def two_pass(one_pass: Callable[[int], float], order: int,
+             refine_order: int) -> EvalResult:
+    """The pass at ``refine_order``, with its distance from the pass at
+    ``order`` as the error estimate."""
+    coarse = one_pass(order)
+    fine = one_pass(refine_order)
+    return EvalResult(fine, abs(fine - coarse))
+
+
+def sum_parts(parts: Iterable[Fraction | EvalResult]) -> EvalResult:
+    """Sum of exact parts (Fractions) and quadrature parts (EvalResults).
+
+    A Fraction while every part is exact; otherwise the float of the exact
+    sum plus the quadrature values in order, with their errors summed.
+    """
+    exact = Fraction(0)
+    total = 0.0
+    err = 0.0
+    inexact = False
+    for part in parts:
+        if isinstance(part, EvalResult):
+            total += part.value
+            err += part.error
+            inexact = True
+        else:
+            exact += part
+    return EvalResult(float(exact) + total if inexact else exact, err)
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """How to integrate a smooth integrand over a box.
 
-    ``mode="tensor"``: one pass at ``order`` plus a refinement at
-    ``refine_order``; the difference is the reported error estimate.
-    ``mode="adaptive"``: recursive bisection of the box until the local
-    tensor estimate is below ``tol`` (absolute, split over children).
+    One pass at ``order`` plus a refinement at ``refine_order``; the
+    difference is the reported error estimate.  Where it exceeds ``tol``
+    (absolute, halved for each child) the box is bisected along its widest
+    axis, at most ``max_depth`` times; ``max_depth=0`` is one tensor pass
+    pair.
     """
 
-    mode: str = "tensor"
     order: int = 24
     refine_order: int = 32
     tol: float = 1e-9
-    max_depth: int = 9
+    max_depth: int = 0
 
 
 DEFAULT_QUAD = QuadratureSpec()
@@ -77,38 +120,32 @@ def box_nodes(box: Box, order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def integrate_box(fn: Callable[[np.ndarray], np.ndarray], box: Box,
-                  spec: QuadratureSpec = DEFAULT_QUAD) -> tuple[float, float]:
-    """Integrate a vectorized integrand over a box; returns (value, error)."""
-    if spec.mode == "adaptive":
-        return _integrate_adaptive(fn, [(float(lo), float(hi)) for lo, hi in box], spec)
-    pts, wts = box_nodes(box, spec.order)
-    coarse = float(np.dot(wts, fn(pts)))
-    pts2, wts2 = box_nodes(box, spec.refine_order)
-    fine = float(np.dot(wts2, fn(pts2)))
-    return fine, abs(fine - coarse)
+                  spec: QuadratureSpec = DEFAULT_QUAD) -> EvalResult:
+    """Integrate a vectorized integrand over a box."""
+    return _bisected(fn, [(float(lo), float(hi)) for lo, hi in box], spec, 0)
 
 
-def _integrate_adaptive(fn, box, spec: QuadratureSpec, depth: int = 0) -> tuple[float, float]:
-    pts, wts = box_nodes(box, spec.order)
-    coarse = float(np.dot(wts, fn(pts)))
-    pts2, wts2 = box_nodes(box, spec.refine_order)
-    fine = float(np.dot(wts2, fn(pts2)))
-    err = abs(fine - coarse)
-    if err <= spec.tol or depth >= spec.max_depth:
-        return fine, err
+def _bisected(fn, box, spec: QuadratureSpec, depth: int) -> EvalResult:
+    def one_pass(order):
+        pts, wts = box_nodes(box, order)
+        return float(np.dot(wts, fn(pts)))
+
+    res = two_pass(one_pass, spec.order, spec.refine_order)
+    if res.error <= spec.tol or depth >= spec.max_depth:
+        return res
     # split along the widest axis
     widths = [hi - lo for lo, hi in box]
     ax = int(np.argmax(widths))
     lo, hi = box[ax]
     mid = 0.5 * (lo + hi)
-    child = QuadratureSpec(spec.mode, spec.order, spec.refine_order, spec.tol / 2, spec.max_depth)
+    child = replace(spec, tol=spec.tol / 2)
     left = list(box)
     left[ax] = (lo, mid)
     right = list(box)
     right[ax] = (mid, hi)
-    v1, e1 = _integrate_adaptive(fn, left, child, depth + 1)
-    v2, e2 = _integrate_adaptive(fn, right, child, depth + 1)
-    return v1 + v2, e1 + e2
+    r1 = _bisected(fn, left, child, depth + 1)
+    r2 = _bisected(fn, right, child, depth + 1)
+    return EvalResult(r1.value + r2.value, r1.error + r2.error)
 
 
 def disk_nodes(radius: float, order_r: int = 32, order_t: int = 64) -> tuple[np.ndarray, np.ndarray]:

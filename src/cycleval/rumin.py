@@ -16,12 +16,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .coefficients import CoefficientFn, SupportError
+from .coefficients import CoefficientFn
 from .forms import (
     DegreeError,
     Form,
     exterior_derivative,
     fiber_scaling,
+    integrate_coefficient,
     integrate_zero_section,
     lefschetz_L_inverse,
     linear_lift,
@@ -33,7 +34,7 @@ from .forms import (
 )
 from .exactla import det, inverse
 from .polynomials import Poly, Q, _as_fraction
-from .quadrature import QuadratureSpec, default_spec, integrate_box
+from .quadrature import QuadratureSpec, default_spec
 
 
 def d_bar(tau: Form) -> Form:
@@ -139,7 +140,7 @@ def dually_epi_conditions(tau: Form, tol: float = 1e-9,
     residual = 0.0
     ok = True
     for part in _split_by_params(diff, 2 * n):
-        val = _integrate_x_coefficient(part, spec or default_spec(n))
+        val = integrate_coefficient(part, spec or default_spec(n)).value
         residual = max(residual, abs(float(val)))
         if isinstance(val, Fraction):
             ok = ok and val == 0
@@ -168,28 +169,6 @@ def _split_by_params(c: CoefficientFn, base: int) -> list[CoefficientFn]:
         if not part.is_zero():
             out.append(part)
     return out
-
-
-def _integrate_x_coefficient(c: CoefficientFn, spec: QuadratureSpec):
-    """Integrate a y-independent coefficient over R^n in x (exact when possible)."""
-    total_exact = Q(0)
-    total_float = 0.0
-    inexact = False
-    for sig, poly in c.atoms.items():
-        part = CoefficientFn(c.n, {sig: poly}, declared_box=c.declared_box)
-        if not sig:
-            if c.declared_box is None:
-                raise SupportError("polynomial coefficient needs a declared support box")
-            val = poly.integrate_box(c.declared_box, list(range(c.n)))
-            total_exact += val.eval_point([Q(0)] * val.nvars)
-        else:
-            if part.integral_vanishes_by_parity():
-                continue
-            box = part.support_box()
-            v, _ = integrate_box(lambda p: part.eval_x_array(p), box, spec)
-            total_float += v
-            inexact = True
-    return float(total_exact) + total_float if inexact else total_exact
 
 
 def image_of_dbar_membership(a: Form, k: int, tol: float = 1e-9,
@@ -225,7 +204,7 @@ def image_of_dbar_membership(a: Form, k: int, tol: float = 1e-9,
     scale = 1.0
     vals = []
     for m in moments:
-        val = _integrate_x_coefficient(m, spec)
+        val = integrate_coefficient(m, spec).value
         vals.append(val)
         scale = max(scale, abs(float(val)))
     for val in vals:
@@ -262,8 +241,8 @@ def g_invariance_conditions(tau: Form, g: Sequence[Sequence], tol: float = 1e-9,
     pb_ok = pullback(lift, Dtau) == Dtau.scale(sgn)
     lift_inv = linear_lift(n, inverse(g))
     spec = spec or default_spec(n)
-    left = integrate_zero_section(tau, spec)
-    right = integrate_zero_section(pullback(lift_inv, tau), spec)
+    left = integrate_zero_section(tau, spec).value
+    right = integrate_zero_section(pullback(lift_inv, tau), spec).value
     if isinstance(left, Fraction) and isinstance(right, Fraction):
         int_ok = left == sgn * right
         resid = abs(float(left - sgn * right))

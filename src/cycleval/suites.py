@@ -20,6 +20,7 @@ acceptance gate share one implementation.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -44,6 +45,7 @@ from .cycles import (
     mass_smooth,
 )
 from .forms import (
+    MAX_DIMENSION,
     Form,
     exterior_derivative,
     fiber_scaling,
@@ -78,7 +80,7 @@ from .lab import (
     window_vanishing_weight,
     _rand_frac,
     _rand_pd_matrix,
-    _ridge_base as _ridge_base_of,
+    _wrapped_lse,
 )
 from .polyhedral import build_polyhedral, eval_polyhedral, mass_polyhedral, window_for
 from .polynomials import Poly, Q
@@ -148,6 +150,21 @@ class ExperimentConfig:
             unknown = sorted(set(getattr(self, field_name)) - set(known))
             if unknown:
                 raise ValueError(f"unknown {field_name} keys: {unknown}")
+        if not _is_int(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        for key, value in self.tolerances.items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"tolerance {key} must be a number, got {value!r}")
+        for key, value in self.sizes.items():
+            if isinstance(DEFAULT_SIZES[key], list):
+                ok = isinstance(value, list) and all(
+                    _is_int(d) and 1 <= d <= MAX_DIMENSION for d in value)
+                want = f"a list of dimensions in 1..{MAX_DIMENSION}"
+            else:
+                ok = _is_int(value) and value >= 0
+                want = "a non-negative integer"
+            if not ok:
+                raise ValueError(f"size {key} must be {want}, got {value!r}")
 
     def tol(self, key: str) -> float:
         return float(self.tolerances.get(key, DEFAULT_TOLERANCES[key]))
@@ -180,6 +197,10 @@ class ExperimentConfig:
 
     def parsed_bodies(self, n: int) -> list:
         return [parse_body(s, n) for s in self.bodies]
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 # -- identities -------------------------------------------------------------------
@@ -307,14 +328,14 @@ def suite_kernel(config: ExperimentConfig) -> list:
                 if getattr(f, "n", None) == n]
         # polyhedral and ridge-aligned routes need exact-integrable windows
         # to hit 1e-7; the smooth sub-battery absorbs bump-kind forms
-        smooth_fam = [f for f in fam if f.smooth and _ridge_base_of(f) is None]
+        smooth_fam = [f for f in fam if f.smooth and _wrapped_lse(f) is None]
         for offset in _KERNEL_TOP_UP_SEEDS:
             if len(smooth_fam) >= max(_KERNEL_SMOOTH_MIN, len(fam) - 2):
                 break
             extra = battery(n, seed=config.seed + offset,
                             size=int(config.size("kernel_battery")))
             smooth_fam += [f for f in extra
-                           if f.smooth and _ridge_base_of(f) is None]
+                           if f.smooth and _wrapped_lse(f) is None]
         nforms = int(config.size("kernel_forms"))
         n_bump = max(1, nforms // 5)
         for i in range(nforms):
@@ -638,7 +659,7 @@ def suite_valuation_property(config: ExperimentConfig) -> list:
     absx = MaxAffine([([1], 0), ([-1], 0)])
     phi = Poly.const(2, Q(3, 7)) + Poly.variable(2, 0) ** 2
     tau = Form(1, 1, {(1,): CoefficientFn.from_poly(1, phi, box=((Q(-1), Q(1)),))})
-    got = eval_polyline(build_1d(absx), tau)
+    got = eval_polyline(build_1d(absx), tau).value
     entries.append(SuiteEntry(
         name="valuation-property/abs-kink", passed=got == 2 * Q(3, 7),
         residual=float(abs(got - 2 * Q(3, 7))), tolerance=0.0,
@@ -648,7 +669,7 @@ def suite_valuation_property(config: ExperimentConfig) -> list:
     # caught by the same identity, with the mismatch reported as a witness
     flipped = Polyline1DCycle(PiecewiseLinear1D.from_max_affine(absx),
                               flip_vertical=True)
-    wrong = eval_polyline(flipped, tau)
+    wrong = eval_polyline(flipped, tau).value
     entries.append(SuiteEntry(
         name="valuation-property/orientation-negative-control",
         passed=wrong != 2 * Q(3, 7),
@@ -661,10 +682,10 @@ def suite_valuation_property(config: ExperimentConfig) -> list:
         f = _random_pwl(rng)
         g = _random_pwl(rng)
         tau = _random_window_form_1d(rng)
-        vf = eval_polyline(build_1d(f), tau)
-        vg = eval_polyline(build_1d(g), tau)
-        vmax = eval_polyline(build_1d(f.maximum(g)), tau)
-        vmin = eval_polyline(build_1d(f.minimum(g)), tau)
+        vf = eval_polyline(build_1d(f), tau).value
+        vg = eval_polyline(build_1d(g), tau).value
+        vmax = eval_polyline(build_1d(f.maximum(g)), tau).value
+        vmin = eval_polyline(build_1d(f.minimum(g)), tau).value
         if vf + vg != vmax + vmin:
             fails += 1
             witness = witness or {"pair": i,

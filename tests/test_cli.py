@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from cycleval.cli import main
 
 QUICK_SIZES = {
@@ -75,6 +77,21 @@ def test_exit_code_unknown_tolerance_or_size(tmp_path, capsys):
     cfg2 = _write_config(tmp_path / "cfg2.json", sizes={**QUICK_SIZES, "identity_form": 3})
     assert main(["run", str(cfg2), "--out", str(out)]) == 2
     assert "identity_form" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("override", [
+    {"seed": "x"},
+    {"seed": 1.5},
+    {"tolerances": {"bridge": "abc"}},
+    {"sizes": {"mass_dims": 1}},
+    {"sizes": {"kernel_dims": [7]}},
+])
+def test_exit_code_wrongly_typed_config_value(tmp_path, capsys, override):
+    cfg = _write_config(tmp_path / "cfg.json", **override)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert "config error:" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -84,10 +84,10 @@ def test_polyline_absolute_value():
     cyc = build_1d(f)
     phi = Poly.const(2, Q(3, 7)) + Poly.variable(2, 0) ** 2  # 3/7 + x^2
     tau = Form.monomial(1, [], [1], CoefficientFn.from_poly(1, phi, box=((Q(-1), Q(1)),)))
-    assert eval_polyline(cyc, tau) == 2 * Q(3, 7)
+    assert eval_polyline(cyc, tau).value == 2 * Q(3, 7)
     # horizontal form: vertical segment contributes nothing; int phi over window
     tau_dx = Form.monomial(1, [1], [], CoefficientFn.from_poly(1, phi, box=((Q(-1), Q(1)),)))
-    assert eval_polyline(cyc, tau_dx) == 2 * Q(3, 7) + Q(2, 3)
+    assert eval_polyline(cyc, tau_dx).value == 2 * Q(3, 7) + Q(2, 3)
 
 
 def test_polyline_concave_kink_sign():
@@ -96,10 +96,45 @@ def test_polyline_concave_kink_sign():
     cyc = build_1d(f)
     phi = Poly.const(2, 1)
     tau = Form.monomial(1, [], [1], CoefficientFn.from_poly(1, phi, box=((Q(-2), Q(2)),)))
-    assert eval_polyline(cyc, tau) == -2
+    assert eval_polyline(cyc, tau).value == -2
     # affine: single horizontal line, no kinks
     aff = PiecewiseLinear1D([], [Q(2)], Q(1))
-    assert eval_polyline(build_1d(aff), tau) == 0
+    assert eval_polyline(build_1d(aff), tau).value == 0
+
+
+def test_polyline_bump_terms_match_quad_along_segments():
+    from scipy.integrate import quad
+
+    # kinks at -1/2 (convex, slope -1 -> 1) and 1/2 (concave, 1 -> -1/2)
+    f = PiecewiseLinear1D([Q(-1, 2), Q(1, 2)], [Q(-1), Q(1), Q(-1, 2)], Q(0))
+    cyc = build_1d(f)
+    xy = Poly.variable(2, 0) * Poly.variable(2, 1)
+    c = beta_coeff(1, Q(3, 2), Poly.const(2, 1) + xy)
+
+    def coeff(x, y):
+        q = 1 - x * x / 2.25
+        return math.exp(1 - 1 / q) * (1 + x * y) if q > 0 else 0.0
+
+    # dx: the horizontal pieces at y = slope, left to right, inside |x| < 3/2
+    ref_dx = sum(quad(lambda x: coeff(x, s), a, b, epsabs=1e-13)[0]
+                 for a, b, s in [(-1.5, -0.5, -1), (-0.5, 0.5, 1), (0.5, 1.5, -0.5)])
+    # dy: each kink from its left slope to its right slope
+    ref_dy = (quad(lambda y: coeff(-0.5, y), -1, 1, epsabs=1e-13)[0]
+              + quad(lambda y: coeff(0.5, y), 1, -0.5, epsabs=1e-13)[0])
+    got_dx = eval_polyline(cyc, Form.monomial(1, [1], [], c))
+    got_dy = eval_polyline(cyc, Form.monomial(1, [], [1], c))
+    assert isinstance(got_dx.value, float) and isinstance(got_dy.value, float)
+    assert got_dx.value == pytest.approx(ref_dx, abs=1e-9)
+    assert got_dy.value == pytest.approx(ref_dy, abs=1e-9)
+
+    # exact and bump atoms together: the exact sum, then the bump parts
+    p = CoefficientFn.from_poly(1, Poly.const(2, 1) + xy, box=((Q(-2), Q(2)),))
+    exact_only = eval_polyline(cyc, Form(1, 1, {(0,): p, (1,): p}))
+    bump_only = eval_polyline(cyc, Form(1, 1, {(0,): c, (1,): c}))
+    both = eval_polyline(cyc, Form(1, 1, {(0,): p + c, (1,): p + c}))
+    assert isinstance(exact_only.value, Q) and exact_only.error == 0.0
+    assert both.value == float(exact_only.value) + bump_only.value
+    assert both.error == bump_only.error
 
 
 def test_valuation_property_exact_1d():
@@ -110,10 +145,10 @@ def test_valuation_property_exact_1d():
         fg_max = f.maximum(g)
         fg_min = f.minimum(g)
         tau = _random_window_form(rng)
-        vf = eval_polyline(build_1d(f), tau)
-        vg = eval_polyline(build_1d(g), tau)
-        vmax = eval_polyline(build_1d(fg_max), tau)
-        vmin = eval_polyline(build_1d(fg_min), tau)
+        vf = eval_polyline(build_1d(f), tau).value
+        vg = eval_polyline(build_1d(g), tau).value
+        vmax = eval_polyline(build_1d(fg_max), tau).value
+        vmin = eval_polyline(build_1d(fg_min), tau).value
         assert vf + vg == vmax + vmin
 
 
