@@ -16,7 +16,6 @@ pinned by the unit-ball / constant-volume-form case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from .cycles import eval_smooth
 from .exactla import det
 from .forms import Form
 from .lab import Valuation, evaluate
-from .quadrature import EvalResult, QuadratureSpec, default_spec, integrate_box
+from .quadrature import EvalResult, default_spec, integrate_box
 
 
 @dataclass
@@ -85,9 +84,7 @@ class QMapData:
                  - np.einsum("ni,nj->nij", x, dt)) / (t ** 2)[:, None, None]
 
 
-def conormal_eval(K: ConvexBody, tau: Form,
-                  spec: Optional[QuadratureSpec] = None,
-                  box=None) -> EvalResult:
+def conormal_eval(K: ConvexBody, tau: Form) -> EvalResult:
     """Integral of the pullback of tau over CNC(K) restricted to the lower
     hemisphere, computed in the hemisphere chart."""
     n = tau.n
@@ -95,10 +92,9 @@ def conormal_eval(K: ConvexBody, tau: Form,
         raise ValueError("body must live in R^{n+1}")
     if tau.degree != n:
         raise ValueError("expected an n-form on T*R^n")
-    box = box or tau.support_box()
+    box = tau.support_box()
     if box is None:
         raise SupportError("form needs horizontally compact (or windowed) support")
-    spec = spec or default_spec(n)
     chart = SphereChart(n)
     qmap = QMapData(n)
 
@@ -128,7 +124,7 @@ def conormal_eval(K: ConvexBody, tau: Form,
             out += coeff.eval_array(pts, cache) * det(M)
         return out
 
-    return integrate_box(integrand, box, spec)
+    return integrate_box(integrand, box, default_spec(n))
 
 
 @dataclass
@@ -139,13 +135,12 @@ class BridgeReport:
     scale: float
 
 
-def bridge_check(K: ConvexBody, tau: Form,
-                 spec: Optional[QuadratureSpec] = None) -> BridgeReport:
+def bridge_check(K: ConvexBody, tau: Form) -> BridgeReport:
     """Residual of the pushforward identity between the restricted conormal
     cycle of K and the differential cycle of h_K(., -1)."""
-    lhs = conormal_eval(K, tau, spec=spec)
+    lhs = conormal_eval(K, tau)
     fK = body_restriction(K)
-    rhs = eval_smooth(fK, tau, spec=spec)
+    rhs = eval_smooth(fK, tau)
     scale = max(1.0, abs(float(lhs.value)), abs(float(rhs.value)))
     return BridgeReport(float(lhs.value), float(rhs.value),
                         abs(float(lhs.value) - float(rhs.value)), scale)

@@ -148,10 +148,10 @@ class MaxAffine(ConvexFunction):
     def eval_array(self, X):
         return (X @ self._af.T + self._bf).max(axis=1)
 
-    def _active(self, x, tol=1e-12):
+    def _active(self, x):
         vals = self._af @ np.asarray(x, dtype=float) + self._bf
         top = vals.max()
-        return np.nonzero(vals >= top - tol * max(1.0, abs(top)))[0]
+        return np.nonzero(vals >= top - 1e-12 * max(1.0, abs(top)))[0]
 
     def gradient_array(self, X):
         out = np.empty_like(np.asarray(X, dtype=float))
@@ -383,7 +383,7 @@ class Perturbed(ConvexFunction):
     """
 
     def __init__(self, inner: ConvexFunction, psi: SmoothField, t: float,
-                 window: float, box: Optional[Sequence[tuple]] = None, check: bool = True):
+                 window: float, box: Sequence[tuple], check: bool = True):
         if abs(t) > window:
             raise CatalogError("perturbation parameter outside the declared window")
         if not inner.smooth:
@@ -393,7 +393,7 @@ class Perturbed(ConvexFunction):
         self.n = inner.n
         self.t = float(t)
         self.window = float(window)
-        self.box = box or [(-5.0, 5.0)] * self.n
+        self.box = box
         if check:
             self._spot_check()
 

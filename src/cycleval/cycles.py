@@ -209,13 +209,13 @@ def _weighted_sum(integrand, node_sets) -> float:
     return float(np.dot(wts, integrand(pts)))
 
 
-def mass_smooth(f: ConvexFunction, R: float, order: int = 64) -> float:
+def mass_smooth(f: ConvexFunction, R: float) -> float:
     """Mass of the gradient graph over the ball of radius R (n <= 2)."""
     n = f.n
     if n == 1:
-        pts, wts = box_nodes([(-R, R)], order)
+        pts, wts = box_nodes([(-R, R)], 64)
     elif n == 2:
-        pts, wts = disk_nodes(R, order_r=order, order_t=2 * order)
+        pts, wts = disk_nodes(R, order_r=64, order_t=128)
     else:
         raise NotImplementedError("mass quadrature implemented for n <= 2")
     H = f.hessian_array(pts)
@@ -369,8 +369,8 @@ class PlusQuadratic(ConvexFunction):
         return f"plusquad({self.inner.describe()})"
 
 
-def transform_identity_residual(f: ConvexFunction, form: Form, transform: tuple,
-                                spec: Optional[QuadratureSpec] = None) -> float:
+def transform_identity_residual(f: ConvexFunction, form: Form,
+                                transform: tuple) -> float:
     """Residual of a pushforward identity, both sides computed independently.
 
     transform is one of
@@ -382,8 +382,8 @@ def transform_identity_residual(f: ConvexFunction, form: Form, transform: tuple,
     kind = transform[0]
     if kind == "add_quadratic":
         _, A, b = transform
-        lhs = eval_smooth(PlusQuadratic(f, A, b), form, spec=spec).value
-        rhs = eval_smooth(f, pullback(gradient_shear(n, A, b), form), spec=spec).value
+        lhs = eval_smooth(PlusQuadratic(f, A, b), form).value
+        rhs = eval_smooth(f, pullback(gradient_shear(n, A, b), form)).value
         return abs(float(lhs) - float(rhs))
     if kind == "linear":
         _, g = transform
@@ -391,10 +391,9 @@ def transform_identity_residual(f: ConvexFunction, form: Form, transform: tuple,
 
         sgn = _det_sign(g, n)
         lhs = eval_smooth(LinearPrecompose(f, [[float(v) for v in row] for row in g]),
-                          form, spec=spec).value
+                          form).value
         pulled = pullback(linear_lift(n, inverse(g)), form)
-        rhs = sgn * float(eval_smooth(f, pulled, spec=spec,
-                                      box=pulled.support_box()).value)
+        rhs = sgn * float(eval_smooth(f, pulled).value)
         return abs(float(lhs) - rhs)
     if kind == "scale":
         _, c = transform
@@ -403,7 +402,7 @@ def transform_identity_residual(f: ConvexFunction, form: Form, transform: tuple,
             raise ValueError("scaling tests keep c > 0 so that c f stays convex")
         from .convex import Scaled
 
-        lhs = eval_smooth(Scaled(f, c), form, spec=spec).value
-        rhs = eval_smooth(f, pullback(fiber_scaling(n, c), form), spec=spec).value
+        lhs = eval_smooth(Scaled(f, c), form).value
+        rhs = eval_smooth(f, pullback(fiber_scaling(n, c), form)).value
         return abs(float(lhs) - float(rhs))
     raise ValueError(f"unknown transform {kind!r}")

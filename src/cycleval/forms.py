@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 from .coefficients import BoxT, CoefficientFn, SupportError, _box_union
 from .exactla import inverse
 from .polynomials import Poly, Q, _as_fraction
-from .quadrature import EvalResult, QuadratureSpec, default_spec, integrate_box, sum_parts
+from .quadrature import EvalResult, default_spec, integrate_box, sum_parts
 
 MAX_DIMENSION = 4  # basis matrices for the Lefschetz inverse stay tiny
 
@@ -512,14 +512,12 @@ def zero_section_coefficient(a: Form) -> CoefficientFn:
     return a.terms.get(key, CoefficientFn.zero(n)).restrict_y_zero()
 
 
-def integrate_zero_section(a: Form,
-                           spec: Optional[QuadratureSpec] = None) -> EvalResult:
+def integrate_zero_section(a: Form) -> EvalResult:
     """Integral over the zero section V -> T*V."""
-    return integrate_coefficient(zero_section_coefficient(a),
-                                 spec or default_spec(a.n))
+    return integrate_coefficient(zero_section_coefficient(a))
 
 
-def integrate_coefficient(c: CoefficientFn, spec: QuadratureSpec) -> EvalResult:
+def integrate_coefficient(c: CoefficientFn) -> EvalResult:
     """Integral of a y-independent coefficient over R^n in x.
 
     Exact (a Fraction) for polynomial atoms with a declared window; tensor
@@ -537,6 +535,7 @@ def integrate_coefficient(c: CoefficientFn, spec: QuadratureSpec) -> EvalResult:
                 continue
             part = CoefficientFn(c.n, {sig: poly}, declared_box=c.declared_box)
             if not part.integral_vanishes_by_parity():
-                yield integrate_box(part.eval_x_array, part.support_box(), spec)
+                yield integrate_box(part.eval_x_array, part.support_box(),
+                                    default_spec(c.n))
 
     return sum_parts(parts())

@@ -57,7 +57,6 @@ class Valuation:
     """f -> D(f)[tau] for a horizontally supported middle-degree form."""
 
     tau: Form
-    bidegree: Optional[tuple] = None
     _rumin: Optional[RuminResult] = None
 
     @property
@@ -79,8 +78,7 @@ def _wrapped_lse(f: ConvexFunction) -> Optional[LogSumExp]:
     return f if isinstance(f, LogSumExp) else None
 
 
-def evaluate(val: Valuation, f: ConvexFunction | PiecewiseLinear1D,
-             spec: Optional[QuadratureSpec] = None) -> EvalResult:
+def evaluate(val: Valuation, f: ConvexFunction | PiecewiseLinear1D) -> EvalResult:
     """D(f)[tau] with routing: polyhedral for max-affine, exact polyline for
     1D piecewise-linear, ridge-aligned quadrature for log-sum-exp smoothings,
     plain graph quadrature otherwise."""
@@ -96,7 +94,7 @@ def evaluate(val: Valuation, f: ConvexFunction | PiecewiseLinear1D,
         layer = min(0.25, 50.0 / lse.beta)
         return eval_smooth_ridge_aligned(f, lse.base, tau, layer=layer,
                                          order=32, refine=44)
-    return eval_smooth(f, tau, spec=spec)
+    return eval_smooth(f, tau)
 
 
 def scale_of(values: Sequence[float]) -> float:
@@ -336,14 +334,10 @@ class HomogeneityFit:
     scale: float
 
 
-def homogeneity_fit(val: Valuation, f: ConvexFunction,
-                    t_grid: Optional[Sequence[float]] = None) -> HomogeneityFit:
+def homogeneity_fit(val: Valuation, f: ConvexFunction) -> HomogeneityFit:
     """Least-squares polynomial fit of t -> mu(t f), degree <= n."""
     n = val.n
-    if t_grid is None:
-        t_grid = [Q(k, 2) for k in range(1, n + 4)]
-    if len(t_grid) < n + 2:
-        raise ValueError("need at least n + 2 grid points")
+    t_grid = [Q(k, 2) for k in range(1, n + 4)]
     values = [float(evaluate(val, Scaled(f, t)).value) for t in t_grid]
     V = np.vander([float(t) for t in t_grid], n + 1, increasing=True)
     coeffs, res, *_ = np.linalg.lstsq(V, np.asarray(values), rcond=None)
@@ -365,32 +359,32 @@ class FirstVariationReport:
     scale: float
 
 
-def first_variation_check(val: Valuation, f: ConvexFunction, psi: SmoothField,
-                          ts: Sequence[float] = (1e-2, 1e-3),
-                          spec: Optional[QuadratureSpec] = None) -> FirstVariationReport:
-    """Central differences of t -> mu(f + t psi) against D(f)[psi ^ rumin(tau)].
+def first_variation_check(val: Valuation, f: ConvexFunction,
+                          psi: SmoothField) -> FirstVariationReport:
+    """Central differences of t -> mu(f + t psi) against D(f)[psi ^ rumin(tau)],
+    at steps t = 1e-2 and 1e-3.
 
     The same quadrature nodes evaluate every perturbed function, so the
-    finite differences do not amplify quadrature error.  Adaptive quadrature
-    is the default: a bump-type psi puts Hessian layers at its own support
-    sphere, in the interior of the integration box.
+    finite differences do not amplify quadrature error.  For n > 1 with a
+    bump-type psi the quadrature is adaptive: such a psi puts Hessian layers
+    at its own support sphere, in the interior of the integration box.
     """
     tau = val.tau
     n = val.n
     rhs_form = val.rumin.D_bar.map_coefficients(lambda c: c * psi.coeff)
     box = tau.support_box()
     boxes = _split_at_support(box, psi.coeff.support_box()) if n == 1 else [box]
-    if spec is None and n > 1 and psi.coeff.has_bump():
-        # interior Hessian layers at the perturbation's support sphere
+    if n > 1 and psi.coeff.has_bump():
         spec = QuadratureSpec(order=24, refine_order=32, tol=1e-9, max_depth=10)
-    spec = spec or default_spec(n)
+    else:
+        spec = default_spec(n)
 
     def mu(g, form):
         return sum(float(eval_smooth(g, form, spec=spec, box=b).value)
                    for b in boxes)
 
     rhs = mu(f, rhs_form)
-    t1, t2 = (float(t) for t in ts)
+    t1, t2 = 1e-2, 1e-3
     tm = math.sqrt(t1 * t2)  # auxiliary geometric step for the order estimate
     window = max(t1, t2, tm) * 1.05
     fd = {}
@@ -444,17 +438,15 @@ def k1_representation(val: Valuation) -> CoefficientFn:
     return D.terms.get(vol_key, CoefficientFn.zero(n))
 
 
-def integral_against_density(f: ConvexFunction, phi: CoefficientFn,
-                             spec: Optional[QuadratureSpec] = None) -> float:
+def integral_against_density(f: ConvexFunction, phi: CoefficientFn) -> float:
     box = phi.support_box()
     if box is None:
         raise ValueError("density needs a support box")
-    spec = spec or default_spec(phi.n)
 
     def fn(pts):
         return f.eval_array(pts) * phi.eval_x_array(pts)
 
-    return integrate_box(fn, box, spec).value
+    return integrate_box(fn, box, default_spec(phi.n)).value
 
 
 # -- mixed discriminants and Hessian valuations -------------------------------------------
@@ -496,14 +488,12 @@ class MixedDiscriminantSpec:
                         raise ValueError("matrices must be symmetric")
 
 
-def hessian_valuation(spec: MixedDiscriminantSpec, f: ConvexFunction,
-                      quad: Optional[QuadratureSpec] = None) -> float:
+def hessian_valuation(spec: MixedDiscriminantSpec, f: ConvexFunction) -> float:
     """Quadrature of B(x) det(D^2 f(x)[k], A_1..A_{n-k}) over B's support."""
     n, k = spec.n, spec.k
     box = spec.B.support_box()
     if box is None:
         raise ValueError("weight needs a support box")
-    quad = quad or default_spec(n)
     A_float = [[[float(v) for v in row] for row in m] for m in spec.A]
 
     def fn(pts):
@@ -511,7 +501,7 @@ def hessian_valuation(spec: MixedDiscriminantSpec, f: ConvexFunction,
         Hrows = [[H[:, p, q] for q in range(n)] for p in range(n)]
         return spec.B.eval_x_array(pts) * polarized_det([Hrows] * k + A_float)
 
-    return integrate_box(fn, box, quad).value
+    return integrate_box(fn, box, default_spec(n)).value
 
 
 def hessian_form(spec: MixedDiscriminantSpec) -> Form:
@@ -619,19 +609,23 @@ def sampled_rotations_2d(N: int = 64, denom: int = 2 ** 20) -> list:
     return out
 
 
-def octahedral_rotations() -> list:
-    """The 24 integer rotation matrices of the octahedral group."""
+def signed_permutations(n: int) -> list:
+    """The 2^n n! signed permutation matrices: the symmetries of [-1, 1]^n."""
     from itertools import permutations, product
 
     out = []
-    for perm in permutations(range(3)):
-        for signs in product((1, -1), repeat=3):
-            M = [[Q(0)] * 3 for _ in range(3)]
+    for perm in permutations(range(n)):
+        for signs in product((1, -1), repeat=n):
+            M = [[Q(0)] * n for _ in range(n)]
             for i, (p, s) in enumerate(zip(perm, signs)):
                 M[i][p] = Q(s)
-            if det(M) == 1:
-                out.append(M)
+            out.append(M)
     return out
+
+
+def octahedral_rotations() -> list:
+    """The 24 integer rotation matrices of the octahedral group."""
+    return [M for M in signed_permutations(3) if det(M) == 1]
 
 
 @dataclass
@@ -645,9 +639,7 @@ class RigidityReport:
                  "group stands in for a transitive compact subgroup")
 
 
-def rigidity_probe_1hom(val: Valuation, radii: Sequence[float] = (0.5, 1.0, 1.5),
-                        n_dirs: int = 48, tol: float = 1e-4,
-                        seed: int = 5) -> RigidityReport:
+def rigidity_probe_1hom(val: Valuation, tol: float = 1e-4) -> RigidityReport:
     """Angular variation of the k = 1 density on sampled spheres.
 
     For a rotation-invariant valuation the density must be radial; the
@@ -655,12 +647,13 @@ def rigidity_probe_1hom(val: Valuation, radii: Sequence[float] = (0.5, 1.0, 1.5)
     """
     phi = k1_representation(val)
     n = val.n
-    rng = np.random.default_rng(seed)
+    n_dirs = 48
+    radii = [0.5, 1.0, 1.5]
     if n == 2:
         thetas = 2 * np.pi * (np.arange(n_dirs) + 0.5) / n_dirs
         dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
     else:
-        dirs = rng.normal(size=(n_dirs, n))
+        dirs = np.random.default_rng(5).normal(size=(n_dirs, n))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     variations = []
     allvals = []
@@ -670,4 +663,4 @@ def rigidity_probe_1hom(val: Valuation, radii: Sequence[float] = (0.5, 1.0, 1.5)
         allvals.extend(vals.tolist())
     scale = scale_of(allvals)
     passed = all(v <= tol * scale for v in variations)
-    return RigidityReport(list(radii), variations, scale, tol, passed)
+    return RigidityReport(radii, variations, scale, tol, passed)

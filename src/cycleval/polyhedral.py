@@ -28,7 +28,7 @@ from .coefficients import BoxT, CoefficientFn, SupportError
 from .convex import MaxAffine, PiecewiseLinear1D
 from .forms import Form
 from .exactla import det, solve
-from .polynomials import Poly, Q, _as_fraction, dirichlet_moment
+from .polynomials import Poly, Q, dirichlet_moment
 from .quadrature import EvalResult, gl_interval, sum_parts, two_pass
 
 
@@ -233,8 +233,8 @@ class PolyhedralLagrangianCycle:
         return json.dumps(self.dump(), indent=2, sort_keys=True)
 
 
-def default_window(f: MaxAffine, pad=1) -> BoxT:
-    """Box containing the subdivision's vertex structure, inflated."""
+def default_window(f: MaxAffine) -> BoxT:
+    """Box containing the subdivision's vertex structure, inflated by 1."""
     n = f.n
     pts: list[Point] = [tuple(Q(0) for _ in range(n))]
     pieces = f.pieces
@@ -258,11 +258,10 @@ def default_window(f: MaxAffine, pad=1) -> BoxT:
             if det != 0:
                 pts.append(((c1 * n2[1] - c2 * n1[1]) / det,
                             (n1[0] * c2 - n2[0] * c1) / det))
-    pad = _as_fraction(pad)
     box = []
     for k in range(n):
         vals = [p[k] for p in pts]
-        box.append((min(vals) - pad, max(vals) + pad))
+        box.append((min(vals) - 1, max(vals) + 1))
     return tuple(box)
 
 
@@ -272,9 +271,9 @@ def _pairs(seq):
             yield seq[i], seq[j]
 
 
-def window_for(f: MaxAffine, support: Optional[BoxT], pad=1) -> BoxT:
+def window_for(f: MaxAffine, support: Optional[BoxT]) -> BoxT:
     """Window covering both the kink structure of f and a form's support."""
-    base = default_window(f, pad)
+    base = default_window(f)
     if support is None:
         return base
     return tuple((min(bl, sl), max(bh, sh))

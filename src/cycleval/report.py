@@ -20,7 +20,6 @@ class SuiteEntry:
     passed: bool
     residual: Optional[float] = None
     tolerance: Optional[float] = None
-    value: Optional[float] = None
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -29,8 +28,6 @@ class SuiteEntry:
             out["residual"] = float(self.residual)
         if self.tolerance is not None:
             out["tolerance"] = float(self.tolerance)
-        if self.value is not None:
-            out["value"] = float(self.value)
         if self.details:
             out["details"] = _plain(self.details)
         return out

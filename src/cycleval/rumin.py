@@ -34,7 +34,10 @@ from .forms import (
 )
 from .exactla import det, inverse
 from .polynomials import Poly, Q, _as_fraction
-from .quadrature import QuadratureSpec, default_spec
+
+# Quadrature integrals this close to zero (scaled by max(1, |integral|) for
+# the moments and G-integrals) count as zero; exact ones must be exactly 0.
+QUAD_ZERO_TOL = 1e-9
 
 
 def d_bar(tau: Form) -> Form:
@@ -119,13 +122,8 @@ class DuallyEpiReport:
     zero_section_shift_invariance: bool
     max_shift_residual: float
 
-    @property
-    def dually_epi_translation_invariant(self) -> bool:
-        return self.vertical_invariance and self.zero_section_shift_invariance
 
-
-def dually_epi_conditions(tau: Form, tol: float = 1e-9,
-                          spec: Optional[QuadratureSpec] = None) -> DuallyEpiReport:
+def dually_epi_conditions(tau: Form) -> DuallyEpiReport:
     """Criterion for the induced valuation to ignore added affine functions.
 
     Checks (a) that rumin_d(tau) is vertically translation invariant and
@@ -140,12 +138,12 @@ def dually_epi_conditions(tau: Form, tol: float = 1e-9,
     residual = 0.0
     ok = True
     for part in _split_by_params(diff, 2 * n):
-        val = integrate_coefficient(part, spec or default_spec(n)).value
+        val = integrate_coefficient(part).value
         residual = max(residual, abs(float(val)))
         if isinstance(val, Fraction):
             ok = ok and val == 0
         else:
-            ok = ok and abs(val) <= tol
+            ok = ok and abs(val) <= QUAD_ZERO_TOL
     return DuallyEpiReport(vert, ok, residual)
 
 
@@ -171,8 +169,7 @@ def _split_by_params(c: CoefficientFn, base: int) -> list[CoefficientFn]:
     return out
 
 
-def image_of_dbar_membership(a: Form, k: int, tol: float = 1e-9,
-                             spec: Optional[QuadratureSpec] = None) -> bool:
+def image_of_dbar_membership(a: Form, k: int) -> bool:
     """Membership test for the image of the operator on Omega^{n-k,k}.
 
     For k >= 2 the image is ker d intersect ker L in bidegree
@@ -196,7 +193,6 @@ def image_of_dbar_membership(a: Form, k: int, tol: float = 1e-9,
             return False
         return wedge(standard_symplectic_form(n), a).is_zero()
     # k = 1: a = phi(x) dx_1^...^dx_n
-    spec = spec or default_spec(n)
     phi = zero_section_coefficient(a)
     moments = [phi]
     for i in range(n):
@@ -204,14 +200,14 @@ def image_of_dbar_membership(a: Form, k: int, tol: float = 1e-9,
     scale = 1.0
     vals = []
     for m in moments:
-        val = integrate_coefficient(m, spec).value
+        val = integrate_coefficient(m).value
         vals.append(val)
         scale = max(scale, abs(float(val)))
     for val in vals:
         if isinstance(val, Fraction):
             if val != 0:
                 return False
-        elif abs(val) > tol * scale:
+        elif abs(val) > QUAD_ZERO_TOL * scale:
             return False
     return True
 
@@ -227,8 +223,7 @@ class GInvarianceReport:
         return self.pullback_matches and self.integral_matches
 
 
-def g_invariance_conditions(tau: Form, g: Sequence[Sequence], tol: float = 1e-9,
-                            spec: Optional[QuadratureSpec] = None) -> GInvarianceReport:
+def g_invariance_conditions(tau: Form, g: Sequence[Sequence]) -> GInvarianceReport:
     """Conditions for the induced valuation to be invariant under f -> f o g.
 
     Checks g^* rumin_d(tau) = sign(det g) rumin_d(tau) exactly, and the
@@ -240,15 +235,14 @@ def g_invariance_conditions(tau: Form, g: Sequence[Sequence], tol: float = 1e-9,
     Dtau = rumin_d(tau)
     pb_ok = pullback(lift, Dtau) == Dtau.scale(sgn)
     lift_inv = linear_lift(n, inverse(g))
-    spec = spec or default_spec(n)
-    left = integrate_zero_section(tau, spec).value
-    right = integrate_zero_section(pullback(lift_inv, tau), spec).value
+    left = integrate_zero_section(tau).value
+    right = integrate_zero_section(pullback(lift_inv, tau)).value
     if isinstance(left, Fraction) and isinstance(right, Fraction):
         int_ok = left == sgn * right
         resid = abs(float(left - sgn * right))
     else:
         resid = abs(float(left) - sgn * float(right))
-        int_ok = resid <= tol * max(1.0, abs(float(left)))
+        int_ok = resid <= QUAD_ZERO_TOL * max(1.0, abs(float(left)))
     return GInvarianceReport(pb_ok, int_ok, resid)
 
 

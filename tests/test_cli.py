@@ -95,6 +95,17 @@ def test_exit_code_wrongly_typed_config_value(tmp_path, capsys, override):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["kernel_dims", "mass_dims"])
+def test_exit_code_dimension_beyond_suite_limit(tmp_path, capsys, key):
+    # the polyhedral cycle and the mass quadrature exist for n <= 2 only
+    cfg = _write_config(tmp_path / "cfg.json", sizes={**QUICK_SIZES, key: [3]})
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and key in err and "1..2" in err
+    assert not out.exists()
+
+
 def test_exit_code_bad_job_count(tmp_path, monkeypatch, capsys):
     cfg = _write_config(tmp_path / "cfg.json", suites=["mass"])
     out = tmp_path / "out"

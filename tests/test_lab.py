@@ -5,6 +5,7 @@ import pytest
 
 from cycleval.coefficients import CoefficientFn, ball_bump
 from cycleval.convex import MaxAffine, Quadratic, Shifted, SmoothField
+from cycleval.exactla import det
 from cycleval.forms import Form, integrate_zero_section
 from cycleval.lab import (
     MixedDiscriminantSpec,
@@ -27,6 +28,7 @@ from cycleval.lab import (
     rotation_2d,
     sampled_rotations_2d,
     scale_of,
+    signed_permutations,
 )
 from cycleval.polynomials import Poly
 from cycleval.rumin import g_invariance_conditions, rumin_d
@@ -104,7 +106,7 @@ def test_homogeneity_fit_pure_bidegree():
     n = 2
     for k in (0, 1, 2):
         tau = random_bump_form(rng, n, bidegree=(n - k, k), y_dependent=False)
-        val = Valuation(tau, bidegree=(n - k, k))
+        val = Valuation(tau)
         f = Quadratic([[1.5, 0.2], [0.2, 1.1]], [0.1, 0.0], 0.3)
         fit = homogeneity_fit(val, f)
         coeffs = np.abs(np.asarray(fit.coefficients))
@@ -283,6 +285,23 @@ def test_rotation_matrices_exact():
     assert len(octahedral_rotations()) == 24
     for g in sampled_rotations_2d(8):
         assert g[0][0] * g[0][0] + g[1][0] * g[1][0] == 1
+
+
+def test_signed_permutations():
+    assert len(signed_permutations(2)) == 8
+    for n in (2, 3):
+        group = signed_permutations(n)
+        keys = {tuple(map(tuple, g)) for g in group}
+        for g in group:
+            gtg = [[sum(g[k][i] * g[k][j] for k in range(n)) for j in range(n)]
+                   for i in range(n)]
+            assert gtg == [[int(i == j) for j in range(n)] for i in range(n)]
+            for h in group:
+                gh = tuple(tuple(sum(g[i][k] * h[k][j] for k in range(n))
+                                 for j in range(n)) for i in range(n))
+                assert gh in keys
+    rotations = [g for g in signed_permutations(3) if det(g) == 1]
+    assert len(rotations) == 24
 
 
 def test_rigidity_probe():

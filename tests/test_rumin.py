@@ -1,12 +1,14 @@
 from fractions import Fraction as Q
 
 import numpy as np
+import pytest
 
 from cycleval.coefficients import CoefficientFn, ball_bump
 from cycleval.forms import (
     Form,
     exterior_derivative,
     fiber_scaling,
+    integrate_zero_section,
     linear_lift,
     pullback,
     standard_symplectic_form,
@@ -127,6 +129,20 @@ def test_dually_epi_conditions():
     tau2 = Form.monomial(n, [1], [], CoefficientFn.bump(n, beta, Poly.variable(2, 1) ** 2))
     rep2 = dually_epi_conditions(tau2)
     assert not rep2.vertical_invariance
+
+
+def test_dually_epi_zero_section_shift_by_quadrature():
+    # bump(R=2) * y1 * dx1: a vertical shift by lambda changes the
+    # zero-section integral by lambda times the bump's integral, which only
+    # quadrature can compute
+    n = 1
+    bump = CoefficientFn.bump(n, ball_bump(n, 2))
+    tau = Form.monomial(n, [1], [], bump * Poly.variable(2, 1))
+    rep = dually_epi_conditions(tau)
+    assert not rep.zero_section_shift_invariance
+    assert rep.max_shift_residual > 1
+    mass = float(integrate_zero_section(Form(n, n, {(0,): bump})))
+    assert rep.max_shift_residual == pytest.approx(mass, rel=1e-12)
 
 
 def test_image_membership():
