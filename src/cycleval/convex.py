@@ -80,6 +80,8 @@ class Quadratic(ConvexFunction):
     def __init__(self, A, b=None, c=0):
         A = np.atleast_2d(np.asarray(A, dtype=object))
         n = A.shape[0]
+        if A.shape != (n, n) or b is not None and len(b) != n:
+            raise CatalogError("quadratic needs a square matrix A and len(b) = len(A)")
         self.n = n
         self.A = _frac_matrix(A, n)
         self.b = _frac_vector(b if b is not None else [0] * n, n)

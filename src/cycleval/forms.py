@@ -249,6 +249,14 @@ def interior_product(X: Sequence[Poly], a: Form) -> Form:
     return Form(n, a.degree - 1, out)
 
 
+def lie_derivative(X: Sequence[Poly], a: Form) -> Form:
+    """L_X a = d i_X a + i_X d a (Cartan's formula) for a polynomial field X."""
+    out = interior_product(X, exterior_derivative(a))
+    if a.degree > 0:
+        out = out + exterior_derivative(interior_product(X, a))
+    return out
+
+
 class PolynomialMap:
     """Polynomial self-map of T*R^n, possibly carrying symbolic parameters.
 

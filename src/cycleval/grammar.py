@@ -49,14 +49,16 @@ def _tokenize_value(text: str):
 
 
 def parse_value(text: str):
-    """Parse a scalar or (nested) list literal with rational entries."""
+    """Parse a scalar or (nested) list literal with rational entries; a bare
+    name such as ``sqrt1p`` stays a string."""
     tokens = _tokenize_value(text)
     pos = 0
 
     def value():
         nonlocal pos
-        if tokens[pos] == "[":
-            pos += 1
+        tok = tokens[pos]
+        pos += 1
+        if tok == "[":
             items = []
             while tokens[pos] != "]":
                 items.append(value())
@@ -64,11 +66,17 @@ def parse_value(text: str):
                     pos += 1
             pos += 1
             return items
-        tok = tokens[pos]
-        pos += 1
-        return Fraction(tok)
+        try:
+            return Fraction(tok)
+        except (ValueError, ZeroDivisionError):
+            if tok.isidentifier():
+                return tok
+            raise ParseError(f"bad number {tok!r} in {text!r}") from None
 
-    out = value()
+    try:
+        out = value()
+    except IndexError:
+        raise ParseError(f"unterminated value: {text!r}") from None
     if pos != len(tokens):
         raise ParseError(f"trailing tokens in value: {text!r}")
     return out
@@ -312,6 +320,30 @@ def _isqrt_exact(k: int) -> Optional[int]:
 # -- function and body specs ----------------------------------------------------------
 
 
+class _SpecArgs(dict):
+    """Keyword arguments of a spec; a missing required key is a ParseError."""
+
+    def __missing__(self, key):
+        raise ParseError(f"{self.kind} spec needs {key}=")
+
+
+def _split_spec(spec, prefix: Optional[str] = None) -> tuple:
+    """``(kind, kwargs)`` of a spec string ``[prefix] <kind> key=value ...``
+    or of a dict with a ``kind`` key."""
+    kw = spec
+    if isinstance(spec, str):
+        parts = [p for p in _split_top_level(spec.strip(), " ") if p.strip()]
+        if parts[:1] == [prefix]:
+            parts = parts[1:]
+        kw = {**_parse_kwargs(",".join(parts[1:])), "kind": parts[0]} if parts else {}
+    if not isinstance(kw, dict) or "kind" not in kw:
+        raise ParseError(f"a spec is a string '<kind> key=value ...' or a dict "
+                         f"with a 'kind' key, got {spec!r}")
+    kw = _SpecArgs(kw)
+    kw.kind = kw.pop("kind")
+    return kw.kind, kw
+
+
 def parse_function(spec, n: int) -> ConvexFunction | PiecewiseLinear1D:
     """Build a catalog function from a spec string or dict.
 
@@ -319,14 +351,7 @@ def parse_function(spec, n: int) -> ConvexFunction | PiecewiseLinear1D:
     ``shiftc=`` and ``scale=`` applied afterwards; e.g.
     ``quadratic A=[[2,0],[0,1]] b=[0,0] c=0 scale=2``.
     """
-    if isinstance(spec, dict):
-        kw = {k: v for k, v in spec.items() if k != "kind"}
-        kind = spec["kind"]
-    else:
-        parts = _split_top_level(spec.strip(), " ")
-        parts = [p for p in parts if p.strip()]
-        kind = parts[0]
-        kw = _parse_kwargs(",".join(parts[1:]))
+    kind, kw = _split_spec(spec)
     shift = kw.pop("shift", None)
     shiftc = kw.pop("shiftc", Q(0))
     scale = kw.pop("scale", None)
@@ -348,9 +373,9 @@ def _build_function(kind: str, kw: dict, n: int):
         return LogSumExp(base, float(kw["beta"]))
     if kind == "smooth":
         name = kw["name"]
-        if isinstance(name, list):
+        if not isinstance(name, str):
             raise ParseError("smooth needs name=sqrt1p or name=quartic")
-        return SmoothCatalog(str(name), n)
+        return SmoothCatalog(name, n)
     if kind == "pwl":
         if n != 1:
             raise ParseError("piecewise-linear specs require n=1")
@@ -363,16 +388,7 @@ def _build_function(kind: str, kw: dict, n: int):
 def parse_body(spec, n: int) -> ConvexBody:
     """Body specs: ``ellipsoid M=[[...]]``, ``point p=[...]``,
     ``smoothbox a=[...] eps=1/10`` (matrices live in R^{n+1})."""
-    if isinstance(spec, dict):
-        kind = spec["kind"]
-        kw = {k: v for k, v in spec.items() if k != "kind"}
-    else:
-        parts = [p for p in _split_top_level(spec.strip(), " ") if p.strip()]
-        kind = parts[0]
-        if kind == "body":
-            parts = parts[1:]
-            kind = parts[0]
-        kw = _parse_kwargs(",".join(parts[1:]))
+    kind, kw = _split_spec(spec, prefix="body")
     if kind == "ellipsoid":
         M = [[float(v) for v in row] for row in kw["M"]]
         return EllipsoidBody(M)

@@ -3,7 +3,10 @@
 Builds valuations from horizontally supported n-forms, routes each catalog
 function to the right cycle evaluator, and packages the kernel, constancy,
 homogeneity, first-variation, Hessian/mixed-discriminant and invariance
-experiments used by the acceptance suites.
+experiments used by the acceptance suites.  Invariance under a finite group
+is an average over its exactly orthogonal matrices; invariance under SO(2)
+and SO(3) is exact and infinitesimal: the lifted so(n) generators, Lie
+derivatives along them, and the Casimir projection onto invariant forms.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .exactla import det, inverse, polarized_det, solve
 from .forms import (
     Form,
     integrate_zero_section,
+    lie_derivative,
     linear_lift,
     merge_sign,
     pullback,
@@ -565,48 +569,24 @@ def _poly_minor(H: list, rows: list, cols: list) -> Poly:
     return det([[H[r][c] for c in cols] for r in rows])
 
 
-# -- group averaging and rigidity ------------------------------------------------------
-
-
-def check_orthogonal(g) -> None:
-    n = len(g)
-    G = [[_as_fraction(g[i][j]) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            s = sum(G[k][i] * G[k][j] for k in range(n))
-            if s != (1 if i == j else 0):
-                raise ValueError("group averaging requires exactly orthogonal matrices")
+# -- finite-group averaging -------------------------------------------------------------
 
 
 def group_average(tau: Form, gs: Sequence) -> Form:
-    """(1/N) sum over g of sign(det g) pullback(lift(g^{-1}), tau)."""
+    """(1/N) sum over g of sign(det g) pullback(lift(g^{-1}), tau); each g
+    must be exactly orthogonal."""
     from .rumin import _det_sign
 
     n = tau.n
     acc = None
     for g in gs:
-        check_orthogonal(g)
-        sgn = _det_sign(g, n)
-        piece = pullback(linear_lift(n, inverse(g)), tau).scale(sgn)
+        G = [[_as_fraction(v) for v in row] for row in g]
+        if any(sum(G[k][i] * G[k][j] for k in range(n)) != (i == j)
+               for i in range(n) for j in range(n)):
+            raise ValueError("group averaging requires exactly orthogonal matrices")
+        piece = pullback(linear_lift(n, inverse(G)), tau).scale(_det_sign(G, n))
         acc = piece if acc is None else acc + piece
     return acc.scale(Q(1, len(gs)))
-
-
-def rotation_2d(t: Fraction):
-    """Exactly orthogonal rational rotation from the tangent half-angle t."""
-    t = _as_fraction(t)
-    d = 1 + t * t
-    return [[(1 - t * t) / d, -2 * t / d], [2 * t / d, (1 - t * t) / d]]
-
-
-def sampled_rotations_2d(N: int = 64, denom: int = 2 ** 20) -> list:
-    """Near-equispaced rotations, each exactly orthogonal with det 1."""
-    out = []
-    for j in range(N):
-        theta = math.pi * (2 * j + 1 - N) / N
-        t = Fraction(round(math.tan(theta / 2) * denom), denom)
-        out.append(rotation_2d(t))
-    return out
 
 
 def signed_permutations(n: int) -> list:
@@ -623,44 +603,53 @@ def signed_permutations(n: int) -> list:
     return out
 
 
-def octahedral_rotations() -> list:
-    """The 24 integer rotation matrices of the octahedral group."""
-    return [M for M in signed_permutations(3) if det(M) == 1]
+# -- exact rotation invariance ------------------------------------------------------------
 
 
-@dataclass
-class RigidityReport:
-    radii: list
-    variations: list
-    scale: float
-    tolerance: float
-    passed: bool
-    note: str = ("probe runs on form-represented valuations only; the sampled "
-                 "group stands in for a transitive compact subgroup")
+def so_generators(n: int) -> list:
+    """The basis x_i d/dx_j - x_j d/dx_i (i < j) of so(n), lifted to T*R^n.
 
-
-def rigidity_probe_1hom(val: Valuation, tol: float = 1e-4) -> RigidityReport:
-    """Angular variation of the k = 1 density on sampled spheres.
-
-    For a rotation-invariant valuation the density must be radial; the
-    variation is measured against max(1, sup |phi|) over the samples.
+    A rotation acts on (x, y) by (g x, g^{-T} y) = (g x, g y), so each field
+    carries the same term on y: 2n polynomial components per generator.
     """
-    phi = k1_representation(val)
-    n = val.n
-    n_dirs = 48
-    radii = [0.5, 1.0, 1.5]
-    if n == 2:
-        thetas = 2 * np.pi * (np.arange(n_dirs) + 0.5) / n_dirs
-        dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-    else:
-        dirs = np.random.default_rng(5).normal(size=(n_dirs, n))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    variations = []
-    allvals = []
-    for r in radii:
-        vals = phi.eval_x_array(dirs * float(r))
-        variations.append(float(vals.max() - vals.min()))
-        allvals.extend(vals.tolist())
-    scale = scale_of(allvals)
-    passed = all(v <= tol * scale for v in variations)
-    return RigidityReport(radii, variations, scale, tol, passed)
+    nv = 2 * n
+    out = []
+    for i, j in combinations(range(n), 2):
+        X = [Poly.zero(nv)] * nv
+        for off in (0, n):
+            X[off + j] = Poly.variable(nv, off + i)
+            X[off + i] = -Poly.variable(nv, off + j)
+        out.append(X)
+    return out
+
+
+def so_projection(tau: Form) -> Form:
+    """The SO(n)-average of tau for n = 2, 3, exactly and without a solve.
+
+    Rotations fix ball bumps and the powers of q_M, and act on polynomial
+    coefficients of (x, y)-degree at most p and on differentials of degree
+    k, so tau spans only spins l <= p + k.  The Casimir C = sum_X L_X^2 acts
+    on spin l as -lambda_l, with lambda_l = l^2 (SO(2)) or l(l + 1) (SO(3)),
+    hence P = prod_{l=1..p+k} (C + lambda_l) / lambda_l kills every l >= 1
+    and fixes the invariant part.
+    """
+    n = tau.n
+    atoms = [atom for c in tau.terms.values() for atom in c.atoms.items()]
+    if n not in (2, 3) or any(f.M[i][j] != f.M[0][0] * (i == j) for sig, _ in atoms
+                              for f in sig for i in range(n) for j in range(n)):
+        raise ValueError("the Casimir projection needs n = 2, 3 and ball bumps")
+    spins = tau.degree + max((poly.total_degree() for _, poly in atoms), default=0)
+    gens = so_generators(n)
+    out = tau
+    for l in range(1, spins + 1):
+        lam = l * l if n == 2 else l * (l + 1)
+        casimir = [lie_derivative(X, lie_derivative(X, out)) for X in gens]
+        out = sum(casimir, out.scale(lam)).scale(Q(1, lam))
+    return out
+
+
+def volume_contraction_form(c: CoefficientFn) -> Form:
+    """sum_k c i_{d/dx_k}(dx_1^...^dx_n) ^ dy_k: SO(n)-invariant for radial c."""
+    n = c.n
+    return Form(n, n, {tuple(v for v in range(n) if v != k) + (n + k,): c.scale((-1) ** k)
+                       for k in range(n)})

@@ -158,8 +158,17 @@ def test_criterion_12_invariance():
     so2 = next(e for e in res.entries if "SO2" in e.name)
     so3 = next(e for e in res.entries if "SO3" in e.name)
     ok = res.passed
-    _report("criterion 12: invariance (finite exact + sampled rotations)", ok)
+    _report("criterion 12: invariance (finite group and so(n), exact)", ok)
     assert finite.passed, finite.to_dict()
-    assert so2.passed and so2.residual <= 1e-4, so2.to_dict()
-    assert so3.passed and so3.residual <= 1e-4, so3.to_dict()
-    assert so3.details.get("exact_under_sampled") is True
+    for e in (so2, so3):
+        assert e.passed and e.residual == 0.0, e.to_dict()
+        assert e.details["invariant"] and e.details["density_radial"], e.to_dict()
+
+
+def test_invariance_exact_across_seeds():
+    # the octahedral stand-in for SO(3) failed at seeds 5, 17 and 18
+    for seed in range(1, 19):
+        res = run_suite("invariance", ExperimentConfig(n=1, seed=seed))
+        assert len(res.entries) == 3
+        for e in res.entries:
+            assert e.passed and e.residual == 0.0, (seed, e.to_dict())

@@ -95,6 +95,37 @@ def test_exit_code_wrongly_typed_config_value(tmp_path, capsys, override):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key,spec", [
+    ("functions", "quadratic b=[0]"),
+    ("functions", "maxaffine"),
+    ("functions", "lse pieces=[[[1],0],[[-1],0]]"),
+    ("functions", "pwl slopes=[-1,1]"),
+    ("functions", {"A": [[1]]}),
+    ("bodies", "ellipsoid"),
+    ("bodies", "point"),
+    ("bodies", {"M": [[1, 0], [0, 1]]}),
+    ("functions", "smooth name=foo"),
+    ("functions", "quadratic A=[[1,2]]"),
+    ("functions", "quadratic A=[[1]] b=[0,0]"),
+    ("functions", "quadratic A=[[1/0]]"),
+    ("functions", "quadratic A=[[1]"),
+    ("functions", ""),
+])
+def test_exit_code_malformed_spec(tmp_path, capsys, key, spec):
+    # a missing key, an unknown name, a shape mismatch or a bad literal
+    cfg = _write_config(tmp_path / "cfg.json", **{key: [spec]})
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_declared_smooth_spec(tmp_path):
+    cfg = _write_config(tmp_path / "cfg.json", suites=["valuation-property"],
+                        functions=["smooth name=sqrt1p"])
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
 @pytest.mark.parametrize("key", ["kernel_dims", "mass_dims"])
 def test_exit_code_dimension_beyond_suite_limit(tmp_path, capsys, key):
     # the polyhedral cycle and the mass quadrature exist for n <= 2 only

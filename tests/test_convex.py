@@ -98,6 +98,15 @@ def test_quadratic_basic():
     with pytest.raises(CatalogError):
         Quadratic([[-1.0]])
 
+
+@pytest.mark.parametrize("A,b", [
+    ([[1, 2]], None), ([[1, 0], [0]], None), ([[[1]]], None),
+    ([[1]], [0, 0]), ([[1, 0], [0, 1]], [0]),
+])
+def test_quadratic_rejects_shape_mismatch(A, b):
+    with pytest.raises(CatalogError):
+        Quadratic(A, b)
+
 def test_shifted_and_scaled():
     f = Quadratic(np.eye(2))
     g = Shifted(f, [1, -1], 3)

@@ -1,4 +1,5 @@
 from fractions import Fraction as Q
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from cycleval.forms import (
     interior_product,
     lefschetz_L,
     lefschetz_L_inverse,
+    lie_derivative,
     linear_lift,
     merge_sign,
     primitive_check,
@@ -25,6 +27,8 @@ from cycleval.forms import (
     wedge,
     zero_section_coefficient,
 )
+from cycleval.exactla import inverse
+from cycleval.lab import random_bump_form, so_generators
 from cycleval.polynomials import Poly
 
 
@@ -197,10 +201,49 @@ def test_cartan_identity_exact():
     for deg in (1, 2):
         for _ in range(5):
             a = _random_poly_form(rng, n, deg)
-            cartan = exterior_derivative(interior_product(X, a)) \
-                + interior_product(X, exterior_derivative(a))
             lie = pullback(flow, a).map_coefficients(lambda c: _t_derivative(c, 2 * n))
-            assert cartan == lie
+            assert lie_derivative(X, a) == lie
+
+
+def test_lie_derivative_commutes_with_d():
+    rng = np.random.default_rng(23)
+    for n in (2, 3):
+        for X in so_generators(n):
+            for deg in range(2 * n):
+                a = random_bump_form(rng, n, degree=deg)
+                assert lie_derivative(X, exterior_derivative(a)) \
+                    == exterior_derivative(lie_derivative(X, a))
+
+
+def _cayley(A, s):
+    # (I - s A / 2)^{-1} (I + s A / 2): a rational rotation for antisymmetric A
+    n = len(A)
+    lo = inverse([[int(i == j) - s * A[i][j] / 2 for j in range(n)] for i in range(n)])
+    hi = [[int(i == j) + s * A[i][j] / 2 for j in range(n)] for i in range(n)]
+    return [[sum(lo[i][k] * hi[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
+def test_lie_derivative_is_derivative_of_rotations():
+    # g_t = cayley(A, t) is tangent to exp(tA) at t = 0, so the central
+    # difference (g_t^* tau - g_{-t}^* tau) / 2t is L_X tau up to O(t^2)
+    rng = np.random.default_rng(29)
+    t = Q(1, 1000)
+    for n in (2, 3):
+        pts = rng.uniform(-1.5, 1.5, size=(40, 2 * n))
+        for (i, j), X in zip(combinations(range(n), 2), so_generators(n)):
+            A = [[Q(0)] * n for _ in range(n)]
+            A[j][i], A[i][j] = Q(1), Q(-1)
+            for deg in (1, n):
+                tau = random_bump_form(rng, n, degree=deg, nterms=3)
+                up = pullback(linear_lift(n, _cayley(A, t)), tau)
+                down = pullback(linear_lift(n, _cayley(A, -t)), tau)
+                lie = lie_derivative(X, tau)
+                err = ((up - down).scale(1 / (2 * t)) - lie).terms.values()
+                scale = max([1.0] + [np.abs(c.eval_array(pts)).max()
+                                     for c in lie.terms.values()])
+                assert max((np.abs(c.eval_array(pts)).max() for c in err),
+                           default=0.0) <= 1e-5 * scale
 
 
 def _t_derivative(c, slot):

@@ -4,9 +4,17 @@ import numpy as np
 import pytest
 
 from cycleval.coefficients import CoefficientFn, ball_bump
-from cycleval.convex import LogSumExp, MaxAffine, PiecewiseLinear1D, Quadratic, Shifted
+from cycleval.convex import (
+    LogSumExp,
+    MaxAffine,
+    PiecewiseLinear1D,
+    Quadratic,
+    Shifted,
+    SmoothCatalog,
+)
 from cycleval.forms import Form
 from cycleval.grammar import (
+    CATALOG_TEXT,
     ParseError,
     parse_body,
     parse_form,
@@ -22,6 +30,10 @@ def test_parse_value():
     assert parse_value("3/2") == Q(3, 2)
     assert parse_value("[1, -2/3]") == [Q(1), Q(-2, 3)]
     assert parse_value("[[1,0],[0,1]]") == [[Q(1), Q(0)], [Q(0), Q(1)]]
+    assert parse_value("sqrt1p") == "sqrt1p"
+    for bad in ("1/0", "[1, 2", "[", "1.2.3", "1 2"):
+        with pytest.raises(ParseError):
+            parse_value(bad)
 
 
 def test_parse_simple_forms():
@@ -100,6 +112,41 @@ def test_parse_functions():
     assert isinstance(p, PiecewiseLinear1D)
     d = parse_function({"kind": "quadratic", "A": [[1]]}, 1)
     assert isinstance(d, Quadratic)
+    for spec in ("smooth name=quartic", {"kind": "smooth", "name": "quartic"}):
+        q = parse_function(spec, 2)
+        assert isinstance(q, SmoothCatalog) and q.name == "quartic"
+
+
+@pytest.mark.parametrize("spec", [
+    "quadratic b=[0]", "maxaffine", "lse pieces=[[[1],0],[[-1],0]]",
+    "pwl slopes=[-1,1]", {"A": [[1]]}, "", "smooth name=[1]",
+])
+def test_parse_function_errors(spec):
+    with pytest.raises(ParseError):
+        parse_function(spec, 1)
+
+
+@pytest.mark.parametrize("spec", ["ellipsoid", "point", "body", {"p": [0, 1]}])
+def test_parse_body_errors(spec):
+    with pytest.raises(ParseError):
+        parse_body(spec, 1)
+
+
+def _catalog_examples(heading):
+    block = CATALOG_TEXT.split(heading, 1)[1].split("\n\n", 1)[0]
+    lines = [ln.strip() for ln in block.splitlines()[1:]]
+    # drop the trailing comments, e.g. "(also: quartic)"
+    return [ln.split("  ")[0] for ln in lines if ln]
+
+
+def test_catalog_examples_parse():
+    functions = _catalog_examples("Function specs")
+    bodies = _catalog_examples("Body specs")
+    assert len(functions) == 5 and len(bodies) == 3
+    for spec in functions:
+        parse_function(spec, 1)
+    for spec in bodies:
+        parse_body(spec, 2)
 
 
 def test_parse_bodies():

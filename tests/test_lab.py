@@ -1,12 +1,19 @@
+import math
 from fractions import Fraction as Q
 
 import numpy as np
 import pytest
 
-from cycleval.coefficients import CoefficientFn, ball_bump
+from cycleval.coefficients import BumpFactor, CoefficientFn, ball_bump
 from cycleval.convex import MaxAffine, Quadratic, Shifted, SmoothField
 from cycleval.exactla import det
-from cycleval.forms import Form, integrate_zero_section
+from cycleval.forms import (
+    Form,
+    integrate_zero_section,
+    lie_derivative,
+    standard_symplectic_form,
+    wedge,
+)
 from cycleval.lab import (
     MixedDiscriminantSpec,
     Valuation,
@@ -21,17 +28,16 @@ from cycleval.lab import (
     k1_representation,
     kernel_check,
     mixed_discriminant,
-    octahedral_rotations,
     random_bump_form,
     random_kernel_form,
-    rigidity_probe_1hom,
-    rotation_2d,
-    sampled_rotations_2d,
     scale_of,
     signed_permutations,
+    so_generators,
+    so_projection,
+    volume_contraction_form,
 )
 from cycleval.polynomials import Poly
-from cycleval.rumin import g_invariance_conditions, rumin_d
+from cycleval.rumin import g_invariance_conditions
 
 
 def test_battery_composition():
@@ -277,16 +283,6 @@ def test_group_average_exact_invariance():
     assert group_average(avg, C4) == avg
 
 
-def test_rotation_matrices_exact():
-    for t in (Q(0), Q(1, 3), Q(7, 5), Q(-12, 7)):
-        g = rotation_2d(t)
-        assert g[0][0] * g[0][0] + g[1][0] * g[1][0] == 1
-        assert g[0][0] * g[0][1] + g[1][0] * g[1][1] == 0
-    assert len(octahedral_rotations()) == 24
-    for g in sampled_rotations_2d(8):
-        assert g[0][0] * g[0][0] + g[1][0] * g[1][0] == 1
-
-
 def test_signed_permutations():
     assert len(signed_permutations(2)) == 8
     for n in (2, 3):
@@ -304,27 +300,59 @@ def test_signed_permutations():
     assert len(rotations) == 24
 
 
-def test_rigidity_probe():
-    # radial density: variation is zero up to evaluation noise
+def _tan_half_rotations(N=64, denom=2 ** 24):
+    # near-equispaced rotations of the plane, each exactly orthogonal
+    out = []
+    for j in range(N):
+        t = Q(round(math.tan(math.pi * (2 * j + 1 - N) / (2 * N)) * denom), denom)
+        d = 1 + t * t
+        out.append([[(1 - t * t) / d, -2 * t / d], [2 * t / d, (1 - t * t) / d]])
+    return out
+
+
+def test_so_projection_is_the_rotation_average():
+    rng = np.random.default_rng(17)
+    for n, bidegree in ((2, (1, 1)), (3, (2, 1))):
+        tau = random_bump_form(rng, n, bidegree=bidegree, y_dependent=False,
+                               max_deg=2, nterms=3)
+        P = so_projection(tau)
+        assert all(lie_derivative(X, P).is_zero() for X in so_generators(n))
+        assert so_projection(P) == P
+    # the 64-rotation average agrees on the k = 1 density
+    tau = random_bump_form(rng, 2, bidegree=(1, 1), y_dependent=False,
+                           max_deg=2, nterms=3)
+    exact = k1_representation(Valuation(so_projection(tau)))
+    sampled = k1_representation(Valuation(group_average(tau, _tan_half_rotations())))
+    pts = rng.uniform(-2, 2, size=(200, 2))
+    ref = exact.eval_x_array(pts)
+    assert not exact.is_zero()
+    assert np.abs(sampled.eval_x_array(pts) - ref).max() <= 1e-6 * scale_of(ref)
+
+
+def test_so_projection_fixes_invariant_forms():
+    for n in (2, 3):
+        bump = CoefficientFn.bump(n, ball_bump(n, 2))
+        r2 = sum((Poly.variable(2 * n, v) ** 2 for v in range(2 * n)), Poly.zero(2 * n))
+        for inv in (volume_contraction_form(bump),
+                    wedge(Form.from_coefficient(n, bump * r2),
+                          standard_symplectic_form(n))):
+            assert all(lie_derivative(X, inv).is_zero() for X in so_generators(n))
+            assert so_projection(inv) == inv
+    # x1^2 vol_x is not invariant; x1 dx1 averages to (x1 dx1 + x2 dx2) / 2
     n = 2
-    psi = CoefficientFn.bump(n, ball_bump(n, 2),
-                             Poly.variable(4, 0) ** 2 + Poly.variable(4, 1) ** 2)
-    # build tau with rumin output = laplacian-type radial density
-    tau = Form(n, n, {(0, 2): psi, (1, 3): psi})  # x-dy mixed terms
-    val = Valuation(tau)
-    D = rumin_d(tau)
-    if not D.is_zero() and set(D.terms) == {(0, 1)}:
-        rep = rigidity_probe_1hom(val)
-        assert rep.passed
-    # a visibly non-radial density fails
-    skew = CoefficientFn.bump(n, ball_bump(n, 2), Poly.variable(4, 0) ** 2)
-    tau2 = Form(n, n, {(0, 2): skew})
-    val2 = Valuation(tau2)
-    try:
-        rep2 = rigidity_probe_1hom(val2)
-        assert not rep2.passed
-    except ValueError:
-        pass  # not representable: also an acceptable negative
+    bump = CoefficientFn.bump(n, ball_bump(n, 2))
+    x = [Poly.variable(2 * n, v) for v in range(n)]
+    skew = Form.monomial(n, [1, 2], [], bump * x[0] ** 2)
+    assert not lie_derivative(so_generators(n)[0], skew).is_zero()
+    tau = Form.monomial(n, [1], [], bump * x[0])
+    want = (Form.monomial(n, [1], [], bump * x[0])
+            + Form.monomial(n, [2], [], bump * x[1])).scale(Q(1, 2))
+    assert so_projection(tau) == want
+    with pytest.raises(ValueError):
+        so_projection(Form.monomial(1, [1], [], CoefficientFn.bump(1, ball_bump(1, 2))))
+    with pytest.raises(ValueError):
+        ellipse = BumpFactor(((Q(1), Q(0)), (Q(0), Q(2))))
+        so_projection(Form.monomial(n, [1], [2], CoefficientFn.bump(n, ellipse)))
 
 
 def test_scale_of():
