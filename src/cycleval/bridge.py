@@ -140,7 +140,7 @@ def bridge_check(K: ConvexBody, tau: Form) -> BridgeReport:
     cycle of K and the differential cycle of h_K(., -1)."""
     lhs = conormal_eval(K, tau)
     fK = body_restriction(K)
-    rhs = eval_smooth(fK, tau)
+    rhs = eval_smooth(fK, [tau])[0]
     scale = max(1.0, abs(float(lhs.value)), abs(float(rhs.value)))
     return BridgeReport(float(lhs.value), float(rhs.value),
                         abs(float(lhs.value) - float(rhs.value)), scale)
@@ -148,4 +148,4 @@ def bridge_check(K: ConvexBody, tau: Form) -> BridgeReport:
 
 def t_map(tau: Form, K: ConvexBody) -> EvalResult:
     """The valuation transferred to bodies: mu(h_K(., -1))."""
-    return evaluate(Valuation(tau), body_restriction(K))
+    return evaluate([Valuation(tau)], body_restriction(K))[0]

@@ -23,7 +23,8 @@ once per process, under a lock, as a small integer id; a
 :class:`BumpFactor` hashes and compares by ``(id, beta_pow, denom_pow)``
 and never rehashes its matrix.  ``q_M`` is built once per (id, number of
 ring variables), the x-gradient of ``q_M`` once per (id, ring size,
-variable), and ``G^T M G`` once per (id, G).  The caches hold only such
+variable), ``G^T M G`` once per (id, G) and the ellipsoid's bounding box,
+the support box of its atoms, once per id.  The caches hold only such
 small exact objects and are never evicted.
 
 Canonical by construction.  An atom is canonical when no ``q_M`` with
@@ -93,6 +94,7 @@ _Q_POLYS: dict = {}                  # (id, nvars) -> q_M
 _Q_GRADS: dict = {}                  # (id, nvars, var) -> dq_M / dx_var
 _TRANSFORMS: dict = {}               # (id, G) -> id of G^T M G
 _FLOAT_MATRICES: dict = {}           # id -> matrix as a float array
+_BBOXES: dict = {}                   # id -> bounding box of the ellipsoid
 
 
 def _matrix_key(M) -> Matrix:
@@ -194,13 +196,12 @@ class BumpFactor:
         return p
 
     def bbox(self) -> BoxT:
-        inv = inverse(self.M)
-        n = len(self.M)
-        out = []
-        for i in range(n):
-            h = _sqrt_upper(inv[i][i])
-            out.append((-h, h))
-        return tuple(out)
+        box = _BBOXES.get(self.mid)
+        if box is None:
+            inv = inverse(self.M)
+            half = [_sqrt_upper(inv[i][i]) for i in range(len(self.M))]
+            box = _BBOXES.setdefault(self.mid, tuple((-h, h) for h in half))
+        return box
 
     def transform(self, G: Sequence[Sequence[Fraction]]) -> "BumpFactor":
         """Bump factor of ``x -> beta_M(G x)``; new matrix is G^T M G."""

@@ -5,6 +5,12 @@
 * 1D polylines for piecewise-linear f on R, convex or not, and their mass,
 * the pushforward identities under linear maps, quadratics and scalings.
 
+The graph evaluators take a list of forms and return one result per form.
+Forms that share a support box are evaluated on one node stream: each block
+of nodes costs one gradient and one Hessian call of f and one coefficient
+cache, whatever the number of forms, and each form's value is reduced from
+its own row exactly as if it were evaluated alone.
+
 Polyhedral cycles of max-affine f live in polyhedral.py.  All evaluators
 share one orientation convention, the Minty transport; for a smooth convex
 graph it reduces to the standard orientation of the base.
@@ -13,7 +19,7 @@ graph it reduces to the standard orientation of the base.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -48,22 +54,42 @@ from .quadrature import (
 )
 
 
-def graph_pullback_integrand(f: ConvexFunction, form: Form):
-    """Vectorized x -> (graph map)^* form, the coefficient of the volume form."""
-    n = form.n
-    pieces = []
-    for key, coeff in form.terms.items():
-        if coeff.has_params():
-            raise SupportError("cannot evaluate a form with free parameters")
-        I = [v for v in key if v < n]
-        J = [v - n for v in key if v >= n]
-        Ic = [v for v in range(n) if v not in I]
-        if len(J) != len(Ic):
-            continue
-        sign, _ = merge_sign(tuple(I), tuple(Ic))
-        if sign == 0:
-            continue
-        pieces.append((coeff, J, Ic, sign))
+def _shared_box(forms: Sequence[Form]):
+    """The support box of every form in ``forms``, which must be one box."""
+    boxes = {form.support_box() for form in forms}
+    if None in boxes:
+        raise SupportError("form needs horizontally compact (or windowed) support")
+    if len(boxes) != 1:
+        raise ValueError("forms evaluated together must share one support box")
+    return boxes.pop()
+
+
+def graph_pullback_integrand(f: ConvexFunction, forms: Sequence[Form]):
+    """Vectorized x -> (graph map)^* form, the coefficient of the volume form,
+    for each of ``forms``: nodes of shape (N, n) give a C-contiguous (F, N)
+    array, one row per form.
+
+    Per call the gradient and Hessian of f are evaluated once, and the forms
+    share one :class:`EvalCache` and the Hessian minors, so each row equals
+    the integrand of its form alone bit for bit.
+    """
+    per_form = []
+    for form in forms:
+        n = form.n
+        pieces = []
+        for key, coeff in form.terms.items():
+            if coeff.has_params():
+                raise SupportError("cannot evaluate a form with free parameters")
+            I = [v for v in key if v < n]
+            J = tuple(v - n for v in key if v >= n)
+            Ic = tuple(v for v in range(n) if v not in I)
+            if len(J) != len(Ic):
+                continue
+            sign, _ = merge_sign(tuple(I), Ic)
+            if sign == 0:
+                continue
+            pieces.append((coeff, J, Ic, sign))
+        per_form.append(pieces)
 
     def integrand(X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -71,30 +97,46 @@ def graph_pullback_integrand(f: ConvexFunction, form: Form):
         H = f.hessian_array(X)
         pts = np.concatenate([X, Y], axis=1)
         cache = EvalCache()
-        out = np.zeros(X.shape[0])
-        for coeff, J, Ic, sign in pieces:
-            vals = coeff.eval_array(pts, cache)
-            out += sign * vals * det([[H[:, r, c] for c in Ic] for r in J])
+        minors = {}
+        out = np.zeros((len(per_form), X.shape[0]))
+        for row, pieces in zip(out, per_form):
+            for coeff, J, Ic, sign in pieces:
+                minor = minors.get((J, Ic))
+                if minor is None:
+                    minor = minors[J, Ic] = det([[H[:, r, c] for c in Ic] for r in J])
+                vals = coeff.eval_array(pts, cache)
+                row += sign * vals * minor
         return out
 
     return integrand
 
 
-def eval_smooth(f: ConvexFunction, form: Form,
+def eval_smooth(f: ConvexFunction, forms: Sequence[Form],
                 spec: Optional[QuadratureSpec] = None,
-                box=None) -> EvalResult:
-    """D(f)[form] for twice-differentiable catalog functions."""
+                box=None) -> list:
+    """D(f)[form] for each of ``forms``, for twice-differentiable catalog
+    functions: one scalar :class:`EvalResult` per form, in order.
+
+    The forms are integrated over ``box``, by default their one shared
+    support box.  Without bisection they share one node stream; with it
+    (``spec.max_depth > 0``) each form's integrand is bisected on its own.
+    """
     if not f.smooth:
         raise NonsmoothPointError(
             "nonsmooth function: use the polyhedral evaluation path")
-    n = form.n
-    if form.degree != n or f.n != n:
+    n = f.n
+    if any(form.degree != n or form.n != n for form in forms):
         raise ValueError("form must be an n-form matching the function dimension")
-    box = box or form.support_box()
-    if box is None:
-        raise SupportError("form needs horizontally compact (or windowed) support")
-    return integrate_box(graph_pullback_integrand(f, form), box,
-                         spec or default_spec(n))
+    box = box or _shared_box(forms)
+    spec = spec or default_spec(n)
+    if not spec.max_depth:
+        return integrate_box(graph_pullback_integrand(f, forms), box, spec)
+    # bisection splits the box where one integrand needs it: form by form
+    results = []
+    for form in forms:
+        rows = graph_pullback_integrand(f, [form])
+        results.append(integrate_box(lambda X: rows(X)[0], box, spec))
+    return results
 
 
 def _graded_cuts(width: float) -> list:
@@ -116,10 +158,12 @@ def _gl_pieces(cuts, order: int):
 _RIDGE_BLOCK = 8192
 
 
-def eval_smooth_ridge_aligned(f: ConvexFunction, base: MaxAffine, form: Form,
-                              layer: float = 1e-2,
-                              order: int = 24, refine: int = 32) -> EvalResult:
-    """Smooth-graph evaluation subdivided along the kink loci of ``base``.
+def eval_smooth_ridge_aligned(f: ConvexFunction, base: MaxAffine,
+                              forms: Sequence[Form], layer: float = 1e-2,
+                              order: int = 24, refine: int = 32) -> list:
+    """Smooth-graph evaluation subdivided along the kink loci of ``base``,
+    for forms that share one support box: one scalar :class:`EvalResult`
+    per form, in order.
 
     Intended for log-sum-exp smoothings with large beta: their Hessians
     concentrate in O(1/beta) layers along the max-affine ridges, invisible to
@@ -128,15 +172,14 @@ def eval_smooth_ridge_aligned(f: ConvexFunction, base: MaxAffine, form: Form,
     and every triangle integrated on a tensor grid in (edge, radial)
     coordinates graded so that the boundary layers of width ``layer`` are
     resolved at their own scale.  The nodes of consecutive intervals or
-    triangles are evaluated together, in blocks of about ``_RIDGE_BLOCK``.
+    triangles are evaluated together, in blocks of about ``_RIDGE_BLOCK``,
+    each block once for all forms.
     """
     from .polyhedral import _clip_to_box, build_polyhedral, window_for
 
-    n = form.n
-    box = form.support_box()
-    if box is None:
-        raise SupportError("form needs horizontally compact (or windowed) support")
-    integrand = graph_pullback_integrand(f, form)
+    n = f.n
+    box = _shared_box(forms)
+    integrand = graph_pullback_integrand(f, forms)
     cycle = build_polyhedral(base, window=window_for(base, box))
 
     def interval_nodes(a, b, o):
@@ -187,26 +230,27 @@ def eval_smooth_ridge_aligned(f: ConvexFunction, base: MaxAffine, form: Form,
                         yield tri
 
     def one_pass(o):
-        total = 0.0
+        totals = [0.0] * len(forms)
         pending, count = [], 0
         for pts, wts in node_sets(o):
             pending.append((pts, wts))
             count += len(wts)
             if count >= _RIDGE_BLOCK:
-                total += _weighted_sum(integrand, pending)
+                totals = _add_weighted_sums(totals, integrand, pending)
                 pending, count = [], 0
         if pending:
-            total += _weighted_sum(integrand, pending)
-        return total
+            totals = _add_weighted_sums(totals, integrand, pending)
+        return totals
 
     return two_pass(one_pass, order, refine)
 
 
-def _weighted_sum(integrand, node_sets) -> float:
-    """Sum of ``weights . integrand(nodes)`` over node sets, in one call."""
+def _add_weighted_sums(totals, integrand, node_sets) -> list:
+    """``totals`` plus ``weights . row`` for each row of the integrand on the
+    node sets, evaluated in one call."""
     pts = np.concatenate([p for p, _ in node_sets])
     wts = np.concatenate([w for _, w in node_sets])
-    return float(np.dot(wts, integrand(pts)))
+    return [t + float(np.dot(wts, row)) for t, row in zip(totals, integrand(pts))]
 
 
 def mass_smooth(f: ConvexFunction, R: float) -> float:
@@ -382,8 +426,8 @@ def transform_identity_residual(f: ConvexFunction, form: Form,
     kind = transform[0]
     if kind == "add_quadratic":
         _, A, b = transform
-        lhs = eval_smooth(PlusQuadratic(f, A, b), form).value
-        rhs = eval_smooth(f, pullback(gradient_shear(n, A, b), form)).value
+        lhs = eval_smooth(PlusQuadratic(f, A, b), [form])[0].value
+        rhs = eval_smooth(f, [pullback(gradient_shear(n, A, b), form)])[0].value
         return abs(float(lhs) - float(rhs))
     if kind == "linear":
         _, g = transform
@@ -391,9 +435,9 @@ def transform_identity_residual(f: ConvexFunction, form: Form,
 
         sgn = _det_sign(g, n)
         lhs = eval_smooth(LinearPrecompose(f, [[float(v) for v in row] for row in g]),
-                          form).value
+                          [form])[0].value
         pulled = pullback(linear_lift(n, inverse(g)), form)
-        rhs = sgn * float(eval_smooth(f, pulled).value)
+        rhs = sgn * float(eval_smooth(f, [pulled])[0].value)
         return abs(float(lhs) - rhs)
     if kind == "scale":
         _, c = transform
@@ -402,7 +446,7 @@ def transform_identity_residual(f: ConvexFunction, form: Form,
             raise ValueError("scaling tests keep c > 0 so that c f stays convex")
         from .convex import Scaled
 
-        lhs = eval_smooth(Scaled(f, c), form).value
-        rhs = eval_smooth(f, pullback(fiber_scaling(n, c), form)).value
+        lhs = eval_smooth(Scaled(f, c), [form])[0].value
+        rhs = eval_smooth(f, [pullback(fiber_scaling(n, c), form)])[0].value
         return abs(float(lhs) - float(rhs))
     raise ValueError(f"unknown transform {kind!r}")

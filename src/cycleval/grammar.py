@@ -341,7 +341,19 @@ def _split_spec(spec, prefix: Optional[str] = None) -> tuple:
                          f"with a 'kind' key, got {spec!r}")
     kw = _SpecArgs(kw)
     kw.kind = kw.pop("kind")
+    for key, val in kw.items():
+        name = _bare_name(val)
+        if name is not None and (kw.kind, key) != ("smooth", "name"):
+            raise ParseError(f"{kw.kind} spec: {key}= needs numbers, "
+                             f"not the name {name!r}")
     return kw.kind, kw
+
+
+def _bare_name(val) -> Optional[str]:
+    """The first bare name, such as ``foo``, in a parsed value, if any."""
+    if isinstance(val, list):
+        return next((name for name in map(_bare_name, val) if name), None)
+    return val if isinstance(val, str) and val.isidentifier() else None
 
 
 def parse_function(spec, n: int) -> ConvexFunction | PiecewiseLinear1D:

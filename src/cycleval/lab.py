@@ -3,10 +3,17 @@
 Builds valuations from horizontally supported n-forms, routes each catalog
 function to the right cycle evaluator, and packages the kernel, constancy,
 homogeneity, first-variation, Hessian/mixed-discriminant and invariance
-experiments used by the acceptance suites.  Invariance under a finite group
-is an average over its exactly orthogonal matrices; invariance under SO(2)
-and SO(3) is exact and infinitesimal: the lifted so(n) generators, Lie
-derivatives along them, and the Casimir projection onto invariant forms.
+experiments used by the acceptance suites.
+
+:func:`evaluate` takes a list of valuations and one function, so a battery
+is evaluated one function at a time on all its forms: forms that share a
+support box share that function's nodes, gradients and Hessians, and
+:func:`kernel_check` reads the values computed this way.
+
+Invariance under a finite group is an average over its exactly orthogonal
+matrices; invariance under SO(2) and SO(3) is exact and infinitesimal: the
+lifted so(n) generators, Lie derivatives along them, and the Casimir
+projection onto invariant forms.
 """
 
 from __future__ import annotations
@@ -82,23 +89,47 @@ def _wrapped_lse(f: ConvexFunction) -> Optional[LogSumExp]:
     return f if isinstance(f, LogSumExp) else None
 
 
-def evaluate(val: Valuation, f: ConvexFunction | PiecewiseLinear1D) -> EvalResult:
-    """D(f)[tau] with routing: polyhedral for max-affine, exact polyline for
-    1D piecewise-linear, ridge-aligned quadrature for log-sum-exp smoothings,
-    plain graph quadrature otherwise."""
-    tau = val.tau
+def evaluate(vals: Sequence[Valuation],
+             f: ConvexFunction | PiecewiseLinear1D) -> list[EvalResult]:
+    """D(f)[tau] for the form tau of each valuation, one result per valuation
+    in order; a single valuation is ``evaluate([val], f)[0]``.
+
+    Routing: polyhedral for max-affine, exact polyline for 1D
+    piecewise-linear, ridge-aligned quadrature for log-sum-exp smoothings,
+    plain graph quadrature otherwise.  The forms are grouped by support box:
+    the polyhedral route builds one cycle per window, and the quadrature
+    routes evaluate each group on one node stream.
+    """
+    forms = [val.tau for val in vals]
     if isinstance(f, PiecewiseLinear1D):
-        return eval_polyline(build_1d(f), tau)
+        cycle = build_1d(f)
+        return [eval_polyline(cycle, tau) for tau in forms]
     ma = as_max_affine(f)
     if ma is not None:
-        cycle = build_polyhedral(ma, window=window_for(ma, tau.support_box()))
-        return eval_polyhedral(cycle, tau)
+        cycles = {}
+        out = []
+        for tau in forms:
+            window = window_for(ma, tau.support_box())
+            if window not in cycles:
+                cycles[window] = build_polyhedral(ma, window=window)
+            out.append(eval_polyhedral(cycles[window], tau))
+        return out
+    groups: dict = {}
+    for i, tau in enumerate(forms):
+        groups.setdefault(tau.support_box(), []).append(i)
     lse = _wrapped_lse(f)
-    if lse is not None and lse.n <= 2:
-        layer = min(0.25, 50.0 / lse.beta)
-        return eval_smooth_ridge_aligned(f, lse.base, tau, layer=layer,
-                                         order=32, refine=44)
-    return eval_smooth(f, tau)
+    out = [None] * len(forms)
+    for idx in groups.values():
+        group = [forms[i] for i in idx]
+        if lse is not None and lse.n <= 2:
+            layer = min(0.25, 50.0 / lse.beta)
+            results = eval_smooth_ridge_aligned(f, lse.base, group, layer=layer,
+                                                order=32, refine=44)
+        else:
+            results = eval_smooth(f, group)
+        for i, res in zip(idx, results):
+            out[i] = res
+    return out
 
 
 def scale_of(values: Sequence[float]) -> float:
@@ -295,18 +326,19 @@ class KernelReport:
         return max((abs(float(v)) for v in self.values), default=0.0)
 
 
-def kernel_check(tau: Form, functions: Sequence, tol_zero: float = 1e-7,
-                 tol_witness: float = 1e-3) -> KernelReport:
+def kernel_check(tau: Form, functions: Sequence, values: Sequence[float],
+                 tol_zero: float = 1e-7, tol_witness: float = 1e-3) -> KernelReport:
     """Forward and contrapositive probes of the kernel description.
 
-    If rumin_d(tau) vanishes identically and the zero-section integral is
-    zero, every battery evaluation must be zero to tolerance; if the operator
-    does not vanish, some battery function must witness a nonzero value.
+    ``values`` holds D(f)[tau] for each of ``functions``, as computed by
+    :func:`evaluate`.  If rumin_d(tau) vanishes identically and the
+    zero-section integral is zero, every battery evaluation must be zero to
+    tolerance; if the operator does not vanish, some battery function must
+    witness a nonzero value.
     """
     D = rumin_d(tau)
     i0 = float(integrate_zero_section(tau))
-    val = Valuation(tau)
-    values = [float(evaluate(val, f).value) for f in functions]
+    values = [float(v) for v in values]
     scale = scale_of(values)
     if D.is_zero():
         if abs(i0) <= tol_zero:
@@ -342,7 +374,7 @@ def homogeneity_fit(val: Valuation, f: ConvexFunction) -> HomogeneityFit:
     """Least-squares polynomial fit of t -> mu(t f), degree <= n."""
     n = val.n
     t_grid = [Q(k, 2) for k in range(1, n + 4)]
-    values = [float(evaluate(val, Scaled(f, t)).value) for t in t_grid]
+    values = [float(evaluate([val], Scaled(f, t))[0].value) for t in t_grid]
     V = np.vander([float(t) for t in t_grid], n + 1, increasing=True)
     coeffs, res, *_ = np.linalg.lstsq(V, np.asarray(values), rcond=None)
     fitted = V @ coeffs
@@ -384,7 +416,7 @@ def first_variation_check(val: Valuation, f: ConvexFunction,
         spec = default_spec(n)
 
     def mu(g, form):
-        return sum(float(eval_smooth(g, form, spec=spec, box=b).value)
+        return sum(float(eval_smooth(g, [form], spec=spec, box=b)[0].value)
                    for b in boxes)
 
     rhs = mu(f, rhs_form)

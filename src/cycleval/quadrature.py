@@ -26,12 +26,15 @@ class EvalResult:
         return float(self.value)
 
 
-def two_pass(one_pass: Callable[[int], float], order: int,
-             refine_order: int) -> EvalResult:
+def two_pass(one_pass: Callable[[int], float | list], order: int,
+             refine_order: int) -> EvalResult | list:
     """The pass at ``refine_order``, with its distance from the pass at
-    ``order`` as the error estimate."""
+    ``order`` as the error estimate; a pass that returns one value per
+    integrand gives one result per integrand."""
     coarse = one_pass(order)
     fine = one_pass(refine_order)
+    if isinstance(fine, list):
+        return [EvalResult(v, abs(v - c)) for v, c in zip(fine, coarse)]
     return EvalResult(fine, abs(fine - coarse))
 
 
@@ -120,18 +123,30 @@ def box_nodes(box: Box, order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def integrate_box(fn: Callable[[np.ndarray], np.ndarray], box: Box,
-                  spec: QuadratureSpec = DEFAULT_QUAD) -> EvalResult:
-    """Integrate a vectorized integrand over a box."""
+                  spec: QuadratureSpec = DEFAULT_QUAD) -> EvalResult | list:
+    """Integrate a vectorized integrand over a box.
+
+    An integrand that returns an (F, N) array, one row per integrand on the
+    same nodes, gives a list of F results, each row reduced exactly as an
+    integrand returning that row alone would be.  Bisection would split each
+    row's box its own way, so such an integrand is accepted only at
+    ``max_depth=0``.
+    """
     return _bisected(fn, [(float(lo), float(hi)) for lo, hi in box], spec, 0)
 
 
-def _bisected(fn, box, spec: QuadratureSpec, depth: int) -> EvalResult:
+def _bisected(fn, box, spec: QuadratureSpec, depth: int) -> EvalResult | list:
     def one_pass(order):
         pts, wts = box_nodes(box, order)
-        return float(np.dot(wts, fn(pts)))
+        vals = fn(pts)
+        if np.ndim(vals) < 2:
+            return float(np.dot(wts, vals))
+        if spec.max_depth:
+            raise ValueError("a multi-row integrand is integrated at max_depth=0 only")
+        return [float(np.dot(wts, row)) for row in vals]
 
     res = two_pass(one_pass, spec.order, spec.refine_order)
-    if res.error <= spec.tol or depth >= spec.max_depth:
+    if isinstance(res, list) or res.error <= spec.tol or depth >= spec.max_depth:
         return res
     # split along the widest axis
     widths = [hi - lo for lo, hi in box]

@@ -344,19 +344,18 @@ def suite_kernel(config: ExperimentConfig) -> list:
                             size=int(config.size("kernel_battery")))
             smooth_fam += [f for f in extra
                            if f.smooth and _wrapped_lse(f) is None]
+        # every form of this dimension is drawn first, in the rng order of
+        # the entries, then each function is evaluated once on all forms
+        # that use it
+        forward = {"tol_zero": tol_f, "tol_witness": tol_w}
+        checks = []  # (name, kind, tau, functions, kernel_check tolerances)
         nforms = int(config.size("kernel_forms"))
         n_bump = max(1, nforms // 5)
         for i in range(nforms):
             kind = "bump" if i < n_bump else "window"
             tau = random_kernel_form(rng, n, kind=kind)
-            functions = smooth_fam if kind == "bump" else fam
-            rep = kernel_check(tau, functions, tol_zero=tol_f, tol_witness=tol_w)
-            entries.append(SuiteEntry(
-                name=f"kernel/forward/n={n}/{i}({kind})",
-                passed=rep.mode == "kernel" and rep.passed,
-                residual=rep.max_abs() / rep.scale, tolerance=tol_f,
-                details={"mode": rep.mode, "scale": rep.scale,
-                         "functions": len(functions)}))
+            checks.append((f"kernel/forward/n={n}/{i}({kind})", "forward", tau,
+                           smooth_fam if kind == "bump" else fam, forward))
         for i in range(int(config.size("kernel_nonkernel"))):
             tau = random_window_form(rng, n, n, nterms=2)
             if rumin_d(tau).is_zero():
@@ -365,37 +364,69 @@ def suite_kernel(config: ExperimentConfig) -> list:
                 w = window_vanishing_weight(n, 2)
                 tau = tau + Form(n, n, {key: CoefficientFn.from_poly(
                     n, w, box=((Q(-2), Q(2)),) * n)})
-            rep = kernel_check(tau, fam, tol_zero=tol_f, tol_witness=tol_w)
-            entries.append(SuiteEntry(
-                name=f"kernel/contrapositive/n={n}/{i}",
-                passed=rep.mode == "nonkernel" and rep.passed,
-                residual=0.0 if rep.witness else rep.max_abs() / rep.scale,
-                tolerance=tol_w,
-                details={"witness": rep.witness, "scale": rep.scale}))
+            checks.append((f"kernel/contrapositive/n={n}/{i}", "contrapositive",
+                           tau, fam, forward))
         for i in range(int(config.size("constant_forms"))):
             # closed form with nonzero zero-section integral
             tau = exterior_derivative(random_window_form(rng, n, n - 1))
             tau = tau + Form(n, n, {tuple(range(n)): CoefficientFn.from_poly(
                 n, window_vanishing_weight(n, 2, power=2),
                 box=((Q(-2), Q(2)),) * n)})
-            rep = kernel_check(tau, fam, tol_zero=tol_c)
-            entries.append(SuiteEntry(
-                name=f"kernel/constant/n={n}/{i}",
-                passed=rep.mode == "constant" and rep.passed,
-                residual=max((abs(v - rep.zero_section_integral)
-                              for v in rep.values), default=0.0) / rep.scale,
-                tolerance=tol_c,
-                details={"integral": rep.zero_section_integral}))
+            checks.append((f"kernel/constant/n={n}/{i}", "constant", tau, fam,
+                           {"tol_zero": tol_c}))
         # user-declared forms are classified and reported, never asserted
         for j, tau in enumerate(config.parsed_forms(n)):
             if tau.n != n or tau.degree != n:
                 continue
-            rep = kernel_check(tau, fam, tol_zero=tol_f, tol_witness=tol_w)
-            entries.append(SuiteEntry(
-                name=f"kernel/declared/n={n}/{j}", passed=True,
-                details={"mode": rep.mode, "max_abs": rep.max_abs(),
-                         "integral": rep.zero_section_integral}))
+            checks.append((f"kernel/declared/n={n}/{j}", "declared", tau, fam,
+                           forward))
+
+        vals = [Valuation(tau) for _, _, tau, _, _ in checks]
+        values = [[0.0] * len(functions) for _, _, _, functions, _ in checks]
+        for f in _unique(fam + smooth_fam):
+            uses = [(c, j) for c, (_, _, _, functions, _) in enumerate(checks)
+                    for j, g in enumerate(functions) if g is f]
+            for (c, j), res in zip(uses, evaluate([vals[c] for c, _ in uses], f)):
+                values[c][j] = float(res.value)
+
+        for (name, kind, tau, functions, tols), row in zip(checks, values):
+            rep = kernel_check(tau, functions, row, **tols)
+            entries.append(_kernel_entry(name, kind, rep, tols, len(functions)))
     return entries
+
+
+def _unique(objects: list) -> list:
+    """``objects`` without repeats (by identity), in first-seen order."""
+    seen = set()
+    return [o for o in objects if not (id(o) in seen or seen.add(id(o)))]
+
+
+def _kernel_entry(name: str, kind: str, rep, tols: dict,
+                  nfunctions: int) -> SuiteEntry:
+    """The suite entry of one kernel_check report."""
+    if kind == "forward":
+        return SuiteEntry(
+            name=name, passed=rep.mode == "kernel" and rep.passed,
+            residual=rep.max_abs() / rep.scale, tolerance=tols["tol_zero"],
+            details={"mode": rep.mode, "scale": rep.scale,
+                     "functions": nfunctions})
+    if kind == "contrapositive":
+        return SuiteEntry(
+            name=name, passed=rep.mode == "nonkernel" and rep.passed,
+            residual=0.0 if rep.witness else rep.max_abs() / rep.scale,
+            tolerance=tols["tol_witness"],
+            details={"witness": rep.witness, "scale": rep.scale})
+    if kind == "constant":
+        return SuiteEntry(
+            name=name, passed=rep.mode == "constant" and rep.passed,
+            residual=max((abs(v - rep.zero_section_integral)
+                          for v in rep.values), default=0.0) / rep.scale,
+            tolerance=tols["tol_zero"],
+            details={"integral": rep.zero_section_integral})
+    return SuiteEntry(
+        name=name, passed=True,
+        details={"mode": rep.mode, "max_abs": rep.max_abs(),
+                 "integral": rep.zero_section_integral})
 
 
 # -- homogeneity -------------------------------------------------------------------
@@ -425,10 +456,10 @@ def suite_homogeneity(config: ExperimentConfig) -> list:
         tau = random_bump_form(rng, n, bidegree=(n - 1, 1), y_dependent=False)
         val = Valuation(tau)
         f = Quadratic(_rand_pd_matrix(rng, n))
-        base = float(evaluate(val, f).value)
+        base = float(evaluate([val], f)[0].value)
         shifted = Shifted(f, [_rand_frac(rng, 2, 2) for _ in range(n)],
                           _rand_frac(rng, 2, 2))
-        v = float(evaluate(val, shifted).value)
+        v = float(evaluate([val], shifted)[0].value)
         tol_de = config.tol("dual_epi")
         entries.append(SuiteEntry(
             name=f"homogeneity/dual-epi/n={n}",
@@ -501,7 +532,7 @@ def suite_hessian(config: ExperimentConfig) -> list:
         form = hessian_form(spec)
         f = Quadratic(_rand_pd_matrix(rng, n))
         direct = hessian_valuation(spec, f)
-        via = float(evaluate(Valuation(form), f).value)
+        via = float(evaluate([Valuation(form)], f)[0].value)
         denom = max(1e-9, abs(direct))
         entries.append(SuiteEntry(
             name=f"hessian/cross-check/{i}(n={n},k={k})",
@@ -777,8 +808,8 @@ def suite_consistency(config: ExperimentConfig) -> list:
         gaps = []
         approxes = []
         for beta in betas:
-            approx = eval_smooth_ridge_aligned(
-                LogSumExp(ma, beta), ma, tau, layer=50.0 / beta,
+            approx, = eval_smooth_ridge_aligned(
+                LogSumExp(ma, beta), ma, [tau], layer=50.0 / beta,
                 order=40, refine=56)
             approxes.append(float(approx.value))
             gaps.append(abs(approx.value - exact))

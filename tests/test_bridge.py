@@ -107,7 +107,7 @@ def test_t_map_properties():
     base = float(t_map(tau, K).value)
     # translating the body K by v in V* x R shifts f_K by an affine function
     f_translated = Shifted(body_restriction(K), [Q(1, 2), Q(-1, 4)], Q(3, 5))
-    v = float(evaluate(Valuation(tau), f_translated).value)
+    v = float(evaluate([Valuation(tau)], f_translated)[0].value)
     assert abs(v - base) < 1e-6 * max(1.0, abs(base))
     # scaling: r K scales h_K linearly; degree matches the bidegree
     val = Valuation(tau)

@@ -120,6 +120,17 @@ def test_exit_code_malformed_spec(tmp_path, capsys, key, spec):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spec,key", [
+    ("quadratic A=[[1]] shift=foo", "shift"),
+    ("quadratic A=foo", "A"),
+    ("lse pieces=[[[1],0],[[-1],0]] beta=foo", "beta"),
+])
+def test_exit_code_name_for_a_number(tmp_path, capsys, spec, key):
+    cfg = _write_config(tmp_path / "cfg.json", functions=[spec])
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"{key}= needs numbers, not the name 'foo'" in capsys.readouterr().err
+
+
 def test_run_declared_smooth_spec(tmp_path):
     cfg = _write_config(tmp_path / "cfg.json", suites=["valuation-property"],
                         functions=["smooth name=sqrt1p"])
@@ -205,6 +216,13 @@ def test_dump_cycle(tmp_path, capsys):
     assert data3["kind"] == "polyline"
     # bad spec
     assert main(["dump-cycle", "quadratic A=[[1]]", "--n", "1"]) == 2
+
+
+def test_package_entry_point():
+    proc = subprocess.run([sys.executable, "-m", "cycleval", "list-catalog"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert "quadratic" in proc.stdout
 
 
 def test_console_entry_point():

@@ -33,8 +33,7 @@ def test_defining_property_identity_hessian():
         f = Quadratic(np.eye(n))
         tau_dy = Form.monomial(n, [], list(range(1, n + 1)), beta_coeff(n))
         tau_dx = Form.monomial(n, list(range(1, n + 1)), [], beta_coeff(n))
-        v1 = eval_smooth(f, tau_dy)
-        v2 = eval_smooth(f, tau_dx)
+        v1, v2 = eval_smooth(f, [tau_dy, tau_dx])
         assert v1.value == pytest.approx(v2.value, abs=1e-10)
         # n = 1 oracle: int beta
         if n == 1:
@@ -51,7 +50,7 @@ def test_defining_property_vs_direct_quadrature():
     f = Quadratic([[2.0, 0.5], [0.5, 1.0]], [0.1, -0.2], 0.0)
     phi = beta_coeff(n, R=2, poly=Poly.variable(4, 2) ** 2)  # y1^2 * bump(x)
     tau = Form(n, n, {(0, 1): phi})
-    got = eval_smooth(f, tau)
+    got, = eval_smooth(f, [tau])
     from cycleval.quadrature import box_nodes
 
     pts, wts = box_nodes([(-2, 2), (-2, 2)], 160)
@@ -70,11 +69,11 @@ def test_smooth_closedness_and_lagrangian():
         p = Poly.monomial(4, (rng.integers(0, 2), rng.integers(0, 2),
                               rng.integers(0, 2), 0), Q(int(rng.integers(1, 4)), 2))
         rho = Form.monomial(n, [int(rng.integers(1, 3))], [], beta_coeff(n, 2, p))
-        val = eval_smooth(f, exterior_derivative(rho))
+        val, = eval_smooth(f, [exterior_derivative(rho)])
         assert abs(val.value) < 1e-8
     # D(f)[omega_s ^ xi] ~ 0
     xi = Form.from_coefficient(n, beta_coeff(n, 2, Poly.variable(4, 1)))
-    val = eval_smooth(f, wedge(standard_symplectic_form(n), xi))
+    val, = eval_smooth(f, [wedge(standard_symplectic_form(n), xi)])
     assert abs(val.value) < 1e-8
 
 
@@ -220,8 +219,8 @@ def test_lse_consistency_converges():
 
     gaps = []
     for beta in (10.0, 100.0, 1000.0):
-        approx = eval_smooth_ridge_aligned(LogSumExp(ma, beta), ma, tau,
-                                           layer=50.0 / beta, order=32, refine=44)
+        approx, = eval_smooth_ridge_aligned(LogSumExp(ma, beta), ma, [tau],
+                                            layer=50.0 / beta, order=32, refine=44)
         gaps.append(abs(approx.value - exact))
     assert gaps[0] > gaps[1]
     assert gaps[2] < 1e-4
@@ -246,7 +245,7 @@ def test_ridge_aligned_batches_match_per_triangle_sum():
 
     def reference(o):
         # one integrand call per (u, r) sub-rectangle of each triangle
-        integrand = graph_pullback_integrand(f, tau)
+        integrand = graph_pullback_integrand(f, [tau])
         box = tau.support_box()
         total = 0.0
         for cell in build_polyhedral(ma, window=window_for(ma, box)).cells:
@@ -274,10 +273,10 @@ def test_ridge_aligned_batches_match_per_triangle_sum():
                         W = np.outer(uw, rw).ravel() * R.ravel() * area2
                         E = v1 + U.ravel()[:, None] * e
                         pts = c + R.ravel()[:, None] * (E - c)
-                        total += float(np.dot(W, integrand(pts)))
+                        total += float(np.dot(W, integrand(pts)[0]))
         return total
 
-    got = eval_smooth_ridge_aligned(f, ma, tau, layer=layer, order=12, refine=40)
+    got, = eval_smooth_ridge_aligned(f, ma, [tau], layer=layer, order=12, refine=40)
     coarse, fine = reference(12), reference(40)
     assert abs(fine) > 1e-3
     assert abs(got.value - fine) <= 1e-12 * max(1.0, abs(fine))

@@ -126,6 +126,24 @@ def test_parse_function_errors(spec):
         parse_function(spec, 1)
 
 
+@pytest.mark.parametrize("spec,key", [
+    ("quadratic A=[[1]] shift=foo", "shift"),
+    ("quadratic A=foo", "A"),
+    ("quadratic A=[[1, foo]]", "A"),
+    ("lse pieces=[[[1],0],[[-1],0]] beta=foo", "beta"),
+    ({"kind": "quadratic", "A": [[1]], "c": "foo"}, "c"),
+])
+def test_parse_function_name_for_a_number(spec, key):
+    # only smooth name= takes a bare name; elsewhere the error names both
+    with pytest.raises(ParseError, match=f"{key}= needs numbers, not the name 'foo'"):
+        parse_function(spec, 1)
+
+
+def test_parse_body_name_for_a_number():
+    with pytest.raises(ParseError, match="M= needs numbers, not the name 'foo'"):
+        parse_body("ellipsoid M=foo", 1)
+
+
 @pytest.mark.parametrize("spec", ["ellipsoid", "point", "body", {"p": [0, 1]}])
 def test_parse_body_errors(spec):
     with pytest.raises(ParseError):

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from cycleval.coefficients import BumpFactor, CoefficientFn, ball_bump
-from cycleval.convex import MaxAffine, Quadratic, Shifted, SmoothField
+from cycleval.convex import (
+    LogSumExp,
+    MaxAffine,
+    PiecewiseLinear1D,
+    Quadratic,
+    Shifted,
+    SmoothField,
+)
 from cycleval.exactla import det
 from cycleval.forms import (
     Form,
@@ -30,6 +37,7 @@ from cycleval.lab import (
     mixed_discriminant,
     random_bump_form,
     random_kernel_form,
+    random_window_form,
     scale_of,
     signed_permutations,
     so_generators,
@@ -57,7 +65,7 @@ def test_constant_valuation():
     val = Valuation(tau)
     ref = float(integrate_zero_section(tau))
     for f in battery(n, seed=1, size=8):
-        v = evaluate(val, f)
+        v, = evaluate([val], f)
         assert abs(float(v.value) - ref) < 1e-7 * max(1, abs(ref))
 
 
@@ -68,8 +76,41 @@ def test_evaluate_at_zero_function():
     tau = random_bump_form(rng, n, degree=n)
     val = Valuation(tau)
     zero = Quadratic(np.zeros((n, n)))
-    got = float(evaluate(val, zero).value)
+    got = float(evaluate([val], zero)[0].value)
     assert got == pytest.approx(float(integrate_zero_section(tau)), abs=1e-9)
+
+
+def _two_box_forms(rng, n):
+    """Forms on the [-2, 2]^n window and on a bump box, interleaved."""
+    forms = [random_window_form(rng, n, n), random_kernel_form(rng, n, kind="bump"),
+             random_window_form(rng, n, n), random_bump_form(rng, n, degree=n)]
+    assert len({tau.support_box() for tau in forms}) == 2
+    return [Valuation(tau) for tau in forms]
+
+
+@pytest.mark.parametrize("route,n,f", [
+    ("smooth", 1, Quadratic([[Q(3, 2)]], [Q(1, 4)], Q(0))),
+    ("smooth", 2, Quadratic([[Q(2), Q(1, 2)], [Q(1, 2), Q(1)]], [Q(0), Q(-1, 3)])),
+    ("ridge", 1, LogSumExp(MaxAffine([([1], 0), ([-1], Q(1, 2)), ([2], -1)]), 12.0)),
+    ("ridge", 2, LogSumExp(MaxAffine([([1, 0], 0), ([-1, 1], Q(1, 2)),
+                                      ([0, -1], Q(-1, 2))]), 40.0)),
+    ("polyhedral", 1, MaxAffine([([1], 0), ([-1], Q(1, 2)), ([2], -1)])),
+    ("polyhedral", 2, MaxAffine([([1, 0], 0), ([-1, 1], Q(1, 2)), ([0, -1], Q(-1, 2))])),
+    ("polyline", 1, PiecewiseLinear1D([Q(-1), Q(1, 2)], [2, -1, Q(1, 2)], 0)),
+])
+def test_evaluate_list_equals_per_pair(route, n, f):
+    # one call on forms with two support boxes gives, in input order, the
+    # value and error of each form evaluated alone, bit for bit
+    vals = _two_box_forms(np.random.default_rng(21 + n), n)
+    got = evaluate(vals, f)
+    ref = [evaluate([val], f)[0] for val in vals]
+    assert [(type(r.value), r.value, r.error) for r in got] == \
+        [(type(r.value), r.value, r.error) for r in ref]
+    assert any(r.value != 0 for r in ref)
+
+
+def _values(tau, functions):
+    return [float(evaluate([Valuation(tau)], f)[0].value) for f in functions]
 
 
 def test_kernel_forward_small():
@@ -77,7 +118,7 @@ def test_kernel_forward_small():
     fam = battery(1, seed=2, size=10) + battery(1, seed=9, size=4)
     for _ in range(3):
         tau = random_kernel_form(rng, 1)
-        rep = kernel_check(tau, fam)
+        rep = kernel_check(tau, fam, _values(tau, fam))
         assert rep.mode == "kernel"
         assert rep.passed, (rep.values, rep.scale)
 
@@ -88,7 +129,8 @@ def test_kernel_contrapositive_witness():
     # psi(x) dy is not in the kernel: quadratics witness int psi''f != 0
     psi = CoefficientFn.bump(n, ball_bump(n, 2), Poly.const(2, 2))
     tau = Form(n, 1, {(1,): psi})
-    rep = kernel_check(tau, battery(n, seed=4, size=12))
+    fam = battery(n, seed=4, size=12)
+    rep = kernel_check(tau, fam, _values(tau, fam))
     assert rep.mode == "nonkernel"
     assert rep.passed and rep.witness is not None
 
@@ -100,10 +142,10 @@ def test_dual_epi_invariance_numeric():
     tau = random_bump_form(rng, n, bidegree=(1, 1), y_dependent=False)
     val = Valuation(tau)
     f = Quadratic([[1.2, 0.1], [0.1, 0.9]])
-    base = float(evaluate(val, f).value)
+    base = float(evaluate([val], f)[0].value)
     for lam, c in (([Q(1, 2), Q(-1)], Q(2)), ([Q(0), Q(3, 4)], Q(-1, 3))):
         shifted = Shifted(f, lam, c)
-        v = float(evaluate(val, shifted).value)
+        v = float(evaluate([val], shifted)[0].value)
         assert abs(v - base) < 1e-7 * max(1, abs(base))
 
 
@@ -173,12 +215,12 @@ def test_k1_representation_density():
     val = Valuation(tau)
     phi = k1_representation(val)
     f = Quadratic([[1]], [Q(1, 3)], Q(0))
-    lhs = float(evaluate(val, f).value)
+    lhs = float(evaluate([val], f)[0].value)
     rhs = integral_against_density(f, phi)
     assert lhs == pytest.approx(rhs, rel=1e-6)
     # affine functions are annihilated (moment conditions)
     aff = Quadratic([[0]], [Q(1)], Q(2))
-    assert abs(float(evaluate(val, aff).value)) < 1e-9
+    assert abs(float(evaluate([val], aff)[0].value)) < 1e-9
 
 
 def test_mixed_discriminant():
@@ -228,7 +270,7 @@ def test_hessian_form_and_valuation_agree():
         form = hessian_form(spec)
         f = Quadratic(_rand_pd(rng, n))
         direct = hessian_valuation(spec, f)
-        via_form = float(evaluate(Valuation(form), f).value)
+        via_form = float(evaluate([Valuation(form)], f)[0].value)
         assert via_form == pytest.approx(direct, rel=1e-6, abs=1e-9), (n, k)
 
 
@@ -264,7 +306,7 @@ def test_hessian_form_known_cases():
     # mixed discriminant D(H, I) for diagonal H: (h11 + h22)/2
     ref = 4.0 * float(integrate_zero_section(Form(n, n, {(0, 1): B2})))
     assert direct == pytest.approx(ref, rel=1e-9)
-    via = float(evaluate(Valuation(form2), f).value)
+    via = float(evaluate([Valuation(form2)], f)[0].value)
     assert via == pytest.approx(ref, rel=1e-8)
 
 

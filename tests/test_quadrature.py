@@ -2,6 +2,7 @@ import math
 from fractions import Fraction as Q
 
 import numpy as np
+import pytest
 
 from cycleval.quadrature import QuadratureSpec, box_nodes, integrate_box
 
@@ -39,3 +40,24 @@ def test_bisection_meets_tol_on_a_peaked_integrand():
     got = integrate_box(fn, [(-1, 1)], adaptive)
     assert abs(got.value - exact) <= adaptive.tol
     assert got.error <= adaptive.tol
+
+
+def test_multi_row_integrand_at_depth_zero_equals_each_row():
+    spec = QuadratureSpec(order=12, refine_order=20)
+    box = [(Q(-1), Q(1, 2)), (0.25, 2.0)]
+    rows = [lambda p: np.exp(p[:, 0]) * np.cos(3 * p[:, 1]),
+            lambda p: p[:, 0] ** 2 * p[:, 1],
+            lambda p: np.sin(p[:, 0] + p[:, 1])]
+
+    def fn(p):
+        return np.stack([row(p) for row in rows])
+
+    got = integrate_box(fn, box, spec)
+    ref = [integrate_box(row, box, spec) for row in rows]
+    assert [(r.value, r.error) for r in got] == [(r.value, r.error) for r in ref]
+
+
+def test_multi_row_integrand_refuses_bisection():
+    spec = QuadratureSpec(order=12, refine_order=20, max_depth=1)
+    with pytest.raises(ValueError):
+        integrate_box(lambda p: np.stack([p[:, 0], p[:, 0] ** 2]), [(-1, 1)], spec)

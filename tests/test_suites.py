@@ -1,0 +1,111 @@
+from fractions import Fraction as Q
+
+import numpy as np
+
+from cycleval.coefficients import CoefficientFn
+from cycleval.forms import Form, exterior_derivative
+from cycleval.lab import (
+    Valuation,
+    _wrapped_lse,
+    battery,
+    evaluate,
+    kernel_check,
+    random_kernel_form,
+    random_window_form,
+    window_vanishing_weight,
+)
+from cycleval.report import SuiteEntry
+from cycleval.rumin import rumin_d
+from cycleval.suites import (
+    _KERNEL_SMOOTH_MIN,
+    _KERNEL_TOP_UP_SEEDS,
+    ExperimentConfig,
+    suite_kernel,
+)
+
+SMALL_KERNEL = ExperimentConfig(
+    n=1, seed=11, suites=["kernel"],
+    forms=["bump(R=2) * dy1", "box(2) * x1^2 * dx1"],
+    functions=["quadratic A=[[1]] b=[0] c=0", "maxaffine pieces=[[[1],0],[[-1],0]]"],
+    sizes={"kernel_dims": [1, 2], "kernel_forms": 3, "kernel_nonkernel": 1,
+           "constant_forms": 1, "kernel_battery": 8})
+
+
+def _reference_kernel(config):
+    """The kernel suite one (form, function) pair at a time, each form
+    checked as soon as it is drawn."""
+    entries = []
+    tol_f = config.tol("kernel_forward")
+    tol_w = config.tol("kernel_witness")
+    tol_c = config.tol("constant")
+    size = int(config.size("kernel_battery"))
+    for n in config.size("kernel_dims"):
+        rng = np.random.default_rng(config.seed + 101 * n)
+        fam = battery(n, seed=config.seed + n, size=size)
+        fam += [f for f in config.parsed_functions(n) if getattr(f, "n", None) == n]
+        smooth_fam = [f for f in fam if f.smooth and _wrapped_lse(f) is None]
+        for offset in _KERNEL_TOP_UP_SEEDS:
+            if len(smooth_fam) >= max(_KERNEL_SMOOTH_MIN, len(fam) - 2):
+                break
+            smooth_fam += [f for f in battery(n, seed=config.seed + offset, size=size)
+                           if f.smooth and _wrapped_lse(f) is None]
+
+        def check(tau, functions, **tols):
+            values = [float(evaluate([Valuation(tau)], f)[0].value) for f in functions]
+            return kernel_check(tau, functions, values, **tols)
+
+        window = ((Q(-2), Q(2)),) * n
+        nforms = int(config.size("kernel_forms"))
+        for i in range(nforms):
+            kind = "bump" if i < max(1, nforms // 5) else "window"
+            tau = random_kernel_form(rng, n, kind=kind)
+            functions = smooth_fam if kind == "bump" else fam
+            rep = check(tau, functions, tol_zero=tol_f, tol_witness=tol_w)
+            entries.append(SuiteEntry(
+                name=f"kernel/forward/n={n}/{i}({kind})",
+                passed=rep.mode == "kernel" and rep.passed,
+                residual=rep.max_abs() / rep.scale, tolerance=tol_f,
+                details={"mode": rep.mode, "scale": rep.scale,
+                         "functions": len(functions)}))
+        for i in range(int(config.size("kernel_nonkernel"))):
+            tau = random_window_form(rng, n, n, nterms=2)
+            if rumin_d(tau).is_zero():
+                tau = tau + Form(n, n, {tuple(range(1, n)) + (n,): CoefficientFn.from_poly(
+                    n, window_vanishing_weight(n, 2), box=window)})
+            rep = check(tau, fam, tol_zero=tol_f, tol_witness=tol_w)
+            entries.append(SuiteEntry(
+                name=f"kernel/contrapositive/n={n}/{i}",
+                passed=rep.mode == "nonkernel" and rep.passed,
+                residual=0.0 if rep.witness else rep.max_abs() / rep.scale,
+                tolerance=tol_w,
+                details={"witness": rep.witness, "scale": rep.scale}))
+        for i in range(int(config.size("constant_forms"))):
+            tau = exterior_derivative(random_window_form(rng, n, n - 1))
+            tau = tau + Form(n, n, {tuple(range(n)): CoefficientFn.from_poly(
+                n, window_vanishing_weight(n, 2, power=2), box=window)})
+            rep = check(tau, fam, tol_zero=tol_c)
+            entries.append(SuiteEntry(
+                name=f"kernel/constant/n={n}/{i}",
+                passed=rep.mode == "constant" and rep.passed,
+                residual=max((abs(v - rep.zero_section_integral)
+                              for v in rep.values), default=0.0) / rep.scale,
+                tolerance=tol_c,
+                details={"integral": rep.zero_section_integral}))
+        for j, tau in enumerate(config.parsed_forms(n)):
+            if tau.n != n or tau.degree != n:
+                continue
+            rep = check(tau, fam, tol_zero=tol_f, tol_witness=tol_w)
+            entries.append(SuiteEntry(
+                name=f"kernel/declared/n={n}/{j}", passed=True,
+                details={"mode": rep.mode, "max_abs": rep.max_abs(),
+                         "integral": rep.zero_section_integral}))
+    return entries
+
+
+def test_suite_kernel_matches_per_pair_reference():
+    got = [e.to_dict() for e in suite_kernel(SMALL_KERNEL)]
+    ref = [e.to_dict() for e in _reference_kernel(SMALL_KERNEL)]
+    assert [e["name"] for e in got] == [e["name"] for e in ref]
+    assert got == ref
+    assert {e["name"].split("/")[1] for e in got} == \
+        {"forward", "contrapositive", "constant", "declared"}
