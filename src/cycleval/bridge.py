@@ -25,7 +25,7 @@ from .cycles import eval_smooth
 from .exactla import det
 from .forms import Form
 from .lab import Valuation, evaluate
-from .quadrature import EvalResult, default_spec, integrate_box
+from .quadrature import EvalResult, integrate_box
 
 
 @dataclass
@@ -124,7 +124,7 @@ def conormal_eval(K: ConvexBody, tau: Form) -> EvalResult:
             out += coeff.eval_array(pts, cache) * det(M)
         return out
 
-    return integrate_box(integrand, box, default_spec(n))
+    return integrate_box(integrand, box)
 
 
 @dataclass

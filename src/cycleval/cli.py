@@ -137,7 +137,7 @@ def cmd_dump_cycle(args) -> int:
 
     try:
         f = parse_function(args.spec, args.n)
-    except (ParseError, ValueError, KeyError) as exc:
+    except (ParseError, ValueError, KeyError, TypeError) as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
     try:

@@ -34,7 +34,9 @@ def _frac_matrix(A, n):
 
 
 def _frac_vector(v, n):
-    return tuple(_as_fraction(v[i]) for i in range(n))
+    if len(v) != n:
+        raise CatalogError(f"a vector needs {n} entries, got {len(v)}")
+    return tuple(_as_fraction(x) for x in v)
 
 
 class ConvexFunction:

@@ -19,7 +19,7 @@ graph it reduces to the standard orientation of the base.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,9 +43,7 @@ from .forms import (
 from .polynomials import Poly, Q, _as_fraction
 from .quadrature import (
     EvalResult,
-    QuadratureSpec,
     box_nodes,
-    default_spec,
     disk_nodes,
     gl_interval,
     integrate_box,
@@ -111,15 +109,12 @@ def graph_pullback_integrand(f: ConvexFunction, forms: Sequence[Form]):
     return integrand
 
 
-def eval_smooth(f: ConvexFunction, forms: Sequence[Form],
-                spec: Optional[QuadratureSpec] = None,
-                box=None) -> list:
+def eval_smooth(f: ConvexFunction, forms: Sequence[Form], box=None) -> list:
     """D(f)[form] for each of ``forms``, for twice-differentiable catalog
     functions: one scalar :class:`EvalResult` per form, in order.
 
     The forms are integrated over ``box``, by default their one shared
-    support box.  Without bisection they share one node stream; with it
-    (``spec.max_depth > 0``) each form's integrand is bisected on its own.
+    support box, on one node stream.
     """
     if not f.smooth:
         raise NonsmoothPointError(
@@ -127,16 +122,7 @@ def eval_smooth(f: ConvexFunction, forms: Sequence[Form],
     n = f.n
     if any(form.degree != n or form.n != n for form in forms):
         raise ValueError("form must be an n-form matching the function dimension")
-    box = box or _shared_box(forms)
-    spec = spec or default_spec(n)
-    if not spec.max_depth:
-        return integrate_box(graph_pullback_integrand(f, forms), box, spec)
-    # bisection splits the box where one integrand needs it: form by form
-    results = []
-    for form in forms:
-        rows = graph_pullback_integrand(f, [form])
-        results.append(integrate_box(lambda X: rows(X)[0], box, spec))
-    return results
+    return integrate_box(graph_pullback_integrand(f, forms), box or _shared_box(forms))
 
 
 def _graded_cuts(width: float) -> list:
@@ -259,7 +245,7 @@ def mass_smooth(f: ConvexFunction, R: float) -> float:
     if n == 1:
         pts, wts = box_nodes([(-R, R)], 64)
     elif n == 2:
-        pts, wts = disk_nodes(R, order_r=64, order_t=128)
+        pts, wts = disk_nodes(R)
     else:
         raise NotImplementedError("mass quadrature implemented for n <= 2")
     H = f.hessian_array(pts)
@@ -321,7 +307,6 @@ def _polyline_parts(cycle: Polyline1DCycle, coeffs):
     """Integral of each dx (axis 0) or dy (axis 1) atom over each segment
     along its axis: pieces left to right at y = slope, kinks at x = kink
     from left to right slope."""
-    spec = default_spec(1)
     for axis, coeff in coeffs:
         for sig, poly in coeff.atoms.items():
             atom = CoefficientFn(1, {sig: poly}, declared_box=coeff.declared_box)
@@ -347,7 +332,7 @@ def _polyline_parts(cycle: Polyline1DCycle, coeffs):
                     return atom.eval_array(np.stack(cols[::-1] if axis else cols, axis=1))
 
                 a, b = float(start), float(end)
-                res = integrate_box(fn, [(min(a, b), max(a, b))], spec)
+                res = integrate_box(fn, [(min(a, b), max(a, b))])
                 yield EvalResult((-1.0 if b < a else 1.0) * res.value, res.error)
 
 

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 from .coefficients import BoxT, CoefficientFn, SupportError, _box_union
 from .exactla import inverse
 from .polynomials import Poly, Q, _as_fraction
-from .quadrature import EvalResult, default_spec, integrate_box, sum_parts
+from .quadrature import EvalResult, integrate_box, sum_parts
 
 MAX_DIMENSION = 4  # basis matrices for the Lefschetz inverse stay tiny
 
@@ -543,7 +543,6 @@ def integrate_coefficient(c: CoefficientFn) -> EvalResult:
                 continue
             part = CoefficientFn(c.n, {sig: poly}, declared_box=c.declared_box)
             if not part.integral_vanishes_by_parity():
-                yield integrate_box(part.eval_x_array, part.support_box(),
-                                    default_spec(c.n))
+                yield integrate_box(part.eval_x_array, part.support_box())
 
     return sum_parts(parts())

@@ -152,6 +152,8 @@ def _signed_terms(expr: str):
 
 def parse_form(expr: str, n: int) -> Form:
     """Parse a form expression on T*R^n."""
+    if not isinstance(expr, str):
+        raise ParseError(f"a form is an expression string, got {expr!r}")
     terms = _signed_terms(expr)
     if not terms:
         raise ParseError("empty form expression")
@@ -235,10 +237,12 @@ def _parse_wedge(tok: str, n: int):
 
 def _parse_bump(body: str, n: int) -> BumpFactor:
     kw = _parse_kwargs(body)
-    p = int(kw.pop("p", 1))
-    m = int(kw.pop("m", 0))
+    p = _bump_power(kw.pop("p", 1), "p")
+    m = _bump_power(kw.pop("m", 0), "m")
     if "R" in kw:
         R = kw.pop("R")
+        if not isinstance(R, Fraction) or R <= 0:
+            raise ParseError(f"bump needs a radius R > 0, got R={R}")
         base = ball_bump(n, R)
     elif "M" in kw:
         M = kw.pop("M")
@@ -248,6 +252,12 @@ def _parse_bump(body: str, n: int) -> BumpFactor:
     if kw:
         raise ParseError(f"unknown bump arguments {sorted(kw)}")
     return BumpFactor(base.M, p, m)
+
+
+def _bump_power(val, key: str) -> int:
+    if not isinstance(val, (int, Fraction)) or val != int(val) or val < 0:
+        raise ParseError(f"bump {key}= must be a non-negative integer, got {key}={val}")
+    return int(val)
 
 
 def _parse_box(body: str, n: int):
@@ -379,10 +389,9 @@ def _build_function(kind: str, kw: dict, n: int):
     if kind == "quadratic":
         return Quadratic(kw["A"], kw.get("b"), kw.get("c", 0))
     if kind == "maxaffine":
-        return MaxAffine([(p[0], p[1]) for p in kw["pieces"]])
+        return MaxAffine(_pieces(kw))
     if kind == "lse":
-        base = MaxAffine([(p[0], p[1]) for p in kw["pieces"]])
-        return LogSumExp(base, float(kw["beta"]))
+        return LogSumExp(MaxAffine(_pieces(kw)), float(kw["beta"]))
     if kind == "smooth":
         name = kw["name"]
         if not isinstance(name, str):
@@ -395,6 +404,17 @@ def _build_function(kind: str, kw: dict, n: int):
     if kind == "body":
         raise ParseError("use parse_body for body specs")
     raise ParseError(f"unknown function kind {kind!r}")
+
+
+def _pieces(kw) -> list:
+    """The ``pieces=`` of a max-affine spec: a list of [gradient, offset] pairs."""
+    pieces = kw["pieces"]
+    if not isinstance(pieces, list) or not all(
+            isinstance(p, list) and len(p) == 2 and isinstance(p[0], list)
+            and not isinstance(p[1], list) for p in pieces):
+        raise ParseError(f"{kw.kind} spec: pieces= must be a list of "
+                         f"[gradient, offset] pairs, e.g. [[[1],0],[[-1],0]]")
+    return [tuple(p) for p in pieces]
 
 
 def parse_body(spec, n: int) -> ConvexBody:

@@ -59,7 +59,7 @@ from .forms import (
 )
 from .polyhedral import build_polyhedral, eval_polyhedral, window_for
 from .polynomials import Poly, Q, _as_fraction
-from .quadrature import EvalResult, QuadratureSpec, default_spec, integrate_box
+from .quadrature import EvalResult, integrate_box
 from .rumin import RuminResult, rumin_d
 
 
@@ -401,23 +401,21 @@ def first_variation_check(val: Valuation, f: ConvexFunction,
     at steps t = 1e-2 and 1e-3.
 
     The same quadrature nodes evaluate every perturbed function, so the
-    finite differences do not amplify quadrature error.  For n > 1 with a
-    bump-type psi the quadrature is adaptive: such a psi puts Hessian layers
-    at its own support sphere, in the interior of the integration box.
+    finite differences do not amplify quadrature error.  For n > 1 a
+    bump-type psi puts Hessian layers at its own support sphere, in the
+    interior of the integration box, which fixed nodes do not resolve to the
+    check's tolerance; such a psi is refused with a ValueError.
     """
     tau = val.tau
     n = val.n
+    if n > 1 and psi.coeff.has_bump():
+        raise ValueError("first variation at n > 1 needs a polynomial psi")
     rhs_form = val.rumin.D_bar.map_coefficients(lambda c: c * psi.coeff)
     box = tau.support_box()
     boxes = _split_at_support(box, psi.coeff.support_box()) if n == 1 else [box]
-    if n > 1 and psi.coeff.has_bump():
-        spec = QuadratureSpec(order=24, refine_order=32, tol=1e-9, max_depth=10)
-    else:
-        spec = default_spec(n)
 
     def mu(g, form):
-        return sum(float(eval_smooth(g, [form], spec=spec, box=b)[0].value)
-                   for b in boxes)
+        return sum(float(eval_smooth(g, [form], box=b)[0].value) for b in boxes)
 
     rhs = mu(f, rhs_form)
     t1, t2 = 1e-2, 1e-3
@@ -482,7 +480,7 @@ def integral_against_density(f: ConvexFunction, phi: CoefficientFn) -> float:
     def fn(pts):
         return f.eval_array(pts) * phi.eval_x_array(pts)
 
-    return integrate_box(fn, box, default_spec(phi.n)).value
+    return integrate_box(fn, box).value
 
 
 # -- mixed discriminants and Hessian valuations -------------------------------------------
@@ -537,7 +535,7 @@ def hessian_valuation(spec: MixedDiscriminantSpec, f: ConvexFunction) -> float:
         Hrows = [[H[:, p, q] for q in range(n)] for p in range(n)]
         return spec.B.eval_x_array(pts) * polarized_det([Hrows] * k + A_float)
 
-    return integrate_box(fn, box, default_spec(n)).value
+    return integrate_box(fn, box).value
 
 
 def hessian_form(spec: MixedDiscriminantSpec) -> Form:

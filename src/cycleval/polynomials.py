@@ -333,21 +333,6 @@ class Poly:
             out = Poly._trusted(out.nvars, acc)
         return out
 
-    def integrate_simplex(self, vars_: Sequence[int]) -> Fraction:
-        """Integrate over the standard simplex in the listed variables.
-
-        Requires the polynomial to depend on those variables only.  Uses the
-        Dirichlet formula: the integral of ``prod t_i^{g_i}`` over the
-        d-simplex {t_i >= 0, sum t_i <= 1} is ``(prod g_i!) / (d + sum g_i)!``.
-        """
-        total = Q(0)
-        for e, c in self.terms.items():
-            for v in range(self.nvars):
-                if e[v] and v not in vars_:
-                    raise ValueError("polynomial depends on a non-integration variable")
-            total += c * dirichlet_moment([e[v] for v in vars_])
-        return total
-
 
 def dirichlet_moment(g) -> Fraction:
     """Integral of ``prod t_i^{g_i}`` over the standard d-simplex, d = len(g):

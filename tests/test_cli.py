@@ -110,9 +110,18 @@ def test_exit_code_wrongly_typed_config_value(tmp_path, capsys, override):
     ("functions", "quadratic A=[[1/0]]"),
     ("functions", "quadratic A=[[1]"),
     ("functions", ""),
+    ("functions", "maxaffine pieces=[[[1,0],0],[[1],0]]"),
+    ("functions", "maxaffine pieces=[[[1],0],[[-1]]]"),
+    ("functions", "lse pieces=[[[1,0],0],[[1],0]] beta=2"),
+    ("functions", "maxaffine pieces=[[[1],0],[[1,2],0]]"),
+    ("functions", "quadratic A=[[1]] shift=[1,2]"),
+    ("forms", 3),
+    ("forms", "bump(R=0) * dx1"),
+    ("forms", "bump(R=2,p=1/2) * dx1"),
 ])
 def test_exit_code_malformed_spec(tmp_path, capsys, key, spec):
-    # a missing key, an unknown name, a shape mismatch or a bad literal
+    # a missing key, an unknown name, a shape mismatch, a bad literal or a
+    # value out of range
     cfg = _write_config(tmp_path / "cfg.json", **{key: [spec]})
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == 2
@@ -216,6 +225,7 @@ def test_dump_cycle(tmp_path, capsys):
     assert data3["kind"] == "polyline"
     # bad spec
     assert main(["dump-cycle", "quadratic A=[[1]]", "--n", "1"]) == 2
+    assert main(["dump-cycle", "pwl breaks=0 slopes=[-1,1]", "--n", "1"]) == 2
 
 
 def test_package_entry_point():

@@ -207,6 +207,18 @@ def test_first_variation_constant_direction():
     assert abs(rep.extrapolated) < 1e-6 * rep.scale
 
 
+def test_first_variation_refuses_a_bump_direction_above_n_1():
+    # fixed nodes do not resolve the Hessian layers a bump psi puts at its
+    # support sphere inside the box; the check refuses rather than guess
+    n = 2
+    tau = Form(n, 2, {(2, 3): CoefficientFn.bump(n, ball_bump(n, 2),
+                                                 Poly.const(4, 1))})
+    psi = SmoothField(CoefficientFn.bump(n, ball_bump(n, Q(3, 2)),
+                                         Poly.variable(4, 0) ** 2))
+    with pytest.raises(ValueError):
+        first_variation_check(Valuation(tau), Quadratic([[1, 0], [0, 1]]), psi)
+
+
 def test_k1_representation_density():
     # n = 1, tau = psi(x) dy: density is psi''; mu(f) = int f psi''
     n = 1
