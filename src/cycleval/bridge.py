@@ -9,6 +9,11 @@ oracles on the sphere, projective map), an arithmetic path disjoint from the
 gradient-graph quadrature of f_K, so agreement of the two numbers is a
 genuine cross-validation.
 
+The form's coefficients are compiled once into a coefficients.CompiledBatch
+weighted by the Jacobian determinant of each ``(I, J)`` term: the same
+batched coefficient evaluator as the gradient-graph integrand, so the
+cross-validation covers the two geometric chains, not that evaluator.
+
 Orientation: the chart domain carries the standard orientation; the sign is
 pinned by the unit-ball / constant-volume-form case.
 """
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import EvalCache, SupportError
+from .coefficients import CompiledBatch, SupportError
 from .convex import ConvexBody, body_restriction
 from .cycles import eval_smooth
 from .exactla import det
@@ -98,13 +103,14 @@ def conormal_eval(K: ConvexBody, tau: Form) -> EvalResult:
     chart = SphereChart(n)
     qmap = QMapData(n)
 
-    terms = []
+    pieces = []
     for key, coeff in tau.terms.items():
         if coeff.has_params():
             raise SupportError("cannot evaluate a form with free parameters")
-        I = [v for v in key if v < n]
-        J = [v - n for v in key if v >= n]
-        terms.append((coeff, I, J))
+        I = tuple(v for v in key if v < n)
+        J = tuple(v - n for v in key if v >= n)
+        pieces.append((0, (I, J), coeff, 1))
+    batch = CompiledBatch(n, pieces)
 
     def integrand(Z: np.ndarray) -> np.ndarray:
         U = chart.point(Z)
@@ -115,14 +121,13 @@ def conormal_eval(K: ConvexBody, tau: Form) -> EvalResult:
         hess = K.hess_h_array(U)
         Y = grad[:, :n]
         dY = np.einsum("nab,nbj->naj", hess, dU)[:, :n, :]
-        pts = np.concatenate([X, Y], axis=1)
-        cache = EvalCache()
-        out = np.zeros(Z.shape[0])
-        for coeff, I, J in terms:
+        dets = {}
+        for I, J in batch.keys:
             rows = [dX[:, i, :] for i in I] + [dY[:, j, :] for j in J]
-            M = [[r[:, c] for c in range(n)] for r in rows]
-            out += coeff.eval_array(pts, cache) * det(M)
-        return out
+            dets[I, J] = det([[r[:, c] for c in range(n)] for r in rows])
+        out = np.zeros((1, Z.shape[0]))
+        batch.add_to(out, np.concatenate([X.T, Y.T]), dets)
+        return out[0]
 
     return integrate_box(integrand, box)
 

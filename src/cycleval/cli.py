@@ -23,6 +23,7 @@ import time
 from pathlib import Path
 
 from . import __version__
+from .forms import MAX_DIMENSION
 from .grammar import CATALOG_TEXT, ParseError, parse_function
 from .report import ValuationReport, config_digest
 from .suites import SUITES, ExperimentConfig, run_suite
@@ -136,7 +137,12 @@ def cmd_dump_cycle(args) -> int:
     from .polyhedral import build_polyhedral
 
     try:
+        if not 1 <= args.n <= MAX_DIMENSION:
+            raise ValueError(f"--n must be in 1..{MAX_DIMENSION}, got {args.n}")
         f = parse_function(args.spec, args.n)
+        dim = getattr(f, "n", 1)  # a PiecewiseLinear1D lives on R
+        if dim != args.n:
+            raise ValueError(f"the spec has dimension {dim}, not --n {args.n}")
     except (ParseError, ValueError, KeyError, TypeError) as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR

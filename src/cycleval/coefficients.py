@@ -42,14 +42,18 @@ at least 2: ``q_M r`` holds the lowest x-degree part of ``r`` and a part
 two degrees above its highest one.
 
 Numerics.  The float copy of each bump matrix is cached per matrix id, next
-to the exact caches.  :meth:`CoefficientFn.eval_array` keeps what it
-computes on one node array in an :class:`EvalCache`: the power columns
-``x_v^p`` that :meth:`Poly.eval_array` builds, ``q_M`` once per matrix id
-and ``beta_M^a / q_M^m`` once per ``(id, a, m)``, so atoms that share a
-matrix or a monomial share the work.  A caller that evaluates several
-coefficients on the same nodes, such as one call of a graph-pullback
-integrand, passes them one cache; it lives for that call and is dropped
-with the nodes.
+to the exact caches.  :meth:`CoefficientFn.eval_array` evaluates one
+coefficient: it keeps what it computes on its nodes in an
+:class:`EvalCache` (the power columns ``x_v^p`` that
+:meth:`Poly.eval_array` builds, ``q_M`` once per matrix id and
+``beta_M^a / q_M^m`` once per ``(id, a, m)``), so atoms that share a
+matrix or a monomial share the work within the call.  Many coefficients
+on the same nodes, such as every form of a graph-pullback or conormal
+integrand, are compiled into one :class:`CompiledBatch`: one exponent
+table and float coefficients summed exactly per group of atoms that share
+a weight and a bump signature, so that a node block costs one monomial
+table, one product per coefficient and one weight column per group, and
+each coefficient's row comes out the same whatever else is in the batch.
 """
 
 from __future__ import annotations
@@ -247,10 +251,11 @@ def _float_matrix(mid: int) -> np.ndarray:
 
 
 class EvalCache:
-    """Float values on one node array, shared by the coefficients evaluated
-    on it: power columns, ``q_M`` per matrix id and bump factors per
-    ``(id, beta_pow, denom_pow)``.  Valid only for the nodes it was filled
-    on; make a new one for new nodes."""
+    """Float values on one node array: power columns, ``q_M`` per matrix id
+    and bump factors per ``(id, beta_pow, denom_pow)``, shared by the atoms
+    of one :meth:`CoefficientFn.eval_array` call or the groups of one
+    :meth:`CompiledBatch.add_to` block.  Valid only for the nodes it was
+    filled on; make a new one for new nodes."""
 
     __slots__ = ("powers", "_q", "_factors")
 
@@ -285,6 +290,111 @@ class EvalCache:
             val[inside] = beta_in ** f.beta_pow / q_in ** f.denom_pow
             self._factors[f._ident] = val
         return val
+
+
+class CompiledBatch:
+    """Rows of weighted coefficient sums, compiled once for evaluation on
+    many node blocks.
+
+    ``pieces`` are ``(row, key, coeff, sign)``: row ``row`` of the result
+    is the sum of ``sign * coeff * w[key]`` over its pieces, where the
+    weight column ``w[key]`` is supplied per node block; :attr:`keys` lists
+    the keys that occur.  The coefficients must be free of parameters.
+
+    The atoms are grouped by ``(key, signature)``.  Each group's
+    coefficient of each (exponent, row) is summed exactly and turned into
+    a float once.  The exponents of all groups, closed under lowering the
+    last nonzero exponent by one and ordered by total degree, are the rows
+    of one monomial table: each is one earlier row times one coordinate.
+    A node block costs that table and, per group, one weight column (its
+    ``w[key]`` times its bump factors) that scales the group's polynomial
+    rows before they are added to their result rows.
+
+    A result row depends only on its own pieces, never on the other rows
+    of the batch: groups are taken in a fixed order (by key, then
+    signature), and each polynomial row is summed term by term in the
+    table's order, with no reduction whose order could depend on the
+    batch.  So a form evaluated in a batch gets the bits it gets alone.
+    """
+
+    __slots__ = ("n", "keys", "_steps", "_groups")
+
+    def __init__(self, n: int, pieces):
+        width = 2 * n
+        sums: dict = {}  # (key, sig) -> {(exponent, row): Fraction}
+        for row, key, coeff, sign in pieces:
+            for sig, poly in coeff.atoms.items():
+                acc = sums.setdefault((key, sig), {})
+                for e, c in poly.terms.items():
+                    e = e[:width] + (0,) * (width - len(e))
+                    acc[e, row] = acc.get((e, row), 0) + sign * c
+        groups = []
+        exponents = set()
+        for (key, sig), acc in sorted(sums.items(), key=_group_order):
+            acc = {er: c for er, c in acc.items() if c}
+            if acc:
+                groups.append((key, sig, acc))
+                exponents.update(e for e, _ in acc)
+        todo = list(exponents)
+        while todo:
+            lowered = _lowered(todo.pop())
+            if lowered is not None and lowered[0] not in exponents:
+                exponents.add(lowered[0])
+                todo.append(lowered[0])
+        order = sorted(exponents, key=lambda e: (sum(e), e))
+        column = {e: i for i, e in enumerate(order)}
+        # order[0] is the zero exponent, the constant row of the table
+        self._steps = [(column[p], v) for p, v in map(_lowered, order[1:])]
+        self.n = n
+        self.keys = list(dict.fromkeys(key for key, _, _ in groups))
+        self._groups = []
+        for key, sig, acc in groups:
+            rows: dict = {}
+            for (e, r), c in acc.items():
+                rows.setdefault(r, []).append((column[e], float(c)))
+            self._groups.append((key, sig, [(r, sorted(rows[r])) for r in sorted(rows)]))
+
+    def add_to(self, out: np.ndarray, Z: np.ndarray, weights: dict) -> None:
+        """Add the rows at a node block to ``out`` of shape (rows, B).
+
+        ``Z`` holds the coordinates (x, y) of the B nodes as a C-contiguous
+        (2n, B) array; ``weights`` maps each of :attr:`keys` to its weight
+        column at the nodes (or a scalar).
+        """
+        if not self._groups:
+            return
+        table = np.empty((len(self._steps) + 1, Z.shape[1]))
+        table[0] = 1.0
+        for i, (parent, var) in enumerate(self._steps, 1):
+            np.multiply(table[parent], Z[var], out=table[i])
+        cache = EvalCache()
+        X = Z[:self.n].T
+        term = np.empty(Z.shape[1])
+        for key, sig, rows in self._groups:
+            w = weights[key]
+            for f in sig:
+                w = w * cache.factor(f, X)
+            for row, terms in rows:
+                (k, c), *rest = terms
+                vals = table[k] * c
+                for k, c in rest:
+                    vals += np.multiply(table[k], c, out=term)
+                vals *= w
+                out[row] += vals
+
+
+def _group_order(item):
+    (key, sig), _ = item
+    return key, [f.order for f in sig]
+
+
+def _lowered(e: tuple):
+    """``(e with its last nonzero entry lowered by one, that entry's index)``,
+    or None for the zero exponent."""
+    for v in range(len(e) - 1, -1, -1):
+        if e[v]:
+            return e[:v] + (e[v] - 1,) + e[v + 1:], v
+    return None
 
 
 def ball_bump(n: int, R) -> BumpFactor:
@@ -537,20 +647,15 @@ class CoefficientFn:
 
     # -- numerics -----------------------------------------------------------------
 
-    def eval_array(self, pts: np.ndarray, cache: Optional[EvalCache] = None) -> np.ndarray:
-        """Evaluate at points of shape (N, >= 2n); parameters must be absent.
-
-        ``cache`` holds values already computed on the same ``pts`` (see
-        :class:`EvalCache`); without one the call makes its own.
-        """
+    def eval_array(self, pts: np.ndarray) -> np.ndarray:
+        """Evaluate at points of shape (N, >= 2n); parameters must be absent."""
         if self.has_params():
             raise ValueError("cannot evaluate a coefficient with free parameters")
         pts = np.asarray(pts, dtype=float)
         width = self.nvars()
         if pts.shape[1] < width:
             pts = _pad(pts, width)
-        if cache is None:
-            cache = EvalCache()
+        cache = EvalCache()
         out = np.zeros(pts.shape[0])
         for sig, poly in self.atoms.items():
             vals = poly.eval_array(pts, cache.powers)

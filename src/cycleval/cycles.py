@@ -6,10 +6,12 @@
 * the pushforward identities under linear maps, quadratics and scalings.
 
 The graph evaluators take a list of forms and return one result per form.
-Forms that share a support box are evaluated on one node stream: each block
-of nodes costs one gradient and one Hessian call of f and one coefficient
-cache, whatever the number of forms, and each form's value is reduced from
-its own row exactly as if it were evaluated alone.
+Forms that share a support box are evaluated on one node stream.  Their
+coefficients are compiled once into one exponent table with exact-summed
+float coefficients (coefficients.CompiledBatch); each block of nodes then
+costs one gradient and one Hessian call of f, one Hessian minor per minor
+that occurs, and one monomial table, whatever the number of forms.  Each
+form's row, and so its value, is bit for bit what it would be alone.
 
 Polyhedral cycles of max-affine f live in polyhedral.py.  All evaluators
 share one orientation convention, the Minty transport; for a smooth convex
@@ -23,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .coefficients import CoefficientFn, EvalCache, SupportError
+from .coefficients import CoefficientFn, CompiledBatch, SupportError
 from .convex import (
     ConvexFunction,
     MaxAffine,
@@ -52,6 +54,13 @@ from .quadrature import (
 )
 
 
+# Nodes per block of a graph-pullback integrand, and per integrand call of
+# the ridge-aligned evaluator, which streams consecutive triangles together
+# up to this many nodes: it keeps the call count low and the per-block
+# arrays, the monomial table above all, and so peak memory bounded.
+_NODE_BLOCK = 4096
+
+
 def _shared_box(forms: Sequence[Form]):
     """The support box of every form in ``forms``, which must be one box."""
     boxes = {form.support_box() for form in forms}
@@ -67,14 +76,15 @@ def graph_pullback_integrand(f: ConvexFunction, forms: Sequence[Form]):
     for each of ``forms``: nodes of shape (N, n) give a C-contiguous (F, N)
     array, one row per form.
 
-    Per call the gradient and Hessian of f are evaluated once, and the forms
-    share one :class:`EvalCache` and the Hessian minors, so each row equals
-    the integrand of its form alone bit for bit.
+    The forms are compiled into one :class:`CompiledBatch` whose weights are
+    the Hessian minors ``det H[J, Ic]``.  The nodes are evaluated in blocks
+    of ``_NODE_BLOCK``; each block costs one gradient and one Hessian call
+    of f, one minor per ``(J, Ic)`` and one monomial table for all forms,
+    and each row equals the integrand of its form alone bit for bit.
     """
-    per_form = []
-    for form in forms:
+    pieces = []
+    for row, form in enumerate(forms):
         n = form.n
-        pieces = []
         for key, coeff in form.terms.items():
             if coeff.has_params():
                 raise SupportError("cannot evaluate a form with free parameters")
@@ -86,24 +96,20 @@ def graph_pullback_integrand(f: ConvexFunction, forms: Sequence[Form]):
             sign, _ = merge_sign(tuple(I), Ic)
             if sign == 0:
                 continue
-            pieces.append((coeff, J, Ic, sign))
-        per_form.append(pieces)
+            pieces.append((row, (J, Ic), coeff, sign))
+    batch = CompiledBatch(f.n, pieces)
 
     def integrand(X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        Y = f.gradient_array(X)
-        H = f.hessian_array(X)
-        pts = np.concatenate([X, Y], axis=1)
-        cache = EvalCache()
-        minors = {}
-        out = np.zeros((len(per_form), X.shape[0]))
-        for row, pieces in zip(out, per_form):
-            for coeff, J, Ic, sign in pieces:
-                minor = minors.get((J, Ic))
-                if minor is None:
-                    minor = minors[J, Ic] = det([[H[:, r, c] for c in Ic] for r in J])
-                vals = coeff.eval_array(pts, cache)
-                row += sign * vals * minor
+        out = np.zeros((len(forms), X.shape[0]))
+        for start in range(0, X.shape[0], _NODE_BLOCK):
+            block = X[start:start + _NODE_BLOCK]
+            Y = f.gradient_array(block)
+            H = f.hessian_array(block)
+            minors = {(J, Ic): det([[H[:, r, c] for c in Ic] for r in J])
+                      for J, Ic in batch.keys}
+            batch.add_to(out[:, start:start + _NODE_BLOCK],
+                         np.concatenate([block.T, Y.T]), minors)
         return out
 
     return integrand
@@ -138,12 +144,6 @@ def _gl_pieces(cuts, order: int):
             np.concatenate([w for _, w in pieces]))
 
 
-# Nodes per integrand call of the ridge-aligned evaluator: consecutive
-# triangles are evaluated together up to this many nodes, which keeps the
-# call count low and the per-call arrays (and peak memory) bounded.
-_RIDGE_BLOCK = 8192
-
-
 def eval_smooth_ridge_aligned(f: ConvexFunction, base: MaxAffine,
                               forms: Sequence[Form], layer: float = 1e-2,
                               order: int = 24, refine: int = 32) -> list:
@@ -158,7 +158,7 @@ def eval_smooth_ridge_aligned(f: ConvexFunction, base: MaxAffine,
     and every triangle integrated on a tensor grid in (edge, radial)
     coordinates graded so that the boundary layers of width ``layer`` are
     resolved at their own scale.  The nodes of consecutive intervals or
-    triangles are evaluated together, in blocks of about ``_RIDGE_BLOCK``,
+    triangles are evaluated together, in blocks of about ``_NODE_BLOCK``,
     each block once for all forms.
     """
     from .polyhedral import _clip_to_box, build_polyhedral, window_for
@@ -221,7 +221,7 @@ def eval_smooth_ridge_aligned(f: ConvexFunction, base: MaxAffine,
         for pts, wts in node_sets(o):
             pending.append((pts, wts))
             count += len(wts)
-            if count >= _RIDGE_BLOCK:
+            if count >= _NODE_BLOCK:
                 totals = _add_weighted_sums(totals, integrand, pending)
                 pending, count = [], 0
         if pending:

@@ -240,9 +240,11 @@ class Poly:
     def eval_array(self, pts: np.ndarray, powers: dict | None = None) -> np.ndarray:
         """Evaluate at ``pts`` of shape (N, nvars) (or (N, m) with m >= nvars).
 
-        ``powers`` maps ``(v, p)`` to the column ``pts[:, v] ** p``; polynomials
-        evaluated on the same ``pts`` may share one dict, so that each power
-        column is computed once.
+        ``powers`` maps ``(v, p)`` to the column ``pts[:, v] ** p``; the atoms
+        of one coefficient evaluated on the same ``pts`` share one dict (the
+        ``EvalCache`` of ``CoefficientFn.eval_array``), so that each power
+        column is computed once.  Batches of coefficients are evaluated by
+        ``coefficients.CompiledBatch`` instead.
         """
         pts = np.asarray(pts, dtype=float)
         if self._eval_cache is None:

@@ -148,6 +148,11 @@ class ExperimentConfig:
         unknown = [s for s in self.suites if s not in SUITES]
         if unknown:
             raise ValueError(f"unknown suites: {unknown}")
+        if not self.suites:
+            raise ValueError("no suites to run: name at least one")
+        repeated = sorted({s for s in self.suites if self.suites.count(s) > 1})
+        if repeated:
+            raise ValueError(f"suites named more than once: {repeated}")
         # tol() and size() fall back to the defaults, so a misspelt key
         # would otherwise be ignored without a word
         for field_name, known in (("tolerances", DEFAULT_TOLERANCES),

@@ -69,6 +69,19 @@ def test_exit_code_parse_error(tmp_path):
     assert main(["run", str(cfg2), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("suites", [[], ["mass", "mass"],
+                                    ["kernel", "mass", "kernel"]])
+def test_exit_code_empty_or_repeated_suites(tmp_path, capsys, suites, jobs):
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path / "cfg.json", suites=suites)
+    assert main(["run", str(cfg), "--out", str(out), "--jobs", jobs]) == 2
+    captured = capsys.readouterr()
+    assert "config error:" in captured.err
+    assert "overall" not in captured.out
+    assert not out.exists()
+
+
 def test_exit_code_unknown_tolerance_or_size(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = _write_config(tmp_path / "cfg.json", tolerances={"kernel_fwd": 1})
@@ -226,6 +239,15 @@ def test_dump_cycle(tmp_path, capsys):
     # bad spec
     assert main(["dump-cycle", "quadratic A=[[1]]", "--n", "1"]) == 2
     assert main(["dump-cycle", "pwl breaks=0 slopes=[-1,1]", "--n", "1"]) == 2
+    capsys.readouterr()
+    # --n outside 1..MAX_DIMENSION, or not the dimension of the spec
+    one_d = "maxaffine pieces=[[[1],0],[[-1],0]]"
+    two_d = "maxaffine pieces=[[[1,0],0],[[-1,0],0],[[0,1],0],[[0,-1],0]]"
+    for spec, n in [(one_d, "0"), (one_d, "-1"), (one_d, "5"), (one_d, "2"),
+                    (one_d, "3"), (two_d, "1"), ("lse pieces=[[[1],0]] beta=5", "2")]:
+        assert main(["dump-cycle", spec, "--n", n]) == 2, (spec, n)
+        captured = capsys.readouterr()
+        assert captured.out == "" and "spec error:" in captured.err, (spec, n)
 
 
 def test_package_entry_point():

@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 
 import numpy as np
 
-from cycleval.coefficients import BumpFactor, CoefficientFn, EvalCache, ball_bump
+from cycleval.coefficients import BumpFactor, CoefficientFn, CompiledBatch, ball_bump
 from cycleval.forms import exterior_derivative, linear_lift
 from cycleval.lab import random_bump_form
 from cycleval.polynomials import Poly
@@ -212,15 +212,20 @@ def test_multiple_of_q_reduces_to_quotient():
             assert c0.atoms == {(BumpFactor(M, 0, 0),): r}
 
 
-def _reference_eval(c: CoefficientFn, pts: np.ndarray):
-    """Per-atom values, each polynomial times its own float bump factors."""
+def _reference_eval(c: CoefficientFn, pts: np.ndarray, absolute: bool = False):
+    """Per-atom values, each polynomial times its own float bump factors;
+    with ``absolute``, each polynomial's sum of |c z^e| over its terms."""
     n = c.n
     width = max(c.nvars(), pts.shape[1])
     full = np.zeros((pts.shape[0], width))
     full[:, :pts.shape[1]] = pts
     atoms = []
     for sig, poly in c.atoms.items():
-        vals = poly.eval_array(full)
+        if absolute:
+            mags = Poly(poly.nvars, {e: abs(v) for e, v in poly.terms.items()})
+            vals = mags.eval_array(np.abs(full))
+        else:
+            vals = poly.eval_array(full)
         for f in sig:
             M = np.array([[float(v) for v in row] for row in f.M])
             q = 1.0 - np.einsum("ni,ij,nj->n", full[:, :n], M, full[:, :n])
@@ -286,13 +291,20 @@ def test_eval_array_matches_per_atom_reference():
         assert np.allclose(c.eval_x_array(x), want, rtol=1e-13, atol=0)
 
 
-def test_shared_cache_equals_separate_calls():
+def test_compiled_batch_equals_separate_calls():
     rng = np.random.default_rng(8)
     for n in (1, 2):
         pts = _eval_nodes(n, rng)
-        first, second, wide = _eval_cases(n, rng)
-        cache = EvalCache()
-        together = [c.eval_array(pts, cache) for c in (first, second, wide, first)]
-        apart = [c.eval_array(pts) for c in (first, second, wide, first)]
-        for a, b in zip(together, apart):
-            assert np.array_equal(a, b)
+        Z = np.ascontiguousarray(pts.T)
+        coeffs = _eval_cases(n, rng) + _eval_cases(n, rng)[:1]
+        batch = CompiledBatch(n, [(row, None, c, 1) for row, c in enumerate(coeffs)])
+        together = np.zeros((len(coeffs), len(pts)))
+        batch.add_to(together, Z, {None: 1.0})
+        for c, got in zip(coeffs, together):
+            scale = _reference_eval(c, pts, absolute=True).sum(axis=0) + 1e-300
+            assert np.all(np.abs(got - c.eval_array(pts)) <= 1e-13 * scale)
+        # a batch changes no row: each equals its coefficient compiled alone
+        for row, c in enumerate(coeffs):
+            alone = np.zeros((1, len(pts)))
+            CompiledBatch(n, [(0, None, c, 1)]).add_to(alone, Z, {None: 1.0})
+            assert np.array_equal(alone[0], together[row])

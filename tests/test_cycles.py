@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
-from cycleval.coefficients import CoefficientFn, ball_bump
+from cycleval.coefficients import CoefficientFn, SupportError, ball_bump
 from cycleval.convex import (
     MaxAffine,
     PiecewiseLinear1D,
@@ -281,3 +281,131 @@ def test_ridge_aligned_batches_match_per_triangle_sum():
     assert abs(fine) > 1e-3
     assert abs(got.value - fine) <= 1e-12 * max(1.0, abs(fine))
     assert abs(got.error - abs(fine - coarse)) <= 1e-12 * max(1.0, abs(fine))
+
+
+def _per_piece_integrand(f, forms, absolute=False):
+    """The graph-pullback integrand as a loop over each form's pieces, one
+    ``CoefficientFn.eval_array`` per piece on all nodes at once.  With
+    ``absolute`` every piece adds ``|coeff| |minor|`` instead, where
+    ``|coeff|`` has the absolute values of the coefficients at ``|x|``,
+    ``|y|``: a per-node scale of the rounding error of the sum."""
+    from cycleval.exactla import det
+    from cycleval.forms import merge_sign
+
+    per_form = []
+    for form in forms:
+        n = form.n
+        pieces = []
+        for key, coeff in form.terms.items():
+            I = tuple(v for v in key if v < n)
+            J = tuple(v - n for v in key if v >= n)
+            Ic = tuple(v for v in range(n) if v not in I)
+            sign, _ = merge_sign(I, Ic)
+            pieces.append((coeff, J, Ic, sign))
+        per_form.append(pieces)
+
+    def integrand(X):
+        Y = f.gradient_array(X)
+        H = f.hessian_array(X)
+        pts = np.concatenate([X, Y], axis=1)
+        out = np.zeros((len(forms), X.shape[0]))
+        for row, pieces in zip(out, per_form):
+            for coeff, J, Ic, sign in pieces:
+                minor = det([[H[:, r, c] for c in Ic] for r in J])
+                if absolute:
+                    mags = sum(_abs_atom(coeff.n, sig, poly, pts)
+                               for sig, poly in coeff.atoms.items())
+                    row += mags * np.abs(minor)
+                else:
+                    row += sign * coeff.eval_array(pts) * minor
+        return out
+
+    return integrand
+
+
+def _abs_atom(n, sig, poly, pts):
+    """Sum over the terms of one atom of |c x^e y^e'|, times its (positive)
+    bump factors."""
+    mags = Poly(poly.nvars, {e: abs(c) for e, c in poly.terms.items()})
+    factors = CoefficientFn(n, {sig: Poly.const(poly.nvars, 1)}).eval_array(pts)
+    return mags.eval_array(np.abs(pts)) * factors
+
+
+def _term_poly(rng, n):
+    """A random polynomial in (x, y) with a constant term and small exponents."""
+    terms = {(0,) * (2 * n): Q(int(rng.integers(1, 5)), int(rng.integers(1, 4)))}
+    for _ in range(4):
+        e = tuple(int(v) for v in rng.integers(0, 3, size=2 * n))
+        terms[e] = Q(int(rng.integers(-6, 7)), int(rng.integers(1, 5)))
+    return Poly(2 * n, {e: c for e, c in terms.items() if c})
+
+
+def _battery_forms(n, rng):
+    """n-forms mixing windowed polynomial, ball-bump and ellipsoid-bump atoms
+    and constant terms over several (dx_I, dy_J) keys, one zero form, and
+    two forms that share atoms."""
+    from itertools import combinations
+
+    from cycleval.coefficients import BumpFactor
+
+    M = tuple(tuple(Q(2 if i == j else -1, 5 + i + j) for j in range(n)) for i in range(n))
+    window = [(-2, 2)] * n
+    keys = [(list(I), [j for j in range(1, n + 1) if j not in I])
+            for k in range(n + 1) for I in combinations(range(1, n + 1), k)]
+
+    def coeff(kind):
+        if kind == "window":
+            return CoefficientFn.from_poly(n, _term_poly(rng, n), box=window)
+        if kind == "ball":
+            return CoefficientFn.bump(n, ball_bump(n, 2), _term_poly(rng, n))
+        if kind == "ellipsoid":
+            return CoefficientFn.bump(n, BumpFactor(M), _term_poly(rng, n))
+        return CoefficientFn.constant(n, Q(int(rng.integers(1, 9)), 7))
+
+    forms = []
+    for kinds in (("window", "ball"), ("ellipsoid", "constant", "ball"),
+                  ("ball", "ellipsoid", "window", "constant")):
+        form = Form.zero(n, n)
+        for i, kind in enumerate(kinds):
+            I, J = keys[(i * 3 + len(kinds)) % len(keys)]
+            form = form + Form.monomial(n, I, J, coeff(kind))
+        forms.append(form)
+    forms.insert(1, Form.zero(n, n))
+    # the atoms of forms[0] in a second form, with one more atom
+    forms.append(forms[0] + Form.monomial(n, *keys[0], coeff("ball")))
+    return forms
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_compiled_integrand_matches_per_piece_reference(n):
+    from cycleval.cycles import _NODE_BLOCK, PlusQuadratic, graph_pullback_integrand
+
+    rng = np.random.default_rng(40 + n)
+    forms = _battery_forms(n, rng)
+    A = np.eye(n) + 0.3 * np.ones((n, n))
+    f = PlusQuadratic(SmoothCatalog("sqrt1p", n), A, 0.2 * np.arange(n))
+    compiled = graph_pullback_integrand(f, forms)
+    reference = _per_piece_integrand(f, forms)
+    scale = _per_piece_integrand(f, forms, absolute=True)
+    for count in (_NODE_BLOCK + 1, 3 * _NODE_BLOCK + 7):
+        X = rng.uniform(-2.3, 2.3, size=(count, n))
+        got = compiled(X)
+        assert got.shape == (len(forms), count) and got.flags.c_contiguous
+        ref, tol = reference(X), 1e-13 * scale(X) + 1e-300
+        assert np.all(np.abs(got - ref) <= tol)
+        assert np.all(got[1] == 0)
+        assert np.abs(ref).max() > 1e-3
+        # a form's row is the same bits in the batch and alone
+        for row, form in enumerate(forms):
+            alone = graph_pullback_integrand(f, [form])(X)
+            assert np.array_equal(alone[0], got[row])
+
+
+def test_compiled_integrand_refuses_free_parameters():
+    from cycleval.cycles import graph_pullback_integrand
+
+    n = 1
+    t = Poly.variable(3, 2)  # a parameter slot after (x1, y1)
+    c = CoefficientFn(n, {(ball_bump(n, 2),): t})
+    with pytest.raises(SupportError):
+        graph_pullback_integrand(Quadratic(np.eye(1)), [Form.monomial(n, [], [1], c)])
