@@ -30,7 +30,7 @@ from .cycles import eval_smooth
 from .exactla import det
 from .forms import Form
 from .lab import Valuation, evaluate
-from .quadrature import EvalResult, integrate_box
+from .quadrature import EvalResult, integrate
 
 
 @dataclass
@@ -97,8 +97,10 @@ def conormal_eval(K: ConvexBody, tau: Form) -> EvalResult:
         raise ValueError("body must live in R^{n+1}")
     if tau.degree != n:
         raise ValueError("expected an n-form on T*R^n")
-    box = tau.support_box()
-    if box is None:
+    # the base point -x/t of the chart point at z is z itself, so the
+    # form's support domain is the integration domain in the chart
+    domain = tau.support_domain()
+    if domain is None:
         raise SupportError("form needs horizontally compact (or windowed) support")
     chart = SphereChart(n)
     qmap = QMapData(n)
@@ -129,7 +131,7 @@ def conormal_eval(K: ConvexBody, tau: Form) -> EvalResult:
         batch.add_to(out, np.concatenate([X.T, Y.T]), dets)
         return out[0]
 
-    return integrate_box(integrand, box)
+    return integrate(integrand, domain)
 
 
 @dataclass

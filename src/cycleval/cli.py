@@ -8,8 +8,10 @@
 (canonical, timestamp-free: identical config and seed give byte-identical
 bytes) and ``summary.txt`` next to it, and exits 0 only if every suite
 passed: 1 on suite failures, 2 on config/parse errors, 3 on runtime errors.
-The default job count comes from CYCLEVAL_JOBS; a job count below 1 or a
-CYCLEVAL_JOBS that is not an integer is a config error.
+A declared form, function or body that no requested suite evaluates is a
+config error.  Jobs are threads of one process; the default job count comes
+from CYCLEVAL_JOBS; a job count below 1 or a CYCLEVAL_JOBS that is not an
+integer is a config error.
 """
 
 from __future__ import annotations
@@ -44,7 +46,9 @@ def _build_parser() -> argparse.ArgumentParser:
                       "or 'default' for the bundled n=1 configuration")
     runp.add_argument("--out", default=".", help="output directory")
     runp.add_argument("--jobs", type=int, default=None,
-                      help="suites to run concurrently (default: CYCLEVAL_JOBS, else 1)")
+                      help="suites to run at once on threads of this process "
+                      "(default: CYCLEVAL_JOBS, else 1); the suites are "
+                      "Python-bound, so threads rarely shorten a run")
 
     sub.add_parser("list-catalog", help="print constructors and the grammar")
 
@@ -81,10 +85,9 @@ def cmd_run(args) -> int:
         jobs = _job_count(args.jobs)
         raw = json.loads(_resolve_config_path(args.config).read_text())
         config = ExperimentConfig.from_dict(raw)
-        # parse declared objects now so malformed specs exit with code 2
-        config.parsed_forms(config.n)
-        config.parsed_functions(config.n)
-        config.parsed_bodies(config.n)
+        # malformed declared objects, and ones no requested suite
+        # evaluates, exit with code 2
+        config.check_declared()
     except (OSError, json.JSONDecodeError, ParseError, ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR

@@ -68,6 +68,7 @@ import numpy as np
 
 from .exactla import inverse
 from .polynomials import Poly, Q, _as_fraction
+from .quadrature import Ellipse
 
 Matrix = tuple  # tuple[tuple[Fraction, ...], ...]
 BoxT = tuple   # tuple[tuple[Fraction, Fraction], ...]
@@ -706,6 +707,16 @@ class CoefficientFn:
         for b in boxes[1:]:
             out = _box_union(out, b)
         return out
+
+    def support_domain(self):
+        """The support :class:`~cycleval.quadrature.Ellipse` when n = 2, no
+        window is declared and every atom is one bump factor of one matrix
+        (the ellipse rule is 2-D); otherwise :meth:`support_box`."""
+        if self.n == 2 and self.declared_box is None and self.atoms:
+            mids = {sig[0].mid if len(sig) == 1 else None for sig in self.atoms}
+            if len(mids) == 1 and None not in mids:
+                return Ellipse(_MATRICES[mids.pop()])
+        return self.support_box()
 
     def integral_vanishes_by_parity(self) -> bool:
         """True when the x-integral is exactly zero by odd symmetry.

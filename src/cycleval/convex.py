@@ -207,10 +207,14 @@ class LogSumExp(ConvexFunction):
         self.n = base.n
 
     def _weights(self, X):
-        z = self.beta * (X @ self.base._af.T + self.base._bf)
-        z -= z.max(axis=1, keepdims=True)
+        """Softmax weights and shifted exponents, each of shape (N, m): the
+        transposed views of node-major (m, N) arrays, whose reductions over
+        the few pieces run along contiguous node rows."""
+        z = self.beta * (self.base._af @ X.T + self.base._bf[:, None])
+        z -= z.max(axis=0)
         w = np.exp(z)
-        return w / w.sum(axis=1, keepdims=True), z
+        w /= w.sum(axis=0)
+        return w.T, z.T
 
     def eval_array(self, X):
         z = self.beta * (X @ self.base._af.T + self.base._bf)
@@ -218,19 +222,19 @@ class LogSumExp(ConvexFunction):
         return (top + np.log(np.exp(z - top[:, None]).sum(axis=1))) / self.beta
 
     def gradient_array(self, X):
-        w, _ = self._weights(X)
-        return w @ self.base._af
+        w = self._weights(X)[0].T  # node-major (m, N)
+        return (self.base._af.T @ w).T
 
     def hessian_array(self, X):
-        w, _ = self._weights(X)
+        w = self._weights(X)[0].T  # node-major (m, N)
         a = self.base._af
         n = a.shape[1]
-        mean = w @ a
+        mean = a.T @ w
         # beta * (E[a a^T] - E[a] E[a]^T) under the softmax weights
         aa = (a[:, :, None] * a[:, None, :]).reshape(len(a), n * n)
-        second = (w @ aa).reshape(-1, n, n)
-        outer = mean[:, :, None] * mean[:, None, :]
-        return self.beta * (second - outer)
+        second = (aa.T @ w).reshape(n, n, -1)
+        outer = mean[:, None, :] * mean[None, :, :]
+        return (self.beta * (second - outer)).transpose(2, 0, 1)
 
     def sup_abs_bound(self, rho):
         return self.base.sup_abs_bound(rho) + math.log(self.base.m) / self.beta

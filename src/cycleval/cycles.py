@@ -1,12 +1,13 @@
 """Differential-cycle evaluators of D(f)[tau] on gradient graphs and polylines:
 
-* smooth gradient graphs (quadrature of the graph pullback, C^2 catalog),
-  plain or ridge-aligned for log-sum-exp smoothings, and their mass,
+* smooth gradient graphs (quadrature of the graph pullback, C^2 catalog,
+  on the forms' support ellipse or box), plain or ridge-aligned for
+  log-sum-exp smoothings, and their mass,
 * 1D polylines for piecewise-linear f on R, convex or not, and their mass,
 * the pushforward identities under linear maps, quadratics and scalings.
 
 The graph evaluators take a list of forms and return one result per form.
-Forms that share a support box are evaluated on one node stream.  Their
+Forms that share a support domain are evaluated on one node stream.  Their
 coefficients are compiled once into one exponent table with exact-summed
 float coefficients (coefficients.CompiledBatch); each block of nodes then
 costs one gradient and one Hessian call of f, one Hessian minor per minor
@@ -44,10 +45,12 @@ from .forms import (
 )
 from .polynomials import Poly, Q, _as_fraction
 from .quadrature import (
+    ELLIPSE_ORDERS,
     EvalResult,
     box_nodes,
-    disk_nodes,
+    ellipse_nodes,
     gl_interval,
+    integrate,
     integrate_box,
     sum_parts,
     two_pass,
@@ -61,14 +64,14 @@ from .quadrature import (
 _NODE_BLOCK = 4096
 
 
-def _shared_box(forms: Sequence[Form]):
-    """The support box of every form in ``forms``, which must be one box."""
-    boxes = {form.support_box() for form in forms}
-    if None in boxes:
+def _shared(supports):
+    """The one support (box or domain) of forms evaluated together."""
+    supports = set(supports)
+    if None in supports:
         raise SupportError("form needs horizontally compact (or windowed) support")
-    if len(boxes) != 1:
-        raise ValueError("forms evaluated together must share one support box")
-    return boxes.pop()
+    if len(supports) != 1:
+        raise ValueError("forms evaluated together must share one support")
+    return supports.pop()
 
 
 def graph_pullback_integrand(f: ConvexFunction, forms: Sequence[Form]):
@@ -115,12 +118,13 @@ def graph_pullback_integrand(f: ConvexFunction, forms: Sequence[Form]):
     return integrand
 
 
-def eval_smooth(f: ConvexFunction, forms: Sequence[Form], box=None) -> list:
+def eval_smooth(f: ConvexFunction, forms: Sequence[Form], domain=None) -> list:
     """D(f)[form] for each of ``forms``, for twice-differentiable catalog
     functions: one scalar :class:`EvalResult` per form, in order.
 
-    The forms are integrated over ``box``, by default their one shared
-    support box, on one node stream.
+    The forms are integrated over ``domain`` (a box or a
+    :class:`~cycleval.quadrature.Ellipse`), by default their one shared
+    support domain, on one node stream.
     """
     if not f.smooth:
         raise NonsmoothPointError(
@@ -128,7 +132,8 @@ def eval_smooth(f: ConvexFunction, forms: Sequence[Form], box=None) -> list:
     n = f.n
     if any(form.degree != n or form.n != n for form in forms):
         raise ValueError("form must be an n-form matching the function dimension")
-    return integrate_box(graph_pullback_integrand(f, forms), box or _shared_box(forms))
+    return integrate(graph_pullback_integrand(f, forms),
+                     domain or _shared(form.support_domain() for form in forms))
 
 
 def _graded_cuts(width: float) -> list:
@@ -164,7 +169,7 @@ def eval_smooth_ridge_aligned(f: ConvexFunction, base: MaxAffine,
     from .polyhedral import _clip_to_box, build_polyhedral, window_for
 
     n = f.n
-    box = _shared_box(forms)
+    box = _shared(form.support_box() for form in forms)
     integrand = graph_pullback_integrand(f, forms)
     cycle = build_polyhedral(base, window=window_for(base, box))
 
@@ -245,7 +250,8 @@ def mass_smooth(f: ConvexFunction, R: float) -> float:
     if n == 1:
         pts, wts = box_nodes([(-R, R)], 64)
     elif n == 2:
-        pts, wts = disk_nodes(R)
+        inv_r2 = 1.0 / (R * R)
+        pts, wts = ellipse_nodes(((inv_r2, 0.0), (0.0, inv_r2)), ELLIPSE_ORDERS[1])
     else:
         raise NotImplementedError("mass quadrature implemented for n <= 2")
     H = f.hessian_array(pts)

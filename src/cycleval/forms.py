@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 from .coefficients import BoxT, CoefficientFn, SupportError, _box_union
 from .exactla import inverse
 from .polynomials import Poly, Q, _as_fraction
-from .quadrature import EvalResult, integrate_box, sum_parts
+from .quadrature import Ellipse, EvalResult, integrate, sum_parts
 
 MAX_DIMENSION = 4  # basis matrices for the Lefschetz inverse stay tiny
 
@@ -145,6 +145,16 @@ class Form:
             box = _box_union(box, b)
             known = True
         return box if known else tuple((Q(0), Q(0)) for _ in range(self.n))
+
+    def support_domain(self):
+        """The one support ellipse of every coefficient, if they share one
+        (see :meth:`CoefficientFn.support_domain`), else :meth:`support_box`."""
+        domains = {c.support_domain() for c in self.terms.values()}
+        if len(domains) == 1:
+            domain = domains.pop()
+            if isinstance(domain, Ellipse):
+                return domain
+        return self.support_box()
 
     # -- linear structure -----------------------------------------------------
 
@@ -528,8 +538,9 @@ def integrate_zero_section(a: Form) -> EvalResult:
 def integrate_coefficient(c: CoefficientFn) -> EvalResult:
     """Integral of a y-independent coefficient over R^n in x.
 
-    Exact (a Fraction) for polynomial atoms with a declared window; tensor
-    quadrature with a reported error estimate for bump atoms.
+    Exact (a Fraction) for polynomial atoms with a declared window;
+    quadrature with a reported error estimate for bump atoms, each on its
+    support domain (its ellipse in 2-D without a window, else its box).
     """
     def parts():
         for sig, poly in c.atoms.items():
@@ -543,6 +554,6 @@ def integrate_coefficient(c: CoefficientFn) -> EvalResult:
                 continue
             part = CoefficientFn(c.n, {sig: poly}, declared_box=c.declared_box)
             if not part.integral_vanishes_by_parity():
-                yield integrate_box(part.eval_x_array, part.support_box())
+                yield integrate(part.eval_x_array, part.support_domain())
 
     return sum_parts(parts())

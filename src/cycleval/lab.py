@@ -43,6 +43,7 @@ from .convex import (
     as_max_affine,
 )
 from .cycles import (
+    _NODE_BLOCK,
     build_1d,
     eval_polyline,
     eval_smooth,
@@ -59,7 +60,7 @@ from .forms import (
 )
 from .polyhedral import build_polyhedral, eval_polyhedral, window_for
 from .polynomials import Poly, Q, _as_fraction
-from .quadrature import EvalResult, integrate_box
+from .quadrature import EvalResult, integrate, integrate_box
 from .rumin import RuminResult, rumin_d
 
 
@@ -96,9 +97,10 @@ def evaluate(vals: Sequence[Valuation],
 
     Routing: polyhedral for max-affine, exact polyline for 1D
     piecewise-linear, ridge-aligned quadrature for log-sum-exp smoothings,
-    plain graph quadrature otherwise.  The forms are grouped by support box:
-    the polyhedral route builds one cycle per window, and the quadrature
-    routes evaluate each group on one node stream.
+    plain graph quadrature otherwise.  The polyhedral route builds one
+    cycle per window.  The quadrature routes group the forms by support
+    domain (a bump ellipse or a box) and evaluate each group on one node
+    stream.
     """
     forms = [val.tau for val in vals]
     if isinstance(f, PiecewiseLinear1D):
@@ -116,7 +118,7 @@ def evaluate(vals: Sequence[Valuation],
         return out
     groups: dict = {}
     for i, tau in enumerate(forms):
-        groups.setdefault(tau.support_box(), []).append(i)
+        groups.setdefault(tau.support_domain(), []).append(i)
     lse = _wrapped_lse(f)
     out = [None] * len(forms)
     for idx in groups.values():
@@ -403,7 +405,7 @@ def first_variation_check(val: Valuation, f: ConvexFunction,
     The same quadrature nodes evaluate every perturbed function, so the
     finite differences do not amplify quadrature error.  For n > 1 a
     bump-type psi puts Hessian layers at its own support sphere, in the
-    interior of the integration box, which fixed nodes do not resolve to the
+    interior of the integration domain, which fixed nodes do not resolve to the
     check's tolerance; such a psi is refused with a ValueError.
     """
     tau = val.tau
@@ -412,10 +414,13 @@ def first_variation_check(val: Valuation, f: ConvexFunction,
         raise ValueError("first variation at n > 1 needs a polynomial psi")
     rhs_form = val.rumin.D_bar.map_coefficients(lambda c: c * psi.coeff)
     box = tau.support_box()
-    boxes = _split_at_support(box, psi.coeff.support_box()) if n == 1 else [box]
+    if n == 1:
+        domains = _split_at_support(box, psi.coeff.support_box())
+    else:
+        domains = [tau.support_domain()]
 
     def mu(g, form):
-        return sum(float(eval_smooth(g, [form], box=b)[0].value) for b in boxes)
+        return sum(float(eval_smooth(g, [form], domain=d)[0].value) for d in domains)
 
     rhs = mu(f, rhs_form)
     t1, t2 = 1e-2, 1e-3
@@ -523,19 +528,25 @@ class MixedDiscriminantSpec:
 
 
 def hessian_valuation(spec: MixedDiscriminantSpec, f: ConvexFunction) -> float:
-    """Quadrature of B(x) det(D^2 f(x)[k], A_1..A_{n-k}) over B's support."""
+    """Quadrature of B(x) det(D^2 f(x)[k], A_1..A_{n-k}) over B's support
+    domain, the nodes streamed in blocks of ``_NODE_BLOCK``."""
     n, k = spec.n, spec.k
-    box = spec.B.support_box()
-    if box is None:
+    domain = spec.B.support_domain()
+    if domain is None:
         raise ValueError("weight needs a support box")
     A_float = [[[float(v) for v in row] for row in m] for m in spec.A]
 
     def fn(pts):
-        H = f.hessian_array(pts)
-        Hrows = [[H[:, p, q] for q in range(n)] for p in range(n)]
-        return spec.B.eval_x_array(pts) * polarized_det([Hrows] * k + A_float)
+        out = np.empty(pts.shape[0])
+        for start in range(0, pts.shape[0], _NODE_BLOCK):
+            block = pts[start:start + _NODE_BLOCK]
+            H = f.hessian_array(block)
+            Hrows = [[H[:, p, q] for q in range(n)] for p in range(n)]
+            out[start:start + _NODE_BLOCK] = (
+                spec.B.eval_x_array(block) * polarized_det([Hrows] * k + A_float))
+        return out
 
-    return integrate_box(fn, box).value
+    return integrate(fn, domain).value
 
 
 def hessian_form(spec: MixedDiscriminantSpec) -> Form:

@@ -23,7 +23,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -58,7 +58,7 @@ from .forms import (
     vertical_translation,
     wedge,
 )
-from .grammar import parse_body, parse_form, parse_function
+from .grammar import ParseError, parse_body, parse_form, parse_function
 from .lab import (
     MixedDiscriminantSpec,
     Valuation,
@@ -211,6 +211,64 @@ class ExperimentConfig:
     def parsed_bodies(self, n: int) -> list:
         return [parse_body(s, n) for s in self.bodies]
 
+    def declared(self, kind: str, n: int) -> list:
+        """``(index, object)`` for each declared object of ``kind`` (a key of
+        ``_DECLARED``) that its suite evaluates at dimension n.  A spec that
+        does not parse at n (a coordinate beyond n, a 1-D-only function) is
+        not of dimension n."""
+        use = _DECLARED[kind]
+        out = []
+        for i, spec in enumerate(getattr(self, kind)):
+            try:
+                obj = use.parse(spec, n)
+            except ParseError:
+                continue
+            if use.keep(obj, n):
+                out.append((i, obj))
+        return out
+
+    def check_declared(self) -> None:
+        """Parse every declared object at ``n`` (a malformed spec raises) and
+        raise ValueError for one that no requested suite evaluates."""
+        self.parsed_forms(self.n)
+        self.parsed_functions(self.n)
+        self.parsed_bodies(self.n)
+        for kind, use in _DECLARED.items():
+            requested = use.suite in self.suites
+            dims = list(self.size(use.dims_key)) if requested else []
+            used = {i for n in dims for i, _ in self.declared(kind, n)}
+            for i, spec in enumerate(getattr(self, kind)):
+                if i in used:
+                    continue
+                where = (f"the {use.suite} suite evaluates {use.what} for n in {dims}"
+                         if requested else f"only the {use.suite} suite evaluates "
+                         f"{kind}, and it is not requested")
+                raise ValueError(f"declared {use.noun} {spec!r} is evaluated by "
+                                 f"no requested suite: {where}")
+
+
+class _Declarable(NamedTuple):
+    """How the suites use one kind of declared object."""
+
+    noun: str
+    parse: Callable        # (spec, n) -> object
+    suite: str             # the one suite that evaluates this kind
+    dims_key: str          # the size key of that suite's dimensions
+    keep: Callable         # (object parsed at n, n) -> evaluated at n?
+    what: str              # what the suite evaluates, for messages
+
+
+_DECLARED = {
+    "forms": _Declarable("form", parse_form, "kernel", "kernel_dims",
+                         lambda tau, n: tau.n == n and tau.degree == n,
+                         "n-forms on T*R^n"),
+    "functions": _Declarable("function", parse_function, "kernel", "kernel_dims",
+                             lambda f, n: getattr(f, "n", None) == n,
+                             "functions on R^n"),
+    "bodies": _Declarable("body", parse_body, "bridge", "bridge_dims",
+                          lambda K, n: K.n_ambient == n + 1, "bodies in R^(n+1)"),
+}
+
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
@@ -337,8 +395,7 @@ def suite_kernel(config: ExperimentConfig) -> list:
     for n in config.size("kernel_dims"):
         rng = np.random.default_rng(config.seed + 101 * n)
         fam = battery(n, seed=config.seed + n, size=int(config.size("kernel_battery")))
-        fam += [f for f in config.parsed_functions(n)
-                if getattr(f, "n", None) == n]
+        fam += [f for _, f in config.declared("functions", n)]
         # polyhedral and ridge-aligned routes need exact-integrable windows
         # to hit 1e-7; the smooth sub-battery absorbs bump-kind forms
         smooth_fam = [f for f in fam if f.smooth and _wrapped_lse(f) is None]
@@ -380,9 +437,7 @@ def suite_kernel(config: ExperimentConfig) -> list:
             checks.append((f"kernel/constant/n={n}/{i}", "constant", tau, fam,
                            {"tol_zero": tol_c}))
         # user-declared forms are classified and reported, never asserted
-        for j, tau in enumerate(config.parsed_forms(n)):
-            if tau.n != n or tau.degree != n:
-                continue
+        for j, tau in config.declared("forms", n):
             checks.append((f"kernel/declared/n={n}/{j}", "declared", tau, fam,
                            forward))
 
@@ -606,8 +661,7 @@ def suite_bridge(config: ExperimentConfig) -> list:
             G = rng.normal(size=(n + 1, n + 1))
             bodies.append((f"ellipsoid{b}", EllipsoidBody(G @ G.T + 0.5 * np.eye(n + 1))))
         bodies.append(("point", PointBody(rng.normal(size=n + 1) * 0.5)))
-        bodies += [(f"declared{i}", K) for i, K in enumerate(config.parsed_bodies(n))
-                   if K.n_ambient == n + 1]
+        bodies += [(f"declared{i}", K) for i, K in config.declared("bodies", n)]
         forms = [random_bump_form(rng, n, degree=n, nterms=2)
                  for _ in range(int(config.size("bridge_forms")))]
         for bname, K in bodies:

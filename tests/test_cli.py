@@ -154,9 +154,61 @@ def test_exit_code_name_for_a_number(tmp_path, capsys, spec, key):
 
 
 def test_run_declared_smooth_spec(tmp_path):
-    cfg = _write_config(tmp_path / "cfg.json", suites=["valuation-property"],
+    # the kernel suite is the one that evaluates declared functions
+    cfg = _write_config(tmp_path / "cfg.json", suites=["kernel"],
                         functions=["smooth name=sqrt1p"])
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    functions = {e["details"]["functions"] for e in report["suites"][0]["entries"]
+                 if e["name"].endswith("(window)")}
+    assert functions == {QUICK_SIZES["kernel_battery"] + 1}
+
+
+@pytest.mark.parametrize("key,spec,suites,dims", [
+    # a function on R^2 while the kernel suite runs at n = 1 only
+    ("functions", "quadratic A=[[1,0],[0,1]] b=[0,0] c=0", ["kernel"],
+     {"kernel_dims": [1]}),
+    # piecewise-linear functions have no dimension the kernel suite evaluates
+    ("functions", "pwl breaks=[0] slopes=[-1,1]", ["kernel"], {"kernel_dims": [1]}),
+    # a 1-form on T*R^2 while the kernel suite evaluates 2-forms at n = 2
+    ("forms", "box(2) * dx1", ["kernel"], {"kernel_dims": [2]}),
+    ("forms", "bump(R=2) * dy1", ["mass"], {}),
+    # a body in R^3 while the bridge suite runs at n = 1
+    ("bodies", "ellipsoid M=[[1,0,0],[0,1,0],[0,0,1]]", ["bridge"], {"bridge_dims": [1]}),
+    ("bodies", "ellipsoid M=[[1,0],[0,1]]", ["kernel"], {}),
+    ("bodies", "ellipsoid M=[[1,0],[0,1]]", ["bridge"], {"bridge_dims": []}),
+])
+def test_exit_code_declared_object_no_suite_evaluates(tmp_path, capsys, key, spec,
+                                                      suites, dims):
+    cfg = _write_config(tmp_path / "cfg.json", suites=suites, **{key: [spec]},
+                        sizes={**QUICK_SIZES, **dims})
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and repr(spec) in err
+    suite = "bridge" if key == "bodies" else "kernel"
+    if suite in suites:
+        assert f"for n in {dims[suite + '_dims']}" in err
+    else:
+        assert "not requested" in err
+    assert not out.exists()
+
+
+def test_declared_objects_of_bundled_and_benchmark_configs_are_evaluated():
+    from pathlib import Path
+
+    from cycleval.suites import ExperimentConfig
+
+    default = Path(__file__).resolve().parents[1] / "src/cycleval/configs/default_n1.json"
+    ExperimentConfig.from_dict(json.loads(default.read_text())).check_declared()
+    breadth = ExperimentConfig(
+        n=1, forms=["bump(R=2) * dy1", "box(-2,2) * x1^2 * dx1"],
+        functions=["quadratic A=[[1]] b=[0] c=0", "maxaffine pieces=[[[1],0],[[-1],0]]"],
+        bodies=["ellipsoid M=[[1,0],[0,1]]"],
+        sizes={"kernel_dims": [1], "bridge_dims": [1, 2]})
+    breadth.check_declared()
+    assert [i for i, _ in breadth.declared("bodies", 1)] == [0]
+    assert breadth.declared("bodies", 2) == []
 
 
 @pytest.mark.parametrize("key", ["kernel_dims", "mass_dims"])

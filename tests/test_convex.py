@@ -253,3 +253,35 @@ def test_lse_hessian_matches_einsum_formula():
                            - np.einsum("ni,nj->nij", mean, mean))
         scale = lse.beta * float((a * a).max())
         assert np.abs(lse.hessian_array(X) - want).max() <= 1e-13 * scale
+
+
+def test_lse_node_major_oracles_match_row_major_formulas():
+    # the softmax and its moments laid out (m, N) agree with the (N, m)
+    # formulas for every piece count up to numpy's 8-way unrolled reduce
+    rng = np.random.default_rng(12)
+    for n in (1, 2):
+        for m in range(2, 10):
+            # tangent planes of |x|^2 / 2 at m distinct points: all active
+            points = [[Q(k - 4, 2), Q((k * k) % 5 - 2, 2)][:n] for k in range(m)]
+            base = MaxAffine([(p, -sum(v * v for v in p) / 2) for p in points])
+            assert base.m == m
+            lse = LogSumExp(base, 40.0)
+            X = rng.uniform(-3, 3, size=(500, n))
+            a = base._af
+            z = lse.beta * (X @ a.T + base._bf)
+            z -= z.max(axis=1, keepdims=True)
+            w = np.exp(z)
+            w = w / w.sum(axis=1, keepdims=True)
+            mean = w @ a
+            aa = (a[:, :, None] * a[:, None, :]).reshape(m, n * n)
+            hess = lse.beta * ((w @ aa).reshape(-1, n, n)
+                               - mean[:, :, None] * mean[:, None, :])
+            got_w, got_z = lse._weights(X)
+            assert got_w.shape == (500, m) and got_z.shape == (500, m)
+            assert np.abs(got_w - w).max() <= 1e-14
+            scale = float(np.abs(a).max())
+            assert lse.gradient_array(X).shape == (500, n)
+            assert np.abs(lse.gradient_array(X) - mean).max() <= 1e-14 * scale
+            assert lse.hessian_array(X).shape == (500, n, n)
+            assert np.abs(lse.hessian_array(X) - hess).max() <= \
+                1e-14 * lse.beta * scale * scale

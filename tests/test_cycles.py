@@ -409,3 +409,37 @@ def test_compiled_integrand_refuses_free_parameters():
     c = CoefficientFn(n, {(ball_bump(n, 2),): t})
     with pytest.raises(SupportError):
         graph_pullback_integrand(Quadratic(np.eye(1)), [Form.monomial(n, [], [1], c)])
+
+
+def test_support_domain_routing(monkeypatch):
+    # only a 2-D integrand on one bump matrix without a window runs on the
+    # ellipse rule; windows, two matrices, n = 1 and n = 3 stay on boxes
+    from cycleval import quadrature
+    from cycleval.coefficients import BumpFactor
+
+    calls = []
+    for name in ("integrate_box", "integrate_ellipsoid"):
+        real = getattr(quadrature, name)
+        monkeypatch.setattr(quadrature, name,
+                            lambda fn, dom, _real=real, _name=name:
+                            calls.append(_name) or _real(fn, dom))
+
+    def top_form(n, coeff):
+        return Form.monomial(n, list(range(1, n + 1)), [], coeff)
+
+    bump2 = beta_coeff(2, 2, Poly.const(4, 1) + Poly.variable(4, 0))
+    skew = CoefficientFn.bump(2, BumpFactor(((Q(1), Q(1, 3)), (Q(1, 3), Q(1, 2)))))
+    windowed = CoefficientFn(2, bump2.atoms, declared_box=((Q(-1), Q(1)),) * 2)
+    cases = [
+        (top_form(2, bump2), "integrate_ellipsoid"),
+        (top_form(2, skew), "integrate_ellipsoid"),
+        (top_form(2, windowed), "integrate_box"),
+        (top_form(2, bump2 + skew), "integrate_box"),
+        (top_form(2, bump2) + Form.monomial(2, [], [1, 2], skew), "integrate_box"),
+        (top_form(1, beta_coeff(1, 2)), "integrate_box"),
+        (top_form(3, beta_coeff(3, 2)), "integrate_box"),
+    ]
+    for tau, rule in cases:
+        calls.clear()
+        eval_smooth(Quadratic(np.eye(tau.n)), [tau])
+        assert calls == [rule], (tau, calls)

@@ -81,10 +81,15 @@ def test_evaluate_at_zero_function():
 
 
 def _two_box_forms(rng, n):
-    """Forms on the [-2, 2]^n window and on a bump box, interleaved."""
+    """Forms on the [-2, 2]^n window and on a bump box, interleaved, and a
+    window form on the bump's bounding box: at n = 2 the bump forms have
+    their own support domain, the ellipse, inside that shared box."""
     forms = [random_window_form(rng, n, n), random_kernel_form(rng, n, kind="bump"),
              random_window_form(rng, n, n), random_bump_form(rng, n, degree=n)]
+    (_, bump_hi), *_ = forms[1].support_box()
+    forms.insert(2, random_window_form(rng, n, n, R=bump_hi))
     assert len({tau.support_box() for tau in forms}) == 2
+    assert len({tau.support_domain() for tau in forms}) == (3 if n == 2 else 2)
     return [Valuation(tau) for tau in forms]
 
 
@@ -99,8 +104,9 @@ def _two_box_forms(rng, n):
     ("polyline", 1, PiecewiseLinear1D([Q(-1), Q(1, 2)], [2, -1, Q(1, 2)], 0)),
 ])
 def test_evaluate_list_equals_per_pair(route, n, f):
-    # one call on forms with two support boxes gives, in input order, the
-    # value and error of each form evaluated alone, bit for bit
+    # one call on forms with two support boxes (and at n = 2 three support
+    # domains) gives, in input order, the value and error of each form
+    # evaluated alone, bit for bit
     vals = _two_box_forms(np.random.default_rng(21 + n), n)
     got = evaluate(vals, f)
     ref = [evaluate([val], f)[0] for val in vals]

@@ -1,8 +1,16 @@
+import math
 from fractions import Fraction as Q
 
 import numpy as np
 
-from cycleval.quadrature import ORDERS, box_nodes, integrate_box
+from cycleval.quadrature import (
+    ELLIPSE_ORDERS,
+    ORDERS,
+    box_nodes,
+    ellipse_nodes,
+    integrate_box,
+    integrate_ellipsoid,
+)
 
 
 def test_integrate_box_at_depth_zero_is_one_tensor_pass_pair():
@@ -34,3 +42,57 @@ def test_multi_row_integrand_at_depth_zero_equals_each_row():
     got = integrate_box(fn, box)
     ref = [integrate_box(row, box) for row in rows]
     assert [(r.value, r.error) for r in got] == [(r.value, r.error) for r in ref]
+
+
+def test_ellipse_rule_area_and_second_moment():
+    # x^T M x < 1 has area pi / sqrt(det M) and second moment
+    # int x x^T = pi / (4 sqrt(det M)) M^-1; the polar rule is exact on both
+    M = ((Q(3), Q(-5, 4)), (Q(-5, 4), Q(1)))
+    Mf = np.array(M, dtype=float)
+    area = math.pi / math.sqrt(np.linalg.det(Mf))
+    got = integrate_ellipsoid(lambda p: np.ones(p.shape[0]), M)
+    assert abs(got.value - area) <= 1e-14 * area
+    assert got.error <= 1e-14 * area
+    want = area / 4 * np.linalg.inv(Mf)
+    rows = integrate_ellipsoid(
+        lambda p: np.stack([p[:, 0] ** 2, p[:, 0] * p[:, 1], p[:, 1] ** 2]), M)
+    got = [[rows[0].value, rows[1].value], [rows[1].value, rows[2].value]]
+    assert np.abs(np.array(got) - want).max() <= 1e-14 * area
+
+
+def test_ellipse_rule_is_two_polar_passes():
+    M = ((Q(1, 2), Q(1, 5)), (Q(1, 5), Q(1, 3)))
+
+    def fn(p):
+        return np.exp(p[:, 0]) * np.cos(3 * p[:, 1])
+
+    coarse, fine = (float(np.dot(w, fn(x))) for x, w in
+                    (ellipse_nodes(M, orders) for orders in ELLIPSE_ORDERS))
+    got = integrate_ellipsoid(fn, M)
+    assert (got.value, got.error) == (fine, abs(fine - coarse))
+    assert len(ellipse_nodes(M, ELLIPSE_ORDERS[1])[1]) == 64 * 128
+
+
+def test_ellipse_rule_resolves_a_bump_at_its_support_circle():
+    # beta / q^4 (1 + x + x y^2) cos y on the R = 2 disk: the radial rule
+    # ends on the circle where the bump is flat, the tensor pair on the
+    # bounding box does not
+    M = ((Q(1, 4), Q(0)), (Q(0), Q(1, 4)))
+
+    def fn(p):
+        x, y = p[:, 0], p[:, 1]
+        q = 1.0 - (x * x + y * y) / 4.0
+        out = np.zeros(p.shape[0])
+        inside = q > 0
+        qi, xi, yi = q[inside], x[inside], y[inside]
+        out[inside] = (np.exp(1.0 - 1.0 / qi) / qi ** 4
+                       * (1.0 + xi + xi * yi ** 2) * np.cos(yi))
+        return out
+
+    pts, wts = ellipse_nodes(M, (160, 256))
+    ref = float(np.dot(wts, fn(pts)))
+    polar = integrate_ellipsoid(fn, M)
+    tensor = integrate_box(fn, [(-2.0, 2.0), (-2.0, 2.0)])
+    assert abs(polar.value - ref) <= 1e-10
+    assert abs(polar.value - ref) * 100 < abs(tensor.value - ref)
+
