@@ -9,15 +9,15 @@
 bytes) and ``summary.txt`` next to it, and exits 0 only if every suite
 passed: 1 on suite failures, 2 on config/parse errors, 3 on runtime errors.
 A declared form, function or body that no requested suite evaluates is a
-config error.  Jobs are threads of one process; the default job count comes
-from CYCLEVAL_JOBS; a job count below 1 or a CYCLEVAL_JOBS that is not an
-integer is a config error.
+config error.  The suites run one after another on the calling thread.  A
+job count (``--jobs``, default from CYCLEVAL_JOBS) is accepted for process
+jobs to come; a job count below 1 or a CYCLEVAL_JOBS that is not an integer
+is a config error.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
@@ -46,9 +46,9 @@ def _build_parser() -> argparse.ArgumentParser:
                       "or 'default' for the bundled n=1 configuration")
     runp.add_argument("--out", default=".", help="output directory")
     runp.add_argument("--jobs", type=int, default=None,
-                      help="suites to run at once on threads of this process "
-                      "(default: CYCLEVAL_JOBS, else 1); the suites are "
-                      "Python-bound, so threads rarely shorten a run")
+                      help="job count, at least 1 (default: CYCLEVAL_JOBS, "
+                      "else 1); accepted and checked, but the suites run one "
+                      "at a time on the calling thread")
 
     sub.add_parser("list-catalog", help="print constructors and the grammar")
 
@@ -82,7 +82,7 @@ def _job_count(jobs) -> int:
 
 def cmd_run(args) -> int:
     try:
-        jobs = _job_count(args.jobs)
+        _job_count(args.jobs)
         raw = json.loads(_resolve_config_path(args.config).read_text())
         config = ExperimentConfig.from_dict(raw)
         # malformed declared objects, and ones no requested suite
@@ -94,13 +94,7 @@ def cmd_run(args) -> int:
 
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
     try:
-        names = list(config.suites)
-        if jobs > 1:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as ex:
-                futures = {name: ex.submit(run_suite, name, config) for name in names}
-                results = [futures[name].result() for name in names]
-        else:
-            results = [run_suite(name, config) for name in names]
+        results = [run_suite(name, config) for name in config.suites]
         report = ValuationReport(
             environment={
                 "package": "cycleval",

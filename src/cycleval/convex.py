@@ -10,6 +10,7 @@ which feeds the Lipschitz and mass bounds.
 
 from __future__ import annotations
 
+import bisect
 import math
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -53,6 +54,11 @@ class ConvexFunction:
 
     def hessian_array(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def jet(self, X: np.ndarray) -> tuple:
+        """``(gradient_array(X), hessian_array(X))``; variants that share
+        work between the two oracles override it."""
+        return self.gradient_array(X), self.hessian_array(X)
 
     def sup_abs_bound(self, rho: float) -> float:
         """Certified upper bound for sup_{|x| <= rho} |f|."""
@@ -221,12 +227,17 @@ class LogSumExp(ConvexFunction):
         top = z.max(axis=1)
         return (top + np.log(np.exp(z - top[:, None]).sum(axis=1))) / self.beta
 
-    def gradient_array(self, X):
-        w = self._weights(X)[0].T  # node-major (m, N)
+    def gradient_array(self, X, weights=None):
+        """``weights``: the softmax weights ``_weights(X)[0]``, if known."""
+        if weights is None:
+            weights = self._weights(X)[0]
+        w = weights.T  # node-major (m, N)
         return (self.base._af.T @ w).T
 
-    def hessian_array(self, X):
-        w = self._weights(X)[0].T  # node-major (m, N)
+    def hessian_array(self, X, weights=None):
+        if weights is None:
+            weights = self._weights(X)[0]
+        w = weights.T  # node-major (m, N)
         a = self.base._af
         n = a.shape[1]
         mean = a.T @ w
@@ -235,6 +246,11 @@ class LogSumExp(ConvexFunction):
         second = (aa.T @ w).reshape(n, n, -1)
         outer = mean[:, None, :] * mean[None, :, :]
         return (self.beta * (second - outer)).transpose(2, 0, 1)
+
+    def jet(self, X):
+        """Both oracles on one softmax."""
+        w = self._weights(X)[0]
+        return self.gradient_array(X, weights=w), self.hessian_array(X, weights=w)
 
     def sup_abs_bound(self, rho):
         return self.base.sup_abs_bound(rho) + math.log(self.base.m) / self.beta
@@ -306,6 +322,10 @@ class Shifted(ConvexFunction):
     def hessian_array(self, X):
         return self.inner.hessian_array(X)
 
+    def jet(self, X):
+        Y, H = self.inner.jet(X)
+        return Y + self._lamf, H
+
     def sup_abs_bound(self, rho):
         return self.inner.sup_abs_bound(rho) + float(np.linalg.norm(self._lamf)) * rho + abs(self._cf)
 
@@ -340,6 +360,12 @@ class Scaled(ConvexFunction):
         if self._tf == 0.0:
             return np.zeros((X.shape[0], self.n, self.n))
         return self._tf * self.inner.hessian_array(X)
+
+    def jet(self, X):
+        if self._tf == 0.0:
+            return super().jet(X)
+        Y, H = self.inner.jet(X)
+        return self._tf * Y, self._tf * H
 
     def sup_abs_bound(self, rho):
         return self._tf * self.inner.sup_abs_bound(rho)
@@ -478,6 +504,7 @@ class PiecewiseLinear1D:
             raise CatalogError("need len(breaks) + 1 slopes")
         self.value0 = _as_fraction(value0)
         self._drop_trivial_kinks()
+        self.lines = self._line_table()
 
     def _drop_trivial_kinks(self):
         breaks, slopes = [], [self.slopes[0]]
@@ -516,13 +543,9 @@ class PiecewiseLinear1D:
         return cls(breaks, slopes, offs[idx])
 
     def _segment_index(self, x) -> int:
-        idx = 0
-        for b in self.breaks:
-            if x >= b:
-                idx += 1
-        return idx
+        return bisect.bisect_right(self.breaks, x)
 
-    def _lines(self):
+    def _line_table(self):
         """Per-segment (slope, offset) with f(x) = s x + o on the segment."""
         idx0 = self._segment_index(Q(0))
         lines: list = [None] * len(self.slopes)
@@ -543,12 +566,12 @@ class PiecewiseLinear1D:
 
     def eval_exact(self, x) -> Fraction:
         x = _as_fraction(x)
-        s, o = self._lines()[self._segment_index(x)]
+        s, o = self.lines[self._segment_index(x)]
         return s * x + o
 
     def eval_array(self, X):
         X = np.asarray(X, dtype=float).reshape(-1)
-        lines = [(float(s), float(o)) for s, o in self._lines()]
+        lines = [(float(s), float(o)) for s, o in self.lines]
         breaks = [float(b) for b in self.breaks]
         idx = np.searchsorted(breaks, X, side="right")
         out = np.empty_like(X)
@@ -562,44 +585,40 @@ class PiecewiseLinear1D:
         return [(b, self.slopes[i], self.slopes[i + 1]) for i, b in enumerate(self.breaks)]
 
     def pointwise(self, other: "PiecewiseLinear1D", take_max: bool) -> "PiecewiseLinear1D":
-        lines_f = self._lines()
-        lines_g = other._lines()
-        cuts = sorted(set(self.breaks) | set(other.breaks))
-
-        def seg_bounds(cut_list):
-            out = []
-            for i in range(len(cut_list) + 1):
-                lo = cut_list[i - 1] if i > 0 else None
-                hi = cut_list[i] if i < len(cut_list) else None
-                out.append((lo, hi))
-            return out
-
-        cross = set()
-        for lo, hi in seg_bounds(cuts):
-            m = _mid(lo, hi)
-            sf, of_ = lines_f[self._segment_index(m)]
-            sg, og = lines_g[other._segment_index(m)]
+        """max (``take_max``) or min of two functions, in one left-to-right
+        merge of their breaks.  Between consecutive breaks both are lines,
+        which cross at most once: left of the crossing the smaller slope is
+        the larger line, right of it the larger slope."""
+        fb, gb = self.breaks, other.breaks
+        i = j = 0
+        lo = None
+        breaks, slopes = [], []
+        while True:
+            (sf, of_), (sg, og) = self.lines[i], other.lines[j]
+            nf = fb[i] if i < len(fb) else None
+            ng = gb[j] if j < len(gb) else None
+            hi = ng if nf is None else nf if ng is None else min(nf, ng)
             if sf == sg:
-                continue
-            x = (og - of_) / (sf - sg)
-            if (lo is None or x > lo) and (hi is None or x < hi):
-                cross.add(x)
-        allcuts = sorted(set(cuts) | cross)
-        slopes = []
-        for lo, hi in seg_bounds(allcuts):
-            m = _mid(lo, hi)
-            vf = self.eval_exact(m)
-            vg = other.eval_exact(m)
-            sf, _ = lines_f[self._segment_index(m)]
-            sg, _ = lines_g[other._segment_index(m)]
-            if vf == vg:
-                use_f = sf >= sg if take_max else sf <= sg
+                slopes.append(sf)
             else:
-                use_f = vf > vg if take_max else vf < vg
-            slopes.append(sf if use_f else sg)
-        v0 = max(self.eval_exact(0), other.eval_exact(0)) if take_max else \
-            min(self.eval_exact(0), other.eval_exact(0))
-        return PiecewiseLinear1D(allcuts, slopes, v0)
+                low, high = (sf, sg) if sf < sg else (sg, sf)
+                left, right = (low, high) if take_max else (high, low)
+                x = (og - of_) / (sf - sg)
+                if hi is not None and x >= hi:
+                    slopes.append(left)
+                elif lo is not None and x <= lo:
+                    slopes.append(right)
+                else:
+                    slopes += [left, right]
+                    breaks.append(x)
+            if hi is None:
+                break
+            breaks.append(hi)
+            i += nf == hi
+            j += ng == hi
+            lo = hi
+        v0 = (max if take_max else min)(self.eval_exact(0), other.eval_exact(0))
+        return PiecewiseLinear1D(breaks, slopes, v0)
 
     def maximum(self, other):
         return self.pointwise(other, True)
@@ -609,16 +628,6 @@ class PiecewiseLinear1D:
 
     def describe(self):
         return f"pwl1d(kinks={len(self.breaks)})"
-
-
-def _mid(lo, hi):
-    if lo is None and hi is None:
-        return Q(0)
-    if lo is None:
-        return hi - 1
-    if hi is None:
-        return lo + 1
-    return (lo + hi) / 2
 
 
 # -- convex bodies via support functions ------------------------------------------

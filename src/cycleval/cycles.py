@@ -3,16 +3,19 @@
 * smooth gradient graphs (quadrature of the graph pullback, C^2 catalog,
   on the forms' support ellipse or box), plain or ridge-aligned for
   log-sum-exp smoothings, and their mass,
-* 1D polylines for piecewise-linear f on R, convex or not, and their mass,
+* 1D polylines for piecewise-linear f on R, convex or not, and their mass:
+  exact for windowed polynomial atoms, integrated along each segment in
+  closed form term by term, and by quadrature for bump atoms,
 * the pushforward identities under linear maps, quadratics and scalings.
 
 The graph evaluators take a list of forms and return one result per form.
 Forms that share a support domain are evaluated on one node stream.  Their
 coefficients are compiled once into one exponent table with exact-summed
 float coefficients (coefficients.CompiledBatch); each block of nodes then
-costs one gradient and one Hessian call of f, one Hessian minor per minor
-that occurs, and one monomial table, whatever the number of forms.  Each
-form's row, and so its value, is bit for bit what it would be alone.
+costs one jet of f (gradient and Hessian, on one softmax for a log-sum-exp
+smoothing), one Hessian minor per minor that occurs, and one monomial
+table, whatever the number of forms.  Each form's row, and so its value, is
+bit for bit what it would be alone.
 
 Polyhedral cycles of max-affine f live in polyhedral.py.  All evaluators
 share one orientation convention, the Minty transport; for a smooth convex
@@ -43,7 +46,7 @@ from .forms import (
     merge_sign,
     pullback,
 )
-from .polynomials import Poly, Q, _as_fraction
+from .polynomials import Q, _as_fraction
 from .quadrature import (
     ELLIPSE_ORDERS,
     EvalResult,
@@ -81,8 +84,8 @@ def graph_pullback_integrand(f: ConvexFunction, forms: Sequence[Form]):
 
     The forms are compiled into one :class:`CompiledBatch` whose weights are
     the Hessian minors ``det H[J, Ic]``.  The nodes are evaluated in blocks
-    of ``_NODE_BLOCK``; each block costs one gradient and one Hessian call
-    of f, one minor per ``(J, Ic)`` and one monomial table for all forms,
+    of ``_NODE_BLOCK``; each block costs one ``f.jet`` call (gradient and
+    Hessian), one minor per ``(J, Ic)`` and one monomial table for all forms,
     and each row equals the integrand of its form alone bit for bit.
     """
     pieces = []
@@ -107,8 +110,7 @@ def graph_pullback_integrand(f: ConvexFunction, forms: Sequence[Form]):
         out = np.zeros((len(forms), X.shape[0]))
         for start in range(0, X.shape[0], _NODE_BLOCK):
             block = X[start:start + _NODE_BLOCK]
-            Y = f.gradient_array(block)
-            H = f.hessian_array(block)
+            Y, H = f.jet(block)
             minors = {(J, Ic): det([[H[:, r, c] for c in Ic] for r in J])
                       for J, Ic in batch.keys}
             batch.add_to(out[:, start:start + _NODE_BLOCK],
@@ -149,6 +151,29 @@ def _gl_pieces(cuts, order: int):
             np.concatenate([w for _, w in pieces]))
 
 
+def _triangle_nodes(v0, v1, v2, order: int, layer: float):
+    """Graded (edge, radial) tensor nodes and weights of a triangle of the
+    ridge-aligned evaluator, None if it is degenerate.
+    P(u, r) = v0 + r (v1 + u (v2 - v1) - v0); |Jacobian| = 2 area r."""
+    v0 = np.asarray(v0, dtype=float)
+    v1 = np.asarray(v1, dtype=float)
+    v2 = np.asarray(v2, dtype=float)
+    e = v2 - v1
+    area2 = abs((v1 - v0)[0] * (v2 - v0)[1] - (v1 - v0)[1] * (v2 - v0)[0])
+    if area2 == 0.0:
+        return None
+    elen = float(np.linalg.norm(e))
+    h = area2 / elen  # distance from v0 to the edge line
+    up, uw = _gl_pieces(_graded_cuts(layer / elen), order)
+    rp, rw = _gl_pieces([0.0, 1.0 - min(max(layer / h, 1e-12), 1.0 / 3.0), 1.0], order)
+    # node (i, j) at row i * len(rp) + j: E = v1 + u_i e on the edge,
+    # P = v0 + r_j (E - v0), one (u, r) grid per coordinate
+    pts = np.stack([(v0[k] + rp[None, :] * (v1[k] + up[:, None] * e[k] - v0[k])).ravel()
+                    for k in range(2)], axis=1)
+    wts = ((uw[:, None] * rw[None, :]) * rp[None, :] * area2).ravel()
+    return pts, wts
+
+
 def eval_smooth_ridge_aligned(f: ConvexFunction, base: MaxAffine,
                               forms: Sequence[Form], layer: float = 1e-2,
                               order: int = 24, refine: int = 32) -> list:
@@ -179,26 +204,6 @@ def eval_smooth_ridge_aligned(f: ConvexFunction, base: MaxAffine,
             [a + t * length for t in _graded_cuts(layer / max(length, 1e-12))], o)
         return pts[:, None], wts
 
-    def triangle_nodes(v0, v1, v2, o):
-        # P(u, r) = v0 + r (v1 + u (v2 - v1) - v0); |Jacobian| = 2 area r
-        v0 = np.asarray(v0, dtype=float)
-        v1 = np.asarray(v1, dtype=float)
-        v2 = np.asarray(v2, dtype=float)
-        e = v2 - v1
-        area2 = abs((v1 - v0)[0] * (v2 - v0)[1] - (v1 - v0)[1] * (v2 - v0)[0])
-        if area2 == 0.0:
-            return None
-        elen = float(np.linalg.norm(e))
-        h = area2 / elen  # distance from v0 to the edge line
-        up, uw = _gl_pieces(_graded_cuts(layer / elen), o)
-        rp, rw = _gl_pieces([0.0, 1.0 - min(max(layer / h, 1e-12), 1.0 / 3.0), 1.0], o)
-        U, R = np.meshgrid(up, rp, indexing="ij")
-        WU, WR = np.meshgrid(uw, rw, indexing="ij")
-        E = v1[None, :] + U.ravel()[:, None] * e[None, :]
-        pts = v0[None, :] + R.ravel()[:, None] * (E - v0[None, :])
-        wts = (WU * WR).ravel() * R.ravel() * area2
-        return pts, wts
-
     def node_sets(o):
         for cell in cycle.cells:
             if cell.dim_x != n:
@@ -214,9 +219,10 @@ def eval_smooth_ridge_aligned(f: ConvexFunction, base: MaxAffine,
                             for k in range(2)]
                 m = len(clipped)
                 for i in range(m):
-                    tri = triangle_nodes(centroid,
-                                         [float(v) for v in clipped[i]],
-                                         [float(v) for v in clipped[(i + 1) % m]], o)
+                    tri = _triangle_nodes(centroid,
+                                          [float(v) for v in clipped[i]],
+                                          [float(v) for v in clipped[(i + 1) % m]],
+                                          o, layer)
                     if tri is not None:
                         yield tri
 
@@ -281,11 +287,9 @@ class Polyline1DCycle:
     def segments(self, lo, hi):
         """Horizontal pieces clipped to [lo, hi] plus vertical kink segments."""
         lines = [lo] + [b for b in self.f.breaks if lo < b < hi] + [hi]
-        horiz = []
-        for i in range(len(lines) - 1):
-            mid = (lines[i] + lines[i + 1]) / 2
-            s = self.f.slopes[self.f._segment_index(mid)]
-            horiz.append(((lines[i], lines[i + 1]), s))
+        # the slope right of each left end holds up to the next cut
+        horiz = [((a, b), self.f.slopes[self.f._segment_index(a)])
+                 for a, b in zip(lines, lines[1:])]
         vert = [(b, sr, sl) if self.flip_vertical else (b, sl, sr)
                 for b, sl, sr in self.f.kinks() if lo <= b <= hi]
         return horiz, vert
@@ -312,24 +316,31 @@ def eval_polyline(cycle: Polyline1DCycle, form: Form) -> EvalResult:
 def _polyline_parts(cycle: Polyline1DCycle, coeffs):
     """Integral of each dx (axis 0) or dy (axis 1) atom over each segment
     along its axis: pieces left to right at y = slope, kinks at x = kink
-    from left to right slope."""
+    from left to right slope.  A polynomial atom is integrated in closed
+    form: its term c x^a y^b along x from start to end at y = fixed gives
+    c fixed^b (end^(a+1) - start^(a+1)) / (a+1), and likewise along y."""
+    windows = {}  # support box -> its (horizontal, vertical) segments
     for axis, coeff in coeffs:
         for sig, poly in coeff.atoms.items():
-            atom = CoefficientFn(1, {sig: poly}, declared_box=coeff.declared_box)
-            box = atom.support_box()
+            atom = CoefficientFn(1, {sig: poly}, declared_box=coeff.declared_box) if sig else None
+            box = atom.support_box() if sig else coeff.declared_box
             if box is None:
                 raise SupportError("polynomial coefficient needs a declared window")
-            horiz, vert = cycle.segments(*box[0])
+            if box not in windows:
+                windows[box] = cycle.segments(*box[0])
+            horiz, vert = windows[box]
             if axis == 0:
                 segments = [(s, a, b) for (a, b), s in horiz if b > a]
             else:
                 segments = vert
             for fixed, start, end in segments:
                 if not sig:
-                    line = [Poly.variable(1, 0), Poly.const(1, fixed)]
-                    restricted = poly.extend(2).subs(line[::-1] if axis else line)
-                    val = restricted.integrate_box([(start, end)], [0])
-                    yield val.eval_point([Q(0)] * val.nvars)
+                    total = Q(0)
+                    for e, c in poly.terms.items():
+                        # power along the segment, power of the fixed coordinate
+                        i, j = (e[1], e[0]) if axis else (e[0], e[1])
+                        total += c * fixed ** j * (end ** (i + 1) - start ** (i + 1)) / (i + 1)
+                    yield total
                     continue
                 ff = float(fixed)
 

@@ -7,6 +7,11 @@ dictionary comparison of exact coefficients.
 
 Generator codes: ``dx_i -> i - 1`` and ``dy_j -> n + j - 1`` (0-based
 internally, 1-based in the public (I, J) helpers).
+
+The Lie derivative along a polynomial field is computed term by term,
+L_X(c dz_K) = X(c) dz_K + c sum_p dz_k1 ^ .. ^ d(X_kp) ^ .. ^ dz_kq: one
+partial derivative of each coefficient per nonzero component of X, and no
+exterior derivative of the form, where Cartan's d i_X + i_X d takes two.
 """
 
 from __future__ import annotations
@@ -260,11 +265,34 @@ def interior_product(X: Sequence[Poly], a: Form) -> Form:
 
 
 def lie_derivative(X: Sequence[Poly], a: Form) -> Form:
-    """L_X a = d i_X a + i_X d a (Cartan's formula) for a polynomial field X."""
-    out = interior_product(X, exterior_derivative(a))
-    if a.degree > 0:
-        out = out + exterior_derivative(interior_product(X, a))
-    return out
+    """L_X a for a polynomial field X, term by term (see the module
+    docstring), with X(c) = sum_v X_v dc/dz_v and d(X_k) = sum_v dX_k/dz_v
+    dz_v; equal to Cartan's d i_X a + i_X d a."""
+    n = a.n
+    if len(X) != 2 * n:
+        raise DimensionMismatch("vector field needs 2n components")
+    dX = [[comp.diff(v) for v in range(2 * n)] for comp in X]
+    out: dict[Key, CoefficientFn] = {}
+
+    def add(key, c):
+        out[key] = out[key] + c if key in out else c
+
+    for key, c in a.terms.items():
+        for v in range(2 * n):
+            if not X[v].is_zero():
+                dc = c.diff(v)
+                if not dc.is_zero():
+                    add(key, dc * X[v])
+        for pos, k in enumerate(key):
+            rest = key[:pos] + key[pos + 1:]
+            for v, dxk in enumerate(dX[k]):
+                if dxk.is_zero():
+                    continue
+                # dz_v in place pos: (-1)^pos dz_v ^ dz_rest
+                s, newkey = merge_sign((v,), rest)
+                if s:
+                    add(newkey, (c * dxk).scale(s * (-1) ** pos))
+    return Form(n, a.degree, out)
 
 
 class PolynomialMap:

@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
+import threading
 
 import pytest
 
+from cycleval import cli
 from cycleval.cli import main
 
 QUICK_SIZES = {
@@ -46,12 +48,21 @@ def test_run_deterministic_reports(tmp_path):
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
 
 
-def test_run_jobs_concurrent_same_report(tmp_path):
+def test_run_jobs_suites_on_calling_thread_same_report(tmp_path, monkeypatch):
     cfg = _write_config(tmp_path / "cfg.json",
                         suites=["valuation-property", "mass", "homogeneity"])
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["run", str(cfg), "--out", str(out1)]) == 0
+    threads = []
+    inner = cli.run_suite
+
+    def run_suite(name, config):
+        threads.append(threading.current_thread())
+        return inner(name, config)
+
+    monkeypatch.setattr(cli, "run_suite", run_suite)
     assert main(["run", str(cfg), "--out", str(out2), "--jobs", "3"]) == 0
+    assert threads == [threading.main_thread()] * 3
     r1 = json.loads((out1 / "report.json").read_text())
     r2 = json.loads((out2 / "report.json").read_text())
     assert r1 == r2

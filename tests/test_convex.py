@@ -285,3 +285,91 @@ def test_lse_node_major_oracles_match_row_major_formulas():
             assert lse.hessian_array(X).shape == (500, n, n)
             assert np.abs(lse.hessian_array(X) - hess).max() <= \
                 1e-14 * lse.beta * scale * scale
+
+
+def test_jet_equals_separate_oracles_bitwise():
+    rng = np.random.default_rng(14)
+    for n in (1, 2):
+        for m in range(2, 10):
+            points = [[Q(k - 4, 2), Q((k * k) % 5 - 2, 2)][:n] for k in range(m)]
+            lse = LogSumExp(MaxAffine([(p, -sum(v * v for v in p) / 2) for p in points]),
+                            40.0)
+            X = rng.uniform(-3, 3, size=(300, n))
+            for f in (lse, Shifted(lse, [Q(1, 3)] * n, 2), Scaled(lse, Q(5, 2)),
+                      Scaled(lse, 0), Shifted(Scaled(lse, 3), [-1] * n, 0),
+                      Quadratic(np.eye(n))):
+                Y, H = f.jet(X)
+                assert np.array_equal(Y, f.gradient_array(X)), f.describe()
+                assert np.array_equal(H, f.hessian_array(X)), f.describe()
+
+
+def _midpoint_pointwise(f, g, take_max):
+    # reference: the former construction of max/min, which compares the two
+    # functions at the midpoint of every piece between breaks and crossings
+    def mid(lo, hi):
+        if lo is None and hi is None:
+            return Q(0)
+        if lo is None:
+            return hi - 1
+        return lo + 1 if hi is None else (lo + hi) / 2
+
+    def pieces(cuts):
+        return list(zip([None] + cuts, cuts + [None]))
+
+    def line(h, x):
+        s = h.slopes[sum(1 for b in h.breaks if x >= b)]
+        return s, h.eval_exact(x) - s * x
+
+    cuts = sorted(set(f.breaks) | set(g.breaks))
+    cross = set()
+    for lo, hi in pieces(cuts):
+        (sf, of_), (sg, og) = line(f, mid(lo, hi)), line(g, mid(lo, hi))
+        if sf != sg:
+            x = (og - of_) / (sf - sg)
+            if (lo is None or x > lo) and (hi is None or x < hi):
+                cross.add(x)
+    allcuts = sorted(set(cuts) | cross)
+    slopes = []
+    for lo, hi in pieces(allcuts):
+        m = mid(lo, hi)
+        vf, vg = f.eval_exact(m), g.eval_exact(m)
+        sf, sg = line(f, m)[0], line(g, m)[0]
+        if vf == vg:
+            use_f = sf >= sg if take_max else sf <= sg
+        else:
+            use_f = vf > vg if take_max else vf < vg
+        slopes.append(sf if use_f else sg)
+    pick = max if take_max else min
+    return PiecewiseLinear1D(allcuts, slopes, pick(f.eval_exact(0), g.eval_exact(0)))
+
+
+def test_pointwise_merge_matches_midpoint_reference():
+    rng = np.random.default_rng(19)
+
+    def rand_pwl(k_max):
+        k = int(rng.integers(0, k_max + 1))
+        breaks = sorted(set(Q(int(rng.integers(-6, 7)), 2) for _ in range(k)))
+        slopes = [Q(int(rng.integers(-3, 4))) for _ in range(len(breaks) + 1)]
+        return PiecewiseLinear1D(breaks, slopes, Q(int(rng.integers(-3, 4)), 2))
+
+    # coincident lines, equal slopes, a crossing exactly on a break (x = 1),
+    # and functions without breaks
+    f = PiecewiseLinear1D([Q(1)], [Q(0), Q(2)], Q(0))
+    pairs = [(f, f), (f, PiecewiseLinear1D([], [Q(2)], Q(1))),
+             (f, PiecewiseLinear1D([], [Q(1)], Q(-1))),
+             (f, PiecewiseLinear1D([Q(1)], [Q(-1), Q(3)], Q(1))),
+             (PiecewiseLinear1D([], [Q(1)], Q(0)), PiecewiseLinear1D([], [Q(1)], Q(2))),
+             (PiecewiseLinear1D([], [Q(1)], Q(0)), PiecewiseLinear1D([], [Q(-1)], Q(2)))]
+    pairs += [(rand_pwl(4), rand_pwl(4)) for _ in range(500)]
+    pairs += [(rand_pwl(0), rand_pwl(3)) for _ in range(50)]
+    X = np.linspace(-5, 5, 41)
+    for f, g in pairs:
+        for take_max in (True, False):
+            got = f.pointwise(g, take_max)
+            want = _midpoint_pointwise(f, g, take_max)
+            assert (got.breaks, got.slopes, got.value0) == \
+                (want.breaks, want.slopes, want.value0)
+            assert np.array_equal(got.eval_array(X), want.eval_array(X))
+            pick = max if take_max else min
+            assert all(got.eval_exact(x) == pick(f.eval_exact(x), g.eval_exact(x))
+                       for x in [Q(k, 2) for k in range(-12, 13)])

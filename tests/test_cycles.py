@@ -12,6 +12,11 @@ from cycleval.convex import (
     SmoothCatalog,
 )
 from cycleval.cycles import (
+    Polyline1DCycle,
+    _gl_pieces,
+    _graded_cuts,
+    _polyline_parts,
+    _triangle_nodes,
     build_1d,
     eval_polyline,
     eval_smooth,
@@ -443,3 +448,65 @@ def test_support_domain_routing(monkeypatch):
         calls.clear()
         eval_smooth(Quadratic(np.eye(tau.n)), [tau])
         assert calls == [rule], (tau, calls)
+
+
+def _poly_route_parts(cycle, coeffs):
+    # reference: each polynomial atom restricted to the segment's line by
+    # Poly.subs, integrated and evaluated exactly
+    for axis, coeff in coeffs:
+        horiz, vert = cycle.segments(*coeff.declared_box[0])
+        segments = [(s, a, b) for (a, b), s in horiz if b > a] if axis == 0 else vert
+        for poly in coeff.atoms.values():
+            for fixed, start, end in segments:
+                line = [Poly.variable(1, 0), Poly.const(1, fixed)]
+                restricted = poly.extend(2).subs(line[::-1] if axis else line)
+                val = restricted.integrate_box([(start, end)], [0])
+                yield val.eval_point([Q(0)] * val.nvars)
+
+
+def test_polyline_closed_form_matches_poly_route():
+    rng = np.random.default_rng(23)
+    for trial in range(60):
+        f = _random_pwl(rng)
+        coeffs = []
+        for axis in (0, 1):
+            terms = {(int(rng.integers(0, 4)), int(rng.integers(0, 4))):
+                     Q(int(rng.integers(-5, 6)), int(rng.integers(1, 4))) for _ in range(3)}
+            lo = Q(int(rng.integers(-9, 0)), 4)
+            box = ((lo, lo + Q(int(rng.integers(1, 12)), 2)),)
+            coeffs.append((axis, CoefficientFn.from_poly(1, Poly(2, terms), box=box)))
+        for flip in (False, True):
+            cycle = Polyline1DCycle(f, flip_vertical=flip)
+            got = list(_polyline_parts(cycle, coeffs))
+            want = list(_poly_route_parts(cycle, coeffs))
+            assert got == want and all(type(v) is Q for v in got)
+
+
+def _meshgrid_triangle_nodes(v0, v1, v2, order, layer):
+    # reference: the (u, r) grid as two meshgrids and (N, 2) temporaries
+    v0, v1, v2 = (np.asarray(v, dtype=float) for v in (v0, v1, v2))
+    e = v2 - v1
+    area2 = abs((v1 - v0)[0] * (v2 - v0)[1] - (v1 - v0)[1] * (v2 - v0)[0])
+    elen = float(np.linalg.norm(e))
+    h = area2 / elen
+    up, uw = _gl_pieces(_graded_cuts(layer / elen), order)
+    rp, rw = _gl_pieces([0.0, 1.0 - min(max(layer / h, 1e-12), 1.0 / 3.0), 1.0], order)
+    U, R = np.meshgrid(up, rp, indexing="ij")
+    WU, WR = np.meshgrid(uw, rw, indexing="ij")
+    E = v1[None, :] + U.ravel()[:, None] * e[None, :]
+    pts = v0[None, :] + R.ravel()[:, None] * (E - v0[None, :])
+    wts = (WU * WR).ravel() * R.ravel() * area2
+    return pts, wts
+
+
+def test_triangle_nodes_match_meshgrid_bitwise():
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        v0, v1, v2 = rng.uniform(-3, 3, size=(3, 2))
+        order = int(rng.integers(2, 33))
+        layer = float(10.0 ** rng.uniform(-4, 0))
+        pts, wts = _triangle_nodes(list(v0), list(v1), list(v2), order, layer)
+        want_pts, want_wts = _meshgrid_triangle_nodes(v0, v1, v2, order, layer)
+        assert pts.flags.c_contiguous
+        assert np.array_equal(pts, want_pts) and np.array_equal(wts, want_wts)
+    assert _triangle_nodes([0, 0], [1, 1], [2, 2], 8, 1e-2) is None

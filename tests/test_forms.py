@@ -347,3 +347,48 @@ def test_zero_section_coefficient_restricts_y():
     c = CoefficientFn.from_poly(n, Poly.variable(2, 1), box=((Q(-1), Q(1)),))
     form = Form(n, 1, {(0,): c})
     assert zero_section_coefficient(form).is_zero()
+
+
+def _cartan_lie(X, a):
+    # reference: L_X a = i_X d a + d i_X a
+    out = interior_product(X, exterior_derivative(a))
+    if a.degree > 0:
+        out = out + exterior_derivative(interior_product(X, a))
+    return out
+
+
+def _random_field(rng, n):
+    nv = 2 * n
+    X = []
+    for _ in range(nv):
+        p = Poly.zero(nv)
+        for _ in range(int(rng.integers(0, 3))):
+            e = [0] * nv
+            e[rng.integers(nv)] = int(rng.integers(0, 3))
+            p = p + Poly.monomial(nv, e, Q(int(rng.integers(-3, 4)), int(rng.integers(1, 3))))
+        X.append(p)
+    return X
+
+
+def test_lie_derivative_termwise_equals_cartan():
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 3):
+        box = tuple((Q(-1), Q(int(rng.integers(1, 3)))) for _ in range(n))
+        # an ellipsoid bump: 2 on the diagonal, 1/2 at (1, 2) and (2, 1)
+        M = [[Q(2) if i == j else Q(1, 2) if i + j == 1 else Q(0) for j in range(n)]
+             for i in range(n)]
+        fields = so_generators(n) + [_random_field(rng, n) for _ in range(3)]
+        for deg in range(2 * n + 1):
+            plain = _random_poly_form(rng, n, deg)
+            window = plain.map_coefficients(
+                lambda c: CoefficientFn(n, c.atoms, declared_box=box))
+            forms = [plain, window, _random_poly_form(rng, n, deg, bump=True),
+                     random_bump_form(rng, n, degree=deg, nterms=3),
+                     _random_poly_form(rng, n, deg).map_coefficients(
+                         lambda c: c * CoefficientFn.bump(n, BumpFactor(M, 2, 1)))]
+            for a in forms:
+                for X in fields:
+                    got, want = lie_derivative(X, a), _cartan_lie(X, a)
+                    assert got == want
+                    assert {k: c.declared_box for k, c in got.terms.items()} == \
+                        {k: c.declared_box for k, c in want.terms.items()}
