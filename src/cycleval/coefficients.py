@@ -67,7 +67,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .exactla import inverse
-from .polynomials import Poly, Q, _as_fraction
+from .polynomials import FIELD_BITS, Poly, Q, _as_fraction, _reduced, field_sum
 from .quadrature import Ellipse
 
 Matrix = tuple  # tuple[tuple[Fraction, ...], ...]
@@ -197,7 +197,7 @@ class BumpFactor:
                     e = [0] * nvars
                     e[j] = 1
                     terms[tuple(e)] = -2 * m
-            p = _Q_GRADS.setdefault(key, Poly._trusted(nvars, terms))
+            p = _Q_GRADS.setdefault(key, Poly(nvars, terms))
         return p
 
     def bbox(self) -> BoxT:
@@ -411,6 +411,11 @@ _ORDER = attrgetter("order")
 
 
 def _merge_bumps(a: Signature, b: Signature) -> Signature:
+    # a lone factor is merged and sorted already
+    if not b and len(a) <= 1:
+        return a
+    if not a and len(b) <= 1:
+        return b
     by_m: dict[int, list[int]] = {}
     for f in a + b:
         pows = by_m.setdefault(f.mid, [0, 0])
@@ -484,16 +489,12 @@ class CoefficientFn:
         return max((p.nvars for p in self.atoms.values()), default=2 * self.n)
 
     def has_params(self) -> bool:
-        return any(p.nvars > 2 * self.n and any(any(e[2 * self.n:]) for e in p.terms)
-                   for p in self.atoms.values())
+        shift = FIELD_BITS * 2 * self.n
+        return any(k >> shift for p in self.atoms.values() for k in p.num)
 
     def depends_on_y(self) -> bool:
-        n = self.n
-        for p in self.atoms.values():
-            for e in p.terms:
-                if any(e[n:2 * n]):
-                    return True
-        return False
+        y = _y_mask(self.n)
+        return any(k & y for p in self.atoms.values() for k in p.num)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CoefficientFn):
@@ -541,7 +542,8 @@ class CoefficientFn:
         return self + (-other)
 
     def scale(self, c) -> "CoefficientFn":
-        c = _as_fraction(c)
+        if type(c) is not int:
+            c = _as_fraction(c)
         if c == 0:
             return CoefficientFn.zero(self.n)
         return CoefficientFn._trusted(self.n, {s: p.scale(c) for s, p in self.atoms.items()},
@@ -678,12 +680,12 @@ class CoefficientFn:
     # -- restriction and support ----------------------------------------------------
 
     def restrict_y_zero(self) -> "CoefficientFn":
-        n = self.n
         out: dict[Signature, Poly] = {}
+        y = _y_mask(self.n)
         for sig, poly in self.atoms.items():
-            kept = {e: c for e, c in poly.terms.items() if not any(e[n:2 * n])}
+            kept = {k: c for k, c in poly.num.items() if not k & y}
             if kept:
-                out[sig] = Poly(poly.nvars, kept)
+                out[sig] = _reduced(poly.nvars, kept, poly.den)
         return CoefficientFn._canonicalised(self.n, out, self.declared_box)
 
     def support_box(self) -> Optional[BoxT]:
@@ -736,6 +738,11 @@ class CoefficientFn:
         return True
 
 
+def _y_mask(n: int) -> int:
+    """The bits of the y-exponents in a monomial key of T*R^n."""
+    return ((1 << (FIELD_BITS * n)) - 1) << (FIELD_BITS * n)
+
+
 def _pad(pts: np.ndarray, nvars: int) -> np.ndarray:
     out = np.zeros((pts.shape[0], nvars))
     out[:, :pts.shape[1]] = pts
@@ -753,14 +760,14 @@ def _canonical_atom(sig: Signature, poly: Poly) -> tuple[Signature, Poly]:
 
 def _x_degree_span(poly: Poly, n: int) -> int:
     """Spread of the total degrees of ``poly``'s terms in its first n variables."""
-    degs = [sum(e[:n]) for e in poly.terms]
+    degs = [field_sum(k, n) for k in poly.num]
     return max(degs) - min(degs)
 
 
 def _reduce_atom(sig: Signature, poly: Poly) -> tuple[Signature, Poly]:
     """``_canonical_atom`` for a signature that is already sorted."""
     changed = True
-    while changed and poly.terms:
+    while changed and poly.num:
         changed = False
         for idx, f in enumerate(sig):
             if f.denom_pow <= 0:
@@ -768,7 +775,7 @@ def _reduce_atom(sig: Signature, poly: Poly) -> tuple[Signature, Poly]:
             q = f.q_poly(poly.nvars)
             # a multiple q_M r has the lowest x-degree part of r and, from
             # x^T M x (when it is not zero), a part two degrees above r's top
-            if len(q.terms) > 1 and _x_degree_span(poly, len(f.M)) < 2:
+            if len(q.num) > 1 and _x_degree_span(poly, len(f.M)) < 2:
                 continue
             quo = poly.divide_exact(q)
             if quo is not None:
@@ -789,7 +796,8 @@ def _canonical_atoms(items, unreduced=None) -> dict:
     """
     norm: dict[Signature, Poly] = {}
     for sig, poly in items:
-        if unreduced is None or sig in unreduced:
+        # a plain polynomial (empty signature) is canonical
+        if sig and (unreduced is None or sig in unreduced):
             sig, poly = _canonical_atom(sig, poly)
         _accumulate(norm, sig, poly)
     return norm
@@ -802,7 +810,7 @@ def _accumulate(norm: dict, sig: Signature, poly: Poly) -> None:
     a factor of q_M it moves to its new signature.  New signatures are
     appended, so atom order follows first appearance.
     """
-    while poly.terms:
+    while poly.num:
         old = norm.get(sig)
         if old is None:
             norm[sig] = poly
@@ -810,7 +818,7 @@ def _accumulate(norm: dict, sig: Signature, poly: Poly) -> None:
         total = old + poly
         new_sig, new_poly = _reduce_atom(sig, total)
         if new_sig == sig:
-            if new_poly.terms:
+            if new_poly.num:
                 norm[sig] = new_poly
             else:
                 del norm[sig]
@@ -822,15 +830,16 @@ def _accumulate(norm: dict, sig: Signature, poly: Poly) -> None:
 def _linear_x_matrix(x_repl: Sequence[Poly], n: int):
     """Extract G with repl[i] = sum_j G[i][j] x_j, else raise."""
     G = []
-    for i, p in enumerate(x_repl):
+    for p in x_repl:
         row = [Q(0)] * n
-        for e, c in p.terms.items():
-            if sum(e) != 1:
+        for k, c in p.num.items():
+            # a linear monomial is one bit, the lowest of its field
+            j, rest = divmod(k.bit_length() - 1, FIELD_BITS)
+            if k & (k - 1) or rest:
                 raise ValueError("bump coefficients require a linear substitution in x")
-            j = next(v for v, pw in enumerate(e) if pw)
             if j >= n:
                 raise ValueError("bump coefficients cannot mix x with y or parameters")
-            row[j] = c
+            row[j] = Fraction(c, p.den)
         G.append(row)
     return G
 

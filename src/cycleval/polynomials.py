@@ -2,25 +2,84 @@
 
 Every identity the workbench claims exactly (d*d = 0, Leibniz, Lefschetz
 inversion, pullback functoriality, ...) reduces to equality of these
-polynomials, so all arithmetic is over :class:`fractions.Fraction`.
-Floating point enters only through the ``eval_*`` methods.
+polynomials, so all arithmetic is exact.  Floating point enters only
+through the ``eval_*`` methods.
 
 Variables are positional.  A polynomial on the cotangent space of R^n uses
 the first 2n slots as (x_1..x_n, y_1..y_n); any further slots hold symbolic
 parameters (scaling factors, translation components) that are carried
 through pullbacks but never differentiated.
+
+Layout.  A polynomial is one positive integer denominator ``den`` over a
+dict ``num`` of integer numerators, reduced so that ``den`` and the
+numerators have no common factor; this is the layout of FLINT's
+``fmpq_mpoly`` (a rational content times an integer polynomial).  Each
+monomial is one int: the exponent of variable v sits in bits
+``[FIELD_BITS * v, FIELD_BITS * (v + 1))``.  Exponents stay at most
+``MAX_EXPONENT``, so the top bits of every field are clear: the sum of two
+exponents never carries into the next field, and a product whose
+exponent outgrows its field raises instead.  So a monomial product is one
+int addition, a derivative one shift, one mask and one subtraction, and
+adding trailing (parameter) variables changes no key.  Two polynomials
+are equal when their denominators and numerator dicts are, whatever their
+numbers of variables.
+
+:attr:`Poly.terms` is a read-only view ``{exponent tuple: Fraction}``,
+built on first use and cached, for readers outside the exact core.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache, reduce
+from operator import index, or_
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
 
 Q = Fraction
 Exponents = tuple  # tuple[int, ...], length == nvars
+
+FIELD_BITS = 16                 # bits of one variable's exponent field
+MAX_EXPONENT = (1 << 12) - 1    # largest exponent of one variable
+_MASK = (1 << FIELD_BITS) - 1
+_GUARD = _MASK ^ MAX_EXPONENT   # the bits of a field above MAX_EXPONENT
+_TOP = 1 << (FIELD_BITS - 1)    # the top bit of a field
+# Field sums modulo 2^FIELD_BITS - 1 are exact up to this many fields.
+_SUM_FIELDS = _MASK // MAX_EXPONENT
+
+
+@cache
+def _every_field(bits: int, nvars: int) -> int:
+    """``bits`` in each of the first ``nvars`` fields."""
+    return sum(bits << (FIELD_BITS * v) for v in range(nvars))
+
+
+def _pack(exps: Sequence[int]) -> int:
+    """The monomial key of an exponent vector; numpy integers are accepted."""
+    key = 0
+    for v, p in enumerate(exps):
+        p = index(p)
+        if not 0 <= p <= MAX_EXPONENT:
+            raise ValueError(f"exponent {p} of variable {v} is outside 0..{MAX_EXPONENT}")
+        key |= p << (FIELD_BITS * v)
+    return key
+
+
+def _unpack(key: int, nvars: int) -> Exponents:
+    """The exponent vector of length ``nvars`` of a monomial key."""
+    return tuple((key >> (FIELD_BITS * v)) & _MASK for v in range(nvars))
+
+
+def field_sum(key: int, count: int) -> int:
+    """Total degree of the monomial ``key`` in its first ``count`` variables."""
+    key &= (1 << (FIELD_BITS * count)) - 1
+    if count <= _SUM_FIELDS:
+        # 2^FIELD_BITS = 1 modulo _MASK, and the sum is below _MASK
+        return key % _MASK
+    return sum(_unpack(key, count))
 
 
 def _as_fraction(c) -> Fraction:
@@ -35,74 +94,103 @@ def _as_fraction(c) -> Fraction:
     raise TypeError(f"cannot coerce {type(c).__name__} to Fraction")
 
 
-class Poly:
-    """Immutable sparse polynomial ``sum_e terms[e] * prod_v z_v**e[v]``."""
+def _new(nvars: int, num: dict, den: int) -> "Poly":
+    """Wrap ``num`` / ``den`` without checks: nonzero int values, keys with
+    in-range fields below ``nvars``, ``den > 0`` and no common factor."""
+    p = object.__new__(Poly)
+    p.nvars = nvars
+    p.num = num
+    p.den = den
+    p._terms = None
+    p._eval_cache = None
+    return p
 
-    __slots__ = ("nvars", "terms", "_eval_cache")
+
+def _reduced(nvars: int, num: dict, den: int) -> "Poly":
+    """``_new`` after dividing out the common factor of ``den`` and ``num``."""
+    if den != 1:
+        g = math.gcd(den, *num.values())
+        if g != 1:
+            num = {k: c // g for k, c in num.items()}
+            den //= g
+    return _new(nvars, num, den)
+
+
+class Poly:
+    """Immutable sparse polynomial ``sum_k num[k] / den * z^k``."""
+
+    __slots__ = ("nvars", "num", "den", "_terms", "_eval_cache")
 
     def __init__(self, nvars: int, terms: Mapping[Exponents, Fraction] | None = None):
-        self._eval_cache = None
-        self.nvars = nvars
-        clean: dict[Exponents, Fraction] = {}
+        coeffs: dict[int, Fraction] = {}
         if terms:
             for e, c in terms.items():
                 if len(e) != nvars:
                     raise ValueError("exponent tuple length mismatch")
                 c = _as_fraction(c)
                 if c != 0:
-                    clean[tuple(e)] = c
-        self.terms = clean
-
-    @classmethod
-    def _trusted(cls, nvars: int, terms: dict) -> "Poly":
-        """Wrap ``terms`` without checks: the caller guarantees exponent
-        tuples of length ``nvars`` and nonzero :class:`Fraction` values."""
-        p = object.__new__(cls)
-        p._eval_cache = None
-        p.nvars = nvars
-        p.terms = terms
-        return p
+                    coeffs[_pack(e)] = c
+        # the least common denominator leaves no common factor
+        den = math.lcm(*(c.denominator for c in coeffs.values()))
+        self.nvars = nvars
+        self.num = {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}
+        self.den = den
+        self._terms = None
+        self._eval_cache = None
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, nvars: int) -> "Poly":
-        return cls(nvars)
+        return _new(nvars, {}, 1)
 
     @classmethod
     def const(cls, nvars: int, c) -> "Poly":
-        return cls(nvars, {(0,) * nvars: _as_fraction(c)})
+        if type(c) is not int:
+            c = _as_fraction(c)
+            if c.denominator != 1:
+                return _new(nvars, {0: c.numerator}, c.denominator)
+            c = c.numerator
+        return _new(nvars, {0: c} if c else {}, 1)
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "Poly":
-        e = [0] * nvars
-        e[i] = 1
-        return cls(nvars, {tuple(e): Q(1)})
+        if not 0 <= i < nvars:
+            raise IndexError(f"variable {i} outside 0..{nvars - 1}")
+        return _new(nvars, {1 << (FIELD_BITS * i): 1}, 1)
 
     @classmethod
     def monomial(cls, nvars: int, exps: Sequence[int], c=1) -> "Poly":
-        return cls(nvars, {tuple(exps): _as_fraction(c)})
+        return cls(nvars, {tuple(exps): c})
 
     # -- structure ---------------------------------------------------------
 
+    @property
+    def terms(self) -> Mapping[Exponents, Fraction]:
+        """Read-only ``{exponent tuple: Fraction}`` view, cached."""
+        t = self._terms
+        if t is None:
+            nv, den = self.nvars, self.den
+            t = self._terms = MappingProxyType(
+                {_unpack(k, nv): Fraction(c, den) for k, c in self.num.items()})
+        return t
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.num)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        if self.nvars == other.nvars:
-            return self.terms == other.terms
-        m = max(self.nvars, other.nvars)
-        return self.extend(m).terms == other.extend(m).terms
+        # keys do not depend on the number of variables
+        return self.den == other.den and self.num == other.num
 
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.num:
             return "0"
         bits = []
         for e, c in sorted(self.terms.items()):
@@ -111,43 +199,43 @@ class Poly:
         return " + ".join(bits)
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        return max((field_sum(k, self.nvars) for k in self.num), default=0)
 
     def extend(self, nvars: int) -> "Poly":
         """Embed into a ring with more trailing variables."""
         if nvars == self.nvars:
             return self
-        if nvars < self.nvars:
-            for e in self.terms:
-                if any(e[nvars:]):
-                    raise ValueError("cannot shrink ring: trailing variable in use")
-            return Poly._trusted(nvars, {e[:nvars]: c for e, c in self.terms.items()})
-        pad = (0,) * (nvars - self.nvars)
-        return Poly._trusted(nvars, {e + pad: c for e, c in self.terms.items()})
+        if nvars < self.nvars and any(k >> (FIELD_BITS * nvars) for k in self.num):
+            raise ValueError("cannot shrink ring: trailing variable in use")
+        return _new(nvars, self.num, self.den)
 
     # -- arithmetic --------------------------------------------------------
 
-    def _align(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        m = max(self.nvars, other.nvars)
-        return self.extend(m), other.extend(m)
-
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self._align(other)
-        out = dict(a.terms)
-        for e, c in b.terms.items():
-            old = out.get(e)
+        nv = max(self.nvars, other.nvars)
+        da, db = self.den, other.den
+        if da == db:
+            out = dict(self.num)
+            mb = 1
+        else:
+            g = math.gcd(da, db)
+            ma, mb = db // g, da // g
+            out = {k: c * ma for k, c in self.num.items()}
+            da *= ma
+        for k, c in other.num.items():
+            old = out.get(k)
             if old is None:
-                out[e] = c
+                out[k] = c * mb
             else:
-                s = old + c
+                s = old + c * mb
                 if s:
-                    out[e] = s
+                    out[k] = s
                 else:
-                    del out[e]
-        return Poly._trusted(a.nvars, out)
+                    del out[k]
+        return _reduced(nv, out, da)
 
     def __neg__(self) -> "Poly":
-        return Poly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
+        return _new(self.nvars, {k: -c for k, c in self.num.items()}, self.den)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -155,33 +243,52 @@ class Poly:
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        a, b = self._align(other)
-        out: dict[Exponents, Fraction] = {}
-        for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
-                e = tuple(i + j for i, j in zip(e1, e2))
-                old = out.get(e)
-                if old is None:
-                    out[e] = c1 * c2
-                else:
-                    s = old + c1 * c2
-                    if s:
-                        out[e] = s
+        nv = max(self.nvars, other.nvars)
+        a, b = self.num, other.num
+        # times one term, no two products share a key
+        if len(b) == 1:
+            (k2, c2), = b.items()
+            out = {k1 + k2: c1 * c2 for k1, c1 in a.items()}
+        elif len(a) == 1:
+            (k1, c1), = a.items()
+            out = {k1 + k2: c1 * c2 for k2, c2 in b.items()}
+        else:
+            out = {}
+            get = out.get
+            for k1, c1 in a.items():
+                for k2, c2 in b.items():
+                    k = k1 + k2
+                    old = get(k)
+                    if old is None:
+                        out[k] = c1 * c2
                     else:
-                        del out[e]
-        return Poly._trusted(a.nvars, out)
+                        s = old + c1 * c2
+                        if s:
+                            out[k] = s
+                        else:
+                            del out[k]
+        if reduce(or_, out, 0) & _every_field(_GUARD, nv):
+            raise ValueError(f"a product has an exponent above {MAX_EXPONENT}")
+        return _reduced(nv, out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "Poly":
-        c = _as_fraction(c)
+        if type(c) is not int:
+            c = _as_fraction(c)
+            if c.denominator != 1:
+                return _reduced(self.nvars, {k: v * c.numerator for k, v in self.num.items()},
+                                self.den * c.denominator)
+            c = c.numerator
         if c == 1:
             return self
         if c == 0:
             return Poly.zero(self.nvars)
         if c == -1:
             return -self
-        return Poly._trusted(self.nvars, {e: c * v for e, v in self.terms.items()})
+        g = math.gcd(self.den, c)
+        c //= g
+        return _new(self.nvars, {k: v * c for k, v in self.num.items()}, self.den // g)
 
     def __truediv__(self, c) -> "Poly":
         return self.scale(1 / _as_fraction(c))
@@ -201,39 +308,40 @@ class Poly:
     # -- calculus ----------------------------------------------------------
 
     def diff(self, var: int) -> "Poly":
-        out: dict[Exponents, Fraction] = {}
-        for e, c in self.terms.items():
-            p = e[var]
+        shift = FIELD_BITS * var
+        unit = 1 << shift
+        out = {}
+        for k, c in self.num.items():
+            p = (k >> shift) & _MASK
             if p:
-                e2 = list(e)
-                e2[var] = p - 1
-                out[tuple(e2)] = c * p  # distinct e give distinct e2
-        return Poly._trusted(self.nvars, out)
+                out[k - unit] = c * p  # distinct keys give distinct keys
+        return _reduced(self.nvars, out, self.den)
 
     def subs(self, repl: Sequence["Poly"]) -> "Poly":
         """Substitute ``z_v -> repl[v]``; all replacements share one ring."""
         if len(repl) != self.nvars:
             raise ValueError("need one replacement per variable")
-        if not self.terms:
+        if not self.num:
             nv = repl[0].nvars if repl else self.nvars
             return Poly.zero(nv)
         nv = max(p.nvars for p in repl)
-        repl = [p.extend(nv) for p in repl]
         # cache powers of each replacement
         powers: list[list[Poly]] = [[Poly.const(nv, 1)] for _ in range(self.nvars)]
         out = Poly.zero(nv)
-        origin = (0,) * nv
-        for e, c in self.terms.items():
-            term = Poly._trusted(nv, {origin: c})
-            for v, p in enumerate(e):
-                if p == 0:
-                    continue
-                cache = powers[v]
-                while len(cache) <= p:
-                    cache.append(cache[-1] * repl[v])
-                term = term * cache[p]
+        for key, c in self.num.items():
+            term = _new(nv, {0: c}, 1)
+            v = 0
+            while key:
+                p = key & _MASK
+                if p:
+                    cache = powers[v]
+                    while len(cache) <= p:
+                        cache.append(cache[-1] * repl[v])
+                    term = term * cache[p]
+                key >>= FIELD_BITS
+                v += 1
             out = out + term
-        return out
+        return _reduced(nv, out.num, out.den * self.den)
 
     # -- numeric evaluation --------------------------------------------------
 
@@ -285,29 +393,51 @@ class Poly:
     # -- exact division ------------------------------------------------------
 
     def divide_exact(self, q: "Poly") -> "Poly | None":
-        """Return p/q if q divides self exactly, else None (lex division)."""
-        a, q = self._align(q)
-        if q.is_zero():
+        """Return p/q if q divides self exactly, else None.
+
+        Division on the integer numerators, leading monomial first in the
+        order of the keys; the remainder is scaled only when a quotient
+        coefficient would not be an integer.
+        """
+        if not q.num:
             raise ZeroDivisionError
-        qlead = max(q.terms)  # lex-largest exponent
-        qc = q.terms[qlead]
-        rem = dict(a.terms)
-        quo: dict[Exponents, Fraction] = {}
+        nv = max(self.nvars, q.nvars)
+        top, guard = _every_field(_TOP, nv), _every_field(_GUARD, nv)
+        qitems = list(q.num.items())
+        qlead = max(q.num)
+        qc = q.num[qlead]
+        rem = dict(self.num)
+        quo: dict[int, int] = {}
+        scale = 1  # rem and quo are ``scale`` times their true values
         while rem:
             lead = max(rem)
-            diff = tuple(i - j for i, j in zip(lead, qlead))
-            if any(d < 0 for d in diff):
+            # lead - qlead field by field: with each field's top bit set,
+            # a field of qlead above lead's only clears that bit, and the
+            # xor leaves it set exactly there.  A quotient has no exponent
+            # above self's, so a field above MAX_EXPONENT also means that q
+            # does not divide self; this keeps the remainder's fields below
+            # the top bit.
+            shift = ((lead | top) - qlead) ^ top
+            if shift & guard:
                 return None
-            c = rem[lead] / qc
-            quo[diff] = quo.get(diff, Q(0)) + c
-            for e2, c2 in q.terms.items():
-                e = tuple(i + j for i, j in zip(diff, e2))
-                s = rem.get(e, Q(0)) - c * c2
-                if s:
-                    rem[e] = s
+            c = rem[lead]
+            if c % qc:
+                s = abs(qc) // math.gcd(c, qc)
+                rem = {k: v * s for k, v in rem.items()}
+                quo = {k: v * s for k, v in quo.items()}
+                scale *= s
+                c *= s
+            c //= qc
+            quo[shift] = c
+            for k2, c2 in qitems:
+                k = shift + k2
+                v = rem.get(k, 0) - c * c2
+                if v:
+                    rem[k] = v
                 else:
-                    rem.pop(e, None)
-        return Poly._trusted(a.nvars, quo)
+                    del rem[k]
+        # self = q * quo / scale * self.den / q.den
+        return _reduced(nv, {k: v * q.den for k, v in quo.items()}, scale * self.den)
 
     # -- integration ---------------------------------------------------------
 
@@ -323,16 +453,9 @@ class Poly:
             acc: dict[Exponents, Fraction] = {}
             for e, c in out.terms.items():
                 p = e[v]
-                e2 = list(e)
-                e2[v] = 0
-                key = tuple(e2)
-                val = c * (hi ** (p + 1) - lo ** (p + 1)) / (p + 1)
-                s = acc.get(key, Q(0)) + val
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
-            out = Poly._trusted(out.nvars, acc)
+                key = e[:v] + (0,) + e[v + 1:]
+                acc[key] = acc.get(key, 0) + c * (hi ** (p + 1) - lo ** (p + 1)) / (p + 1)
+            out = Poly(out.nvars, acc)
         return out
 
 

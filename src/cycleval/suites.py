@@ -143,8 +143,16 @@ class ExperimentConfig:
     sizes: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not 1 <= self.n <= 4:
-            raise ValueError("dimension must be in 1..4")
+        if not _is_int(self.n) or not 1 <= self.n <= MAX_DIMENSION:
+            raise ValueError(f"n must be an integer in 1..{MAX_DIMENSION}, got {self.n!r}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        for field_name, kind in (("suites", list), ("forms", list), ("functions", list),
+                                 ("bodies", list), ("tolerances", dict), ("sizes", dict)):
+            value = getattr(self, field_name)
+            if not isinstance(value, kind):
+                want = "a list" if kind is list else "an object"
+                raise ValueError(f"{field_name} must be {want}, got {value!r}")
         unknown = [s for s in self.suites if s not in SUITES]
         if unknown:
             raise ValueError(f"unknown suites: {unknown}")
@@ -160,11 +168,11 @@ class ExperimentConfig:
             unknown = sorted(set(getattr(self, field_name)) - set(known))
             if unknown:
                 raise ValueError(f"unknown {field_name} keys: {unknown}")
-        if not _is_int(self.seed):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         for key, value in self.tolerances.items():
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"tolerance {key} must be a number, got {value!r}")
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value) or value < 0):
+                raise ValueError(f"tolerance {key} must be a finite number >= 0, "
+                                 f"got {value!r}")
         for key, value in self.sizes.items():
             if isinstance(DEFAULT_SIZES[key], list):
                 # the kernel battery's polyhedral cycles and the mass

@@ -110,12 +110,34 @@ def test_exit_code_unknown_tolerance_or_size(tmp_path, capsys):
     {"tolerances": {"bridge": "abc"}},
     {"sizes": {"mass_dims": 1}},
     {"sizes": {"kernel_dims": [7]}},
+    {"n": 1.5},
+    {"n": 2.0},
+    {"n": True},
+    {"n": 0},
+    {"seed": -100},
+    {"seed": True},
+    {"tolerances": {"bridge": float("inf")}},
+    {"tolerances": {"bridge": float("nan")}},
+    {"tolerances": {"bridge": -1}},
+    {"tolerances": []},
+    {"sizes": "kernel_dims"},
+    {"suites": "kernel"},
+    {"forms": "bump(R=2) * dy1"},
+    {"functions": "quadratic A=[[1]] b=[0] c=0"},
+    {"bodies": "ellipsoid M=[[1,0],[0,1]]"},
 ])
 def test_exit_code_wrongly_typed_config_value(tmp_path, capsys, override):
+    # json writes the non-finite tolerances as Infinity and NaN, which
+    # json.loads accepts
     cfg = _write_config(tmp_path / "cfg.json", **override)
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == 2
-    assert "config error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error:" in err
+    # the message names the field, or the key within it, and what it must be
+    (key, value), = override.items()
+    assert (next(iter(value)) if isinstance(value, dict) else key) in err
+    assert "must be" in err
     assert not out.exists()
 
 

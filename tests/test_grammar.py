@@ -97,6 +97,9 @@ def test_parse_errors():
         parse_form("wibble * dx1", 1)
     with pytest.raises(ParseError):
         parse_form("bump() * dx1", 1)
+    # beyond the exponent field of a packed monomial
+    with pytest.raises(ValueError, match="exponent 5000"):
+        parse_form("x1^5000 * dx1", 1)
 
 
 def test_parse_functions():
