@@ -26,20 +26,15 @@ from .convex import (
     SmoothedBoxBody,
     SmoothField,
     body_restriction,
-    legendre,
-    lipschitz_bound,
-    smooth_approximation,
 )
 from .forms import (
     Form,
     PolynomialMap,
-    SymplecticData,
     exterior_derivative,
     integrate_zero_section,
     interior_product,
     lefschetz_L,
     lefschetz_L_inverse,
-    primitive_check,
     pullback,
     wedge,
 )

@@ -29,7 +29,6 @@ from .convex import ConvexBody, body_restriction
 from .cycles import eval_smooth
 from .exactla import det
 from .forms import Form
-from .lab import Valuation, evaluate
 from .quadrature import EvalResult, integrate
 
 
@@ -60,11 +59,6 @@ class SphereChart:
             - np.einsum("ni,nj->nij", Z, Z) / (w ** 3)[:, None, None]
         J[:, n, :] = Z / (w ** 3)[:, None]
         return J
-
-    def volume_factor(self, Z: np.ndarray) -> np.ndarray:
-        """sqrt(det(J^T J)): the spherical area element in the chart."""
-        w2 = 1.0 + (Z * Z).sum(axis=1)
-        return w2 ** (-(self.n + 1) / 2.0)
 
 
 @dataclass
@@ -151,8 +145,3 @@ def bridge_check(K: ConvexBody, tau: Form) -> BridgeReport:
     scale = max(1.0, abs(float(lhs.value)), abs(float(rhs.value)))
     return BridgeReport(float(lhs.value), float(rhs.value),
                         abs(float(lhs.value) - float(rhs.value)), scale)
-
-
-def t_map(tau: Form, K: ConvexBody) -> EvalResult:
-    """The valuation transferred to bodies: mu(h_K(., -1))."""
-    return evaluate([Valuation(tau)], body_restriction(K))[0]

@@ -9,17 +9,16 @@
 bytes) and ``summary.txt`` next to it, and exits 0 only if every suite
 passed: 1 on suite failures, 2 on config/parse errors, 3 on runtime errors.
 A declared form, function or body that no requested suite evaluates is a
-config error.  The suites run one after another on the calling thread.  A
-job count (``--jobs``, default from CYCLEVAL_JOBS) is accepted for process
-jobs to come; a job count below 1 or a CYCLEVAL_JOBS that is not an integer
-is a config error.
+config error, and so is an output directory that cannot be created; both
+are found before the first suite runs.  The suites run one after another on
+the calling thread.  A job count (``--jobs``, default 1) is accepted for
+process jobs to come; a job count below 1 is a config error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -45,10 +44,10 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("config", help="path to a JSON experiment config, "
                       "or 'default' for the bundled n=1 configuration")
     runp.add_argument("--out", default=".", help="output directory")
-    runp.add_argument("--jobs", type=int, default=None,
-                      help="job count, at least 1 (default: CYCLEVAL_JOBS, "
-                      "else 1); accepted and checked, but the suites run one "
-                      "at a time on the calling thread")
+    runp.add_argument("--jobs", type=int, default=1,
+                      help="job count, at least 1 (default 1); accepted and "
+                      "checked, but the suites run one at a time on the "
+                      "calling thread")
 
     sub.add_parser("list-catalog", help="print constructors and the grammar")
 
@@ -67,27 +66,19 @@ def _resolve_config_path(arg: str) -> Path:
     return Path(arg)
 
 
-def _job_count(jobs) -> int:
-    """``--jobs``, else CYCLEVAL_JOBS, else 1; raises ValueError below 1."""
-    if jobs is None:
-        env = os.environ.get("CYCLEVAL_JOBS", "1")
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise ValueError(f"CYCLEVAL_JOBS must be an integer, got {env!r}") from None
-    if jobs < 1:
-        raise ValueError(f"the job count must be at least 1, got {jobs}")
-    return jobs
-
-
 def cmd_run(args) -> int:
     try:
-        _job_count(args.jobs)
+        if args.jobs < 1:
+            raise ValueError(f"the job count must be at least 1, got {args.jobs}")
         raw = json.loads(_resolve_config_path(args.config).read_text())
         config = ExperimentConfig.from_dict(raw)
         # malformed declared objects, and ones no requested suite
         # evaluates, exit with code 2
         config.check_declared()
+        # after validation, so that a rejected config leaves no directory,
+        # and before the first suite, so that a bad --out costs no run
+        outdir = Path(args.out)
+        outdir.mkdir(parents=True, exist_ok=True)
     except (OSError, json.JSONDecodeError, ParseError, ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
@@ -111,8 +102,6 @@ def cmd_run(args) -> int:
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME_ERROR
 
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "report.json").write_text(report_json)
     (outdir / "summary.txt").write_text(
         f"started: {started}\n" + report.summary_text())
@@ -166,8 +155,12 @@ def cmd_dump_cycle(args) -> int:
         return EXIT_RUNTIME_ERROR
     if args.out == "-":
         print(payload)
-    else:
+        return EXIT_OK
+    try:
         Path(args.out).write_text(payload + "\n")
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_PARSE_ERROR
     return EXIT_OK
 
 

@@ -5,7 +5,7 @@ functions, their log-sum-exp smoothings, a couple of closed-form smooth
 functions, restrictions of support functions of smooth convex bodies, and
 affine shifts / nonnegative scalings / small smooth perturbations of these.
 Each variant also supplies a certified over-estimate of sup |f| on a ball,
-which feeds the Lipschitz and mass bounds.
+which feeds the mass bound.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .coefficients import CoefficientFn
-from .exactla import inverse
 from .polynomials import Q, _as_fraction
 
 
@@ -81,8 +80,8 @@ class ConvexFunction:
 class Quadratic(ConvexFunction):
     """f(x) = x^T A x / 2 + b.x + c with A symmetric positive semidefinite.
 
-    A, b, c are kept as exact rationals so the Legendre transform is an
-    exact involution; numeric work uses float caches.
+    A, b, c are kept as the exact rationals they were given; numeric work
+    uses float caches.
     """
 
     def __init__(self, A, b=None, c=0):
@@ -453,36 +452,6 @@ class Perturbed(ConvexFunction):
 
     def describe(self):
         return f"perturbed({self.inner.describe()}, t={self.t})"
-
-
-# -- Legendre transform -------------------------------------------------------
-
-
-def legendre(f: Quadratic) -> Quadratic:
-    """Exact conjugate of a positive definite quadratic; an involution."""
-    if not isinstance(f, Quadratic):
-        raise CatalogError("closed-form Legendre transform only for quadratics")
-    eig = np.linalg.eigvalsh(f._Af)
-    if eig.min() <= 1e-12:
-        raise CatalogError("Legendre transform needs a positive definite matrix")
-    Ainv = inverse(f.A)
-    n = f.n
-    binv = tuple(-sum(Ainv[i][j] * f.b[j] for j in range(n)) for i in range(n))
-    chalf = sum(f.b[i] * Ainv[i][j] * f.b[j] for i in range(n) for j in range(n))
-    return Quadratic([list(r) for r in Ainv], list(binv), Q(1, 2) * chalf - f.c)
-
-
-# -- Lipschitz bounds -----------------------------------------------------------
-
-
-def lipschitz_bound(f: ConvexFunction, R: float) -> float:
-    """Upper bound 2 sup_{|x| <= R+1} |f| for the Lipschitz constant on B_R."""
-    return 2.0 * f.sup_abs_bound(float(R) + 1.0)
-
-
-def smooth_approximation(f: MaxAffine, beta: float) -> LogSumExp:
-    """Uniform smoothing with gap at most log(m)/beta."""
-    return LogSumExp(f, beta)
 
 
 # -- piecewise-linear functions on R (possibly non-convex) -----------------------

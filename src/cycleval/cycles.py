@@ -3,10 +3,9 @@
 * smooth gradient graphs (quadrature of the graph pullback, C^2 catalog,
   on the forms' support ellipse or box), plain or ridge-aligned for
   log-sum-exp smoothings, and their mass,
-* 1D polylines for piecewise-linear f on R, convex or not, and their mass:
-  exact for windowed polynomial atoms, integrated along each segment in
-  closed form term by term, and by quadrature for bump atoms,
-* the pushforward identities under linear maps, quadratics and scalings.
+* 1D polylines for piecewise-linear f on R, convex or not: exact for
+  windowed polynomial atoms, integrated along each segment in closed form
+  term by term, and by quadrature for bump atoms.
 
 The graph evaluators take a list of forms and return one result per form.
 Forms that share a support domain are evaluated on one node stream.  Their
@@ -30,23 +29,10 @@ from typing import Sequence
 import numpy as np
 
 from .coefficients import CoefficientFn, CompiledBatch, SupportError
-from .convex import (
-    ConvexFunction,
-    MaxAffine,
-    NonsmoothPointError,
-    PiecewiseLinear1D,
-    Quadratic,
-)
-from .exactla import det, inverse
-from .forms import (
-    Form,
-    fiber_scaling,
-    gradient_shear,
-    linear_lift,
-    merge_sign,
-    pullback,
-)
-from .polynomials import Q, _as_fraction
+from .convex import ConvexFunction, MaxAffine, NonsmoothPointError, PiecewiseLinear1D
+from .exactla import det
+from .forms import Form, merge_sign
+from .polynomials import Q
 from .quadrature import (
     ELLIPSE_ORDERS,
     EvalResult,
@@ -351,104 +337,3 @@ def _polyline_parts(cycle: Polyline1DCycle, coeffs):
                 a, b = float(start), float(end)
                 res = integrate_box(fn, [(min(a, b), max(a, b))])
                 yield EvalResult((-1.0 if b < a else 1.0) * res.value, res.error)
-
-
-def mass_polyline(cycle: Polyline1DCycle, R: float) -> float:
-    horiz, vert = cycle.segments(Q(-_as_fraction(R)), _as_fraction(R))
-    total = sum(float(b - a) for (a, b), _ in horiz if b > a)
-    total += sum(abs(float(sr - sl)) for x0, sl, sr in vert if abs(float(x0)) <= float(R))
-    return total
-
-
-# -- transform identities -----------------------------------------------------------
-
-
-class LinearPrecompose(ConvexFunction):
-    """x -> f(g x) for an invertible linear map g."""
-
-    def __init__(self, inner: ConvexFunction, g):
-        self.inner = inner
-        self.n = inner.n
-        self.g = np.asarray(g, dtype=float)
-        self.smooth = inner.smooth
-
-    def eval_array(self, X):
-        return self.inner.eval_array(X @ self.g.T)
-
-    def gradient_array(self, X):
-        return self.inner.gradient_array(X @ self.g.T) @ self.g
-
-    def hessian_array(self, X):
-        H = self.inner.hessian_array(X @ self.g.T)
-        return np.einsum("ij,njk,kl->nil", self.g.T, H, self.g)
-
-    def sup_abs_bound(self, rho):
-        gain = float(np.linalg.norm(self.g, 2))
-        return self.inner.sup_abs_bound(gain * rho)
-
-    def describe(self):
-        return f"precompose({self.inner.describe()})"
-
-
-class PlusQuadratic(ConvexFunction):
-    """f + (x^T A x / 2 + b.x), A positive semidefinite."""
-
-    def __init__(self, inner: ConvexFunction, A, b):
-        self.inner = inner
-        self.n = inner.n
-        self.quad = Quadratic(A, b, 0)
-        self.smooth = inner.smooth
-
-    def eval_array(self, X):
-        return self.inner.eval_array(X) + self.quad.eval_array(X)
-
-    def gradient_array(self, X):
-        return self.inner.gradient_array(X) + self.quad.gradient_array(X)
-
-    def hessian_array(self, X):
-        return self.inner.hessian_array(X) + self.quad.hessian_array(X)
-
-    def sup_abs_bound(self, rho):
-        return self.inner.sup_abs_bound(rho) + self.quad.sup_abs_bound(rho)
-
-    def describe(self):
-        return f"plusquad({self.inner.describe()})"
-
-
-def transform_identity_residual(f: ConvexFunction, form: Form,
-                                transform: tuple) -> float:
-    """Residual of a pushforward identity, both sides computed independently.
-
-    transform is one of
-      ("add_quadratic", A, b)   -- D(f + phi) = (G_phi)_* D(f)
-      ("linear", g)             -- D(f o g) = sign(det g) (g#)_* D(f)
-      ("scale", c), c > 0       -- D(c f) = C_* D(f), C(x, y) = (x, c y)
-    """
-    n = form.n
-    kind = transform[0]
-    if kind == "add_quadratic":
-        _, A, b = transform
-        lhs = eval_smooth(PlusQuadratic(f, A, b), [form])[0].value
-        rhs = eval_smooth(f, [pullback(gradient_shear(n, A, b), form)])[0].value
-        return abs(float(lhs) - float(rhs))
-    if kind == "linear":
-        _, g = transform
-        from .rumin import _det_sign
-
-        sgn = _det_sign(g, n)
-        lhs = eval_smooth(LinearPrecompose(f, [[float(v) for v in row] for row in g]),
-                          [form])[0].value
-        pulled = pullback(linear_lift(n, inverse(g)), form)
-        rhs = sgn * float(eval_smooth(f, [pulled])[0].value)
-        return abs(float(lhs) - rhs)
-    if kind == "scale":
-        _, c = transform
-        c = _as_fraction(c)
-        if c <= 0:
-            raise ValueError("scaling tests keep c > 0 so that c f stays convex")
-        from .convex import Scaled
-
-        lhs = eval_smooth(Scaled(f, c), [form])[0].value
-        rhs = eval_smooth(f, [pullback(fiber_scaling(n, c), form)])[0].value
-        return abs(float(lhs) - float(rhs))
-    raise ValueError(f"unknown transform {kind!r}")

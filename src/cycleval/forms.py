@@ -132,11 +132,6 @@ class Form:
         key = key_from_ij(self.n, I, J)
         return self.terms.get(key, CoefficientFn.zero(self.n))
 
-    def bidegrees(self) -> set[tuple[int, int]]:
-        """Set of (|I|, |J|) pairs present."""
-        n = self.n
-        return {(sum(1 for v in k if v < n), sum(1 for v in k if v >= n)) for k in self.terms}
-
     def depends_on_y(self) -> bool:
         return any(c.depends_on_y() for c in self.terms.values())
 
@@ -368,53 +363,12 @@ def pullback(F: PolynomialMap, a: Form) -> Form:
 # -- canonical symplectic objects ----------------------------------------------
 
 
-def tautological_one_form(n: int) -> Form:
-    """alpha = sum_i y_i dx_i."""
-    terms = {}
-    for i in range(n):
-        terms[(i,)] = CoefficientFn.from_poly(n, Poly.variable(2 * n, n + i))
-    return Form(n, 1, terms)
-
-
 def standard_symplectic_form(n: int) -> Form:
     """omega_s = sum_i dx_i ^ dy_i."""
     terms = {}
     for i in range(n):
         terms[(i, n + i)] = CoefficientFn.constant(n, 1)
     return Form(n, 2, terms)
-
-
-class SymplecticData:
-    """alpha and omega_s with their defining identities checked exactly."""
-
-    __slots__ = ("n", "alpha", "omega_s")
-
-    def __init__(self, n: int):
-        self.n = n
-        self.alpha = tautological_one_form(n)
-        self.omega_s = standard_symplectic_form(n)
-        if exterior_derivative(self.alpha) != -self.omega_s:
-            raise AssertionError("omega_s != -d(alpha)")
-        top = self.omega_s
-        for _ in range(n - 1):
-            top = wedge(top, self.omega_s)
-        expect = _top_volume(n)
-        if top != expect:
-            raise AssertionError("omega_s^n != n! dx_1^dy_1^...^dx_n^dy_n")
-
-
-def _top_volume(n: int) -> Form:
-    # n! * dx_1^dy_1^...^dx_n^dy_n reordered into the canonical key
-    sign = 1
-    key: Key = ()
-    for i in range(n):
-        s1, key = merge_sign(key, (i,))
-        s2, key = merge_sign(key, (n + i,))
-        sign *= s1 * s2
-    fact = 1
-    for i in range(2, n + 1):
-        fact *= i
-    return Form(n, 2 * n, {key: CoefficientFn.constant(n, sign * fact)})
 
 
 # -- standard maps ----------------------------------------------------------------
@@ -454,20 +408,6 @@ def linear_lift(n: int, g: Sequence[Sequence]) -> PolynomialMap:
         # (g^{-T} y)_i = sum_j Ginv[j][i] y_j
         comps.append(Poly(nv, {tuple(1 if v == n + j else 0 for v in range(nv)): Ginv[j][i]
                                for j in range(n) if Ginv[j][i]}))
-    return PolynomialMap(n, comps)
-
-
-def gradient_shear(n: int, A: Sequence[Sequence], b: Sequence) -> PolynomialMap:
-    """(x, y) -> (x, y + A x + b): adds the differential of a quadratic."""
-    nv = 2 * n
-    comps = [Poly.variable(nv, v) for v in range(2 * n)]
-    for i in range(n):
-        extra = Poly.const(nv, _as_fraction(b[i]))
-        for j in range(n):
-            aij = _as_fraction(A[i][j])
-            if aij:
-                extra = extra + Poly.variable(nv, j).scale(aij)
-        comps[n + i] = comps[n + i] + extra
     return PolynomialMap(n, comps)
 
 
@@ -533,17 +473,6 @@ def lefschetz_L_inverse(a: Form) -> Form:
         if acc is not None and not acc.is_zero():
             out[key] = acc
     return Form(n, n - 1, out)
-
-
-def primitive_check(a: Form) -> bool:
-    """True iff L^{n-k+1}(a) = 0 exactly (k = deg a <= n)."""
-    n, k = a.n, a.degree
-    if k > n:
-        raise DegreeError("primitivity is defined for degree <= n")
-    out = a
-    for _ in range(n - k + 1):
-        out = lefschetz_L(out)
-    return out.is_zero()
 
 
 # -- zero-section integration --------------------------------------------------------

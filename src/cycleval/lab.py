@@ -60,7 +60,7 @@ from .forms import (
 )
 from .polyhedral import build_polyhedral, eval_polyhedral, window_for
 from .polynomials import Poly, Q, _as_fraction
-from .quadrature import EvalResult, integrate, integrate_box
+from .quadrature import EvalResult, integrate
 from .rumin import RuminResult, rumin_d
 
 
@@ -475,17 +475,6 @@ def k1_representation(val: Valuation) -> CoefficientFn:
         if c.depends_on_y():
             raise ValueError("density depends on the fiber; not 1-homogeneous")
     return D.terms.get(vol_key, CoefficientFn.zero(n))
-
-
-def integral_against_density(f: ConvexFunction, phi: CoefficientFn) -> float:
-    box = phi.support_box()
-    if box is None:
-        raise ValueError("density needs a support box")
-
-    def fn(pts):
-        return f.eval_array(pts) * phi.eval_x_array(pts)
-
-    return integrate_box(fn, box).value
 
 
 # -- mixed discriminants and Hessian valuations -------------------------------------------

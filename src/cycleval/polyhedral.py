@@ -207,9 +207,6 @@ class PolyhedralLagrangianCycle:
     cells: list = field(default_factory=list)
     perturbed: bool = False
 
-    def vertical_radius(self) -> float:
-        return max(math.sqrt(float(sum(v * v for v in a))) for a, _ in self.f.pieces)
-
     def dump(self) -> dict:
         return {
             "n": self.n,

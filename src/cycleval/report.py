@@ -59,9 +59,6 @@ class SuiteResult:
     def passed(self) -> bool:
         return all(e.passed for e in self.entries)
 
-    def witnesses(self) -> list:
-        return [e.to_dict() for e in self.entries if not e.passed]
-
     def to_dict(self) -> dict:
         # timing lives in the summary text: report.json stays byte-identical
         # across runs of one configuration

@@ -103,9 +103,6 @@ DEFAULT_TOLERANCES = {
     "mixed_discriminant": 1e-10,
     "bridge": 1e-4,
     "consistency": 1e-3,
-    # read by no check since the rotation probes became exact; kept so that
-    # configs naming it still load (an unknown tolerance key is a config error)
-    "invariance_k1": 1e-4,
 }
 
 # sizes of the full acceptance runs; the bundled config scales these down
@@ -195,6 +192,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
         known = {"n", "seed", "suites", "forms", "functions", "bodies",
                  "tolerances", "sizes"}
         unknown = set(data) - known

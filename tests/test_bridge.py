@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
-from cycleval.bridge import QMapData, SphereChart, bridge_check, t_map
+from cycleval.bridge import QMapData, SphereChart, bridge_check
 from cycleval.coefficients import CoefficientFn, ball_bump
 from cycleval.convex import EllipsoidBody, PointBody, Shifted, body_restriction
 from cycleval.forms import Form, integrate_zero_section
@@ -37,10 +37,16 @@ def test_chart_jacobian_matches_finite_differences():
 
 
 def test_sphere_area_via_chart():
-    # integrate the area element over the chart in polar coordinates with
-    # r = tan(theta): half the sphere area, to 1e-8 relative
+    # integrate the area element sqrt(det J^T J) of the chart Jacobian in
+    # polar coordinates with r = tan(theta): half the sphere area, to 1e-8
+    # relative
     for n, half_area in ((1, math.pi), (2, 2 * math.pi)):
         chart = SphereChart(n)
+
+        def area_element(Z):
+            J = chart.jacobian(Z)
+            return np.sqrt(np.linalg.det(np.einsum("nai,naj->nij", J, J)))
+
         x, w = _leggauss(80)
         theta = 0.25 * math.pi * (x + 1.0)  # (0, pi/2)
         wt = 0.25 * math.pi * w
@@ -49,7 +55,7 @@ def test_sphere_area_via_chart():
         if n == 1:
             zs = np.concatenate([r, -r])[:, None]
             ws = np.concatenate([wt * jac_sub, wt * jac_sub])
-            vols = chart.volume_factor(zs)
+            vols = area_element(zs)
             area = float((ws * vols).sum())
         else:
             m = 160
@@ -58,7 +64,7 @@ def test_sphere_area_via_chart():
             R, P = np.meshgrid(r, phis, indexing="ij")
             WR = np.repeat((wt * jac_sub * r)[:, None], m, axis=1) * wphi
             zs = np.stack([(R * np.cos(P)).ravel(), (R * np.sin(P)).ravel()], axis=1)
-            area = float((WR.ravel() * chart.volume_factor(zs)).sum())
+            area = float((WR.ravel() * area_element(zs)).sum())
         assert area == pytest.approx(half_area, rel=1e-8)
 
 
@@ -99,6 +105,10 @@ def test_bridge_random_forms_and_bodies():
 
 
 def test_t_map_properties():
+    # T(tau)(K) is the valuation of tau at f_K = h_K(., -1)
+    def t_map(tau, K):
+        return evaluate([Valuation(tau)], body_restriction(K))[0]
+
     n = 2
     rng = np.random.default_rng(5)
     # dually epi-translation invariant tau: T(mu) ignores body translations

@@ -68,10 +68,16 @@ def test_run_jobs_suites_on_calling_thread_same_report(tmp_path, monkeypatch):
     assert r1 == r2
 
 
-def test_exit_code_parse_error(tmp_path):
+def test_exit_code_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["run", str(bad), "--out", str(tmp_path)]) == 2
+    # valid JSON that is not an object
+    for text, kind in (("[]", "list"), ('"x"', "str"), ("null", "NoneType")):
+        bad.write_text(text)
+        capsys.readouterr()
+        assert main(["run", str(bad), "--out", str(tmp_path)]) == 2
+        assert f"config must be a JSON object, got {kind}" in capsys.readouterr().err
     # unknown suite name is a config error too
     cfg = _write_config(tmp_path / "cfg.json", suites=["no-such-suite"])
     assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
@@ -255,18 +261,34 @@ def test_exit_code_dimension_beyond_suite_limit(tmp_path, capsys, key):
     assert not out.exists()
 
 
-def test_exit_code_bad_job_count(tmp_path, monkeypatch, capsys):
+def test_exit_code_bad_job_count(tmp_path, capsys):
     cfg = _write_config(tmp_path / "cfg.json", suites=["mass"])
     out = tmp_path / "out"
-    monkeypatch.setenv("CYCLEVAL_JOBS", "abc")
-    assert main(["run", str(cfg), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "config error:" in err and "CYCLEVAL_JOBS" in err
-    monkeypatch.delenv("CYCLEVAL_JOBS")
     for jobs in ("0", "-2"):
         assert main(["run", str(cfg), "--out", str(out), "--jobs", jobs]) == 2
         assert "config error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("under_file", [False, True])
+def test_exit_code_unusable_out_directory(tmp_path, monkeypatch, capsys, under_file):
+    # --out names an existing file, or a path below one: exit 2 before any suite runs
+    ran = []
+    inner = cli.run_suite
+
+    def run_suite(name, config):
+        ran.append(name)
+        return inner(name, config)
+
+    monkeypatch.setattr(cli, "run_suite", run_suite)
+    cfg = _write_config(tmp_path / "cfg.json", suites=["mass"])
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "sub" if under_file else blocker
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(out) in err
+    assert ran == []
 
 
 def test_exit_code_non_finite_residual(tmp_path, monkeypatch, capsys):
@@ -325,6 +347,13 @@ def test_dump_cycle(tmp_path, capsys):
     assert main(["dump-cycle", "quadratic A=[[1]]", "--n", "1"]) == 2
     assert main(["dump-cycle", "pwl breaks=0 slopes=[-1,1]", "--n", "1"]) == 2
     capsys.readouterr()
+    # an output file in a directory that does not exist
+    target = tmp_path / "missing" / "dir" / "x.json"
+    assert main(["dump-cycle", "maxaffine pieces=[[[1],0],[[-1],0]]", "--n", "1",
+                 "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and str(target) in captured.err
+    assert captured.err.count("\n") == 1
     # --n outside 1..MAX_DIMENSION, or not the dimension of the spec
     one_d = "maxaffine pieces=[[[1],0],[[-1],0]]"
     two_d = "maxaffine pieces=[[[1,0],0],[[-1,0],0],[[0,1],0],[[0,-1],0]]"

@@ -6,9 +6,11 @@ import pytest
 
 from cycleval.coefficients import CoefficientFn, SupportError, ball_bump
 from cycleval.convex import (
+    ConvexFunction,
     MaxAffine,
     PiecewiseLinear1D,
     Quadratic,
+    Scaled,
     SmoothCatalog,
 )
 from cycleval.cycles import (
@@ -20,12 +22,21 @@ from cycleval.cycles import (
     build_1d,
     eval_polyline,
     eval_smooth,
-    mass_polyline,
     mass_smooth,
-    transform_identity_residual,
 )
-from cycleval.forms import Form, exterior_derivative, standard_symplectic_form, wedge
-from cycleval.polynomials import Poly
+from cycleval.exactla import inverse
+from cycleval.forms import (
+    Form,
+    PolynomialMap,
+    exterior_derivative,
+    fiber_scaling,
+    linear_lift,
+    pullback,
+    standard_symplectic_form,
+    wedge,
+)
+from cycleval.polynomials import Poly, _as_fraction
+from cycleval.rumin import _det_sign
 
 
 def beta_coeff(n, R=1, poly=None):
@@ -182,9 +193,109 @@ def test_mass_values():
     # n = 1, f = x^2/2: mass over U_1 is the length of the diagonal, 2 sqrt 2
     f = Quadratic([[1]])
     assert mass_smooth(f, 1.0) == pytest.approx(2 * math.sqrt(2), rel=1e-10)
-    # polyline mass: |x| over U_1: two horizontal pieces + vertical segment
-    cyc = build_1d(MaxAffine([([1], 0), ([-1], 0)]))
-    assert mass_polyline(cyc, 1.0) == pytest.approx(2.0 + 2.0)
+
+
+# -- transform identities: D(f) under f + quadratic, f o g and c f ----------------
+
+
+def gradient_shear(n, A, b):
+    """(x, y) -> (x, y + A x + b): adds the differential of a quadratic."""
+    nv = 2 * n
+    comps = [Poly.variable(nv, v) for v in range(2 * n)]
+    for i in range(n):
+        extra = Poly.const(nv, _as_fraction(b[i]))
+        for j in range(n):
+            aij = _as_fraction(A[i][j])
+            if aij:
+                extra = extra + Poly.variable(nv, j).scale(aij)
+        comps[n + i] = comps[n + i] + extra
+    return PolynomialMap(n, comps)
+
+
+class LinearPrecompose(ConvexFunction):
+    """x -> f(g x) for an invertible linear map g."""
+
+    def __init__(self, inner: ConvexFunction, g):
+        self.inner = inner
+        self.n = inner.n
+        self.g = np.asarray(g, dtype=float)
+        self.smooth = inner.smooth
+
+    def eval_array(self, X):
+        return self.inner.eval_array(X @ self.g.T)
+
+    def gradient_array(self, X):
+        return self.inner.gradient_array(X @ self.g.T) @ self.g
+
+    def hessian_array(self, X):
+        H = self.inner.hessian_array(X @ self.g.T)
+        return np.einsum("ij,njk,kl->nil", self.g.T, H, self.g)
+
+    def sup_abs_bound(self, rho):
+        gain = float(np.linalg.norm(self.g, 2))
+        return self.inner.sup_abs_bound(gain * rho)
+
+    def describe(self):
+        return f"precompose({self.inner.describe()})"
+
+
+class PlusQuadratic(ConvexFunction):
+    """f + (x^T A x / 2 + b.x), A positive semidefinite."""
+
+    def __init__(self, inner: ConvexFunction, A, b):
+        self.inner = inner
+        self.n = inner.n
+        self.quad = Quadratic(A, b, 0)
+        self.smooth = inner.smooth
+
+    def eval_array(self, X):
+        return self.inner.eval_array(X) + self.quad.eval_array(X)
+
+    def gradient_array(self, X):
+        return self.inner.gradient_array(X) + self.quad.gradient_array(X)
+
+    def hessian_array(self, X):
+        return self.inner.hessian_array(X) + self.quad.hessian_array(X)
+
+    def sup_abs_bound(self, rho):
+        return self.inner.sup_abs_bound(rho) + self.quad.sup_abs_bound(rho)
+
+    def describe(self):
+        return f"plusquad({self.inner.describe()})"
+
+
+def transform_identity_residual(f, form, transform):
+    """Residual of a pushforward identity, both sides computed independently.
+
+    transform is one of
+      ("add_quadratic", A, b)   -- D(f + phi) = (G_phi)_* D(f)
+      ("linear", g)             -- D(f o g) = sign(det g) (g#)_* D(f)
+      ("scale", c), c > 0       -- D(c f) = C_* D(f), C(x, y) = (x, c y)
+    """
+    n = form.n
+    kind = transform[0]
+    if kind == "add_quadratic":
+        _, A, b = transform
+        lhs = eval_smooth(PlusQuadratic(f, A, b), [form])[0].value
+        rhs = eval_smooth(f, [pullback(gradient_shear(n, A, b), form)])[0].value
+        return abs(float(lhs) - float(rhs))
+    if kind == "linear":
+        _, g = transform
+        sgn = _det_sign(g, n)
+        lhs = eval_smooth(LinearPrecompose(f, [[float(v) for v in row] for row in g]),
+                          [form])[0].value
+        pulled = pullback(linear_lift(n, inverse(g)), form)
+        rhs = sgn * float(eval_smooth(f, [pulled])[0].value)
+        return abs(float(lhs) - rhs)
+    if kind == "scale":
+        _, c = transform
+        c = _as_fraction(c)
+        if c <= 0:
+            raise ValueError("scaling tests keep c > 0 so that c f stays convex")
+        lhs = eval_smooth(Scaled(f, c), [form])[0].value
+        rhs = eval_smooth(f, [pullback(fiber_scaling(n, c), form)])[0].value
+        return abs(float(lhs) - float(rhs))
+    raise ValueError(f"unknown transform {kind!r}")
 
 
 def test_transform_identities():
@@ -383,7 +494,7 @@ def _battery_forms(n, rng):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_compiled_integrand_matches_per_piece_reference(n):
-    from cycleval.cycles import _NODE_BLOCK, PlusQuadratic, graph_pullback_integrand
+    from cycleval.cycles import _NODE_BLOCK, graph_pullback_integrand
 
     rng = np.random.default_rng(40 + n)
     forms = _battery_forms(n, rng)

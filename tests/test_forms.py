@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as Q
 from itertools import combinations
 
@@ -7,9 +8,9 @@ import pytest
 from cycleval.coefficients import BumpFactor, CoefficientFn, ball_bump
 from cycleval.forms import (
     DegreeError,
+    DimensionMismatch,
     Form,
     PolynomialMap,
-    SymplecticData,
     exterior_derivative,
     fiber_scaling,
     integrate_zero_section,
@@ -19,10 +20,8 @@ from cycleval.forms import (
     lie_derivative,
     linear_lift,
     merge_sign,
-    primitive_check,
     pullback,
     standard_symplectic_form,
-    tautological_one_form,
     vertical_translation,
     wedge,
     zero_section_coefficient,
@@ -48,12 +47,30 @@ def var_y(n, j):
     return Poly.variable(2 * n, n + j - 1)
 
 
+def tautological_one_form(n):
+    """alpha = sum_i y_i dx_i."""
+    alpha = Form.zero(n, 1)
+    for i in range(1, n + 1):
+        alpha = alpha + dx(n, i, var_y(n, i))
+    return alpha
+
+
 def test_symplectic_data_constructs_for_all_dims():
     for n in (1, 2, 3, 4):
-        sd = SymplecticData(n)
-        assert sd.alpha.degree == 1 and sd.omega_s.degree == 2
-    with pytest.raises(Exception):
-        SymplecticData(5)  # dimension capped by configuration
+        alpha, omega = tautological_one_form(n), standard_symplectic_form(n)
+        assert alpha.degree == 1 and omega.degree == 2
+        # d(alpha) = -omega_s
+        assert exterior_derivative(alpha) == -omega
+        # omega_s^n = n! dx_1^dy_1^...^dx_n^dy_n = (-1)^(n(n-1)/2) n! dx_I^dy_J
+        top = omega
+        for _ in range(n - 1):
+            top = wedge(top, omega)
+        sign = (-1) ** (n * (n - 1) // 2)
+        volume = Form.monomial(n, range(1, n + 1), range(1, n + 1),
+                               sign * math.factorial(n))
+        assert top == volume
+    with pytest.raises(DimensionMismatch):
+        standard_symplectic_form(5)  # dimension capped by configuration
 
 
 def test_merge_sign_basic():
@@ -79,8 +96,7 @@ def test_exterior_derivative_examples():
     da = exterior_derivative(a)
     assert da == Form.monomial(n, [1], [1], -1)
     # d(alpha) = -omega_s
-    sd = SymplecticData(2)
-    assert exterior_derivative(sd.alpha) == -sd.omega_s
+    assert exterior_derivative(tautological_one_form(2)) == -standard_symplectic_form(2)
     # product rule: d(x1 y1 dx2) = y1 dx1^dx2 + x1 dy1^dx2
     n = 2
     b = Form.monomial(n, [2], [], var_x(n, 1) * var_y(n, 1))
@@ -305,15 +321,6 @@ def test_lefschetz_examples():
     assert lefschetz_L_inverse(Form.monomial(2, [1, 2], [2], 1)) == dx(2, 1)
     with pytest.raises(DegreeError):
         lefschetz_L_inverse(dx(2, 1))
-
-
-def test_primitive_check():
-    n = 2
-    assert primitive_check(Form.monomial(n, [1, 2], [], 1))  # dx1^dx2
-    assert primitive_check(Form.monomial(n, [], [1, 2], 1))  # dy1^dy2
-    assert not primitive_check(standard_symplectic_form(n))
-    n = 3
-    assert primitive_check(Form.monomial(n, [1, 2, 3], [], 1))
 
 
 def test_integrate_zero_section():

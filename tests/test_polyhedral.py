@@ -149,7 +149,8 @@ def test_cross_evaluator_1d():
 def test_vertical_boundedness():
     f = MaxAffine([([1, 1], 0), ([-1, 0], Q(1, 2)), ([0, -1], -1)])
     cyc = build_polyhedral(f)
-    r = cyc.vertical_radius()
+    # every y-vertex is a gradient of f, so |y| is at most the largest |a_i|
+    r = max(math.sqrt(float(sum(v * v for v in a))) for a, _ in f.pieces)
     for cell in cyc.cells:
         for y in cell.y_vertices:
             assert math.sqrt(float(sum(v * v for v in y))) <= r + 1e-12
