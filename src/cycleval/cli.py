@@ -10,9 +10,11 @@ bytes) and ``summary.txt`` next to it, and exits 0 only if every suite
 passed: 1 on suite failures, 2 on config/parse errors, 3 on runtime errors.
 A declared form, function or body that no requested suite evaluates is a
 config error, and so is an output directory that cannot be created; both
-are found before the first suite runs.  The suites run one after another on
-the calling thread.  A job count (``--jobs``, default 1) is accepted for
-process jobs to come; a job count below 1 is a config error.
+are found before the first suite runs.  An output file that cannot be
+written once the suites have run exits 2 with an ``output error``.  The
+suites run one after another on the calling thread.  A job count
+(``--jobs``, default 1) is accepted for process jobs to come; a job count
+below 1 is a config error.
 """
 
 from __future__ import annotations
@@ -102,9 +104,13 @@ def cmd_run(args) -> int:
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME_ERROR
 
-    (outdir / "report.json").write_text(report_json)
-    (outdir / "summary.txt").write_text(
-        f"started: {started}\n" + report.summary_text())
+    try:
+        (outdir / "report.json").write_text(report_json)
+        (outdir / "summary.txt").write_text(
+            f"started: {started}\n" + report.summary_text())
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_PARSE_ERROR
     print(report.summary_text(), end="")
     return EXIT_OK if report.passed else EXIT_SUITE_FAILURES
 

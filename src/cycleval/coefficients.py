@@ -23,9 +23,12 @@ once per process, under a lock, as a small integer id; a
 :class:`BumpFactor` hashes and compares by ``(id, beta_pow, denom_pow)``
 and never rehashes its matrix.  ``q_M`` is built once per (id, number of
 ring variables), the x-gradient of ``q_M`` once per (id, ring size,
-variable), ``G^T M G`` once per (id, G) and the ellipsoid's bounding box,
-the support box of its atoms, once per id.  The caches hold only such
-small exact objects and are never evicted.
+variable), ``G^T M G`` once per (id, id of G) and the ellipsoid's bounding
+box, the support box of its atoms, once per id.  A substitution interns its
+linear x-matrix G like a bump matrix, once per call, so that a transformed
+factor is looked up by two ints.  Each factor keeps the factors with
+``denom_pow`` raised by one and by two, which differentiation produces.  The
+caches hold only such small exact objects and are never evicted.
 
 Canonical by construction.  An atom is canonical when no ``q_M`` with
 ``denom_pow > 0`` in its signature divides its polynomial; a
@@ -61,13 +64,14 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
-from operator import attrgetter
+from functools import reduce
+from operator import attrgetter, or_
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .exactla import inverse
-from .polynomials import FIELD_BITS, Poly, Q, _as_fraction, _reduced, field_sum
+from .polynomials import FIELD_BITS, Poly, Q, _MASK, _as_fraction, _reduced, field_sum
 from .quadrature import Ellipse
 
 Matrix = tuple  # tuple[tuple[Fraction, ...], ...]
@@ -97,7 +101,7 @@ _MATRIX_IDS: dict = {}               # matrix -> id
 _FACTORS: dict = {}                  # (id, beta_pow, denom_pow) -> BumpFactor
 _Q_POLYS: dict = {}                  # (id, nvars) -> q_M
 _Q_GRADS: dict = {}                  # (id, nvars, var) -> dq_M / dx_var
-_TRANSFORMS: dict = {}               # (id, G) -> id of G^T M G
+_TRANSFORMS: dict = {}               # (id of M, id of G) -> id of G^T M G
 _FLOAT_MATRICES: dict = {}           # id -> matrix as a float array
 _BBOXES: dict = {}                   # id -> bounding box of the ellipsoid
 
@@ -137,7 +141,8 @@ class BumpFactor:
     Immutable; equal factors hash and compare equal by interned matrix id.
     """
 
-    __slots__ = ("M", "beta_pow", "denom_pow", "mid", "order", "_ident", "_hash")
+    __slots__ = ("M", "beta_pow", "denom_pow", "mid", "order", "_ident", "_hash",
+                 "_raised")
 
     def __init__(self, M: Matrix, beta_pow: int = 1, denom_pow: int = 0):
         self._init(_intern(M), beta_pow, denom_pow)
@@ -154,6 +159,7 @@ class BumpFactor:
         init(self, "order", (_MATRICES[mid], beta_pow, denom_pow))
         init(self, "_ident", ident)
         init(self, "_hash", hash(ident))
+        init(self, "_raised", None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -208,10 +214,18 @@ class BumpFactor:
             box = _BBOXES.setdefault(self.mid, tuple((-h, h) for h in half))
         return box
 
+    def raised(self) -> tuple["BumpFactor", "BumpFactor"]:
+        """This factor with ``denom_pow`` raised by one and by two."""
+        up = self._raised
+        if up is None:
+            mid, bp, dp = self._ident
+            up = (_factor(mid, bp, dp + 1), _factor(mid, bp, dp + 2))
+            object.__setattr__(self, "_raised", up)
+        return up
+
     def transform(self, G: Sequence[Sequence[Fraction]]) -> "BumpFactor":
         """Bump factor of ``x -> beta_M(G x)``; new matrix is G^T M G."""
-        return _factor(_transformed_id(self.mid, _matrix_key(G)),
-                       self.beta_pow, self.denom_pow)
+        return _factor(_transformed_id(self.mid, _intern(G)), self.beta_pow, self.denom_pow)
 
 
 def _build_q_poly(M: Matrix, nvars: int) -> Poly:
@@ -227,11 +241,12 @@ def _build_q_poly(M: Matrix, nvars: int) -> Poly:
     return p
 
 
-def _transformed_id(mid: int, G: Matrix) -> int:
-    key = (mid, G)
+def _transformed_id(mid: int, gid: int) -> int:
+    """Id of ``G^T M G`` for the interned matrices ``M`` and ``G``."""
+    key = (mid, gid)
     out = _TRANSFORMS.get(key)
     if out is None:
-        M = _MATRICES[mid]
+        M, G = _MATRICES[mid], _MATRICES[gid]
         n = len(M)
         GT_M_G = tuple(
             tuple(
@@ -496,6 +511,18 @@ class CoefficientFn:
         y = _y_mask(self.n)
         return any(k & y for p in self.atoms.values() for k in p.num)
 
+    def diff_variables(self) -> list[int]:
+        """The variables among (x, y), ascending, whose partial derivative
+        can be nonzero: those in some atom's monomials, and every x when an
+        atom has a bump factor.  Every other partial derivative is zero."""
+        used = 0
+        bump = False
+        for sig, poly in self.atoms.items():
+            used = reduce(or_, poly.num, used)
+            bump = bump or bool(sig)
+        return [v for v in range(2 * self.n)
+                if (bump and v < self.n) or (used >> (FIELD_BITS * v)) & _MASK]
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, CoefficientFn):
             return NotImplemented
@@ -582,39 +609,38 @@ class CoefficientFn:
         q_M dividing ``p dq`` would divide ``p``.  They are not divided by
         q_M unless another contribution lands on their signature.
         """
-        n = self.n
+        # (signature, polynomial, canonical) per contribution, in order
+        parts = []
+        for sig, poly in self.atoms.items():
+            parts.append((sig, poly.diff(var), False))
+            if var >= self.n or not sig:
+                continue
+            # bump factors depend on x only
+            for idx, f in enumerate(sig):
+                dq = f.q_grad(var, poly.nvars)
+                if not dq.num:
+                    continue
+                # d(beta^a)/dx = a beta^a q^{-2} dq ; d(q^{-m})/dx = -m q^{-m-1} dq
+                pdq = poly * dq
+                head, tail = sig[:idx], sig[idx + 1:]
+                up1, up2 = f.raised()
+                parts.append((head + (up2,) + tail, pdq.scale(f.beta_pow), f.denom_pow > 0))
+                if f.denom_pow:
+                    parts.append((head + (up1,) + tail, pdq.scale(-f.denom_pow), True))
         out: dict[Signature, Poly] = {}
         unreduced = set()  # signatures that may hold a multiple of q_M
-
-        def acc(sig, poly, canonical):
-            if poly.is_zero():
-                return
+        for sig, part, canonical in parts:
+            if not part.num:
+                continue
             old = out.get(sig)
             if old is None:
-                out[sig] = poly
+                out[sig] = part
                 if not canonical:
                     unreduced.add(sig)
             else:
-                out[sig] = old + poly
+                # a sum, also where a plain derivative meets a bump term
+                out[sig] = old + part
                 unreduced.add(sig)
-
-        for sig, poly in self.atoms.items():
-            acc(sig, poly.diff(var), False)
-            if var < n:
-                # bump factors depend on x only
-                for idx, f in enumerate(sig):
-                    dq = f.q_grad(var, poly.nvars)
-                    if dq.is_zero():
-                        continue
-                    # d(beta^a)/dx = a beta^a q^{-2} dq ; d(q^{-m})/dx = -m q^{-m-1} dq
-                    pdq = poly * dq
-                    rest = list(sig)
-                    rest[idx] = _factor(f.mid, f.beta_pow, f.denom_pow + 2)
-                    acc(tuple(rest), pdq.scale(f.beta_pow), f.denom_pow > 0)
-                    if f.denom_pow:
-                        rest = list(sig)
-                        rest[idx] = _factor(f.mid, f.beta_pow, f.denom_pow + 1)
-                        acc(tuple(rest), pdq.scale(-f.denom_pow), True)
         return CoefficientFn._trusted(self.n, _canonical_atoms(out.items(), unreduced),
                                       self.declared_box)
 
@@ -630,14 +656,14 @@ class CoefficientFn:
         full_repl = list(repl) + [Poly.variable(m, v) for v in range(len(repl), m)]
         full_repl = [p.extend(max(m, max(q.nvars for q in full_repl))) for p in full_repl]
 
-        G = None
+        gid = None
         if any(sig for sig in self.atoms):
-            G = _matrix_key(_linear_x_matrix(full_repl[:n], n))
+            gid = _intern(_linear_x_matrix(full_repl[:n], n))
 
         out: dict[Signature, Poly] = {}
         for sig, poly in self.atoms.items():
             new_sig = tuple(sorted(
-                (_factor(_transformed_id(f.mid, G), f.beta_pow, f.denom_pow) for f in sig),
+                (_factor(_transformed_id(f.mid, gid), f.beta_pow, f.denom_pow) for f in sig),
                 key=_ORDER)) if sig else sig
             newp = poly.extend(m).subs(full_repl[:m])
             if new_sig in out:

@@ -12,11 +12,23 @@ The Lie derivative along a polynomial field is computed term by term,
 L_X(c dz_K) = X(c) dz_K + c sum_p dz_k1 ^ .. ^ d(X_kp) ^ .. ^ dz_kq: one
 partial derivative of each coefficient per nonzero component of X, and no
 exterior derivative of the form, where Cartan's d i_X + i_X d takes two.
+Both d and L_X differentiate a coefficient only in the variables it can
+depend on (:meth:`CoefficientFn.diff_variables`).
+
+Caches.  The Koszul sign of a pair of keys is memoised: for n <= 4 there
+are at most (2^8)^2 pairs.  A :class:`PolynomialMap` is immutable and keeps
+the expansion of dF_k1 ^ .. ^ dF_kp for each key it has pulled back, so a
+pullback costs one substitution and one product per term and minor.
+``wedge``, ``exterior_derivative``, ``pullback``, ``lie_derivative`` and
+``lefschetz_L_inverse`` build sorted keys of the right degree themselves;
+they wrap their results with ``Form._trusted``, which only drops zero
+coefficients, while ``Form(n, degree, terms)`` checks every key it is given.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import Optional, Sequence
 
 from .coefficients import BoxT, CoefficientFn, SupportError, _box_union
@@ -37,6 +49,7 @@ class DegreeError(ValueError):
     pass
 
 
+@cache
 def merge_sign(a: Key, b: Key) -> tuple[int, Optional[Key]]:
     """Koszul sign for e_a ^ e_b -> e_{sorted(a+b)}; 0 when indices repeat."""
     if set(a) & set(b):
@@ -74,6 +87,17 @@ class Form:
                 if clean[key].is_zero():
                     del clean[key]
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, n: int, degree: int, terms: dict) -> "Form":
+        """Wrap ``terms`` built by the algebra (sorted keys of ``degree``
+        valid generator codes, dimension and degree in range), dropping its
+        zero coefficients."""
+        f = object.__new__(cls)
+        f.n = n
+        f.degree = degree
+        f.terms = {k: c for k, c in terms.items() if c.atoms}
+        return f
 
     # -- constructors -------------------------------------------------------
 
@@ -218,7 +242,7 @@ def wedge(a: Form, b: Form) -> Form:
                 continue
             c = (c1 * c2).scale(s)
             out[key] = out[key] + c if key in out else c
-    return Form(a.n, deg, out)
+    return Form._trusted(a.n, deg, out)
 
 
 def exterior_derivative(a: Form) -> Form:
@@ -228,16 +252,16 @@ def exterior_derivative(a: Form) -> Form:
         return Form.zero(n, 2 * n)
     out: dict[Key, CoefficientFn] = {}
     for key, c in a.terms.items():
-        for v in range(2 * n):
-            dc = c.diff(v)
-            if dc.is_zero():
-                continue
+        for v in c.diff_variables():
             s, newkey = merge_sign((v,), key)
             if s == 0:
                 continue
+            dc = c.diff(v)
+            if dc.is_zero():
+                continue
             dc = dc.scale(s)
             out[newkey] = out[newkey] + dc if newkey in out else dc
-    return Form(n, a.degree + 1, out)
+    return Form._trusted(n, a.degree + 1, out)
 
 
 def interior_product(X: Sequence[Poly], a: Form) -> Form:
@@ -273,7 +297,7 @@ def lie_derivative(X: Sequence[Poly], a: Form) -> Form:
         out[key] = out[key] + c if key in out else c
 
     for key, c in a.terms.items():
-        for v in range(2 * n):
+        for v in c.diff_variables():
             if not X[v].is_zero():
                 dc = c.diff(v)
                 if not dc.is_zero():
@@ -287,7 +311,7 @@ def lie_derivative(X: Sequence[Poly], a: Form) -> Form:
                 s, newkey = merge_sign((v,), rest)
                 if s:
                     add(newkey, (c * dxk).scale(s * (-1) ** pos))
-    return Form(n, a.degree, out)
+    return Form._trusted(n, a.degree, out)
 
 
 class PolynomialMap:
@@ -295,9 +319,10 @@ class PolynomialMap:
 
     ``components[k]`` is the k-th target coordinate as a polynomial in the
     source variables; slots beyond 2n are parameters (never differentiated).
+    A map is immutable and keeps the minors it has expanded.
     """
 
-    __slots__ = ("n", "components")
+    __slots__ = ("n", "components", "_minors")
 
     def __init__(self, n: int, components: Sequence[Poly]):
         if len(components) != 2 * n:
@@ -305,6 +330,7 @@ class PolynomialMap:
         self.n = n
         m = max(p.nvars for p in components)
         self.components = [p.extend(m) for p in components]
+        self._minors: dict[Key, list[tuple[Key, Poly]]] = {}
 
     @classmethod
     def identity(cls, n: int) -> "PolynomialMap":
@@ -312,6 +338,29 @@ class PolynomialMap:
 
     def jacobian_entry(self, k: int, v: int) -> Poly:
         return self.components[k].diff(v)
+
+    def minors(self, key: Key) -> list[tuple[Key, Poly]]:
+        """The nonzero terms ``(monomial key, coefficient)`` of
+        dF_k1 ^ .. ^ dF_kp for ``key`` = (k1..kp), in expansion order,
+        computed once per key.  The coefficients live in the map's ring; a
+        product with a coefficient in a larger ring takes the larger one."""
+        out = self._minors.get(key)
+        if out is None:
+            partial = {(): Poly.const(self.components[0].nvars, 1)}
+            for k in key:
+                row = [(v, dv) for v in range(2 * self.n)
+                       if (dv := self.jacobian_entry(k, v))]
+                nxt: dict[Key, Poly] = {}
+                for pkey, pval in partial.items():
+                    for v, dv in row:
+                        s, mkey = merge_sign(pkey, (v,))
+                        if s == 0:
+                            continue
+                        add = (pval * dv).scale(s)
+                        nxt[mkey] = nxt[mkey] + add if mkey in nxt else add
+                partial = {k2: v2 for k2, v2 in nxt.items() if v2}
+            out = self._minors[key] = list(partial.items())
+        return out
 
     def compose(self, other: "PolynomialMap") -> "PolynomialMap":
         """self after other, i.e. w -> self(other(w))."""
@@ -327,37 +376,14 @@ def pullback(F: PolynomialMap, a: Form) -> Form:
     if F.n != n:
         raise DimensionMismatch("map and form dimension differ")
     out: dict[Key, CoefficientFn] = {}
-    jac_cache: dict[int, list[tuple[int, Poly]]] = {}
-
-    def dF(k: int) -> list[tuple[int, Poly]]:
-        if k not in jac_cache:
-            jac_cache[k] = [(v, F.jacobian_entry(k, v)) for v in range(2 * n)
-                            if F.jacobian_entry(k, v)]
-        return jac_cache[k]
-
     for key, c in a.terms.items():
         comp = c.subs_linear(F.components)
-        # expand dF_{k1} ^ ... ^ dF_{kp} over monomial keys
-        partial: dict[Key, Poly] = {(): Poly.const(comp.nvars(), 1)}
-        for k in key:
-            nxt: dict[Key, Poly] = {}
-            for pkey, pval in partial.items():
-                for v, dv in dF(k):
-                    s, mkey = merge_sign(pkey, (v,))
-                    if s == 0:
-                        continue
-                    add = pval * dv * Q(s)
-                    if mkey in nxt:
-                        nxt[mkey] = nxt[mkey] + add
-                    else:
-                        nxt[mkey] = add
-            partial = {k2: v2 for k2, v2 in nxt.items() if not v2.is_zero()}
-        for mkey, pval in partial.items():
+        for mkey, pval in F.minors(key):
             term = comp * pval
             if term.is_zero():
                 continue
             out[mkey] = out[mkey] + term if mkey in out else term
-    return Form(n, a.degree, out)
+    return Form._trusted(n, a.degree, out)
 
 
 # -- canonical symplectic objects ----------------------------------------------
@@ -470,9 +496,9 @@ def lefschetz_L_inverse(a: Form) -> Form:
                 continue
             piece = c.scale(w)
             acc = piece if acc is None else acc + piece
-        if acc is not None and not acc.is_zero():
+        if acc is not None:
             out[key] = acc
-    return Form(n, n - 1, out)
+    return Form._trusted(n, n - 1, out)
 
 
 # -- zero-section integration --------------------------------------------------------

@@ -318,18 +318,24 @@ class Poly:
         return _reduced(self.nvars, out, self.den)
 
     def subs(self, repl: Sequence["Poly"]) -> "Poly":
-        """Substitute ``z_v -> repl[v]``; all replacements share one ring."""
+        """Substitute ``z_v -> repl[v]``; all replacements share one ring.
+
+        Each term's product of replacement powers is summed, times its
+        numerator, into one integer dict over the least common denominator
+        of the products, and the sum is reduced once.
+        """
         if len(repl) != self.nvars:
             raise ValueError("need one replacement per variable")
         if not self.num:
             nv = repl[0].nvars if repl else self.nvars
             return Poly.zero(nv)
         nv = max(p.nvars for p in repl)
+        one = Poly.const(nv, 1)
         # cache powers of each replacement
-        powers: list[list[Poly]] = [[Poly.const(nv, 1)] for _ in range(self.nvars)]
-        out = Poly.zero(nv)
+        powers: list[list[Poly]] = [[one] for _ in range(self.nvars)]
+        products = []
         for key, c in self.num.items():
-            term = _new(nv, {0: c}, 1)
+            term = None
             v = 0
             while key:
                 p = key & _MASK
@@ -337,11 +343,26 @@ class Poly:
                     cache = powers[v]
                     while len(cache) <= p:
                         cache.append(cache[-1] * repl[v])
-                    term = term * cache[p]
+                    term = cache[p] if term is None else term * cache[p]
                 key >>= FIELD_BITS
                 v += 1
-            out = out + term
-        return _reduced(nv, out.num, out.den * self.den)
+            products.append((c, one if term is None else term))
+        den = math.lcm(*(term.den for _, term in products))
+        out: dict[int, int] = {}
+        get = out.get
+        for c, term in products:
+            c *= den // term.den
+            for k, t in term.num.items():
+                old = get(k)
+                if old is None:
+                    out[k] = c * t
+                else:
+                    s = old + c * t
+                    if s:
+                        out[k] = s
+                    else:
+                        del out[k]
+        return _reduced(nv, out, den * self.den)
 
     # -- numeric evaluation --------------------------------------------------
 

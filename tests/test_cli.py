@@ -48,6 +48,27 @@ def test_run_deterministic_reports(tmp_path):
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
 
 
+def test_process_wide_caches_leave_no_trace_in_the_report(tmp_path):
+    # interned matrices, memoised signs and cached transforms persist in a
+    # process: the exact-identities config (seed 7) reports the same bytes
+    # twice after a kernel suite has interned other matrices, and in a
+    # fresh process
+    ident = _write_config(tmp_path / "ident.json", seed=7, suites=["identities"],
+                          sizes={"identity_dims": [1, 2, 3], "identity_forms": 16})
+    kernel = _write_config(tmp_path / "kernel.json", seed=5, suites=["kernel"],
+                           sizes={**QUICK_SIZES, "kernel_dims": [1, 2], "kernel_forms": 1,
+                                  "kernel_battery": 2})
+    assert main(["run", str(kernel), "--out", str(tmp_path / "k")]) in (0, 1)
+    runs = []
+    for name in ("a", "b"):
+        assert main(["run", str(ident), "--out", str(tmp_path / name)]) == 0
+        runs.append((tmp_path / name / "report.json").read_bytes())
+    proc = subprocess.run([sys.executable, "-m", "cycleval", "run", str(ident),
+                           "--out", str(tmp_path / "fresh")], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert runs[0] == runs[1] == (tmp_path / "fresh" / "report.json").read_bytes()
+
+
 def test_run_jobs_suites_on_calling_thread_same_report(tmp_path, monkeypatch):
     cfg = _write_config(tmp_path / "cfg.json",
                         suites=["valuation-property", "mass", "homogeneity"])
@@ -289,6 +310,18 @@ def test_exit_code_unusable_out_directory(tmp_path, monkeypatch, capsys, under_f
     err = capsys.readouterr().err
     assert err.startswith("config error:") and str(out) in err
     assert ran == []
+
+
+@pytest.mark.parametrize("name", ["report.json", "summary.txt"])
+def test_exit_code_unwritable_output_file(tmp_path, capsys, name):
+    # the output file is a directory: exit 2 once the suites have run, no traceback
+    cfg = _write_config(tmp_path / "cfg.json", suites=["valuation-property"])
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error:") and str(out / name) in err
+    assert "Traceback" not in err
 
 
 def test_exit_code_non_finite_residual(tmp_path, monkeypatch, capsys):

@@ -308,3 +308,110 @@ def test_compiled_batch_equals_separate_calls():
             alone = np.zeros((1, len(pts)))
             CompiledBatch(n, [(0, None, c, 1)]).add_to(alone, Z, {None: 1.0})
             assert np.array_equal(alone[0], together[row])
+
+
+# -- diff against the per-atom loop it replaced ---------------------------------------
+
+def _reference_diff(c: CoefficientFn, var: int) -> CoefficientFn:
+    """Every contribution of every atom through one accumulator, in atom
+    order, then full canonicalisation by the public constructor."""
+    out = {}
+
+    def acc(sig, poly):
+        if not poly.is_zero():
+            out[sig] = out[sig] + poly if sig in out else poly
+
+    for sig, poly in c.atoms.items():
+        acc(sig, poly.diff(var))
+        if var < c.n:
+            for idx, f in enumerate(sig):
+                dq = f.q_grad(var, poly.nvars)
+                if dq.is_zero():
+                    continue
+                pdq = poly * dq
+                rest = list(sig)
+                rest[idx] = BumpFactor(f.M, f.beta_pow, f.denom_pow + 2)
+                acc(tuple(rest), pdq.scale(f.beta_pow))
+                if f.denom_pow:
+                    rest = list(sig)
+                    rest[idx] = BumpFactor(f.M, f.beta_pow, f.denom_pow + 1)
+                    acc(tuple(rest), pdq.scale(-f.denom_pow))
+    return CoefficientFn(c.n, list(out.items()), declared_box=c.declared_box)
+
+
+def _check_diff(c: CoefficientFn, var: int) -> CoefficientFn:
+    got = c.diff(var)
+    want = _reference_diff(c, var)
+    assert list(got.atoms.items()) == list(want.atoms.items())
+    assert _is_canonical(got)
+    return got
+
+
+def test_diff_sums_a_plain_derivative_into_a_bump_term():
+    # d/dx of x beta and then x beta / q^2 (M = [[1]]): the first atom's
+    # bump term -2x^2 beta / q^2 and the second atom's plain derivative
+    # beta / q^2 share the signature beta / q^2 and must be summed
+    M = ((Q(1),),)
+    nv = 2
+    x = _x(nv)
+    c = CoefficientFn(1, {(BumpFactor(M, 1, 0),): x, (BumpFactor(M, 1, 2),): x})
+    assert list(c.atoms) == [(BumpFactor(M, 1, 0),), (BumpFactor(M, 1, 2),)]
+    got = _check_diff(c, 0)
+    # 1 - 2x^2 on beta / q^2, and from the second atom's bump -2x^2 beta / q^4
+    # and +4x^2 beta / q^3 (dq = -2x)
+    assert got.atoms[(BumpFactor(M, 1, 2),)] == Poly.const(nv, 1) - x * x * 2
+    assert got.atoms[(BumpFactor(M, 1, 0),)] == Poly.const(nv, 1)
+    assert got.atoms[(BumpFactor(M, 1, 4),)] == -(x * x * 2)
+    assert got.atoms[(BumpFactor(M, 1, 3),)] == x * x * 4
+
+
+def test_diff_matches_per_atom_loop():
+    M1 = ((Q(1), Q(1, 3)), (Q(1, 3), Q(2)))
+    M2 = ((Q(1, 4), Q(0)), (Q(0), Q(1, 9)))
+    n, nv = 2, 5  # (x1, x2, y1, y2) and one parameter slot
+    x1, x2, y1, t = (Poly.variable(nv, v) for v in (0, 1, 2, 4))
+    two = tuple(sorted((BumpFactor(M1, 1, 1), BumpFactor(M2, 2, 0)), key=lambda f: f.order))
+    # two matrices in one signature, and an atom whose only x is in its bump
+    c = CoefficientFn(n, {two: x1 * y1 + t, (BumpFactor(M2, 1, 0),): y1 * y1 * t,
+                          (): x2 * x2})
+    assert two in c.atoms
+    assert c.diff_variables() == [0, 1, 2]
+    for var in range(nv):
+        got = _check_diff(c, var)
+        if var in (3, 4):
+            # y2 occurs nowhere, so d/dy2 is zero; the parameter t occurs
+            assert got.is_zero() == (var == 3)
+    # the atom without x in its polynomial still has an x-derivative
+    bump_only = CoefficientFn(n, {(BumpFactor(M2, 1, 0),): y1})
+    assert bump_only.diff_variables() == [0, 1, 2]
+    assert not _check_diff(bump_only, 1).is_zero()
+    assert _check_diff(bump_only, 3).is_zero()
+    # a polynomial without bumps counts only the variables it contains
+    assert CoefficientFn.from_poly(n, x2 * y1 * t).diff_variables() == [1, 2]
+    # random coefficients with q_M denominators and two matrices
+    rng = np.random.default_rng(29)
+    for n in (1, 2, 3):
+        for c in _bump_coefficients(n, rng, count=4):
+            for var in range(2 * n):
+                got = _check_diff(c, var)
+                if var not in c.diff_variables():
+                    assert got.is_zero()
+
+
+def test_exterior_derivative_sums_every_partial():
+    # d a = sum over all 2n variables of d/dz_v a wedged with dz_v, whatever
+    # diff_variables skips
+    from cycleval.forms import Form, wedge
+
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 3):
+        for degree in range(2 * n):
+            a = random_bump_form(rng, n, degree=degree, nterms=3)
+            b = random_bump_form(rng, n, degree=degree, nterms=1, y_dependent=False)
+            a = a + b if a.degree == b.degree or a.is_zero() or b.is_zero() else a
+            total = Form.zero(n, degree + 1)
+            for v in range(2 * n):
+                dz = Form(n, 1, {(v,): CoefficientFn.constant(n, 1)})
+                partial = Form(n, degree, {k: c.diff(v) for k, c in a.terms.items()})
+                total = total + wedge(dz, partial)
+            assert exterior_derivative(a) == total

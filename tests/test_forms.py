@@ -302,6 +302,59 @@ def test_pullback_functorial_and_commutes_with_d():
     assert exterior_derivative(pullback(g, a)) == pullback(g, exterior_derivative(a))
 
 
+def test_one_map_pulls_back_forms_of_every_ring_size():
+    # a map keeps its expanded minors; reusing it on forms in different
+    # rings (parameter slots or not) gives what a fresh map gives
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 3):
+        plain = _random_poly_form(rng, n, n, nterms=3)
+        bumped = random_bump_form(rng, n, degree=n, nterms=3)
+        # lambda in slots 2n..3n-1, a ring larger than fiber_scaling's
+        shifted = pullback(vertical_translation(n), plain + bumped)
+        assert max(c.nvars() for c in shifted.terms.values()) == 3 * n
+        for make in (lambda: fiber_scaling(n), lambda: linear_lift(n, _shear(n))):
+            F = make()
+            for a in (plain, shifted, bumped, shifted, plain):
+                got = pullback(F, a)
+                want = pullback(make(), a)
+                assert got == want
+                assert [list(c.atoms.items()) for c in got.terms.values()] == \
+                    [list(c.atoms.items()) for c in want.terms.values()]
+                assert list(got.terms) == list(want.terms)
+            key = next(iter(plain.terms))
+            assert F.minors(key) is F.minors(key)
+
+
+def _shear(n):
+    return [[Q(1) if i == j else Q(j - i, 2) * (j > i) for j in range(n)] for i in range(n)]
+
+
+def _no_zero_coefficient(form: Form) -> Form:
+    assert all(not c.is_zero() for c in form.terms.values()), form
+    return form
+
+
+def test_algebra_results_hold_no_zero_coefficient():
+    rng = np.random.default_rng(37)
+    for n in (1, 2, 3):
+        lift = linear_lift(n, _shear(n))
+        for degree in range(1, 2 * n, 2):
+            for make in (lambda: _random_poly_form(rng, n, degree, nterms=3),
+                         lambda: random_bump_form(rng, n, degree=degree, nterms=3)):
+                a = make()
+                dd = _no_zero_coefficient(exterior_derivative(
+                    _no_zero_coefficient(exterior_derivative(a))))
+                assert dd.terms == {} and dd.is_zero()
+                aa = _no_zero_coefficient(wedge(a, a))
+                assert aa.terms == {} and aa.is_zero()
+                _no_zero_coefficient(pullback(lift, a))
+                _no_zero_coefficient(pullback(fiber_scaling(n), a))
+        for xi in (_random_poly_form(rng, n, n - 1, nterms=3),
+                   random_bump_form(rng, n, degree=n - 1, nterms=3)):
+            back = _no_zero_coefficient(lefschetz_L_inverse(lefschetz_L(xi)))
+            assert back == xi
+
+
 def test_lefschetz_examples():
     n = 2
     # L(1) = omega_s

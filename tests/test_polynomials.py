@@ -198,6 +198,47 @@ def test_packed_subs_matches_reference():
         _check(got, _ref_subs(ra, rrepl, out_nv), out_nv)
 
 
+def test_subs_one_pass_sum_matches_reference():
+    # (z0, z1, z2) -> polynomials in the larger ring (x, y, t, s), where t
+    # and s are parameter slots
+    nv = 4
+    x, y, t = ({tuple(int(v == i) for v in range(nv)): Q(1)} for i in range(3))
+    half_x = _ref_scale(x, Q(1, 2))
+    cases = [
+        # a constant term alone, and beside others
+        ({(0, 0, 0): Q(5, 7)}, [x, y, t]),
+        ({(0, 0, 0): Q(-3), (2, 0, 1): Q(1, 6), (0, 1, 0): Q(4, 9)},
+         [_ref_add(half_x, _ref_scale(y, Q(1, 3))), _ref_scale(y, Q(3, 4)),
+          _ref_scale(t, Q(1, 5))]),
+        # z0 - z1 with z0 -> y, z1 -> y: every term cancels
+        ({(1, 0, 0): Q(1), (0, 1, 0): Q(-1)}, [y, y, t]),
+        # z0^2 - z1^2 + z2 with z0 -> x + y, z1 -> x - y: the squares cancel
+        # except 4xy, and the result lives in the larger ring with t and s
+        ({(2, 0, 0): Q(1), (0, 2, 0): Q(-1), (0, 0, 1): Q(1)},
+         [_ref_add(x, y), _ref_add(x, _ref_scale(y, -1)), t]),
+        # 2/3 z0 + 4/3 z1 with z0 -> 3/2 x, z1 -> 3/4 y: over the common
+        # denominator 12 the sum is (12x + 12y)/12, reduced only at the end
+        ({(1, 0, 0): Q(2, 3), (0, 1, 0): Q(4, 3)},
+         [_ref_scale(x, Q(3, 2)), _ref_scale(y, Q(3, 4)), t]),
+    ]
+    for ra, rrepl in cases:
+        got = Poly(3, ra).subs([Poly(nv, r) for r in rrepl])
+        _check(got, _ref_subs(ra, rrepl, nv), nv)
+    assert Poly(3, cases[2][0]).subs([Poly(nv, r) for r in cases[2][1]]).is_zero()
+    got = Poly(3, cases[4][0]).subs([Poly(nv, r) for r in cases[4][1]])
+    assert got.den == 1 and got.num == {1: 1, 1 << 16: 1}
+    # random sums with many denominators, also into larger rings
+    rng = random.Random(17)
+    for _ in range(60):
+        nv = _rings(rng)
+        out_nv = nv + rng.randint(1, 2)
+        ra = _rand_ref(rng, nv, terms=rng.randint(1, 6), top=2)
+        ra[(0,) * nv] = Q(rng.randint(1, 9), rng.randint(1, 9))
+        rrepl = [_rand_ref(rng, out_nv, terms=rng.randint(1, 3), top=2) for _ in range(nv)]
+        got = Poly(nv, ra).subs([Poly(out_nv, r) for r in rrepl])
+        _check(got, _ref_subs(ra, rrepl, out_nv), out_nv)
+
+
 def test_packed_divide_exact_matches_reference():
     rng = random.Random(11)
     for _ in range(150):
