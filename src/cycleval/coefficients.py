@@ -644,21 +644,22 @@ class CoefficientFn:
         return CoefficientFn._trusted(self.n, _canonical_atoms(out.items(), unreduced),
                                       self.declared_box)
 
-    def subs_linear(self, repl: Sequence[Poly]) -> "CoefficientFn":
-        """Compose with a polynomial map; needs the x-part linear in x.
+    def subs_linear(self, F) -> "CoefficientFn":
+        """Compose with a ``forms.PolynomialMap`` F; bump atoms need its
+        x-part linear in x.
 
-        ``repl[v]`` is the expression substituted for variable ``v``.  Only
-        the first 2n slots are required; trailing parameter slots map to
-        themselves.
+        ``F.components[v]`` is the expression substituted for variable
+        ``v``; trailing parameter slots map to themselves.  A bump factor
+        is transformed by the interned matrix ``F.x_matrix_id()``, read
+        only when an atom has one.
         """
         n = self.n
+        repl = F.components
         m = max(self.nvars(), len(repl))
         full_repl = list(repl) + [Poly.variable(m, v) for v in range(len(repl), m)]
         full_repl = [p.extend(max(m, max(q.nvars for q in full_repl))) for p in full_repl]
 
-        gid = None
-        if any(sig for sig in self.atoms):
-            gid = _intern(_linear_x_matrix(full_repl[:n], n))
+        gid = F.x_matrix_id() if any(sig for sig in self.atoms) else None
 
         out: dict[Signature, Poly] = {}
         for sig, poly in self.atoms.items():
@@ -853,10 +854,11 @@ def _accumulate(norm: dict, sig: Signature, poly: Poly) -> None:
         sig, poly = new_sig, new_poly
 
 
-def _linear_x_matrix(x_repl: Sequence[Poly], n: int):
-    """Extract G with repl[i] = sum_j G[i][j] x_j, else raise."""
+def linear_x_matrix_id(repl: Sequence[Poly], n: int) -> int:
+    """Interned id of G with repl[i] = sum_j G[i][j] x_j for i < n, else
+    raise ValueError."""
     G = []
-    for p in x_repl:
+    for p in repl[:n]:
         row = [Q(0)] * n
         for k, c in p.num.items():
             # a linear monomial is one bit, the lowest of its field
@@ -867,7 +869,7 @@ def _linear_x_matrix(x_repl: Sequence[Poly], n: int):
                 raise ValueError("bump coefficients cannot mix x with y or parameters")
             row[j] = Fraction(c, p.den)
         G.append(row)
-    return G
+    return _intern(G)
 
 
 def _norm_box(box) -> Optional[BoxT]:

@@ -6,6 +6,15 @@ functions, restrictions of support functions of smooth convex bodies, and
 affine shifts / nonnegative scalings / small smooth perturbations of these.
 Each variant also supplies a certified over-estimate of sup |f| on a ball,
 which feeds the mass bound.
+
+``jet(X)`` returns the gradient and the Hessian together.  Variants that
+share work between the two (the log-sum-exp softmax, the closed-form
+entries' r^2, a body restriction's lift and, for an ellipsoid, its h and
+M u in the n x n block only) compute it once, with the same elementwise
+expressions as the separate oracles, so a jet is bit for bit the pair
+``(gradient_array(X), hessian_array(X))``.  Work that does not depend on
+the evaluation is not done until it is needed: a max-affine function
+prunes its dominated pieces when they are first read.
 """
 
 from __future__ import annotations
@@ -13,6 +22,7 @@ from __future__ import annotations
 import bisect
 import math
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,10 +37,6 @@ class NonsmoothPointError(ValueError):
 
 class CatalogError(ValueError):
     pass
-
-
-def _frac_matrix(A, n):
-    return tuple(tuple(_as_fraction(A[i][j]) for j in range(n)) for i in range(n))
 
 
 def _frac_vector(v, n):
@@ -80,8 +86,7 @@ class ConvexFunction:
 class Quadratic(ConvexFunction):
     """f(x) = x^T A x / 2 + b.x + c with A symmetric positive semidefinite.
 
-    A, b, c are kept as the exact rationals they were given; numeric work
-    uses float caches.
+    A, b, c may be given as exact rationals; only their floats are kept.
     """
 
     def __init__(self, A, b=None, c=0):
@@ -90,17 +95,17 @@ class Quadratic(ConvexFunction):
         if A.shape != (n, n) or b is not None and len(b) != n:
             raise CatalogError("quadratic needs a square matrix A and len(b) = len(A)")
         self.n = n
-        self.A = _frac_matrix(A, n)
-        self.b = _frac_vector(b if b is not None else [0] * n, n)
-        self.c = _as_fraction(c)
-        self._Af = np.array([[float(v) for v in row] for row in self.A])
+        try:
+            self._Af = np.array([[float(_as_fraction(v)) for v in row] for row in A])
+        except TypeError:
+            raise CatalogError("quadratic matrix entries must be numbers") from None
         if not np.allclose(self._Af, self._Af.T):
             raise CatalogError("quadratic matrix must be symmetric")
         eig = np.linalg.eigvalsh(self._Af)
         if eig.min() < -1e-10:
             raise CatalogError("quadratic matrix must be positive semidefinite")
-        self._bf = np.array([float(v) for v in self.b])
-        self._cf = float(self.c)
+        self._bf = np.array([float(v) for v in _frac_vector(b if b is not None else [0] * n, n)])
+        self._cf = float(_as_fraction(c))
 
     def eval_array(self, X):
         return 0.5 * np.einsum("ni,ij,nj->n", X, self._Af, X) + X @ self._bf + self._cf
@@ -109,7 +114,8 @@ class Quadratic(ConvexFunction):
         return X @ self._Af.T + self._bf
 
     def hessian_array(self, X):
-        return np.broadcast_to(self._Af, (X.shape[0],) + self._Af.shape).copy()
+        """The constant Hessian as a read-only (N, n, n) broadcast view."""
+        return np.broadcast_to(self._Af, (X.shape[0],) + self._Af.shape)
 
     def sup_abs_bound(self, rho):
         lam = max(float(np.linalg.eigvalsh(self._Af).max()), 0.0)
@@ -122,8 +128,10 @@ class Quadratic(ConvexFunction):
 class MaxAffine(ConvexFunction):
     """f(x) = max_i (a_i . x + b_i), exact rational pieces.
 
-    Duplicate pieces are removed and (for n <= 2) pieces dominated
-    everywhere are pruned at construction.
+    Duplicate pieces are removed at construction.  For n <= 2, pieces
+    dominated everywhere are pruned when ``pieces`` (or a numeric oracle)
+    is first read, so a function that is built but never evaluated costs
+    no exact pruning.
     """
 
     smooth = False
@@ -142,13 +150,26 @@ class MaxAffine(ConvexFunction):
                 seen[a] = max(seen[a], b)
             else:
                 seen[a] = b
-        self.pieces = sorted(seen.items())
-        if prune and n <= 2 and len(self.pieces) > 1:
+        self._pieces = sorted(seen.items())
+        self._prune = prune and n <= 2 and len(self._pieces) > 1
+
+    @property
+    def pieces(self) -> list:
+        """The sorted ``(a, b)`` pieces, pruned on first read."""
+        if self._prune:
             from .polyhedral import prune_dominated_pieces
 
-            self.pieces = prune_dominated_pieces(self.pieces)
-        self._af = np.array([[float(v) for v in a] for a, _ in self.pieces])
-        self._bf = np.array([float(b) for _, b in self.pieces])
+            self._pieces = prune_dominated_pieces(self._pieces)
+            self._prune = False
+        return self._pieces
+
+    @cached_property
+    def _af(self) -> np.ndarray:
+        return np.array([[float(v) for v in a] for a, _ in self.pieces])
+
+    @cached_property
+    def _bf(self) -> np.ndarray:
+        return np.array([float(b) for _, b in self.pieces])
 
     @property
     def m(self) -> int:
@@ -282,14 +303,19 @@ class SmoothCatalog(ConvexFunction):
         return X * r2[:, None]
 
     def hessian_array(self, X):
+        return self.jet(X)[1]
+
+    def jet(self, X):
+        """Both oracles on one r^2 (and, for sqrt1p, one square root)."""
         N, n = X.shape
         r2 = (X * X).sum(axis=1)
         eye = np.broadcast_to(np.eye(n), (N, n, n))
         outer = np.einsum("ni,nj->nij", X, X)
         if self.name == "sqrt1p":
             f = np.sqrt(1.0 + r2)
-            return eye / f[:, None, None] - outer / (f ** 3)[:, None, None]
-        return eye * r2[:, None, None] + 2.0 * outer
+            return (X / f[:, None],
+                    eye / f[:, None, None] - outer / (f ** 3)[:, None, None])
+        return X * r2[:, None], eye * r2[:, None, None] + 2.0 * outer
 
     def sup_abs_bound(self, rho):
         if self.name == "sqrt1p":
@@ -617,6 +643,12 @@ class ConvexBody:
     def hess_h_array(self, U: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def leading_jet(self, U: np.ndarray, k: int) -> tuple:
+        """Gradient and Hessian of h at U in the first k coordinates only:
+        ``(N, k)`` and ``(N, k, k)``, the leading blocks of ``grad_h_array``
+        and ``hess_h_array``; bodies that can skip the rest override it."""
+        return self.grad_h_array(U)[:, :k], self.hess_h_array(U)[:, :k, :k]
+
     def gauge_bound(self) -> float:
         """Certified bound for sup_{|u|=1} |h(u)|."""
         raise NotImplementedError
@@ -660,6 +692,15 @@ class EllipsoidBody(ConvexBody):
         MU = U @ self.M.T
         outer = np.einsum("ni,nj->nij", MU, MU)
         return self.M[None, :, :] / h[:, None, None] - outer / (h ** 3)[:, None, None]
+
+    def leading_jet(self, U, k):
+        """One h and one M U for both blocks, each entry computed as in
+        ``grad_h_array`` and ``hess_h_array``."""
+        h = self.h_array(U)
+        MU = (U @ self.M.T)[:, :k]
+        outer = np.einsum("ni,nj->nij", MU, MU)
+        return (MU / h[:, None],
+                self.M[None, :k, :k] / h[:, None, None] - outer / (h ** 3)[:, None, None])
 
     def gauge_bound(self):
         return math.sqrt(float(np.linalg.eigvalsh(self.M).max())) + 1e-12
@@ -759,7 +800,11 @@ class BodyRestriction(ConvexFunction):
         return self.body.grad_h_array(self._lift(X))[:, :self.n]
 
     def hessian_array(self, X):
-        return self.body.hess_h_array(self._lift(X))[:, :self.n, :self.n]
+        return self.jet(X)[1]
+
+    def jet(self, X):
+        """Both oracles on one lift, in the n x n block only."""
+        return self.body.leading_jet(self._lift(X), self.n)
 
     def sup_abs_bound(self, rho):
         return self.body.gauge_bound() * math.sqrt(1.0 + rho * rho)

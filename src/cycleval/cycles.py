@@ -160,12 +160,15 @@ def _triangle_nodes(v0, v1, v2, order: int, layer: float):
     return pts, wts
 
 
-def eval_smooth_ridge_aligned(f: ConvexFunction, base: MaxAffine,
-                              forms: Sequence[Form], layer: float = 1e-2,
-                              order: int = 24, refine: int = 32) -> list:
-    """Smooth-graph evaluation subdivided along the kink loci of ``base``,
-    for forms that share one support box: one scalar :class:`EvalResult`
-    per form, in order.
+def eval_smooth_ridge_aligned(f: ConvexFunction, cycle, forms: Sequence[Form],
+                              layer: float = 1e-2, order: int = 24,
+                              refine: int = 32) -> list:
+    """Smooth-graph evaluation subdivided along the kink loci of a max-affine
+    base of ``f``, for forms that share one support box: one scalar
+    :class:`EvalResult` per form, in order.  ``cycle`` is the polyhedral
+    cycle of that base on the forms' window,
+    ``build_polyhedral(base, window=window_for(base, box))``; a caller that
+    also evaluates the base exactly passes the cycle it built for that.
 
     Intended for log-sum-exp smoothings with large beta: their Hessians
     concentrate in O(1/beta) layers along the max-affine ridges, invisible to
@@ -177,12 +180,18 @@ def eval_smooth_ridge_aligned(f: ConvexFunction, base: MaxAffine,
     triangles are evaluated together, in blocks of about ``_NODE_BLOCK``,
     each block once for all forms.
     """
-    from .polyhedral import _clip_to_box, build_polyhedral, window_for
+    from .polyhedral import _clip_to_box
 
     n = f.n
     box = _shared(form.support_box() for form in forms)
     integrand = graph_pullback_integrand(f, forms)
-    cycle = build_polyhedral(base, window=window_for(base, box))
+    # the regions clipped to the box, float vertices, once for both passes
+    regions = []
+    for cell in cycle.cells:
+        if cell.dim_x == n:
+            clipped, _ = _clip_to_box(cell.x_vertices, n, box)
+            if clipped:
+                regions.append([[float(v) for v in p] for p in clipped])
 
     def interval_nodes(a, b, o):
         length = b - a
@@ -191,23 +200,15 @@ def eval_smooth_ridge_aligned(f: ConvexFunction, base: MaxAffine,
         return pts[:, None], wts
 
     def node_sets(o):
-        for cell in cycle.cells:
-            if cell.dim_x != n:
-                continue
-            clipped, _ = _clip_to_box(cell.x_vertices, n, box)
-            if not clipped:
-                continue
+        for clipped in regions:
             if n == 1:
                 (a,), (b,) = clipped
-                yield interval_nodes(float(a), float(b), o)
+                yield interval_nodes(a, b, o)
             else:
-                centroid = [sum(float(v[k]) for v in clipped) / len(clipped)
-                            for k in range(2)]
+                centroid = [sum(v[k] for v in clipped) / len(clipped) for k in range(2)]
                 m = len(clipped)
                 for i in range(m):
-                    tri = _triangle_nodes(centroid,
-                                          [float(v) for v in clipped[i]],
-                                          [float(v) for v in clipped[(i + 1) % m]],
+                    tri = _triangle_nodes(centroid, clipped[i], clipped[(i + 1) % m],
                                           o, layer)
                     if tri is not None:
                         yield tri

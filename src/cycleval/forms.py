@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Optional, Sequence
 
-from .coefficients import BoxT, CoefficientFn, SupportError, _box_union
+from .coefficients import BoxT, CoefficientFn, SupportError, _box_union, linear_x_matrix_id
 from .exactla import inverse
 from .polynomials import Poly, Q, _as_fraction
 from .quadrature import Ellipse, EvalResult, integrate, sum_parts
@@ -322,7 +322,7 @@ class PolynomialMap:
     A map is immutable and keeps the minors it has expanded.
     """
 
-    __slots__ = ("n", "components", "_minors")
+    __slots__ = ("n", "components", "_minors", "_gid")
 
     def __init__(self, n: int, components: Sequence[Poly]):
         if len(components) != 2 * n:
@@ -331,6 +331,14 @@ class PolynomialMap:
         m = max(p.nvars for p in components)
         self.components = [p.extend(m) for p in components]
         self._minors: dict[Key, list[tuple[Key, Poly]]] = {}
+        self._gid: Optional[int] = None
+
+    def x_matrix_id(self) -> int:
+        """Interned id of the matrix G of the x-components, x -> G x,
+        found once; ValueError if they are not linear in x."""
+        if self._gid is None:
+            self._gid = linear_x_matrix_id(self.components, self.n)
+        return self._gid
 
     @classmethod
     def identity(cls, n: int) -> "PolynomialMap":
@@ -377,7 +385,7 @@ def pullback(F: PolynomialMap, a: Form) -> Form:
         raise DimensionMismatch("map and form dimension differ")
     out: dict[Key, CoefficientFn] = {}
     for key, c in a.terms.items():
-        comp = c.subs_linear(F.components)
+        comp = c.subs_linear(F)
         for mkey, pval in F.minors(key):
             term = comp * pval
             if term.is_zero():

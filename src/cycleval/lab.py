@@ -106,16 +106,18 @@ def evaluate(vals: Sequence[Valuation],
     if isinstance(f, PiecewiseLinear1D):
         cycle = build_1d(f)
         return [eval_polyline(cycle, tau) for tau in forms]
+    cycles = {}
+
+    def cycle_of(ma: MaxAffine, tau: Form):
+        """The polyhedral cycle of ``ma`` on tau's window, one per window."""
+        window = window_for(ma, tau.support_box())
+        if window not in cycles:
+            cycles[window] = build_polyhedral(ma, window=window)
+        return cycles[window]
+
     ma = as_max_affine(f)
     if ma is not None:
-        cycles = {}
-        out = []
-        for tau in forms:
-            window = window_for(ma, tau.support_box())
-            if window not in cycles:
-                cycles[window] = build_polyhedral(ma, window=window)
-            out.append(eval_polyhedral(cycles[window], tau))
-        return out
+        return [eval_polyhedral(cycle_of(ma, tau), tau) for tau in forms]
     groups: dict = {}
     for i, tau in enumerate(forms):
         groups.setdefault(tau.support_domain(), []).append(i)
@@ -125,8 +127,8 @@ def evaluate(vals: Sequence[Valuation],
         group = [forms[i] for i in idx]
         if lse is not None and lse.n <= 2:
             layer = min(0.25, 50.0 / lse.beta)
-            results = eval_smooth_ridge_aligned(f, lse.base, group, layer=layer,
-                                                order=32, refine=44)
+            results = eval_smooth_ridge_aligned(f, cycle_of(lse.base, group[0]), group,
+                                                layer=layer, order=32, refine=44)
         else:
             results = eval_smooth(f, group)
         for i, res in zip(idx, results):

@@ -8,7 +8,10 @@ equally spaced angles (``integrate_ellipsoid``).  Every other integrand, one
 on a declared window, on a union of several bumps, or in 1-D or 3-D, is
 integrated on its box by tensor Gauss-Legendre (``integrate_box``).  Each
 rule runs one fixed pass pair; ``integrate`` picks the rule of a support
-domain.
+domain.  A rule depends only on its domain and order, so ``box_nodes`` and
+``ellipse_nodes`` memoise it: a battery of functions integrated on one
+support builds its rule once.  The memo is filled on first use, bounded in
+entries, and hands out read-only arrays.
 """
 
 from __future__ import annotations
@@ -112,11 +115,20 @@ def gl_interval(lo: float, hi: float, order: int) -> tuple[np.ndarray, np.ndarra
 
 
 def box_nodes(box: Box, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor-product nodes/weights for a box; nodes shape (N, dim)."""
+    """Tensor-product nodes/weights for a box; nodes shape (N, dim), as
+    read-only arrays.  A 1-D or 2-D rule is memoised on the box's float
+    bounds.  A 3-D rule (1 MiB at order 32, 3.4 MiB at 48) serves one or two
+    integrals per run and is built per call, as a kept one would add to the
+    peak memory of the 3-D integrands."""
+    bounds = tuple((float(lo), float(hi)) for lo, hi in box)
+    return (_kept_box_rule if len(bounds) <= 2 else _box_rule)(bounds, order)
+
+
+def _box_rule(bounds, order):
     axes_pts = []
     axes_wts = []
-    for lo, hi in box:
-        pts, wts = gl_interval(float(lo), float(hi), order)
+    for lo, hi in bounds:
+        pts, wts = gl_interval(lo, hi, order)
         axes_pts.append(pts)
         axes_wts.append(wts)
     grids = np.meshgrid(*axes_pts, indexing="ij")
@@ -124,7 +136,19 @@ def box_nodes(box: Box, order: int) -> tuple[np.ndarray, np.ndarray]:
     wts = axes_wts[0]
     for w in axes_wts[1:]:
         wts = np.multiply.outer(wts, w)
-    return pts, np.asarray(wts).ravel()
+    return _read_only(pts, np.asarray(wts).ravel())
+
+
+def _read_only(*arrays) -> tuple:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+# The rules of the suites' support domains repeat from integral to integral,
+# for every function of a battery: a few dozen (domain, order) pairs per run,
+# the largest a 0.6 MB 160^2 box rule.
+_kept_box_rule = lru_cache(maxsize=16)(_box_rule)
 
 
 def _passes(fn, nodes, order, refine_order) -> EvalResult | list:
@@ -165,7 +189,12 @@ def ellipse_nodes(M, orders: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Nodes (N, 2) and weights of the polar rule of ``orders`` = (radii,
     angles) on the ellipse {x^T M x < 1}: Gauss-Legendre radii on [0, 1]
     times equally spaced angles on the unit disk, mapped by L^-T.  M is a
-    symmetric positive definite 2 x 2 matrix given as nested tuples."""
+    symmetric positive definite 2 x 2 matrix given as nested tuples.  The
+    rule is memoised on M's floats: the arrays are read-only."""
+    return _kept_ellipse_rule(tuple(tuple(map(float, row)) for row in M), tuple(orders))
+
+
+def _ellipse_rule(M, orders):
     order_r, order_t = orders
     r, wr = gl_interval(0.0, 1.0, order_r)
     theta = 2.0 * np.pi * (np.arange(order_t) + 0.5) / order_t
@@ -173,7 +202,10 @@ def ellipse_nodes(M, orders: tuple) -> tuple[np.ndarray, np.ndarray]:
                      np.multiply.outer(r, np.sin(theta)).ravel()], axis=-1)
     wts = np.multiply.outer(wr * r, np.full(order_t, 2.0 * np.pi / order_t)).ravel()
     T, jac = _ellipse_map(M)
-    return disk @ T.T, wts * jac
+    return _read_only(disk @ T.T, wts * jac)
+
+
+_kept_ellipse_rule = lru_cache(maxsize=16)(_ellipse_rule)
 
 
 def integrate_ellipsoid(fn: Callable[[np.ndarray], np.ndarray], M) -> EvalResult | list:

@@ -875,7 +875,7 @@ def suite_consistency(config: ExperimentConfig) -> list:
         approxes = []
         for beta in betas:
             approx, = eval_smooth_ridge_aligned(
-                LogSumExp(ma, beta), ma, [tau], layer=50.0 / beta,
+                LogSumExp(ma, beta), cyc, [tau], layer=50.0 / beta,
                 order=40, refine=56)
             approxes.append(float(approx.value))
             gaps.append(abs(approx.value - exact))

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -67,6 +68,27 @@ def test_process_wide_caches_leave_no_trace_in_the_report(tmp_path):
                            "--out", str(tmp_path / "fresh")], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert runs[0] == runs[1] == (tmp_path / "fresh" / "report.json").read_bytes()
+
+
+def test_kernel_runs_in_one_process_match_fresh_processes(tmp_path):
+    # memoised quadrature rules and lazily pruned max-affine pieces persist
+    # in a process: two kernel-battery-like configs run one after the other
+    # write the bytes each writes in a fresh process
+    sizes = {**QUICK_SIZES, "kernel_dims": [1, 2], "kernel_forms": 3,
+             "kernel_battery": 8}
+    cfgs = [_write_config(tmp_path / f"k{seed}.json", seed=seed, suites=["kernel"],
+                          sizes=sizes) for seed in (7, 100010)]
+    script = ("import sys; from cycleval.cli import main; "
+              "sys.exit(max(main(['run', c, '--out', c + '.out']) for c in sys.argv[1:]))")
+    runs = [[str(c) for c in cfgs]] + [[str(c)] for c in cfgs]
+    reports = []
+    for args in runs:
+        proc = subprocess.run([sys.executable, "-c", script, *args],
+                              capture_output=True, text=True)
+        assert proc.returncode in (0, 1), proc.stderr
+        reports.append([(Path(c + ".out") / "report.json").read_bytes()
+                        for c in args])
+    assert reports[0] == reports[1] + reports[2]
 
 
 def test_run_jobs_suites_on_calling_thread_same_report(tmp_path, monkeypatch):

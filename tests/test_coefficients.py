@@ -168,7 +168,7 @@ def test_trusted_operations_match_full_canonicalisation():
             ):
                 full = CoefficientFn(n, raw, declared_box=c.declared_box)
                 assert list(got.atoms.items()) == list(full.atoms.items())
-            subs = c.subs_linear(lift.components)
+            subs = c.subs_linear(lift)
             m = max(c.nvars(), 2 * n)
             raw = [(tuple(f.transform(G) for f in s), p.extend(m).subs(lift.components))
                    for s, p in c.atoms.items()]

@@ -273,6 +273,22 @@ def test_lse_node_major_oracles_match_row_major_formulas():
                 1e-14 * lse.beta * scale * scale
 
 
+def _jet_cases():
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 3):
+        quad = Quadratic(_rand_psd(rng, n), rng.normal(size=n).round(2), 0.5)
+        yield n, quad
+        yield n, Shifted(quad, [Q(1, 3)] * n, 2)
+        yield n, Scaled(quad, Q(3, 2))
+        yield n, Scaled(SmoothCatalog("sqrt1p", n), Q(1, 2))
+        yield n, SmoothCatalog("sqrt1p", n)
+        yield n, SmoothCatalog("quartic", n)
+        for body in (EllipsoidBody(_rand_psd(rng, n + 1, 0.5)),
+                     PointBody(rng.normal(size=n + 1)),
+                     SmoothedBoxBody(1.0 + rng.random(n + 1), eps=0.2)):
+            yield n, BodyRestriction(body)
+
+
 def test_jet_equals_separate_oracles_bitwise():
     rng = np.random.default_rng(14)
     for n in (1, 2):
@@ -287,6 +303,18 @@ def test_jet_equals_separate_oracles_bitwise():
                 Y, H = f.jet(X)
                 assert np.array_equal(Y, f.gradient_array(X)), f.describe()
                 assert np.array_equal(H, f.hessian_array(X)), f.describe()
+    # every catalog class and wrapper at n = 1..3; a body restriction's
+    # blocks are also those of the body's full oracles
+    for n, f in _jet_cases():
+        X = rng.normal(size=(300, n))
+        Y, H = f.jet(X)
+        assert np.array_equal(Y, f.gradient_array(X)), f.describe()
+        assert np.array_equal(H, f.hessian_array(X)), f.describe()
+        assert Y.shape == (300, n) and H.shape == (300, n, n)
+        if isinstance(f, BodyRestriction):
+            U = np.concatenate([X, -np.ones((300, 1))], axis=1)
+            assert np.array_equal(Y, f.body.grad_h_array(U)[:, :n])
+            assert np.array_equal(H, f.body.hess_h_array(U)[:, :n, :n])
 
 
 def _midpoint_pointwise(f, g, take_max):
@@ -359,3 +387,61 @@ def test_pointwise_merge_matches_midpoint_reference():
             pick = max if take_max else min
             assert all(got.eval_exact(x) == pick(f.eval_exact(x), g.eval_exact(x))
                        for x in [Q(k, 2) for k in range(-12, 13)])
+
+
+def test_quadratic_hessian_is_a_read_only_view():
+    f = Quadratic([[2, 1], [1, 3]])
+    H = f.hessian_array(np.zeros((5, 2)))
+    assert H.shape == (5, 2, 2) and np.array_equal(H[3], [[2.0, 1.0], [1.0, 3.0]])
+    with pytest.raises(ValueError):
+        H[0, 0, 0] = 1.0
+
+
+def test_quadratic_keeps_floats_of_exact_entries():
+    f = Quadratic([[Q(1, 3), "1/7"], [Q(1, 7), 0.1]], [Q(2, 3), 1], "5/4")
+    assert np.array_equal(f._Af, [[1 / 3, 1 / 7], [1 / 7, 0.1]])
+    assert np.array_equal(f._bf, [2 / 3, 1.0]) and f._cf == 1.25
+    assert not any(hasattr(f, name) for name in ("A", "b", "c"))
+    with pytest.raises(CatalogError):
+        Quadratic([[1, None], [None, 1]])
+    # a scalar, a flat [a] and a 0-d array are the 1 x 1 matrix [[a]]
+    for A in (2, [2], np.array(2.0), [[2]]):
+        g = Quadratic(A)
+        assert g.n == 1 and np.array_equal(g._Af, [[2.0]])
+    for A in ([[1, 0], [0]], [[1, 0]], [1, 0]):
+        with pytest.raises(CatalogError):
+            Quadratic(A)
+
+
+def test_max_affine_prunes_on_first_read_as_eagerly(monkeypatch):
+    from cycleval import polyhedral
+
+    rng = np.random.default_rng(31)
+    calls = []
+    prune = polyhedral.prune_dominated_pieces
+
+    def counting(pieces):
+        calls.append(len(pieces))
+        return prune(pieces)
+
+    monkeypatch.setattr(polyhedral, "prune_dominated_pieces", counting)
+    for k in range(200):
+        n = 1 + k % 2
+        pieces = [([Q(int(rng.integers(-3, 4)), int(rng.integers(1, 3)))
+                    for _ in range(n)], Q(int(rng.integers(-3, 4)), 2))
+                  for _ in range(int(rng.integers(1, 7)))]
+        f = MaxAffine(pieces)
+        assert calls == []
+        dedup = {}
+        for a, b in pieces:
+            a = tuple(a)
+            dedup[a] = max(dedup.get(a, b), b)
+        eager = sorted(dedup.items())
+        if len(eager) > 1:
+            eager = prune(eager)
+        assert f.pieces == eager and f.m == len(eager)
+        assert np.array_equal(f._af, [[float(v) for v in a] for a, _ in eager])
+        assert np.array_equal(f._bf, [float(b) for _, b in eager])
+        # pruned once, on the first read
+        assert calls == ([len(dedup)] if len(dedup) > 1 else [])
+        calls.clear()

@@ -335,7 +335,7 @@ def test_lse_consistency_converges():
 
     gaps = []
     for beta in (10.0, 100.0, 1000.0):
-        approx, = eval_smooth_ridge_aligned(LogSumExp(ma, beta), ma, [tau],
+        approx, = eval_smooth_ridge_aligned(LogSumExp(ma, beta), cyc, [tau],
                                             layer=50.0 / beta, order=32, refine=44)
         gaps.append(abs(approx.value - exact))
     assert gaps[0] > gaps[1]
@@ -392,7 +392,8 @@ def test_ridge_aligned_batches_match_per_triangle_sum():
                         total += float(np.dot(W, integrand(pts)[0]))
         return total
 
-    got, = eval_smooth_ridge_aligned(f, ma, [tau], layer=layer, order=12, refine=40)
+    cycle = build_polyhedral(ma, window=window_for(ma, tau.support_box()))
+    got, = eval_smooth_ridge_aligned(f, cycle, [tau], layer=layer, order=12, refine=40)
     coarse, fine = reference(12), reference(40)
     assert abs(fine) > 1e-3
     assert abs(got.value - fine) <= 1e-12 * max(1.0, abs(fine))

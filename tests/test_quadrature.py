@@ -96,3 +96,35 @@ def test_ellipse_rule_resolves_a_bump_at_its_support_circle():
     assert abs(polar.value - ref) <= 1e-10
     assert abs(polar.value - ref) * 100 < abs(tensor.value - ref)
 
+
+def test_memoised_rules_equal_fresh_ones_and_are_read_only():
+    from cycleval.quadrature import _box_rule, _ellipse_rule
+
+    box = ((Q(-3, 2), Q(2)), (-0.5, Q(1, 3)))
+    M = ((Q(3), Q(-5, 4)), (Q(-5, 4), Q(1)))
+    for _ in range(2):  # built, then served from the cache
+        for order in (8, 128):
+            got = box_nodes(box, order)
+            want = _box_rule(tuple((float(lo), float(hi)) for lo, hi in box), order)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        got = ellipse_nodes(M, ELLIPSE_ORDERS[1])
+        want = _ellipse_rule(tuple(tuple(map(float, row)) for row in M), ELLIPSE_ORDERS[1])
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert box_nodes(box, 8)[0] is box_nodes([list(b) for b in box], 8)[0]
+    for arr in (*box_nodes(box, 128), *ellipse_nodes(M, ELLIPSE_ORDERS[0])):
+        with np.testing.assert_raises(ValueError):
+            arr[0] = 1.0
+
+
+def test_rule_memo_is_bounded_and_keeps_no_3d_rule():
+    from cycleval.quadrature import _kept_box_rule
+
+    for k in range(40):
+        box_nodes([(0, 1 + k), (0, 1)], 160)
+        info = _kept_box_rule.cache_info()
+        assert info.currsize <= info.maxsize
+    # a 3-D rule is built for the call and not kept
+    for order in (32, 48):
+        big = box_nodes([(0, 1)] * 3, order)
+        assert not big[0].flags.writeable and not big[1].flags.writeable
+        assert box_nodes([(0, 1)] * 3, order)[0] is not big[0]
