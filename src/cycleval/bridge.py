@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import CompiledBatch, SupportError
-from .convex import ConvexBody, body_restriction
+from .convex import ConvexBody, body_restriction, node_matmul, outer
 from .cycles import eval_smooth
 from .exactla import det
 from .forms import Form
@@ -56,7 +56,7 @@ class SphereChart:
         J = np.empty((N, n + 1, n))
         eye = np.eye(n)
         J[:, :n, :] = eye[None, :, :] / w[:, None, None] \
-            - np.einsum("ni,nj->nij", Z, Z) / (w ** 3)[:, None, None]
+            - outer(Z, Z) / (w ** 3)[:, None, None]
         J[:, n, :] = Z / (w ** 3)[:, None]
         return J
 
@@ -80,7 +80,7 @@ class QMapData:
         dt = dU[:, n, :]
         dx = dU[:, :n, :]
         return -(dx * t[:, None, None]
-                 - np.einsum("ni,nj->nij", x, dt)) / (t ** 2)[:, None, None]
+                 - outer(x, dt)) / (t ** 2)[:, None, None]
 
 
 def conormal_eval(K: ConvexBody, tau: Form) -> EvalResult:
@@ -116,7 +116,7 @@ def conormal_eval(K: ConvexBody, tau: Form) -> EvalResult:
         grad = K.grad_h_array(U)
         hess = K.hess_h_array(U)
         Y = grad[:, :n]
-        dY = np.einsum("nab,nbj->naj", hess, dU)[:, :n, :]
+        dY = node_matmul(hess[:, :n, :], dU)  # the n rows read
         dets = {}
         for I, J in batch.keys:
             rows = [dX[:, i, :] for i in I] + [dY[:, j, :] for j in J]

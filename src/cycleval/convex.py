@@ -15,6 +15,14 @@ expressions as the separate oracles, so a jet is bit for bit the pair
 ``(gradient_array(X), hessian_array(X))``.  Work that does not depend on
 the evaluation is not done until it is needed: a max-affine function
 prunes its dominated pieces when they are first read.
+
+A Hessian that is the same at every node (a quadratic's, or a nonnegative
+multiple of it) is returned as a broadcast view whose node axis has stride
+0; :func:`unbroadcast` reads it as its single row, so that consumers
+compute on it once per node block.  The node kernels (:func:`outer`,
+:func:`quadratic_form`, :func:`node_matmul`) do the small dense algebra on
+(N, ...) node arrays at elementwise cost: a sum of products is summed term
+by term, in a fixed order, from zero.
 """
 
 from __future__ import annotations
@@ -43,6 +51,61 @@ def _frac_vector(v, n):
     if len(v) != n:
         raise CatalogError(f"a vector needs {n} entries, got {len(v)}")
     return tuple(_as_fraction(x) for x in v)
+
+
+# -- node kernels ------------------------------------------------------------------
+
+
+def unbroadcast(H: np.ndarray) -> np.ndarray:
+    """``H[:1]`` if the node axis of ``H`` has stride 0, as in a constant
+    Hessian's broadcast view, else ``H``: arithmetic on the result
+    broadcasts back to every node with the same floats, at the cost of one
+    node."""
+    return H[:1] if H.strides[0] == 0 else H
+
+
+def _scale_broadcast(t: float, H: np.ndarray) -> np.ndarray:
+    """``t * H``, a broadcast view again if ``H`` is one."""
+    row = unbroadcast(H)
+    return t * H if row is H else np.broadcast_to(t * row, H.shape)
+
+
+def quadratic_form(U: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """``u^T M u`` for each row u of ``U``: the products ``(u_i M_ij) u_j``
+    summed i outer, j inner, from zero."""
+    m = M.shape[0]
+    out = np.zeros(U.shape[0])
+    for i in range(m):
+        for j in range(m):
+            out += U[:, i] * M[i, j] * U[:, j]
+    return out
+
+
+def outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (N, p, q) outer products of the rows of ``a`` and ``b``."""
+    out = np.empty(a.shape + b.shape[1:])
+    for i in range(a.shape[1]):
+        for j in range(b.shape[1]):
+            np.multiply(a[:, i], b[:, j], out=out[:, i, j])
+    return out
+
+
+def node_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``A[k] @ B[k]`` for each node k, shape (N, p, q) from (N, p, r) and
+    (N, r, q): each entry is the sum of its r products, accumulated from
+    zero."""
+    N, p, r = A.shape
+    out = np.empty((N, p, B.shape[2]))
+    for i in range(p):
+        for j in range(B.shape[2]):
+            acc = np.zeros(N)
+            for k in range(r):
+                acc += A[:, i, k] * B[:, k, j]
+            out[:, i, j] = acc
+    return out
+
+
+# -- the catalog -------------------------------------------------------------------
 
 
 class ConvexFunction:
@@ -108,13 +171,15 @@ class Quadratic(ConvexFunction):
         self._cf = float(_as_fraction(c))
 
     def eval_array(self, X):
-        return 0.5 * np.einsum("ni,ij,nj->n", X, self._Af, X) + X @ self._bf + self._cf
+        return 0.5 * quadratic_form(X, self._Af) + X @ self._bf + self._cf
 
     def gradient_array(self, X):
         return X @ self._Af.T + self._bf
 
     def hessian_array(self, X):
-        """The constant Hessian as a read-only (N, n, n) broadcast view."""
+        """The constant Hessian as a read-only (N, n, n) broadcast view:
+        its node axis has stride 0, so consumers read it once per block
+        (:func:`unbroadcast`)."""
         return np.broadcast_to(self._Af, (X.shape[0],) + self._Af.shape)
 
     def sup_abs_bound(self, rho):
@@ -233,14 +298,14 @@ class LogSumExp(ConvexFunction):
         self.n = base.n
 
     def _weights(self, X):
-        """Softmax weights and shifted exponents, each of shape (N, m): the
-        transposed views of node-major (m, N) arrays, whose reductions over
+        """Softmax weights of shape (N, m): the transposed view of a
+        node-major (m, N) array, computed in place, whose reductions over
         the few pieces run along contiguous node rows."""
-        z = self.beta * (self.base._af @ X.T + self.base._bf[:, None])
-        z -= z.max(axis=0)
-        w = np.exp(z)
+        w = self.beta * (self.base._af @ X.T + self.base._bf[:, None])
+        w -= w.max(axis=0)
+        np.exp(w, out=w)
         w /= w.sum(axis=0)
-        return w.T, z.T
+        return w.T
 
     def eval_array(self, X):
         z = self.beta * (X @ self.base._af.T + self.base._bf)
@@ -248,19 +313,23 @@ class LogSumExp(ConvexFunction):
         return (top + np.log(np.exp(z - top[:, None]).sum(axis=1))) / self.beta
 
     def gradient_array(self, X, weights=None):
-        """``weights``: the softmax weights ``_weights(X)[0]``, if known."""
+        """``weights``: the softmax weights ``_weights(X)``, if known."""
         if weights is None:
-            weights = self._weights(X)[0]
+            weights = self._weights(X)
         w = weights.T  # node-major (m, N)
         return (self.base._af.T @ w).T
 
-    def hessian_array(self, X, weights=None):
+    def hessian_array(self, X, weights=None, mean=None):
+        """``weights`` as for :meth:`gradient_array`; ``mean``: the
+        node-major (n, N) softmax mean of the gradients, the transpose of
+        ``gradient_array(X, weights)``, if known."""
         if weights is None:
-            weights = self._weights(X)[0]
+            weights = self._weights(X)
         w = weights.T  # node-major (m, N)
         a = self.base._af
         n = a.shape[1]
-        mean = a.T @ w
+        if mean is None:
+            mean = a.T @ w
         # beta * (E[a a^T] - E[a] E[a]^T) under the softmax weights
         aa = (a[:, :, None] * a[:, None, :]).reshape(len(a), n * n)
         second = (aa.T @ w).reshape(n, n, -1)
@@ -268,9 +337,10 @@ class LogSumExp(ConvexFunction):
         return (self.beta * (second - outer)).transpose(2, 0, 1)
 
     def jet(self, X):
-        """Both oracles on one softmax."""
-        w = self._weights(X)[0]
-        return self.gradient_array(X, weights=w), self.hessian_array(X, weights=w)
+        """Both oracles on one softmax and one mean, the gradient."""
+        w = self._weights(X)
+        Y = self.gradient_array(X, weights=w)
+        return Y, self.hessian_array(X, weights=w, mean=Y.T)
 
     def sup_abs_bound(self, rho):
         return self.base.sup_abs_bound(rho) + math.log(self.base.m) / self.beta
@@ -310,12 +380,12 @@ class SmoothCatalog(ConvexFunction):
         N, n = X.shape
         r2 = (X * X).sum(axis=1)
         eye = np.broadcast_to(np.eye(n), (N, n, n))
-        outer = np.einsum("ni,nj->nij", X, X)
+        xx = outer(X, X)
         if self.name == "sqrt1p":
             f = np.sqrt(1.0 + r2)
             return (X / f[:, None],
-                    eye / f[:, None, None] - outer / (f ** 3)[:, None, None])
-        return X * r2[:, None], eye * r2[:, None, None] + 2.0 * outer
+                    eye / f[:, None, None] - xx / (f ** 3)[:, None, None])
+        return X * r2[:, None], eye * r2[:, None, None] + 2.0 * xx
 
     def sup_abs_bound(self, rho):
         if self.name == "sqrt1p":
@@ -384,13 +454,13 @@ class Scaled(ConvexFunction):
     def hessian_array(self, X):
         if self._tf == 0.0:
             return np.zeros((X.shape[0], self.n, self.n))
-        return self._tf * self.inner.hessian_array(X)
+        return _scale_broadcast(self._tf, self.inner.hessian_array(X))
 
     def jet(self, X):
         if self._tf == 0.0:
             return super().jet(X)
         Y, H = self.inner.jet(X)
-        return self._tf * Y, self._tf * H
+        return self._tf * Y, _scale_broadcast(self._tf, H)
 
     def sup_abs_bound(self, rho):
         return self._tf * self.inner.sup_abs_bound(rho)
@@ -681,7 +751,7 @@ class EllipsoidBody(ConvexBody):
         self.spot_check()
 
     def h_array(self, U):
-        return np.sqrt(np.einsum("ni,ij,nj->n", U, self.M, U))
+        return np.sqrt(quadratic_form(U, self.M))
 
     def grad_h_array(self, U):
         MU = U @ self.M.T
@@ -690,17 +760,15 @@ class EllipsoidBody(ConvexBody):
     def hess_h_array(self, U):
         h = self.h_array(U)
         MU = U @ self.M.T
-        outer = np.einsum("ni,nj->nij", MU, MU)
-        return self.M[None, :, :] / h[:, None, None] - outer / (h ** 3)[:, None, None]
+        return self.M[None, :, :] / h[:, None, None] - outer(MU, MU) / (h ** 3)[:, None, None]
 
     def leading_jet(self, U, k):
         """One h and one M U for both blocks, each entry computed as in
         ``grad_h_array`` and ``hess_h_array``."""
         h = self.h_array(U)
         MU = (U @ self.M.T)[:, :k]
-        outer = np.einsum("ni,nj->nij", MU, MU)
         return (MU / h[:, None],
-                self.M[None, :k, :k] / h[:, None, None] - outer / (h ** 3)[:, None, None])
+                self.M[None, :k, :k] / h[:, None, None] - outer(MU, MU) / (h ** 3)[:, None, None])
 
     def gauge_bound(self):
         return math.sqrt(float(np.linalg.eigvalsh(self.M).max())) + 1e-12
@@ -766,9 +834,9 @@ class SmoothedBoxBody(ConvexBody):
         H = np.zeros((N, m, m))
         for i in range(m):
             H[:, i, i] += 3.0 * c[i] * U[:, i] ** 2 / g ** 3
-        H -= 3.0 * np.einsum("ni,nj->nij", grad4, grad4) / g[:, None, None]
+        H -= 3.0 * outer(grad4, grad4) / g[:, None, None]
         uhat = U / r[:, None]
-        H += self.eps * (eye - np.einsum("ni,nj->nij", uhat, uhat)) / r[:, None, None]
+        H += self.eps * (eye - outer(uhat, uhat)) / r[:, None, None]
         return H
 
     def gauge_bound(self):

@@ -14,7 +14,9 @@ float coefficients (coefficients.CompiledBatch); each block of nodes then
 costs one jet of f (gradient and Hessian, on one softmax for a log-sum-exp
 smoothing), one Hessian minor per minor that occurs, and one monomial
 table, whatever the number of forms.  Each form's row, and so its value, is
-bit for bit what it would be alone.
+bit for bit what it would be alone.  A constant Hessian (a quadratic's,
+returned as a broadcast view) is read once per block: its minors, and the
+metric determinant of the mass, are computed on one node and broadcast.
 
 Polyhedral cycles of max-affine f live in polyhedral.py.  All evaluators
 share one orientation convention, the Minty transport; for a smooth convex
@@ -23,16 +25,24 @@ graph it reduces to the standard orientation of the base.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .coefficients import CoefficientFn, CompiledBatch, SupportError
-from .convex import ConvexFunction, MaxAffine, NonsmoothPointError, PiecewiseLinear1D
+from .convex import (
+    ConvexFunction,
+    MaxAffine,
+    NonsmoothPointError,
+    PiecewiseLinear1D,
+    node_matmul,
+    unbroadcast,
+)
 from .exactla import det
 from .forms import Form, merge_sign
-from .polynomials import Q
+from .polynomials import Q, _unpack
 from .quadrature import (
     ELLIPSE_ORDERS,
     EvalResult,
@@ -97,6 +107,7 @@ def graph_pullback_integrand(f: ConvexFunction, forms: Sequence[Form]):
         for start in range(0, X.shape[0], _NODE_BLOCK):
             block = X[start:start + _NODE_BLOCK]
             Y, H = f.jet(block)
+            H = unbroadcast(H)
             minors = {(J, Ic): det([[H[:, r, c] for c in Ic] for r in J])
                       for J, Ic in batch.keys}
             batch.add_to(out[:, start:start + _NODE_BLOCK],
@@ -247,9 +258,8 @@ def mass_smooth(f: ConvexFunction, R: float) -> float:
         pts, wts = ellipse_nodes(((inv_r2, 0.0), (0.0, inv_r2)), ELLIPSE_ORDERS[1])
     else:
         raise NotImplementedError("mass quadrature implemented for n <= 2")
-    H = f.hessian_array(pts)
-    HtH = np.einsum("nij,njk->nik", np.transpose(H, (0, 2, 1)), H)
-    G = np.eye(n)[None, :, :] + HtH
+    H = unbroadcast(f.hessian_array(pts))
+    G = np.eye(n)[None, :, :] + node_matmul(H.transpose(0, 2, 1), H)
     dets = det([[G[:, i, j] for j in range(n)] for i in range(n)])
     return float((wts * np.sqrt(dets)).sum())
 
@@ -304,8 +314,7 @@ def _polyline_parts(cycle: Polyline1DCycle, coeffs):
     """Integral of each dx (axis 0) or dy (axis 1) atom over each segment
     along its axis: pieces left to right at y = slope, kinks at x = kink
     from left to right slope.  A polynomial atom is integrated in closed
-    form: its term c x^a y^b along x from start to end at y = fixed gives
-    c fixed^b (end^(a+1) - start^(a+1)) / (a+1), and likewise along y."""
+    form (:func:`_closed_form`), a bump atom by quadrature."""
     windows = {}  # support box -> its (horizontal, vertical) segments
     for axis, coeff in coeffs:
         for sig, poly in coeff.atoms.items():
@@ -320,15 +329,12 @@ def _polyline_parts(cycle: Polyline1DCycle, coeffs):
                 segments = [(s, a, b) for (a, b), s in horiz if b > a]
             else:
                 segments = vert
+            if not sig:
+                integral = _closed_form(poly, axis)
+                for fixed, start, end in segments:
+                    yield integral(fixed, start, end)
+                continue
             for fixed, start, end in segments:
-                if not sig:
-                    total = Q(0)
-                    for e, c in poly.terms.items():
-                        # power along the segment, power of the fixed coordinate
-                        i, j = (e[1], e[0]) if axis else (e[0], e[1])
-                        total += c * fixed ** j * (end ** (i + 1) - start ** (i + 1)) / (i + 1)
-                    yield total
-                    continue
                 ff = float(fixed)
 
                 def fn(p):
@@ -338,3 +344,36 @@ def _polyline_parts(cycle: Polyline1DCycle, coeffs):
                 a, b = float(start), float(end)
                 res = integrate_box(fn, [(min(a, b), max(a, b))])
                 yield EvalResult((-1.0 if b < a else 1.0) * res.value, res.error)
+
+
+def _closed_form(poly, axis: int):
+    """``(fixed, start, end) ->`` the exact integral of the polynomial atom
+    ``poly`` along ``axis`` over one segment.  Its term c x^a y^b, with i
+    the power along the segment and j that of the fixed coordinate, gives
+    c fixed^j (end^(i+1) - start^(i+1)) / (i+1).  With fixed, start and end
+    written as integers F, S, E over one denominator d, and L the least
+    common multiple of the (i+1), every term is an integer over
+    ``poly.den L d^(top+1)``, top the largest i + j: a segment costs
+    integer arithmetic and one Fraction."""
+    powers = []
+    for key, c in poly.num.items():
+        a, b = _unpack(key, 2)
+        i, j = (b, a) if axis else (a, b)
+        powers.append((c, i + 1, j))
+    top = max((i1 + j - 1 for _, i1, j in powers), default=0)
+    lcm = math.lcm(*(i1 for _, i1, _ in powers))
+    # (c L / (i+1), i + 1, j, the power of d that lifts the term to d^(top+1))
+    terms = [(c * (lcm // i1), i1, j, top + 1 - i1 - j) for c, i1, j in powers]
+    den = poly.den * lcm
+
+    def integral(fixed, start, end) -> Q:
+        d = math.lcm(fixed.denominator, start.denominator, end.denominator)
+        F = fixed.numerator * (d // fixed.denominator)
+        S = start.numerator * (d // start.denominator)
+        E = end.numerator * (d // end.denominator)
+        total = 0
+        for c, i1, j, k in terms:
+            total += c * F ** j * (E ** i1 - S ** i1) * d ** k
+        return Q(total, den * d ** (top + 1))
+
+    return integral

@@ -44,6 +44,17 @@ class ParseError(ValueError):
 # -- small rational-aware value parser ------------------------------------------
 
 
+def _in_float_range(value: Fraction, literal: str) -> Fraction:
+    """``value``, the exact value of the number ``literal``, if its float is
+    finite: the evaluators compute in floats, so a larger number is a
+    config error here rather than an overflow in some later suite."""
+    try:
+        float(value)
+    except OverflowError:
+        raise ParseError(f"number {literal} is outside the float range") from None
+    return value
+
+
 def _tokenize_value(text: str):
     return re.findall(r"\[|\]|,|[^\[\],\s]+", text)
 
@@ -67,11 +78,12 @@ def parse_value(text: str):
             pos += 1
             return items
         try:
-            return Fraction(tok)
+            number = Fraction(tok)
         except (ValueError, ZeroDivisionError):
             if tok.isidentifier():
                 return tok
             raise ParseError(f"bad number {tok!r} in {text!r}") from None
+        return _in_float_range(number, tok)
 
     try:
         out = value()
@@ -200,9 +212,10 @@ def _parse_term(term: str, n: int, sign: int) -> Form:
             exps[slot] += int(power or 1)
             continue
         try:
-            coeff *= Fraction(tok)
+            number = Fraction(tok)
         except ValueError as exc:
             raise ParseError(f"cannot parse factor {tok!r}") from exc
+        coeff *= _in_float_range(number, tok)
     poly = Poly.monomial(2 * n, exps, coeff)
     if bump is not None:
         c = CoefficientFn(n, {(bump,): poly})
@@ -261,7 +274,8 @@ def _bump_power(val, key: str) -> int:
 
 
 def _parse_box(body: str, n: int):
-    vals = [Fraction(v.strip()) for v in _split_top_level(body, ",") if v.strip()]
+    vals = [_in_float_range(Fraction(v), v)
+            for v in map(str.strip, _split_top_level(body, ",")) if v]
     if len(vals) == 1:
         a = abs(vals[0])
         return tuple((-a, a) for _ in range(n))

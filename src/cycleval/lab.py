@@ -41,6 +41,7 @@ from .convex import (
     SmoothCatalog,
     SmoothField,
     as_max_affine,
+    unbroadcast,
 )
 from .cycles import (
     _NODE_BLOCK,
@@ -520,7 +521,8 @@ class MixedDiscriminantSpec:
 
 def hessian_valuation(spec: MixedDiscriminantSpec, f: ConvexFunction) -> float:
     """Quadrature of B(x) det(D^2 f(x)[k], A_1..A_{n-k}) over B's support
-    domain, the nodes streamed in blocks of ``_NODE_BLOCK``."""
+    domain, the nodes streamed in blocks of ``_NODE_BLOCK``; a constant
+    Hessian's mixed discriminant is computed once per block."""
     n, k = spec.n, spec.k
     domain = spec.B.support_domain()
     if domain is None:
@@ -531,7 +533,7 @@ def hessian_valuation(spec: MixedDiscriminantSpec, f: ConvexFunction) -> float:
         out = np.empty(pts.shape[0])
         for start in range(0, pts.shape[0], _NODE_BLOCK):
             block = pts[start:start + _NODE_BLOCK]
-            H = f.hessian_array(block)
+            H = unbroadcast(f.hessian_array(block))
             Hrows = [[H[:, p, q] for q in range(n)] for p in range(n)]
             out[start:start + _NODE_BLOCK] = (
                 spec.B.eval_x_array(block) * polarized_det([Hrows] * k + A_float))

@@ -126,3 +126,22 @@ def test_t_map_properties():
     v2 = float(t_map(tau, K2).value)
     if abs(v1) > 1e-6:
         assert v2 == pytest.approx(2.0 * v1, rel=1e-5)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_chart_jacobians_match_einsum_bitwise(n):
+    rng = np.random.default_rng(60 + n)
+    Z = rng.normal(size=(4096, n)) * 2
+    chart, q = SphereChart(n), QMapData(n)
+    w = np.sqrt(1.0 + (Z * Z).sum(axis=1))
+    want = np.empty((4096, n + 1, n))
+    want[:, :n, :] = np.eye(n)[None] / w[:, None, None] \
+        - np.einsum("ni,nj->nij", Z, Z) / (w ** 3)[:, None, None]
+    want[:, n, :] = Z / (w ** 3)[:, None]
+    dU = chart.jacobian(Z)
+    assert np.array_equal(dU.view(np.int64), want.view(np.int64))
+    U = chart.point(Z)
+    t, x = U[:, n], U[:, :n]
+    want = -(dU[:, :n, :] * t[:, None, None]
+             - np.einsum("ni,nj->nij", x, dU[:, n, :])) / (t ** 2)[:, None, None]
+    assert np.array_equal(q.project_jacobian(U, dU).view(np.int64), want.view(np.int64))

@@ -235,6 +235,34 @@ def test_exit_code_name_for_a_number(tmp_path, capsys, spec, key):
     assert f"{key}= needs numbers, not the name 'foo'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,spec,literal", [
+    ("functions", "quadratic A=[[1e400]] b=[0] c=0", "1e400"),
+    ("functions", "quadratic A=[[1]] b=[1e400] c=0", "1e400"),
+    ("functions", "quadratic A=[[1]] b=[0] c=-1e400", "-1e400"),
+    ("functions", "quadratic A=[[1]] b=[0] c=0 shift=[1e400]", "1e400"),
+    ("functions", "quadratic A=[[1]] b=[0] c=0 scale=1e400", "1e400"),
+    ("functions", "lse pieces=[[[1],0],[[-1],0]] beta=1e400", "1e400"),
+    ("functions", "maxaffine pieces=[[[1e400],0],[[-1],0]]", "1e400"),
+    ("functions", "lse pieces=[[[1],0],[[-1],2e308]] beta=2", "2e308"),
+    ("functions", "pwl breaks=[1e400] slopes=[-1,1]", "1e400"),
+    ("bodies", "ellipsoid M=[[1e400,0],[0,1]]", "1e400"),
+    ("forms", "bump(R=1e400) * dy1", "1e400"),
+    ("forms", "1e400 * box(2) * dy1", "1e400"),
+    ("forms", "box(-1e400,2) * dy1", "-1e400"),
+])
+def test_exit_code_number_outside_float_range(tmp_path, capsys, key, spec, literal):
+    # such a number would overflow the float evaluators of some suite
+    cfg = _write_config(tmp_path / "cfg.json", **{key: [spec]})
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    message = f"number {literal} is outside the float range"
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+    if key == "functions":
+        assert main(["dump-cycle", spec]) == 2
+        assert f"spec error: {message}" in capsys.readouterr().err
+
+
 def test_run_declared_smooth_spec(tmp_path):
     # the kernel suite is the one that evaluates declared functions
     cfg = _write_config(tmp_path / "cfg.json", suites=["kernel"],

@@ -21,6 +21,10 @@ from cycleval.convex import (
     SmoothField,
     as_max_affine,
     body_restriction,
+    node_matmul,
+    outer,
+    quadratic_form,
+    unbroadcast,
 )
 from cycleval.coefficients import CoefficientFn, ball_bump
 
@@ -232,7 +236,7 @@ def test_lse_hessian_matches_einsum_formula():
                  MaxAffine([([1, 0], 0), ([-1, 1], 0.5), ([0, -1], -0.5), ([2, 1], 0)])):
         lse = LogSumExp(base, 9.0)
         X = rng.uniform(-2, 2, size=(64, base.n))
-        w, _ = lse._weights(X)
+        w = lse._weights(X)
         a = base._af
         mean = w @ a
         want = lse.beta * (np.einsum("nm,mi,mj->nij", w, a, a)
@@ -262,8 +266,8 @@ def test_lse_node_major_oracles_match_row_major_formulas():
             aa = (a[:, :, None] * a[:, None, :]).reshape(m, n * n)
             hess = lse.beta * ((w @ aa).reshape(-1, n, n)
                                - mean[:, :, None] * mean[:, None, :])
-            got_w, got_z = lse._weights(X)
-            assert got_w.shape == (500, m) and got_z.shape == (500, m)
+            got_w = lse._weights(X)
+            assert got_w.shape == (500, m)
             assert np.abs(got_w - w).max() <= 1e-14
             scale = float(np.abs(a).max())
             assert lse.gradient_array(X).shape == (500, n)
@@ -445,3 +449,90 @@ def test_max_affine_prunes_on_first_read_as_eagerly(monkeypatch):
         # pruned once, on the first read
         assert calls == ([len(dedup)] if len(dedup) > 1 else [])
         calls.clear()
+
+
+# -- node kernels: the einsum expressions they replace, bit for bit --------------
+
+
+def _bitwise_equal(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_node_kernels_match_einsum_bitwise(m):
+    rng = np.random.default_rng(100 + m)
+    N = 4096
+    U, V = rng.normal(size=(2, N, m))
+    M = rng.normal(size=(m, m))
+    H = rng.normal(size=(N, m, m))
+    assert _bitwise_equal(quadratic_form(U, M), np.einsum("ni,ij,nj->n", U, M, U))
+    assert _bitwise_equal(outer(U, V), np.einsum("ni,nj->nij", U, V))
+    # H^T H (a transposed view) and the leading rows of a product with an
+    # (N, m, m - 1) factor, as mass_smooth and conormal_eval use them
+    Ht = H.transpose(0, 2, 1)
+    assert _bitwise_equal(node_matmul(Ht, H), np.einsum("nij,njk->nik", Ht, H))
+    if m > 1:
+        D = rng.normal(size=(N, m, m - 1))
+        assert _bitwise_equal(node_matmul(H[:, :m - 1, :], D),
+                              np.einsum("nab,nbj->naj", H, D)[:, :m - 1, :])
+    # a constant matrix read once equals the product over all its nodes
+    C = np.broadcast_to(M, (N, m, m))
+    assert unbroadcast(C).shape == (1, m, m) and unbroadcast(H) is H
+    once = node_matmul(unbroadcast(C).transpose(0, 2, 1), unbroadcast(C))
+    assert _bitwise_equal(np.broadcast_to(once, (N, m, m)),
+                          np.einsum("nij,njk->nik", C.transpose(0, 2, 1), C))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_body_oracles_match_einsum_bitwise(m):
+    rng = np.random.default_rng(200 + m)
+    N = 4096
+    U = rng.normal(size=(N, m))
+    K = EllipsoidBody(_rand_psd(rng, m, 0.5))
+    h = np.sqrt(np.einsum("ni,ij,nj->n", U, K.M, U))
+    MU = U @ K.M.T
+    hess = K.M[None] / h[:, None, None] \
+        - np.einsum("ni,nj->nij", MU, MU) / (h ** 3)[:, None, None]
+    assert _bitwise_equal(K.h_array(U), h)
+    assert _bitwise_equal(K.hess_h_array(U), hess)
+    for k in range(1, m + 1):
+        g, H = K.leading_jet(U, k)
+        assert _bitwise_equal(H, K.M[None, :k, :k] / h[:, None, None]
+                              - np.einsum("ni,nj->nij", MU[:, :k], MU[:, :k])
+                              / (h ** 3)[:, None, None])
+    box = SmoothedBoxBody(1.0 + rng.random(m), eps=0.2)
+    c = box.a ** 4
+    g = (((box.a * U) ** 4).sum(axis=1)) ** 0.25
+    r = np.linalg.norm(U, axis=1)
+    grad4 = (c * U ** 3) / (g ** 3)[:, None]
+    want = np.zeros((N, m, m))
+    for i in range(m):
+        want[:, i, i] += 3.0 * c[i] * U[:, i] ** 2 / g ** 3
+    want -= 3.0 * np.einsum("ni,nj->nij", grad4, grad4) / g[:, None, None]
+    uhat = U / r[:, None]
+    want += box.eps * (np.eye(m) - np.einsum("ni,nj->nij", uhat, uhat)) / r[:, None, None]
+    assert _bitwise_equal(box.hess_h_array(U), want)
+    for name in SmoothCatalog.NAMES:
+        X = U
+        r2 = (X * X).sum(axis=1)
+        xx = np.einsum("ni,nj->nij", X, X)
+        eye = np.eye(m)[None]
+        if name == "sqrt1p":
+            f = np.sqrt(1.0 + r2)
+            want = eye / f[:, None, None] - xx / (f ** 3)[:, None, None]
+        else:
+            want = eye * r2[:, None, None] + 2.0 * xx
+        assert _bitwise_equal(SmoothCatalog(name, m).hessian_array(X), want)
+    q = Quadratic(_rand_psd(rng, m), rng.normal(size=m).round(2), 0.5)
+    assert _bitwise_equal(q.eval_array(U), 0.5 * np.einsum("ni,ij,nj->n", U, q._Af, U)
+                          + U @ q._bf + q._cf)
+
+
+def test_scaled_constant_hessian_stays_broadcast():
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(64, 2))
+    q = Quadratic(_rand_psd(rng, 2))
+    full = np.array(q.hessian_array(X))
+    for f, t in ((Scaled(q, Q(3, 2)), 1.5), (Shifted(Scaled(q, 2), [1, 0], 0), 2.0)):
+        for H in (f.hessian_array(X), f.jet(X)[1]):
+            assert H.strides[0] == 0 and _bitwise_equal(np.array(H), t * full)

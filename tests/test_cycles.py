@@ -594,6 +594,53 @@ def test_polyline_closed_form_matches_poly_route():
             assert got == want and all(type(v) is Q for v in got)
 
 
+def _fraction_parts(cycle, coeffs):
+    # reference: each term of each polynomial atom integrated in Fraction
+    # arithmetic and summed term by term, one value per segment
+    for axis, coeff in coeffs:
+        horiz, vert = cycle.segments(*coeff.declared_box[0])
+        segments = [(s, a, b) for (a, b), s in horiz if b > a] if axis == 0 else vert
+        for poly in coeff.atoms.values():
+            for fixed, start, end in segments:
+                total = Q(0)
+                for e, c in poly.terms.items():
+                    i, j = (e[1], e[0]) if axis else (e[0], e[1])
+                    total += c * fixed ** j * (end ** (i + 1) - start ** (i + 1)) / (i + 1)
+                yield total
+
+
+def _big_denominator_pwl(rng):
+    # lines with slopes and offsets over seven-digit denominators: the
+    # crossings of their maxima and minima have denominators beyond 10^10
+    def line():
+        den = int(rng.integers(10 ** 6, 10 ** 7))
+        return PiecewiseLinear1D([], [Q(int(rng.integers(-10 ** 7, 10 ** 7)), den)],
+                                 Q(int(rng.integers(-10 ** 7, 10 ** 7)), den + 1))
+    f = line().maximum(line()).maximum(line())
+    return f.minimum(line().maximum(line()))
+
+
+def test_polyline_integer_sums_match_fractions_at_large_denominators():
+    rng = np.random.default_rng(47)
+    for trial in range(30):
+        f = _big_denominator_pwl(rng)
+        assert max((b.denominator for b in f.breaks), default=1) > 10 ** 10
+        lo = min(f.breaks, default=Q(0)) - Q(1, 3)
+        hi = max(f.breaks, default=Q(0)) + Q(2, 7)
+        coeffs = []
+        for axis in (0, 1):
+            # mixed exponents, from constants to x^4 y^3
+            terms = {(int(rng.integers(0, 5)), int(rng.integers(0, 4))):
+                     Q(int(rng.integers(-9, 10)), int(rng.integers(1, 30))) for _ in range(5)}
+            terms[(0, 0)] = Q(7, 3)
+            coeffs.append((axis, CoefficientFn.from_poly(1, Poly(2, terms), box=((lo, hi),))))
+        for flip in (False, True):
+            cycle = Polyline1DCycle(f, flip_vertical=flip)
+            got = list(_polyline_parts(cycle, coeffs))
+            assert got == list(_fraction_parts(cycle, coeffs))
+            assert all(type(v) is Q for v in got)
+
+
 def _meshgrid_triangle_nodes(v0, v1, v2, order, layer):
     # reference: the (u, r) grid as two meshgrids and (N, 2) temporaries
     v0, v1, v2 = (np.asarray(v, dtype=float) for v in (v0, v1, v2))
@@ -622,3 +669,42 @@ def test_triangle_nodes_match_meshgrid_bitwise():
         assert pts.flags.c_contiguous
         assert np.array_equal(pts, want_pts) and np.array_equal(wts, want_wts)
     assert _triangle_nodes([0, 0], [1, 1], [2, 2], 8, 1e-2) is None
+
+
+class _MaterialisedHessian(ConvexFunction):
+    """``f`` with each Hessian copied into a fresh array, so no evaluator
+    sees a broadcast view."""
+
+    def __init__(self, f):
+        self.f = f
+        self.n = f.n
+
+    def eval_array(self, X):
+        return self.f.eval_array(X)
+
+    def gradient_array(self, X):
+        return self.f.gradient_array(X)
+
+    def hessian_array(self, X):
+        return np.array(self.f.hessian_array(X))
+
+
+def test_constant_hessian_read_once_matches_materialised_bitwise():
+    from cycleval.lab import MixedDiscriminantSpec, hessian_valuation, random_bump_form
+
+    rng = np.random.default_rng(31)
+    for n in (1, 2):
+        G = rng.normal(size=(n, n))
+        q = Quadratic(np.round(G @ G.T + 0.5 * np.eye(n), 3), rng.normal(size=n).round(2))
+        forms = [random_bump_form(rng, n, degree=n, nterms=3) for _ in range(3)]
+        B = CoefficientFn.bump(n, ball_bump(n, Q(3, 2)), Poly(n, {(1,) + (0,) * (n - 1): Q(1)}))
+        specs = [MixedDiscriminantSpec(n, k, B, [np.eye(n).astype(int).tolist()] * (n - k))
+                 for k in range(n + 1)]
+        for f in (q, Scaled(q, Q(5, 2))):
+            ref = _MaterialisedHessian(f)
+            assert f.hessian_array(np.zeros((8, n))).strides[0] == 0
+            got, want = eval_smooth(f, forms), eval_smooth(ref, forms)
+            assert [(r.value, r.error) for r in got] == [(r.value, r.error) for r in want]
+            for spec in specs:
+                assert hessian_valuation(spec, f) == hessian_valuation(spec, ref)
+            assert mass_smooth(f, 1.5) == mass_smooth(ref, 1.5)
