@@ -125,7 +125,7 @@ def conormal_eval(K: ConvexBody, tau: Form) -> EvalResult:
         batch.add_to(out, np.concatenate([X.T, Y.T]), dets)
         return out[0]
 
-    return integrate(integrand, domain)
+    return integrate(integrand, [domain])
 
 
 @dataclass

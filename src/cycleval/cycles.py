@@ -2,11 +2,14 @@
 
 * smooth gradient graphs (quadrature of the graph pullback, C^2 catalog,
   on the forms' support ellipse or box), plain or ridge-aligned for
-  log-sum-exp smoothings, and their mass,
+  log-sum-exp smoothings (on graded triangles of the max-affine regions),
+  and their mass,
 * 1D polylines for piecewise-linear f on R, convex or not: exact for
   windowed polynomial atoms, integrated along each segment in closed form
   term by term, and by quadrature for bump atoms.
 
+Every numeric integral here is a call of quadrature.integrate on support
+domains, which owns the nodes, the pass pairs and the error estimates.
 The graph evaluators take a list of forms and return one result per form.
 Forms that share a support domain are evaluated on one node stream.  Their
 coefficients are compiled once into one exponent table with exact-summed
@@ -44,23 +47,15 @@ from .exactla import det
 from .forms import Form, merge_sign
 from .polynomials import Q, _unpack
 from .quadrature import (
+    _NODE_BLOCK,
     ELLIPSE_ORDERS,
     EvalResult,
+    GradedSimplex,
     box_nodes,
     ellipse_nodes,
-    gl_interval,
     integrate,
-    integrate_box,
     sum_parts,
-    two_pass,
 )
-
-
-# Nodes per block of a graph-pullback integrand, and per integrand call of
-# the ridge-aligned evaluator, which streams consecutive triangles together
-# up to this many nodes: it keeps the call count low and the per-block
-# arrays, the monomial table above all, and so peak memory bounded.
-_NODE_BLOCK = 4096
 
 
 def _shared(supports):
@@ -132,48 +127,11 @@ def eval_smooth(f: ConvexFunction, forms: Sequence[Form], domain=None) -> list:
     if any(form.degree != n or form.n != n for form in forms):
         raise ValueError("form must be an n-form matching the function dimension")
     return integrate(graph_pullback_integrand(f, forms),
-                     domain or _shared(form.support_domain() for form in forms))
-
-
-def _graded_cuts(width: float) -> list:
-    """Partition of [0, 1] isolating boundary layers of relative width w."""
-    w = min(max(width, 1e-12), 1.0 / 3.0)
-    return [0.0, w, 1.0 - w, 1.0]
-
-
-def _gl_pieces(cuts, order: int):
-    """Gauss-Legendre nodes and weights of ``order`` on each piece of ``cuts``."""
-    pieces = [gl_interval(lo, hi, order) for lo, hi in zip(cuts, cuts[1:])]
-    return (np.concatenate([p for p, _ in pieces]),
-            np.concatenate([w for _, w in pieces]))
-
-
-def _triangle_nodes(v0, v1, v2, order: int, layer: float):
-    """Graded (edge, radial) tensor nodes and weights of a triangle of the
-    ridge-aligned evaluator, None if it is degenerate.
-    P(u, r) = v0 + r (v1 + u (v2 - v1) - v0); |Jacobian| = 2 area r."""
-    v0 = np.asarray(v0, dtype=float)
-    v1 = np.asarray(v1, dtype=float)
-    v2 = np.asarray(v2, dtype=float)
-    e = v2 - v1
-    area2 = abs((v1 - v0)[0] * (v2 - v0)[1] - (v1 - v0)[1] * (v2 - v0)[0])
-    if area2 == 0.0:
-        return None
-    elen = float(np.linalg.norm(e))
-    h = area2 / elen  # distance from v0 to the edge line
-    up, uw = _gl_pieces(_graded_cuts(layer / elen), order)
-    rp, rw = _gl_pieces([0.0, 1.0 - min(max(layer / h, 1e-12), 1.0 / 3.0), 1.0], order)
-    # node (i, j) at row i * len(rp) + j: E = v1 + u_i e on the edge,
-    # P = v0 + r_j (E - v0), one (u, r) grid per coordinate
-    pts = np.stack([(v0[k] + rp[None, :] * (v1[k] + up[:, None] * e[k] - v0[k])).ravel()
-                    for k in range(2)], axis=1)
-    wts = ((uw[:, None] * rw[None, :]) * rp[None, :] * area2).ravel()
-    return pts, wts
+                     [domain or _shared(form.support_domain() for form in forms)])
 
 
 def eval_smooth_ridge_aligned(f: ConvexFunction, cycle, forms: Sequence[Form],
-                              layer: float = 1e-2, order: int = 24,
-                              refine: int = 32) -> list:
+                              layer: float, order: int, refine: int) -> list:
     """Smooth-graph evaluation subdivided along the kink loci of a max-affine
     base of ``f``, for forms that share one support box: one scalar
     :class:`EvalResult` per form, in order.  ``cycle`` is the polyhedral
@@ -183,69 +141,28 @@ def eval_smooth_ridge_aligned(f: ConvexFunction, cycle, forms: Sequence[Form],
 
     Intended for log-sum-exp smoothings with large beta: their Hessians
     concentrate in O(1/beta) layers along the max-affine ridges, invisible to
-    plain tensor quadrature.  The integration domain is split into the
-    max-affine regions, each region fanned into triangles from its centroid,
-    and every triangle integrated on a tensor grid in (edge, radial)
-    coordinates graded so that the boundary layers of width ``layer`` are
-    resolved at their own scale.  The nodes of consecutive intervals or
-    triangles are evaluated together, in blocks of about ``_NODE_BLOCK``,
-    each block once for all forms.
+    plain tensor quadrature.  The max-affine regions clipped to the box,
+    each 2-D region fanned into triangles from its centroid, are integrated
+    as :class:`~cycleval.quadrature.GradedSimplex` domains graded at
+    ``layer``, at the pass pair ``(order, refine)``.
     """
     from .polyhedral import _clip_to_box
 
     n = f.n
     box = _shared(form.support_box() for form in forms)
-    integrand = graph_pullback_integrand(f, forms)
-    # the regions clipped to the box, float vertices, once for both passes
-    regions = []
+    pieces = []  # float vertices of the intervals or triangles
     for cell in cycle.cells:
-        if cell.dim_x == n:
-            clipped, _ = _clip_to_box(cell.x_vertices, n, box)
-            if clipped:
-                regions.append([[float(v) for v in p] for p in clipped])
-
-    def interval_nodes(a, b, o):
-        length = b - a
-        pts, wts = _gl_pieces(
-            [a + t * length for t in _graded_cuts(layer / max(length, 1e-12))], o)
-        return pts[:, None], wts
-
-    def node_sets(o):
-        for clipped in regions:
-            if n == 1:
-                (a,), (b,) = clipped
-                yield interval_nodes(a, b, o)
-            else:
-                centroid = [sum(v[k] for v in clipped) / len(clipped) for k in range(2)]
-                m = len(clipped)
-                for i in range(m):
-                    tri = _triangle_nodes(centroid, clipped[i], clipped[(i + 1) % m],
-                                          o, layer)
-                    if tri is not None:
-                        yield tri
-
-    def one_pass(o):
-        totals = [0.0] * len(forms)
-        pending, count = [], 0
-        for pts, wts in node_sets(o):
-            pending.append((pts, wts))
-            count += len(wts)
-            if count >= _NODE_BLOCK:
-                totals = _add_weighted_sums(totals, integrand, pending)
-                pending, count = [], 0
-        if pending:
-            totals = _add_weighted_sums(totals, integrand, pending)
-        return totals
-
-    return two_pass(one_pass, order, refine)
-
-
-def _add_weighted_sums(totals, integrand, node_sets) -> list:
-    """``totals`` plus ``weights . row`` for each row of the integrand on the
-    node sets, evaluated in one call."""
-    pts = np.concatenate([p for p, _ in node_sets])
-    wts = np.concatenate([w for _, w in node_sets])
-    return [t + float(np.dot(wts, row)) for t, row in zip(totals, integrand(pts))]
+        clipped = _clip_to_box(cell.x_vertices, n, box)[0] if cell.dim_x == n else []
+        region = [[float(v) for v in p] for p in clipped]
+        if n == 1 and region:
+            pieces.append(region)
+        elif region:
+            centroid = [sum(v[k] for v in region) / len(region) for k in range(2)]
+            pieces += [(centroid, v, w) for v, w in zip(region, region[1:] + region[:1])]
+    if not pieces:  # a box without area, as a zero form has
+        return [EvalResult(0.0) for _ in forms]
+    return integrate(graph_pullback_integrand(f, forms),
+                     [GradedSimplex(p, layer, (order, refine)) for p in pieces])
 
 
 def mass_smooth(f: ConvexFunction, R: float) -> float:
@@ -342,7 +259,7 @@ def _polyline_parts(cycle: Polyline1DCycle, coeffs):
                     return atom.eval_array(np.stack(cols[::-1] if axis else cols, axis=1))
 
                 a, b = float(start), float(end)
-                res = integrate_box(fn, [(min(a, b), max(a, b))])
+                res = integrate(fn, [[(min(a, b), max(a, b))]])
                 yield EvalResult((-1.0 if b < a else 1.0) * res.value, res.error)
 
 

@@ -545,6 +545,6 @@ def integrate_coefficient(c: CoefficientFn) -> EvalResult:
                 continue
             part = CoefficientFn(c.n, {sig: poly}, declared_box=c.declared_box)
             if not part.integral_vanishes_by_parity():
-                yield integrate(part.eval_x_array, part.support_domain())
+                yield integrate(part.eval_x_array, [part.support_domain()])
 
     return sum_parts(parts())

@@ -14,6 +14,7 @@ parse(serialize(form)) == form exactly.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Optional
@@ -53,6 +54,22 @@ def _in_float_range(value: Fraction, literal: str) -> Fraction:
     except OverflowError:
         raise ParseError(f"number {literal} is outside the float range") from None
     return value
+
+
+def _check_numbers(val) -> None:
+    """Refuse a number of a dict spec, nested lists included, whose float is
+    not finite: a float, an integer or a numeric string."""
+    if isinstance(val, list):
+        for item in val:
+            _check_numbers(item)
+    elif isinstance(val, float) and not math.isfinite(val):
+        raise ParseError(f"number {val} is outside the float range")
+    elif isinstance(val, (int, str)):
+        try:
+            number = Fraction(val)
+        except (ValueError, ZeroDivisionError):
+            return  # a name, refused or read by the spec's kind
+        _in_float_range(number, str(val))
 
 
 def _tokenize_value(text: str):
@@ -256,6 +273,7 @@ def _parse_bump(body: str, n: int) -> BumpFactor:
         R = kw.pop("R")
         if not isinstance(R, Fraction) or R <= 0:
             raise ParseError(f"bump needs a radius R > 0, got R={R}")
+        _in_float_range(1 / (R * R), "1/R^2")  # the bump's matrix is I / R^2
         base = ball_bump(n, R)
     elif "M" in kw:
         M = kw.pop("M")
@@ -335,8 +353,6 @@ def _serialize_bump(f: BumpFactor) -> str:
 
 
 def _isqrt_exact(k: int) -> Optional[int]:
-    import math
-
     r = math.isqrt(k)
     return r if r * r == k else None
 
@@ -366,6 +382,7 @@ def _split_spec(spec, prefix: Optional[str] = None) -> tuple:
     kw = _SpecArgs(kw)
     kw.kind = kw.pop("kind")
     for key, val in kw.items():
+        _check_numbers(val)
         name = _bare_name(val)
         if name is not None and (kw.kind, key) != ("smooth", "name"):
             raise ParseError(f"{kw.kind} spec: {key}= needs numbers, "

@@ -44,7 +44,6 @@ from .convex import (
     unbroadcast,
 )
 from .cycles import (
-    _NODE_BLOCK,
     build_1d,
     eval_polyline,
     eval_smooth,
@@ -61,7 +60,7 @@ from .forms import (
 )
 from .polyhedral import build_polyhedral, eval_polyhedral, window_for
 from .polynomials import Poly, Q, _as_fraction
-from .quadrature import EvalResult, integrate
+from .quadrature import _NODE_BLOCK, EvalResult, integrate
 from .rumin import RuminResult, rumin_d
 
 
@@ -539,7 +538,7 @@ def hessian_valuation(spec: MixedDiscriminantSpec, f: ConvexFunction) -> float:
                 spec.B.eval_x_array(block) * polarized_det([Hrows] * k + A_float))
         return out
 
-    return integrate(fn, domain).value
+    return integrate(fn, [domain]).value
 
 
 def hessian_form(spec: MixedDiscriminantSpec) -> Form:

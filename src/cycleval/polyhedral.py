@@ -29,7 +29,7 @@ from .convex import MaxAffine, PiecewiseLinear1D
 from .forms import Form
 from .exactla import det, solve
 from .polynomials import Poly, Q, dirichlet_moment
-from .quadrature import EvalResult, gl_interval, sum_parts, two_pass
+from .quadrature import EvalResult, SimplexProduct, integrate, sum_parts
 
 
 class WindowTooSmall(ValueError):
@@ -492,9 +492,10 @@ def eval_polyhedral(cycle: PolyhedralLagrangianCycle, form: Form) -> EvalResult:
     """Integrate an n-form over the cycle.
 
     Polynomial atoms with declared windows integrate exactly over simplex
-    products (Dirichlet formula); bump atoms use per-cell tensor quadrature
-    with a refinement error estimate.  The value is a Fraction when every
-    atom is exact.
+    products (Dirichlet formula); bump atoms by quadrature on each simplex
+    product (a :class:`~cycleval.quadrature.SimplexProduct` domain) with its
+    refinement error estimate.  The value is a Fraction when every atom is
+    exact.
     """
     n = cycle.n
     if form.n != n or form.degree != n:
@@ -547,7 +548,7 @@ def _polyhedral_parts(cycle: PolyhedralLagrangianCycle, form: Form):
                         if not sig:
                             yield scale * _integrate_poly_cell(poly, n, sx, sy)
                         else:
-                            res = _integrate_atom_cell_quad(atom, n, sx, sy)
+                            res = integrate(atom.eval_array, [SimplexProduct(sx, sy)])
                             yield EvalResult(float(scale) * res.value,
                                              abs(float(scale)) * res.error)
 
@@ -585,50 +586,6 @@ def _integrate_poly_cell(poly: Poly, n: int, sx, sy) -> Fraction:
         gt = e[dx:dx + dy]
         total += c * dirichlet_moment(gs) * dirichlet_moment(gt)
     return total
-
-
-def _simplex_nodes(dim: int, order: int):
-    """Nodes/weights on the standard simplex (weights sum to its volume)."""
-    if dim == 0:
-        return np.zeros((1, 0)), np.ones(1)
-    u, wu = gl_interval(0.0, 1.0, order)
-    if dim == 1:
-        return u[:, None], wu
-    U, V = np.meshgrid(u, u, indexing="ij")
-    WU, WV = np.meshgrid(wu, wu, indexing="ij")
-    s = U
-    t = V * (1.0 - U)
-    wts = (WU * WV * (1.0 - U)).ravel()
-    return np.stack([s.ravel(), t.ravel()], axis=-1), wts
-
-
-# Per-axis Gauss-Legendre orders of the cell quadrature and its refinement.
-_CELL_ORDER, _CELL_REFINE = 64, 88
-
-
-def _integrate_atom_cell_quad(atom: CoefficientFn, n: int, sx, sy) -> EvalResult:
-    dx = len(sx) - 1
-    dy = len(sy) - 1
-
-    def run(o):
-        ns, ws = _simplex_nodes(dx, o)
-        nt, wt = _simplex_nodes(dy, o)
-        x0 = np.array([float(v) for v in sx[0]])
-        Ux = np.array([[float(sx[a + 1][k] - sx[0][k]) for k in range(n)]
-                       for a in range(dx)])
-        y0 = np.array([float(v) for v in sy[0]])
-        Wy = np.array([[float(sy[b + 1][k] - sy[0][k]) for k in range(n)]
-                       for b in range(dy)])
-        X = x0[None, :] + (ns @ Ux if dx else 0.0)
-        Yv = y0[None, :] + (nt @ Wy if dy else 0.0)
-        Ns, Nt = X.shape[0], Yv.shape[0]
-        pts = np.empty((Ns * Nt, 2 * n))
-        pts[:, :n] = np.repeat(X, Nt, axis=0)
-        pts[:, n:2 * n] = np.tile(Yv, (Ns, 1))
-        vals = atom.eval_array(pts)
-        return float((np.repeat(ws, Nt) * np.tile(wt, Ns) * vals).sum())
-
-    return two_pass(run, _CELL_ORDER, _CELL_REFINE)
 
 
 # -- mass ----------------------------------------------------------------------------------

@@ -1,17 +1,23 @@
-"""Fixed quadrature rules on the supports of forms, with the refinement's
-distance as the error estimate, and the one result type of every integral:
-exact where the atoms allow it, quadrature with an error estimate elsewhere.
+"""Every numeric integral of the workbench, and the one result type of every
+integral: exact where the atoms allow it, quadrature with an error estimate
+elsewhere.
 
-A 2-D integrand supported on one bump ellipse {x^T M x < 1} is integrated
-on that ellipse: Gauss-Legendre radii ending on the support circle times
-equally spaced angles (``integrate_ellipsoid``).  Every other integrand, one
-on a declared window, on a union of several bumps, or in 1-D or 3-D, is
-integrated on its box by tensor Gauss-Legendre (``integrate_box``).  Each
-rule runs one fixed pass pair; ``integrate`` picks the rule of a support
-domain.  A rule depends only on its domain and order, so ``box_nodes`` and
-``ellipse_nodes`` memoise it: a battery of functions integrated on one
-support builds its rule once.  The memo is filled on first use, bounded in
-entries, and hands out read-only arrays.
+``integrate(fn, domains)`` integrates over a list of support domains.  Each
+domain kind owns its rule and its pass pair, the coarse and the fine order:
+
+* a box, a plain sequence of (lo, hi): tensor Gauss-Legendre at ``ORDERS``;
+* an :class:`Ellipse`, the support of a 2-D bump: a polar rule at
+  ``ELLIPSE_ORDERS``;
+* a :class:`GradedSimplex`, a segment or triangle of the ridge-aligned
+  evaluator, at the pass pair its caller sets, and a :class:`SimplexProduct`,
+  a piece of a polyhedral cell, at ``CELL_ORDERS``: both on the one
+  collapsed Gauss-Legendre rule of segments and triangles, ``simplex_nodes``.
+
+A pass gathers the nodes of consecutive domains until they reach
+``_NODE_BLOCK`` and evaluates them in one call, so one domain is one call.
+The fine pass gives the value, its distance from the coarse pass the error
+estimate (``two_pass``).  A lone box goes through ``integrate_box``, the
+entry of every box integral.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -36,18 +42,6 @@ class EvalResult:
 
     def __float__(self):
         return float(self.value)
-
-
-def two_pass(one_pass: Callable[[int], float | list], order: int,
-             refine_order: int) -> EvalResult | list:
-    """The pass at ``refine_order``, with its distance from the pass at
-    ``order`` as the error estimate; a pass that returns one value per
-    integrand gives one result per integrand."""
-    coarse = one_pass(order)
-    fine = one_pass(refine_order)
-    if isinstance(fine, list):
-        return [EvalResult(v, abs(v - c)) for v, c in zip(fine, coarse)]
-    return EvalResult(fine, abs(fine - coarse))
 
 
 def sum_parts(parts: Iterable[Fraction | EvalResult]) -> EvalResult:
@@ -101,6 +95,16 @@ ORDERS = {1: (128, 192), 2: (128, 160), 3: (32, 48), 4: (16, 24)}
 # forms; a coarser pass than 56 x 112 inflates the estimate.
 ELLIPSE_ORDERS = ((56, 112), (64, 128))
 
+# Per-axis Gauss-Legendre orders of the polyhedral cell quadrature and its
+# refinement.
+CELL_ORDERS = (64, 88)
+
+# Nodes per block: a pass evaluates consecutive domains together until a
+# block holds this many nodes, and a graph-pullback integrand evaluates its
+# nodes in blocks of this size.  It keeps the call count low and the
+# per-block arrays, the monomial table above all, and so peak memory bounded.
+_NODE_BLOCK = 4096
+
 
 @lru_cache(maxsize=64)
 def _leggauss(order: int):
@@ -114,6 +118,57 @@ def gl_interval(lo: float, hi: float, order: int) -> tuple[np.ndarray, np.ndarra
     return 0.5 * (lo + hi) + half * x, half * w
 
 
+def _gl_pieces(cuts, order: int):
+    """Gauss-Legendre nodes and weights of ``order`` on each piece of ``cuts``."""
+    pieces = [gl_interval(lo, hi, order) for lo, hi in zip(cuts, cuts[1:])]
+    return (np.concatenate([p for p, _ in pieces]),
+            np.concatenate([w for _, w in pieces]))
+
+
+def _graded_cuts(width: float) -> list:
+    """Partition of [0, 1] isolating boundary layers of relative width w."""
+    w = min(max(width, 1e-12), 1.0 / 3.0)
+    return [0.0, w, 1.0 - w, 1.0]
+
+
+def simplex_nodes(vertices, order: int, layer: float | None = None):
+    """Nodes (N, d) and weights of the collapsed Gauss-Legendre rule on a
+    point, a segment on the line or a triangle in the plane, given by its
+    float vertices; None for a triangle of zero area.  A triangle is
+    collapsed onto v0 (Duffy): P(u, r) = v0 + r (v1 + u (v2 - v1) - v0),
+    |Jacobian| = 2 area r.  Each 1-D rule has ``order`` nodes, on each piece
+    of a grading that isolates boundary layers of width ``layer`` at both
+    ends of the segment or the edge v1 v2, and along that edge."""
+    if len(vertices) == 1:
+        return np.array(vertices, dtype=float), np.ones(1)
+    if len(vertices) == 2:
+        (a,), (b,) = vertices
+        length = b - a
+        cuts = [0.0, 1.0] if layer is None else _graded_cuts(layer / max(length, 1e-12))
+        pts, wts = _gl_pieces([a + t * length for t in cuts], order)
+        return pts[:, None], wts
+    v0, v1, v2 = (np.asarray(v, dtype=float) for v in vertices)
+    e = v2 - v1
+    area2 = abs((v1 - v0)[0] * (v2 - v0)[1] - (v1 - v0)[1] * (v2 - v0)[0])
+    if area2 == 0.0:
+        return None
+    if layer is None:
+        ucuts = rcuts = [0.0, 1.0]
+    else:
+        elen = float(np.linalg.norm(e))
+        h = area2 / elen  # distance from v0 to the edge line
+        ucuts = _graded_cuts(layer / elen)
+        rcuts = [0.0, 1.0 - min(max(layer / h, 1e-12), 1.0 / 3.0), 1.0]
+    up, uw = _gl_pieces(ucuts, order)
+    rp, rw = _gl_pieces(rcuts, order)
+    # node (i, j) at row i * len(rp) + j: E = v1 + u_i e on the edge,
+    # P = v0 + r_j (E - v0), one (u, r) grid per coordinate
+    pts = np.stack([(v0[k] + rp[None, :] * (v1[k] + up[:, None] * e[k] - v0[k])).ravel()
+                    for k in range(2)], axis=1)
+    wts = ((uw[:, None] * rw[None, :]) * rp[None, :] * area2).ravel()
+    return pts, wts
+
+
 def box_nodes(box: Box, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Tensor-product nodes/weights for a box; nodes shape (N, dim), as
     read-only arrays.  A 1-D or 2-D rule is memoised on the box's float
@@ -125,18 +180,10 @@ def box_nodes(box: Box, order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _box_rule(bounds, order):
-    axes_pts = []
-    axes_wts = []
-    for lo, hi in bounds:
-        pts, wts = gl_interval(lo, hi, order)
-        axes_pts.append(pts)
-        axes_wts.append(wts)
-    grids = np.meshgrid(*axes_pts, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    wts = axes_wts[0]
-    for w in axes_wts[1:]:
-        wts = np.multiply.outer(wts, w)
-    return _read_only(pts, np.asarray(wts).ravel())
+    axes = [gl_interval(lo, hi, order) for lo, hi in bounds]
+    grids = np.meshgrid(*(pts for pts, _ in axes), indexing="ij")
+    wts = reduce(np.multiply.outer, (w for _, w in axes))
+    return _read_only(np.stack([g.ravel() for g in grids], axis=-1), np.asarray(wts).ravel())
 
 
 def _read_only(*arrays) -> tuple:
@@ -149,30 +196,6 @@ def _read_only(*arrays) -> tuple:
 # for every function of a battery: a few dozen (domain, order) pairs per run,
 # the largest a 0.6 MB 160^2 box rule.
 _kept_box_rule = lru_cache(maxsize=16)(_box_rule)
-
-
-def _passes(fn, nodes, order, refine_order) -> EvalResult | list:
-    """``two_pass`` of ``fn`` on the rule ``nodes(order)``.
-
-    An integrand that returns an (F, N) array, one row per integrand on the
-    same nodes, gives a list of F results, each row reduced exactly as an
-    integrand returning that row alone would be.
-    """
-    def one_pass(order):
-        pts, wts = nodes(order)
-        vals = fn(pts)
-        if np.ndim(vals) < 2:
-            return float(np.dot(wts, vals))
-        return [float(np.dot(wts, row)) for row in vals]
-
-    return two_pass(one_pass, order, refine_order)
-
-
-def integrate_box(fn: Callable[[np.ndarray], np.ndarray], box: Box) -> EvalResult | list:
-    """Integrate a vectorized integrand over a box by one tensor pass pair at
-    the orders ``ORDERS`` gives its dimension; an (F, N) integrand gives F
-    results."""
-    return _passes(fn, lambda order: box_nodes(box, order), *ORDERS[len(box)])
 
 
 def _ellipse_map(M) -> tuple[np.ndarray, float]:
@@ -208,25 +231,111 @@ def _ellipse_rule(M, orders):
 _kept_ellipse_rule = lru_cache(maxsize=16)(_ellipse_rule)
 
 
-def integrate_ellipsoid(fn: Callable[[np.ndarray], np.ndarray], M) -> EvalResult | list:
-    """Integrate a vectorized integrand supported in the ellipse
-    {x^T M x < 1} (2-D) by one polar pass pair at ``ELLIPSE_ORDERS``; an
-    (F, N) integrand gives F results."""
-    if len(M) != 2:
-        raise ValueError("the ellipse rule is 2-D")
-    return _passes(fn, lambda orders: ellipse_nodes(M, orders), *ELLIPSE_ORDERS)
-
-
 @dataclass(frozen=True)
 class Ellipse:
     """Support domain {x^T M x < 1} of a 2-D bump, M as nested tuples."""
 
     M: tuple
+    orders = ELLIPSE_ORDERS
+
+    def nodes(self, orders):
+        return ellipse_nodes(self.M, orders)
 
 
-def integrate(fn: Callable[[np.ndarray], np.ndarray], domain) -> EvalResult | list:
-    """Integrate over a support domain: an :class:`Ellipse` on the ellipse
-    rule, a box on the tensor rule."""
-    if isinstance(domain, Ellipse):
-        return integrate_ellipsoid(fn, domain.M)
-    return integrate_box(fn, domain)
+@dataclass(frozen=True)
+class GradedSimplex:
+    """A segment or triangle, float vertices, on the collapsed rule graded
+    at ``layer`` (``simplex_nodes``), at the pass pair ``orders``."""
+
+    vertices: tuple
+    layer: float
+    orders: tuple
+
+    def nodes(self, order):
+        return simplex_nodes(self.vertices, order, self.layer)
+
+
+# The standard simplices, the triangle listed to collapse onto (1, 0).
+_STANDARD = {0: [[]], 1: [[0.0], [1.0]], 2: [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]}
+
+
+@dataclass(frozen=True)
+class SimplexProduct:
+    """The product of an x-simplex and a y-simplex in R^n, exact or float
+    vertices, in T*R^n: nodes (N, 2n), with weights in the measure of the
+    standard simplices, whose collapsed rules are mapped onto the factors."""
+
+    x: tuple
+    y: tuple
+    orders = CELL_ORDERS
+
+    def nodes(self, order):
+        sides = []
+        for simplex in (self.x, self.y):
+            params, wts = simplex_nodes(_STANDARD[len(simplex) - 1], order)
+            frame = np.array([[float(a - b) for a, b in zip(v, simplex[0])] for v in simplex])
+            sides.append((np.array(simplex[0], dtype=float) + params @ frame[1:], wts))
+        (X, ws), (Y, wt) = sides
+        pts = np.concatenate([np.repeat(X, len(wt), axis=0), np.tile(Y, (len(ws), 1))], 1)
+        return pts, np.repeat(ws, len(wt)) * np.tile(wt, len(ws))
+
+
+def _rule(domain):
+    """``(nodes(order), (coarse order, fine order))`` of a support domain."""
+    if isinstance(domain, (tuple, list)):
+        return (lambda order: box_nodes(domain, order)), ORDERS[len(domain)]
+    return domain.nodes, domain.orders
+
+
+def integrate(fn: Callable[[np.ndarray], np.ndarray], domains: list) -> EvalResult | list:
+    """Integral of a vectorized integrand over the union of ``domains``; an
+    integrand that returns an (F, N) array, one row per integrand on the
+    same nodes, gives a list of F results, each row reduced exactly as an
+    integrand returning that row alone would be."""
+    # every box integral enters through integrate_box: perfbench traces it
+    if len(domains) == 1 and isinstance(domains[0], (tuple, list)):
+        return integrate_box(fn, domains[0])
+    return two_pass(fn, domains)
+
+
+def integrate_box(fn: Callable[[np.ndarray], np.ndarray], box: Box) -> EvalResult | list:
+    """Integral over one box by its tensor pass pair at ``ORDERS[len(box)]``;
+    an (F, N) integrand gives F results."""
+    return two_pass(fn, [box])
+
+
+def two_pass(fn, domains: list) -> EvalResult | list:
+    """The fine pass over ``domains``, with its distance from the coarse pass
+    as the error estimate; an (F, N) integrand gives one result per row."""
+    rules = [_rule(d) for d in domains]
+    coarse, fine = (_one_pass(fn, rules, k) for k in (0, 1))
+    if isinstance(fine, list):
+        return [EvalResult(v, abs(v - c)) for v, c in zip(fine, coarse)]
+    return EvalResult(fine, abs(fine - coarse))
+
+
+def _one_pass(fn, rules, k: int):
+    """Weighted sum of ``fn`` over the nodes of each rule at its ``k``-th
+    order, a float or one per row: node sets are gathered until they hold
+    ``_NODE_BLOCK`` nodes, then evaluated in one call."""
+    total, block, count = None, [], 0
+    for nodes, orders in rules:
+        node_set = nodes(orders[k])
+        if node_set is not None:
+            block.append(node_set)
+            count += len(node_set[1])
+        if count >= _NODE_BLOCK:
+            total, block, count = _add_block(total, fn, block), [], 0
+    return _add_block(total, fn, block) if block else total
+
+
+def _add_block(total, fn, node_sets):
+    """``total`` (None at first) plus the weighted sum of ``fn``, or of each
+    of its rows, on the node sets, evaluated in one call."""
+    pts, wts = node_sets[0] if len(node_sets) == 1 else map(np.concatenate, zip(*node_sets))
+    vals = fn(pts)
+    if np.ndim(vals) < 2:
+        part = float(np.dot(wts, vals))
+        return part if total is None else total + part
+    parts = [float(np.dot(wts, row)) for row in vals]
+    return parts if total is None else [t + p for t, p in zip(total, parts)]

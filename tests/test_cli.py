@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 import threading
@@ -249,18 +250,37 @@ def test_exit_code_name_for_a_number(tmp_path, capsys, spec, key):
     ("forms", "bump(R=1e400) * dy1", "1e400"),
     ("forms", "1e400 * box(2) * dy1", "1e400"),
     ("forms", "box(-1e400,2) * dy1", "-1e400"),
+    # the bump's matrix I / R^2
+    ("forms", "bump(R=1e-200) * dy1", "1/R^2"),
+    # dict specs: the JSON number 1e400 reads as the float inf, a long
+    # integer and a numeric string keep their digits
+    ("functions", {"kind": "quadratic", "A": [[math.inf]], "b": [0], "c": 0}, "inf"),
+    pytest.param("functions", {"kind": "quadratic", "A": [[10 ** 400]], "b": [0], "c": 0},
+                 str(10 ** 400), id="functions-dict-long-int"),
+    ("functions", {"kind": "quadratic", "A": [[1]], "b": ["1e400"], "c": 0}, "1e400"),
+    ("functions", {"kind": "lse", "pieces": [[[1], 0], [[-1], 0]], "beta": math.inf},
+     "inf"),
+    ("bodies", {"kind": "ellipsoid", "M": [[math.inf, 0], [0, 1]]}, "inf"),
 ])
 def test_exit_code_number_outside_float_range(tmp_path, capsys, key, spec, literal):
     # such a number would overflow the float evaluators of some suite
     cfg = _write_config(tmp_path / "cfg.json", **{key: [spec]})
+    cfg.write_text(cfg.read_text().replace("Infinity", "1e400"))
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == 2
     message = f"number {literal} is outside the float range"
     assert f"config error: {message}" in capsys.readouterr().err
     assert not out.exists()
-    if key == "functions":
+    if key == "functions" and isinstance(spec, str):
         assert main(["dump-cycle", spec]) == 2
         assert f"spec error: {message}" in capsys.readouterr().err
+
+
+def test_run_tiny_bump_radius_inside_float_range(tmp_path):
+    # 1/R^2 = 1e300 is a float: the form is evaluated
+    cfg = _write_config(tmp_path / "cfg.json", suites=["kernel"],
+                        forms=["bump(R=1e-150) * dy1"])
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
 
 def test_run_declared_smooth_spec(tmp_path):

@@ -15,10 +15,7 @@ from cycleval.convex import (
 )
 from cycleval.cycles import (
     Polyline1DCycle,
-    _gl_pieces,
-    _graded_cuts,
     _polyline_parts,
-    _triangle_nodes,
     build_1d,
     eval_polyline,
     eval_smooth,
@@ -36,6 +33,7 @@ from cycleval.forms import (
     wedge,
 )
 from cycleval.polynomials import Poly, _as_fraction
+from cycleval.quadrature import _gl_pieces, _graded_cuts, simplex_nodes
 from cycleval.rumin import _det_sign
 
 
@@ -345,8 +343,7 @@ def test_lse_consistency_converges():
 
 def test_ridge_aligned_batches_match_per_triangle_sum():
     from cycleval.convex import LogSumExp
-    from cycleval.cycles import (_graded_cuts, eval_smooth_ridge_aligned,
-                                 graph_pullback_integrand)
+    from cycleval.cycles import eval_smooth_ridge_aligned, graph_pullback_integrand
     from cycleval.polyhedral import _clip_to_box, build_polyhedral, window_for
     from cycleval.quadrature import gl_interval as _gl_on
 
@@ -535,11 +532,17 @@ def test_support_domain_routing(monkeypatch):
     from cycleval.coefficients import BumpFactor
 
     calls = []
-    for name in ("integrate_box", "integrate_ellipsoid"):
-        real = getattr(quadrature, name)
-        monkeypatch.setattr(quadrature, name,
-                            lambda fn, dom, _real=real, _name=name:
-                            calls.append(_name) or _real(fn, dom))
+    # each domain's rule, named by its pass pair
+    names = {quadrature.ELLIPSE_ORDERS: "ellipse",
+             **{orders: "box" for orders in quadrature.ORDERS.values()}}
+    real = quadrature._rule
+
+    def rule(domain):
+        nodes, orders = real(domain)
+        calls.append(names[orders])
+        return nodes, orders
+
+    monkeypatch.setattr(quadrature, "_rule", rule)
 
     def top_form(n, coeff):
         return Form.monomial(n, list(range(1, n + 1)), [], coeff)
@@ -548,13 +551,13 @@ def test_support_domain_routing(monkeypatch):
     skew = CoefficientFn.bump(2, BumpFactor(((Q(1), Q(1, 3)), (Q(1, 3), Q(1, 2)))))
     windowed = CoefficientFn(2, bump2.atoms, declared_box=((Q(-1), Q(1)),) * 2)
     cases = [
-        (top_form(2, bump2), "integrate_ellipsoid"),
-        (top_form(2, skew), "integrate_ellipsoid"),
-        (top_form(2, windowed), "integrate_box"),
-        (top_form(2, bump2 + skew), "integrate_box"),
-        (top_form(2, bump2) + Form.monomial(2, [], [1, 2], skew), "integrate_box"),
-        (top_form(1, beta_coeff(1, 2)), "integrate_box"),
-        (top_form(3, beta_coeff(3, 2)), "integrate_box"),
+        (top_form(2, bump2), "ellipse"),
+        (top_form(2, skew), "ellipse"),
+        (top_form(2, windowed), "box"),
+        (top_form(2, bump2 + skew), "box"),
+        (top_form(2, bump2) + Form.monomial(2, [], [1, 2], skew), "box"),
+        (top_form(1, beta_coeff(1, 2)), "box"),
+        (top_form(3, beta_coeff(3, 2)), "box"),
     ]
     for tau, rule in cases:
         calls.clear()
@@ -664,11 +667,11 @@ def test_triangle_nodes_match_meshgrid_bitwise():
         v0, v1, v2 = rng.uniform(-3, 3, size=(3, 2))
         order = int(rng.integers(2, 33))
         layer = float(10.0 ** rng.uniform(-4, 0))
-        pts, wts = _triangle_nodes(list(v0), list(v1), list(v2), order, layer)
+        pts, wts = simplex_nodes([list(v0), list(v1), list(v2)], order, layer)
         want_pts, want_wts = _meshgrid_triangle_nodes(v0, v1, v2, order, layer)
         assert pts.flags.c_contiguous
         assert np.array_equal(pts, want_pts) and np.array_equal(wts, want_wts)
-    assert _triangle_nodes([0, 0], [1, 1], [2, 2], 8, 1e-2) is None
+    assert simplex_nodes([[0, 0], [1, 1], [2, 2]], 8, 1e-2) is None
 
 
 class _MaterialisedHessian(ConvexFunction):

@@ -3,14 +3,22 @@ from fractions import Fraction as Q
 
 import numpy as np
 
+from cycleval.polynomials import dirichlet_moment
 from cycleval.quadrature import (
     ELLIPSE_ORDERS,
     ORDERS,
+    Ellipse,
+    SimplexProduct,
     box_nodes,
     ellipse_nodes,
+    integrate,
     integrate_box,
-    integrate_ellipsoid,
+    simplex_nodes,
 )
+
+
+def integrate_ellipsoid(fn, M):
+    return integrate(fn, [Ellipse(M)])
 
 
 def test_integrate_box_at_depth_zero_is_one_tensor_pass_pair():
@@ -128,3 +136,48 @@ def test_rule_memo_is_bounded_and_keeps_no_3d_rule():
         big = box_nodes([(0, 1)] * 3, order)
         assert not big[0].flags.writeable and not big[1].flags.writeable
         assert box_nodes([(0, 1)] * 3, order)[0] is not big[0]
+
+
+def _monomials(dim, degree):
+    # exponent tuples of total degree <= degree
+    if dim == 0:
+        return [()]
+    return [(a,) + g for a in range(degree + 1) for g in _monomials(dim - 1, degree - a)]
+
+
+def test_collapsed_rule_is_exact_on_monomials_of_segment_and_triangle():
+    # order o integrates t^a on [0, 1] up to a = 2o - 1, and s^a t^b on the
+    # standard triangle up to a + b = 2o - 2 (the collapse adds a factor r),
+    # whichever vertex it collapses onto and with the pieces of a grading
+    order = 6
+    segment = [[0.0], [1.0]]
+    triangle = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+    rules = [simplex_nodes(segment, order), simplex_nodes(segment, order, 0.05)]
+    for k in range(3):
+        ring = triangle[k:] + triangle[:k]
+        rules += [simplex_nodes(ring, order), simplex_nodes(ring, order, 0.05)]
+    for pts, wts in rules:
+        dim = pts.shape[1]
+        for g in _monomials(dim, 2 * order - 1 if dim == 1 else 2 * order - 2):
+            got = float(np.dot(wts, np.prod(pts ** np.array(g), axis=1)))
+            assert abs(got - float(dirichlet_moment(g))) <= 1e-15, (dim, g)
+
+
+def test_simplex_product_is_exact_on_monomials():
+    # x1^a x2^b y1^c y2^d on products of a standard triangle, point or
+    # segment along an axis: the weights are in the measure of the standard
+    # simplices, so each factor contributes its moment or its point value
+    O, E1, E2 = (Q(0), Q(0)), (Q(1), Q(0)), (Q(0), Q(1))
+    p = (Q(1, 2), Q(-1, 3))
+    cases = [
+        ([O, E1, E2], [p], lambda a, b, c, d: dirichlet_moment((a, b)) * p[0] ** c * p[1] ** d),
+        ([O, E1], [O, E2], lambda a, b, c, d: dirichlet_moment((a,)) * dirichlet_moment((d,))
+         if b == c == 0 else 0),
+        ([p], [O, E1, E2], lambda a, b, c, d: p[0] ** a * p[1] ** b * dirichlet_moment((c, d))),
+    ]
+    for x, y, moment in cases:
+        for g in _monomials(4, 4):
+            got = integrate(lambda pts: np.prod(pts ** np.array(g), axis=1),
+                            [SimplexProduct(x, y)])
+            want = float(moment(*g))
+            assert abs(got.value - want) <= 1e-15 and got.error <= 1e-15, (x, y, g)
