@@ -57,6 +57,10 @@ table and float coefficients summed exactly per group of atoms that share
 a weight and a bump signature, so that a node block costs one monomial
 table, one product per coefficient and one weight column per group, and
 each coefficient's row comes out the same whatever else is in the batch.
+A batch compiled once serves a whole battery of functions, and one
+:class:`EvalCache` then spans one node block of the whole battery: the
+bump factors and the rows of bump groups in x alone are computed once per
+block for every function whose graph lies over those nodes.
 """
 
 from __future__ import annotations
@@ -267,18 +271,23 @@ def _float_matrix(mid: int) -> np.ndarray:
 
 
 class EvalCache:
-    """Float values on one node array: power columns, ``q_M`` per matrix id
-    and bump factors per ``(id, beta_pow, denom_pow)``, shared by the atoms
-    of one :meth:`CoefficientFn.eval_array` call or the groups of one
-    :meth:`CompiledBatch.add_to` block.  Valid only for the nodes it was
-    filled on; make a new one for new nodes."""
+    """Float values on one node array: power columns, ``q_M`` per matrix id,
+    bump factors per ``(id, beta_pow, denom_pow)`` and the x-only row sums
+    of a :class:`CompiledBatch`'s bump groups, shared by the atoms of one
+    :meth:`CoefficientFn.eval_array` call or by the
+    :meth:`CompiledBatch.add_to` calls on one node block.  What ``add_to``
+    keeps depends on the x coordinates alone, so the functions of a
+    battery, whose graphs lie over the same x nodes, share one cache per
+    block.  Valid only for the nodes it was filled on, and its row sums
+    only for the batch that filled them; make a new one for new nodes."""
 
-    __slots__ = ("powers", "_q", "_factors")
+    __slots__ = ("powers", "_q", "_factors", "_rows")
 
     def __init__(self):
         self.powers: dict = {}      # (var, exponent) -> column, see Poly.eval_array
         self._q: dict = {}          # id -> (inside mask, q inside, beta inside)
         self._factors: dict = {}    # (id, beta_pow, denom_pow) -> column
+        self._rows: dict = {}       # (group, row) -> x-only row sum, see add_to
 
     def _q_inside(self, mid: int, pts: np.ndarray):
         out = self._q.get(mid)
@@ -324,7 +333,10 @@ class CompiledBatch:
     of one monomial table: each is one earlier row times one coordinate.
     A node block costs that table and, per group, one weight column (its
     ``w[key]`` times its bump factors) that scales the group's polynomial
-    rows before they are added to their result rows.
+    rows before they are added to their result rows.  The bump factors and
+    the polynomial rows of bump groups in x alone depend on the x nodes
+    only: they are kept in the block's :class:`EvalCache`, which the calls
+    on one node block may share.
 
     A result row depends only on its own pieces, never on the other rows
     of the batch: groups are taken in a fixed order (by key, then
@@ -368,14 +380,23 @@ class CompiledBatch:
             rows: dict = {}
             for (e, r), c in acc.items():
                 rows.setdefault(r, []).append((column[e], float(c)))
-            self._groups.append((key, sig, [(r, sorted(rows[r])) for r in sorted(rows)]))
+            # a bump group's row in x alone: its sum is kept in the cache
+            self._groups.append((key, sig, [
+                (r, sorted(rows[r]),
+                 bool(sig) and not any(any(order[k][n:]) for k, _ in rows[r]))
+                for r in sorted(rows)]))
 
-    def add_to(self, out: np.ndarray, Z: np.ndarray, weights: dict) -> None:
+    def add_to(self, out: np.ndarray, Z: np.ndarray, weights: dict,
+               cache: Optional[EvalCache] = None) -> None:
         """Add the rows at a node block to ``out`` of shape (rows, B).
 
         ``Z`` holds the coordinates (x, y) of the B nodes as a C-contiguous
         (2n, B) array; ``weights`` maps each of :attr:`keys` to its weight
-        column at the nodes (or a scalar).
+        column at the nodes (or a scalar).  ``cache``, by default a new one,
+        keeps what depends on the x coordinates alone: the bump factors and
+        the sums of the rows of bump groups that are polynomials in x.  The
+        calls of this batch on nodes with the same x coordinates, such as
+        one node block of the graphs of a battery, may share it.
         """
         if not self._groups:
             return
@@ -383,20 +404,34 @@ class CompiledBatch:
         table[0] = 1.0
         for i, (parent, var) in enumerate(self._steps, 1):
             np.multiply(table[parent], Z[var], out=table[i])
-        cache = EvalCache()
+        if cache is None:
+            cache = EvalCache()
         X = Z[:self.n].T
         term = np.empty(Z.shape[1])
-        for key, sig, rows in self._groups:
+        for g, (key, sig, rows) in enumerate(self._groups):
             w = weights[key]
             for f in sig:
                 w = w * cache.factor(f, X)
-            for row, terms in rows:
-                (k, c), *rest = terms
-                vals = table[k] * c
-                for k, c in rest:
-                    vals += np.multiply(table[k], c, out=term)
-                vals *= w
+            for row, terms, x_only in rows:
+                if x_only:
+                    vals = cache._rows.get((g, row))
+                    if vals is None:
+                        vals = cache._rows[g, row] = _row_sum(table, terms, term)
+                    vals = vals * w
+                else:
+                    vals = _row_sum(table, terms, term)
+                    vals *= w
                 out[row] += vals
+
+
+def _row_sum(table: np.ndarray, terms: list, term: np.ndarray) -> np.ndarray:
+    """The sum of ``c * table[k]`` over a row's terms ``(k, c)``, in order;
+    ``term`` is scratch space of one table row."""
+    (k, c), *rest = terms
+    vals = table[k] * c
+    for k, c in rest:
+        vals += np.multiply(table[k], c, out=term)
+    return vals
 
 
 def _group_order(item):

@@ -13,10 +13,14 @@ domains, which owns the nodes, the pass pairs and the error estimates.
 The graph evaluators take a list of forms and return one result per form.
 Forms that share a support domain are evaluated on one node stream.  Their
 coefficients are compiled once into one exponent table with exact-summed
-float coefficients (coefficients.CompiledBatch); each block of nodes then
-costs one jet of f (gradient and Hessian, on one softmax for a log-sum-exp
+float coefficients (``pullback_batch``, a coefficients.CompiledBatch),
+once for a whole battery of functions; each block of nodes then costs one
+jet of f (gradient and Hessian, on one softmax for a log-sum-exp
 smoothing), one Hessian minor per minor that occurs, and one monomial
-table, whatever the number of forms.  Each form's row, and so its value, is
+table, whatever the number of forms.  The functions of a battery
+integrated over one support domain share one coefficients.EvalCache per
+node block, so its bump factors, and the rows of bump groups in x alone,
+are computed once for the battery.  Each form's row, and so its value, is
 bit for bit what it would be alone.  A constant Hessian (a quadratic's,
 returned as a broadcast view) is read once per block: its minors, and the
 metric determinant of the mass, are computed on one node and broadcast.
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count
 from typing import Sequence
 
 import numpy as np
@@ -68,17 +73,11 @@ def _shared(supports):
     return supports.pop()
 
 
-def graph_pullback_integrand(f: ConvexFunction, forms: Sequence[Form]):
-    """Vectorized x -> (graph map)^* form, the coefficient of the volume form,
-    for each of ``forms``: nodes of shape (N, n) give a C-contiguous (F, N)
-    array, one row per form.
-
-    The forms are compiled into one :class:`CompiledBatch` whose weights are
-    the Hessian minors ``det H[J, Ic]``.  The nodes are evaluated in blocks
-    of ``_NODE_BLOCK``; each block costs one ``f.jet`` call (gradient and
-    Hessian), one minor per ``(J, Ic)`` and one monomial table for all forms,
-    and each row equals the integrand of its form alone bit for bit.
-    """
+def pullback_batch(forms: Sequence[Form]) -> CompiledBatch:
+    """The forms' graph-pullback coefficients compiled into one
+    :class:`CompiledBatch`, one row per form, weighted by the Hessian
+    minors ``det H[J, Ic]``: compiled once for every function that the
+    forms are evaluated on."""
     pieces = []
     for row, form in enumerate(forms):
         n = form.n
@@ -94,7 +93,28 @@ def graph_pullback_integrand(f: ConvexFunction, forms: Sequence[Form]):
             if sign == 0:
                 continue
             pieces.append((row, (J, Ic), coeff, sign))
-    batch = CompiledBatch(f.n, pieces)
+    return CompiledBatch(forms[0].n if forms else 0, pieces)
+
+
+def graph_pullback_integrand(f: ConvexFunction, forms: Sequence[Form],
+                             batch: CompiledBatch | None = None, caches=None):
+    """Vectorized x -> (graph map)^* form, the coefficient of the volume form,
+    for each of ``forms``: nodes of shape (N, n) give a C-contiguous (F, N)
+    array, one row per form.
+
+    ``batch`` is ``pullback_batch(forms)``, compiled here by default.  The
+    nodes are evaluated in blocks of ``_NODE_BLOCK``; each block costs one
+    ``f.jet`` call (gradient and Hessian), one minor per ``(J, Ic)`` and one
+    monomial table for all forms, and each row equals the integrand of its
+    form alone bit for bit.  With ``caches``, a mapping such as
+    ``defaultdict(EvalCache)``, the i-th block of the integrand's calls, in
+    order, reads and fills the coefficients.EvalCache ``caches[i]``, so the
+    integrands of a battery share the x-only work of each block: they must
+    be called on the same nodes in the same order, as on one support domain.
+    """
+    if batch is None:
+        batch = pullback_batch(forms)
+    blocks = count()
 
     def integrand(X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -106,19 +126,23 @@ def graph_pullback_integrand(f: ConvexFunction, forms: Sequence[Form]):
             minors = {(J, Ic): det([[H[:, r, c] for c in Ic] for r in J])
                       for J, Ic in batch.keys}
             batch.add_to(out[:, start:start + _NODE_BLOCK],
-                         np.concatenate([block.T, Y.T]), minors)
+                         np.concatenate([block.T, Y.T]), minors,
+                         None if caches is None else caches[next(blocks)])
         return out
 
     return integrand
 
 
-def eval_smooth(f: ConvexFunction, forms: Sequence[Form], domain=None) -> list:
+def eval_smooth(f: ConvexFunction, forms: Sequence[Form], domain=None,
+                batch: CompiledBatch | None = None, caches=None) -> list:
     """D(f)[form] for each of ``forms``, for twice-differentiable catalog
     functions: one scalar :class:`EvalResult` per form, in order.
 
     The forms are integrated over ``domain`` (a box or a
     :class:`~cycleval.quadrature.Ellipse`), by default their one shared
-    support domain, on one node stream.
+    support domain, on one node stream.  ``batch`` and ``caches`` are
+    those of :func:`graph_pullback_integrand`: the evaluations of a
+    battery on the same forms and domain share them.
     """
     if not f.smooth:
         raise NonsmoothPointError(
@@ -126,12 +150,13 @@ def eval_smooth(f: ConvexFunction, forms: Sequence[Form], domain=None) -> list:
     n = f.n
     if any(form.degree != n or form.n != n for form in forms):
         raise ValueError("form must be an n-form matching the function dimension")
-    return integrate(graph_pullback_integrand(f, forms),
+    return integrate(graph_pullback_integrand(f, forms, batch, caches),
                      [domain or _shared(form.support_domain() for form in forms)])
 
 
 def eval_smooth_ridge_aligned(f: ConvexFunction, cycle, forms: Sequence[Form],
-                              layer: float, order: int, refine: int) -> list:
+                              layer: float, order: int, refine: int,
+                              batch: CompiledBatch | None = None) -> list:
     """Smooth-graph evaluation subdivided along the kink loci of a max-affine
     base of ``f``, for forms that share one support box: one scalar
     :class:`EvalResult` per form, in order.  ``cycle`` is the polyhedral
@@ -144,15 +169,14 @@ def eval_smooth_ridge_aligned(f: ConvexFunction, cycle, forms: Sequence[Form],
     plain tensor quadrature.  The max-affine regions clipped to the box,
     each 2-D region fanned into triangles from its centroid, are integrated
     as :class:`~cycleval.quadrature.GradedSimplex` domains graded at
-    ``layer``, at the pass pair ``(order, refine)``.
+    ``layer``, at the pass pair ``(order, refine)``.  ``batch`` is that of
+    :func:`graph_pullback_integrand`.
     """
-    from .polyhedral import _clip_to_box
-
     n = f.n
     box = _shared(form.support_box() for form in forms)
     pieces = []  # float vertices of the intervals or triangles
-    for cell in cycle.cells:
-        clipped = _clip_to_box(cell.x_vertices, n, box)[0] if cell.dim_x == n else []
+    for index, cell in enumerate(cycle.cells):
+        clipped = cycle.clipped(index, box) if cell.dim_x == n else []
         region = [[float(v) for v in p] for p in clipped]
         if n == 1 and region:
             pieces.append(region)
@@ -161,7 +185,7 @@ def eval_smooth_ridge_aligned(f: ConvexFunction, cycle, forms: Sequence[Form],
             pieces += [(centroid, v, w) for v, w in zip(region, region[1:] + region[:1])]
     if not pieces:  # a box without area, as a zero form has
         return [EvalResult(0.0) for _ in forms]
-    return integrate(graph_pullback_integrand(f, forms),
+    return integrate(graph_pullback_integrand(f, forms, batch),
                      [GradedSimplex(p, layer, (order, refine)) for p in pieces])
 
 

@@ -34,6 +34,7 @@ from .convex import (
     SmoothCatalog,
     SmoothedBoxBody,
 )
+from .exactla import det, inverse
 from .forms import Form
 from .polynomials import Poly, Q
 
@@ -273,11 +274,23 @@ def _parse_bump(body: str, n: int) -> BumpFactor:
         R = kw.pop("R")
         if not isinstance(R, Fraction) or R <= 0:
             raise ParseError(f"bump needs a radius R > 0, got R={R}")
-        _in_float_range(1 / (R * R), "1/R^2")  # the bump's matrix is I / R^2
+        # the bump's matrix is I / R^2, its inverse R^2 I
+        _in_float_range(1 / (R * R), "1/R^2")
+        _in_float_range(R * R, "R^2")
         base = ball_bump(n, R)
     elif "M" in kw:
         M = kw.pop("M")
-        base = BumpFactor(tuple(tuple(Q(v) for v in row) for row in M))
+        if not (isinstance(M, list) and len(M) == n
+                and all(isinstance(row, list) and len(row) == n for row in M)):
+            raise ParseError(f"bump M= needs {n} rows of {n} entries")
+        M = [[Q(v) for v in row] for row in M]
+        if any(M[i][j] != M[j][i] for i in range(n) for j in range(i)) or any(
+                det([row[:k] for row in M[:k]]) <= 0 for k in range(1, n + 1)):
+            raise ParseError("bump M= must be symmetric positive definite")
+        # the support box of the bump has the half-widths sqrt((M^-1)_ii)
+        for i, row in enumerate(inverse(M)):
+            _in_float_range(row[i], f"(M^-1)_{i + 1}{i + 1}")
+        base = BumpFactor(M)
     else:
         raise ParseError("bump needs R= or M=")
     if kw:

@@ -5,10 +5,11 @@ function to the right cycle evaluator, and packages the kernel, constancy,
 homogeneity, first-variation, Hessian/mixed-discriminant and invariance
 experiments used by the acceptance suites.
 
-:func:`evaluate` takes a list of valuations and one function, so a battery
-is evaluated one function at a time on all its forms: forms that share a
-support box share that function's nodes, gradients and Hessians, and
-:func:`kernel_check` reads the values computed this way.
+:func:`evaluate` takes a battery, a list of valuations and a list of
+functions, and pays once for what the functions share: forms that share a
+support domain are compiled once, share each function's nodes, gradients
+and Hessians, and share the bump factors of each node block across the
+functions.  :func:`kernel_check` reads the values computed this way.
 
 Invariance under a finite group is an average over its exactly orthogonal
 matrices; invariance under SO(2) and SO(3) is exact and infinitesimal: the
@@ -19,6 +20,7 @@ projection onto invariant forms.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -26,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .coefficients import CoefficientFn, ball_bump
+from .coefficients import CoefficientFn, EvalCache, ball_bump
 from .convex import (
     BodyRestriction,
     ConvexFunction,
@@ -48,6 +50,7 @@ from .cycles import (
     eval_polyline,
     eval_smooth,
     eval_smooth_ridge_aligned,
+    pullback_batch,
 )
 from .exactla import det, inverse, polarized_det, solve
 from .forms import (
@@ -91,49 +94,96 @@ def _wrapped_lse(f: ConvexFunction) -> Optional[LogSumExp]:
 
 
 def evaluate(vals: Sequence[Valuation],
-             f: ConvexFunction | PiecewiseLinear1D) -> list[EvalResult]:
-    """D(f)[tau] for the form tau of each valuation, one result per valuation
-    in order; a single valuation is ``evaluate([val], f)[0]``.
+             functions: Sequence[ConvexFunction | PiecewiseLinear1D]) -> list[list[EvalResult]]:
+    """D(f)[tau] for each of ``functions`` and the form tau of each
+    valuation: one list per function, in order, of one result per valuation
+    in order.  A single evaluation is ``evaluate([val], [f])[0][0]``.
 
     Routing: polyhedral for max-affine, exact polyline for 1D
     piecewise-linear, ridge-aligned quadrature for log-sum-exp smoothings,
     plain graph quadrature otherwise.  The polyhedral route builds one
-    cycle per window.  The quadrature routes group the forms by support
-    domain (a bump ellipse or a box) and evaluate each group on one node
-    stream.
+    cycle per function and window, and clips each of its cells once per
+    support box for all forms.  The quadrature routes group the forms by
+    support domain (a bump ellipse or a box); each group is compiled once
+    for the whole battery (``cycles.pullback_batch``) and evaluated on one
+    node stream per function.  On the plain route every function's stream
+    runs over the group's one domain, so for n <= 2, where that domain's
+    rule is memoised, the functions share one
+    :class:`~cycleval.coefficients.EvalCache` per node block: the bump
+    factors and a bump group's rows in x alone are computed once per block
+    for the battery, and dropped with the group.  Each function is still
+    integrated by its own ``eval_smooth`` call, so its results are bit for
+    bit those of a battery of one.
     """
     forms = [val.tau for val in vals]
-    if isinstance(f, PiecewiseLinear1D):
-        cycle = build_1d(f)
-        return [eval_polyline(cycle, tau) for tau in forms]
-    cycles = {}
-
-    def cycle_of(ma: MaxAffine, tau: Form):
-        """The polyhedral cycle of ``ma`` on tau's window, one per window."""
-        window = window_for(ma, tau.support_box())
-        if window not in cycles:
-            cycles[window] = build_polyhedral(ma, window=window)
-        return cycles[window]
-
-    ma = as_max_affine(f)
-    if ma is not None:
-        return [eval_polyhedral(cycle_of(ma, tau), tau) for tau in forms]
-    groups: dict = {}
-    for i, tau in enumerate(forms):
-        groups.setdefault(tau.support_domain(), []).append(i)
-    lse = _wrapped_lse(f)
-    out = [None] * len(forms)
-    for idx in groups.values():
-        group = [forms[i] for i in idx]
-        if lse is not None and lse.n <= 2:
-            layer = min(0.25, 50.0 / lse.beta)
-            results = eval_smooth_ridge_aligned(f, cycle_of(lse.base, group[0]), group,
-                                                layer=layer, order=32, refine=44)
+    out: list = [None] * len(functions)
+    smooth, ridge = [], []
+    for j, f in enumerate(functions):
+        if isinstance(f, PiecewiseLinear1D):
+            cycle = build_1d(f)
+            out[j] = [eval_polyline(cycle, tau) for tau in forms]
+        elif (ma := as_max_affine(f)) is not None:
+            out[j] = _polyhedral_row(ma, forms)
+        elif (lse := _wrapped_lse(f)) is not None and lse.n <= 2:
+            ridge.append(j)
         else:
-            results = eval_smooth(f, group)
-        for i, res in zip(idx, results):
-            out[i] = res
+            smooth.append(j)
+    if not smooth and not ridge:
+        return out
+    domains: dict = {}
+    for i, tau in enumerate(forms):
+        domains.setdefault(tau.support_domain(), []).append(i)
+    groups = [(idx, [forms[i] for i in idx]) for idx in domains.values()]
+    batches = [pullback_batch(group) for _, group in groups]
+    for j in smooth:
+        out[j] = [None] * len(forms)
+    for (idx, group), batch in zip(groups, batches):
+        # by node block of the group's domain; a 3-D rule is built per call
+        # to bound memory (quadrature.box_nodes), which keeping caches for
+        # its 35 blocks would undo
+        caches = defaultdict(EvalCache) if group[0].n <= 2 else None
+        for j in smooth:
+            results = eval_smooth(functions[j], group, batch=batch, caches=caches)
+            for i, res in zip(idx, results):
+                out[j][i] = res
+    for j in ridge:
+        out[j] = _ridge_row(functions[j], groups, batches, len(forms))
     return out
+
+
+def _polyhedral_row(ma: MaxAffine, forms: list) -> list:
+    """D(ma)[tau] for each of ``forms``, exact on one cycle per window."""
+    cycles: dict = {}
+    return [eval_polyhedral(_cycle_of(cycles, ma, tau.support_box()), tau) for tau in forms]
+
+
+def _ridge_row(f: ConvexFunction, groups: list, batches: list, count: int) -> list:
+    """D(f)[tau] for the ``count`` forms of ``groups``, ``(indices, forms)``
+    compiled into ``batches``, for a log-sum-exp smoothing ``f`` of a
+    max-affine base in n <= 2: ridge-aligned on the cycles of the base."""
+    lse = _wrapped_lse(f)
+    layer = min(0.25, 50.0 / lse.beta)
+    cycles: dict = {}
+    row = [None] * count
+    for (idx, group), batch in zip(groups, batches):
+        cycle = _cycle_of(cycles, lse.base, group[0].support_box())
+        results = eval_smooth_ridge_aligned(f, cycle, group, layer=layer, order=32,
+                                            refine=44, batch=batch)
+        for i, res in zip(idx, results):
+            row[i] = res
+    return row
+
+
+def _cycle_of(cycles: dict, ma: MaxAffine, box):
+    """The polyhedral cycle of ``ma`` on the window of the support ``box``
+    (``window_for``), kept in ``cycles`` by box; boxes with one window share
+    one cycle."""
+    cycle = cycles.get(box)
+    if cycle is None:
+        window = window_for(ma, box)
+        cycle = next((c for c in cycles.values() if c.window == window), None)
+        cycles[box] = cycle = cycle or build_polyhedral(ma, window=window)
+    return cycle
 
 
 def scale_of(values: Sequence[float]) -> float:
@@ -378,7 +428,7 @@ def homogeneity_fit(val: Valuation, f: ConvexFunction) -> HomogeneityFit:
     """Least-squares polynomial fit of t -> mu(t f), degree <= n."""
     n = val.n
     t_grid = [Q(k, 2) for k in range(1, n + 4)]
-    values = [float(evaluate([val], Scaled(f, t))[0].value) for t in t_grid]
+    values = [float(res.value) for res, in evaluate([val], [Scaled(f, t) for t in t_grid])]
     V = np.vander([float(t) for t in t_grid], n + 1, increasing=True)
     coeffs, res, *_ = np.linalg.lstsq(V, np.asarray(values), rcond=None)
     fitted = V @ coeffs

@@ -201,11 +201,49 @@ class Cell:
 
 @dataclass
 class PolyhedralLagrangianCycle:
+    """The cells of the subdifferential graph of ``f`` inside ``window``.
+
+    The clipping of a cell to a coefficient's support box, and the simplex
+    products that the box leaves, are computed once per (cell, box) and
+    kept with the cycle, for every atom and form evaluated on it.
+    """
+
     n: int
     f: MaxAffine
     window: BoxT
     cells: list = field(default_factory=list)
     perturbed: bool = False
+    _clipped: dict = field(default_factory=dict, repr=False, compare=False)
+    _products: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def clipped(self, index: int, box: BoxT) -> list:
+        """The vertices of the x-polytope of cell ``index`` clipped to ``box``,
+        empty when nothing of it is left."""
+        out = self._clipped.get((index, box))
+        if out is None:
+            cell = self.cells[index]
+            out = self._clipped[index, box] = _clip_to_box(cell.x_vertices, cell.dim_x, box)[0]
+        return out
+
+    def simplex_products(self, index: int, box: BoxT) -> list:
+        """``(U, W, sx, sy, sign)`` for each product of an x-simplex ``sx`` of
+        cell ``index`` clipped to ``box`` and a y-simplex ``sy`` of the cell,
+        with their frames U and W, whose frame [U | W] is nonsingular;
+        ``sign`` is the product's Minty orientation, the sign of det [U | W]."""
+        out = self._products.get((index, box))
+        if out is None:
+            cell = self.cells[index]
+            ys = [(sy, _frame(sy)) for sy in _triangulate(cell.y_vertices, cell.dim_y)]
+            clipped = self.clipped(index, box)
+            out = []
+            for sx in _triangulate(clipped, cell.dim_x) if clipped else []:
+                U = _frame(sx)
+                for sy, W in ys:
+                    Mdet = det(U + W)
+                    if Mdet != 0:
+                        out.append((U, W, sx, sy, 1 if Mdet > 0 else -1))
+            self._products[index, box] = out
+        return out
 
     def dump(self) -> dict:
         return {
@@ -518,39 +556,24 @@ def _polyhedral_parts(cycle: PolyhedralLagrangianCycle, form: Form):
             raise SupportError("cannot evaluate a form with free parameters")
         I = [v for v in key if v < n]
         J = [v - n for v in key if v >= n]
-        # the y simplices of a cell, their frames and y minors do not
-        # depend on the atom
-        cells = []
-        for cell in cycle.cells:
-            if cell.dim_x == len(I) and cell.dim_y == len(J):
-                ys = [(sy, _frame(sy)) for sy in _triangulate(cell.y_vertices, cell.dim_y)]
-                cells.append((cell, [(sy, W, _submatrix_det(W, J)) for sy, W in ys]))
+        cells = [i for i, cell in enumerate(cycle.cells)
+                 if cell.dim_x == len(I) and cell.dim_y == len(J)]
         for sig, poly in coeff.atoms.items():
             atom = CoefficientFn(n, {sig: poly}, declared_box=coeff.declared_box)
             box = atom.support_box()
             if box is None:
                 raise SupportError("polynomial coefficient needs a declared window")
-            for cell, ys in cells:
-                clipped, _ = _clip_to_box(cell.x_vertices, cell.dim_x, box)
-                if not clipped:
-                    continue
-                for sx in _triangulate(clipped, cell.dim_x):
-                    U = _frame(sx)
-                    dU = _submatrix_det(U, I)
-                    for sy, W, dW in ys:
-                        Mdet = det(U + W)
-                        if Mdet == 0:
-                            continue
-                        sign = 1 if Mdet > 0 else -1
-                        scale = sign * dU * dW
-                        if scale == 0:
-                            continue
-                        if not sig:
-                            yield scale * _integrate_poly_cell(poly, n, sx, sy)
-                        else:
-                            res = integrate(atom.eval_array, [SimplexProduct(sx, sy)])
-                            yield EvalResult(float(scale) * res.value,
-                                             abs(float(scale)) * res.error)
+            for index in cells:
+                for U, W, sx, sy, sign in cycle.simplex_products(index, box):
+                    scale = sign * _submatrix_det(U, I) * _submatrix_det(W, J)
+                    if scale == 0:
+                        continue
+                    if not sig:
+                        yield scale * _integrate_poly_cell(poly, n, sx, sy)
+                    else:
+                        res = integrate(atom.eval_array, [SimplexProduct(sx, sy)])
+                        yield EvalResult(float(scale) * res.value,
+                                         abs(float(scale)) * res.error)
 
 
 def _affine_subs_polys(n: int, sx, sy, nvars: int) -> list:

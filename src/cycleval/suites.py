@@ -414,8 +414,8 @@ def suite_kernel(config: ExperimentConfig) -> list:
             smooth_fam += [f for f in extra
                            if f.smooth and _wrapped_lse(f) is None]
         # every form of this dimension is drawn first, in the rng order of
-        # the entries, then each function is evaluated once on all forms
-        # that use it
+        # the entries, then each family is evaluated as one battery on the
+        # forms that use it
         forward = {"tol_zero": tol_f, "tol_witness": tol_w}
         checks = []  # (name, kind, tau, functions, kernel_check tolerances)
         nforms = int(config.size("kernel_forms"))
@@ -448,24 +448,18 @@ def suite_kernel(config: ExperimentConfig) -> list:
             checks.append((f"kernel/declared/n={n}/{j}", "declared", tau, fam,
                            forward))
 
-        vals = [Valuation(tau) for _, _, tau, _, _ in checks]
-        values = [[0.0] * len(functions) for _, _, _, functions, _ in checks]
-        for f in _unique(fam + smooth_fam):
-            uses = [(c, j) for c, (_, _, _, functions, _) in enumerate(checks)
-                    for j, g in enumerate(functions) if g is f]
-            for (c, j), res in zip(uses, evaluate([vals[c] for c, _ in uses], f)):
-                values[c][j] = float(res.value)
+        values = [None] * len(checks)
+        for family in (smooth_fam, fam):
+            used = [(c, tau) for c, (_, _, tau, functions, _) in enumerate(checks)
+                    if functions is family]
+            results = evaluate([Valuation(tau) for _, tau in used], family)
+            for k, (c, _) in enumerate(used):
+                values[c] = [float(row[k].value) for row in results]
 
         for (name, kind, tau, functions, tols), row in zip(checks, values):
             rep = kernel_check(tau, functions, row, **tols)
             entries.append(_kernel_entry(name, kind, rep, tols, len(functions)))
     return entries
-
-
-def _unique(objects: list) -> list:
-    """``objects`` without repeats (by identity), in first-seen order."""
-    seen = set()
-    return [o for o in objects if not (id(o) in seen or seen.add(id(o)))]
 
 
 def _kernel_entry(name: str, kind: str, rep, tols: dict,
@@ -523,10 +517,9 @@ def suite_homogeneity(config: ExperimentConfig) -> list:
         tau = random_bump_form(rng, n, bidegree=(n - 1, 1), y_dependent=False)
         val = Valuation(tau)
         f = Quadratic(_rand_pd_matrix(rng, n))
-        base = float(evaluate([val], f)[0].value)
         shifted = Shifted(f, [_rand_frac(rng, 2, 2) for _ in range(n)],
                           _rand_frac(rng, 2, 2))
-        v = float(evaluate([val], shifted)[0].value)
+        base, v = (float(row[0].value) for row in evaluate([val], [f, shifted]))
         tol_de = config.tol("dual_epi")
         entries.append(SuiteEntry(
             name=f"homogeneity/dual-epi/n={n}",
@@ -599,7 +592,7 @@ def suite_hessian(config: ExperimentConfig) -> list:
         form = hessian_form(spec)
         f = Quadratic(_rand_pd_matrix(rng, n))
         direct = hessian_valuation(spec, f)
-        via = float(evaluate([Valuation(form)], f)[0].value)
+        via = float(evaluate([Valuation(form)], [f])[0][0].value)
         denom = max(1e-9, abs(direct))
         entries.append(SuiteEntry(
             name=f"hessian/cross-check/{i}(n={n},k={k})",

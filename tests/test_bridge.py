@@ -107,7 +107,7 @@ def test_bridge_random_forms_and_bodies():
 def test_t_map_properties():
     # T(tau)(K) is the valuation of tau at f_K = h_K(., -1)
     def t_map(tau, K):
-        return evaluate([Valuation(tau)], body_restriction(K))[0]
+        return evaluate([Valuation(tau)], [body_restriction(K)])[0][0]
 
     n = 2
     rng = np.random.default_rng(5)
@@ -117,7 +117,7 @@ def test_t_map_properties():
     base = float(t_map(tau, K).value)
     # translating the body K by v in V* x R shifts f_K by an affine function
     f_translated = Shifted(body_restriction(K), [Q(1, 2), Q(-1, 4)], Q(3, 5))
-    v = float(evaluate([Valuation(tau)], f_translated)[0].value)
+    v = float(evaluate([Valuation(tau)], [f_translated])[0][0].value)
     assert abs(v - base) < 1e-6 * max(1.0, abs(base))
     # scaling: r K scales h_K linearly; degree matches the bidegree
     val = Valuation(tau)

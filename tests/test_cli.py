@@ -261,6 +261,10 @@ def test_exit_code_name_for_a_number(tmp_path, capsys, spec, key):
     ("functions", {"kind": "lse", "pieces": [[[1], 0], [[-1], 0]], "beta": math.inf},
      "inf"),
     ("bodies", {"kind": "ellipsoid", "M": [[math.inf, 0], [0, 1]]}, "inf"),
+    # the inverse of the bump's matrix, whose diagonal gives the half-widths
+    # of the support box
+    ("forms", "bump(R=1e160) * dx1", "R^2"),
+    ("forms", "bump(M=[[1e-310]]) * dx1", "(M^-1)_11"),
 ])
 def test_exit_code_number_outside_float_range(tmp_path, capsys, key, spec, literal):
     # such a number would overflow the float evaluators of some suite

@@ -97,6 +97,12 @@ def test_parse_errors():
         parse_form("wibble * dx1", 1)
     with pytest.raises(ParseError):
         parse_form("bump() * dx1", 1)
+    # a bump matrix must be a symmetric positive definite n x n matrix
+    for M, n in (("[[0]]", 1), ("[[-1]]", 1), ("[[1,2]]", 1), ("[[1]]", 2),
+                 ("[[1,2],[2,1]]", 2), ("[[2,1],[0,2]]", 2)):
+        with pytest.raises(ParseError, match="bump M="):
+            parse_form(f"bump(M={M}) * dx1", n)
+    assert parse_form("bump(M=[[2,1],[1,2]]) * dx1", 2).support_box() is not None
     # beyond the exponent field of a packed monomial
     with pytest.raises(ValueError, match="exponent 5000"):
         parse_form("x1^5000 * dx1", 1)

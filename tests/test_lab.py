@@ -11,6 +11,7 @@ from cycleval.convex import (
     PiecewiseLinear1D,
     Quadratic,
     Shifted,
+    SmoothCatalog,
     SmoothField,
 )
 from cycleval.exactla import det
@@ -65,7 +66,7 @@ def test_constant_valuation():
     val = Valuation(tau)
     ref = float(integrate_zero_section(tau))
     for f in battery(n, seed=1, size=8):
-        v, = evaluate([val], f)
+        (v,), = evaluate([val], [f])
         assert abs(float(v.value) - ref) < 1e-7 * max(1, abs(ref))
 
 
@@ -76,7 +77,7 @@ def test_evaluate_at_zero_function():
     tau = random_bump_form(rng, n, degree=n)
     val = Valuation(tau)
     zero = Quadratic(np.zeros((n, n)))
-    got = float(evaluate([val], zero)[0].value)
+    got = float(evaluate([val], [zero])[0][0].value)
     assert got == pytest.approx(float(integrate_zero_section(tau)), abs=1e-9)
 
 
@@ -108,15 +109,105 @@ def test_evaluate_list_equals_per_pair(route, n, f):
     # domains) gives, in input order, the value and error of each form
     # evaluated alone, bit for bit
     vals = _two_box_forms(np.random.default_rng(21 + n), n)
-    got = evaluate(vals, f)
-    ref = [evaluate([val], f)[0] for val in vals]
+    got, = evaluate(vals, [f])
+    ref = [evaluate([val], [f])[0][0] for val in vals]
     assert [(type(r.value), r.value, r.error) for r in got] == \
         [(type(r.value), r.value, r.error) for r in ref]
     assert any(r.value != 0 for r in ref)
 
 
+def _mixed_battery(n):
+    """One function of every route in dimension n, as (route, function)."""
+    if n == 1:
+        ma = MaxAffine([([1], 0), ([-1], Q(1, 2)), ([2], -1)])
+        A = [[Q(3, 2)]]
+    else:
+        ma = MaxAffine([([1, 0], 0), ([-1, 1], Q(1, 2)), ([0, -1], Q(-1, 2))])
+        A = [[Q(2), Q(1, 2)], [Q(1, 2), Q(1)]]
+    out = [("smooth", Quadratic(A, [Q(1, 4)] * n, Q(0))),
+           ("smooth", SmoothCatalog("sqrt1p", n)),
+           ("ridge", LogSumExp(ma, 40.0)),
+           ("polyhedral", ma)]
+    if n == 1:
+        out.append(("polyline", PiecewiseLinear1D([Q(-1), Q(1, 2)], [2, -1, Q(1, 2)], 0)))
+    return out
+
+
+def _bits(results):
+    return [(type(r.value), r.value, r.error) for r in results]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_battery_equals_one_function_evaluation(n):
+    # every route on forms with two support boxes, at n = 2 also an ellipse
+    # (smooth box, smooth ellipse, ridge, polyhedral and polyline): each
+    # function's results in a battery, with a repeated function, are the
+    # bits of a battery of that function alone, and of each form alone
+    vals = _two_box_forms(np.random.default_rng(31 + n), n)
+    routes = _mixed_battery(n)
+    functions = [f for _, f in routes]
+    functions.insert(2, functions[0])
+    got = evaluate(vals, functions)
+    assert len(got) == len(functions)
+    for f, row in zip(functions, got):
+        assert _bits(row) == _bits(evaluate(vals, [f])[0])
+        assert _bits(row) == [_bits(evaluate([val], [f])[0])[0] for val in vals]
+    assert got[0] is not got[2] and _bits(got[0]) == _bits(got[2])
+    assert all(any(r.value != 0 for r in row) for row in got)
+
+
+def test_battery_families_share_a_function():
+    # the kernel suite's two families: a bump form on the smooth functions
+    # and window forms on all, with the smooth functions in both batteries
+    n = 2
+    rng = np.random.default_rng(33)
+    bump = [Valuation(random_kernel_form(rng, n, kind="bump"))]
+    window = [Valuation(random_window_form(rng, n, n)) for _ in range(2)]
+    routes = _mixed_battery(n)
+    smooth = [f for route, f in routes if route == "smooth"]
+    full = [f for _, f in routes]
+    for vals, family in ((bump, smooth), (window, full)):
+        got = evaluate(vals, family)
+        for f, row in zip(family, got):
+            assert _bits(row) == [_bits(evaluate([val], [f])[0])[0] for val in vals]
+
+
+def test_battery_shares_block_caches_within_the_call(monkeypatch):
+    # the smooth route fills one EvalCache per node block for the whole
+    # battery, and none of them outlives the call
+    import weakref
+
+    from cycleval import lab
+    from cycleval.coefficients import EvalCache
+
+    made = []
+
+    class Tracked(EvalCache):
+        __slots__ = ("__weakref__",)
+
+        def __init__(self):
+            super().__init__()
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(lab, "EvalCache", Tracked)
+    n = 2
+    vals = [Valuation(random_bump_form(np.random.default_rng(34), n, degree=n))]
+    functions = [Quadratic([[Q(1) + k, Q(0)], [Q(0), Q(1)]]) for k in range(4)]
+    got = evaluate(vals, functions)
+    # the ellipse rule's two passes are 6,272 and 8,192 nodes: 4 blocks
+    assert len(made) == 4
+    assert all(ref() is None for ref in made)
+    for f, row in zip(functions, got):
+        assert _bits(row) == _bits(evaluate(vals, [f])[0])
+    # a 3-D rule is built per call: no caches are kept for its blocks
+    made.clear()
+    tau = random_bump_form(np.random.default_rng(35), 3, degree=3)
+    evaluate([Valuation(tau)], [Quadratic(np.eye(3))] * 2)
+    assert not made
+
+
 def _values(tau, functions):
-    return [float(evaluate([Valuation(tau)], f)[0].value) for f in functions]
+    return [float(evaluate([Valuation(tau)], [f])[0][0].value) for f in functions]
 
 
 def test_kernel_forward_small():
@@ -148,10 +239,10 @@ def test_dual_epi_invariance_numeric():
     tau = random_bump_form(rng, n, bidegree=(1, 1), y_dependent=False)
     val = Valuation(tau)
     f = Quadratic([[1.2, 0.1], [0.1, 0.9]])
-    base = float(evaluate([val], f)[0].value)
+    base = float(evaluate([val], [f])[0][0].value)
     for lam, c in (([Q(1, 2), Q(-1)], Q(2)), ([Q(0), Q(3, 4)], Q(-1, 3))):
         shifted = Shifted(f, lam, c)
-        v = float(evaluate([val], shifted)[0].value)
+        v = float(evaluate([val], [shifted])[0][0].value)
         assert abs(v - base) < 1e-7 * max(1, abs(base))
 
 
@@ -245,12 +336,12 @@ def test_k1_representation_density():
     val = Valuation(tau)
     phi = k1_representation(val)
     f = Quadratic([[1]], [Q(1, 3)], Q(0))
-    lhs = float(evaluate([val], f)[0].value)
+    lhs = float(evaluate([val], [f])[0][0].value)
     rhs = integral_against_density(f, phi)
     assert lhs == pytest.approx(rhs, rel=1e-6)
     # affine functions are annihilated (moment conditions)
     aff = Quadratic([[0]], [Q(1)], Q(2))
-    assert abs(float(evaluate([val], aff)[0].value)) < 1e-9
+    assert abs(float(evaluate([val], [aff])[0][0].value)) < 1e-9
 
 
 def test_mixed_discriminant():
@@ -300,7 +391,7 @@ def test_hessian_form_and_valuation_agree():
         form = hessian_form(spec)
         f = Quadratic(_rand_pd(rng, n))
         direct = hessian_valuation(spec, f)
-        via_form = float(evaluate([Valuation(form)], f)[0].value)
+        via_form = float(evaluate([Valuation(form)], [f])[0][0].value)
         assert via_form == pytest.approx(direct, rel=1e-6, abs=1e-9), (n, k)
 
 
@@ -336,7 +427,7 @@ def test_hessian_form_known_cases():
     # mixed discriminant D(H, I) for diagonal H: (h11 + h22)/2
     ref = 4.0 * float(integrate_zero_section(Form(n, n, {(0, 1): B2})))
     assert direct == pytest.approx(ref, rel=1e-9)
-    via = float(evaluate([Valuation(form2)], f)[0].value)
+    via = float(evaluate([Valuation(form2)], [f])[0][0].value)
     assert via == pytest.approx(ref, rel=1e-8)
 
 

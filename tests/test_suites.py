@@ -51,7 +51,7 @@ def _reference_kernel(config):
                            if f.smooth and _wrapped_lse(f) is None]
 
         def check(tau, functions, **tols):
-            values = [float(evaluate([Valuation(tau)], f)[0].value) for f in functions]
+            values = [float(evaluate([Valuation(tau)], [f])[0][0].value) for f in functions]
             return kernel_check(tau, functions, values, **tols)
 
         window = ((Q(-2), Q(2)),) * n
@@ -109,3 +109,39 @@ def test_suite_kernel_matches_per_pair_reference():
     assert got == ref
     assert {e["name"].split("/")[1] for e in got} == \
         {"forward", "contrapositive", "constant", "declared"}
+
+
+def test_suite_kernel_compiles_once_per_family_and_domain(monkeypatch):
+    # the kernel-battery benchmark config at seed 7: each function family
+    # is one battery, so each (family, support domain) is compiled once
+    # (2 dimensions x {bump forms on the smooth family, window forms on
+    # all}), not once per function (74), and each bump factor column is
+    # computed once per node block of a battery
+    from cycleval import coefficients
+
+    compiled, columns = [], []
+    init, factor = coefficients.CompiledBatch.__init__, coefficients.EvalCache.factor
+
+    def counting_init(self, n, pieces):
+        compiled.append(n)
+        init(self, n, pieces)
+
+    def counting_factor(self, f, pts):
+        if f._ident not in self._factors:
+            columns.append((f._ident, len(pts)))
+        return factor(self, f, pts)
+
+    monkeypatch.setattr(coefficients.CompiledBatch, "__init__", counting_init)
+    monkeypatch.setattr(coefficients.EvalCache, "factor", counting_factor)
+    config = ExperimentConfig(
+        n=1, seed=7, suites=["kernel"],
+        sizes={"kernel_dims": [1, 2], "kernel_forms": 3, "kernel_nonkernel": 1,
+               "constant_forms": 1, "kernel_battery": 8})
+    entries = suite_kernel(config)
+    assert all(e.passed for e in entries)
+    assert sorted(compiled) == [1, 1, 2, 2]
+    # two bump factors per node block of the bump forms' battery: at n = 1
+    # one block per pass (128 and 192 nodes), at n = 2 the ellipse rule's
+    # 6,272 and 8,192 nodes in 4 blocks; and one column per pass and
+    # dimension for the zero-section integrals of the bump forms
+    assert len(columns) == 2 * (2 + 4) + 2 * 2
