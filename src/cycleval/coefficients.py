@@ -333,7 +333,8 @@ class CompiledBatch:
     of one monomial table: each is one earlier row times one coordinate.
     A node block costs that table and, per group, one weight column (its
     ``w[key]`` times its bump factors) that scales the group's polynomial
-    rows before they are added to their result rows.  The bump factors and
+    rows before they are added to their result rows; a selection of rows
+    costs the part of the table and the groups that it uses.  The bump factors and
     the polynomial rows of bump groups in x alone depend on the x nodes
     only: they are kept in the block's :class:`EvalCache`, which the calls
     on one node block may share.
@@ -342,10 +343,11 @@ class CompiledBatch:
     of the batch: groups are taken in a fixed order (by key, then
     signature), and each polynomial row is summed term by term in the
     table's order, with no reduction whose order could depend on the
-    batch.  So a form evaluated in a batch gets the bits it gets alone.
+    batch.  So a form evaluated in a batch, or in a selection of its rows,
+    gets the bits it gets alone.
     """
 
-    __slots__ = ("n", "keys", "_steps", "_groups")
+    __slots__ = ("n", "keys", "_steps", "_groups", "_spans", "_plans")
 
     def __init__(self, n: int, pieces):
         width = 2 * n
@@ -358,11 +360,18 @@ class CompiledBatch:
                     acc[e, row] = acc.get((e, row), 0) + sign * c
         groups = []
         exponents = set()
+        # row -> its terms' (key, degree in x, degree in y), None with a bump
+        self._spans: dict = {}
         for (key, sig), acc in sorted(sums.items(), key=_group_order):
             acc = {er: c for er, c in acc.items() if c}
             if acc:
                 groups.append((key, sig, acc))
                 exponents.update(e for e, _ in acc)
+            for e, r in acc:
+                if sig:
+                    self._spans[r] = None
+                elif (spans := self._spans.setdefault(r, set())) is not None:
+                    spans.add((key, sum(e[:n]), sum(e[n:])))
         todo = list(exponents)
         while todo:
             lowered = _lowered(todo.pop())
@@ -385,34 +394,86 @@ class CompiledBatch:
                 (r, sorted(rows[r]),
                  bool(sig) and not any(any(order[k][n:]) for k, _ in rows[r]))
                 for r in sorted(rows)]))
+        # rows selected (None for all) -> (steps, groups) of add_to
+        self._plans: dict = {None: (self._steps, [
+            (g, key, sig, [(r, r, terms, x_only) for r, terms, x_only in group_rows])
+            for g, (key, sig, group_rows) in enumerate(self._groups)])}
+
+    def _plan(self, rows) -> tuple:
+        """``(steps, groups)`` of :meth:`add_to` for the rows ``rows``, a
+        tuple, or None for all: each group is ``(index, key, signature,
+        [(row, slot in out, terms, x-only)])`` with its rows selected.  The
+        table keeps the exponents that the selected terms use and their
+        parents, in the full table's order, so each table row, and each
+        result row, has the bits of the full batch."""
+        plan = self._plans.get(rows)
+        if plan is None:
+            slot = {r: k for k, r in enumerate(rows)}
+            kept = [(g, key, sig, [(r, slot[r], terms, x_only)
+                                   for r, terms, x_only in group_rows if r in slot])
+                    for g, (key, sig, group_rows) in enumerate(self._groups)]
+            kept = [group for group in kept if group[3]]
+            used = set()
+            todo = [k for *_, group_rows in kept for _, _, terms, _ in group_rows
+                    for k, _ in terms]
+            while todo:
+                k = todo.pop()
+                if k not in used:
+                    used.add(k)
+                    if k:
+                        todo.append(self._steps[k - 1][0])
+            columns = sorted(used)
+            new = {k: i for i, k in enumerate(columns)}
+            steps = [(new[parent], var) for parent, var in
+                     (self._steps[k - 1] for k in columns[1:])]
+            plan = self._plans[rows] = (steps, [
+                (g, key, sig, [(r, k, [(new[c], v) for c, v in terms], x_only)
+                               for r, k, terms, x_only in group_rows])
+                for g, key, sig, group_rows in kept])
+        return plan
+
+    def degree(self, row: int, y_degree: int, key_degree) -> Optional[int]:
+        """The total degree in x of row ``row`` on nodes whose y is a
+        polynomial in x of degree ``y_degree`` and whose weight ``w[key]``
+        is one of degree ``key_degree(key)``; None for a row with a bump
+        factor.  A row without pieces is zero, of degree 0."""
+        spans = self._spans.get(row, ())
+        if spans is None:
+            return None
+        return max((ex + y_degree * ey + key_degree(key) for key, ex, ey in spans),
+                   default=0)
 
     def add_to(self, out: np.ndarray, Z: np.ndarray, weights: dict,
-               cache: Optional[EvalCache] = None) -> None:
+               cache: Optional[EvalCache] = None, rows=None) -> None:
         """Add the rows at a node block to ``out`` of shape (rows, B).
 
         ``Z`` holds the coordinates (x, y) of the B nodes as a C-contiguous
         (2n, B) array; ``weights`` maps each of :attr:`keys` to its weight
-        column at the nodes (or a scalar).  ``cache``, by default a new one,
-        keeps what depends on the x coordinates alone: the bump factors and
-        the sums of the rows of bump groups that are polynomials in x.  The
+        column at the nodes (or a scalar).  ``rows`` selects rows: ``out[k]``
+        receives row ``rows[k]``, and the other rows cost nothing; by default
+        ``out[r]`` receives row r.  ``cache``, by default a new one, keeps
+        what depends on the x coordinates alone: the bump factors and the
+        sums of the rows of bump groups that are polynomials in x.  The
         calls of this batch on nodes with the same x coordinates, such as
-        one node block of the graphs of a battery, may share it.
+        one node block of the graphs of a battery, may share it, whatever
+        rows they select.
         """
-        if not self._groups:
+        steps, groups = self._plan(None if rows is None else tuple(rows))
+        if not groups:
             return
-        table = np.empty((len(self._steps) + 1, Z.shape[1]))
+        table = np.empty((len(steps) + 1, Z.shape[1]))
         table[0] = 1.0
-        for i, (parent, var) in enumerate(self._steps, 1):
+        for i, (parent, var) in enumerate(steps, 1):
             np.multiply(table[parent], Z[var], out=table[i])
         if cache is None:
             cache = EvalCache()
         X = Z[:self.n].T
         term = np.empty(Z.shape[1])
-        for g, (key, sig, rows) in enumerate(self._groups):
+        for g, key, sig, group_rows in groups:
             w = weights[key]
             for f in sig:
                 w = w * cache.factor(f, X)
-            for row, terms, x_only in rows:
+            for row, slot, terms, x_only in group_rows:
                 if x_only:
                     vals = cache._rows.get((g, row))
                     if vals is None:
@@ -421,7 +482,7 @@ class CompiledBatch:
                 else:
                     vals = _row_sum(table, terms, term)
                     vals *= w
-                out[row] += vals
+                out[slot] += vals
 
 
 def _row_sum(table: np.ndarray, terms: list, term: np.ndarray) -> np.ndarray:
@@ -581,7 +642,11 @@ class CoefficientFn:
     def __add__(self, other: "CoefficientFn") -> "CoefficientFn":
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        box = _box_union(self.declared_box, other.declared_box)
+        box = self.declared_box if other.declared_box is None else other.declared_box
+        if self.declared_box is not None and self.declared_box != box:
+            # one window cannot hold a polynomial on each of two windows
+            raise ValueError(f"cannot add coefficients on the windows "
+                             f"{_box_text(self.declared_box)} and {_box_text(box)}")
         merged: dict[Signature, Poly] = dict(self.atoms)
         summed = set()
         for sig, poly in other.atoms.items():
@@ -911,6 +976,10 @@ def _norm_box(box) -> Optional[BoxT]:
     if box is None:
         return None
     return tuple((_as_fraction(lo), _as_fraction(hi)) for lo, hi in box)
+
+
+def _box_text(box: Optional[BoxT]) -> str:
+    return "none" if box is None else " x ".join(f"[{lo}, {hi}]" for lo, hi in box)
 
 
 def _box_union(a: Optional[BoxT], b: Optional[BoxT]) -> Optional[BoxT]:

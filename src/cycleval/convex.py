@@ -113,6 +113,8 @@ class ConvexFunction:
 
     n: int
     smooth: bool = True
+    # the degree of the gradient when it is a polynomial in x, else None
+    gradient_degree: int | None = None
 
     def eval_array(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -151,6 +153,8 @@ class Quadratic(ConvexFunction):
 
     A, b, c may be given as exact rationals; only their floats are kept.
     """
+
+    gradient_degree = 1
 
     def __init__(self, A, b=None, c=0):
         A = np.atleast_2d(np.asarray(A, dtype=object))
@@ -359,6 +363,7 @@ class SmoothCatalog(ConvexFunction):
             raise CatalogError(f"unknown smooth catalog entry {name!r}")
         self.name = name
         self.n = n
+        self.gradient_degree = 3 if name == "quartic" else None
 
     def eval_array(self, X):
         r2 = (X * X).sum(axis=1)
@@ -405,6 +410,7 @@ class Shifted(ConvexFunction):
         self.lam = _frac_vector(lam, self.n)
         self.c = _as_fraction(c)
         self.smooth = inner.smooth
+        self.gradient_degree = inner.gradient_degree
         self._lamf = np.array([float(v) for v in self.lam])
         self._cf = float(self.c)
 
@@ -440,6 +446,7 @@ class Scaled(ConvexFunction):
         self.t = t
         self._tf = float(t)
         self.smooth = inner.smooth or t == 0
+        self.gradient_degree = inner.gradient_degree
 
     def eval_array(self, X):
         if self._tf == 0.0:

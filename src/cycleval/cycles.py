@@ -20,8 +20,13 @@ smoothing), one Hessian minor per minor that occurs, and one monomial
 table, whatever the number of forms.  The functions of a battery
 integrated over one support domain share one coefficients.EvalCache per
 node block, so its bump factors, and the rows of bump groups in x alone,
-are computed once for the battery.  Each form's row, and so its value, is
-bit for bit what it would be alone.  A constant Hessian (a quadratic's,
+are computed once for the battery.  When the gradient of f is a
+polynomial, the pullback of a form without bumps is a polynomial of a
+degree the batch reads off its exponents (``pullback_degree``), which the
+Gauss pass pair of that degree integrates exactly
+(quadrature.PolynomialBox); a batch evaluates any selection of its rows.
+Each form's row, and so its value, is bit for bit what it would be alone.
+A constant Hessian (a quadratic's,
 returned as a broadcast view) is read once per block: its minors, and the
 metric determinant of the mass, are computed on one node and broadcast.
 
@@ -77,9 +82,13 @@ def pullback_batch(forms: Sequence[Form]) -> CompiledBatch:
     """The forms' graph-pullback coefficients compiled into one
     :class:`CompiledBatch`, one row per form, weighted by the Hessian
     minors ``det H[J, Ic]``: compiled once for every function that the
-    forms are evaluated on."""
+    forms are evaluated on.  Every graph evaluation compiles its forms
+    here, and the graph evaluators integrate every term of a form over one
+    box, so a form whose polynomial coefficients carry different windows
+    raises SupportError (``Form.check_windows``)."""
     pieces = []
     for row, form in enumerate(forms):
+        form.check_windows()
         n = form.n
         for key, coeff in form.terms.items():
             if coeff.has_params():
@@ -96,13 +105,28 @@ def pullback_batch(forms: Sequence[Form]) -> CompiledBatch:
     return CompiledBatch(forms[0].n if forms else 0, pieces)
 
 
+def pullback_degree(f: ConvexFunction, batch: CompiledBatch, row: int) -> int | None:
+    """The total degree of the graph pullback on ``f`` of the form at
+    ``row`` of ``batch``, when it is a polynomial: when the gradient of f is
+    a polynomial of degree g and the row has no bump factor.  A coefficient
+    term x^a y^b then has degree |a| + g |b| and a minor det H[J, Ic] has
+    (g - 1) |J|.  None otherwise."""
+    g = f.gradient_degree
+    if g is None:
+        return None
+    return batch.degree(row, g, lambda key: (g - 1) * len(key[0]))
+
+
 def graph_pullback_integrand(f: ConvexFunction, forms: Sequence[Form],
-                             batch: CompiledBatch | None = None, caches=None):
+                             batch: CompiledBatch | None = None, caches=None,
+                             rows=None):
     """Vectorized x -> (graph map)^* form, the coefficient of the volume form,
     for each of ``forms``: nodes of shape (N, n) give a C-contiguous (F, N)
     array, one row per form.
 
-    ``batch`` is ``pullback_batch(forms)``, compiled here by default.  The
+    ``batch`` is ``pullback_batch(forms)``, compiled here by default, or a
+    batch compiled from more forms, in which ``forms`` are the ``rows``:
+    the other rows cost nothing.  The
     nodes are evaluated in blocks of ``_NODE_BLOCK``; each block costs one
     ``f.jet`` call (gradient and Hessian), one minor per ``(J, Ic)`` and one
     monomial table for all forms, and each row equals the integrand of its
@@ -127,22 +151,23 @@ def graph_pullback_integrand(f: ConvexFunction, forms: Sequence[Form],
                       for J, Ic in batch.keys}
             batch.add_to(out[:, start:start + _NODE_BLOCK],
                          np.concatenate([block.T, Y.T]), minors,
-                         None if caches is None else caches[next(blocks)])
+                         None if caches is None else caches[next(blocks)], rows)
         return out
 
     return integrand
 
 
 def eval_smooth(f: ConvexFunction, forms: Sequence[Form], domain=None,
-                batch: CompiledBatch | None = None, caches=None) -> list:
+                batch: CompiledBatch | None = None, caches=None, rows=None) -> list:
     """D(f)[form] for each of ``forms``, for twice-differentiable catalog
     functions: one scalar :class:`EvalResult` per form, in order.
 
-    The forms are integrated over ``domain`` (a box or a
+    The forms are integrated over ``domain`` (a box, a
+    :class:`~cycleval.quadrature.PolynomialBox` or an
     :class:`~cycleval.quadrature.Ellipse`), by default their one shared
-    support domain, on one node stream.  ``batch`` and ``caches`` are
-    those of :func:`graph_pullback_integrand`: the evaluations of a
-    battery on the same forms and domain share them.
+    support domain, on one node stream.  ``batch``, ``caches`` and
+    ``rows`` are those of :func:`graph_pullback_integrand`: the
+    evaluations of a battery on the same forms and domain share them.
     """
     if not f.smooth:
         raise NonsmoothPointError(
@@ -150,7 +175,7 @@ def eval_smooth(f: ConvexFunction, forms: Sequence[Form], domain=None,
     n = f.n
     if any(form.degree != n or form.n != n for form in forms):
         raise ValueError("form must be an n-form matching the function dimension")
-    return integrate(graph_pullback_integrand(f, forms, batch, caches),
+    return integrate(graph_pullback_integrand(f, forms, batch, caches, rows),
                      [domain or _shared(form.support_domain() for form in forms)])
 
 

@@ -31,7 +31,14 @@ from fractions import Fraction
 from functools import cache
 from typing import Optional, Sequence
 
-from .coefficients import BoxT, CoefficientFn, SupportError, _box_union, linear_x_matrix_id
+from .coefficients import (
+    BoxT,
+    CoefficientFn,
+    SupportError,
+    _box_text,
+    _box_union,
+    linear_x_matrix_id,
+)
 from .exactla import inverse
 from .polynomials import Poly, Q, _as_fraction
 from .quadrature import Ellipse, EvalResult, integrate, sum_parts
@@ -169,6 +176,24 @@ class Form:
             box = _box_union(box, b)
             known = True
         return box if known else tuple((Q(0), Q(0)) for _ in range(self.n))
+
+    def check_windows(self) -> None:
+        """Raise SupportError when the coefficients with a polynomial atom
+        carry different windows: the graph evaluators integrate every term
+        over the one support box, which is right for a polynomial only on
+        its own window.  (A polynomial without a window has no support box:
+        those evaluators refuse it as they integrate.)"""
+        first = None
+        for c in self.terms.values():
+            if () not in c.atoms or c.declared_box is None:
+                continue
+            if first is None:
+                first = c.declared_box
+            elif c.declared_box != first:
+                raise SupportError(
+                    f"the polynomial coefficients of one form have the windows "
+                    f"{_box_text(first)} and {_box_text(c.declared_box)}; the graph "
+                    "evaluators integrate every term over one box")
 
     def support_domain(self):
         """The one support ellipse of every coefficient, if they share one

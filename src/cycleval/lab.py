@@ -51,6 +51,7 @@ from .cycles import (
     eval_smooth,
     eval_smooth_ridge_aligned,
     pullback_batch,
+    pullback_degree,
 )
 from .exactla import det, inverse, polarized_det, solve
 from .forms import (
@@ -63,7 +64,7 @@ from .forms import (
 )
 from .polyhedral import build_polyhedral, eval_polyhedral, window_for
 from .polynomials import Poly, Q, _as_fraction
-from .quadrature import _NODE_BLOCK, EvalResult, integrate
+from .quadrature import _NODE_BLOCK, EvalResult, PolynomialBox, integrate
 from .rumin import RuminResult, rumin_d
 
 
@@ -106,14 +107,18 @@ def evaluate(vals: Sequence[Valuation],
     support box for all forms.  The quadrature routes group the forms by
     support domain (a bump ellipse or a box); each group is compiled once
     for the whole battery (``cycles.pullback_batch``) and evaluated on one
-    node stream per function.  On the plain route every function's stream
-    runs over the group's one domain, so for n <= 2, where that domain's
-    rule is memoised, the functions share one
-    :class:`~cycleval.coefficients.EvalCache` per node block: the bump
-    factors and a bump group's rows in x alone are computed once per block
-    for the battery, and dropped with the group.  Each function is still
-    integrated by its own ``eval_smooth`` call, so its results are bit for
-    bit those of a battery of one.
+    node stream per function.  On the plain route, a form on a box whose
+    graph pullback on the function is a polynomial (no bumps, a gradient of
+    known degree) is integrated on the Gauss pair of its degree
+    (:class:`~cycleval.quadrature.PolynomialBox`), with the forms of the
+    group of the same pair; the others run over the group's one domain, so
+    for n <= 2, where that domain's rule is memoised, the functions share
+    one :class:`~cycleval.coefficients.EvalCache` per node block of it: the
+    bump factors and a bump group's rows in x alone are computed once per
+    block for the battery, and dropped with the group.  Each function is
+    still integrated by its own ``eval_smooth`` calls, and a form's rule
+    depends on that form and the function alone, so its results are bit
+    for bit those of a battery of one.
     """
     forms = [val.tau for val in vals]
     out: list = [None] * len(functions)
@@ -137,18 +142,39 @@ def evaluate(vals: Sequence[Valuation],
     batches = [pullback_batch(group) for _, group in groups]
     for j in smooth:
         out[j] = [None] * len(forms)
-    for (idx, group), batch in zip(groups, batches):
+    for domain, (idx, group), batch in zip(domains, groups, batches):
         # by node block of the group's domain; a 3-D rule is built per call
         # to bound memory (quadrature.box_nodes), which keeping caches for
         # its 35 blocks would undo
         caches = defaultdict(EvalCache) if group[0].n <= 2 else None
+        rules: dict = {}  # gradient degree -> the group's rows by rule
         for j in smooth:
-            results = eval_smooth(functions[j], group, batch=batch, caches=caches)
-            for i, res in zip(idx, results):
-                out[j][i] = res
+            f = functions[j]
+            if f.gradient_degree not in rules:
+                rules[f.gradient_degree] = _smooth_rules(f, domain, batch, len(group))
+            for rule, rows in rules[f.gradient_degree].items():
+                # the caches hold the nodes of the group's domain alone
+                results = eval_smooth(f, [group[r] for r in rows], rule, batch=batch,
+                                      caches=None if rule else caches, rows=rows)
+                for r, res in zip(rows, results):
+                    out[j][idx[r]] = res
     for j in ridge:
         out[j] = _ridge_row(functions[j], groups, batches, len(forms))
     return out
+
+
+def _smooth_rules(f: ConvexFunction, domain, batch, count: int) -> dict:
+    """The ``count`` rows of ``batch``, the forms of one support group on
+    ``domain``, by the rule that integrates them on ``f``: None, the group's
+    domain, or, for a form whose graph pullback on ``f`` is a polynomial on
+    the group's box, the :class:`~cycleval.quadrature.PolynomialBox` of its
+    degree.  A form's rule depends on that form and ``f`` alone."""
+    by_rule: dict = {}
+    for row in range(count):
+        degree = pullback_degree(f, batch, row) if isinstance(domain, tuple) else None
+        rule = None if degree is None else PolynomialBox.of(domain, degree)
+        by_rule.setdefault(rule, []).append(row)
+    return by_rule
 
 
 def _polyhedral_row(ma: MaxAffine, forms: list) -> list:

@@ -6,6 +6,8 @@ elsewhere.
 domain kind owns its rule and its pass pair, the coarse and the fine order:
 
 * a box, a plain sequence of (lo, hi): tensor Gauss-Legendre at ``ORDERS``;
+* a :class:`PolynomialBox`, a box whose integrand is a polynomial of known
+  degree: tensor Gauss-Legendre at the pass pair that integrates it exactly;
 * an :class:`Ellipse`, the support of a 2-D bump: a polar rule at
   ``ELLIPSE_ORDERS``;
 * a :class:`GradedSimplex`, a segment or triangle of the ridge-aligned
@@ -16,8 +18,8 @@ domain kind owns its rule and its pass pair, the coarse and the fine order:
 A pass gathers the nodes of consecutive domains until they reach
 ``_NODE_BLOCK`` and evaluates them in one call, so one domain is one call.
 The fine pass gives the value, its distance from the coarse pass the error
-estimate (``two_pass``).  A lone box goes through ``integrate_box``, the
-entry of every box integral.
+estimate (``two_pass``).  A lone box, plain or polynomial, goes through
+``integrate_box``, the entry of every box integral.
 """
 
 from __future__ import annotations
@@ -64,9 +66,12 @@ def sum_parts(parts: Iterable[Fraction | EvalResult]) -> EvalResult:
     return EvalResult(float(exact) + total if inexact else exact, err)
 
 
-# Box rules serve window forms (polynomial coefficients on a declared box),
-# integrands that mix bumps or windows, and every bump integrand in 1-D and
-# 3-D.  A bump is smooth but not analytic at its support sphere, and tensor
+# Plain box rules serve every box integrand not known to be a polynomial:
+# window forms (polynomial coefficients on a declared box) on functions
+# whose gradient is not a polynomial, integrands that mix bumps or windows,
+# and every bump integrand in 1-D and 3-D.  A window form on a function with
+# a polynomial gradient integrates a polynomial, on a PolynomialBox.  A bump
+# is smooth but not analytic at its support sphere, and tensor
 # Gauss-Legendre converges subgeometrically on it.  These per-axis orders
 # were calibrated so that box integrals of the catalog bumps carry absolute
 # errors ~1e-10 (dim <= 2) / ~1e-7 (dim 3), which the bundled tolerances
@@ -198,14 +203,15 @@ def _read_only(*arrays) -> tuple:
 _kept_box_rule = lru_cache(maxsize=16)(_box_rule)
 
 
-def _ellipse_map(M) -> tuple[np.ndarray, float]:
-    """``(L^-T, 1 / det L)`` for the float Cholesky factor M = L L^T of a 2 x 2
-    matrix: the map x = L^-T u carries the unit disk onto {x^T M x < 1}."""
-    (a, b), (_, c) = (map(float, row) for row in M)
-    l00 = math.sqrt(a)
-    l10 = b / l00
-    l11 = math.sqrt(c - l10 * l10)
-    return np.array([[1.0 / l00, -l10 / (l00 * l11)], [0.0, 1.0 / l11]]), 1.0 / (l00 * l11)
+def _ellipse_map(M) -> tuple:
+    """``(a, b, c, 1 / det L)`` for the float Cholesky factor M = L L^T of a
+    2 x 2 matrix, L^-T = [[a, b], [0, c]]: the map x = L^-T u carries the
+    unit disk onto {x^T M x < 1}."""
+    (p, q), (_, r) = (map(float, row) for row in M)
+    l00 = math.sqrt(p)
+    l10 = q / l00
+    l11 = math.sqrt(r - l10 * l10)
+    return 1.0 / l00, -l10 / (l00 * l11), 1.0 / l11, 1.0 / (l00 * l11)
 
 
 def ellipse_nodes(M, orders: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -221,14 +227,44 @@ def _ellipse_rule(M, orders):
     order_r, order_t = orders
     r, wr = gl_interval(0.0, 1.0, order_r)
     theta = 2.0 * np.pi * (np.arange(order_t) + 0.5) / order_t
-    disk = np.stack([np.multiply.outer(r, np.cos(theta)).ravel(),
-                     np.multiply.outer(r, np.sin(theta)).ravel()], axis=-1)
+    u = np.multiply.outer(r, np.cos(theta)).ravel()
+    v = np.multiply.outer(r, np.sin(theta)).ravel()
     wts = np.multiply.outer(wr * r, np.full(order_t, 2.0 * np.pi / order_t)).ravel()
-    T, jac = _ellipse_map(M)
-    return _read_only(disk @ T.T, wts * jac)
+    a, b, c, jac = _ellipse_map(M)
+    return _read_only(np.stack([a * u + b * v, c * v], axis=-1), wts * jac)
 
 
 _kept_ellipse_rule = lru_cache(maxsize=16)(_ellipse_rule)
+
+
+@dataclass(frozen=True)
+class PolynomialBox:
+    """A box, (lo, hi) per axis, whose integrand is a polynomial of total
+    degree at most ``degree``.  Its pass pair (m, m + 1), m = degree // 2 + 1,
+    integrates such a polynomial exactly, as 2m - 1 >= degree (Davis &
+    Rabinowitz, Methods of Numerical Integration, 2.7), so the error
+    estimate is rounding.  :meth:`of` keeps the float bounds and the
+    largest degree of the pass pair, so degrees of one pass pair give one
+    domain.  Its rules, of a few dozen to a few thousand nodes, are kept
+    apart from those of plain boxes."""
+
+    box: tuple
+    degree: int
+
+    @classmethod
+    def of(cls, box: Box, degree: int) -> "PolynomialBox":
+        return cls(tuple((float(lo), float(hi)) for lo, hi in box), 2 * (degree // 2) + 1)
+
+    @property
+    def orders(self) -> tuple:
+        m = self.degree // 2 + 1
+        return m, m + 1
+
+    def nodes(self, order):
+        return _kept_polynomial_rule(self.box, order)
+
+
+_kept_polynomial_rule = lru_cache(maxsize=64)(_box_rule)
 
 
 @dataclass(frozen=True)
@@ -274,7 +310,11 @@ class SimplexProduct:
         for simplex in (self.x, self.y):
             params, wts = simplex_nodes(_STANDARD[len(simplex) - 1], order)
             frame = np.array([[float(a - b) for a, b in zip(v, simplex[0])] for v in simplex])
-            sides.append((np.array(simplex[0], dtype=float) + params @ frame[1:], wts))
+            # v0 + the sum of params[:, k] (v_{k+1} - v0), elementwise
+            offset = np.zeros((len(wts), frame.shape[1]))
+            for k in range(1, len(frame)):
+                offset += params[:, k - 1:k] * frame[k]
+            sides.append((np.array(simplex[0], dtype=float) + offset, wts))
         (X, ws), (Y, wt) = sides
         pts = np.concatenate([np.repeat(X, len(wt), axis=0), np.tile(Y, (len(ws), 1))], 1)
         return pts, np.repeat(ws, len(wt)) * np.tile(wt, len(ws))
@@ -293,14 +333,16 @@ def integrate(fn: Callable[[np.ndarray], np.ndarray], domains: list) -> EvalResu
     same nodes, gives a list of F results, each row reduced exactly as an
     integrand returning that row alone would be."""
     # every box integral enters through integrate_box: perfbench traces it
-    if len(domains) == 1 and isinstance(domains[0], (tuple, list)):
+    if len(domains) == 1 and isinstance(domains[0], (tuple, list, PolynomialBox)):
         return integrate_box(fn, domains[0])
     return two_pass(fn, domains)
 
 
-def integrate_box(fn: Callable[[np.ndarray], np.ndarray], box: Box) -> EvalResult | list:
-    """Integral over one box by its tensor pass pair at ``ORDERS[len(box)]``;
-    an (F, N) integrand gives F results."""
+def integrate_box(fn: Callable[[np.ndarray], np.ndarray],
+                  box: Box | PolynomialBox) -> EvalResult | list:
+    """Integral over one box by its tensor pass pair: at ``ORDERS[len(box)]``
+    for a plain box, at its degree's pair for a :class:`PolynomialBox`; an
+    (F, N) integrand gives F results."""
     return two_pass(fn, [box])
 
 
@@ -331,11 +373,13 @@ def _one_pass(fn, rules, k: int):
 
 def _add_block(total, fn, node_sets):
     """``total`` (None at first) plus the weighted sum of ``fn``, or of each
-    of its rows, on the node sets, evaluated in one call."""
+    of its rows, on the node sets, evaluated in one call.  The sums are
+    numpy's pairwise ones, not a BLAS dot, whose order of summation
+    follows the BLAS thread count."""
     pts, wts = node_sets[0] if len(node_sets) == 1 else map(np.concatenate, zip(*node_sets))
     vals = fn(pts)
     if np.ndim(vals) < 2:
-        part = float(np.dot(wts, vals))
+        part = float(np.add.reduce(wts * vals))
         return part if total is None else total + part
-    parts = [float(np.dot(wts, row)) for row in vals]
+    parts = [float(np.add.reduce(wts * row)) for row in vals]
     return parts if total is None else [t + p for t, p in zip(total, parts)]

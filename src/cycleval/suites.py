@@ -210,7 +210,7 @@ class ExperimentConfig:
         }
 
     def parsed_forms(self, n: int) -> list:
-        return [parse_form(s, n) for s in self.forms]
+        return [_declared_form(s, n) for s in self.forms]
 
     def parsed_functions(self, n: int) -> list:
         return [parse_function(s, n) for s in self.functions]
@@ -254,6 +254,15 @@ class ExperimentConfig:
                                  f"no requested suite: {where}")
 
 
+def _declared_form(spec: str, n: int) -> Form:
+    """A declared form; SupportError when its polynomial coefficients carry
+    different windows, which the quadrature routes of the kernel suite
+    cannot evaluate (``Form.check_windows``)."""
+    tau = parse_form(spec, n)
+    tau.check_windows()
+    return tau
+
+
 class _Declarable(NamedTuple):
     """How the suites use one kind of declared object."""
 
@@ -266,7 +275,7 @@ class _Declarable(NamedTuple):
 
 
 _DECLARED = {
-    "forms": _Declarable("form", parse_form, "kernel", "kernel_dims",
+    "forms": _Declarable("form", _declared_form, "kernel", "kernel_dims",
                          lambda tau, n: tau.n == n and tau.degree == n,
                          "n-forms on T*R^n"),
     "functions": _Declarable("function", parse_function, "kernel", "kernel_dims",

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import threading
@@ -90,6 +91,38 @@ def test_kernel_runs_in_one_process_match_fresh_processes(tmp_path):
         reports.append([(Path(c + ".out") / "report.json").read_bytes()
                         for c in args])
     assert reports[0] == reports[1] + reports[2]
+
+
+def test_report_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # n = 2 bump and window forms, on the ellipse rule and on 160^2 box
+    # rules whose node sums a threaded BLAS dot would split by threads
+    cfg = _write_config(tmp_path / "cfg.json", seed=7, suites=["kernel"],
+                        sizes={**QUICK_SIZES, "kernel_dims": [2], "kernel_forms": 3,
+                               "kernel_battery": 8})
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run([sys.executable, "-m", "cycleval", "run", str(cfg),
+                               "--out", str(out)], capture_output=True, text=True,
+                              env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("spec,message", [
+    ("box(-2,2) * dx1 + box(0,1) * dx1",
+     "cannot add coefficients on the windows [-2, 2] and [0, 1]"),
+    ("box(-2,2) * dx1 + box(0,1) * dy1",
+     "the polynomial coefficients of one form have the windows [-2, 2] and [0, 1]"),
+])
+def test_exit_code_form_on_two_windows(tmp_path, capsys, spec, message):
+    # the graph evaluators integrate every term of a form over one box
+    cfg = _write_config(tmp_path / "cfg.json", suites=["kernel"], forms=[spec])
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_jobs_suites_on_calling_thread_same_report(tmp_path, monkeypatch):

@@ -4,6 +4,7 @@ import threading
 from fractions import Fraction as Q
 
 import numpy as np
+import pytest
 
 from cycleval.coefficients import BumpFactor, CoefficientFn, CompiledBatch, ball_bump
 from cycleval.forms import exterior_derivative, linear_lift
@@ -415,3 +416,17 @@ def test_exterior_derivative_sums_every_partial():
                 partial = Form(n, degree, {k: c.diff(v) for k, c in a.terms.items()})
                 total = total + wedge(dz, partial)
             assert exterior_derivative(a) == total
+
+
+def test_sum_on_different_windows_is_refused():
+    # one window cannot hold a polynomial on each of two: box(-2,2) * dx1 +
+    # box(0,1) * dx1 would integrate to 8, not 5
+    def on(lo, hi):
+        return CoefficientFn.from_poly(1, Poly.const(2, 1), box=((Q(lo), Q(hi)),))
+
+    with pytest.raises(ValueError, match=r"windows \[-2, 2\] and \[0, 1\]"):
+        on(-2, 2) + on(0, 1)
+    # one window, or a window and none, still add
+    assert (on(-2, 2) + on(-2, 2)).declared_box == on(-2, 2).declared_box
+    assert (on(0, 1) + CoefficientFn.constant(1, 3)).declared_box == on(0, 1).declared_box
+    assert (CoefficientFn.constant(1, 3) + on(0, 1)).declared_box == on(0, 1).declared_box

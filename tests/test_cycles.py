@@ -527,9 +527,12 @@ def test_compiled_integrand_refuses_free_parameters():
 
 def test_support_domain_routing(monkeypatch):
     # only a 2-D integrand on one bump matrix without a window runs on the
-    # ellipse rule; windows, two matrices, n = 1 and n = 3 stay on boxes
+    # ellipse rule; windows, two matrices, n = 1 and n = 3 stay on boxes; a
+    # window form on a function with a polynomial gradient runs on the
+    # Gauss pair of its degree, on any other function on the box pair
     from cycleval import quadrature
     from cycleval.coefficients import BumpFactor
+    from cycleval.lab import Valuation, evaluate
 
     calls = []
     # each domain's rule, named by its pass pair
@@ -539,7 +542,7 @@ def test_support_domain_routing(monkeypatch):
 
     def rule(domain):
         nodes, orders = real(domain)
-        calls.append(names[orders])
+        calls.append(names.get(orders, orders))
         return nodes, orders
 
     monkeypatch.setattr(quadrature, "_rule", rule)
@@ -550,18 +553,24 @@ def test_support_domain_routing(monkeypatch):
     bump2 = beta_coeff(2, 2, Poly.const(4, 1) + Poly.variable(4, 0))
     skew = CoefficientFn.bump(2, BumpFactor(((Q(1), Q(1, 3)), (Q(1, 3), Q(1, 2)))))
     windowed = CoefficientFn(2, bump2.atoms, declared_box=((Q(-1), Q(1)),) * 2)
+    # x1^2 y2 on a window: degree 2 + 1 on a quadratic, m = 2
+    window = top_form(2, CoefficientFn.from_poly(
+        2, Poly.monomial(4, [2, 0, 0, 1], Q(1)), box=((Q(-1), Q(1)),) * 2))
+    quadratic = Quadratic(np.eye(2))
     cases = [
-        (top_form(2, bump2), "ellipse"),
-        (top_form(2, skew), "ellipse"),
-        (top_form(2, windowed), "box"),
-        (top_form(2, bump2 + skew), "box"),
-        (top_form(2, bump2) + Form.monomial(2, [], [1, 2], skew), "box"),
-        (top_form(1, beta_coeff(1, 2)), "box"),
-        (top_form(3, beta_coeff(3, 2)), "box"),
+        (top_form(2, bump2), quadratic, "ellipse"),
+        (top_form(2, skew), quadratic, "ellipse"),
+        (top_form(2, windowed), quadratic, "box"),
+        (top_form(2, bump2 + skew), quadratic, "box"),
+        (top_form(2, bump2) + Form.monomial(2, [], [1, 2], skew), quadratic, "box"),
+        (top_form(1, beta_coeff(1, 2)), Quadratic(np.eye(1)), "box"),
+        (top_form(3, beta_coeff(3, 2)), Quadratic(np.eye(3)), "box"),
+        (window, quadratic, (2, 3)),
+        (window, SmoothCatalog("sqrt1p", 2), "box"),
     ]
-    for tau, rule in cases:
+    for tau, f, rule in cases:
         calls.clear()
-        eval_smooth(Quadratic(np.eye(tau.n)), [tau])
+        evaluate([Valuation(tau)], [f])
         assert calls == [rule], (tau, calls)
 
 
@@ -711,3 +720,55 @@ def test_constant_hessian_read_once_matches_materialised_bitwise():
             for spec in specs:
                 assert hessian_valuation(spec, f) == hessian_valuation(spec, ref)
             assert mass_smooth(f, 1.5) == mass_smooth(ref, 1.5)
+
+
+def _polynomial_gradients(rng, n):
+    """``(function, its gradient as exact polynomials in x)`` for each kind
+    of function whose gradient is a polynomial."""
+    from cycleval.convex import Shifted
+    from cycleval.lab import _rand_frac, _rand_pd_matrix
+
+    nv = 2 * n
+    x = [Poly.variable(nv, i) for i in range(n)]
+
+    def affine(A, b):
+        return [sum((x[j].scale(A[i][j]) for j in range(n)), Poly.const(nv, b[i]))
+                for i in range(n)]
+
+    A = _rand_pd_matrix(rng, n)
+    b, lam = ([_rand_frac(rng, 2, 2) for _ in range(n)] for _ in range(2))
+    r2 = sum((xi * xi for xi in x), Poly.const(nv, 0))
+    return [
+        (Quadratic(A, b, Q(1, 3)), affine(A, b)),
+        (Shifted(Quadratic(A), lam, Q(-1, 2)), affine(A, lam)),
+        (Scaled(Quadratic(A, b), Q(3, 2)), [p.scale(Q(3, 2)) for p in affine(A, b)]),
+        (SmoothCatalog("quartic", n), [xi * r2 for xi in x]),
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_degree_rule_matches_exact_graph_pullback(n, monkeypatch):
+    # window forms on functions with a polynomial gradient run on the Gauss
+    # pair of their degree alone, and match the exact integral of their
+    # pullback by the graph map (x, y) -> (x, grad f(x)) over the zero section
+    from cycleval import quadrature
+    from cycleval.forms import integrate_zero_section
+    from cycleval.lab import Valuation, evaluate, random_window_form
+
+    domains = []
+    real = quadrature._rule
+    monkeypatch.setattr(quadrature, "_rule", lambda d: domains.append(d) or real(d))
+    rng = np.random.default_rng(50 + n)
+    forms = [random_window_form(rng, n, n, nterms=2, edge_vanishing=k % 2 == 0)
+             for k in range(3 if n < 3 else 2)]
+    functions, gradients = zip(*_polynomial_gradients(rng, n))
+    got = evaluate([Valuation(tau) for tau in forms], list(functions))
+    assert domains and all(isinstance(d, quadrature.PolynomialBox) for d in domains)
+    for grad, row in zip(gradients, got):
+        graph = PolynomialMap(n, [Poly.variable(2 * n, i) for i in range(n)] + grad)
+        for tau, res in zip(forms, row):
+            exact = integrate_zero_section(pullback(graph, tau)).value
+            assert isinstance(exact, Q)
+            assert abs(res.value - float(exact)) <= 1e-10 * max(1, abs(exact)), (tau, exact)
+            assert res.error <= 1e-10 * max(1, abs(exact))
+    assert any(res.value != 0 for row in got for res in row)

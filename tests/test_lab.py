@@ -156,6 +156,58 @@ def test_battery_equals_one_function_evaluation(n):
     assert all(any(r.value != 0 for r in row) for row in got)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_battery_mixing_gradient_degrees_equals_batteries_of_one(n, monkeypatch):
+    # functions with and without a polynomial gradient on one window group
+    # of forms of several degrees, and at n = 1 on a group that mixes bump
+    # and window forms: the window forms of a polynomial-gradient function
+    # run on Gauss pairs of more than one order, the rest on the box pair,
+    # and each function's results are the bits of a battery of one and of
+    # each form alone
+    from cycleval import quadrature
+    from cycleval.convex import BodyRestriction, EllipsoidBody, Scaled
+
+    rng = np.random.default_rng(41 + n)
+    vals = _two_box_forms(rng, n) + [Valuation(random_window_form(rng, n, n, max_deg=k))
+                                     for k in (0, 3)]
+    A = [[Q(2), Q(1, 2)], [Q(1, 2), Q(1)]] if n == 2 else [[Q(3, 2)]]
+    functions = [Quadratic(A, [Q(1, 4)] * n), SmoothCatalog("sqrt1p", n),
+                 SmoothCatalog("quartic", n), Shifted(Quadratic(A), [Q(-1, 2)] * n, 1),
+                 Scaled(SmoothCatalog("quartic", n), Q(1, 2)),
+                 BodyRestriction(EllipsoidBody(np.diag(np.arange(1.0, n + 2))))]
+    orders = set()
+    real = quadrature._rule
+
+    def rule(domain):
+        if isinstance(domain, quadrature.PolynomialBox):
+            orders.add(domain.orders)
+        return real(domain)
+
+    monkeypatch.setattr(quadrature, "_rule", rule)
+    got = evaluate(vals, functions)
+    assert len(orders) >= 2
+    for f, row in zip(functions, got):
+        assert _bits(row) == _bits(evaluate(vals, [f])[0])
+        assert _bits(row) == [_bits(evaluate([val], [f])[0])[0] for val in vals]
+    assert all(any(r.value != 0 for r in row) for row in got)
+
+
+def test_graph_routes_refuse_a_term_off_its_window():
+    # box(-2,2) * dx1 + box(0,1) * dy1: the graph routes integrate every term
+    # over [-2, 2] (8 on x^2/2, against 5), the polyhedral and polyline
+    # routes honour each term's window (6 on |x|)
+    from cycleval.coefficients import SupportError
+    from cycleval.grammar import parse_form
+
+    val = Valuation(parse_form("box(-2,2) * dx1 + box(0,1) * dy1", 1))
+    for f in (Quadratic([[1]]), LogSumExp(MaxAffine([([1], 0), ([-1], 0)]), 12.0)):
+        with pytest.raises(SupportError, match="window"):
+            evaluate([val], [f])
+    exact = evaluate([val], [MaxAffine([([1], 0), ([-1], 0)]),
+                             PiecewiseLinear1D([Q(0)], [-1, 1], 0)])
+    assert [row[0].value for row in exact] == [6, 6]
+
+
 def test_battery_families_share_a_function():
     # the kernel suite's two families: a bump form on the smooth functions
     # and window forms on all, with the smooth functions in both batteries

@@ -26,3 +26,19 @@ def test_rules_and_passes_live_in_quadrature_alone():
                    for path in PACKAGE.glob("*.py") if path.stem != "quadrature"
                    for name in set(_names(ast.parse(path.read_text()))) & RULE_NAMES)
     assert not stray, stray
+
+
+# numpy entries that may call a BLAS routine
+BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum"}
+
+
+def test_quadrature_sums_and_maps_without_blas():
+    # a threaded BLAS dot splits its sum by the thread count, so report
+    # bytes followed OPENBLAS_NUM_THREADS: the node sums and the maps of
+    # the rules are elementwise numpy, without np.dot or @
+    tree = ast.parse((PACKAGE / "quadrature.py").read_text())
+    matmuls = [node.lineno for node in ast.walk(tree)
+               if isinstance(node, (ast.BinOp, ast.AugAssign))
+               and isinstance(node.op, ast.MatMult)]
+    assert not matmuls, matmuls
+    assert not set(_names(tree)) & BLAS_NAMES
