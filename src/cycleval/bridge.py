@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import CompiledBatch, SupportError
+from .coefficients import CompiledBatch
 from .convex import ConvexBody, body_restriction, node_matmul, outer
 from .cycles import eval_smooth
 from .exactla import det
@@ -91,18 +91,15 @@ def conormal_eval(K: ConvexBody, tau: Form) -> EvalResult:
         raise ValueError("body must live in R^{n+1}")
     if tau.degree != n:
         raise ValueError("expected an n-form on T*R^n")
+    tau.check_evaluable()
     # the base point -x/t of the chart point at z is z itself, so the
     # form's support domain is the integration domain in the chart
     domain = tau.support_domain()
-    if domain is None:
-        raise SupportError("form needs horizontally compact (or windowed) support")
     chart = SphereChart(n)
     qmap = QMapData(n)
 
     pieces = []
     for key, coeff in tau.terms.items():
-        if coeff.has_params():
-            raise SupportError("cannot evaluate a form with free parameters")
         I = tuple(v for v in key if v < n)
         J = tuple(v - n for v in key if v >= n)
         pieces.append((0, (I, J), coeff, 1))

@@ -140,8 +140,10 @@ def cmd_dump_cycle(args) -> int:
         return EXIT_PARSE_ERROR
     try:
         if isinstance(f, PiecewiseLinear1D):
-            cyc = build_1d(f)
-            horiz, vert = cyc.segments(-10, 10)
+            # [-10, 10], widened to hold every kink and a piece beyond it
+            lo = min([-10] + [b - 1 for b in f.breaks])
+            hi = max([10] + [b + 1 for b in f.breaks])
+            horiz, vert = build_1d(f).segments(lo, hi)
             payload = json.dumps({
                 "kind": "polyline",
                 "horizontal": [[str(a), str(b), str(s)] for (a, b), s in horiz],

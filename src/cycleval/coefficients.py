@@ -324,7 +324,8 @@ class CompiledBatch:
     ``pieces`` are ``(row, key, coeff, sign)``: row ``row`` of the result
     is the sum of ``sign * coeff * w[key]`` over its pieces, where the
     weight column ``w[key]`` is supplied per node block; :attr:`keys` lists
-    the keys that occur.  The coefficients must be free of parameters.
+    the keys that occur.  The coefficients must be free of parameters.  It
+    only sums: the rule for a row is read off its form, not the batch.
 
     The atoms are grouped by ``(key, signature)``.  Each group's
     coefficient of each (exponent, row) is summed exactly and turned into
@@ -347,7 +348,7 @@ class CompiledBatch:
     gets the bits it gets alone.
     """
 
-    __slots__ = ("n", "keys", "_steps", "_groups", "_spans", "_plans")
+    __slots__ = ("n", "keys", "_steps", "_groups", "_plans")
 
     def __init__(self, n: int, pieces):
         width = 2 * n
@@ -360,18 +361,11 @@ class CompiledBatch:
                     acc[e, row] = acc.get((e, row), 0) + sign * c
         groups = []
         exponents = set()
-        # row -> its terms' (key, degree in x, degree in y), None with a bump
-        self._spans: dict = {}
         for (key, sig), acc in sorted(sums.items(), key=_group_order):
             acc = {er: c for er, c in acc.items() if c}
             if acc:
                 groups.append((key, sig, acc))
                 exponents.update(e for e, _ in acc)
-            for e, r in acc:
-                if sig:
-                    self._spans[r] = None
-                elif (spans := self._spans.setdefault(r, set())) is not None:
-                    spans.add((key, sum(e[:n]), sum(e[n:])))
         todo = list(exponents)
         while todo:
             lowered = _lowered(todo.pop())
@@ -431,17 +425,6 @@ class CompiledBatch:
                                for r, k, terms, x_only in group_rows])
                 for g, key, sig, group_rows in kept])
         return plan
-
-    def degree(self, row: int, y_degree: int, key_degree) -> Optional[int]:
-        """The total degree in x of row ``row`` on nodes whose y is a
-        polynomial in x of degree ``y_degree`` and whose weight ``w[key]``
-        is one of degree ``key_degree(key)``; None for a row with a bump
-        factor.  A row without pieces is zero, of degree 0."""
-        spans = self._spans.get(row, ())
-        if spans is None:
-            return None
-        return max((ex + y_degree * ey + key_degree(key) for key, ex, ey in spans),
-                   default=0)
 
     def add_to(self, out: np.ndarray, Z: np.ndarray, weights: dict,
                cache: Optional[EvalCache] = None, rows=None) -> None:

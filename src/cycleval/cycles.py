@@ -22,7 +22,7 @@ integrated over one support domain share one coefficients.EvalCache per
 node block, so its bump factors, and the rows of bump groups in x alone,
 are computed once for the battery.  When the gradient of f is a
 polynomial, the pullback of a form without bumps is a polynomial of a
-degree the batch reads off its exponents (``pullback_degree``), which the
+degree read off the form's exponents (``pullback_degree``), which the
 Gauss pass pair of that degree integrates exactly
 (quadrature.PolynomialBox); a batch evaluates any selection of its rows.
 Each form's row, and so its value, is bit for bit what it would be alone.
@@ -54,8 +54,8 @@ from .convex import (
     unbroadcast,
 )
 from .exactla import det
-from .forms import Form, merge_sign
-from .polynomials import Q, _unpack
+from .forms import FREE_PARAMETERS, NO_SUPPORT, Form, merge_sign
+from .polynomials import Q, _unpack, field_sum
 from .quadrature import (
     _NODE_BLOCK,
     ELLIPSE_ORDERS,
@@ -72,7 +72,7 @@ def _shared(supports):
     """The one support (box or domain) of forms evaluated together."""
     supports = set(supports)
     if None in supports:
-        raise SupportError("form needs horizontally compact (or windowed) support")
+        raise SupportError(NO_SUPPORT)
     if len(supports) != 1:
         raise ValueError("forms evaluated together must share one support")
     return supports.pop()
@@ -92,7 +92,7 @@ def pullback_batch(forms: Sequence[Form]) -> CompiledBatch:
         n = form.n
         for key, coeff in form.terms.items():
             if coeff.has_params():
-                raise SupportError("cannot evaluate a form with free parameters")
+                raise SupportError(FREE_PARAMETERS)
             I = [v for v in key if v < n]
             J = tuple(v - n for v in key if v >= n)
             Ic = tuple(v for v in range(n) if v not in I)
@@ -105,16 +105,23 @@ def pullback_batch(forms: Sequence[Form]) -> CompiledBatch:
     return CompiledBatch(forms[0].n if forms else 0, pieces)
 
 
-def pullback_degree(f: ConvexFunction, batch: CompiledBatch, row: int) -> int | None:
-    """The total degree of the graph pullback on ``f`` of the form at
-    ``row`` of ``batch``, when it is a polynomial: when the gradient of f is
-    a polynomial of degree g and the row has no bump factor.  A coefficient
-    term x^a y^b then has degree |a| + g |b| and a minor det H[J, Ic] has
-    (g - 1) |J|.  None otherwise."""
+def pullback_degree(f: ConvexFunction, form: Form) -> int | None:
+    """The total degree of the graph pullback of the n-form ``form`` on
+    ``f`` when it is a polynomial: when the gradient of f is one of degree
+    g and no coefficient has a bump factor.  A monomial x^a y^b of the
+    coefficient of dx_I ^ dy_J then has degree |a| + g |b| and its minor
+    det H[J, Ic] (g - 1) |J|; no two keys share a minor.  None otherwise."""
     g = f.gradient_degree
-    if g is None:
+    if g is None or any(c.has_bump() for c in form.terms.values()):
         return None
-    return batch.degree(row, g, lambda key: (g - 1) * len(key[0]))
+    n = form.n
+    top = 0
+    for key, coeff in form.terms.items():
+        minor = (g - 1) * sum(v >= n for v in key)
+        for k in coeff.atoms[()].num:
+            a = field_sum(k, n)
+            top = max(top, a + g * (field_sum(k, 2 * n) - a) + minor)
+    return top
 
 
 def graph_pullback_integrand(f: ConvexFunction, forms: Sequence[Form],
@@ -268,11 +275,8 @@ def eval_polyline(cycle: Polyline1DCycle, form: Form) -> EvalResult:
     """Exact for polynomial atoms with windows; quadrature for bump atoms."""
     if form.n != 1 or form.degree != 1:
         raise ValueError("polyline evaluation needs a 1-form on T*R")
-    if form.support_box() is None:
-        raise SupportError("form needs horizontally compact (or windowed) support")
+    form.check_evaluable()
     coeffs = [(axis, form.terms[(axis,)]) for axis in (0, 1) if (axis,) in form.terms]
-    if any(c.has_params() for _, c in coeffs):
-        raise SupportError("cannot evaluate a form with free parameters")
     return sum_parts(_polyline_parts(cycle, coeffs))
 
 
@@ -286,8 +290,6 @@ def _polyline_parts(cycle: Polyline1DCycle, coeffs):
         for sig, poly in coeff.atoms.items():
             atom = CoefficientFn(1, {sig: poly}, declared_box=coeff.declared_box) if sig else None
             box = atom.support_box() if sig else coeff.declared_box
-            if box is None:
-                raise SupportError("polynomial coefficient needs a declared window")
             if box not in windows:
                 windows[box] = cycle.segments(*box[0])
             horiz, vert = windows[box]

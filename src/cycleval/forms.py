@@ -45,6 +45,9 @@ from .quadrature import Ellipse, EvalResult, integrate, sum_parts
 
 MAX_DIMENSION = 4  # basis matrices for the Lefschetz inverse stay tiny
 
+NO_SUPPORT = "form needs horizontally compact (or windowed) support"
+FREE_PARAMETERS = "cannot evaluate a form with free parameters"
+
 Key = tuple  # tuple[int, ...], strictly increasing generator codes
 
 
@@ -168,21 +171,30 @@ class Form:
 
     def support_box(self) -> Optional[BoxT]:
         box = None
-        known = False
         for c in self.terms.values():
             b = c.support_box()
             if b is None:
                 return None
             box = _box_union(box, b)
-            known = True
-        return box if known else tuple((Q(0), Q(0)) for _ in range(self.n))
+        return box or tuple((Q(0), Q(0)) for _ in range(self.n))
+
+    def check_evaluable(self) -> BoxT:
+        """The support box of the form, which every evaluator asks for:
+        D(f)[tau] needs a horizontally compact support and no free
+        parameters, so an unknown support (a polynomial without a window) or
+        a parameter raises SupportError."""
+        box = self.support_box()
+        if box is None:
+            raise SupportError(NO_SUPPORT)
+        if any(c.has_params() for c in self.terms.values()):
+            raise SupportError(FREE_PARAMETERS)
+        return box
 
     def check_windows(self) -> None:
         """Raise SupportError when the coefficients with a polynomial atom
         carry different windows: the graph evaluators integrate every term
         over the one support box, which is right for a polynomial only on
-        its own window.  (A polynomial without a window has no support box:
-        those evaluators refuse it as they integrate.)"""
+        its own window (:meth:`check_evaluable` refuses one without)."""
         first = None
         for c in self.terms.values():
             if () not in c.atoms or c.declared_box is None:

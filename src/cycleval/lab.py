@@ -109,10 +109,11 @@ def evaluate(vals: Sequence[Valuation],
     for the whole battery (``cycles.pullback_batch``) and evaluated on one
     node stream per function.  On the plain route, a form on a box whose
     graph pullback on the function is a polynomial (no bumps, a gradient of
-    known degree) is integrated on the Gauss pair of its degree
-    (:class:`~cycleval.quadrature.PolynomialBox`), with the forms of the
-    group of the same pair; the others run over the group's one domain, so
-    for n <= 2, where that domain's rule is memoised, the functions share
+    known degree) is integrated on the Gauss pair of the degree read off the
+    form (``cycles.pullback_degree``), with the forms of the group of the
+    same pair, as a selection of the group's batch; the others run over
+    the group's one domain, so for n <= 2, where that domain's rule is
+    memoised, the functions share
     one :class:`~cycleval.coefficients.EvalCache` per node block of it: the
     bump factors and a bump group's rows in x alone are computed once per
     block for the battery, and dropped with the group.  Each function is
@@ -151,7 +152,7 @@ def evaluate(vals: Sequence[Valuation],
         for j in smooth:
             f = functions[j]
             if f.gradient_degree not in rules:
-                rules[f.gradient_degree] = _smooth_rules(f, domain, batch, len(group))
+                rules[f.gradient_degree] = _smooth_rules(f, domain, group)
             for rule, rows in rules[f.gradient_degree].items():
                 # the caches hold the nodes of the group's domain alone
                 results = eval_smooth(f, [group[r] for r in rows], rule, batch=batch,
@@ -163,15 +164,15 @@ def evaluate(vals: Sequence[Valuation],
     return out
 
 
-def _smooth_rules(f: ConvexFunction, domain, batch, count: int) -> dict:
-    """The ``count`` rows of ``batch``, the forms of one support group on
-    ``domain``, by the rule that integrates them on ``f``: None, the group's
-    domain, or, for a form whose graph pullback on ``f`` is a polynomial on
-    the group's box, the :class:`~cycleval.quadrature.PolynomialBox` of its
-    degree.  A form's rule depends on that form and ``f`` alone."""
+def _smooth_rules(f: ConvexFunction, domain, group: list) -> dict:
+    """The rows of the forms ``group``, one support group on ``domain``, by
+    the rule that integrates them on ``f``: None, the group's domain, or,
+    for a form whose graph pullback on ``f`` is a polynomial on the group's
+    box, the :class:`~cycleval.quadrature.PolynomialBox` of its degree.  A
+    form's rule depends on that form and ``f`` alone."""
     by_rule: dict = {}
-    for row in range(count):
-        degree = pullback_degree(f, batch, row) if isinstance(domain, tuple) else None
+    for row, form in enumerate(group):
+        degree = pullback_degree(f, form) if isinstance(domain, tuple) else None
         rule = None if degree is None else PolynomialBox.of(domain, degree)
         by_rule.setdefault(rule, []).append(row)
     return by_rule

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .coefficients import BoxT, CoefficientFn, SupportError
+from .coefficients import BoxT, CoefficientFn
 from .convex import MaxAffine, PiecewiseLinear1D
 from .forms import Form
 from .exactla import det, solve
@@ -538,9 +538,7 @@ def eval_polyhedral(cycle: PolyhedralLagrangianCycle, form: Form) -> EvalResult:
     n = cycle.n
     if form.n != n or form.degree != n:
         raise ValueError("form degree/dimension mismatch")
-    support = form.support_box()
-    if support is None:
-        raise SupportError("form needs horizontally compact (or windowed) support")
+    support = form.check_evaluable()
     for k, ((slo, shi), (wlo, whi)) in enumerate(zip(support, cycle.window)):
         if slo < wlo or shi > whi:
             raise WindowTooSmall(
@@ -552,8 +550,6 @@ def _polyhedral_parts(cycle: PolyhedralLagrangianCycle, form: Form):
     """Integral of each atom over each simplex product of each cell."""
     n = cycle.n
     for key, coeff in form.terms.items():
-        if coeff.has_params():
-            raise SupportError("cannot evaluate a form with free parameters")
         I = [v for v in key if v < n]
         J = [v - n for v in key if v >= n]
         cells = [i for i, cell in enumerate(cycle.cells)
@@ -561,8 +557,6 @@ def _polyhedral_parts(cycle: PolyhedralLagrangianCycle, form: Form):
         for sig, poly in coeff.atoms.items():
             atom = CoefficientFn(n, {sig: poly}, declared_box=coeff.declared_box)
             box = atom.support_box()
-            if box is None:
-                raise SupportError("polynomial coefficient needs a declared window")
             for index in cells:
                 for U, W, sx, sy, sign in cycle.simplex_products(index, box):
                     scale = sign * _submatrix_det(U, I) * _submatrix_det(W, J)

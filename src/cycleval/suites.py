@@ -235,30 +235,38 @@ class ExperimentConfig:
         return out
 
     def check_declared(self) -> None:
-        """Parse every declared object at ``n`` (a malformed spec raises) and
-        raise ValueError for one that no requested suite evaluates."""
-        self.parsed_forms(self.n)
-        self.parsed_functions(self.n)
-        self.parsed_bodies(self.n)
+        """Parse each declared object at its suite's dimensions (else at
+        ``n``): raise the parse error of a spec that parses at none of them,
+        and ValueError for one that no requested suite evaluates."""
         for kind, use in _DECLARED.items():
             requested = use.suite in self.suites
             dims = list(self.size(use.dims_key)) if requested else []
-            used = {i for n in dims for i, _ in self.declared(kind, n)}
-            for i, spec in enumerate(getattr(self, kind)):
-                if i in used:
+            for spec in getattr(self, kind):
+                parsed, error = [], None
+                for n in dims or [self.n]:
+                    try:
+                        parsed.append((use.parse(spec, n), n))
+                    except ParseError as exc:
+                        error = error or exc
+                if not parsed:
+                    raise error
+                if any(n in dims and use.keep(obj, n) for obj, n in parsed):
                     continue
                 where = (f"the {use.suite} suite evaluates {use.what} for n in {dims}"
                          if requested else f"only the {use.suite} suite evaluates "
                          f"{kind}, and it is not requested")
+                if any(isinstance(obj, PiecewiseLinear1D) for obj, _ in parsed):
+                    where = f"pwl specs serve dump-cycle; {where}"
                 raise ValueError(f"declared {use.noun} {spec!r} is evaluated by "
                                  f"no requested suite: {where}")
 
 
 def _declared_form(spec: str, n: int) -> Form:
-    """A declared form; SupportError when its polynomial coefficients carry
-    different windows, which the quadrature routes of the kernel suite
-    cannot evaluate (``Form.check_windows``)."""
+    """A declared form; SupportError when the kernel suite cannot evaluate
+    it (``Form.check_evaluable``, and ``Form.check_windows`` for its
+    quadrature routes)."""
     tau = parse_form(spec, n)
+    tau.check_evaluable()
     tau.check_windows()
     return tau
 
@@ -280,7 +288,7 @@ _DECLARED = {
                          "n-forms on T*R^n"),
     "functions": _Declarable("function", parse_function, "kernel", "kernel_dims",
                              lambda f, n: getattr(f, "n", None) == n,
-                             "functions on R^n"),
+                             "the convex catalog on R^n"),
     "bodies": _Declarable("body", parse_body, "bridge", "bridge_dims",
                           lambda K, n: K.n_ambient == n + 1, "bodies in R^(n+1)"),
 }

@@ -115,6 +115,9 @@ def test_report_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
      "cannot add coefficients on the windows [-2, 2] and [0, 1]"),
     ("box(-2,2) * dx1 + box(0,1) * dy1",
      "the polynomial coefficients of one form have the windows [-2, 2] and [0, 1]"),
+    # a polynomial without a window has no support box at all
+    ("x1 * dy1", "form needs horizontally compact (or windowed) support"),
+    ("box(-2,2) * dx1 + x1 * dy1", "form needs horizontally compact (or windowed) support"),
 ])
 def test_exit_code_form_on_two_windows(tmp_path, capsys, spec, message):
     # the graph evaluators integrate every term of a form over one box
@@ -361,6 +364,39 @@ def test_exit_code_declared_object_no_suite_evaluates(tmp_path, capsys, key, spe
     assert not out.exists()
 
 
+def test_declared_pwl_function_is_refused_for_what_it_is(tmp_path, capsys):
+    # a pwl function lives on R, but the kernel suite evaluates the convex
+    # catalog; pwl specs serve dump-cycle
+    cfg = _write_config(tmp_path / "cfg.json", suites=["kernel"],
+                        functions=["pwl breaks=[0] slopes=[-1,1]"])
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert ("pwl specs serve dump-cycle; the kernel suite evaluates the convex "
+            "catalog on R^n for n in [1]") in err
+
+
+def test_declared_specs_are_read_at_their_suite_dimensions(tmp_path, capsys):
+    # a 2-form on T*R^2 is valid for a kernel suite at n = 2 whatever the
+    # config's own n; a spec that parses at no such dimension reports why
+    sizes = {**QUICK_SIZES, "kernel_dims": [2], "kernel_forms": 1, "kernel_battery": 2}
+    reports = []
+    for n in (1, 2):
+        cfg = _write_config(tmp_path / f"n{n}.json", n=n, suites=["kernel"], sizes=sizes,
+                            forms=["bump(R=2) * dx1 ^ dx2"])
+        out = tmp_path / f"out{n}"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        names = [e["name"] for e in
+                 json.loads((out / "report.json").read_text())["suites"][0]["entries"]]
+        assert "kernel/declared/n=2/0" in names
+        reports.append(names)
+    assert reports[0] == reports[1]
+    cfg = _write_config(tmp_path / "bad.json", suites=["kernel"],
+                        sizes={**sizes, "kernel_dims": [1, 2]}, forms=["bump(R=2) * dx3"])
+    capsys.readouterr()
+    assert main(["run", str(cfg), "--out", str(tmp_path / "bad")]) == 2
+    assert "config error: generator index out of range: dx3" in capsys.readouterr().err
+
+
 def test_declared_objects_of_bundled_and_benchmark_configs_are_evaluated():
     from pathlib import Path
 
@@ -483,6 +519,13 @@ def test_dump_cycle(tmp_path, capsys):
     assert main(["dump-cycle", "pwl breaks=[0] slopes=[1,-1] v0=0", "--n", "1"]) == 0
     data3 = json.loads(capsys.readouterr().out)
     assert data3["kind"] == "polyline"
+    assert data3["horizontal"] == [["-10", "0", "1"], ["0", "10", "-1"]]
+    # kinks outside [-10, 10] widen the window to one past them
+    assert main(["dump-cycle", "pwl breaks=[-30,20] slopes=[1,-1,1] v0=0", "--n", "1"]) == 0
+    data4 = json.loads(capsys.readouterr().out)
+    assert data4["horizontal"] == [["-31", "-30", "1"], ["-30", "20", "-1"],
+                                   ["20", "21", "1"]]
+    assert data4["vertical"] == [["-30", "1", "-1"], ["20", "-1", "1"]]
     # bad spec
     assert main(["dump-cycle", "quadratic A=[[1]]", "--n", "1"]) == 2
     assert main(["dump-cycle", "pwl breaks=0 slopes=[-1,1]", "--n", "1"]) == 2

@@ -772,3 +772,21 @@ def test_degree_rule_matches_exact_graph_pullback(n, monkeypatch):
             assert abs(res.value - float(exact)) <= 1e-10 * max(1, abs(exact)), (tau, exact)
             assert res.error <= 1e-10 * max(1, abs(exact))
     assert any(res.value != 0 for row in got for res in row)
+
+
+def test_pullback_degree_is_read_off_the_form():
+    # |a| + g |b| + (g - 1) |J| over the monomials x^a y^b of the
+    # coefficient of dx_I ^ dy_J, g the degree of the gradient
+    from cycleval.cycles import pullback_degree
+    from cycleval.grammar import parse_form
+
+    quadratic = {n: Quadratic(np.eye(n)) for n in (1, 2)}
+    quartic = {n: SmoothCatalog("quartic", n) for n in (1, 2)}
+    top = parse_form("box(1) * x1^2 * y2 * dx1 ^ dx2", 2)
+    assert (pullback_degree(quadratic[2], top), pullback_degree(quartic[2], top)) == (3, 5)
+    mixed = parse_form("box(1) * x1 * dy1", 1)
+    assert (pullback_degree(quadratic[1], mixed), pullback_degree(quartic[1], mixed)) == (1, 3)
+    bump = parse_form("box(1) * x1 * dy1 + bump(R=2) * dx1", 1)
+    assert pullback_degree(quadratic[1], bump) is None
+    assert pullback_degree(SmoothCatalog("sqrt1p", 1), mixed) is None
+    assert pullback_degree(quartic[2], Form.zero(2, 2)) == 0

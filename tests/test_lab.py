@@ -208,6 +208,33 @@ def test_graph_routes_refuse_a_term_off_its_window():
     assert [row[0].value for row in exact] == [6, 6]
 
 
+@pytest.mark.parametrize("route", ["polyline", "polyhedral", "smooth", "ridge", "bridge"])
+def test_routes_refuse_a_form_they_cannot_integrate_alike(route):
+    # D(f)[tau] needs a known support and no free parameters: every route
+    # refuses a polynomial without a window, and a free parameter, with the
+    # SupportError of Form.check_evaluable
+    from cycleval.bridge import conormal_eval
+    from cycleval.coefficients import SupportError
+    from cycleval.convex import EllipsoidBody
+    from cycleval.grammar import parse_form
+
+    t = Poly.variable(3, 2)  # a parameter slot after (x1, y1)
+    forms = [parse_form("x1 * dy1", 1),
+             Form.monomial(1, [], [1], CoefficientFn(1, {(ball_bump(1, 2),): t}))]
+    abs_x = MaxAffine([([1], 0), ([-1], 0)])
+    f = {"polyline": PiecewiseLinear1D([Q(0)], [-1, 1], 0), "polyhedral": abs_x,
+         "smooth": Quadratic([[1]]), "ridge": LogSumExp(abs_x, 12.0)}.get(route)
+    for tau in forms:
+        with pytest.raises(SupportError) as got:
+            if f is None:
+                conormal_eval(EllipsoidBody([[1, 0], [0, 1]]), tau)
+            else:
+                evaluate([Valuation(tau)], [f])
+        with pytest.raises(SupportError) as want:
+            tau.check_evaluable()
+        assert str(got.value) == str(want.value)
+
+
 def test_battery_families_share_a_function():
     # the kernel suite's two families: a bump form on the smooth functions
     # and window forms on all, with the smooth functions in both batteries
