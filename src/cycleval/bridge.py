@@ -92,6 +92,9 @@ def conormal_eval(K: ConvexBody, tau: Form) -> EvalResult:
     if tau.degree != n:
         raise ValueError("expected an n-form on T*R^n")
     tau.check_evaluable()
+    # every term is integrated over the one support domain, as on the
+    # graph routes, which is right for a polynomial only on its own window
+    tau.check_windows()
     # the base point -x/t of the chart point at z is z itself, so the
     # form's support domain is the integration domain in the chart
     domain = tau.support_domain()

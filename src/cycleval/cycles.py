@@ -24,7 +24,10 @@ are computed once for the battery.  When the gradient of f is a
 polynomial, the pullback of a form without bumps is a polynomial of a
 degree read off the form's exponents (``pullback_degree``), which the
 Gauss pass pair of that degree integrates exactly
-(quadrature.PolynomialBox); a batch evaluates any selection of its rows.
+(quadrature.PolynomialBox), and that of a form on a support ellipse is a
+radial bump factor times such a polynomial, which the polar rule with one
+angle more than that degree integrates exactly in the angle
+(quadrature.Ellipse); a batch evaluates any selection of its rows.
 Each form's row, and so its value, is bit for bit what it would be alone.
 A constant Hessian (a quadratic's,
 returned as a broadcast view) is read once per block: its minors, and the
@@ -59,6 +62,7 @@ from .polynomials import Q, _unpack, field_sum
 from .quadrature import (
     _NODE_BLOCK,
     ELLIPSE_ORDERS,
+    Ellipse,
     EvalResult,
     GradedSimplex,
     box_nodes,
@@ -106,21 +110,27 @@ def pullback_batch(forms: Sequence[Form]) -> CompiledBatch:
 
 
 def pullback_degree(f: ConvexFunction, form: Form) -> int | None:
-    """The total degree of the graph pullback of the n-form ``form`` on
-    ``f`` when it is a polynomial: when the gradient of f is one of degree
-    g and no coefficient has a bump factor.  A monomial x^a y^b of the
+    """The total degree in x of the polynomial factor of the graph pullback
+    of the n-form ``form`` on ``f``, when the gradient of f is a polynomial
+    of degree g and the pullback is a polynomial, or one on the form's
+    support ellipse (an :class:`~cycleval.quadrature.Ellipse`: every atom is
+    one bump factor of its one matrix) times the bump factors, which are
+    functions of x^T M x and are set aside.  A monomial x^a y^b of the
     coefficient of dx_I ^ dy_J then has degree |a| + g |b| and its minor
-    det H[J, Ic] (g - 1) |J|; no two keys share a minor.  None otherwise."""
+    det H[J, Ic] (g - 1) |J|; no two keys share a minor.  None otherwise: a
+    form whose bumps are not those of one ellipse has no such factor."""
     g = f.gradient_degree
-    if g is None or any(c.has_bump() for c in form.terms.values()):
+    if g is None or (any(c.has_bump() for c in form.terms.values())
+                     and not isinstance(form.support_domain(), Ellipse)):
         return None
     n = form.n
     top = 0
     for key, coeff in form.terms.items():
         minor = (g - 1) * sum(v >= n for v in key)
-        for k in coeff.atoms[()].num:
-            a = field_sum(k, n)
-            top = max(top, a + g * (field_sum(k, 2 * n) - a) + minor)
+        for poly in coeff.atoms.values():
+            for k in poly.num:
+                a = field_sum(k, n)
+                top = max(top, a + g * (field_sum(k, 2 * n) - a) + minor)
     return top
 
 

@@ -40,7 +40,7 @@ from .coefficients import (
     linear_x_matrix_id,
 )
 from .exactla import inverse
-from .polynomials import Poly, Q, _as_fraction
+from .polynomials import Poly, Q, _as_fraction, field_sum
 from .quadrature import Ellipse, EvalResult, integrate, sum_parts
 
 MAX_DIMENSION = 4  # basis matrices for the Lefschetz inverse stay tiny
@@ -568,20 +568,27 @@ def integrate_coefficient(c: CoefficientFn) -> EvalResult:
 
     Exact (a Fraction) for polynomial atoms with a declared window;
     quadrature with a reported error estimate for bump atoms, each on its
-    support domain (its ellipse in 2-D without a window, else its box).
+    support domain: in 2-D without a window its ellipse, of the atom's
+    degree in x (a radial bump factor times a polynomial), else its box.
+    A free parameter, or a polynomial atom without a window, raises
+    SupportError before any atom is integrated.
     """
+    if c.has_params():
+        raise SupportError(FREE_PARAMETERS)
+    if () in c.atoms and c.declared_box is None:
+        raise SupportError(NO_SUPPORT)
+
     def parts():
         for sig, poly in c.atoms.items():
             if not sig:
-                if c.declared_box is None:
-                    raise SupportError("polynomial coefficient needs a declared support box")
-                if poly.nvars > 2 * c.n and any(any(e[2 * c.n:]) for e in poly.terms):
-                    raise SupportError("cannot integrate a coefficient with free parameters")
                 val = poly.integrate_box(c.declared_box, list(range(c.n)))
                 yield val.eval_point([Q(0)] * val.nvars)
                 continue
             part = CoefficientFn(c.n, {sig: poly}, declared_box=c.declared_box)
             if not part.integral_vanishes_by_parity():
-                yield integrate(part.eval_x_array, [part.support_domain()])
+                domain = part.support_domain()
+                if isinstance(domain, Ellipse):
+                    domain = Ellipse(domain.M, max(field_sum(k, c.n) for k in poly.num))
+                yield integrate(part.eval_x_array, [domain])
 
     return sum_parts(parts())

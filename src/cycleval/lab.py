@@ -64,7 +64,7 @@ from .forms import (
 )
 from .polyhedral import build_polyhedral, eval_polyhedral, window_for
 from .polynomials import Poly, Q, _as_fraction
-from .quadrature import _NODE_BLOCK, EvalResult, PolynomialBox, integrate
+from .quadrature import _NODE_BLOCK, Ellipse, EvalResult, PolynomialBox, integrate
 from .rumin import RuminResult, rumin_d
 
 
@@ -107,19 +107,20 @@ def evaluate(vals: Sequence[Valuation],
     support box for all forms.  The quadrature routes group the forms by
     support domain (a bump ellipse or a box); each group is compiled once
     for the whole battery (``cycles.pullback_batch``) and evaluated on one
-    node stream per function.  On the plain route, a form on a box whose
-    graph pullback on the function is a polynomial (no bumps, a gradient of
-    known degree) is integrated on the Gauss pair of the degree read off the
-    form (``cycles.pullback_degree``), with the forms of the group of the
-    same pair, as a selection of the group's batch; the others run over
-    the group's one domain, so for n <= 2, where that domain's rule is
-    memoised, the functions share
-    one :class:`~cycleval.coefficients.EvalCache` per node block of it: the
-    bump factors and a bump group's rows in x alone are computed once per
-    block for the battery, and dropped with the group.  Each function is
-    still integrated by its own ``eval_smooth`` calls, and a form's rule
-    depends on that form and the function alone, so its results are bit
-    for bit those of a battery of one.
+    node stream per function.  On the plain route, on a function whose
+    gradient is a polynomial, a form on a box without bumps integrates a
+    polynomial, and a form on an ellipse a radial bump factor times a
+    polynomial, of the degree read off the form
+    (``cycles.pullback_degree``): the form runs on the rule of that degree
+    (:func:`_smooth_rules`), with the forms of the group on the same rule,
+    as a selection of the group's batch; the other forms run on the group's
+    domain.  For n <= 2, where the rules are memoised, the functions on one
+    rule share one :class:`~cycleval.coefficients.EvalCache` per node block
+    of it: the bump factors and a bump group's rows in x alone are computed
+    once per block for the battery, and dropped with the group.  Each
+    function is still integrated by its own ``eval_smooth`` calls, and a
+    form's rule depends on that form and the function alone, so its
+    results are bit for bit those of a battery of one.
     """
     forms = [val.tau for val in vals]
     out: list = [None] * len(functions)
@@ -144,19 +145,21 @@ def evaluate(vals: Sequence[Valuation],
     for j in smooth:
         out[j] = [None] * len(forms)
     for domain, (idx, group), batch in zip(domains, groups, batches):
-        # by node block of the group's domain; a 3-D rule is built per call
-        # to bound memory (quadrature.box_nodes), which keeping caches for
-        # its 35 blocks would undo
-        caches = defaultdict(EvalCache) if group[0].n <= 2 else None
+        # rule -> its caches by node block; a 3-D rule is built per call to
+        # bound memory (quadrature.box_nodes), which keeping caches for its
+        # 35 blocks would undo
+        caches: dict = {}
         rules: dict = {}  # gradient degree -> the group's rows by rule
         for j in smooth:
             f = functions[j]
             if f.gradient_degree not in rules:
                 rules[f.gradient_degree] = _smooth_rules(f, domain, group)
             for rule, rows in rules[f.gradient_degree].items():
-                # the caches hold the nodes of the group's domain alone
+                cache = caches.get(rule)
+                if cache is None and group[0].n <= 2:
+                    cache = caches[rule] = defaultdict(EvalCache)
                 results = eval_smooth(f, [group[r] for r in rows], rule, batch=batch,
-                                      caches=None if rule else caches, rows=rows)
+                                      caches=cache, rows=rows)
                 for r, res in zip(rows, results):
                     out[j][idx[r]] = res
     for j in ridge:
@@ -166,14 +169,22 @@ def evaluate(vals: Sequence[Valuation],
 
 def _smooth_rules(f: ConvexFunction, domain, group: list) -> dict:
     """The rows of the forms ``group``, one support group on ``domain``, by
-    the rule that integrates them on ``f``: None, the group's domain, or,
-    for a form whose graph pullback on ``f`` is a polynomial on the group's
-    box, the :class:`~cycleval.quadrature.PolynomialBox` of its degree.  A
-    form's rule depends on that form and ``f`` alone."""
+    the rule, a support domain, that integrates them on ``f``.  A form
+    whose graph pullback on ``f`` has a polynomial factor of known degree
+    (``cycles.pullback_degree``) runs on the rule of that degree: the
+    :class:`~cycleval.quadrature.PolynomialBox` of the group's box, or the
+    group's :class:`~cycleval.quadrature.Ellipse` of that degree; any other
+    form on ``domain`` itself, also None.  A form's rule depends on that
+    form and ``f`` alone."""
     by_rule: dict = {}
     for row, form in enumerate(group):
-        degree = pullback_degree(f, form) if isinstance(domain, tuple) else None
-        rule = None if degree is None else PolynomialBox.of(domain, degree)
+        degree = pullback_degree(f, form)
+        if degree is None or domain is None:  # eval_smooth refuses no support
+            rule = domain
+        elif isinstance(domain, Ellipse):
+            rule = Ellipse(domain.M, degree)
+        else:
+            rule = PolynomialBox.of(domain, degree)
         by_rule.setdefault(rule, []).append(row)
     return by_rule
 

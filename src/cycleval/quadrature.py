@@ -9,7 +9,10 @@ domain kind owns its rule and its pass pair, the coarse and the fine order:
 * a :class:`PolynomialBox`, a box whose integrand is a polynomial of known
   degree: tensor Gauss-Legendre at the pass pair that integrates it exactly;
 * an :class:`Ellipse`, the support of a 2-D bump: a polar rule at
-  ``ELLIPSE_ORDERS``;
+  ``ELLIPSE_ORDERS``; an ellipse of known ``degree``, whose integrand is a
+  radial bump factor times a polynomial of that degree, keeps the radii of
+  that pair and takes degree + 1 angles, which integrate it exactly in the
+  angle;
 * a :class:`GradedSimplex`, a segment or triangle of the ridge-aligned
   evaluator, at the pass pair its caller sets, and a :class:`SimplexProduct`,
   a piece of a polyhedral cell, at ``CELL_ORDERS``: both on the one
@@ -20,14 +23,19 @@ A pass gathers the nodes of consecutive domains until they reach
 The fine pass gives the value, its distance from the coarse pass the error
 estimate (``two_pass``).  A lone box, plain or polynomial, goes through
 ``integrate_box``, the entry of every box integral.
+
+Every Gauss-Legendre rule comes from ``gl_interval``, which reads the orders
+the rules name from a table shipped with the package, ``gauss_legendre.json``.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
+from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -97,7 +105,16 @@ ORDERS = {1: (128, 192), 2: (128, 160), 3: (32, 48), 4: (16, 24)}
 #   polar 80x160 fine pass        -        5.4e-11     -
 #
 # Fewer than 128 angles do not resolve the angular content of the kernel
-# forms; a coarser pass than 56 x 112 inflates the estimate.
+# forms; a coarser pass than 56 x 112 inflates the estimate.  The pair
+# serves the ellipse integrands of unknown angular degree: graph pullbacks on
+# functions whose gradient is not a polynomial (body restrictions, sqrt1p),
+# the Hessian valuations, the first-variation checks and both sides of the
+# conormal bridge.  A pullback on a function with a polynomial gradient, and
+# a 2-D bump atom of the zero section, is the bump's radial factor times a
+# polynomial of degree D in x, a trigonometric polynomial of degree D in the
+# angle: its Ellipse of that degree keeps these radii and takes D + 1
+# angles, which the 112 and 128 angles above also integrate exactly, so the
+# two rules differ by rounding.
 ELLIPSE_ORDERS = ((56, 112), (64, 128))
 
 # Per-axis Gauss-Legendre orders of the polyhedral cell quadrature and its
@@ -111,9 +128,30 @@ CELL_ORDERS = (64, 88)
 _NODE_BLOCK = 4096
 
 
+# The Gauss-Legendre rules of the orders named above, of the ridge route and
+# of orders 1-16 for the degree rules, as numpy's leggauss gives them: the
+# nonnegative half of each symmetric rule, nodes ascending then weights, as
+# float.hex strings.  Reading a row spares each process an eigenvalue
+# problem per order, and its bits do not depend on the LAPACK at hand;
+# other orders fall back to leggauss.
+_GAUSS_TABLE = Path(__file__).with_name("gauss_legendre.json")
+
+
+@lru_cache(maxsize=1)
+def _gauss_table() -> dict:
+    return json.loads(_GAUSS_TABLE.read_text())
+
+
 @lru_cache(maxsize=64)
 def _leggauss(order: int):
-    return np.polynomial.legendre.leggauss(order)
+    half = _gauss_table().get(str(order))
+    if half is None:
+        from numpy.polynomial.legendre import leggauss
+
+        return leggauss(order)
+    x, w = (np.array([float.fromhex(v) for v in col]) for col in half)
+    k = order // 2  # the mirrored nodes, without a middle one at 0
+    return np.concatenate([-x[::-1][:k], x]), np.concatenate([w[::-1][:k], w])
 
 
 def gl_interval(lo: float, hi: float, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -220,7 +258,11 @@ def ellipse_nodes(M, orders: tuple) -> tuple[np.ndarray, np.ndarray]:
     times equally spaced angles on the unit disk, mapped by L^-T.  M is a
     symmetric positive definite 2 x 2 matrix given as nested tuples.  The
     rule is memoised on M's floats: the arrays are read-only."""
-    return _kept_ellipse_rule(tuple(tuple(map(float, row)) for row in M), tuple(orders))
+    return _kept_ellipse_rule(_float_rows(M), tuple(orders))
+
+
+def _float_rows(M) -> tuple:
+    return tuple(tuple(map(float, row)) for row in M)
 
 
 def _ellipse_rule(M, orders):
@@ -235,6 +277,9 @@ def _ellipse_rule(M, orders):
 
 
 _kept_ellipse_rule = lru_cache(maxsize=16)(_ellipse_rule)
+# the rules of ellipses of known degree, of a few hundred nodes each, are
+# kept apart from the plain ones
+_kept_polar_rule = lru_cache(maxsize=64)(_ellipse_rule)
 
 
 @dataclass(frozen=True)
@@ -269,13 +314,29 @@ _kept_polynomial_rule = lru_cache(maxsize=64)(_box_rule)
 
 @dataclass(frozen=True)
 class Ellipse:
-    """Support domain {x^T M x < 1} of a 2-D bump, M as nested tuples."""
+    """Support domain {x^T M x < 1} of a 2-D bump, M as nested tuples, on
+    the polar rule at ``ELLIPSE_ORDERS``.
+
+    With ``degree`` D, the integrand is a function of x^T M x times a
+    polynomial of total degree at most D in x.  In the disk coordinates u,
+    x = L^-T u, that is a radial factor times a polynomial of degree D in u,
+    so on each circle a trigonometric polynomial of degree D, which K >= D
+    + 1 equally spaced angles integrate exactly (Trefethen & Weideman, SIAM
+    Review 56, 2014).  Its passes keep the radii of ``ELLIPSE_ORDERS`` and
+    take D + 1 angles, so the error estimate measures the radial pair."""
 
     M: tuple
-    orders = ELLIPSE_ORDERS
+    degree: int | None = None
+
+    @property
+    def orders(self) -> tuple:
+        if self.degree is None:
+            return ELLIPSE_ORDERS
+        return tuple((radii, self.degree + 1) for radii, _ in ELLIPSE_ORDERS)
 
     def nodes(self, orders):
-        return ellipse_nodes(self.M, orders)
+        kept = _kept_ellipse_rule if self.degree is None else _kept_polar_rule
+        return kept(_float_rows(self.M), orders)
 
 
 @dataclass(frozen=True)

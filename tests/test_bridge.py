@@ -145,3 +145,25 @@ def test_chart_jacobians_match_einsum_bitwise(n):
     want = -(dU[:, :n, :] * t[:, None, None]
              - np.einsum("ni,nj->nij", x, dU[:, n, :])) / (t ** 2)[:, None, None]
     assert np.array_equal(q.project_jacobian(U, dU).view(np.int64), want.view(np.int64))
+
+
+def test_conormal_eval_refuses_a_term_off_its_window():
+    # box(-2,2) * dx1 + box(0,1) * dy1 on the unit disk: each term alone
+    # gives 4 and 1/sqrt 2, but over the one box [-2, 2] the dy1 term would
+    # count outside its window (5.7889); the bridge refuses the sum with
+    # the graph routes' SupportError
+    from cycleval.bridge import conormal_eval
+    from cycleval.coefficients import SupportError
+    from cycleval.grammar import parse_form
+
+    K = EllipsoidBody(np.eye(2))
+    parts = [conormal_eval(K, parse_form(text, 1)).value
+             for text in ("box(-2,2) * dx1", "box(0,1) * dy1")]
+    assert parts[0] == pytest.approx(4.0, abs=1e-12)
+    assert parts[1] == pytest.approx(1 / math.sqrt(2), abs=1e-12)
+    tau = parse_form("box(-2,2) * dx1 + box(0,1) * dy1", 1)
+    with pytest.raises(SupportError) as got:
+        conormal_eval(K, tau)
+    with pytest.raises(SupportError) as want:
+        tau.check_windows()
+    assert str(got.value) == str(want.value)

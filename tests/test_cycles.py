@@ -11,6 +11,7 @@ from cycleval.convex import (
     PiecewiseLinear1D,
     Quadratic,
     Scaled,
+    Shifted,
     SmoothCatalog,
 )
 from cycleval.cycles import (
@@ -529,7 +530,9 @@ def test_support_domain_routing(monkeypatch):
     # only a 2-D integrand on one bump matrix without a window runs on the
     # ellipse rule; windows, two matrices, n = 1 and n = 3 stay on boxes; a
     # window form on a function with a polynomial gradient runs on the
-    # Gauss pair of its degree, on any other function on the box pair
+    # Gauss pair of its degree, on any other function on the box pair; an
+    # ellipse form on a function with a polynomial gradient keeps the
+    # ellipse radii and takes one angle more than its pullback degree
     from cycleval import quadrature
     from cycleval.coefficients import BumpFactor
     from cycleval.lab import Valuation, evaluate
@@ -551,15 +554,28 @@ def test_support_domain_routing(monkeypatch):
         return Form.monomial(n, list(range(1, n + 1)), [], coeff)
 
     bump2 = beta_coeff(2, 2, Poly.const(4, 1) + Poly.variable(4, 0))
-    skew = CoefficientFn.bump(2, BumpFactor(((Q(1), Q(1, 3)), (Q(1, 3), Q(1, 2)))))
+    skew_bump = BumpFactor(((Q(1), Q(1, 3)), (Q(1, 3), Q(1, 2))))
+    skew = CoefficientFn.bump(2, skew_bump)
     windowed = CoefficientFn(2, bump2.atoms, declared_box=((Q(-1), Q(1)),) * 2)
     # x1^2 y2 on a window: degree 2 + 1 on a quadratic, m = 2
     window = top_form(2, CoefficientFn.from_poly(
         2, Poly.monomial(4, [2, 0, 0, 1], Q(1)), box=((Q(-1), Q(1)),) * 2))
     quadratic = Quadratic(np.eye(2))
+    sqrt1p = SmoothCatalog("sqrt1p", 2)
+
+    def polar(degree):
+        return tuple((radii, degree + 1) for radii, _ in quadrature.ELLIPSE_ORDERS)
+
     cases = [
-        (top_form(2, bump2), quadratic, "ellipse"),
-        (top_form(2, skew), quadratic, "ellipse"),
+        (top_form(2, bump2), sqrt1p, "ellipse"),
+        (top_form(2, skew), sqrt1p, "ellipse"),
+        # 1 + x1 on a quadratic: degree 1; on the quartic, whose Hessian
+        # minor det H has degree 4: 1 + 4
+        (top_form(2, bump2), quadratic, polar(1)),
+        (Form.monomial(2, [], [1, 2], bump2), SmoothCatalog("quartic", 2), polar(5)),
+        # x1^2 y2 times the skew bump: degree 2 + 1 on a shifted quadratic
+        (top_form(2, CoefficientFn.bump(2, skew_bump, Poly.monomial(4, [2, 0, 0, 1], Q(1)))),
+         Shifted(quadratic, [1, 0], 0), polar(3)),
         (top_form(2, windowed), quadratic, "box"),
         (top_form(2, bump2 + skew), quadratic, "box"),
         (top_form(2, bump2) + Form.monomial(2, [], [1, 2], skew), quadratic, "box"),

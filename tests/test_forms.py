@@ -402,6 +402,53 @@ def test_integrate_zero_section():
     assert exact == Q(4, 3)
 
 
+def test_zero_section_bump_atom_runs_on_the_polar_rule_of_its_degree(monkeypatch):
+    # a 2-D bump atom of x-degree D is a radial factor times a polynomial:
+    # it runs on the ellipse of degree D, with the plain pair's value and
+    # error to rounding
+    from cycleval import quadrature
+    from cycleval.forms import integrate_coefficient
+
+    skew = BumpFactor(((Q(1), Q(1, 3)), (Q(1, 3), Q(1, 2))))
+    x1, x2 = Poly.variable(4, 0), Poly.variable(4, 1)
+    c = CoefficientFn.bump(2, skew, Poly.const(4, 1) + x1 * x1 * x2 + x2 * x2)
+    domains = []
+    real = quadrature._rule
+
+    def rule(domain):
+        domains.append(domain)
+        return real(domain)
+
+    monkeypatch.setattr(quadrature, "_rule", rule)
+    got = integrate_coefficient(c)
+    assert domains == [quadrature.Ellipse(skew.M, 3)]
+    plain = quadrature.integrate(c.eval_x_array, [quadrature.Ellipse(skew.M)])
+    assert abs(got.value - plain.value) <= 1e-12 * max(1.0, abs(plain.value))
+    assert abs(got.error - plain.error) <= 1e-12 * max(1.0, abs(plain.value))
+
+
+def test_integrate_coefficient_refuses_parameters_and_missing_windows_alike():
+    # a free parameter raises one SupportError, whether the atom is a
+    # windowed polynomial, a bump atom or one whose integral vanishes by
+    # parity, and so does a polynomial atom without a window, before any
+    # atom is integrated
+    from cycleval.coefficients import SupportError
+    from cycleval.forms import FREE_PARAMETERS, NO_SUPPORT, integrate_coefficient
+
+    t, x1 = Poly.variable(3, 2), Poly.variable(3, 0)  # (x1, y1, t)
+    bump = ball_bump(1, 2)
+    window = ((Q(-1), Q(1)),)
+    for c in (CoefficientFn(1, {(bump,): t * x1}), CoefficientFn(1, {(bump,): t}),
+              CoefficientFn.from_poly(1, t, box=window)):
+        with pytest.raises(SupportError) as got:
+            integrate_coefficient(c)
+        assert str(got.value) == FREE_PARAMETERS
+    windowless = CoefficientFn.from_poly(1, Poly.variable(2, 0)) + CoefficientFn.bump(1, bump)
+    with pytest.raises(SupportError) as got:
+        integrate_coefficient(windowless)
+    assert str(got.value) == NO_SUPPORT
+
+
 def test_zero_section_coefficient_restricts_y():
     n = 1
     c = CoefficientFn.from_poly(n, Poly.variable(2, 1), box=((Q(-1), Q(1)),))

@@ -192,6 +192,89 @@ def test_battery_mixing_gradient_degrees_equals_batteries_of_one(n, monkeypatch)
     assert all(any(r.value != 0 for r in row) for row in got)
 
 
+def _ellipse_forms(rng):
+    """Bump forms on one support ellipse each: two kernel forms, a form on
+    a skew matrix and a declared bump(R=2) form, of pullback degrees 1 to 4
+    on a quadratic."""
+    from cycleval.grammar import parse_form
+
+    skew = BumpFactor(((Q(1), Q(1, 3)), (Q(1, 3), Q(1, 2))))
+    forms = [random_kernel_form(rng, 2, kind="bump") for _ in range(2)]
+    forms.append(Form(2, 2, {
+        (0, 3): CoefficientFn.bump(2, skew, Poly.monomial(4, [1, 0, 0, 2], Q(3))),
+        (2, 3): CoefficientFn.bump(2, skew, Poly.const(4, Q(1, 2)))}))
+    forms.append(parse_form("bump(R=2) * dx1 ^ dy2 + 2 * bump(R=2) * x1 * y2 * dx1 ^ dy2"
+                            " + bump(R=2) * y1 * dy1 ^ dy2", 2))
+    return forms
+
+
+def _polynomial_gradient_functions():
+    from cycleval.convex import Scaled
+
+    A = [[Q(2), Q(1, 2)], [Q(1, 2), Q(1)]]
+    return [Quadratic(A, [Q(1, 4), Q(-1, 3)]), Shifted(Quadratic(A), [Q(-1, 2), Q(1)], 1),
+            Scaled(Quadratic(A), Q(3, 2)), SmoothCatalog("quartic", 2)]
+
+
+def test_degree_rule_agrees_with_the_plain_ellipse_pair_and_a_reference():
+    # on a function with a polynomial gradient a 2-D bump form runs on the
+    # polar rule of its pullback degree: both rules are exact in the angle,
+    # so value and error agree with the plain pair to rounding, and the
+    # value with a 160 x 256 polar reference within its error estimate
+    from cycleval.cycles import eval_smooth, graph_pullback_integrand, pullback_degree
+    from cycleval.quadrature import Ellipse, ellipse_nodes
+
+    for tau in _ellipse_forms(np.random.default_rng(12)):
+        domain = tau.support_domain()
+        assert isinstance(domain, Ellipse) and domain.degree is None
+        for f in _polynomial_gradient_functions():
+            assert pullback_degree(f, tau) is not None
+            got = evaluate([Valuation(tau)], [f])[0][0]
+            plain = eval_smooth(f, [tau])[0]
+            scale = max(1.0, abs(got.value))
+            assert abs(got.value - plain.value) <= 1e-12 * scale
+            assert abs(got.error - plain.error) <= 1e-12 * scale
+            pts, wts = ellipse_nodes(domain.M, (160, 256))
+            ref = float(np.add.reduce(wts * graph_pullback_integrand(f, [tau])(pts)[0]))
+            assert abs(got.value - ref) <= got.error + 1e-12 * scale
+
+
+def test_degree_rule_reads_the_degree_tightly():
+    # (2 x1 + x2)^2 beta dx1 ^ dx2 pulled back by y = A x: y1^2 beta has
+    # degree 2 and a second angular harmonic, which D + 1 = 3 angles
+    # integrate and D = 2 angles miss
+    from cycleval.cycles import eval_smooth, graph_pullback_integrand, pullback_degree
+    from cycleval.quadrature import Ellipse, integrate
+
+    f = Quadratic([[Q(2), Q(1)], [Q(1), Q(1)]])
+    tau = Form.monomial(2, [1, 2], [], CoefficientFn.bump(
+        2, ball_bump(2, 2), Poly.monomial(4, [0, 0, 2, 0], Q(1))))
+    degree = pullback_degree(f, tau)
+    assert degree == 2
+    M = tau.support_domain().M
+    fn = graph_pullback_integrand(f, [tau])
+    exact, short = (integrate(fn, [Ellipse(M, d)])[0] for d in (degree, degree - 1))
+    plain = eval_smooth(f, [tau])[0]
+    assert abs(exact.value - plain.value) <= 1e-12 * abs(plain.value)
+    assert abs(short.value - plain.value) > 0.1 * abs(plain.value)
+
+
+def test_bump_battery_mixing_gradient_degrees_equals_batteries_of_one():
+    # bump forms of several pullback degrees on functions with gradients of
+    # degree 1 and 3 and without a polynomial gradient: each function's
+    # results are the bits of a battery of one and of each form alone
+    from cycleval.convex import BodyRestriction, EllipsoidBody
+
+    vals = [Valuation(tau) for tau in _ellipse_forms(np.random.default_rng(13))]
+    functions = _polynomial_gradient_functions() + [
+        SmoothCatalog("sqrt1p", 2), BodyRestriction(EllipsoidBody(np.diag([1.0, 2.0, 3.0])))]
+    got = evaluate(vals, functions)
+    for f, row in zip(functions, got):
+        assert _bits(row) == _bits(evaluate(vals, [f])[0])
+        assert _bits(row) == [_bits(evaluate([val], [f])[0])[0] for val in vals]
+    assert all(any(r.value != 0 for r in row) for row in got)
+
+
 def test_graph_routes_refuse_a_term_off_its_window():
     # box(-2,2) * dx1 + box(0,1) * dy1: the graph routes integrate every term
     # over [-2, 2] (8 on x^2/2, against 5), the polyhedral and polyline
@@ -273,8 +356,9 @@ def test_battery_shares_block_caches_within_the_call(monkeypatch):
     vals = [Valuation(random_bump_form(np.random.default_rng(34), n, degree=n))]
     functions = [Quadratic([[Q(1) + k, Q(0)], [Q(0), Q(1)]]) for k in range(4)]
     got = evaluate(vals, functions)
-    # the ellipse rule's two passes are 6,272 and 8,192 nodes: 4 blocks
-    assert len(made) == 4
+    # the form's pullback on the quadratics has degree 1: its polar rule's
+    # two passes, 56 and 64 radii times 2 angles, are one block each
+    assert len(made) == 2
     assert all(ref() is None for ref in made)
     for f, row in zip(functions, got):
         assert _bits(row) == _bits(evaluate(vals, [f])[0])

@@ -181,3 +181,53 @@ def test_simplex_product_is_exact_on_monomials():
                             [SimplexProduct(x, y)])
             want = float(moment(*g))
             assert abs(got.value - want) <= 1e-15 and got.error <= 1e-15, (x, y, g)
+
+
+def test_gauss_legendre_table_is_leggauss_bit_for_bit():
+    # the shipped table holds the orders the rules name and 1-16 for the
+    # degree rules, each row numpy's leggauss to the bit; another order
+    # falls back to leggauss
+    from numpy.polynomial.legendre import leggauss
+
+    from cycleval.quadrature import CELL_ORDERS, _gauss_table, _leggauss
+
+    named = {o for pair in ORDERS.values() for o in pair}
+    named |= {radii for radii, _ in ELLIPSE_ORDERS} | set(CELL_ORDERS)
+    named |= {32, 44, 40, 56}  # the ridge route's pass pairs
+    assert set(map(int, _gauss_table())) == named | set(range(1, 17))
+    for order in sorted(map(int, _gauss_table())) + [80]:
+        got, want = _leggauss(order), leggauss(order)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want], order
+
+
+def test_polar_degree_rule_is_exact_in_the_angle():
+    # a radial bump times x^a y^b, a + b <= D, on the polar rule of degree
+    # D: D + 1 angles per radius, the value of the plain pair to rounding,
+    # the radial pair's error estimate; the rules are kept apart
+    from cycleval.quadrature import _kept_ellipse_rule, _kept_polar_rule
+
+    M = ((Q(3), Q(-5, 4)), (Q(-5, 4), Q(1)))
+    Mf = np.array(M, dtype=float)
+
+    def bump(p):
+        q = 1.0 - np.einsum("ni,ij,nj->n", p, Mf, p)
+        inside = q > 0
+        out = np.zeros(p.shape[0])
+        out[inside] = np.exp(1.0 - 1.0 / q[inside])
+        return out
+
+    integrate(bump, [Ellipse(M)])
+    plain_kept = _kept_ellipse_rule.cache_info().currsize
+    for degree in range(5):
+        domain = Ellipse(M, degree)
+        assert domain.orders == tuple((radii, degree + 1) for radii, _ in ELLIPSE_ORDERS)
+        assert len(domain.nodes(domain.orders[1])[1]) == 64 * (degree + 1)
+        for a in range(degree + 1):
+            def fn(p):
+                return bump(p) * p[:, 0] ** a * p[:, 1] ** (degree - a)
+
+            got, plain = integrate(fn, [domain]), integrate(fn, [Ellipse(M)])
+            assert abs(got.value - plain.value) <= 1e-14
+            assert abs(got.error - plain.error) <= 1e-14
+    assert _kept_ellipse_rule.cache_info().currsize == plain_kept
+    assert _kept_polar_rule.cache_info().currsize >= 5

@@ -8,7 +8,8 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cycleval"
 
-RULE_NAMES = {"two_pass", "gl_interval", "leggauss"}
+RULE_NAMES = {"two_pass", "gl_interval", "leggauss", "_leggauss", "_gauss_table",
+              "_GAUSS_TABLE"}
 
 
 def _names(tree: ast.AST):
@@ -26,6 +27,23 @@ def test_rules_and_passes_live_in_quadrature_alone():
                    for path in PACKAGE.glob("*.py") if path.stem != "quadrature"
                    for name in set(_names(ast.parse(path.read_text()))) & RULE_NAMES)
     assert not stray, stray
+
+
+def _strings(tree: ast.AST):
+    return {node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
+def test_gauss_legendre_table_is_read_in_quadrature_alone():
+    # the package's Gauss-Legendre table is named by quadrature alone, which
+    # reads it, and is shipped as package data
+    table = "gauss_legendre.json"
+    assert (PACKAGE / table).is_file()
+    readers = sorted(path.stem for path in PACKAGE.glob("*.py")
+                     if any(table in text for text in _strings(ast.parse(path.read_text()))))
+    assert readers == ["quadrature"]
+    pyproject = (PACKAGE.parents[1] / "pyproject.toml").read_text()
+    assert f'"{table}"' in pyproject
 
 
 # numpy entries that may call a BLAS routine

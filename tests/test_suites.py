@@ -140,8 +140,12 @@ def test_suite_kernel_compiles_once_per_family_and_domain(monkeypatch):
     entries = suite_kernel(config)
     assert all(e.passed for e in entries)
     assert sorted(compiled) == [1, 1, 2, 2]
-    # two bump factors per node block of the bump forms' battery: at n = 1
-    # one block per pass (128 and 192 nodes), at n = 2 the ellipse rule's
-    # 6,272 and 8,192 nodes in 4 blocks; and one column per pass and
+    # two bump factors per node block of each rule of the bump forms'
+    # battery: at n = 1 one block per pass of the box (128 and 192 nodes);
+    # at n = 2, where the bump form's pullback has degree 2 on the
+    # quadratic, shifted and scaled functions and 4 on the quartic, one
+    # block per pass of each polar rule, 56 and 64 radii times 3 angles
+    # and times 5, and the plain ellipse rule's 6,272 and 8,192 nodes in 4
+    # blocks for the body restriction; and one column per pass and
     # dimension for the zero-section integrals of the bump forms
-    assert len(columns) == 2 * (2 + 4) + 2 * 2
+    assert len(columns) == 2 * (2 + 2 + 2 + 4) + 2 * 2
