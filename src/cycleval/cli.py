@@ -124,9 +124,9 @@ def cmd_list_catalog(_args) -> int:
 
 
 def cmd_dump_cycle(args) -> int:
-    from .convex import PiecewiseLinear1D
+    from .convex import PiecewiseLinear1D, as_max_affine
     from .cycles import build_1d
-    from .polyhedral import build_polyhedral
+    from .polyhedral import MAX_POLYHEDRAL_DIMENSION, build_polyhedral
 
     try:
         if not 1 <= args.n <= MAX_DIMENSION:
@@ -135,6 +135,10 @@ def cmd_dump_cycle(args) -> int:
         dim = getattr(f, "n", 1)  # a PiecewiseLinear1D lives on R
         if dim != args.n:
             raise ValueError(f"the spec has dimension {dim}, not --n {args.n}")
+        ma = None if isinstance(f, PiecewiseLinear1D) else as_max_affine(f)
+        if ma is not None and dim > MAX_POLYHEDRAL_DIMENSION:
+            raise ValueError("polyhedral cycles are built for n = 1 and "
+                             f"{MAX_POLYHEDRAL_DIMENSION}, not n = {dim}")
     except (ParseError, ValueError, KeyError, TypeError) as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
@@ -149,14 +153,11 @@ def cmd_dump_cycle(args) -> int:
                 "horizontal": [[str(a), str(b), str(s)] for (a, b), s in horiz],
                 "vertical": [[str(x), str(sl), str(sr)] for x, sl, sr in vert],
             }, indent=2, sort_keys=True)
+        elif ma is None:
+            print("dump-cycle expects a max-affine or piecewise-linear spec",
+                  file=sys.stderr)
+            return EXIT_PARSE_ERROR
         else:
-            from .convex import as_max_affine
-
-            ma = as_max_affine(f)
-            if ma is None:
-                print("dump-cycle expects a max-affine or piecewise-linear spec",
-                      file=sys.stderr)
-                return EXIT_PARSE_ERROR
             payload = build_polyhedral(ma).dump_json()
     except Exception as exc:  # noqa: BLE001
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -820,15 +820,23 @@ class CoefficientFn:
             out = _box_union(out, b)
         return out
 
-    def support_domain(self):
-        """The support :class:`~cycleval.quadrature.Ellipse` when n = 2, no
-        window is declared and every atom is one bump factor of one matrix
-        (the ellipse rule is 2-D); otherwise :meth:`support_box`."""
-        if self.n == 2 and self.declared_box is None and self.atoms:
+    def bump_matrix(self):
+        """The matrix M, as nested tuples, when no window is declared and
+        every atom is one bump factor of M: the coefficient is then a
+        function of x^T M x times a polynomial.  None otherwise."""
+        if self.declared_box is None and self.atoms:
             mids = {sig[0].mid if len(sig) == 1 else None for sig in self.atoms}
             if len(mids) == 1 and None not in mids:
-                return Ellipse(_MATRICES[mids.pop()])
-        return self.support_box()
+                return _MATRICES[mids.pop()]
+        return None
+
+    def support_domain(self):
+        """The support :class:`~cycleval.quadrature.Ellipse` of the
+        :meth:`bump_matrix` when n = 2, otherwise :meth:`support_box`: the
+        plain ellipse rule is 2-D, and the 3-D one takes an integrand's
+        degree (``cycles.graph_rule``)."""
+        M = self.bump_matrix() if self.n == 2 else None
+        return self.support_box() if M is None else Ellipse(M)
 
     def integral_vanishes_by_parity(self) -> bool:
         """True when the x-integral is exactly zero by odd symmetry.

@@ -515,7 +515,10 @@ class SmoothField:
 class Perturbed(ConvexFunction):
     """inner + t * psi, convex for |t| within a declared window on a box.
 
-    Convexity is spot-checked on a sample grid at construction.
+    Convexity is spot-checked on a sample grid at construction.  Its
+    gradient degree is max(that of inner, deg psi - 1) when inner has one
+    and psi has no bump.  A windowed psi makes the gradient a polynomial on
+    the window alone, which must then hold the supports integrated over.
     """
 
     def __init__(self, inner: ConvexFunction, psi: SmoothField, t: float,
@@ -530,6 +533,9 @@ class Perturbed(ConvexFunction):
         self.t = float(t)
         self.window = float(window)
         self.box = box
+        if inner.gradient_degree is not None and not psi.coeff.has_bump():
+            top = max((p.total_degree() for p in psi.coeff.atoms.values()), default=0)
+            self.gradient_degree = max(inner.gradient_degree, top - 1)
         if check:
             self._spot_check()
 

@@ -20,18 +20,20 @@ smoothing), one Hessian minor per minor that occurs, and one monomial
 table, whatever the number of forms.  The functions of a battery
 integrated over one support domain share one coefficients.EvalCache per
 node block, so its bump factors, and the rows of bump groups in x alone,
-are computed once for the battery.  When the gradient of f is a
+are computed once for the battery.  One function, ``graph_rule``, chooses
+the rule of every graph integral.  When the gradient of f is a
 polynomial, the pullback of a form without bumps is a polynomial of a
 degree read off the form's exponents (``pullback_degree``), which the
 Gauss pass pair of that degree integrates exactly
-(quadrature.PolynomialBox), and that of a form on a support ellipse is a
-radial bump factor times such a polynomial, which the polar rule with one
-angle more than that degree integrates exactly in the angle
-(quadrature.Ellipse); a batch evaluates any selection of its rows.
-Each form's row, and so its value, is bit for bit what it would be alone.
-A constant Hessian (a quadratic's,
-returned as a broadcast view) is read once per block: its minors, and the
-metric determinant of the mass, are computed on one node and broadcast.
+(quadrature.PolynomialBox), and that of a form whose bumps are those of
+one matrix, at n = 2 or 3, is a radial bump factor times such a
+polynomial, which the ellipse rule of that degree integrates exactly in
+the angles (quadrature.Ellipse); so is the weight of a Hessian valuation
+and a coefficient on the zero section.  A batch evaluates any selection
+of its rows.  Each form's row, and so its value, is bit for bit what it
+would be alone.  A constant Hessian (a quadratic's, returned as a
+broadcast view) is read once per block: its minors, and the metric
+determinant of the mass, are computed on one node and broadcast.
 
 Polyhedral cycles of max-affine f live in polyhedral.py.  All evaluators
 share one orientation convention, the Minty transport; for a smooth convex
@@ -65,6 +67,7 @@ from .quadrature import (
     Ellipse,
     EvalResult,
     GradedSimplex,
+    PolynomialBox,
     box_nodes,
     ellipse_nodes,
     integrate,
@@ -109,29 +112,59 @@ def pullback_batch(forms: Sequence[Form]) -> CompiledBatch:
     return CompiledBatch(forms[0].n if forms else 0, pieces)
 
 
-def pullback_degree(f: ConvexFunction, form: Form) -> int | None:
-    """The total degree in x of the polynomial factor of the graph pullback
-    of the n-form ``form`` on ``f``, when the gradient of f is a polynomial
-    of degree g and the pullback is a polynomial, or one on the form's
-    support ellipse (an :class:`~cycleval.quadrature.Ellipse`: every atom is
-    one bump factor of its one matrix) times the bump factors, which are
-    functions of x^T M x and are set aside.  A monomial x^a y^b of the
-    coefficient of dx_I ^ dy_J then has degree |a| + g |b| and its minor
-    det H[J, Ic] (g - 1) |J|; no two keys share a minor.  None otherwise: a
-    form whose bumps are not those of one ellipse has no such factor."""
-    g = f.gradient_degree
-    if g is None or (any(c.has_bump() for c in form.terms.values())
-                     and not isinstance(form.support_domain(), Ellipse)):
+def pullback_degree(f: ConvexFunction | None, integrand: Form | CoefficientFn,
+                    hessians: int = 0) -> int | None:
+    """The total degree in x of the polynomial factor of an integrand on the
+    graph of df, when the gradient of f is a polynomial of degree g: of the
+    graph pullback of the n-form ``integrand``, or of the weight
+    ``integrand``, a coefficient of x, times ``hessians`` entries of the
+    Hessian of f (as in ``lab.hessian_valuation``).  f None is the zero
+    section, g = 0.  The polynomial factor is the integrand itself when it
+    has no bumps, and the integrand over its bump factors when these are
+    those of one matrix (``bump_matrix``) at n = 2 or 3, functions of
+    x^T M x.  A monomial x^a y^b of the coefficient of dx_I ^ dy_J then has
+    degree |a| + g |b| and its minor det H[J, Ic] (g - 1) |J|; no two keys
+    share a minor.  None otherwise: bumps at n = 1 or 4 keep the box rules,
+    and bumps of more than one matrix, or with a window, have no such
+    factor."""
+    g = 0 if f is None else f.gradient_degree
+    if isinstance(integrand, Form):
+        terms = [(c, sum(v >= integrand.n for v in key)) for key, c in integrand.terms.items()]
+    else:
+        terms = [(integrand, hessians)]
+    n = integrand.n
+    if g is None or (any(c.has_bump() for c, _ in terms)
+                     and (n not in (2, 3) or integrand.bump_matrix() is None)):
         return None
-    n = form.n
     top = 0
-    for key, coeff in form.terms.items():
-        minor = (g - 1) * sum(v >= n for v in key)
+    for coeff, ys in terms:
+        minor = (g - 1) * ys
         for poly in coeff.atoms.values():
             for k in poly.num:
                 a = field_sum(k, n)
                 top = max(top, a + g * (field_sum(k, 2 * n) - a) + minor)
     return top
+
+
+def graph_rule(f: ConvexFunction | None, integrand: Form | CoefficientFn, domain,
+               hessians: int = 0, margin: int = 0):
+    """The rule of every graph integral: the support domain on which
+    quadrature.integrate integrates ``integrand`` on f, as in
+    :func:`pullback_degree`, over ``domain``, its support domain.  With the
+    integrand's degree D known, a polynomial runs on the
+    :class:`~cycleval.quadrature.PolynomialBox` of ``domain`` and D, and a
+    bump integrand on the :class:`~cycleval.quadrature.Ellipse` of its bump
+    matrix and D, in 2-D and in 3-D: both are exact, the ellipse in the
+    angles.  Any other integrand, and a ``domain`` of None, stays on
+    ``domain``.  ``margin`` raises D, so that a second evaluation of one
+    integrand runs on other nodes."""
+    degree = pullback_degree(f, integrand, hessians)
+    if degree is None or domain is None:  # eval_smooth refuses no support
+        return domain
+    M = integrand.bump_matrix()
+    if M is None:
+        return PolynomialBox.of(domain, degree + margin)
+    return Ellipse(M, degree + margin)
 
 
 def graph_pullback_integrand(f: ConvexFunction, forms: Sequence[Form],

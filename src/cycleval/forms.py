@@ -40,7 +40,7 @@ from .coefficients import (
     linear_x_matrix_id,
 )
 from .exactla import inverse
-from .polynomials import Poly, Q, _as_fraction, field_sum
+from .polynomials import Poly, Q, _as_fraction
 from .quadrature import Ellipse, EvalResult, integrate, sum_parts
 
 MAX_DIMENSION = 4  # basis matrices for the Lefschetz inverse stay tiny
@@ -207,15 +207,17 @@ class Form:
                     f"{_box_text(first)} and {_box_text(c.declared_box)}; the graph "
                     "evaluators integrate every term over one box")
 
+    def bump_matrix(self):
+        """The one :meth:`CoefficientFn.bump_matrix` of every coefficient,
+        if they share one, else None."""
+        matrices = {c.bump_matrix() for c in self.terms.values()}
+        return matrices.pop() if len(matrices) == 1 else None
+
     def support_domain(self):
-        """The one support ellipse of every coefficient, if they share one
-        (see :meth:`CoefficientFn.support_domain`), else :meth:`support_box`."""
-        domains = {c.support_domain() for c in self.terms.values()}
-        if len(domains) == 1:
-            domain = domains.pop()
-            if isinstance(domain, Ellipse):
-                return domain
-        return self.support_box()
+        """The support ellipse of the :meth:`bump_matrix` when n = 2 (see
+        :meth:`CoefficientFn.support_domain`), else :meth:`support_box`."""
+        M = self.bump_matrix() if self.n == 2 else None
+        return self.support_box() if M is None else Ellipse(M)
 
     # -- linear structure -----------------------------------------------------
 
@@ -567,12 +569,15 @@ def integrate_coefficient(c: CoefficientFn) -> EvalResult:
     """Integral of a y-independent coefficient over R^n in x.
 
     Exact (a Fraction) for polynomial atoms with a declared window;
-    quadrature with a reported error estimate for bump atoms, each on its
-    support domain: in 2-D without a window its ellipse, of the atom's
-    degree in x (a radial bump factor times a polynomial), else its box.
-    A free parameter, or a polynomial atom without a window, raises
-    SupportError before any atom is integrated.
+    quadrature with a reported error estimate for bump atoms, each on the
+    rule that ``cycles.graph_rule`` chooses on the zero section: at n = 2
+    and 3 without a window its ellipse, of the atom's degree in x (a radial
+    bump factor times a polynomial), else its box.  A free parameter, or a
+    polynomial atom without a window, raises SupportError before any atom
+    is integrated.
     """
+    from .cycles import graph_rule  # cycles builds on this module
+
     if c.has_params():
         raise SupportError(FREE_PARAMETERS)
     if () in c.atoms and c.declared_box is None:
@@ -586,9 +591,7 @@ def integrate_coefficient(c: CoefficientFn) -> EvalResult:
                 continue
             part = CoefficientFn(c.n, {sig: poly}, declared_box=c.declared_box)
             if not part.integral_vanishes_by_parity():
-                domain = part.support_domain()
-                if isinstance(domain, Ellipse):
-                    domain = Ellipse(domain.M, max(field_sum(k, c.n) for k in poly.num))
-                yield integrate(part.eval_x_array, [domain])
+                rule = graph_rule(None, part, part.support_domain())
+                yield integrate(part.eval_x_array, [rule])
 
     return sum_parts(parts())

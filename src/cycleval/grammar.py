@@ -311,7 +311,11 @@ def _parse_box(body: str, n: int):
         a = abs(vals[0])
         return tuple((-a, a) for _ in range(n))
     if len(vals) == 2 * n:
-        return tuple((vals[2 * k], vals[2 * k + 1]) for k in range(n))
+        box = tuple((vals[2 * k], vals[2 * k + 1]) for k in range(n))
+        for k, (lo, hi) in enumerate(box, 1):
+            if lo > hi:
+                raise ParseError(f"box bounds of x{k} are reversed: {lo} > {hi}")
+        return box
     raise ParseError("box needs one halfwidth or 2n bounds")
 
 

@@ -11,6 +11,10 @@ support domain are compiled once, share each function's nodes, gradients
 and Hessians, and share the bump factors of each node block across the
 functions.  :func:`kernel_check` reads the values computed this way.
 
+Every graph integral, of :func:`evaluate`, of both sides of the
+Hessian-valuation cross-check and of the first-variation check, runs on the
+rule that ``cycles.graph_rule`` chooses for its integrand and function.
+
 Invariance under a finite group is an average over its exactly orthogonal
 matrices; invariance under SO(2) and SO(3) is exact and infinitesimal: the
 lifted so(n) generators, Lie derivatives along them, and the Casimir
@@ -50,8 +54,8 @@ from .cycles import (
     eval_polyline,
     eval_smooth,
     eval_smooth_ridge_aligned,
+    graph_rule,
     pullback_batch,
-    pullback_degree,
 )
 from .exactla import det, inverse, polarized_det, solve
 from .forms import (
@@ -64,7 +68,7 @@ from .forms import (
 )
 from .polyhedral import build_polyhedral, eval_polyhedral, window_for
 from .polynomials import Poly, Q, _as_fraction
-from .quadrature import _NODE_BLOCK, Ellipse, EvalResult, PolynomialBox, integrate
+from .quadrature import _NODE_BLOCK, EvalResult, integrate
 from .rumin import RuminResult, rumin_d
 
 
@@ -107,20 +111,20 @@ def evaluate(vals: Sequence[Valuation],
     support box for all forms.  The quadrature routes group the forms by
     support domain (a bump ellipse or a box); each group is compiled once
     for the whole battery (``cycles.pullback_batch``) and evaluated on one
-    node stream per function.  On the plain route, on a function whose
-    gradient is a polynomial, a form on a box without bumps integrates a
-    polynomial, and a form on an ellipse a radial bump factor times a
-    polynomial, of the degree read off the form
-    (``cycles.pullback_degree``): the form runs on the rule of that degree
-    (:func:`_smooth_rules`), with the forms of the group on the same rule,
-    as a selection of the group's batch; the other forms run on the group's
-    domain.  For n <= 2, where the rules are memoised, the functions on one
-    rule share one :class:`~cycleval.coefficients.EvalCache` per node block
-    of it: the bump factors and a bump group's rows in x alone are computed
-    once per block for the battery, and dropped with the group.  Each
-    function is still integrated by its own ``eval_smooth`` calls, and a
-    form's rule depends on that form and the function alone, so its
-    results are bit for bit those of a battery of one.
+    node stream per function.  On the plain route each form runs on the
+    rule that ``cycles.graph_rule`` chooses for it and the function, with
+    the forms of the group on the same rule, as a selection of the group's
+    batch: on a function whose gradient is a polynomial, a form without
+    bumps on the Gauss pair of its pullback degree, and a form on the bumps
+    of one matrix, at n = 2 or 3, on the ellipse rule of that degree; the
+    other forms on the group's domain.  For n <= 2, where the rules are
+    memoised, the functions on one rule share one
+    :class:`~cycleval.coefficients.EvalCache` per node block of it: the bump
+    factors and a bump group's rows in x alone are computed once per block
+    for the battery, and dropped with the group.  Each function is still
+    integrated by its own ``eval_smooth`` calls, and a form's rule depends
+    on that form and the function alone, so its results are bit for bit
+    those of a battery of one.
     """
     forms = [val.tau for val in vals]
     out: list = [None] * len(functions)
@@ -145,15 +149,17 @@ def evaluate(vals: Sequence[Valuation],
     for j in smooth:
         out[j] = [None] * len(forms)
     for domain, (idx, group), batch in zip(domains, groups, batches):
-        # rule -> its caches by node block; a 3-D rule is built per call to
-        # bound memory (quadrature.box_nodes), which keeping caches for its
-        # 35 blocks would undo
+        # rule -> its caches by node block; a 3-D box rule is built per
+        # call to bound memory (quadrature.box_nodes), which keeping caches
+        # for its 35 blocks would undo, so no 3-D rule keeps them
         caches: dict = {}
         rules: dict = {}  # gradient degree -> the group's rows by rule
         for j in smooth:
             f = functions[j]
             if f.gradient_degree not in rules:
-                rules[f.gradient_degree] = _smooth_rules(f, domain, group)
+                by_rule = rules[f.gradient_degree] = {}
+                for row, form in enumerate(group):
+                    by_rule.setdefault(graph_rule(f, form, domain), []).append(row)
             for rule, rows in rules[f.gradient_degree].items():
                 cache = caches.get(rule)
                 if cache is None and group[0].n <= 2:
@@ -165,28 +171,6 @@ def evaluate(vals: Sequence[Valuation],
     for j in ridge:
         out[j] = _ridge_row(functions[j], groups, batches, len(forms))
     return out
-
-
-def _smooth_rules(f: ConvexFunction, domain, group: list) -> dict:
-    """The rows of the forms ``group``, one support group on ``domain``, by
-    the rule, a support domain, that integrates them on ``f``.  A form
-    whose graph pullback on ``f`` has a polynomial factor of known degree
-    (``cycles.pullback_degree``) runs on the rule of that degree: the
-    :class:`~cycleval.quadrature.PolynomialBox` of the group's box, or the
-    group's :class:`~cycleval.quadrature.Ellipse` of that degree; any other
-    form on ``domain`` itself, also None.  A form's rule depends on that
-    form and ``f`` alone."""
-    by_rule: dict = {}
-    for row, form in enumerate(group):
-        degree = pullback_degree(f, form)
-        if degree is None or domain is None:  # eval_smooth refuses no support
-            rule = domain
-        elif isinstance(domain, Ellipse):
-            rule = Ellipse(domain.M, degree)
-        else:
-            rule = PolynomialBox.of(domain, degree)
-        by_rule.setdefault(rule, []).append(row)
-    return by_rule
 
 
 def _polyhedral_row(ma: MaxAffine, forms: list) -> list:
@@ -493,10 +477,14 @@ def first_variation_check(val: Valuation, f: ConvexFunction,
     at steps t = 1e-2 and 1e-3.
 
     The same quadrature nodes evaluate every perturbed function, so the
-    finite differences do not amplify quadrature error.  For n > 1 a
-    bump-type psi puts Hessian layers at its own support sphere, in the
-    interior of the integration domain, which fixed nodes do not resolve to the
-    check's tolerance; such a psi is refused with a ValueError.
+    finite differences do not amplify quadrature error: the perturbed
+    functions share one gradient degree, and so one rule
+    (``cycles.graph_rule``).  The right-hand side's coefficients carry
+    psi's window or bumps, so it keeps the plain rules of its domains.  For
+    n > 1 a bump-type psi puts Hessian layers at its own support sphere, in
+    the interior of the integration domain, which fixed nodes do not
+    resolve to the check's tolerance; such a psi is refused with a
+    ValueError.
     """
     tau = val.tau
     n = val.n
@@ -510,7 +498,8 @@ def first_variation_check(val: Valuation, f: ConvexFunction,
         domains = [tau.support_domain()]
 
     def mu(g, form):
-        return sum(float(eval_smooth(g, [form], domain=d)[0].value) for d in domains)
+        return sum(float(eval_smooth(g, [form], domain=graph_rule(g, form, d))[0].value)
+                   for d in domains)
 
     rhs = mu(f, rhs_form)
     t1, t2 = 1e-2, 1e-3
@@ -609,11 +598,18 @@ class MixedDiscriminantSpec:
 def hessian_valuation(spec: MixedDiscriminantSpec, f: ConvexFunction) -> float:
     """Quadrature of B(x) det(D^2 f(x)[k], A_1..A_{n-k}) over B's support
     domain, the nodes streamed in blocks of ``_NODE_BLOCK``; a constant
-    Hessian's mixed discriminant is computed once per block."""
+    Hessian's mixed discriminant is computed once per block.
+
+    The integrand is the graph pullback of :func:`hessian_form`; on a
+    function whose gradient is a polynomial of degree g it has the degree
+    deg_x B + k (g - 1).  It runs on the rule that ``cycles.graph_rule``
+    chooses with a margin of two degrees: where the form runs on the rule
+    of its degree, the cross-check of the two compares two node sets."""
     n, k = spec.n, spec.k
     domain = spec.B.support_domain()
     if domain is None:
         raise ValueError("weight needs a support box")
+    rule = graph_rule(f, spec.B, domain, hessians=k, margin=2)
     A_float = [[[float(v) for v in row] for row in m] for m in spec.A]
 
     def fn(pts):
@@ -626,7 +622,7 @@ def hessian_valuation(spec: MixedDiscriminantSpec, f: ConvexFunction) -> float:
                 spec.B.eval_x_array(block) * polarized_det([Hrows] * k + A_float))
         return out
 
-    return integrate(fn, [domain]).value
+    return integrate(fn, [rule]).value
 
 
 def hessian_form(spec: MixedDiscriminantSpec) -> Form:

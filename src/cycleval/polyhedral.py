@@ -31,6 +31,9 @@ from .exactla import det, solve
 from .polynomials import Poly, Q, dirichlet_moment
 from .quadrature import EvalResult, SimplexProduct, integrate, sum_parts
 
+# the largest n that build_polyhedral constructs cells for
+MAX_POLYHEDRAL_DIMENSION = 2
+
 
 class WindowTooSmall(ValueError):
     pass
@@ -330,7 +333,7 @@ def build_polyhedral(f: MaxAffine, window: Optional[BoxT] = None,
                           prune=True)
             return build_polyhedral(g, window, _perturbed=True)
     raise NotImplementedError(
-        "polyhedral construction is implemented for n <= 2; "
+        f"polyhedral construction is implemented for n <= {MAX_POLYHEDRAL_DIMENSION}; "
         "smooth approximation covers higher dimensions")
 
 

@@ -8,11 +8,12 @@ domain kind owns its rule and its pass pair, the coarse and the fine order:
 * a box, a plain sequence of (lo, hi): tensor Gauss-Legendre at ``ORDERS``;
 * a :class:`PolynomialBox`, a box whose integrand is a polynomial of known
   degree: tensor Gauss-Legendre at the pass pair that integrates it exactly;
-* an :class:`Ellipse`, the support of a 2-D bump: a polar rule at
-  ``ELLIPSE_ORDERS``; an ellipse of known ``degree``, whose integrand is a
-  radial bump factor times a polynomial of that degree, keeps the radii of
-  that pair and takes degree + 1 angles, which integrate it exactly in the
-  angle;
+* an :class:`Ellipse`, the support {x^T M x < 1} of a bump at n = 2 or 3:
+  in 2-D a polar rule at ``ELLIPSE_ORDERS``; an ellipse of known
+  ``degree``, whose integrand is a radial bump factor times a polynomial of
+  that degree, keeps the radii of that pair and takes degree + 1 angles in
+  2-D, and in 3-D a Gauss product rule on the sphere, both exact in the
+  angles; a 3-D ellipse needs its degree;
 * a :class:`GradedSimplex`, a segment or triangle of the ridge-aligned
   evaluator, at the pass pair its caller sets, and a :class:`SimplexProduct`,
   a piece of a polyhedral cell, at ``CELL_ORDERS``: both on the one
@@ -77,9 +78,11 @@ def sum_parts(parts: Iterable[Fraction | EvalResult]) -> EvalResult:
 # Plain box rules serve every box integrand not known to be a polynomial:
 # window forms (polynomial coefficients on a declared box) on functions
 # whose gradient is not a polynomial, integrands that mix bumps or windows,
-# and every bump integrand in 1-D and 3-D.  A window form on a function with
-# a polynomial gradient integrates a polynomial, on a PolynomialBox.  A bump
-# is smooth but not analytic at its support sphere, and tensor
+# and the other bump integrands in 1-D and 3-D.  A window form on a
+# function with a polynomial gradient integrates a polynomial, on a
+# PolynomialBox, and a one-matrix bump form on such a function a radial bump
+# factor times a polynomial, on an Ellipse of that degree, in 3-D too.  A
+# bump is smooth but not analytic at its support sphere, and tensor
 # Gauss-Legendre converges subgeometrically on it.  These per-axis orders
 # were calibrated so that box integrals of the catalog bumps carry absolute
 # errors ~1e-10 (dim <= 2) / ~1e-7 (dim 3), which the bundled tolerances
@@ -114,7 +117,12 @@ ORDERS = {1: (128, 192), 2: (128, 160), 3: (32, 48), 4: (16, 24)}
 # polynomial of degree D in x, a trigonometric polynomial of degree D in the
 # angle: its Ellipse of that degree keeps these radii and takes D + 1
 # angles, which the 112 and 128 angles above also integrate exactly, so the
-# two rules differ by rounding.
+# two rules differ by rounding.  In 3-D the Ellipse of degree D keeps these
+# radii, with weight r^2 dr, on a Gauss product rule on the sphere (Stroud,
+# Approximate Calculation of Multiple Integrals, 1971): ceil((D + 1) / 2)
+# Gauss-Legendre nodes in cos(theta), exact to degree D, times D + 1 equally
+# spaced azimuths, 240 nodes over both passes at D = 1 against the 143,360
+# of the 32^3 / 48^3 box pair.
 ELLIPSE_ORDERS = ((56, 112), (64, 128))
 
 # Per-axis Gauss-Legendre orders of the polyhedral cell quadrature and its
@@ -242,14 +250,24 @@ _kept_box_rule = lru_cache(maxsize=16)(_box_rule)
 
 
 def _ellipse_map(M) -> tuple:
-    """``(a, b, c, 1 / det L)`` for the float Cholesky factor M = L L^T of a
-    2 x 2 matrix, L^-T = [[a, b], [0, c]]: the map x = L^-T u carries the
-    unit disk onto {x^T M x < 1}."""
-    (p, q), (_, r) = (map(float, row) for row in M)
+    """``(T, 1 / det L)`` for the float Cholesky factor M = L L^T of a 2 x 2
+    or 3 x 3 matrix, in closed form: T = L^-T is upper triangular, row i
+    given from its diagonal on, and the map x = T u carries the unit disk or
+    ball onto {x^T M x < 1}."""
+    if len(M) == 2:
+        (p, q), (_, r) = (map(float, row) for row in M)
+        l00 = math.sqrt(p)
+        l10 = q / l00
+        l11 = math.sqrt(r - l10 * l10)
+        return ((1.0 / l00, -l10 / (l00 * l11)), (1.0 / l11,)), 1.0 / (l00 * l11)
+    (p, q, s), (_, r, t), (_, _, w) = (map(float, row) for row in M)
     l00 = math.sqrt(p)
-    l10 = q / l00
+    l10, l20 = q / l00, s / l00
     l11 = math.sqrt(r - l10 * l10)
-    return 1.0 / l00, -l10 / (l00 * l11), 1.0 / l11, 1.0 / (l00 * l11)
+    l21 = (t - l20 * l10) / l11
+    l22 = math.sqrt(w - l20 * l20 - l21 * l21)
+    return (((1.0 / l00, -l10 / (l00 * l11), (l10 * l21 - l11 * l20) / (l00 * l11 * l22)),
+             (1.0 / l11, -l21 / (l11 * l22)), (1.0 / l22,)), 1.0 / (l00 * l11 * l22))
 
 
 def ellipse_nodes(M, orders: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -266,19 +284,38 @@ def _float_rows(M) -> tuple:
 
 
 def _ellipse_rule(M, orders):
-    order_r, order_t = orders
-    r, wr = gl_interval(0.0, 1.0, order_r)
-    theta = 2.0 * np.pi * (np.arange(order_t) + 0.5) / order_t
-    u = np.multiply.outer(r, np.cos(theta)).ravel()
-    v = np.multiply.outer(r, np.sin(theta)).ravel()
-    wts = np.multiply.outer(wr * r, np.full(order_t, 2.0 * np.pi / order_t)).ravel()
-    a, b, c, jac = _ellipse_map(M)
-    return _read_only(np.stack([a * u + b * v, c * v], axis=-1), wts * jac)
+    """The polar rule of ``orders`` = (radii, angles) on the ellipse M in
+    2-D, or the spherical rule of ``orders`` = (radii, polar nodes,
+    azimuths) on the ellipsoid M in 3-D: radii, then cos(theta), then
+    azimuth, on the unit disk or ball, mapped by L^-T (``_ellipse_map``)
+    elementwise."""
+    r, wr = gl_interval(0.0, 1.0, orders[0])
+    order_t = orders[-1]
+    phi = 2.0 * np.pi * (np.arange(order_t) + 0.5) / order_t
+    azimuth = np.full(order_t, 2.0 * np.pi / order_t)
+    if len(orders) == 2:
+        u = [np.multiply.outer(r, np.cos(phi)).ravel(), np.multiply.outer(r, np.sin(phi)).ravel()]
+        wts = np.multiply.outer(wr * r, azimuth).ravel()
+    else:
+        z, wz = gl_interval(-1.0, 1.0, orders[1])
+        rho = np.sqrt(1.0 - z * z)
+        u = [np.multiply.outer(r, np.multiply.outer(rho, np.cos(phi))).ravel(),
+             np.multiply.outer(r, np.multiply.outer(rho, np.sin(phi))).ravel(),
+             np.multiply.outer(r, np.multiply.outer(z, np.ones(order_t))).ravel()]
+        wts = np.multiply.outer(wr * r * r, np.multiply.outer(wz, azimuth)).ravel()
+    rows, jac = _ellipse_map(M)
+    x = []
+    for i, row in enumerate(rows):
+        xi = row[0] * u[i]
+        for j in range(1, len(row)):
+            xi = xi + row[j] * u[i + j]
+        x.append(xi)
+    return _read_only(np.stack(x, axis=-1), wts * jac)
 
 
 _kept_ellipse_rule = lru_cache(maxsize=16)(_ellipse_rule)
-# the rules of ellipses of known degree, of a few hundred nodes each, are
-# kept apart from the plain ones
+# the rules of ellipses of known degree, of a few hundred nodes each in 2-D
+# and a few thousand in 3-D, are kept apart from the plain ones
 _kept_polar_rule = lru_cache(maxsize=64)(_ellipse_rule)
 
 
@@ -314,25 +351,39 @@ _kept_polynomial_rule = lru_cache(maxsize=64)(_box_rule)
 
 @dataclass(frozen=True)
 class Ellipse:
-    """Support domain {x^T M x < 1} of a 2-D bump, M as nested tuples, on
-    the polar rule at ``ELLIPSE_ORDERS``.
+    """Support domain {x^T M x < 1} of a bump at n = 2 or 3, M as nested
+    tuples.  In 2-D without a ``degree``, on the polar rule at
+    ``ELLIPSE_ORDERS``.
 
     With ``degree`` D, the integrand is a function of x^T M x times a
-    polynomial of total degree at most D in x.  In the disk coordinates u,
-    x = L^-T u, that is a radial factor times a polynomial of degree D in u,
-    so on each circle a trigonometric polynomial of degree D, which K >= D
-    + 1 equally spaced angles integrate exactly (Trefethen & Weideman, SIAM
-    Review 56, 2014).  Its passes keep the radii of ``ELLIPSE_ORDERS`` and
-    take D + 1 angles, so the error estimate measures the radial pair."""
+    polynomial of total degree at most D in x.  In the disk or ball
+    coordinates u, x = L^-T u, that is a radial factor times a polynomial
+    of degree D in u, so on each circle a trigonometric polynomial of
+    degree D, which K >= D + 1 equally spaced angles integrate exactly
+    (Trefethen & Weideman, SIAM Review 56, 2014).  In 2-D its passes keep
+    the radii of ``ELLIPSE_ORDERS`` and take D + 1 angles.  In 3-D they keep
+    those radii, weighted by r^2, and take D + 1 azimuths times
+    ceil((D + 1) / 2) Gauss-Legendre nodes in cos(theta): after the azimuth
+    sum, a monomial u1^a u2^b u3^c leaves sin(theta)^(a+b) cos(theta)^c
+    with a and b even, a polynomial of degree a + b + c <= D in cos(theta).
+    The error estimate then measures the radial pair.  A 3-D ellipse needs
+    its degree: its plain rule has no calibration."""
 
     M: tuple
     degree: int | None = None
+
+    def __post_init__(self):
+        if len(self.M) == 3 and self.degree is None:
+            raise ValueError("a 3-D ellipse rule needs the degree of its integrand")
 
     @property
     def orders(self) -> tuple:
         if self.degree is None:
             return ELLIPSE_ORDERS
-        return tuple((radii, self.degree + 1) for radii, _ in ELLIPSE_ORDERS)
+        if len(self.M) == 2:
+            return tuple((radii, self.degree + 1) for radii, _ in ELLIPSE_ORDERS)
+        polar = self.degree // 2 + 1
+        return tuple((radii, polar, self.degree + 1) for radii, _ in ELLIPSE_ORDERS)
 
     def nodes(self, orders):
         kept = _kept_ellipse_rule if self.degree is None else _kept_polar_rule

@@ -167,3 +167,57 @@ def test_conormal_eval_refuses_a_term_off_its_window():
     with pytest.raises(SupportError) as want:
         tau.check_windows()
     assert str(got.value) == str(want.value)
+
+
+def _all_nodes_integrand(K, tau):
+    """The conormal integrand of ``conormal_eval`` on every node at once."""
+    from cycleval.coefficients import CompiledBatch
+    from cycleval.convex import node_matmul
+    from cycleval.exactla import det
+
+    n = tau.n
+    chart, qmap = SphereChart(n), QMapData(n)
+    batch = CompiledBatch(n, [(0, (tuple(v for v in key if v < n),
+                                   tuple(v - n for v in key if v >= n)), coeff, 1)
+                              for key, coeff in tau.terms.items()])
+
+    def integrand(Z):
+        U, dU = chart.point(Z), chart.jacobian(Z)
+        X, dX = qmap.project(U), qmap.project_jacobian(U, dU)
+        Y = K.grad_h_array(U)[:, :n]
+        dY = node_matmul(K.hess_h_array(U)[:, :n, :], dU)
+        dets = {}
+        for I, J in batch.keys:
+            rows = [dX[:, i, :] for i in I] + [dY[:, j, :] for j in J]
+            dets[I, J] = det([[r[:, c] for c in range(n)] for r in rows])
+        out = np.zeros((1, Z.shape[0]))
+        batch.add_to(out, np.concatenate([X.T, Y.T]), dets)
+        return out[0]
+
+    return integrand
+
+
+def test_conormal_integrand_in_blocks_equals_all_nodes_bitwise(monkeypatch):
+    # the chart, oracle and determinant chain runs per node block, and each
+    # node's value is that of the whole node set at once, bit for bit
+    from cycleval import bridge
+    from cycleval.quadrature import _NODE_BLOCK
+
+    rng = np.random.default_rng(51)
+    captured = []
+    real = bridge.integrate
+
+    def integrate(fn, domains):
+        captured.append(fn)
+        return real(fn, domains)
+
+    monkeypatch.setattr(bridge, "integrate", integrate)
+    for n in (1, 2):
+        G = rng.normal(size=(n + 1, n + 1))
+        K = EllipsoidBody(G @ G.T + 0.5 * np.eye(n + 1))
+        tau = random_bump_form(rng, n, degree=n, nterms=3)
+        captured.clear()
+        bridge.conormal_eval(K, tau)
+        Z = rng.uniform(-2.0, 2.0, size=(3 * _NODE_BLOCK + 7, n))
+        got, want = captured[0](Z), _all_nodes_integrand(K, tau)(Z)
+        assert got.tobytes() == want.tobytes() and np.abs(want).max() > 0

@@ -118,6 +118,8 @@ def test_report_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     # a polynomial without a window has no support box at all
     ("x1 * dy1", "form needs horizontally compact (or windowed) support"),
     ("box(-2,2) * dx1 + x1 * dy1", "form needs horizontally compact (or windowed) support"),
+    # a box whose bounds are reversed
+    ("box(1,-1) * dx1", "box bounds of x1 are reversed: 1 > -1"),
 ])
 def test_exit_code_form_on_two_windows(tmp_path, capsys, spec, message):
     # the graph evaluators integrate every term of a form over one box
@@ -545,6 +547,14 @@ def test_dump_cycle(tmp_path, capsys):
         assert main(["dump-cycle", spec, "--n", n]) == 2, (spec, n)
         captured = capsys.readouterr()
         assert captured.out == "" and "spec error:" in captured.err, (spec, n)
+    # valid max-affine specs above n = 2, which has no polyhedral cycles:
+    # a spec error that names n = 1 and 2, before any build
+    for spec, n in [("maxaffine pieces=[[[1,0,0],0],[[0,1,0],0]]", "3"),
+                    ("maxaffine pieces=[[[1,0,0,0],0],[[0,0,0,1],1]]", "4")]:
+        assert main(["dump-cycle", spec, "--n", n]) == 2, (spec, n)
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            f"spec error: polyhedral cycles are built for n = 1 and 2, not n = {n}\n")
 
 
 def test_package_entry_point():

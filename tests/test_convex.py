@@ -182,6 +182,25 @@ def test_perturbed_window_checked():
     with pytest.raises(CatalogError):
         Perturbed(f, psi, 5.0, window=5.0, box=[(-3, 3)])  # destroys convexity
 
+
+def test_perturbed_gradient_degree():
+    # f + t psi has a polynomial gradient of degree max(g, deg psi - 1) when
+    # psi is a polynomial (on its window) and f's gradient one of degree g
+    from cycleval.polynomials import Poly
+
+    box = ((Q(-3), Q(3)),) * 2
+    x1, x2 = Poly.variable(4, 0), Poly.variable(4, 1)
+    cubic = SmoothField(CoefficientFn.from_poly(2, x1 * x1 * x2 + x2, box=box))
+    linear = SmoothField(CoefficientFn.from_poly(2, x1.scale(Q(1, 2)), box=box))
+    bump = SmoothField(CoefficientFn.bump(2, ball_bump(2, 2), x1))
+    quadratic, quartic = Quadratic(np.eye(2)), SmoothCatalog("quartic", 2)
+    cases = [(quadratic, cubic, 2), (quartic, cubic, 3), (quadratic, linear, 1),
+             (quadratic, bump, None), (SmoothCatalog("sqrt1p", 2), cubic, None)]
+    for f, psi, degree in cases:
+        for t in (0.01, -0.01):
+            p = Perturbed(f, psi, t, window=0.01, box=[(-1, 1)] * 2, check=False)
+            assert p.gradient_degree == degree, (f.describe(), degree)
+
 def test_body_restrictions():
     # unit ball: f_K = sqrt(1 + |x|^2)
     ball = EllipsoidBody(np.eye(3))

@@ -528,11 +528,12 @@ def test_compiled_integrand_refuses_free_parameters():
 
 def test_support_domain_routing(monkeypatch):
     # only a 2-D integrand on one bump matrix without a window runs on the
-    # ellipse rule; windows, two matrices, n = 1 and n = 3 stay on boxes; a
-    # window form on a function with a polynomial gradient runs on the
-    # Gauss pair of its degree, on any other function on the box pair; an
-    # ellipse form on a function with a polynomial gradient keeps the
-    # ellipse radii and takes one angle more than its pullback degree
+    # plain ellipse rule; windows, two matrices, n = 1 and n = 3 stay on
+    # boxes; a window form on a function with a polynomial gradient runs on
+    # the Gauss pair of its degree, on any other function on the box pair;
+    # a form on one bump matrix on a function with a polynomial gradient
+    # keeps the ellipse radii and takes one angle more than its pullback
+    # degree, in 3-D as azimuths times half as many polar nodes
     from cycleval import quadrature
     from cycleval.coefficients import BumpFactor
     from cycleval.lab import Valuation, evaluate
@@ -566,6 +567,10 @@ def test_support_domain_routing(monkeypatch):
     def polar(degree):
         return tuple((radii, degree + 1) for radii, _ in quadrature.ELLIPSE_ORDERS)
 
+    def spherical(degree):
+        return tuple((radii, degree // 2 + 1, degree + 1)
+                     for radii, _ in quadrature.ELLIPSE_ORDERS)
+
     cases = [
         (top_form(2, bump2), sqrt1p, "ellipse"),
         (top_form(2, skew), sqrt1p, "ellipse"),
@@ -580,7 +585,11 @@ def test_support_domain_routing(monkeypatch):
         (top_form(2, bump2 + skew), quadratic, "box"),
         (top_form(2, bump2) + Form.monomial(2, [], [1, 2], skew), quadratic, "box"),
         (top_form(1, beta_coeff(1, 2)), Quadratic(np.eye(1)), "box"),
-        (top_form(3, beta_coeff(3, 2)), Quadratic(np.eye(3)), "box"),
+        (top_form(3, beta_coeff(3, 2)), SmoothCatalog("sqrt1p", 3), "box"),
+        (top_form(3, beta_coeff(3, 2)), Quadratic(np.eye(3)), spherical(0)),
+        # beta dy1 ^ dy2 ^ dy3 on the quartic: the minor det H has degree 6
+        (Form.monomial(3, [], [1, 2, 3], beta_coeff(3, 2)), SmoothCatalog("quartic", 3),
+         spherical(6)),
         (window, quadratic, (2, 3)),
         (window, SmoothCatalog("sqrt1p", 2), "box"),
     ]
@@ -715,6 +724,11 @@ class _MaterialisedHessian(ConvexFunction):
 
     def hessian_array(self, X):
         return np.array(self.f.hessian_array(X))
+
+    @property
+    def gradient_degree(self):
+        # the rule of an integrand depends on it: both functions on one rule
+        return self.f.gradient_degree
 
 
 def test_constant_hessian_read_once_matches_materialised_bitwise():

@@ -67,6 +67,21 @@ def test_box_window():
     assert g.coefficient([1], []).declared_box == ((Q(-3), Q(3)),)
 
 
+def test_box_with_reversed_bounds_is_refused():
+    # the routes disagreed on a reversed box: the polyhedral one read its
+    # bounds as an interval, the graph quadrature as an oriented one
+    from cycleval.lab import Valuation, evaluate
+
+    for text, n in (("box(1,-1) * dx1", 1), ("box(-1,1,2,0) * dx1^dx2", 2)):
+        with pytest.raises(ParseError, match="reversed"):
+            parse_form(text, n)
+    assert parse_form("box(1,1) * dx1", 1).coefficient([1], []).declared_box == ((Q(1), Q(1)),)
+    tau = parse_form("box(-1,1) * dx1", 1)
+    functions = [parse_function("quadratic A=[[1]]", 1),
+                 parse_function("maxaffine pieces=[[[1],0],[[-1],0]]", 1)]
+    assert [float(row[0].value) for row in evaluate([Valuation(tau)], functions)] == [2.0, 2.0]
+
+
 def test_roundtrip_random_forms():
     rng = np.random.default_rng(8)
     for n in (1, 2):

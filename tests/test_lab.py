@@ -479,6 +479,98 @@ def test_first_variation_refuses_a_bump_direction_above_n_1():
         first_variation_check(Valuation(tau), Quadratic([[1, 0], [0, 1]]), psi)
 
 
+def test_first_variation_perturbations_share_one_rule(monkeypatch):
+    # at n = 2 with a polynomial psi the six perturbed functions share one
+    # gradient degree, max(1, deg psi - 1) = 2, and so one angle-exact
+    # rule; the right-hand side, whose coefficients carry psi's window,
+    # keeps the plain ellipse rule
+    from cycleval import lab
+    from cycleval.convex import Perturbed
+    from cycleval.cycles import pullback_degree
+    from cycleval.quadrature import Ellipse
+
+    n = 2
+    tau = Form(n, 2, {(2, 3): CoefficientFn.bump(
+        n, ball_bump(n, 2), Poly.const(4, 1) + Poly.monomial(4, (0, 0, 1, 0), Q(1, 2)))})
+    tau = tau + Form(n, 2, {(0, 1): CoefficientFn.bump(
+        n, ball_bump(n, 2), Poly.monomial(4, (1, 0, 0, 1), Q(1, 3)))})
+    wide = ((Q(-3), Q(3)),) * 2
+    psi = SmoothField(CoefficientFn.from_poly(
+        n, Poly.monomial(4, (3, 0, 0, 0), Q(1, 6)) + Poly.monomial(4, (0, 2, 0, 0), Q(1, 3)),
+        box=wide))
+    f = Quadratic([[2, 1], [1, 2]])
+    calls = []
+    real = lab.eval_smooth
+
+    def eval_smooth(g, forms, domain=None, **kw):
+        calls.append((g, domain))
+        return real(g, forms, domain, **kw)
+
+    monkeypatch.setattr(lab, "eval_smooth", eval_smooth)
+    rep = first_variation_check(Valuation(tau), f, psi)
+    perturbed = {domain for g, domain in calls if isinstance(g, Perturbed)}
+    assert len(calls) == 7 and len(perturbed) == 1
+    M = tau.support_domain().M
+    probe = Perturbed(f, psi, 0.01, window=0.01, box=tau.support_box(), check=False)
+    assert probe.gradient_degree == 2
+    assert perturbed == {Ellipse(M, pullback_degree(probe, tau))}
+    assert [domain for g, domain in calls if g is f] == [Ellipse(M)]
+    assert abs(rep.order - 2.0) < 0.2 and rep.residual < 1e-5 * rep.scale
+
+
+def test_hessian_cross_check_sides_on_two_angle_exact_rules(monkeypatch):
+    # at n = 2 and 3 both sides of the Hessian cross-check run on an
+    # ellipse rule of known degree, the direct side on one of a larger
+    # degree, so the two sides compare two node sets
+    from cycleval import quadrature
+    from cycleval.quadrature import Ellipse
+
+    rules = []
+    real = quadrature._rule
+
+    def rule(domain):
+        rules.append(domain)
+        return real(domain)
+
+    monkeypatch.setattr(quadrature, "_rule", rule)
+    rng = np.random.default_rng(17)
+    for n, k in ((2, 1), (3, 0), (3, 2)):
+        B = CoefficientFn.bump(n, ball_bump(n, Q(3, 2)),
+                               Poly.const(2 * n, 1) + Poly.variable(2 * n, 0).scale(Q(1, 2)))
+        spec = MixedDiscriminantSpec(n, k, B, [_rand_sym(rng, n) for _ in range(n - k)])
+        f = Quadratic(_rand_pd(rng, n))
+        rules.clear()
+        direct = hessian_valuation(spec, f)
+        via = float(evaluate([Valuation(hessian_form(spec))], [f])[0][0].value)
+        (d_rule,), (v_rule,) = rules[:1], rules[1:]
+        assert isinstance(d_rule, Ellipse) and isinstance(v_rule, Ellipse)
+        assert d_rule.M == v_rule.M and (d_rule.degree, v_rule.degree) == (3, 1)
+        assert via == pytest.approx(direct, rel=1e-12), (n, k)
+
+
+def test_3d_bump_forms_on_the_spherical_rule_agree_with_the_box_pair():
+    # a 3-D form on one bump matrix, on functions whose gradient is a
+    # polynomial, runs on the ellipsoid rule of its pullback degree: within
+    # the 32^3 / 48^3 box pair's estimate of that pair's value, with an
+    # estimate of its own far below
+    from cycleval.cycles import eval_smooth, pullback_degree
+    from cycleval.lab import _rand_pd_matrix
+
+    rng = np.random.default_rng(19)
+    A = _rand_pd_matrix(rng, 3)
+    functions = [Quadratic(A, [Q(1, 4), Q(-1, 3), 0]), Shifted(Quadratic(A), [Q(1, 2), 0, 1], 1),
+                 SmoothCatalog("quartic", 3)]
+    for tau in [random_bump_form(rng, 3, degree=3, nterms=3) for _ in range(2)]:
+        box = tau.support_box()
+        for f in functions:
+            assert pullback_degree(f, tau) is not None
+            got = evaluate([Valuation(tau)], [f])[0][0]
+            pair = eval_smooth(f, [tau], domain=box)[0]
+            scale = max(1.0, abs(pair.value))
+            assert abs(got.value - pair.value) <= pair.error + 1e-12 * scale
+            assert got.error <= 1e-3 * pair.error + 1e-12 * scale
+
+
 def integral_against_density(f, phi):
     """int f phi dx over the support box of phi, by quadrature."""
     box = phi.support_box()

@@ -231,3 +231,68 @@ def test_polar_degree_rule_is_exact_in_the_angle():
             assert abs(got.error - plain.error) <= 1e-14
     assert _kept_ellipse_rule.cache_info().currsize == plain_kept
     assert _kept_polar_rule.cache_info().currsize >= 5
+
+
+def test_spherical_degree_rule_is_exact_in_the_angles():
+    # a skew 3-D bump times x^a y^b z^c, a + b + c <= D <= 6, on the
+    # ellipsoid rule of degree D: within 1e-9 of a 96^3 box reference,
+    # within the 32^3 / 48^3 box pair's own estimate, and with an estimate
+    # of rounding, as the radial pair resolves the bump
+    M = ((Q(2), Q(1, 3), Q(-1, 4)), (Q(1, 3), Q(1), Q(1, 5)), (Q(-1, 4), Q(1, 5), Q(3, 2)))
+    Mf = np.array(M, dtype=float)
+    box = [(-h, h) for h in np.sqrt(np.diag(np.linalg.inv(Mf)))]
+    top = 6
+
+    def bump(p):
+        q = 1.0 - sum(p[:, i] * (Mf[i] * p).sum(axis=1) for i in range(3))
+        inside = q > 0
+        out = np.zeros(p.shape[0])
+        out[inside] = np.exp(1.0 - 1.0 / q[inside])
+        return out
+
+    def box_moments(order):
+        # every moment of degree <= top on one tensor rule, by running products
+        pts, wts = box_nodes(box, order)
+        x, y, z = pts.T
+        out, wa = {}, wts * bump(pts)
+        for a in range(top + 1):
+            wab = wa
+            for b in range(top + 1 - a):
+                wabc = wab
+                for c in range(top + 1 - a - b):
+                    out[a, b, c] = float(np.add.reduce(wabc))
+                    wabc = wabc * z
+                wab = wab * y
+            wa = wa * x
+        return out
+
+    ref, coarse, fine = (box_moments(order) for order in (96,) + ORDERS[3])
+    for degree in range(top + 1):
+        domain = Ellipse(M, degree)
+        polar = degree // 2 + 1
+        assert domain.orders == tuple((radii, polar, degree + 1) for radii, _ in ELLIPSE_ORDERS)
+        for g in ref:
+            if sum(g) > degree:
+                continue
+
+            def fn(p):
+                return bump(p) * p[:, 0] ** g[0] * p[:, 1] ** g[1] * p[:, 2] ** g[2]
+
+            got = integrate(fn, [domain])
+            assert abs(got.value - ref[g]) <= 1e-9, (degree, g)
+            assert abs(got.value - fine[g]) <= abs(fine[g] - coarse[g]) + 1e-15, (degree, g)
+            assert got.error <= 1e-12, (degree, g)
+
+
+def test_spherical_rule_sizes_and_its_need_of_a_degree():
+    # 56 + 64 radii times ceil((D + 1) / 2) polar nodes times D + 1
+    # azimuths; a 3-D ellipse without a degree has no rule
+    M = ((Q(1), Q(0), Q(0)), (Q(0), Q(2), Q(0)), (Q(0), Q(0), Q(3)))
+    for degree, nodes in ((1, 240), (2, 720)):
+        domain = Ellipse(M, degree)
+        assert sum(len(domain.nodes(orders)[1]) for orders in domain.orders) == nodes
+    with np.testing.assert_raises(ValueError):
+        Ellipse(M)
+    # the volume of the ellipsoid, 4 pi / 3 / sqrt(det M), to rounding
+    got = integrate(lambda p: np.ones(p.shape[0]), [Ellipse(M, 0)])
+    assert abs(got.value - 4.0 * math.pi / 3.0 / math.sqrt(6.0)) <= 1e-14
