@@ -335,10 +335,13 @@ class CompiledBatch:
     A node block costs that table and, per group, one weight column (its
     ``w[key]`` times its bump factors) that scales the group's polynomial
     rows before they are added to their result rows; a selection of rows
-    costs the part of the table and the groups that it uses.  The bump factors and
-    the polynomial rows of bump groups in x alone depend on the x nodes
-    only: they are kept in the block's :class:`EvalCache`, which the calls
-    on one node block may share.
+    costs the part of the table and the groups that it uses.  The table is
+    scheduled: each of its rows is computed just before the first group
+    that reads it or a row computed from it, and its slot is reused after
+    the last, so a block holds only the live rows, never the whole table.
+    The bump factors and the polynomial rows of bump groups in x alone
+    depend on the x nodes only: they are kept in the block's
+    :class:`EvalCache`, which the calls on one node block may share.
 
     A result row depends only on its own pieces, never on the other rows
     of the batch: groups are taken in a fixed order (by key, then
@@ -388,42 +391,60 @@ class CompiledBatch:
                 (r, sorted(rows[r]),
                  bool(sig) and not any(any(order[k][n:]) for k, _ in rows[r]))
                 for r in sorted(rows)]))
-        # rows selected (None for all) -> (steps, groups) of add_to
-        self._plans: dict = {None: (self._steps, [
-            (g, key, sig, [(r, r, terms, x_only) for r, terms, x_only in group_rows])
-            for g, (key, sig, group_rows) in enumerate(self._groups)])}
+        self._plans: dict = {}  # rows selected (None for all) -> plan of add_to
 
     def _plan(self, rows) -> tuple:
-        """``(steps, groups)`` of :meth:`add_to` for the rows ``rows``, a
-        tuple, or None for all: each group is ``(index, key, signature,
-        [(row, slot in out, terms, x-only)])`` with its rows selected.  The
-        table keeps the exponents that the selected terms use and their
-        parents, in the full table's order, so each table row, and each
-        result row, has the bits of the full batch."""
+        """``(width, groups)`` of :meth:`add_to` for the rows ``rows``, a
+        tuple, or None for all: ``width`` table slots, and each group
+        ``(index, key, signature, steps, [(row, slot in out, terms,
+        x-only)])`` with its rows selected.  ``steps`` ``(slot, parent slot,
+        variable)`` compute, in the full table's order, the table rows that
+        the group is the first to need (the constant row has parent slot
+        None); ``terms`` are ``(slot, coefficient)``.  Each table row is the
+        same chain of products as in the full table, so it has the same
+        bits, and so has each result row."""
         plan = self._plans.get(rows)
-        if plan is None:
-            slot = {r: k for k, r in enumerate(rows)}
-            kept = [(g, key, sig, [(r, slot[r], terms, x_only)
-                                   for r, terms, x_only in group_rows if r in slot])
-                    for g, (key, sig, group_rows) in enumerate(self._groups)]
-            kept = [group for group in kept if group[3]]
-            used = set()
-            todo = [k for *_, group_rows in kept for _, _, terms, _ in group_rows
-                    for k, _ in terms]
-            while todo:
-                k = todo.pop()
-                if k not in used:
-                    used.add(k)
-                    if k:
-                        todo.append(self._steps[k - 1][0])
-            columns = sorted(used)
-            new = {k: i for i, k in enumerate(columns)}
-            steps = [(new[parent], var) for parent, var in
-                     (self._steps[k - 1] for k in columns[1:])]
-            plan = self._plans[rows] = (steps, [
-                (g, key, sig, [(r, k, [(new[c], v) for c, v in terms], x_only)
-                               for r, k, terms, x_only in group_rows])
-                for g, key, sig, group_rows in kept])
+        if plan is not None:
+            return plan
+        slot = None if rows is None else {r: k for k, r in enumerate(rows)}
+        kept = []
+        for g, (key, sig, group_rows) in enumerate(self._groups):
+            chosen = [(r, r if slot is None else slot[r], terms, x_only)
+                      for r, terms, x_only in group_rows if slot is None or r in slot]
+            if chosen:
+                kept.append((g, key, sig, chosen))
+        # the first group to need each table row, and the last to read it
+        # or to compute a row from it
+        first, last = {}, {}
+        for t, (*_, group_rows) in enumerate(kept):
+            for _, _, terms, _ in group_rows:
+                for k, _ in terms:
+                    last[k] = t
+                    while k not in first:
+                        first[k] = t
+                        if not k:
+                            break
+                        k = self._steps[k - 1][0]
+                        last[k] = t
+        starts = [[] for _ in kept]
+        ends = [[] for _ in kept]
+        for k in sorted(first):
+            starts[first[k]].append(k)
+            ends[last[k]].append(k)
+        width, free, where, groups = 0, [], {}, []
+        for t, (g, key, sig, group_rows) in enumerate(kept):
+            steps = []
+            for k in starts[t]:
+                where[k] = free.pop() if free else width
+                width = max(width, where[k] + 1)
+                parent, var = self._steps[k - 1] if k else (None, None)
+                steps.append((where[k], None if parent is None else where[parent], var))
+            groups.append((g, key, sig, steps,
+                           [(r, s, [(where[k], c) for k, c in terms], x_only)
+                            for r, s, terms, x_only in group_rows]))
+            for k in ends[t]:
+                free.append(where[k])
+        plan = self._plans[rows] = (width, groups)
         return plan
 
     def add_to(self, out: np.ndarray, Z: np.ndarray, weights: dict,
@@ -441,18 +462,20 @@ class CompiledBatch:
         one node block of the graphs of a battery, may share it, whatever
         rows they select.
         """
-        steps, groups = self._plan(None if rows is None else tuple(rows))
+        width, groups = self._plan(None if rows is None else tuple(rows))
         if not groups:
             return
-        table = np.empty((len(steps) + 1, Z.shape[1]))
-        table[0] = 1.0
-        for i, (parent, var) in enumerate(steps, 1):
-            np.multiply(table[parent], Z[var], out=table[i])
+        table = np.empty((width, Z.shape[1]))
         if cache is None:
             cache = EvalCache()
         X = Z[:self.n].T
         term = np.empty(Z.shape[1])
-        for g, key, sig, group_rows in groups:
+        for g, key, sig, steps, group_rows in groups:
+            for k, parent, var in steps:
+                if parent is None:
+                    table[k] = 1.0
+                else:
+                    np.multiply(table[parent], Z[var], out=table[k])
             w = weights[key]
             for f in sig:
                 w = w * cache.factor(f, X)

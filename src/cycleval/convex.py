@@ -337,8 +337,10 @@ class LogSumExp(ConvexFunction):
         # beta * (E[a a^T] - E[a] E[a]^T) under the softmax weights
         aa = (a[:, :, None] * a[:, None, :]).reshape(len(a), n * n)
         second = (aa.T @ w).reshape(n, n, -1)
-        outer = mean[:, None, :] * mean[None, :, :]
-        return (self.beta * (second - outer)).transpose(2, 0, 1)
+        for i in range(n):
+            second[i] -= mean[i] * mean
+        second *= self.beta
+        return second.transpose(2, 0, 1)
 
     def jet(self, X):
         """Both oracles on one softmax and one mean, the gradient."""
@@ -752,6 +754,18 @@ class ConvexBody:
         return type(self).__name__
 
 
+def _ellipsoid_hessian(M: np.ndarray, h: np.ndarray, MU: np.ndarray) -> np.ndarray:
+    """M / h - (M u)(M u)^T / h^3 at each node, k x k for the k columns of
+    ``MU``, in one (N, k, k) array: each entry as the broadcast expression
+    gives it."""
+    H = outer(MU, MU)
+    H /= (h ** 3)[:, None, None]
+    for i in range(H.shape[1]):
+        for j in range(H.shape[2]):
+            np.subtract(M[i, j] / h, H[:, i, j], out=H[:, i, j])
+    return H
+
+
 class EllipsoidBody(ConvexBody):
     """h(u) = sqrt(u^T M u) for symmetric positive definite M."""
 
@@ -772,16 +786,15 @@ class EllipsoidBody(ConvexBody):
 
     def hess_h_array(self, U):
         h = self.h_array(U)
-        MU = U @ self.M.T
-        return self.M[None, :, :] / h[:, None, None] - outer(MU, MU) / (h ** 3)[:, None, None]
+        return _ellipsoid_hessian(self.M, h, U @ self.M.T)
 
     def leading_jet(self, U, k):
         """One h and one M U for both blocks, each entry computed as in
         ``grad_h_array`` and ``hess_h_array``."""
         h = self.h_array(U)
         MU = (U @ self.M.T)[:, :k]
-        return (MU / h[:, None],
-                self.M[None, :k, :k] / h[:, None, None] - outer(MU, MU) / (h ** 3)[:, None, None])
+        return MU / h[:, None], _ellipsoid_hessian(self.M, h, MU)
+
 
     def gauge_bound(self):
         return math.sqrt(float(np.linalg.eigvalsh(self.M).max())) + 1e-12

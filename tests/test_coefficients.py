@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
-from cycleval.coefficients import BumpFactor, CoefficientFn, CompiledBatch, ball_bump
+from cycleval.coefficients import BumpFactor, CoefficientFn, CompiledBatch, EvalCache, ball_bump
 from cycleval.forms import exterior_derivative, linear_lift
 from cycleval.lab import random_bump_form
 from cycleval.polynomials import Poly
@@ -309,6 +309,83 @@ def test_compiled_batch_equals_separate_calls():
             alone = np.zeros((1, len(pts)))
             CompiledBatch(n, [(0, None, c, 1)]).add_to(alone, Z, {None: 1.0})
             assert np.array_equal(alone[0], together[row])
+
+
+def _full_table_add_to(batch, out, Z, weights, rows=None):
+    """``add_to`` on the whole monomial table, computed at once before the
+    first group: the evaluation that the scheduled table replaced."""
+    table = np.empty((len(batch._steps) + 1, Z.shape[1]))
+    table[0] = 1.0
+    for i, (parent, var) in enumerate(batch._steps, 1):
+        np.multiply(table[parent], Z[var], out=table[i])
+    slot = {r: r for r in range(len(out))} if rows is None else {r: k for k, r in enumerate(rows)}
+    X = Z[:batch.n].T
+    for key, sig, group_rows in batch._groups:
+        w = weights[key]
+        for f in sig:
+            w = w * EvalCache().factor(f, X)
+        for r, terms, _ in group_rows:
+            if r in slot:
+                (k, c), *rest = terms
+                vals = table[k] * c
+                for k, c in rest:
+                    vals += table[k] * c
+                out[slot[r]] += vals * w
+
+
+def _largest_live_count(batch, rows=None) -> int:
+    """The most table rows live at one group: a row lives from the first
+    group that reads it or a row computed from it to the last group that
+    reads it or first needs a row computed from it."""
+    reads = [[k for r, terms, _ in group_rows if rows is None or r in rows for k, _ in terms]
+             for _, _, group_rows in batch._groups]
+    reads = [ks for ks in reads if ks]
+    first, last = {}, {}
+    for t, ks in enumerate(reads):
+        for k in ks:
+            last[k] = t
+            chain = [k]
+            while chain[-1]:
+                chain.append(batch._steps[chain[-1] - 1][0])
+            for a in chain:
+                first.setdefault(a, t)
+    for k, t in first.items():
+        if k:
+            parent = batch._steps[k - 1][0]
+            last[parent] = max(last.get(parent, t), t)
+    return max((sum(first[k] <= t <= last[k] for k in first) for t in range(len(reads))),
+               default=0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_scheduled_table_equals_the_full_table_bitwise(n):
+    # random batches over three weight keys, with polynomial rows in x alone
+    # beside bump factors; every selection of rows shares one EvalCache, and
+    # holds only the live table rows
+    rng = np.random.default_rng(60 + n)
+    pts = _eval_nodes(n, rng)
+    Z = np.ascontiguousarray(pts.T)
+    A = ball_bump(n, 2).M
+    shrunk = False
+    for trial in range(4):
+        coeffs = list(_eval_cases(n, rng)) + [
+            CoefficientFn(n, {(BumpFactor(A, 1, k % 2),): _random_poly(rng, n, 5).extend(2 * n)})
+            for k in range(2)]
+        pieces = [(int(rng.integers(0, 5)), int(rng.integers(0, 3)), c, int(rng.choice([-1, 1])))
+                  for c in coeffs for _ in range(2)]
+        batch = CompiledBatch(n, pieces)
+        weights = {key: rng.normal(size=len(pts)) for key in batch.keys}
+        cache = EvalCache()
+        for rows in (None, (4, 1), (2,), (0, 3, 1, 4, 2)):
+            got = np.zeros((5 if rows is None else len(rows), len(pts)))
+            want = np.zeros_like(got)
+            batch.add_to(got, Z, weights, cache, rows)
+            _full_table_add_to(batch, want, Z, weights, rows)
+            assert np.array_equal(got, want)
+            width = batch._plan(rows)[0]
+            assert width == _largest_live_count(batch, rows)
+            shrunk = shrunk or width < len(batch._steps) + 1
+    assert shrunk
 
 
 # -- diff against the per-atom loop it replaced ---------------------------------------

@@ -547,6 +547,38 @@ def test_body_oracles_match_einsum_bitwise(m):
                           + U @ q._bf + q._cf)
 
 
+def test_in_place_oracles_equal_the_expressions_they_replace():
+    # the ellipsoid's and the log-sum-exp's Hessians build one (N, k, k)
+    # array in place, with the bits of the broadcast expressions below
+    rng = np.random.default_rng(31)
+    for m in (2, 3, 4):
+        K = EllipsoidBody(_rand_psd(rng, m, 0.5))
+        U = rng.normal(size=(500, m))
+        h = K.h_array(U)
+        MU = U @ K.M.T
+        want = K.M[None, :, :] / h[:, None, None] - outer(MU, MU) / (h ** 3)[:, None, None]
+        assert np.array_equal(K.hess_h_array(U), want)
+        for k in range(1, m + 1):
+            MUk = MU[:, :k]
+            Y, H = K.leading_jet(U, k)
+            assert np.array_equal(Y, MUk / h[:, None])
+            assert np.array_equal(H, K.M[None, :k, :k] / h[:, None, None]
+                                  - outer(MUk, MUk) / (h ** 3)[:, None, None])
+    for n in (1, 2, 3):
+        pieces = [(rng.normal(size=n).round(3), float(rng.normal())) for _ in range(5)]
+        lse = LogSumExp(MaxAffine(pieces), 7.0)
+        X = rng.uniform(-2, 2, size=(500, n))
+        w = lse._weights(X).T
+        a = lse.base._af
+        mean = a.T @ w
+        aa = (a[:, :, None] * a[:, None, :]).reshape(len(a), n * n)
+        second = (aa.T @ w).reshape(n, n, -1)
+        products = mean[:, None, :] * mean[None, :, :]
+        want = (lse.beta * (second - products)).transpose(2, 0, 1)
+        assert np.array_equal(lse.hessian_array(X), want)
+        assert np.array_equal(lse.jet(X)[1], want)
+
+
 def test_scaled_constant_hessian_stays_broadcast():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(64, 2))
