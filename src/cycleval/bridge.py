@@ -13,7 +13,8 @@ The form's coefficients are compiled once into a coefficients.CompiledBatch
 weighted by the Jacobian determinant of each ``(I, J)`` term: the same
 batched coefficient evaluator as the gradient-graph integrand, so the
 cross-validation covers the two geometric chains, not that evaluator.  As
-there, the nodes are evaluated in blocks of ``_NODE_BLOCK``.
+there, quadrature.integrate hands the integrand one node block at a time,
+so the chart, oracle and Jacobian arrays are those of one block.
 
 Orientation: the chart domain carries the standard orientation; the sign is
 pinned by the unit-ball / constant-volume-form case.
@@ -30,7 +31,7 @@ from .convex import ConvexBody, body_restriction, node_matmul, outer
 from .cycles import eval_smooth
 from .exactla import det
 from .forms import Form
-from .quadrature import _NODE_BLOCK, EvalResult, integrate
+from .quadrature import EvalResult, integrate
 
 
 @dataclass
@@ -110,20 +111,18 @@ def conormal_eval(K: ConvexBody, tau: Form) -> EvalResult:
     batch = CompiledBatch(n, pieces)
 
     def integrand(Z: np.ndarray) -> np.ndarray:
+        U = chart.point(Z)
+        dU = chart.jacobian(Z)
+        X = qmap.project(U)
+        dX = qmap.project_jacobian(U, dU)
+        Y = K.grad_h_array(U)[:, :n]
+        dY = node_matmul(K.hess_h_array(U)[:, :n, :], dU)  # the n rows read
+        dets = {}
+        for I, J in batch.keys:
+            rows = [dX[:, i, :] for i in I] + [dY[:, j, :] for j in J]
+            dets[I, J] = det([[r[:, c] for c in range(n)] for r in rows])
         out = np.zeros((1, Z.shape[0]))
-        for start in range(0, Z.shape[0], _NODE_BLOCK):
-            block = Z[start:start + _NODE_BLOCK]
-            U = chart.point(block)
-            dU = chart.jacobian(block)
-            X = qmap.project(U)
-            dX = qmap.project_jacobian(U, dU)
-            Y = K.grad_h_array(U)[:, :n]
-            dY = node_matmul(K.hess_h_array(U)[:, :n, :], dU)  # the n rows read
-            dets = {}
-            for I, J in batch.keys:
-                rows = [dX[:, i, :] for i in I] + [dY[:, j, :] for j in J]
-                dets[I, J] = det([[r[:, c] for c in range(n)] for r in rows])
-            batch.add_to(out[:, start:start + _NODE_BLOCK], np.concatenate([X.T, Y.T]), dets)
+        batch.add_to(out, np.concatenate([X.T, Y.T]), dets)
         return out[0]
 
     return integrate(integrand, [domain])

@@ -62,7 +62,6 @@ from .exactla import det
 from .forms import FREE_PARAMETERS, NO_SUPPORT, Form, merge_sign
 from .polynomials import Q, _unpack, field_sum
 from .quadrature import (
-    _NODE_BLOCK,
     ELLIPSE_ORDERS,
     Ellipse,
     EvalResult,
@@ -176,32 +175,29 @@ def graph_pullback_integrand(f: ConvexFunction, forms: Sequence[Form],
 
     ``batch`` is ``pullback_batch(forms)``, compiled here by default, or a
     batch compiled from more forms, in which ``forms`` are the ``rows``:
-    the other rows cost nothing.  The
-    nodes are evaluated in blocks of ``_NODE_BLOCK``; each block costs one
-    ``f.jet`` call (gradient and Hessian), one minor per ``(J, Ic)`` and one
-    monomial table for all forms, and each row equals the integrand of its
-    form alone bit for bit.  With ``caches``, a mapping such as
-    ``defaultdict(EvalCache)``, the i-th block of the integrand's calls, in
-    order, reads and fills the coefficients.EvalCache ``caches[i]``, so the
-    integrands of a battery share the x-only work of each block: they must
-    be called on the same nodes in the same order, as on one support domain.
+    the other rows cost nothing.  A call evaluates its nodes as one block,
+    and quadrature.integrate hands it one node block at a time: a call
+    costs one ``f.jet`` (gradient and Hessian), one minor per ``(J, Ic)``
+    and the live rows of one monomial table for all forms, and each row
+    equals the integrand of its form alone bit for bit.  With ``caches``, a
+    mapping such as ``defaultdict(EvalCache)``, the i-th call of the
+    integrand reads and fills the coefficients.EvalCache ``caches[i]``, so
+    the integrands of a battery share the x-only work of each block: they
+    must be called on the same nodes in the same order, as on one support
+    domain.
     """
     if batch is None:
         batch = pullback_batch(forms)
-    blocks = count()
+    calls = count()
 
     def integrand(X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
+        Y, H = f.jet(X)
+        H = unbroadcast(H)
+        minors = {(J, Ic): det([[H[:, r, c] for c in Ic] for r in J]) for J, Ic in batch.keys}
         out = np.zeros((len(forms), X.shape[0]))
-        for start in range(0, X.shape[0], _NODE_BLOCK):
-            block = X[start:start + _NODE_BLOCK]
-            Y, H = f.jet(block)
-            H = unbroadcast(H)
-            minors = {(J, Ic): det([[H[:, r, c] for c in Ic] for r in J])
-                      for J, Ic in batch.keys}
-            batch.add_to(out[:, start:start + _NODE_BLOCK],
-                         np.concatenate([block.T, Y.T]), minors,
-                         None if caches is None else caches[next(blocks)], rows)
+        batch.add_to(out, np.concatenate([X.T, Y.T]), minors,
+                     None if caches is None else caches[next(calls)], rows)
         return out
 
     return integrand

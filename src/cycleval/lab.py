@@ -68,7 +68,7 @@ from .forms import (
 )
 from .polyhedral import build_polyhedral, eval_polyhedral, window_for
 from .polynomials import Poly, Q, _as_fraction
-from .quadrature import _NODE_BLOCK, EvalResult, integrate
+from .quadrature import EvalResult, integrate
 from .rumin import RuminResult, rumin_d
 
 
@@ -597,7 +597,7 @@ class MixedDiscriminantSpec:
 
 def hessian_valuation(spec: MixedDiscriminantSpec, f: ConvexFunction) -> float:
     """Quadrature of B(x) det(D^2 f(x)[k], A_1..A_{n-k}) over B's support
-    domain, the nodes streamed in blocks of ``_NODE_BLOCK``; a constant
+    domain, on the node blocks of quadrature.integrate; a constant
     Hessian's mixed discriminant is computed once per block.
 
     The integrand is the graph pullback of :func:`hessian_form`; on a
@@ -613,14 +613,9 @@ def hessian_valuation(spec: MixedDiscriminantSpec, f: ConvexFunction) -> float:
     A_float = [[[float(v) for v in row] for row in m] for m in spec.A]
 
     def fn(pts):
-        out = np.empty(pts.shape[0])
-        for start in range(0, pts.shape[0], _NODE_BLOCK):
-            block = pts[start:start + _NODE_BLOCK]
-            H = unbroadcast(f.hessian_array(block))
-            Hrows = [[H[:, p, q] for q in range(n)] for p in range(n)]
-            out[start:start + _NODE_BLOCK] = (
-                spec.B.eval_x_array(block) * polarized_det([Hrows] * k + A_float))
-        return out
+        H = unbroadcast(f.hessian_array(pts))
+        Hrows = [[H[:, p, q] for q in range(n)] for p in range(n)]
+        return spec.B.eval_x_array(pts) * polarized_det([Hrows] * k + A_float)
 
     return integrate(fn, [rule]).value
 

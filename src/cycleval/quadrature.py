@@ -20,10 +20,13 @@ domain kind owns its rule and its pass pair, the coarse and the fine order:
   collapsed Gauss-Legendre rule of segments and triangles, ``simplex_nodes``.
 
 A pass gathers the nodes of consecutive domains until they reach
-``_NODE_BLOCK`` and evaluates them in one call, so one domain is one call.
-The fine pass gives the value, its distance from the coarse pass the error
-estimate (``two_pass``).  A lone box, plain or polynomial, goes through
-``integrate_box``, the entry of every box integral.
+``_NODE_BLOCK``, hands them to the integrand in blocks of ``_NODE_BLOCK``
+nodes and adds the sums of the blocks in order: an integrand never sees
+more than one block, so the arrays it builds are bounded by the block, and
+a domain of at most one block is one call.  The fine pass gives the value,
+its distance from the coarse pass the error estimate (``two_pass``).  A
+lone box, plain or polynomial, goes through ``integrate_box``, the entry
+of every box integral.
 
 Every Gauss-Legendre rule comes from ``gl_interval``, which reads the orders
 the rules name from a table shipped with the package, ``gauss_legendre.json``.
@@ -129,10 +132,11 @@ ELLIPSE_ORDERS = ((56, 112), (64, 128))
 # refinement.
 CELL_ORDERS = (64, 88)
 
-# Nodes per block: a pass evaluates consecutive domains together until a
-# block holds this many nodes, and a graph-pullback integrand evaluates its
-# nodes in blocks of this size.  It keeps the call count low and the
-# per-block arrays, the monomial table above all, and so peak memory bounded.
+# Nodes per block: a pass gathers consecutive domains until they hold this
+# many nodes and hands them to the integrand in blocks of this size, the
+# one block loop of every integral.  It keeps the call count low and the
+# integrands' arrays, the live rows of a monomial table above all, and so
+# peak memory bounded.
 _NODE_BLOCK = 4096
 
 
@@ -471,27 +475,32 @@ def two_pass(fn, domains: list) -> EvalResult | list:
 def _one_pass(fn, rules, k: int):
     """Weighted sum of ``fn`` over the nodes of each rule at its ``k``-th
     order, a float or one per row: node sets are gathered until they hold
-    ``_NODE_BLOCK`` nodes, then evaluated in one call."""
-    total, block, count = None, [], 0
+    ``_NODE_BLOCK`` nodes, the gathered nodes are handed to ``fn`` in blocks
+    of ``_NODE_BLOCK``, and the sums of the blocks are added in order.  The
+    sums are numpy's pairwise ones, not a BLAS dot, whose order of
+    summation follows the BLAS thread count."""
+    total, gathered, count = None, [], 0
     for nodes, orders in rules:
         node_set = nodes(orders[k])
         if node_set is not None:
-            block.append(node_set)
+            gathered.append(node_set)
             count += len(node_set[1])
         if count >= _NODE_BLOCK:
-            total, block, count = _add_block(total, fn, block), [], 0
-    return _add_block(total, fn, block) if block else total
+            total, gathered, count = _add_blocks(total, fn, gathered), [], 0
+    return _add_blocks(total, fn, gathered) if gathered else total
 
 
-def _add_block(total, fn, node_sets):
+def _add_blocks(total, fn, node_sets):
     """``total`` (None at first) plus the weighted sum of ``fn``, or of each
-    of its rows, on the node sets, evaluated in one call.  The sums are
-    numpy's pairwise ones, not a BLAS dot, whose order of summation
-    follows the BLAS thread count."""
+    of its rows, on each block of the node sets, block by block."""
     pts, wts = node_sets[0] if len(node_sets) == 1 else map(np.concatenate, zip(*node_sets))
-    vals = fn(pts)
-    if np.ndim(vals) < 2:
-        part = float(np.add.reduce(wts * vals))
-        return part if total is None else total + part
-    parts = [float(np.add.reduce(wts * row)) for row in vals]
-    return parts if total is None else [t + p for t, p in zip(total, parts)]
+    for start in range(0, len(wts), _NODE_BLOCK):
+        vals = fn(pts[start:start + _NODE_BLOCK])
+        w = wts[start:start + _NODE_BLOCK]
+        if np.ndim(vals) < 2:
+            part = float(np.add.reduce(w * vals))
+            total = part if total is None else total + part
+        else:
+            parts = [float(np.add.reduce(w * row)) for row in vals]
+            total = parts if total is None else [t + p for t, p in zip(total, parts)]
+    return total

@@ -198,26 +198,35 @@ def _all_nodes_integrand(K, tau):
 
 
 def test_conormal_integrand_in_blocks_equals_all_nodes_bitwise(monkeypatch):
-    # the chart, oracle and determinant chain runs per node block, and each
-    # node's value is that of the whole node set at once, bit for bit
+    # quadrature.integrate hands the chart, oracle and determinant chain one
+    # node block at a time, and each node's value is that of the whole node
+    # set at once, bit for bit
     from cycleval import bridge
     from cycleval.quadrature import _NODE_BLOCK
 
     rng = np.random.default_rng(51)
-    captured = []
+    calls = []
     real = bridge.integrate
 
     def integrate(fn, domains):
-        captured.append(fn)
-        return real(fn, domains)
+        def recorded(Z):
+            out = fn(Z)
+            calls.append((np.array(Z), out))
+            return out
+
+        return real(recorded, domains)
 
     monkeypatch.setattr(bridge, "integrate", integrate)
     for n in (1, 2):
         G = rng.normal(size=(n + 1, n + 1))
         K = EllipsoidBody(G @ G.T + 0.5 * np.eye(n + 1))
         tau = random_bump_form(rng, n, degree=n, nterms=3)
-        captured.clear()
+        calls.clear()
         bridge.conormal_eval(K, tau)
-        Z = rng.uniform(-2.0, 2.0, size=(3 * _NODE_BLOCK + 7, n))
-        got, want = captured[0](Z), _all_nodes_integrand(K, tau)(Z)
+        assert all(len(Z) <= _NODE_BLOCK for Z, _ in calls)
+        # the plain ellipse passes of 6,272 and 8,192 nodes take two blocks each
+        assert len(calls) == (2 if n == 1 else 4)
+        Z = np.concatenate([Z for Z, _ in calls])
+        got = np.concatenate([out for _, out in calls])
+        want = _all_nodes_integrand(K, tau)(Z)
         assert got.tobytes() == want.tobytes() and np.abs(want).max() > 0

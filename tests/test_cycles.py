@@ -493,7 +493,8 @@ def _battery_forms(n, rng):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_compiled_integrand_matches_per_piece_reference(n):
-    from cycleval.cycles import _NODE_BLOCK, graph_pullback_integrand
+    from cycleval.cycles import graph_pullback_integrand
+    from cycleval.quadrature import _NODE_BLOCK
 
     rng = np.random.default_rng(40 + n)
     forms = _battery_forms(n, rng)

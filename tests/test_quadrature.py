@@ -5,9 +5,11 @@ import numpy as np
 
 from cycleval.polynomials import dirichlet_moment
 from cycleval.quadrature import (
+    _NODE_BLOCK,
     ELLIPSE_ORDERS,
     ORDERS,
     Ellipse,
+    GradedSimplex,
     SimplexProduct,
     box_nodes,
     ellipse_nodes,
@@ -22,6 +24,7 @@ def integrate_ellipsoid(fn, M):
 
 
 def test_integrate_box_at_depth_zero_is_one_tensor_pass_pair():
+    # each pass is the sum of the pairwise sums of its node blocks, in order
     box = [(Q(-1), Q(1, 2)), (0.25, 2.0)]
 
     def fn(p):
@@ -29,13 +32,37 @@ def test_integrate_box_at_depth_zero_is_one_tensor_pass_pair():
 
     def one_pass(order):
         pts, wts = box_nodes(box, order)
-        return float(np.add.reduce(wts * fn(pts)))
+        total = 0.0
+        for start in range(0, len(wts), _NODE_BLOCK):
+            block = slice(start, start + _NODE_BLOCK)
+            total += float(np.add.reduce(wts[block] * fn(pts[block])))
+        return total
 
     order, refine = ORDERS[len(box)]
     coarse, fine = one_pass(order), one_pass(refine)
     got = integrate_box(fn, box)
     assert got.value == fine
     assert got.error == abs(fine - coarse)
+
+
+def test_integrand_never_gets_more_than_one_block():
+    # a 160^2 box, a 3-D box and a gather of graded triangles, as the ridge
+    # route integrates them: every call holds at most one block, and the
+    # calls of both passes cover every node once
+    triangles = [GradedSimplex(((0.0, 0.0), (1.0, k / 3), (1.0, (k + 1) / 3)), 0.05, (20, 28))
+                 for k in range(3)]
+    cases = [([[(-2.0, 2.0), (-1.0, 3.0)]], 128 ** 2 + 160 ** 2),
+             ([[(-1.0, 1.0)] * 3], 32 ** 3 + 48 ** 3),
+             (triangles, 3 * 6 * (20 ** 2 + 28 ** 2))]
+    for domains, total in cases:
+        sizes = []
+
+        def fn(p):
+            sizes.append(len(p))
+            return np.cos(p[:, 0]) * np.exp(-p[:, -1] ** 2)
+
+        integrate(fn, domains)
+        assert max(sizes) == _NODE_BLOCK and sum(sizes) == total
 
 
 def test_multi_row_integrand_at_depth_zero_equals_each_row():

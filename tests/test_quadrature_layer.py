@@ -29,6 +29,14 @@ def test_rules_and_passes_live_in_quadrature_alone():
     assert not stray, stray
 
 
+def test_node_block_is_named_in_quadrature_alone():
+    # one block loop, quadrature's, hands every integrand its nodes: no
+    # other module cuts nodes into blocks of its own
+    naming = sorted(path.stem for path in PACKAGE.glob("*.py")
+                    if "_NODE_BLOCK" in set(_names(ast.parse(path.read_text()))))
+    assert naming == ["quadrature"]
+
+
 def _strings(tree: ast.AST):
     return {node.value for node in ast.walk(tree)
             if isinstance(node, ast.Constant) and isinstance(node.value, str)}
