@@ -17,16 +17,17 @@ float coefficients (``pullback_batch``, a coefficients.CompiledBatch),
 once for a whole battery of functions; each block of nodes then costs one
 jet of f (gradient and Hessian, on one softmax for a log-sum-exp
 smoothing), one Hessian minor per minor that occurs, and one monomial
-table, whatever the number of forms.  The functions of a battery
-integrated over one support domain share one coefficients.EvalCache per
-node block, so its bump factors, and the rows of bump groups in x alone,
-are computed once for the battery.  One function, ``graph_rule``, chooses
-the rule of every graph integral.  When the gradient of f is a
-polynomial, the pullback of a form without bumps is a polynomial of a
-degree read off the form's exponents (``pullback_degree``), which the
-Gauss pass pair of that degree integrates exactly
-(quadrature.PolynomialBox), and that of a form whose bumps are those of
-one matrix, at n = 2 or 3, is a radial bump factor times such a
+table, whatever the number of forms.  The functions of a battery on one
+rule are integrated together (``eval_smooth`` of a list of functions):
+each node block is made once and handed to every function's integrand,
+and one coefficients.EvalCache per block, dropped with the block, holds
+its bump factors and the rows of bump groups in x alone for the battery.
+One function, ``graph_rule``, chooses the rule of every graph integral.
+When the gradient of f is a polynomial, the pullback of a form without
+bumps is a polynomial of a degree read off the form's exponents
+(``pullback_degree``), which the Gauss pass pair of that degree integrates
+exactly (quadrature.PolynomialBox), and that of a form whose bumps are
+those of one matrix, at n = 2 or 3, is a radial bump factor times such a
 polynomial, which the ellipse rule of that degree integrates exactly in
 the angles (quadrature.Ellipse); so is the weight of a Hessian valuation
 and a coefficient on the zero section.  A batch evaluates any selection
@@ -44,12 +45,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import count
 from typing import Sequence
 
 import numpy as np
 
-from .coefficients import CoefficientFn, CompiledBatch, SupportError
+from .coefficients import CoefficientFn, CompiledBatch, EvalCache, SupportError
 from .convex import (
     ConvexFunction,
     MaxAffine,
@@ -67,9 +67,8 @@ from .quadrature import (
     EvalResult,
     GradedSimplex,
     PolynomialBox,
-    box_nodes,
-    ellipse_nodes,
     integrate,
+    node_blocks,
     sum_parts,
 )
 
@@ -166,8 +165,27 @@ def graph_rule(f: ConvexFunction | None, integrand: Form | CoefficientFn, domain
     return Ellipse(M, degree + margin)
 
 
+class BlockCache:
+    """The coefficients.EvalCache of the node block at hand, for the
+    integrands of a battery that quadrature.integrate calls on the same
+    blocks: called with a block's node array, it returns that block's
+    cache, made at the first call on the block and dropped at the first
+    call on the next one, so at most one block's cache is alive."""
+
+    __slots__ = ("_nodes", "_cache")
+
+    def __init__(self):
+        self._nodes = self._cache = None
+
+    def __call__(self, X: np.ndarray) -> EvalCache:
+        if X is not self._nodes:
+            self._nodes = self._cache = None
+            self._nodes, self._cache = X, EvalCache()
+        return self._cache
+
+
 def graph_pullback_integrand(f: ConvexFunction, forms: Sequence[Form],
-                             batch: CompiledBatch | None = None, caches=None,
+                             batch: CompiledBatch | None = None, cache=None,
                              rows=None):
     """Vectorized x -> (graph map)^* form, the coefficient of the volume form,
     for each of ``forms``: nodes of shape (N, n) give a C-contiguous (F, N)
@@ -179,16 +197,13 @@ def graph_pullback_integrand(f: ConvexFunction, forms: Sequence[Form],
     and quadrature.integrate hands it one node block at a time: a call
     costs one ``f.jet`` (gradient and Hessian), one minor per ``(J, Ic)``
     and the live rows of one monomial table for all forms, and each row
-    equals the integrand of its form alone bit for bit.  With ``caches``, a
-    mapping such as ``defaultdict(EvalCache)``, the i-th call of the
-    integrand reads and fills the coefficients.EvalCache ``caches[i]``, so
-    the integrands of a battery share the x-only work of each block: they
-    must be called on the same nodes in the same order, as on one support
-    domain.
+    equals the integrand of its form alone bit for bit.  ``cache``, a
+    :class:`BlockCache`, gives the coefficients.EvalCache of each block,
+    so the integrands of a battery on one batch, integrated together,
+    share the x-only work of each block; by default a call makes its own.
     """
     if batch is None:
         batch = pullback_batch(forms)
-    calls = count()
 
     def integrand(X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -197,31 +212,46 @@ def graph_pullback_integrand(f: ConvexFunction, forms: Sequence[Form],
         minors = {(J, Ic): det([[H[:, r, c] for c in Ic] for r in J]) for J, Ic in batch.keys}
         out = np.zeros((len(forms), X.shape[0]))
         batch.add_to(out, np.concatenate([X.T, Y.T]), minors,
-                     None if caches is None else caches[next(calls)], rows)
+                     None if cache is None else cache(X), rows)
         return out
 
     return integrand
 
 
-def eval_smooth(f: ConvexFunction, forms: Sequence[Form], domain=None,
-                batch: CompiledBatch | None = None, caches=None, rows=None) -> list:
+def eval_smooth(f, forms: Sequence[Form], domain=None,
+                batch: CompiledBatch | None = None, rows=None) -> list:
     """D(f)[form] for each of ``forms``, for twice-differentiable catalog
     functions: one scalar :class:`EvalResult` per form, in order.
 
     The forms are integrated over ``domain`` (a box, a
     :class:`~cycleval.quadrature.PolynomialBox` or an
     :class:`~cycleval.quadrature.Ellipse`), by default their one shared
-    support domain, on one node stream.  ``batch``, ``caches`` and
-    ``rows`` are those of :func:`graph_pullback_integrand`: the
-    evaluations of a battery on the same forms and domain share them.
+    support domain, on one node stream.  ``batch`` is
+    ``pullback_batch(forms)``, compiled here by default, and ``rows``
+    selects the forms evaluated, by their indices, by default all.
+
+    ``f`` may be a battery, a list of functions, with ``rows`` one
+    selection (or None) per function: all are integrated in one call of
+    quadrature.integrate, which makes each node block once and hands it to
+    every function's integrand, and the integrands share one
+    coefficients.EvalCache per block (:class:`BlockCache`), dropped with
+    the block.  The result is then one list per function, each bit for bit
+    what that function alone gives.
     """
-    if not f.smooth:
+    battery = isinstance(f, (list, tuple))
+    functions, selections = (f, rows or [None] * len(f)) if battery else ([f], [rows])
+    if any(not g.smooth for g in functions):
         raise NonsmoothPointError(
             "nonsmooth function: use the polyhedral evaluation path")
-    n = f.n
-    if any(form.degree != n or form.n != n for form in forms):
+    if any(form.degree != g.n or form.n != g.n for g in functions for form in forms):
         raise ValueError("form must be an n-form matching the function dimension")
-    return integrate(graph_pullback_integrand(f, forms, batch, caches, rows),
+    if batch is None:
+        batch = pullback_batch(forms)
+    cache = BlockCache()
+    integrands = [graph_pullback_integrand(
+        g, forms if sel is None else [forms[r] for r in sel], batch, cache, sel)
+        for g, sel in zip(functions, selections)]
+    return integrate(integrands if battery else integrands[0],
                      [domain or _shared(form.support_domain() for form in forms)])
 
 
@@ -261,19 +291,24 @@ def eval_smooth_ridge_aligned(f: ConvexFunction, cycle, forms: Sequence[Form],
 
 
 def mass_smooth(f: ConvexFunction, R: float) -> float:
-    """Mass of the gradient graph over the ball of radius R (n <= 2)."""
+    """Mass of the gradient graph over the ball of radius R (n <= 2): the
+    metric density is made one node block at a time, and its weighted
+    values, collected in one vector, are summed once."""
     n = f.n
     if n == 1:
-        pts, wts = box_nodes([(-R, R)], 64)
+        domain, order = [(-R, R)], 64
     elif n == 2:
         inv_r2 = 1.0 / (R * R)
-        pts, wts = ellipse_nodes(((inv_r2, 0.0), (0.0, inv_r2)), ELLIPSE_ORDERS[1])
+        domain, order = Ellipse(((inv_r2, 0.0), (0.0, inv_r2))), ELLIPSE_ORDERS[1]
     else:
         raise NotImplementedError("mass quadrature implemented for n <= 2")
-    H = unbroadcast(f.hessian_array(pts))
-    G = np.eye(n)[None, :, :] + node_matmul(H.transpose(0, 2, 1), H)
-    dets = det([[G[:, i, j] for j in range(n)] for i in range(n)])
-    return float((wts * np.sqrt(dets)).sum())
+    terms = []
+    for pts, wts in node_blocks(domain, order):
+        H = unbroadcast(f.hessian_array(pts))
+        G = np.eye(n)[None, :, :] + node_matmul(H.transpose(0, 2, 1), H)
+        dets = det([[G[:, i, j] for j in range(n)] for i in range(n)])
+        terms.append(wts * np.sqrt(dets))
+    return float(np.concatenate(terms).sum())
 
 
 # -- 1D polylines ------------------------------------------------------------------

@@ -24,7 +24,6 @@ projection onto invariant forms.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -32,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .coefficients import CoefficientFn, EvalCache, ball_bump
+from .coefficients import CoefficientFn, ball_bump
 from .convex import (
     BodyRestriction,
     ConvexFunction,
@@ -110,21 +109,20 @@ def evaluate(vals: Sequence[Valuation],
     cycle per function and window, and clips each of its cells once per
     support box for all forms.  The quadrature routes group the forms by
     support domain (a bump ellipse or a box); each group is compiled once
-    for the whole battery (``cycles.pullback_batch``) and evaluated on one
-    node stream per function.  On the plain route each form runs on the
-    rule that ``cycles.graph_rule`` chooses for it and the function, with
-    the forms of the group on the same rule, as a selection of the group's
-    batch: on a function whose gradient is a polynomial, a form without
+    for the whole battery (``cycles.pullback_batch``).  On the plain route
+    each form runs on the rule that ``cycles.graph_rule`` chooses for it and
+    the function, with the forms of the group on the same rule, as a
+    selection of the group's batch: on a function whose gradient is a polynomial, a form without
     bumps on the Gauss pair of its pullback degree, and a form on the bumps
     of one matrix, at n = 2 or 3, on the ellipse rule of that degree; the
-    other forms on the group's domain.  For n <= 2, where the rules are
-    memoised, the functions on one rule share one
-    :class:`~cycleval.coefficients.EvalCache` per node block of it: the bump
-    factors and a bump group's rows in x alone are computed once per block
-    for the battery, and dropped with the group.  Each function is still
-    integrated by its own ``eval_smooth`` calls, and a form's rule depends
-    on that form and the function alone, so its results are bit for bit
-    those of a battery of one.
+    other forms on the group's domain.  The functions on one rule of a
+    group are integrated together, in one ``eval_smooth`` call: each node
+    block of the rule is made once for the battery, and one
+    :class:`~cycleval.coefficients.EvalCache` per block, dropped with the
+    block, holds the bump factors and a bump group's rows in x alone for
+    every function.  A form's rule depends on that form and the function
+    alone, and each function's block sums are added in order, so its
+    results are bit for bit those of a battery of one.
     """
     forms = [val.tau for val in vals]
     out: list = [None] * len(functions)
@@ -149,11 +147,8 @@ def evaluate(vals: Sequence[Valuation],
     for j in smooth:
         out[j] = [None] * len(forms)
     for domain, (idx, group), batch in zip(domains, groups, batches):
-        # rule -> its caches by node block; a 3-D box rule is built per
-        # call to bound memory (quadrature.box_nodes), which keeping caches
-        # for its 35 blocks would undo, so no 3-D rule keeps them
-        caches: dict = {}
         rules: dict = {}  # gradient degree -> the group's rows by rule
+        battery: dict = {}  # rule -> the functions on it and their rows
         for j in smooth:
             f = functions[j]
             if f.gradient_degree not in rules:
@@ -161,12 +156,12 @@ def evaluate(vals: Sequence[Valuation],
                 for row, form in enumerate(group):
                     by_rule.setdefault(graph_rule(f, form, domain), []).append(row)
             for rule, rows in rules[f.gradient_degree].items():
-                cache = caches.get(rule)
-                if cache is None and group[0].n <= 2:
-                    cache = caches[rule] = defaultdict(EvalCache)
-                results = eval_smooth(f, [group[r] for r in rows], rule, batch=batch,
-                                      caches=cache, rows=rows)
-                for r, res in zip(rows, results):
+                battery.setdefault(rule, []).append((j, rows))
+        for rule, on_rule in battery.items():
+            results = eval_smooth([functions[j] for j, _ in on_rule], group, rule,
+                                  batch=batch, rows=[rows for _, rows in on_rule])
+            for (j, rows), row in zip(on_rule, results):
+                for r, res in zip(rows, row):
                     out[j][idx[r]] = res
     for j in ridge:
         out[j] = _ridge_row(functions[j], groups, batches, len(forms))

@@ -17,16 +17,22 @@ domain kind owns its rule and its pass pair, the coarse and the fine order:
 * a :class:`GradedSimplex`, a segment or triangle of the ridge-aligned
   evaluator, at the pass pair its caller sets, and a :class:`SimplexProduct`,
   a piece of a polyhedral cell, at ``CELL_ORDERS``: both on the one
-  collapsed Gauss-Legendre rule of segments and triangles, ``simplex_nodes``.
+  collapsed Gauss-Legendre rule of segments and triangles, ``_simplex_rule``.
 
 A pass gathers the nodes of consecutive domains until they reach
-``_NODE_BLOCK``, hands them to the integrand in blocks of ``_NODE_BLOCK``
-nodes and adds the sums of the blocks in order: an integrand never sees
-more than one block, so the arrays it builds are bounded by the block, and
-a domain of at most one block is one call.  The fine pass gives the value,
-its distance from the coarse pass the error estimate (``two_pass``).  A
-lone box, plain or polynomial, goes through ``integrate_box``, the entry
-of every box integral.
+``_NODE_BLOCK``, cuts them into blocks of ``_NODE_BLOCK`` nodes and adds
+the sums of the blocks in order: an integrand never sees more than one
+block, so the arrays it builds are bounded by the block, and a domain of at
+most one block is one call.  No rule is built whole: each block is made
+from the memoised 1-D factors of its rules (Gauss nodes and weights, angle
+tables, the ellipse map) by the elementwise products of the whole rule, so
+its nodes keep their bits, and no node array holds more than a block and
+two rows of its grid.  Several integrands on the same domains are handed
+each block in turn, so a battery of functions makes each block once.  The
+fine pass gives the value, its distance from the coarse pass the error
+estimate (``two_pass``).  A lone box, plain or polynomial, of one
+integrand goes through ``integrate_box``, the entry of every such box
+integral.
 
 Every Gauss-Legendre rule comes from ``gl_interval``, which reads the orders
 the rules name from a table shipped with the package, ``gauss_legendre.json``.
@@ -133,10 +139,11 @@ ELLIPSE_ORDERS = ((56, 112), (64, 128))
 CELL_ORDERS = (64, 88)
 
 # Nodes per block: a pass gathers consecutive domains until they hold this
-# many nodes and hands them to the integrand in blocks of this size, the
-# one block loop of every integral.  It keeps the call count low and the
-# integrands' arrays, the live rows of a monomial table above all, and so
-# peak memory bounded.
+# many nodes and cuts them into blocks of this size, each made from its
+# pieces of the domains' rules alone and handed to every integrand before
+# the next is made, the one block loop of every integral.  It keeps the
+# call count low and bounds the node arrays and the integrands' arrays,
+# the live rows of a monomial table above all, and so peak memory.
 _NODE_BLOCK = 4096
 
 
@@ -186,27 +193,63 @@ def _graded_cuts(width: float) -> list:
     return [0.0, w, 1.0 - w, 1.0]
 
 
-def simplex_nodes(vertices, order: int, layer: float | None = None):
-    """Nodes (N, d) and weights of the collapsed Gauss-Legendre rule on a
-    point, a segment on the line or a triangle in the plane, given by its
-    float vertices; None for a triangle of zero area.  A triangle is
-    collapsed onto v0 (Duffy): P(u, r) = v0 + r (v1 + u (v2 - v1) - v0),
-    |Jacobian| = 2 area r.  Each 1-D rule has ``order`` nodes, on each piece
-    of a grading that isolates boundary layers of width ``layer`` at both
-    ends of the segment or the edge v1 v2, and along that edge."""
+class _Rule:
+    """The nodes and weights of one rule, made on demand: its nodes are a
+    C-order grid of the given ``shape`` over 1-D factors, and ``make`` makes
+    the nodes (..., d) and weights (...) of a broadcast grid of indices, one
+    index per axis (an array, or a slice with new axes), elementwise from
+    the factors.  So any block of the rule is made alone, with the bits it
+    has in the whole rule."""
+
+    __slots__ = ("shape", "make", "size")
+
+    def __init__(self, shape: tuple, make):
+        self.shape, self.make = shape, make
+        self.size = math.prod(shape)
+
+    def block(self, start: int, stop: int) -> tuple:
+        """Nodes (N, d) and weights of nodes ``start`` to ``stop`` - 1, cut
+        from the rows of the grid that hold them (rows along its last axis,
+        so at most two rows beyond the block are made)."""
+        if len(self.shape) == 1:
+            return self.make(slice(start, stop))
+        last = self.shape[-1]
+        first, end = start // last, -(-stop // last)
+        if len(self.shape) == 2:
+            rows = [(slice(first, end), None)]
+        else:
+            rows = [i[:, None] for i in np.unravel_index(np.arange(first, end), self.shape[:-1])]
+        pts, wts = self.make(*rows, (None, slice(None)))
+        cut = slice(start - first * last, stop - first * last)
+        return pts.reshape(-1, pts.shape[-1])[cut], wts.reshape(-1)[cut]
+
+
+def _whole(pts: np.ndarray, wts: np.ndarray) -> _Rule:
+    return _Rule((len(wts),), lambda i: (pts[i], wts[i]))
+
+
+def _simplex_rule(vertices, order: int, layer: float | None = None) -> _Rule:
+    """The collapsed Gauss-Legendre rule on a point, a segment on the line
+    or a triangle in the plane, given by its float vertices, nodes (N, d);
+    no node for a triangle of zero area.  A triangle is collapsed onto v0
+    (Duffy): P(u, r) = v0 + r (v1 + u (v2 - v1) - v0), |Jacobian| =
+    2 area r, node (i, j) on the grid of u_i and r_j.  Each 1-D rule has
+    ``order`` nodes, on each piece of a grading that isolates boundary
+    layers of width ``layer`` at both ends of the segment or the edge v1 v2,
+    and along that edge."""
     if len(vertices) == 1:
-        return np.array(vertices, dtype=float), np.ones(1)
+        return _whole(np.array(vertices, dtype=float), np.ones(1))
     if len(vertices) == 2:
         (a,), (b,) = vertices
         length = b - a
         cuts = [0.0, 1.0] if layer is None else _graded_cuts(layer / max(length, 1e-12))
         pts, wts = _gl_pieces([a + t * length for t in cuts], order)
-        return pts[:, None], wts
+        return _whole(pts[:, None], wts)
     v0, v1, v2 = (np.asarray(v, dtype=float) for v in vertices)
     e = v2 - v1
     area2 = abs((v1 - v0)[0] * (v2 - v0)[1] - (v1 - v0)[1] * (v2 - v0)[0])
     if area2 == 0.0:
-        return None
+        return _whole(np.empty((0, 2)), np.empty(0))
     if layer is None:
         ucuts = rcuts = [0.0, 1.0]
     else:
@@ -216,41 +259,42 @@ def simplex_nodes(vertices, order: int, layer: float | None = None):
         rcuts = [0.0, 1.0 - min(max(layer / h, 1e-12), 1.0 / 3.0), 1.0]
     up, uw = _gl_pieces(ucuts, order)
     rp, rw = _gl_pieces(rcuts, order)
-    # node (i, j) at row i * len(rp) + j: E = v1 + u_i e on the edge,
-    # P = v0 + r_j (E - v0), one (u, r) grid per coordinate
-    pts = np.stack([(v0[k] + rp[None, :] * (v1[k] + up[:, None] * e[k] - v0[k])).ravel()
-                    for k in range(2)], axis=1)
-    wts = ((uw[:, None] * rw[None, :]) * rp[None, :] * area2).ravel()
-    return pts, wts
+    # node (i, j): E = v1 + u_i e on the edge, P = v0 + r_j (E - v0), per
+    # coordinate
+    edge = [v1[k] + up * e[k] - v0[k] for k in range(2)]
+
+    def make(i, j):
+        r = rp[j]
+        return (np.stack([v0[k] + r * edge[k][i] for k in range(2)], axis=-1),
+                uw[i] * rw[j] * r * area2)
+
+    return _Rule((len(up), len(rp)), make)
 
 
-def box_nodes(box: Box, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor-product nodes/weights for a box; nodes shape (N, dim), as
-    read-only arrays.  A 1-D or 2-D rule is memoised on the box's float
-    bounds.  A 3-D rule (1 MiB at order 32, 3.4 MiB at 48) serves one or two
-    integrals per run and is built per call, as a kept one would add to the
-    peak memory of the 3-D integrands."""
-    bounds = tuple((float(lo), float(hi)) for lo, hi in box)
-    return (_kept_box_rule if len(bounds) <= 2 else _box_rule)(bounds, order)
+def _float_bounds(box: Box) -> tuple:
+    return tuple((float(lo), float(hi)) for lo, hi in box)
 
 
-def _box_rule(bounds, order):
+def _box_rule(bounds, order) -> _Rule:
+    """The tensor Gauss-Legendre rule of ``order`` on a box of float bounds."""
     axes = [gl_interval(lo, hi, order) for lo, hi in bounds]
-    grids = np.meshgrid(*(pts for pts, _ in axes), indexing="ij")
-    wts = reduce(np.multiply.outer, (w for _, w in axes))
-    return _read_only(np.stack([g.ravel() for g in grids], axis=-1), np.asarray(wts).ravel())
 
+    def make(*idx):
+        return (np.stack(np.broadcast_arrays(*(pts[i] for (pts, _), i in zip(axes, idx))),
+                         axis=-1),
+                reduce(np.multiply, [w[i] for (_, w), i in zip(axes, idx)]))
 
-def _read_only(*arrays) -> tuple:
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
+    return _Rule(tuple(len(w) for _, w in axes), make)
 
 
 # The rules of the suites' support domains repeat from integral to integral,
-# for every function of a battery: a few dozen (domain, order) pairs per run,
-# the largest a 0.6 MB 160^2 box rule.
-_kept_box_rule = lru_cache(maxsize=16)(_box_rule)
+# for every function of a battery: a few dozen (domain, order) pairs per run.
+# A rule of at most one block is kept whole, any other as its 1-D factors,
+# so no node set of more than one block is ever kept.
+@lru_cache(maxsize=128)
+def _kept(build, key, order) -> _Rule:
+    rule = build(key, order)
+    return _whole(*rule.block(0, rule.size)) if rule.size <= _NODE_BLOCK else rule
 
 
 def _ellipse_map(M) -> tuple:
@@ -274,53 +318,49 @@ def _ellipse_map(M) -> tuple:
              (1.0 / l11, -l21 / (l11 * l22)), (1.0 / l22,)), 1.0 / (l00 * l11 * l22))
 
 
-def ellipse_nodes(M, orders: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes (N, 2) and weights of the polar rule of ``orders`` = (radii,
-    angles) on the ellipse {x^T M x < 1}: Gauss-Legendre radii on [0, 1]
-    times equally spaced angles on the unit disk, mapped by L^-T.  M is a
-    symmetric positive definite 2 x 2 matrix given as nested tuples.  The
-    rule is memoised on M's floats: the arrays are read-only."""
-    return _kept_ellipse_rule(_float_rows(M), tuple(orders))
-
-
 def _float_rows(M) -> tuple:
     return tuple(tuple(map(float, row)) for row in M)
 
 
-def _ellipse_rule(M, orders):
-    """The polar rule of ``orders`` = (radii, angles) on the ellipse M in
-    2-D, or the spherical rule of ``orders`` = (radii, polar nodes,
+def _ellipse_rule(M, orders) -> _Rule:
+    """The polar rule of ``orders`` = (radii, angles) on the ellipse
+    {x^T M x < 1} in 2-D, Gauss-Legendre radii on [0, 1] times equally
+    spaced angles, or the spherical rule of ``orders`` = (radii, polar nodes,
     azimuths) on the ellipsoid M in 3-D: radii, then cos(theta), then
     azimuth, on the unit disk or ball, mapped by L^-T (``_ellipse_map``)
     elementwise."""
     r, wr = gl_interval(0.0, 1.0, orders[0])
     order_t = orders[-1]
     phi = 2.0 * np.pi * (np.arange(order_t) + 0.5) / order_t
+    cos, sin = np.cos(phi), np.sin(phi)
     azimuth = np.full(order_t, 2.0 * np.pi / order_t)
     if len(orders) == 2:
-        u = [np.multiply.outer(r, np.cos(phi)).ravel(), np.multiply.outer(r, np.sin(phi)).ravel()]
-        wts = np.multiply.outer(wr * r, azimuth).ravel()
+        shape, wr = (len(r), order_t), wr * r
+
+        def ball(i, j):
+            return [r[i] * cos[j], r[i] * sin[j]], wr[i] * azimuth[j]
     else:
         z, wz = gl_interval(-1.0, 1.0, orders[1])
         rho = np.sqrt(1.0 - z * z)
-        u = [np.multiply.outer(r, np.multiply.outer(rho, np.cos(phi))).ravel(),
-             np.multiply.outer(r, np.multiply.outer(rho, np.sin(phi))).ravel(),
-             np.multiply.outer(r, np.multiply.outer(z, np.ones(order_t))).ravel()]
-        wts = np.multiply.outer(wr * r * r, np.multiply.outer(wz, azimuth)).ravel()
+        shape, wr = (len(r), len(z), order_t), wr * r * r
+
+        def ball(i, k, j):
+            ri = r[i]
+            return ([ri * (rho[k] * cos[j]), ri * (rho[k] * sin[j]), ri * z[k]],
+                    wr[i] * (wz[k] * azimuth[j]))
     rows, jac = _ellipse_map(M)
-    x = []
-    for i, row in enumerate(rows):
-        xi = row[0] * u[i]
-        for j in range(1, len(row)):
-            xi = xi + row[j] * u[i + j]
-        x.append(xi)
-    return _read_only(np.stack(x, axis=-1), wts * jac)
 
+    def make(*idx):
+        u, wts = ball(*idx)
+        x = []
+        for i, row in enumerate(rows):
+            xi = row[0] * u[i]
+            for j in range(1, len(row)):
+                xi = xi + row[j] * u[i + j]
+            x.append(xi)
+        return np.stack(np.broadcast_arrays(*x), axis=-1), wts * jac
 
-_kept_ellipse_rule = lru_cache(maxsize=16)(_ellipse_rule)
-# the rules of ellipses of known degree, of a few hundred nodes each in 2-D
-# and a few thousand in 3-D, are kept apart from the plain ones
-_kept_polar_rule = lru_cache(maxsize=64)(_ellipse_rule)
+    return _Rule(shape, make)
 
 
 @dataclass(frozen=True)
@@ -331,8 +371,7 @@ class PolynomialBox:
     Rabinowitz, Methods of Numerical Integration, 2.7), so the error
     estimate is rounding.  :meth:`of` keeps the float bounds and the
     largest degree of the pass pair, so degrees of one pass pair give one
-    domain.  Its rules, of a few dozen to a few thousand nodes, are kept
-    apart from those of plain boxes."""
+    domain."""
 
     box: tuple
     degree: int
@@ -346,11 +385,8 @@ class PolynomialBox:
         m = self.degree // 2 + 1
         return m, m + 1
 
-    def nodes(self, order):
-        return _kept_polynomial_rule(self.box, order)
-
-
-_kept_polynomial_rule = lru_cache(maxsize=64)(_box_rule)
+    def rule(self, order) -> _Rule:
+        return _kept(_box_rule, self.box, order)
 
 
 @dataclass(frozen=True)
@@ -389,22 +425,21 @@ class Ellipse:
         polar = self.degree // 2 + 1
         return tuple((radii, polar, self.degree + 1) for radii, _ in ELLIPSE_ORDERS)
 
-    def nodes(self, orders):
-        kept = _kept_ellipse_rule if self.degree is None else _kept_polar_rule
-        return kept(_float_rows(self.M), orders)
+    def rule(self, orders) -> _Rule:
+        return _kept(_ellipse_rule, _float_rows(self.M), orders)
 
 
 @dataclass(frozen=True)
 class GradedSimplex:
     """A segment or triangle, float vertices, on the collapsed rule graded
-    at ``layer`` (``simplex_nodes``), at the pass pair ``orders``."""
+    at ``layer`` (``_simplex_rule``), at the pass pair ``orders``."""
 
     vertices: tuple
     layer: float
     orders: tuple
 
-    def nodes(self, order):
-        return simplex_nodes(self.vertices, order, self.layer)
+    def rule(self, order) -> _Rule:
+        return _simplex_rule(self.vertices, order, self.layer)
 
 
 # The standard simplices, the triangle listed to collapse onto (1, 0).
@@ -421,35 +456,52 @@ class SimplexProduct:
     y: tuple
     orders = CELL_ORDERS
 
-    def nodes(self, order):
-        sides = []
-        for simplex in (self.x, self.y):
-            params, wts = simplex_nodes(_STANDARD[len(simplex) - 1], order)
-            frame = np.array([[float(a - b) for a, b in zip(v, simplex[0])] for v in simplex])
-            # v0 + the sum of params[:, k] (v_{k+1} - v0), elementwise
-            offset = np.zeros((len(wts), frame.shape[1]))
+    def rule(self, order) -> _Rule:
+        # the grid of the x-side's rule times that of the y-side's
+        sides = [(_simplex_rule(_STANDARD[len(simplex) - 1], order),
+                  np.array(simplex[0], dtype=float),
+                  np.array([[float(a - b) for a, b in zip(v, simplex[0])] for v in simplex]))
+                 for simplex in (self.x, self.y)]
+        split = len(sides[0][0].shape)
+
+        def side(idx, params, origin, frame):
+            # v0 + the sum of params[..., k] (v_{k+1} - v0), elementwise
+            pts, wts = params.make(*idx)
+            offset = np.zeros(wts.shape + frame.shape[1:])
             for k in range(1, len(frame)):
-                offset += params[:, k - 1:k] * frame[k]
-            sides.append((np.array(simplex[0], dtype=float) + offset, wts))
-        (X, ws), (Y, wt) = sides
-        pts = np.concatenate([np.repeat(X, len(wt), axis=0), np.tile(Y, (len(ws), 1))], 1)
-        return pts, np.repeat(ws, len(wt)) * np.tile(wt, len(ws))
+                offset += pts[..., k - 1:k] * frame[k]
+            return origin + offset, wts
+
+        def make(*idx):
+            (X, ws), (Y, wt) = side(idx[:split], *sides[0]), side(idx[split:], *sides[1])
+            grid = np.broadcast_shapes(ws.shape, wt.shape)
+            return (np.concatenate([np.broadcast_to(X, grid + X.shape[-1:]),
+                                    np.broadcast_to(Y, grid + Y.shape[-1:])], axis=-1),
+                    ws * wt)
+
+        return _Rule(sides[0][0].shape + sides[1][0].shape, make)
 
 
 def _rule(domain):
-    """``(nodes(order), (coarse order, fine order))`` of a support domain."""
+    """``(rule(order), (coarse order, fine order))`` of a support domain."""
     if isinstance(domain, (tuple, list)):
-        return (lambda order: box_nodes(domain, order)), ORDERS[len(domain)]
-    return domain.nodes, domain.orders
+        bounds = _float_bounds(domain)
+        return (lambda order: _kept(_box_rule, bounds, order)), ORDERS[len(domain)]
+    return domain.rule, domain.orders
 
 
-def integrate(fn: Callable[[np.ndarray], np.ndarray], domains: list) -> EvalResult | list:
+def integrate(fn: Callable[[np.ndarray], np.ndarray] | list, domains: list) -> EvalResult | list:
     """Integral of a vectorized integrand over the union of ``domains``; an
     integrand that returns an (F, N) array, one row per integrand on the
     same nodes, gives a list of F results, each row reduced exactly as an
-    integrand returning that row alone would be."""
-    # every box integral enters through integrate_box: perfbench traces it
-    if len(domains) == 1 and isinstance(domains[0], (tuple, list, PolynomialBox)):
+    integrand returning that row alone would be.  ``fn`` may be a list of
+    integrands: each node block is then handed to every one of them before
+    the next block is made, and the result is a list, one entry per
+    integrand, each what ``integrate`` of that integrand alone gives."""
+    # every box integral of one integrand enters through integrate_box:
+    # perfbench traces it
+    if (callable(fn) and len(domains) == 1
+            and isinstance(domains[0], (tuple, list, PolynomialBox))):
         return integrate_box(fn, domains[0])
     return two_pass(fn, domains)
 
@@ -464,43 +516,89 @@ def integrate_box(fn: Callable[[np.ndarray], np.ndarray],
 
 def two_pass(fn, domains: list) -> EvalResult | list:
     """The fine pass over ``domains``, with its distance from the coarse pass
-    as the error estimate; an (F, N) integrand gives one result per row."""
+    as the error estimate; an (F, N) integrand gives one result per row, a
+    list of integrands one entry per integrand."""
+    fns = [fn] if callable(fn) else list(fn)
     rules = [_rule(d) for d in domains]
-    coarse, fine = (_one_pass(fn, rules, k) for k in (0, 1))
+    coarse, fine = (_one_pass(fns, rules, k) for k in (0, 1))
+    out = [_estimated(f, c) for f, c in zip(fine, coarse)]
+    return out[0] if callable(fn) else out
+
+
+def _estimated(fine, coarse):
+    """The fine pass's value, a float or one per row, with its distance
+    from the coarse pass."""
     if isinstance(fine, list):
         return [EvalResult(v, abs(v - c)) for v, c in zip(fine, coarse)]
     return EvalResult(fine, abs(fine - coarse))
 
 
-def _one_pass(fn, rules, k: int):
-    """Weighted sum of ``fn`` over the nodes of each rule at its ``k``-th
-    order, a float or one per row: node sets are gathered until they hold
-    ``_NODE_BLOCK`` nodes, the gathered nodes are handed to ``fn`` in blocks
-    of ``_NODE_BLOCK``, and the sums of the blocks are added in order.  The
-    sums are numpy's pairwise ones, not a BLAS dot, whose order of
-    summation follows the BLAS thread count."""
-    total, gathered, count = None, [], 0
-    for nodes, orders in rules:
-        node_set = nodes(orders[k])
-        if node_set is not None:
-            gathered.append(node_set)
-            count += len(node_set[1])
+def _one_pass(fns: list, rules, k: int) -> list:
+    """Weighted sum of each integrand of ``fns`` over the nodes of each rule
+    at its ``k``-th order, a float or one per row: the sums of the blocks
+    of :func:`_blocks`, added in order.  The sums are numpy's pairwise ones,
+    not a BLAS dot, whose order of summation follows the BLAS thread count."""
+    totals: list = [None] * len(fns)
+    for pts, wts in _blocks(rules, k):
+        for i, fn in enumerate(fns):
+            vals = fn(pts)
+            if np.ndim(vals) < 2:
+                part = float(np.add.reduce(wts * vals))
+                totals[i] = part if totals[i] is None else totals[i] + part
+            else:
+                parts = [float(np.add.reduce(wts * row)) for row in vals]
+                totals[i] = parts if totals[i] is None else [
+                    t + p for t, p in zip(totals[i], parts)]
+    return totals
+
+
+def _blocks(rules, k: int):
+    """The node blocks of the ``k``-th pass over ``rules``: the node sets of
+    consecutive rules are gathered until they hold ``_NODE_BLOCK`` nodes and
+    cut into blocks of ``_NODE_BLOCK`` nodes from their start, and each
+    block is made from its pieces of the rules alone (``_cut``).  A pass
+    without nodes is one block of zero nodes, on which an integrand gives
+    its row count and sums of zero."""
+    gathered, count, made, rule = [], 0, False, None
+    for rule_at, orders in rules:
+        rule = rule_at(orders[k])
+        if rule.size:
+            gathered.append(rule)
+            count += rule.size
         if count >= _NODE_BLOCK:
-            total, gathered, count = _add_blocks(total, fn, gathered), [], 0
-    return _add_blocks(total, fn, gathered) if gathered else total
+            yield from _cut(gathered)
+            gathered, count, made = [], 0, True
+    if gathered:
+        yield from _cut(gathered)
+    elif not made:
+        yield (np.empty((0, 0)), np.empty(0)) if rule is None else rule.block(0, 0)
 
 
-def _add_blocks(total, fn, node_sets):
-    """``total`` (None at first) plus the weighted sum of ``fn``, or of each
-    of its rows, on each block of the node sets, block by block."""
-    pts, wts = node_sets[0] if len(node_sets) == 1 else map(np.concatenate, zip(*node_sets))
-    for start in range(0, len(wts), _NODE_BLOCK):
-        vals = fn(pts[start:start + _NODE_BLOCK])
-        w = wts[start:start + _NODE_BLOCK]
-        if np.ndim(vals) < 2:
-            part = float(np.add.reduce(w * vals))
-            total = part if total is None else total + part
-        else:
-            parts = [float(np.add.reduce(w * row)) for row in vals]
-            total = parts if total is None else [t + p for t, p in zip(total, parts)]
-    return total
+def _cut(rules):
+    """The node sets of ``rules``, one after the other, in blocks of
+    ``_NODE_BLOCK`` nodes (the last one shorter): a block spans the rules
+    whose nodes it holds and is made from its piece of each."""
+    pieces, room = [], _NODE_BLOCK
+    for rule in rules:
+        start = 0
+        while start < rule.size:
+            stop = min(rule.size, start + room)
+            pieces.append(rule.block(start, stop))
+            room -= stop - start
+            start = stop
+            if not room:
+                yield _joined(pieces)
+                pieces, room = [], _NODE_BLOCK
+    if pieces:
+        yield _joined(pieces)
+
+
+def _joined(pieces: list) -> tuple:
+    return pieces[0] if len(pieces) == 1 else tuple(map(np.concatenate, zip(*pieces)))
+
+
+def node_blocks(domain, order):
+    """The nodes and weights of the rule of ``domain`` at ``order``, one
+    block of at most ``_NODE_BLOCK`` nodes at a time, for a sum that
+    :func:`integrate` does not make."""
+    return _cut([_rule(domain)[0](order)])

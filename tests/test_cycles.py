@@ -34,7 +34,7 @@ from cycleval.forms import (
     wedge,
 )
 from cycleval.polynomials import Poly, _as_fraction
-from cycleval.quadrature import _gl_pieces, _graded_cuts, simplex_nodes
+from cycleval.quadrature import GradedSimplex, _gl_pieces, _graded_cuts, node_blocks
 from cycleval.rumin import _det_sign
 
 
@@ -66,9 +66,7 @@ def test_defining_property_vs_direct_quadrature():
     phi = beta_coeff(n, R=2, poly=Poly.variable(4, 2) ** 2)  # y1^2 * bump(x)
     tau = Form(n, n, {(0, 1): phi})
     got, = eval_smooth(f, [tau])
-    from cycleval.quadrature import box_nodes
-
-    pts, wts = box_nodes([(-2, 2), (-2, 2)], 160)
+    pts, wts = map(np.concatenate, zip(*node_blocks([(-2, 2), (-2, 2)], 160)))
     grad = f.gradient_array(pts)
     full = np.concatenate([pts, grad], axis=1)
     ref = float(np.dot(wts, phi.eval_array(full)))
@@ -702,11 +700,13 @@ def test_triangle_nodes_match_meshgrid_bitwise():
         v0, v1, v2 = rng.uniform(-3, 3, size=(3, 2))
         order = int(rng.integers(2, 33))
         layer = float(10.0 ** rng.uniform(-4, 0))
-        pts, wts = simplex_nodes([list(v0), list(v1), list(v2)], order, layer)
+        triangle = GradedSimplex((tuple(v0), tuple(v1), tuple(v2)), layer, (order, order))
+        pts, wts = map(np.concatenate, zip(*node_blocks(triangle, order)))
         want_pts, want_wts = _meshgrid_triangle_nodes(v0, v1, v2, order, layer)
         assert pts.flags.c_contiguous
         assert np.array_equal(pts, want_pts) and np.array_equal(wts, want_wts)
-    assert simplex_nodes([[0, 0], [1, 1], [2, 2]], 8, 1e-2) is None
+    flat = GradedSimplex(((0, 0), (1, 1), (2, 2)), 1e-2, (8, 8))
+    assert not list(node_blocks(flat, 8))
 
 
 class _MaterialisedHessian(ConvexFunction):

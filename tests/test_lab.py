@@ -222,7 +222,7 @@ def test_degree_rule_agrees_with_the_plain_ellipse_pair_and_a_reference():
     # so value and error agree with the plain pair to rounding, and the
     # value with a 160 x 256 polar reference within its error estimate
     from cycleval.cycles import eval_smooth, graph_pullback_integrand, pullback_degree
-    from cycleval.quadrature import Ellipse, ellipse_nodes
+    from cycleval.quadrature import Ellipse, node_blocks
 
     for tau in _ellipse_forms(np.random.default_rng(12)):
         domain = tau.support_domain()
@@ -234,7 +234,7 @@ def test_degree_rule_agrees_with_the_plain_ellipse_pair_and_a_reference():
             scale = max(1.0, abs(got.value))
             assert abs(got.value - plain.value) <= 1e-12 * scale
             assert abs(got.error - plain.error) <= 1e-12 * scale
-            pts, wts = ellipse_nodes(domain.M, (160, 256))
+            pts, wts = map(np.concatenate, zip(*node_blocks(domain, (160, 256))))
             ref = float(np.add.reduce(wts * graph_pullback_integrand(f, [tau])(pts)[0]))
             assert abs(got.value - ref) <= got.error + 1e-12 * scale
 
@@ -336,11 +336,13 @@ def test_battery_families_share_a_function():
 
 def test_battery_shares_block_caches_within_the_call(monkeypatch):
     # the smooth route fills one EvalCache per node block for the whole
-    # battery, and none of them outlives the call
+    # battery, dropped with its block: at most one is alive at any time,
+    # and none outlives the call
     import weakref
 
-    from cycleval import lab
+    from cycleval import cycles
     from cycleval.coefficients import EvalCache
+    from cycleval.convex import Scaled
 
     made = []
 
@@ -348,10 +350,11 @@ def test_battery_shares_block_caches_within_the_call(monkeypatch):
         __slots__ = ("__weakref__",)
 
         def __init__(self):
+            assert all(ref() is None for ref in made)
             super().__init__()
             made.append(weakref.ref(self))
 
-    monkeypatch.setattr(lab, "EvalCache", Tracked)
+    monkeypatch.setattr(cycles, "EvalCache", Tracked)
     n = 2
     vals = [Valuation(random_bump_form(np.random.default_rng(34), n, degree=n))]
     functions = [Quadratic([[Q(1) + k, Q(0)], [Q(0), Q(1)]]) for k in range(4)]
@@ -362,11 +365,16 @@ def test_battery_shares_block_caches_within_the_call(monkeypatch):
     assert all(ref() is None for ref in made)
     for f, row in zip(functions, got):
         assert _bits(row) == _bits(evaluate(vals, [f])[0])
-    # a 3-D rule is built per call: no caches are kept for its blocks
+    # at n = 3 a bump form on sqrt1p runs on the 32^3 / 48^3 box pair, 8
+    # and 27 blocks, each with its one cache for both functions
     made.clear()
-    tau = random_bump_form(np.random.default_rng(35), 3, degree=3)
-    evaluate([Valuation(tau)], [Quadratic(np.eye(3))] * 2)
-    assert not made
+    vals = [Valuation(random_bump_form(np.random.default_rng(35), 3, degree=3))]
+    functions = [SmoothCatalog("sqrt1p", 3), Scaled(SmoothCatalog("sqrt1p", 3), Q(3, 2))]
+    got = evaluate(vals, functions)
+    assert len(made) == 8 + 27
+    assert all(ref() is None for ref in made)
+    for f, row in zip(functions, got):
+        assert _bits(row) == _bits(evaluate(vals, [f])[0])
 
 
 def _values(tau, functions):

@@ -6,21 +6,26 @@ import numpy as np
 from cycleval.polynomials import dirichlet_moment
 from cycleval.quadrature import (
     _NODE_BLOCK,
+    CELL_ORDERS,
     ELLIPSE_ORDERS,
     ORDERS,
     Ellipse,
     GradedSimplex,
+    PolynomialBox,
     SimplexProduct,
-    box_nodes,
-    ellipse_nodes,
     integrate,
     integrate_box,
-    simplex_nodes,
+    node_blocks,
 )
 
 
 def integrate_ellipsoid(fn, M):
     return integrate(fn, [Ellipse(M)])
+
+
+def whole(domain, order):
+    # a domain's rule at one order, its node blocks concatenated
+    return tuple(map(np.concatenate, zip(*node_blocks(domain, order))))
 
 
 def test_integrate_box_at_depth_zero_is_one_tensor_pass_pair():
@@ -31,7 +36,7 @@ def test_integrate_box_at_depth_zero_is_one_tensor_pass_pair():
         return np.exp(p[:, 0]) * np.cos(3 * p[:, 1])
 
     def one_pass(order):
-        pts, wts = box_nodes(box, order)
+        pts, wts = whole(box, order)
         total = 0.0
         for start in range(0, len(wts), _NODE_BLOCK):
             block = slice(start, start + _NODE_BLOCK)
@@ -102,10 +107,10 @@ def test_ellipse_rule_is_two_polar_passes():
         return np.exp(p[:, 0]) * np.cos(3 * p[:, 1])
 
     coarse, fine = (float(np.add.reduce(w * fn(x))) for x, w in
-                    (ellipse_nodes(M, orders) for orders in ELLIPSE_ORDERS))
+                    (whole(Ellipse(M), orders) for orders in ELLIPSE_ORDERS))
     got = integrate_ellipsoid(fn, M)
     assert (got.value, got.error) == (fine, abs(fine - coarse))
-    assert len(ellipse_nodes(M, ELLIPSE_ORDERS[1])[1]) == 64 * 128
+    assert len(whole(Ellipse(M), ELLIPSE_ORDERS[1])[1]) == 64 * 128
 
 
 def test_ellipse_rule_resolves_a_bump_at_its_support_circle():
@@ -124,7 +129,7 @@ def test_ellipse_rule_resolves_a_bump_at_its_support_circle():
                        * (1.0 + xi + xi * yi ** 2) * np.cos(yi))
         return out
 
-    pts, wts = ellipse_nodes(M, (160, 256))
+    pts, wts = whole(Ellipse(M), (160, 256))
     ref = float(np.dot(wts, fn(pts)))
     polar = integrate_ellipsoid(fn, M)
     tensor = integrate_box(fn, [(-2.0, 2.0), (-2.0, 2.0)])
@@ -132,37 +137,180 @@ def test_ellipse_rule_resolves_a_bump_at_its_support_circle():
     assert abs(polar.value - ref) * 100 < abs(tensor.value - ref)
 
 
-def test_memoised_rules_equal_fresh_ones_and_are_read_only():
-    from cycleval.quadrature import _box_rule, _ellipse_rule
+# Whole rules built as the quadrature module once built them, for the
+# comparison with the blocks it makes now.
+def _box_whole(box, order):
+    from functools import reduce
 
-    box = ((Q(-3, 2), Q(2)), (-0.5, Q(1, 3)))
+    from cycleval.quadrature import gl_interval
+
+    axes = [gl_interval(float(lo), float(hi), order) for lo, hi in box]
+    grids = np.meshgrid(*(pts for pts, _ in axes), indexing="ij")
+    wts = reduce(np.multiply.outer, (w for _, w in axes))
+    return np.stack([g.ravel() for g in grids], axis=-1), np.asarray(wts).ravel()
+
+
+def _ellipse_whole(M, orders):
+    from cycleval.quadrature import _ellipse_map, gl_interval
+
+    r, wr = gl_interval(0.0, 1.0, orders[0])
+    order_t = orders[-1]
+    phi = 2.0 * np.pi * (np.arange(order_t) + 0.5) / order_t
+    azimuth = np.full(order_t, 2.0 * np.pi / order_t)
+    if len(orders) == 2:
+        u = [np.multiply.outer(r, np.cos(phi)).ravel(), np.multiply.outer(r, np.sin(phi)).ravel()]
+        wts = np.multiply.outer(wr * r, azimuth).ravel()
+    else:
+        z, wz = gl_interval(-1.0, 1.0, orders[1])
+        rho = np.sqrt(1.0 - z * z)
+        u = [np.multiply.outer(r, np.multiply.outer(rho, np.cos(phi))).ravel(),
+             np.multiply.outer(r, np.multiply.outer(rho, np.sin(phi))).ravel(),
+             np.multiply.outer(r, np.multiply.outer(z, np.ones(order_t))).ravel()]
+        wts = np.multiply.outer(wr * r * r, np.multiply.outer(wz, azimuth)).ravel()
+    rows, jac = _ellipse_map(M)
+    x = [sum((row[j] * u[i + j] for j in range(1, len(row))), row[0] * u[i])
+         for i, row in enumerate(rows)]
+    return np.stack(x, axis=-1), wts * jac
+
+
+def _triangle_whole(vertices, order, layer):
+    from cycleval.quadrature import _gl_pieces, _graded_cuts
+
+    v0, v1, v2 = (np.asarray(v, dtype=float) for v in vertices)
+    e = v2 - v1
+    area2 = abs((v1 - v0)[0] * (v2 - v0)[1] - (v1 - v0)[1] * (v2 - v0)[0])
+    elen = float(np.linalg.norm(e))
+    up, uw = _gl_pieces(_graded_cuts(layer / elen), order)
+    rp, rw = _gl_pieces([0.0, 1.0 - min(max(layer / (area2 / elen), 1e-12), 1.0 / 3.0), 1.0],
+                        order)
+    pts = np.stack([(v0[k] + rp[None, :] * (v1[k] + up[:, None] * e[k] - v0[k])).ravel()
+                    for k in range(2)], axis=1)
+    return pts, ((uw[:, None] * rw[None, :]) * rp[None, :] * area2).ravel()
+
+
+def _product_whole(x, y, order):
+    sides = []
+    for simplex in (x, y):
+        params, wts = whole(GradedSimplex(tuple(_STANDARD[len(simplex) - 1]), None,
+                                          (order, order)), order)
+        frame = np.array([[float(a - b) for a, b in zip(v, simplex[0])] for v in simplex])
+        offset = np.zeros((len(wts), frame.shape[1]))
+        for k in range(1, len(frame)):
+            offset += params[:, k - 1:k] * frame[k]
+        sides.append((np.array(simplex[0], dtype=float) + offset, wts))
+    (X, ws), (Y, wt) = sides
+    pts = np.concatenate([np.repeat(X, len(wt), axis=0), np.tile(Y, (len(ws), 1))], 1)
+    return pts, np.repeat(ws, len(wt)) * np.tile(wt, len(ws))
+
+
+_STANDARD = {0: [[]], 1: [[0.0], [1.0]], 2: [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]}
+
+
+def test_blocks_of_every_domain_kind_equal_the_rule_built_whole():
+    # every domain kind makes its nodes one block at a time, from 1-D
+    # factors: its blocks, each of at most one block, concatenated, are the
+    # rule built whole, bit for bit, whether the rule is kept or not
+    box2 = ((Q(-3, 2), Q(2)), (-0.5, Q(1, 3)))
     M = ((Q(3), Q(-5, 4)), (Q(-5, 4), Q(1)))
-    for _ in range(2):  # built, then served from the cache
-        for order in (8, 128):
-            got = box_nodes(box, order)
-            want = _box_rule(tuple((float(lo), float(hi)) for lo, hi in box), order)
-            assert all(np.array_equal(g, w) for g, w in zip(got, want))
-        got = ellipse_nodes(M, ELLIPSE_ORDERS[1])
-        want = _ellipse_rule(tuple(tuple(map(float, row)) for row in M), ELLIPSE_ORDERS[1])
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
-    assert box_nodes(box, 8)[0] is box_nodes([list(b) for b in box], 8)[0]
-    for arr in (*box_nodes(box, 128), *ellipse_nodes(M, ELLIPSE_ORDERS[0])):
-        with np.testing.assert_raises(ValueError):
-            arr[0] = 1.0
+    M3 = ((Q(2), Q(1, 3), Q(-1, 4)), (Q(1, 3), Q(1), Q(1, 5)), (Q(-1, 4), Q(1, 5), Q(3, 2)))
+    triangle = ((0.1, -0.3), (1.7, 0.2), (0.4, 1.9))
+    O, E1, E2 = (Q(0), Q(0)), (Q(1), Q(0)), (Q(0), Q(1))
+    p = (Q(1, 2), Q(-1, 3))
+    cases = [(box, order, _box_whole(box, order))
+             for box in ([(-2, Q(1, 2))], box2, [(-1, 1), (0, 2), (Q(-1, 2), 1)])
+             for order in (8, 48, 128) if len(box) < 3 or order <= 48]
+    cases += [(PolynomialBox.of(box2, 5), order, _box_whole(box2, order)) for order in (3, 4)]
+    cases += [(Ellipse(M), orders, _ellipse_whole(M, orders)) for orders in ELLIPSE_ORDERS]
+    cases += [(Ellipse(Mk, degree), orders, _ellipse_whole(Mk, orders))
+              for Mk, degree in ((M, 3), (M3, 6)) for orders in Ellipse(Mk, degree).orders]
+    cases += [(GradedSimplex(triangle, 0.05, (32, 44)), order,
+               _triangle_whole(triangle, order, 0.05)) for order in (32, 44)]
+    cases += [(SimplexProduct(x, y), order, _product_whole(x, y, order))
+              for x, y in (((O, E1, E2), (p,)), ((O, E1), (O, E2)), ((p,), (O, E1, E2)))
+              for order in CELL_ORDERS]
+    for _ in range(2):  # built, then from the kept rules
+        for domain, order, (pts, wts) in cases:
+            blocks = list(node_blocks(domain, order))
+            assert all(len(w) <= _NODE_BLOCK for _, w in blocks)
+            assert sum(len(w) for _, w in blocks[:-1]) == _NODE_BLOCK * (len(blocks) - 1)
+            got_pts, got_wts = map(np.concatenate, zip(*blocks))
+            assert np.array_equal(got_pts, pts) and np.array_equal(got_wts, wts), domain
+    flat = GradedSimplex(((0.0, 0.0), (1.0, 1.0), (2.0, 2.0)), 0.1, (4, 6))
+    assert list(node_blocks(flat, 4)) == []
+    # the blocks of a pass over several domains are their node sets, one
+    # after the other, gathered until they hold a block and cut at its
+    # multiples from the start of the gathering: 2,400-node triangles at
+    # order 20, 4,704-node ones at 28
+    triangles = [GradedSimplex(((0.0, 0.0), (1.0, k / 3), (1.0, (k + 1) / 3)), 0.05, (20, 28))
+                 for k in range(3)]
+    seen = []
+    integrate(lambda p: seen.append(p) or p[:, 0], triangles + [flat])
+    assert [len(p) for p in seen] == [4096, 704, 2400] + [4096, 608] * 3
+    for order, got in ((20, seen[:3]), (28, seen[3:])):
+        pts = np.concatenate([_triangle_whole(t.vertices, order, 0.05)[0] for t in triangles])
+        assert np.array_equal(np.concatenate(got), pts)
 
 
-def test_rule_memo_is_bounded_and_keeps_no_3d_rule():
-    from cycleval.quadrature import _kept_box_rule
+def test_large_rules_integrate_below_one_megabyte_and_are_not_kept():
+    # under tracemalloc, one integral on the 32^3 / 48^3 box pair (143,360
+    # nodes), on the 128^2 / 160^2 pair (41,984) and on the plain ellipse
+    # pair (14,464) peaks below 1 MB, and none of their node sets is kept
+    import tracemalloc
 
-    for k in range(40):
-        box_nodes([(0, 1 + k), (0, 1)], 160)
-        info = _kept_box_rule.cache_info()
-        assert info.currsize <= info.maxsize
-    # a 3-D rule is built for the call and not kept
-    for order in (32, 48):
-        big = box_nodes([(0, 1)] * 3, order)
-        assert not big[0].flags.writeable and not big[1].flags.writeable
-        assert box_nodes([(0, 1)] * 3, order)[0] is not big[0]
+    def fn(p):
+        return np.cos(p[:, 0]) * np.exp(-p[:, -1] ** 2)
+
+    integrate(fn, [[(0.0, 1.0)]])  # the Gauss-Legendre table is read
+    domains = [[(-1.0, 1.5)] * 3, [(-2.5, 2.0), (-1.0, 3.5)],
+               Ellipse(((Q(3), Q(-5, 7)), (Q(-5, 7), Q(1))))]
+    for domain in domains:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            integrate(fn, [domain])
+            now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 1 << 20, (domain, peak - base)
+        assert now - base < 1 << 16, (domain, now - base)
+
+
+def test_integral_over_no_nodes_is_zero():
+    # no domain, or one triangle of zero area: zero results, one per row
+    # of the integrand, whose row count a call on zero nodes gives
+    flat = GradedSimplex(((0.0, 0.0), (1.0, 1.0), (2.0, 2.0)), 0.1, (4, 6))
+    for domains in ([], [flat]):
+        got = integrate(lambda p: np.ones(len(p)), domains)
+        assert (got.value, got.error) == (0.0, 0.0)
+        rows = integrate(lambda p: np.stack([p.sum(axis=1), np.ones(len(p))]), domains)
+        assert [(r.value, r.error) for r in rows] == [(0.0, 0.0)] * 2
+        both = integrate([lambda p: np.ones(len(p)), lambda p: np.zeros((3, len(p)))], domains)
+        assert both[0].value == 0.0 and [r.value for r in both[1]] == [0.0] * 3
+
+
+def test_several_integrands_are_integrated_as_each_alone():
+    # a list of integrands gets every block in turn, each integrand the
+    # results it gets alone, bit for bit
+    fns = [lambda p: np.exp(p[:, 0]) * np.cos(3 * p[:, 1]),
+           lambda p: np.stack([p[:, 0] ** 2 * p[:, 1], np.sin(p[:, 0] + p[:, 1])])]
+    triangles = [GradedSimplex(((0.0, 0.0), (1.0, k / 3), (1.0, (k + 1) / 3)), 0.05, (20, 28))
+                 for k in range(3)]
+    for domains in ([[(-1.0, 0.5), (0.25, 2.0)]], [Ellipse(((Q(1), Q(0)), (Q(0), Q(2))))],
+                    triangles):
+        seen = []
+
+        def first(p):
+            seen.append(p)
+            return fns[0](p)
+
+        def second(p):
+            assert p is seen[-1]  # the block the first integrand got
+            return fns[1](p)
+
+        got = integrate([first, second], domains)
+        alone = [integrate(fn, domains) for fn in fns]
+        assert (got[0].value, got[0].error) == (alone[0].value, alone[0].error)
+        assert [(r.value, r.error) for r in got[1]] == [(r.value, r.error) for r in alone[1]]
 
 
 def _monomials(dim, degree):
@@ -179,10 +327,9 @@ def test_collapsed_rule_is_exact_on_monomials_of_segment_and_triangle():
     order = 6
     segment = [[0.0], [1.0]]
     triangle = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
-    rules = [simplex_nodes(segment, order), simplex_nodes(segment, order, 0.05)]
-    for k in range(3):
-        ring = triangle[k:] + triangle[:k]
-        rules += [simplex_nodes(ring, order), simplex_nodes(ring, order, 0.05)]
+    rings = [segment] + [triangle[k:] + triangle[:k] for k in range(3)]
+    rules = [whole(GradedSimplex(tuple(vertices), layer, (order, order)), order)
+             for vertices in rings for layer in (None, 0.05)]
     for pts, wts in rules:
         dim = pts.shape[1]
         for g in _monomials(dim, 2 * order - 1 if dim == 1 else 2 * order - 2):
@@ -230,9 +377,7 @@ def test_gauss_legendre_table_is_leggauss_bit_for_bit():
 def test_polar_degree_rule_is_exact_in_the_angle():
     # a radial bump times x^a y^b, a + b <= D, on the polar rule of degree
     # D: D + 1 angles per radius, the value of the plain pair to rounding,
-    # the radial pair's error estimate; the rules are kept apart
-    from cycleval.quadrature import _kept_ellipse_rule, _kept_polar_rule
-
+    # the radial pair's error estimate
     M = ((Q(3), Q(-5, 4)), (Q(-5, 4), Q(1)))
     Mf = np.array(M, dtype=float)
 
@@ -243,12 +388,10 @@ def test_polar_degree_rule_is_exact_in_the_angle():
         out[inside] = np.exp(1.0 - 1.0 / q[inside])
         return out
 
-    integrate(bump, [Ellipse(M)])
-    plain_kept = _kept_ellipse_rule.cache_info().currsize
     for degree in range(5):
         domain = Ellipse(M, degree)
         assert domain.orders == tuple((radii, degree + 1) for radii, _ in ELLIPSE_ORDERS)
-        assert len(domain.nodes(domain.orders[1])[1]) == 64 * (degree + 1)
+        assert domain.rule(domain.orders[1]).size == 64 * (degree + 1)
         for a in range(degree + 1):
             def fn(p):
                 return bump(p) * p[:, 0] ** a * p[:, 1] ** (degree - a)
@@ -256,8 +399,6 @@ def test_polar_degree_rule_is_exact_in_the_angle():
             got, plain = integrate(fn, [domain]), integrate(fn, [Ellipse(M)])
             assert abs(got.value - plain.value) <= 1e-14
             assert abs(got.error - plain.error) <= 1e-14
-    assert _kept_ellipse_rule.cache_info().currsize == plain_kept
-    assert _kept_polar_rule.cache_info().currsize >= 5
 
 
 def test_spherical_degree_rule_is_exact_in_the_angles():
@@ -279,7 +420,7 @@ def test_spherical_degree_rule_is_exact_in_the_angles():
 
     def box_moments(order):
         # every moment of degree <= top on one tensor rule, by running products
-        pts, wts = box_nodes(box, order)
+        pts, wts = whole(box, order)
         x, y, z = pts.T
         out, wa = {}, wts * bump(pts)
         for a in range(top + 1):
@@ -317,7 +458,7 @@ def test_spherical_rule_sizes_and_its_need_of_a_degree():
     M = ((Q(1), Q(0), Q(0)), (Q(0), Q(2), Q(0)), (Q(0), Q(0), Q(3)))
     for degree, nodes in ((1, 240), (2, 720)):
         domain = Ellipse(M, degree)
-        assert sum(len(domain.nodes(orders)[1]) for orders in domain.orders) == nodes
+        assert sum(domain.rule(orders).size for orders in domain.orders) == nodes
     with np.testing.assert_raises(ValueError):
         Ellipse(M)
     # the volume of the ellipsoid, 4 pi / 3 / sqrt(det M), to rounding

@@ -155,29 +155,30 @@ def test_hessian_suite_builds_no_3d_box_rule(monkeypatch):
     # every Hessian valuation of the suite, on quadratics, is a bump times
     # a polynomial: at n = 3 both sides of the cross-check run on ellipsoid
     # rules of a few hundred nodes, not on the 32^3 / 48^3 box pair, whose
-    # 1 to 3.4 MiB rules would set the suite's peak memory
+    # 143,360 nodes would set the suite's time
     from cycleval import quadrature
     from cycleval.suites import run_suite
 
-    built = []
-    real = quadrature._box_rule
+    boxes = []
+    real = quadrature._rule
 
-    def box_rule(bounds, order):
-        built.append(len(bounds))
-        return real(bounds, order)
+    def rule(domain):
+        if isinstance(domain, (tuple, list)):
+            boxes.append(len(domain))
+        return real(domain)
 
-    monkeypatch.setattr(quadrature, "_box_rule", box_rule)
+    monkeypatch.setattr(quadrature, "_rule", rule)
     config = ExperimentConfig(n=1, seed=7, suites=["hessian"],
                               sizes={"hessian_specs": 5, "mixed_disc_samples": 4})
     result = run_suite("hessian", config)
     assert all(e.passed for e in result.entries)
     assert any("(n=3," in e.name for e in result.entries)
-    assert 3 not in built
-    # a 3-D bump form on the box pair builds its two rules
+    assert 3 not in boxes
+    # a 3-D bump form on the box pair integrates that box
     from cycleval.convex import Quadratic
     from cycleval.cycles import eval_smooth
     from cycleval.lab import random_bump_form
 
     tau = random_bump_form(np.random.default_rng(5), 3, degree=3)
     eval_smooth(Quadratic(np.eye(3)), [tau], domain=tau.support_box())
-    assert built.count(3) == 2
+    assert boxes.count(3) == 1
