@@ -265,14 +265,13 @@ def _simplex_rule(vertices, order: int, layer: float | None = None) -> _Rule:
 
     def make(i, j):
         r = rp[j]
-        return (np.stack([v0[k] + r * edge[k][i] for k in range(2)], axis=-1),
-                uw[i] * rw[j] * r * area2)
+        wts = uw[i] * rw[j] * r * area2
+        pts = np.empty(wts.shape + (2,))
+        for k in range(2):
+            pts[..., k] = v0[k] + r * edge[k][i]
+        return pts, wts
 
     return _Rule((len(up), len(rp)), make)
-
-
-def _float_bounds(box: Box) -> tuple:
-    return tuple((float(lo), float(hi)) for lo, hi in box)
 
 
 def _box_rule(bounds, order) -> _Rule:
@@ -280,9 +279,11 @@ def _box_rule(bounds, order) -> _Rule:
     axes = [gl_interval(lo, hi, order) for lo, hi in bounds]
 
     def make(*idx):
-        return (np.stack(np.broadcast_arrays(*(pts[i] for (pts, _), i in zip(axes, idx))),
-                         axis=-1),
-                reduce(np.multiply, [w[i] for (_, w), i in zip(axes, idx)]))
+        wts = reduce(np.multiply, [w[i] for (_, w), i in zip(axes, idx)])
+        pts = np.empty(wts.shape + (len(axes),))
+        for k, ((axis, _), i) in enumerate(zip(axes, idx)):
+            pts[..., k] = axis[i]
+        return pts, wts
 
     return _Rule(tuple(len(w) for _, w in axes), make)
 
@@ -290,11 +291,17 @@ def _box_rule(bounds, order) -> _Rule:
 # The rules of the suites' support domains repeat from integral to integral,
 # for every function of a battery: a few dozen (domain, order) pairs per run.
 # A rule of at most one block is kept whole, any other as its 1-D factors,
-# so no node set of more than one block is ever kept.
+# so no node set of more than one block is ever kept.  The blocks of a
+# whole rule are views of its arrays, which every integral shares: they are
+# read-only.
 @lru_cache(maxsize=128)
 def _kept(build, key, order) -> _Rule:
     rule = build(key, order)
-    return _whole(*rule.block(0, rule.size)) if rule.size <= _NODE_BLOCK else rule
+    if rule.size > _NODE_BLOCK:
+        return rule
+    pts, wts = rule.block(0, rule.size)
+    pts.flags.writeable = wts.flags.writeable = False
+    return _whole(pts, wts)
 
 
 def _ellipse_map(M) -> tuple:
@@ -352,13 +359,13 @@ def _ellipse_rule(M, orders) -> _Rule:
 
     def make(*idx):
         u, wts = ball(*idx)
-        x = []
+        pts = np.empty(wts.shape + (len(rows),))
         for i, row in enumerate(rows):
             xi = row[0] * u[i]
             for j in range(1, len(row)):
                 xi = xi + row[j] * u[i + j]
-            x.append(xi)
-        return np.stack(np.broadcast_arrays(*x), axis=-1), wts * jac
+            pts[..., i] = xi
+        return pts, wts * jac
 
     return _Rule(shape, make)
 
@@ -485,7 +492,7 @@ class SimplexProduct:
 def _rule(domain):
     """``(rule(order), (coarse order, fine order))`` of a support domain."""
     if isinstance(domain, (tuple, list)):
-        bounds = _float_bounds(domain)
+        bounds = tuple((float(lo), float(hi)) for lo, hi in domain)
         return (lambda order: _kept(_box_rule, bounds, order)), ORDERS[len(domain)]
     return domain.rule, domain.orders
 
@@ -521,16 +528,9 @@ def two_pass(fn, domains: list) -> EvalResult | list:
     fns = [fn] if callable(fn) else list(fn)
     rules = [_rule(d) for d in domains]
     coarse, fine = (_one_pass(fns, rules, k) for k in (0, 1))
-    out = [_estimated(f, c) for f, c in zip(fine, coarse)]
+    out = [[EvalResult(v, abs(v - c)) for v, c in zip(f, c_)] if isinstance(f, list)
+           else EvalResult(f, abs(f - c_)) for f, c_ in zip(fine, coarse)]
     return out[0] if callable(fn) else out
-
-
-def _estimated(fine, coarse):
-    """The fine pass's value, a float or one per row, with its distance
-    from the coarse pass."""
-    if isinstance(fine, list):
-        return [EvalResult(v, abs(v - c)) for v, c in zip(fine, coarse)]
-    return EvalResult(fine, abs(fine - coarse))
 
 
 def _one_pass(fns: list, rules, k: int) -> list:
@@ -586,15 +586,9 @@ def _cut(rules):
             pieces.append(rule.block(start, stop))
             room -= stop - start
             start = stop
-            if not room:
-                yield _joined(pieces)
+            if not room or (start == rule.size and rule is rules[-1]):
+                yield pieces[0] if len(pieces) == 1 else tuple(map(np.concatenate, zip(*pieces)))
                 pieces, room = [], _NODE_BLOCK
-    if pieces:
-        yield _joined(pieces)
-
-
-def _joined(pieces: list) -> tuple:
-    return pieces[0] if len(pieces) == 1 else tuple(map(np.concatenate, zip(*pieces)))
 
 
 def node_blocks(domain, order):

@@ -235,6 +235,10 @@ def test_blocks_of_every_domain_kind_equal_the_rule_built_whole():
             assert sum(len(w) for _, w in blocks[:-1]) == _NODE_BLOCK * (len(blocks) - 1)
             got_pts, got_wts = map(np.concatenate, zip(*blocks))
             assert np.array_equal(got_pts, pts) and np.array_equal(got_wts, wts), domain
+    # a rule of one block is kept whole and handed out read-only
+    for arr in next(node_blocks(Ellipse(M, 3), Ellipse(M, 3).orders[0])):
+        with np.testing.assert_raises(ValueError):
+            arr[0] = 1.0
     flat = GradedSimplex(((0.0, 0.0), (1.0, 1.0), (2.0, 2.0)), 0.1, (4, 6))
     assert list(node_blocks(flat, 4)) == []
     # the blocks of a pass over several domains are their node sets, one
