@@ -179,7 +179,7 @@ class BlockCache:
 
     def __call__(self, X: np.ndarray) -> EvalCache:
         if X is not self._nodes:
-            self._nodes = self._cache = None
+            self._nodes = self._cache = None  # dropped before the next is made
             self._nodes, self._cache = X, EvalCache()
         return self._cache
 

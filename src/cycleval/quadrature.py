@@ -578,15 +578,16 @@ def _cut(rules):
     """The node sets of ``rules``, one after the other, in blocks of
     ``_NODE_BLOCK`` nodes (the last one shorter): a block spans the rules
     whose nodes it holds and is made from its piece of each."""
-    pieces, room = [], _NODE_BLOCK
+    pieces, room, left = [], _NODE_BLOCK, sum(rule.size for rule in rules)
     for rule in rules:
         start = 0
         while start < rule.size:
             stop = min(rule.size, start + room)
             pieces.append(rule.block(start, stop))
             room -= stop - start
+            left -= stop - start
             start = stop
-            if not room or (start == rule.size and rule is rules[-1]):
+            if not room or not left:
                 yield pieces[0] if len(pieces) == 1 else tuple(map(np.concatenate, zip(*pieces)))
                 pieces, room = [], _NODE_BLOCK
 
