@@ -37,6 +37,7 @@ from .coefficients import (
     SupportError,
     _box_text,
     _box_union,
+    ball_bump,
     linear_x_matrix_id,
 )
 from .exactla import inverse
@@ -495,10 +496,11 @@ def lefschetz_L(a: Form) -> Form:
 _LEF_CACHE: dict[int, tuple[list[Key], list[Key], list[list[Fraction]]]] = {}
 
 
-def _subsets(vals, k):
+def _subset_keys(n: int, degree: int) -> list:
+    """Every key of degree ``degree`` on T*R^n, in lexicographic order."""
     out = [()]
-    for _ in range(k):
-        out = [s + (v,) for s in out for v in vals if not s or v > s[-1]]
+    for _ in range(degree):
+        out = [s + (v,) for s in out for v in range(2 * n) if not s or v > s[-1]]
     return out
 
 
@@ -506,8 +508,8 @@ def _lefschetz_inverse_matrix(n: int):
     """Inverse of the basis matrix of L: Lambda^{n-1} -> Lambda^{n+1}."""
     if n in _LEF_CACHE:
         return _LEF_CACHE[n]
-    src = _subsets(range(2 * n), n - 1)
-    dst = _subsets(range(2 * n), n + 1)
+    src = _subset_keys(n, n - 1)
+    dst = _subset_keys(n, n + 1)
     dst_index = {k: i for i, k in enumerate(dst)}
     m = len(src)
     if len(dst) != m:
@@ -595,3 +597,41 @@ def integrate_coefficient(c: CoefficientFn) -> EvalResult:
                 yield integrate(part.eval_x_array, [rule])
 
     return sum_parts(parts())
+
+
+# -- random forms -----------------------------------------------------------------
+
+
+def _rand_frac(rng, num=6, den=3) -> Fraction:
+    return Q(int(rng.integers(-num, num + 1)), int(rng.integers(1, den + 1)))
+
+
+def random_bump_form(rng, n: int, degree: Optional[int] = None,
+                     bidegree: Optional[tuple] = None,
+                     radius=2, max_deg: int = 2, nterms: int = 2,
+                     y_dependent: bool = True, coeff_num: int = 6,
+                     coeff_den: int = 3) -> Form:
+    """Random horizontally supported form with bump-modulated coefficients."""
+    if bidegree is not None:
+        p, q = bidegree
+        degree = p + q
+        keys = [k for k in _subset_keys(n, degree)
+                if sum(1 for v in k if v < n) == p]
+    else:
+        assert degree is not None
+        keys = _subset_keys(n, degree)
+    bump = ball_bump(n, radius)
+    terms: dict = {}
+    for _ in range(nterms):
+        key = keys[rng.integers(len(keys))]
+        nv = 2 * n
+        e = [0] * nv
+        for _ in range(2):
+            v = int(rng.integers(0, nv if y_dependent else n))
+            e[v] = min(e[v] + int(rng.integers(0, max_deg)), max_deg)
+        poly = Poly.monomial(nv, e, _rand_frac(rng, coeff_num, coeff_den))
+        if poly.is_zero():
+            poly = Poly.const(nv, 1)
+        c = CoefficientFn.bump(n, bump, poly)
+        terms[key] = terms[key] + c if key in terms else c
+    return Form(n, degree, terms)

@@ -17,26 +17,17 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .coefficients import BumpFactor, CoefficientFn, ball_bump
-from .convex import (
-    ConvexBody,
-    ConvexFunction,
-    EllipsoidBody,
-    LogSumExp,
-    MaxAffine,
-    PiecewiseLinear1D,
-    PointBody,
-    Quadratic,
-    Scaled,
-    Shifted,
-    SmoothCatalog,
-    SmoothedBoxBody,
-)
 from .exactla import det, inverse
-from .forms import Form
+from .forms import Form, merge_sign
 from .polynomials import Poly, Q
+
+# the function and body builders import convex themselves, so that parsing
+# a form does not load it
+if TYPE_CHECKING:
+    from .convex import ConvexBody, ConvexFunction, PiecewiseLinear1D
 
 
 class ParseError(ValueError):
@@ -256,8 +247,6 @@ def _parse_wedge(tok: str, n: int):
         if not 1 <= i <= n:
             raise ParseError(f"generator index out of range: {gen}")
         code = (i - 1) if xy == "x" else (n + i - 1)
-        from .forms import merge_sign
-
         s, merged = merge_sign(tuple(key), (code,))
         if s == 0:
             return tuple(), 0
@@ -421,6 +410,8 @@ def parse_function(spec, n: int) -> ConvexFunction | PiecewiseLinear1D:
     ``shiftc=`` and ``scale=`` applied afterwards; e.g.
     ``quadratic A=[[2,0],[0,1]] b=[0,0] c=0 scale=2``.
     """
+    from .convex import Scaled, Shifted
+
     kind, kw = _split_spec(spec)
     shift = kw.pop("shift", None)
     shiftc = kw.pop("shiftc", Q(0))
@@ -434,6 +425,8 @@ def parse_function(spec, n: int) -> ConvexFunction | PiecewiseLinear1D:
 
 
 def _build_function(kind: str, kw: dict, n: int):
+    from .convex import LogSumExp, MaxAffine, PiecewiseLinear1D, Quadratic, SmoothCatalog
+
     if kind == "quadratic":
         return Quadratic(kw["A"], kw.get("b"), kw.get("c", 0))
     if kind == "maxaffine":
@@ -468,6 +461,8 @@ def _pieces(kw) -> list:
 def parse_body(spec, n: int) -> ConvexBody:
     """Body specs: ``ellipsoid M=[[...]]``, ``point p=[...]``,
     ``smoothbox a=[...] eps=1/10`` (matrices live in R^{n+1})."""
+    from .convex import EllipsoidBody, PointBody, SmoothedBoxBody
+
     kind, kw = _split_spec(spec, prefix="body")
     if kind == "ellipsoid":
         M = [[float(v) for v in row] for row in kw["M"]]

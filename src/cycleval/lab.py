@@ -59,11 +59,14 @@ from .cycles import (
 from .exactla import det, inverse, polarized_det, solve
 from .forms import (
     Form,
+    _rand_frac,
+    _subset_keys,
     integrate_zero_section,
     lie_derivative,
     linear_lift,
     merge_sign,
     pullback,
+    random_bump_form,
 )
 from .polyhedral import build_polyhedral, eval_polyhedral, window_for
 from .polynomials import Poly, Q, _as_fraction
@@ -212,10 +215,6 @@ def scale_of(values: Sequence[float]) -> float:
 # -- function battery ------------------------------------------------------------
 
 
-def _rand_frac(rng, num=6, den=3) -> Fraction:
-    return Q(int(rng.integers(-num, num + 1)), int(rng.integers(1, den + 1)))
-
-
 def _rand_pd_matrix(rng, n, floor=Q(2, 5)):
     G = [[_rand_frac(rng, 3, 2) for _ in range(n)] for _ in range(n)]
     A = [[sum(G[k][i] * G[k][j] for k in range(n)) + (floor if i == j else 0)
@@ -265,43 +264,6 @@ def battery(n: int, seed: int = 7, size: int = 32) -> list:
 
 
 # -- random forms -----------------------------------------------------------------
-
-
-def _subset_keys(n, degree):
-    from .forms import _subsets
-
-    return _subsets(range(2 * n), degree)
-
-
-def random_bump_form(rng, n: int, degree: Optional[int] = None,
-                     bidegree: Optional[tuple] = None,
-                     radius=2, max_deg: int = 2, nterms: int = 2,
-                     y_dependent: bool = True, coeff_num: int = 6,
-                     coeff_den: int = 3) -> Form:
-    """Random horizontally supported form with bump-modulated coefficients."""
-    if bidegree is not None:
-        p, q = bidegree
-        degree = p + q
-        keys = [k for k in _subset_keys(n, degree)
-                if sum(1 for v in k if v < n) == p]
-    else:
-        assert degree is not None
-        keys = _subset_keys(n, degree)
-    bump = ball_bump(n, radius)
-    terms: dict = {}
-    for _ in range(nterms):
-        key = keys[rng.integers(len(keys))]
-        nv = 2 * n
-        e = [0] * nv
-        for _ in range(2):
-            v = int(rng.integers(0, nv if y_dependent else n))
-            e[v] = min(e[v] + int(rng.integers(0, max_deg)), max_deg)
-        poly = Poly.monomial(nv, e, _rand_frac(rng, coeff_num, coeff_den))
-        if poly.is_zero():
-            poly = Poly.const(nv, 1)
-        c = CoefficientFn.bump(n, bump, poly)
-        terms[key] = terms[key] + c if key in terms else c
-    return Form(n, degree, terms)
 
 
 def window_vanishing_weight(n: int, R=2, power: int = 1) -> Poly:

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from cycleval.coefficients import BumpFactor, CoefficientFn, CompiledBatch, EvalCache, ball_bump
-from cycleval.forms import exterior_derivative, linear_lift
-from cycleval.lab import random_bump_form
+from cycleval.forms import exterior_derivative, linear_lift, random_bump_form
 from cycleval.polynomials import Poly
 
 

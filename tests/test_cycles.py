@@ -733,7 +733,8 @@ class _MaterialisedHessian(ConvexFunction):
 
 
 def test_constant_hessian_read_once_matches_materialised_bitwise():
-    from cycleval.lab import MixedDiscriminantSpec, hessian_valuation, random_bump_form
+    from cycleval.forms import random_bump_form
+    from cycleval.lab import MixedDiscriminantSpec, hessian_valuation
 
     rng = np.random.default_rng(31)
     for n in (1, 2):
@@ -757,7 +758,8 @@ def _polynomial_gradients(rng, n):
     """``(function, its gradient as exact polynomials in x)`` for each kind
     of function whose gradient is a polynomial."""
     from cycleval.convex import Shifted
-    from cycleval.lab import _rand_frac, _rand_pd_matrix
+    from cycleval.forms import _rand_frac
+    from cycleval.lab import _rand_pd_matrix
 
     nv = 2 * n
     x = [Poly.variable(nv, i) for i in range(n)]

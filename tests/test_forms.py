@@ -21,13 +21,14 @@ from cycleval.forms import (
     linear_lift,
     merge_sign,
     pullback,
+    random_bump_form,
     standard_symplectic_form,
     vertical_translation,
     wedge,
     zero_section_coefficient,
 )
 from cycleval.exactla import inverse
-from cycleval.lab import random_bump_form, so_generators
+from cycleval.lab import so_generators
 from cycleval.polynomials import Poly
 
 
@@ -116,8 +117,8 @@ def test_d_squared_zero_randomized():
 
 
 def _random_poly_form(rng, n, deg, nterms=2, bump=False):
-    from cycleval.forms import _subsets
-    keys = _subsets(range(2 * n), deg)
+    from cycleval.forms import _subset_keys
+    keys = _subset_keys(n, deg)
     terms = {}
     for _ in range(nterms):
         key = keys[rng.integers(len(keys))]

@@ -22,7 +22,7 @@ from cycleval.grammar import (
     parse_value,
     serialize_form,
 )
-from cycleval.lab import random_bump_form
+from cycleval.forms import random_bump_form
 from cycleval.polynomials import Poly
 
 

@@ -1,0 +1,113 @@
+"""Which modules a run imports, and when.
+
+Each test runs in a fresh interpreter, so that the modules it finds loaded
+are the ones its own imports and calls loaded.  A run of the identities
+suite alone never loads an evaluator, and every suite's run imports no
+module: the evaluators a config needs load while the config is validated,
+in set-up, not in a suite's timed run."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+EVALUATORS = ["cycleval.bridge", "cycleval.convex", "cycleval.cycles", "cycleval.lab",
+              "cycleval.polyhedral"]
+
+# the sizes of a one-suite config small enough to run in a moment
+TINY = {
+    "identities": {"identity_dims": [1], "identity_forms": 1},
+    "kernel": {"kernel_dims": [1], "kernel_forms": 1, "kernel_nonkernel": 1,
+               "constant_forms": 1, "kernel_battery": 2},
+    "homogeneity": {"homogeneity_dims": [1]},
+    "invariance": {},
+    "hessian": {"hessian_specs": 1, "mixed_disc_samples": 1},
+    "bridge": {"bridge_dims": [1], "bridge_forms": 1},
+    "mass": {"mass_dims": [1], "mass_battery": 2},
+    "valuation-property": {"valuation_pairs": 1},
+    "first-variation": {"first_variation_cases": 1},
+    "consistency": {"consistency_functions": 1, "consistency_forms": 1},
+}
+
+# cycleval.__all__ before its names were imported lazily
+EXPORTS = [
+    "BumpFactor", "CoefficientFn", "ConvexBody", "ConvexFunction", "EllipsoidBody", "Form",
+    "LogSumExp", "MaxAffine", "PiecewiseLinear1D", "PointBody", "Poly", "PolynomialMap",
+    "Quadratic", "RuminResult", "Scaled", "Shifted", "SmoothCatalog", "SmoothField",
+    "SmoothedBoxBody", "Valuation", "ball_bump", "battery", "body_restriction",
+    "coefficients", "convex", "cycles", "d_bar", "evaluate", "exactla",
+    "exterior_derivative", "forms", "integrate_zero_section", "interior_product",
+    "kernel_check", "lab", "lefschetz_L", "lefschetz_L_inverse", "mixed_discriminant",
+    "polyhedral", "polynomials", "pullback", "quadrature", "rumin", "rumin_d", "wedge"]
+
+
+def _fresh(script: str, *args: str):
+    """The JSON that ``script`` prints, run with ``args`` in a new interpreter."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+LOADED = "sorted(k for k in sys.modules if k.startswith('cycleval'))"
+
+
+def test_identities_run_loads_no_evaluator(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suites": ["identities"], "sizes": TINY["identities"]}))
+    loaded = _fresh(f"""
+import json, sys
+from cycleval import cli, suites
+code = cli.main(["run", sys.argv[1], "--out", sys.argv[2]])
+print(json.dumps([code, {LOADED}]))
+""", str(cfg), str(tmp_path / "out"))
+    assert loaded[0] == 0
+    assert (tmp_path / "out" / "report.json").is_file()
+    assert not set(EVALUATORS) & set(loaded[1]), loaded[1]
+
+
+def test_exact_layers_load_no_evaluator():
+    loaded = _fresh(f"""
+import json, sys
+from cycleval import coefficients, exactla, forms, polynomials, quadrature, report, rumin
+print(json.dumps({LOADED}))
+""")
+    assert not set(EVALUATORS) & set(loaded), loaded
+    assert "cycleval.numeric_suites" not in loaded
+
+
+def test_every_exported_name_resolves():
+    got = _fresh("""
+import json
+import cycleval
+names = [n for n in cycleval.__all__ if getattr(cycleval, n, None) is not None]
+print(json.dumps([cycleval.__all__, names]))
+""")
+    assert got == [EXPORTS, EXPORTS]
+
+
+@pytest.mark.parametrize("suite", list(TINY))
+def test_a_suite_run_imports_no_module(suite):
+    # set-up (the config's validation) imports what the suite needs; the
+    # suite's own run, the timed region of a benchmark, imports nothing
+    got = _fresh(f"""
+import json, sys
+from cycleval.suites import ExperimentConfig, run_suite
+config = ExperimentConfig.from_dict(json.loads(sys.argv[1]))
+before = {LOADED}
+result = run_suite(config.suites[0], config)
+print(json.dumps([len(result.entries), before, {LOADED}]))
+""", json.dumps({"suites": [suite], "sizes": TINY[suite]}))
+    entries, before, after = got
+    assert entries > 0
+    assert after == before
+    if suite == "identities":
+        assert not set(EVALUATORS) & set(after), after
+    else:
+        assert set(EVALUATORS) <= set(after), after

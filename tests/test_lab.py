@@ -19,6 +19,7 @@ from cycleval.forms import (
     Form,
     integrate_zero_section,
     lie_derivative,
+    random_bump_form,
     standard_symplectic_form,
     wedge,
 )
@@ -35,7 +36,6 @@ from cycleval.lab import (
     k1_representation,
     kernel_check,
     mixed_discriminant,
-    random_bump_form,
     random_kernel_form,
     random_window_form,
     scale_of,

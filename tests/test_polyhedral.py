@@ -78,9 +78,9 @@ def _window_vanishing_rho(n, rng):
     w = Poly.const(nv, 1)
     for i in range(n):
         w = w * (Poly.const(nv, 4) - Poly.variable(nv, i) ** 2)
-    from cycleval.forms import _subsets
+    from cycleval.forms import _subset_keys
 
-    keys = _subsets(range(2 * n), n - 1)
+    keys = _subset_keys(n, n - 1)
     terms = {}
     for _ in range(2):
         key = keys[rng.integers(len(keys))]

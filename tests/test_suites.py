@@ -16,12 +16,8 @@ from cycleval.lab import (
 )
 from cycleval.report import SuiteEntry
 from cycleval.rumin import rumin_d
-from cycleval.suites import (
-    _KERNEL_SMOOTH_MIN,
-    _KERNEL_TOP_UP_SEEDS,
-    ExperimentConfig,
-    suite_kernel,
-)
+from cycleval.numeric_suites import _KERNEL_SMOOTH_MIN, _KERNEL_TOP_UP_SEEDS, suite_kernel
+from cycleval.suites import ExperimentConfig
 
 SMALL_KERNEL = ExperimentConfig(
     n=1, seed=11, suites=["kernel"],
@@ -177,7 +173,7 @@ def test_hessian_suite_builds_no_3d_box_rule(monkeypatch):
     # a 3-D bump form on the box pair integrates that box
     from cycleval.convex import Quadratic
     from cycleval.cycles import eval_smooth
-    from cycleval.lab import random_bump_form
+    from cycleval.forms import random_bump_form
 
     tau = random_bump_form(np.random.default_rng(5), 3, degree=3)
     eval_smooth(Quadratic(np.eye(3)), [tau], domain=tau.support_box())
