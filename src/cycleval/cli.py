@@ -11,23 +11,32 @@ passed: 1 on suite failures, 2 on config/parse errors, 3 on runtime errors.
 A declared form, function or body that no requested suite evaluates is a
 config error, and so is an output directory that cannot be created; both
 are found before the first suite runs.  An output file that cannot be
-written once the suites have run exits 2 with an ``output error``.  The
-suites run one after another on the calling thread.  A job count
-(``--jobs``, default 1) is accepted for process jobs to come; a job count
-below 1 is a config error.
+written once the suites have run exits 2 with an ``output error``, and so
+does a stdout that its reader closes early (``| head -1``).  The suites
+run one after another on the calling thread.  A job count (``--jobs``,
+default 1) is accepted for process jobs to come; a job count below 1 is a
+config error.
+
+A run loads only the layers its config uses, all of them while it
+validates the config: a run of ``identities`` alone loads ``polynomials``,
+``exactla``, ``coefficients``, ``forms``, ``rumin``, ``suites``, ``report``
+and this module; any other suite adds ``numeric_suites`` with
+``quadrature``, ``convex``, ``cycles``, ``polyhedral`` and ``lab``; the
+bridge suite adds ``bridge``, and declared forms, functions or bodies add
+``grammar``, which ``list-catalog`` and ``dump-cycle`` load as well.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
 
 from . import __version__
 from .forms import MAX_DIMENSION
-from .grammar import CATALOG_TEXT, ParseError, parse_function
 from .report import ValuationReport, config_digest
 from .suites import SUITES, ExperimentConfig, run_suite
 
@@ -81,7 +90,7 @@ def cmd_run(args) -> int:
         # and before the first suite, so that a bad --out costs no run
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-    except (OSError, json.JSONDecodeError, ParseError, ValueError, TypeError) as exc:
+    except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
 
@@ -111,21 +120,42 @@ def cmd_run(args) -> int:
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    print(report.summary_text(), end="")
+    if not _to_stdout(report.summary_text()):
+        return EXIT_PARSE_ERROR
     return EXIT_OK if report.passed else EXIT_SUITE_FAILURES
 
 
+def _to_stdout(text: str) -> bool:
+    """Write ``text`` to stdout; False, after an ``output error``, when its
+    reader has gone (``head``, say, which stops early)."""
+    out = sys.stdout
+    if out is None:  # started without a stdout: nothing to write to
+        return True
+    try:
+        out.flush()
+        data = text.encode(out.encoding, out.errors)
+        while data:  # a pipe whose reader leaves takes part of a write
+            data = data[out.buffer.write(data):]
+        out.buffer.flush()
+    except OSError as exc:
+        # the interpreter flushes stdout once more at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        print(f"output error: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def cmd_list_catalog(_args) -> int:
-    print(f"cycleval {__version__}")
-    print()
-    print(CATALOG_TEXT)
-    print("suites:", ", ".join(SUITES))
-    return EXIT_OK
+    from .grammar import CATALOG_TEXT
+
+    text = f"cycleval {__version__}\n\n{CATALOG_TEXT}\nsuites: {', '.join(SUITES)}\n"
+    return EXIT_OK if _to_stdout(text) else EXIT_PARSE_ERROR
 
 
 def cmd_dump_cycle(args) -> int:
     from .convex import PiecewiseLinear1D, as_max_affine
     from .cycles import build_1d
+    from .grammar import parse_function
     from .polyhedral import MAX_POLYHEDRAL_DIMENSION, build_polyhedral
 
     try:
@@ -139,7 +169,7 @@ def cmd_dump_cycle(args) -> int:
         if ma is not None and dim > MAX_POLYHEDRAL_DIMENSION:
             raise ValueError("polyhedral cycles are built for n = 1 and "
                              f"{MAX_POLYHEDRAL_DIMENSION}, not n = {dim}")
-    except (ParseError, ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
     try:
@@ -163,8 +193,7 @@ def cmd_dump_cycle(args) -> int:
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME_ERROR
     if args.out == "-":
-        print(payload)
-        return EXIT_OK
+        return EXIT_OK if _to_stdout(payload + "\n") else EXIT_PARSE_ERROR
     try:
         Path(args.out).write_text(payload + "\n")
     except OSError as exc:

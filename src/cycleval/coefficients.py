@@ -76,7 +76,6 @@ import numpy as np
 
 from .exactla import inverse
 from .polynomials import FIELD_BITS, Poly, Q, _MASK, _as_fraction, _reduced, field_sum
-from .quadrature import Ellipse
 
 Matrix = tuple  # tuple[tuple[Fraction, ...], ...]
 BoxT = tuple   # tuple[tuple[Fraction, Fraction], ...]
@@ -859,7 +858,11 @@ class CoefficientFn:
         plain ellipse rule is 2-D, and the 3-D one takes an integrand's
         degree (``cycles.graph_rule``)."""
         M = self.bump_matrix() if self.n == 2 else None
-        return self.support_box() if M is None else Ellipse(M)
+        if M is None:
+            return self.support_box()
+        from .quadrature import Ellipse  # numeric code alone needs the rules
+
+        return Ellipse(M)
 
     def integral_vanishes_by_parity(self) -> bool:
         """True when the x-integral is exactly zero by odd symmetry.

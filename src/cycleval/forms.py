@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .coefficients import (
     BoxT,
@@ -42,7 +42,9 @@ from .coefficients import (
 )
 from .exactla import inverse
 from .polynomials import Poly, Q, _as_fraction
-from .quadrature import Ellipse, EvalResult, integrate, sum_parts
+
+if TYPE_CHECKING:
+    from .quadrature import EvalResult
 
 MAX_DIMENSION = 4  # basis matrices for the Lefschetz inverse stay tiny
 
@@ -218,7 +220,11 @@ class Form:
         """The support ellipse of the :meth:`bump_matrix` when n = 2 (see
         :meth:`CoefficientFn.support_domain`), else :meth:`support_box`."""
         M = self.bump_matrix() if self.n == 2 else None
-        return self.support_box() if M is None else Ellipse(M)
+        if M is None:
+            return self.support_box()
+        from .quadrature import Ellipse  # numeric code alone needs the rules
+
+        return Ellipse(M)
 
     # -- linear structure -----------------------------------------------------
 
@@ -579,6 +585,7 @@ def integrate_coefficient(c: CoefficientFn) -> EvalResult:
     is integrated.
     """
     from .cycles import graph_rule  # cycles builds on this module
+    from .quadrature import integrate, sum_parts
 
     if c.has_params():
         raise SupportError(FREE_PARAMETERS)

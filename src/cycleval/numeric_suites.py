@@ -1,6 +1,7 @@
 """The nine suites that evaluate valuations on cycles: every suite but
-identities.  This module imports the evaluator layers; ``ExperimentConfig``
-imports it when it validates a suite list that names one of its suites, so
+identities.  This module imports the evaluator layers but ``bridge``;
+``ExperimentConfig`` imports it when it validates a suite list that names
+one of its suites, and ``bridge`` when the list names the bridge suite, so
 the evaluators load during set-up, never inside a suite, and a run of
 identities alone does not load them.  ``suites.SUITES`` lists every suite.
 """
@@ -12,7 +13,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .bridge import bridge_check
 from .coefficients import CoefficientFn, ball_bump
 from .convex import (
     EllipsoidBody, LogSumExp, MaxAffine, PiecewiseLinear1D, PointBody, Quadratic, Shifted,
@@ -301,6 +301,8 @@ def _mixed_disc_bruteforce(mats):
 
 
 def suite_bridge(config: ExperimentConfig) -> list:
+    from .bridge import bridge_check  # loaded when the config was validated
+
     entries = []
     tol = config.tol("bridge")
     for n in config.size("bridge_dims"):

@@ -45,7 +45,6 @@ from .forms import (
     vertical_translation,
     wedge,
 )
-from .grammar import ParseError, parse_body, parse_form, parse_function
 from .polynomials import Poly, Q
 from .report import SuiteEntry, SuiteResult
 from .rumin import rumin_d
@@ -143,8 +142,13 @@ class ExperimentConfig:
                 want = "a non-negative integer"
             if not ok:
                 raise ValueError(f"size {key} must be {want}, got {value!r}")
+        # the layers a run uses load in set-up, not in a suite
         if set(self.suites) != {"identities"}:
-            _numeric_suites()  # the evaluators load in set-up, not in a suite
+            _numeric_suites()
+        if "bridge" in self.suites:
+            from . import bridge  # noqa: F401
+        if self.forms or self.functions or self.bodies:
+            _grammar()
 
     def tol(self, key: str) -> float:
         return float(self.tolerances.get(key, DEFAULT_TOLERANCES[key]))
@@ -175,10 +179,10 @@ class ExperimentConfig:
         return [_declared_form(s, n) for s in self.forms]
 
     def parsed_functions(self, n: int) -> list:
-        return [parse_function(s, n) for s in self.functions]
+        return [_DECLARED["functions"].parse(s, n) for s in self.functions]
 
     def parsed_bodies(self, n: int) -> list:
-        return [parse_body(s, n) for s in self.bodies]
+        return [_DECLARED["bodies"].parse(s, n) for s in self.bodies]
 
     def declared(self, kind: str, n: int) -> list:
         """``(index, object)`` for each declared object of ``kind`` (a key of
@@ -190,7 +194,7 @@ class ExperimentConfig:
         for i, spec in enumerate(getattr(self, kind)):
             try:
                 obj = use.parse(spec, n)
-            except ParseError:
+            except _grammar().ParseError:
                 continue
             if use.keep(obj, n):
                 out.append((i, obj))
@@ -208,7 +212,7 @@ class ExperimentConfig:
                 for n in dims or [self.n]:
                     try:
                         parsed.append((use.parse(spec, n), n))
-                    except ParseError as exc:
+                    except _grammar().ParseError as exc:
                         error = error or exc
                 if not parsed:
                     raise error
@@ -229,10 +233,17 @@ def _declared_form(spec: str, n: int) -> Form:
     """A declared form; SupportError when the kernel suite cannot evaluate
     it (``Form.check_evaluable``, and ``Form.check_windows`` for its
     quadrature routes)."""
-    tau = parse_form(spec, n)
+    tau = _grammar().parse_form(spec, n)
     tau.check_evaluable()
     tau.check_windows()
     return tau
+
+
+def _grammar():
+    """The grammar module, which only a config that declares objects loads."""
+    from . import grammar
+
+    return grammar
 
 
 class _Declarable(NamedTuple):
@@ -250,10 +261,12 @@ _DECLARED = {
     "forms": _Declarable("form", _declared_form, "kernel", "kernel_dims",
                          lambda tau, n: tau.n == n and tau.degree == n,
                          "n-forms on T*R^n"),
-    "functions": _Declarable("function", parse_function, "kernel", "kernel_dims",
+    "functions": _Declarable("function", lambda s, n: _grammar().parse_function(s, n),
+                             "kernel", "kernel_dims",
                              lambda f, n: getattr(f, "n", None) == n,
                              "the convex catalog on R^n"),
-    "bodies": _Declarable("body", parse_body, "bridge", "bridge_dims",
+    "bodies": _Declarable("body", lambda s, n: _grammar().parse_body(s, n),
+                          "bridge", "bridge_dims",
                           lambda K, n: K.n_ambient == n + 1, "bodies in R^(n+1)"),
 }
 

@@ -130,6 +130,53 @@ def test_exit_code_form_on_two_windows(tmp_path, capsys, spec, message):
     assert not out.exists()
 
 
+# the kernel-battery workload of the benchmark
+KERNEL_BATTERY = {"suites": ["kernel"],
+                  "sizes": {"kernel_dims": [1, 2], "kernel_forms": 3, "kernel_nonkernel": 1,
+                            "constant_forms": 1, "kernel_battery": 8}}
+# numpy's X86_V2 baseline on an x86 host with a higher dispatch level
+BASELINE_DISPATCH = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def _close(a, b, where=""):
+    """Equal but for floats, which may differ by 2.2e-14·max(1, |v|): ten
+    times the 2.2e-15 measured between two dispatch levels on these
+    configs."""
+    if isinstance(a, dict):
+        assert a.keys() == b.keys(), where
+        for key in a:
+            _close(a[key], b[key], f"{where}/{key}")
+    elif isinstance(a, list):
+        assert len(a) == len(b), where
+        for i, (x, y) in enumerate(zip(a, b)):
+            _close(x, y, f"{where}/{x.get('name', i) if isinstance(x, dict) else i}")
+    elif isinstance(a, float) and isinstance(b, float):
+        assert abs(a - b) <= 2.2e-14 * max(1.0, abs(a)), (where, a, b)
+    else:
+        assert a == b, (where, a, b)
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_reports_agree_across_cpu_dispatch_levels(tmp_path, seed):
+    # numpy's transcendental array kernels round differently at different
+    # dispatch levels: verdicts stay, floats move by rounding only
+    cfg = _write_config(tmp_path / "cfg.json", seed=seed, **KERNEL_BATTERY)
+    base = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    lowered = {**base, "NPY_DISABLE_CPU_FEATURES": BASELINE_DISPATCH}
+    if subprocess.run([sys.executable, "-c", "import numpy"], env=lowered,
+                      capture_output=True).returncode:
+        pytest.skip("numpy refuses NPY_DISABLE_CPU_FEATURES on this host")
+    reports = []
+    for i, env in enumerate((base, lowered)):
+        out = tmp_path / f"out{i}"
+        proc = subprocess.run([sys.executable, "-m", "cycleval", "run", str(cfg),
+                               "--out", str(out)], capture_output=True, text=True,
+                              env={**env, "OPENBLAS_NUM_THREADS": "1"})
+        assert proc.returncode == 0, proc.stderr
+        reports.append(json.loads((out / "report.json").read_text()))
+    _close(*reports)
+
+
 def test_run_jobs_suites_on_calling_thread_same_report(tmp_path, monkeypatch):
     cfg = _write_config(tmp_path / "cfg.json",
                         suites=["valuation-property", "mass", "homogeneity"])
@@ -555,6 +602,34 @@ def test_dump_cycle(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == (
             f"spec error: polyhedral cycles are built for n = 1 and 2, not n = {n}\n")
+
+
+# a polyline of 2,000 kinks dumps some 200 KB, more than a pipe holds
+LONG_PWL = f"pwl breaks={list(range(2000))} slopes={list(range(-1, 2000))} v0=0"
+
+
+@pytest.mark.parametrize("argv,lines", [
+    # the reader stops after one line, while the dump is still being written
+    (["dump-cycle", LONG_PWL], 1),
+    # the reader has gone before anything is written
+    (["dump-cycle", "maxaffine pieces=[[[1,0],0],[[0,1],0]]", "--n", "2"], 0),
+    (["list-catalog"], 0),
+])
+def test_closed_stdout_is_an_output_error(argv, lines):
+    # as `cycleval dump-cycle ... | head -1`: exit 2 and one line on
+    # stderr, as for an output file that cannot be written, no traceback
+    read, write = os.pipe()
+    if not lines:
+        os.close(read)
+    proc = subprocess.Popen([sys.executable, "-m", "cycleval", *argv], stdout=write,
+                            stderr=subprocess.PIPE, text=True)
+    os.close(write)
+    if lines:
+        with os.fdopen(read) as reader:
+            assert reader.readline() == "{\n"
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    assert err == "output error: [Errno 32] Broken pipe\n"
 
 
 def test_package_entry_point():

@@ -2,9 +2,10 @@
 
 Each test runs in a fresh interpreter, so that the modules it finds loaded
 are the ones its own imports and calls loaded.  A run of the identities
-suite alone never loads an evaluator, and every suite's run imports no
-module: the evaluators a config needs load while the config is validated,
-in set-up, not in a suite's timed run."""
+suite alone loads no evaluator, no quadrature and no grammar, and every
+suite's run imports no module: the evaluators a config needs, and the
+grammar of its declared objects, load while the config is validated, in
+set-up, not in a suite's timed run."""
 
 import json
 import os
@@ -17,6 +18,8 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 EVALUATORS = ["cycleval.bridge", "cycleval.convex", "cycleval.cycles", "cycleval.lab",
               "cycleval.polyhedral"]
+# the layers an identities run does without
+NUMERIC = ["cycleval.grammar", "cycleval.quadrature"]
 
 # the sizes of a one-suite config small enough to run in a moment
 TINY = {
@@ -69,7 +72,16 @@ print(json.dumps([code, {LOADED}]))
 """, str(cfg), str(tmp_path / "out"))
     assert loaded[0] == 0
     assert (tmp_path / "out" / "report.json").is_file()
-    assert not set(EVALUATORS) & set(loaded[1]), loaded[1]
+    assert not set(EVALUATORS + NUMERIC) & set(loaded[1]), loaded[1]
+
+
+def test_exact_core_and_driver_load_no_quadrature_or_grammar():
+    loaded = _fresh(f"""
+import json, sys
+from cycleval import cli, coefficients, exactla, forms, polynomials, report, rumin, suites
+print(json.dumps({LOADED}))
+""")
+    assert not set(EVALUATORS + NUMERIC) & set(loaded), loaded
 
 
 def test_exact_layers_load_no_evaluator():
@@ -92,10 +104,9 @@ print(json.dumps([cycleval.__all__, names]))
     assert got == [EXPORTS, EXPORTS]
 
 
-@pytest.mark.parametrize("suite", list(TINY))
-def test_a_suite_run_imports_no_module(suite):
-    # set-up (the config's validation) imports what the suite needs; the
-    # suite's own run, the timed region of a benchmark, imports nothing
+def _validated(config: dict):
+    """The cycleval modules loaded after ``config`` is validated, then after
+    its first suite, which makes entries, has run."""
     got = _fresh(f"""
 import json, sys
 from cycleval.suites import ExperimentConfig, run_suite
@@ -103,11 +114,27 @@ config = ExperimentConfig.from_dict(json.loads(sys.argv[1]))
 before = {LOADED}
 result = run_suite(config.suites[0], config)
 print(json.dumps([len(result.entries), before, {LOADED}]))
-""", json.dumps({"suites": [suite], "sizes": TINY[suite]}))
+""", json.dumps(config))
     entries, before, after = got
     assert entries > 0
+    return before, after
+
+
+def test_declared_form_loads_grammar_in_validation():
+    before, after = _validated({"suites": ["kernel"], "sizes": TINY["kernel"],
+                                "forms": ["bump(R=2) * dy1"]})
+    assert "cycleval.grammar" in before
     assert after == before
-    if suite == "identities":
-        assert not set(EVALUATORS) & set(after), after
-    else:
-        assert set(EVALUATORS) <= set(after), after
+
+
+@pytest.mark.parametrize("suite", list(TINY))
+def test_a_suite_run_imports_no_module(suite):
+    # set-up (the config's validation) imports what the suite needs; the
+    # suite's own run, the timed region of a benchmark, imports nothing
+    before, after = _validated({"suites": [suite], "sizes": TINY[suite]})
+    assert after == before
+    # bridge serves the bridge suite alone; lab needs the other three; a
+    # config that declares nothing needs no grammar
+    uses = {"identities": set(), "bridge": set(EVALUATORS)}
+    assert set(EVALUATORS) & set(after) == uses.get(suite, set(EVALUATORS) - {"cycleval.bridge"})
+    assert "cycleval.grammar" not in after
