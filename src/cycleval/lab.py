@@ -70,7 +70,7 @@ from .forms import (
 )
 from .polyhedral import build_polyhedral, eval_polyhedral, window_for
 from .polynomials import Poly, Q, _as_fraction
-from .quadrature import EvalResult, integrate
+from .quadrature import Ellipse, EvalResult, integrate
 from .rumin import RuminResult, rumin_d
 
 
@@ -561,12 +561,19 @@ def hessian_valuation(spec: MixedDiscriminantSpec, f: ConvexFunction) -> float:
     function whose gradient is a polynomial of degree g it has the degree
     deg_x B + k (g - 1).  It runs on the rule that ``cycles.graph_rule``
     chooses with a margin of two degrees: where the form runs on the rule
-    of its degree, the cross-check of the two compares two node sets."""
+    of its degree, the cross-check of the two compares two node sets.
+    Where that rule has no degree to raise, a box such as the one of a
+    bump at n = 1, the box is cut in two at its centre, so the two still
+    run on different nodes."""
     n, k = spec.n, spec.k
     domain = spec.B.support_domain()
     if domain is None:
         raise ValueError("weight needs a support box")
-    rule = graph_rule(f, spec.B, domain, hessians=k, margin=2)
+    rules = [graph_rule(f, spec.B, domain, hessians=k, margin=2)]
+    if rules[0] is domain and not isinstance(domain, Ellipse):
+        (lo, hi), *rest = domain
+        mid = (lo + hi) / 2
+        rules = [((lo, mid), *rest), ((mid, hi), *rest)]
     A_float = [[[float(v) for v in row] for row in m] for m in spec.A]
 
     def fn(pts):
@@ -574,7 +581,7 @@ def hessian_valuation(spec: MixedDiscriminantSpec, f: ConvexFunction) -> float:
         Hrows = [[H[:, p, q] for q in range(n)] for p in range(n)]
         return spec.B.eval_x_array(pts) * polarized_det([Hrows] * k + A_float)
 
-    return integrate(fn, [rule]).value
+    return integrate(fn, rules).value
 
 
 def hessian_form(spec: MixedDiscriminantSpec) -> Form:

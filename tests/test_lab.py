@@ -556,6 +556,20 @@ def test_hessian_cross_check_sides_on_two_angle_exact_rules(monkeypatch):
         assert via == pytest.approx(direct, rel=1e-12), (n, k)
 
 
+def test_hessian_cross_check_at_n1_compares_two_node_sets():
+    # at n = 1 the form side runs on the box pair of the bump's support box
+    # and the direct side on that box cut in two at its centre: the sides
+    # agree to rounding, not bit for bit
+    B = CoefficientFn.bump(1, ball_bump(1, Q(3, 2)),
+                           Poly.const(2, 1) + Poly.variable(2, 0).scale(Q(1, 2)))
+    f = Quadratic([[Q(5, 2)]])
+    for k, A in ((0, [[[Q(3, 2)]]]), (1, [])):
+        spec = MixedDiscriminantSpec(1, k, B, A)
+        direct = hessian_valuation(spec, f)
+        via = float(evaluate([Valuation(hessian_form(spec))], [f])[0][0].value)
+        assert via != direct and via == pytest.approx(direct, rel=1e-13), k
+
+
 def test_3d_bump_forms_on_the_spherical_rule_agree_with_the_box_pair():
     # a 3-D form on one bump matrix, on functions whose gradient is a
     # polynomial, runs on the ellipsoid rule of its pullback degree: within
