@@ -20,10 +20,14 @@ config error.
 A run loads only the layers its config uses, all of them while it
 validates the config: a run of ``identities`` alone loads ``polynomials``,
 ``exactla``, ``coefficients``, ``forms``, ``rumin``, ``suites``, ``report``
-and this module; any other suite adds ``numeric_suites`` with
-``quadrature``, ``convex``, ``cycles``, ``polyhedral`` and ``lab``; the
-bridge suite adds ``bridge``, and declared forms, functions or bodies add
-``grammar``, which ``list-catalog`` and ``dump-cycle`` load as well.
+and this module, and no numpy, since its random forms are drawn from
+Python's ``random``; any other suite adds numpy and ``numeric_suites``
+with ``quadrature``, ``convex``, ``cycles``, ``polyhedral`` and ``lab``;
+the bridge suite adds ``bridge``, and declared forms, functions or bodies
+add ``grammar``, which ``list-catalog`` and ``dump-cycle`` load as well.
+Only ``numpy.random`` loads later: at the first draw of a numeric suite
+(in set-up when a declared body is checked), so a kernel-only run pays
+that import in its first suite.
 """
 
 from __future__ import annotations

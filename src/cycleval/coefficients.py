@@ -44,9 +44,10 @@ A division is tried only when the x-degrees of the polynomial's terms span
 at least 2: ``q_M r`` holds the lowest x-degree part of ``r`` and a part
 two degrees above its highest one.
 
-Numerics.  The float copy of each bump matrix is cached per matrix id, next
-to the exact caches.  :meth:`CoefficientFn.eval_array` evaluates one
-coefficient: it keeps what it computes on its nodes in an
+Numerics.  The numeric code imports numpy when it is called, so the exact
+algebra runs without it.  The float copy of each bump matrix is cached per
+matrix id, next to the exact caches.  :meth:`CoefficientFn.eval_array`
+evaluates one coefficient: it keeps what it computes on its nodes in an
 :class:`EvalCache` (the power columns ``x_v^p`` that
 :meth:`Poly.eval_array` builds, ``q_M`` once per matrix id and
 ``beta_M^a / q_M^m`` once per ``(id, a, m)``), so atoms that share a
@@ -70,12 +71,13 @@ import threading
 from fractions import Fraction
 from functools import reduce
 from operator import attrgetter, or_
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .exactla import inverse
 from .polynomials import FIELD_BITS, Poly, Q, _MASK, _as_fraction, _reduced, field_sum
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Matrix = tuple  # tuple[tuple[Fraction, ...], ...]
 BoxT = tuple   # tuple[tuple[Fraction, Fraction], ...]
@@ -265,6 +267,8 @@ def _transformed_id(mid: int, gid: int) -> int:
 def _float_matrix(mid: int) -> np.ndarray:
     M = _FLOAT_MATRICES.get(mid)
     if M is None:
+        import numpy as np
+
         M = _FLOAT_MATRICES.setdefault(mid, np.array(_MATRICES[mid], dtype=float))
     return M
 
@@ -291,6 +295,8 @@ class EvalCache:
     def _q_inside(self, mid: int, pts: np.ndarray):
         out = self._q.get(mid)
         if out is None:
+            import numpy as np
+
             M = _float_matrix(mid)
             X = pts[:, :len(M)]
             MX = X @ M.T
@@ -309,6 +315,8 @@ class EvalCache:
         """``beta_M^a / q_M^m`` at ``pts``, zero outside the ellipsoid."""
         val = self._factors.get(f._ident)
         if val is None:
+            import numpy as np
+
             inside, q_in, beta_in = self._q_inside(f.mid, pts)
             val = np.zeros(pts.shape[0])
             val[inside] = beta_in ** f.beta_pow / q_in ** f.denom_pow
@@ -464,6 +472,8 @@ class CompiledBatch:
         width, groups = self._plan(None if rows is None else tuple(rows))
         if not groups:
             return
+        import numpy as np
+
         table = np.empty((width, Z.shape[1]))
         if cache is None:
             cache = EvalCache()
@@ -482,17 +492,18 @@ class CompiledBatch:
                 if x_only:
                     vals = cache._rows.get((g, row))
                     if vals is None:
-                        vals = cache._rows[g, row] = _row_sum(table, terms, term)
+                        vals = cache._rows[g, row] = _row_sum(np, table, terms, term)
                     vals = vals * w
                 else:
-                    vals = _row_sum(table, terms, term)
+                    vals = _row_sum(np, table, terms, term)
                     vals *= w
                 out[slot] += vals
 
 
-def _row_sum(table: np.ndarray, terms: list, term: np.ndarray) -> np.ndarray:
+def _row_sum(np, table: np.ndarray, terms: list, term: np.ndarray) -> np.ndarray:
     """The sum of ``c * table[k]`` over a row's terms ``(k, c)``, in order;
-    ``term`` is scratch space of one table row."""
+    ``term`` is scratch space of one table row, ``np`` the numpy module of
+    the caller, which imports it once per node block, not once per row."""
     (k, c), *rest = terms
     vals = table[k] * c
     for k, c in rest:
@@ -786,6 +797,8 @@ class CoefficientFn:
         """Evaluate at points of shape (N, >= 2n); parameters must be absent."""
         if self.has_params():
             raise ValueError("cannot evaluate a coefficient with free parameters")
+        import numpy as np
+
         pts = np.asarray(pts, dtype=float)
         width = self.nvars()
         if pts.shape[1] < width:
@@ -801,12 +814,16 @@ class CoefficientFn:
 
     def eval_x_array(self, xpts: np.ndarray) -> np.ndarray:
         """Evaluate at (x, y=0); requires no y-dependence is intended."""
+        import numpy as np
+
         xpts = np.asarray(xpts, dtype=float)
         pts = np.zeros((xpts.shape[0], self.nvars()))
         pts[:, :self.n] = xpts
         return self.eval_array(pts)
 
     def eval_point(self, pt: Sequence[float]) -> float:
+        import numpy as np
+
         return float(self.eval_array(np.asarray(pt, dtype=float)[None, :])[0])
 
     # -- restriction and support ----------------------------------------------------
@@ -888,6 +905,8 @@ def _y_mask(n: int) -> int:
 
 
 def _pad(pts: np.ndarray, nvars: int) -> np.ndarray:
+    import numpy as np
+
     out = np.zeros((pts.shape[0], nvars))
     out[:, :pts.shape[1]] = pts
     return out

@@ -3,7 +3,8 @@
 Every identity the workbench claims exactly (d*d = 0, Leibniz, Lefschetz
 inversion, pullback functoriality, ...) reduces to equality of these
 polynomials, so all arithmetic is exact.  Floating point enters only
-through the ``eval_*`` methods.
+through the ``eval_*`` methods; ``eval_array`` imports numpy when called,
+so the exact algebra runs without it.
 
 Variables are positional.  A polynomial on the cotangent space of R^n uses
 the first 2n slots as (x_1..x_n, y_1..y_n); any further slots hold symbolic
@@ -35,9 +36,10 @@ from fractions import Fraction
 from functools import cache, reduce
 from operator import index, or_
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 Q = Fraction
 Exponents = tuple  # tuple[int, ...], length == nvars
@@ -375,6 +377,8 @@ class Poly:
         column is computed once.  Batches of coefficients are evaluated by
         ``coefficients.CompiledBatch`` instead.
         """
+        import numpy as np
+
         pts = np.asarray(pts, dtype=float)
         if self._eval_cache is None:
             self._eval_cache = [

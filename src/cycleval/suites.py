@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import math
 import numbers
+import random
 import time
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
-
-import numpy as np
 
 from .coefficients import CoefficientFn
 from .forms import (
@@ -134,9 +133,10 @@ class ExperimentConfig:
                 # the kernel battery's polyhedral cycles and the mass
                 # quadrature exist for n <= 2 only
                 top = 2 if key in ("kernel_dims", "mass_dims") else MAX_DIMENSION
-                ok = isinstance(value, list) and all(
-                    _is_int(d) and 1 <= d <= top for d in value)
-                want = f"a list of dimensions in 1..{top}"
+                ok = (isinstance(value, list)
+                      and all(_is_int(d) and 1 <= d <= top for d in value)
+                      and len(set(value)) == len(value))
+                want = f"a list of distinct dimensions in 1..{top}"
             else:
                 ok = _is_int(value) and value >= 0
                 want = "a non-negative integer"
@@ -278,11 +278,27 @@ def _is_int(value) -> bool:
 # -- identities -------------------------------------------------------------------
 
 
+class _Draws(random.Random):
+    """Python's Mersenne Twister with the ``integers`` of a numpy Generator,
+    half-open like it: ``integers(hi)`` draws from [0, hi) and
+    ``integers(lo, hi)`` from [lo, hi).  The form draws of ``forms`` run on
+    it unchanged, without numpy."""
+
+    def integers(self, lo: int, hi: int | None = None) -> int:
+        return self.randrange(lo) if hi is None else self.randrange(lo, hi)
+
+
 def suite_identities(config: ExperimentConfig) -> list:
+    """The exact identities at each dimension of ``identity_dims``: d
+    squared, Leibniz, the Lefschetz round trips and the Rumin operator's
+    primitivity, kernel, equivariance and scaling, each on random forms.
+    The forms are drawn from Python's ``random`` (:class:`_Draws`, seeded
+    ``seed + 11 n``), so this suite, all exact algebra, loads no numpy;
+    its entries record check counts and a failure's witness, not the forms."""
     entries = []
     count = int(config.size("identity_forms"))
     for n in config.size("identity_dims"):
-        rng = np.random.default_rng(config.seed + 11 * n)
+        rng = _Draws(config.seed + 11 * n)
         sd = standard_symplectic_form(n)
         checks = {
             "d_squared": 0, "leibniz": 0, "lefschetz_roundtrip": 0,

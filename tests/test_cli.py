@@ -260,6 +260,9 @@ def test_exit_code_unknown_tolerance_or_size(tmp_path, capsys):
     {"forms": "bump(R=2) * dy1"},
     {"functions": "quadratic A=[[1]] b=[0] c=0"},
     {"bodies": "ellipsoid M=[[1,0],[0,1]]"},
+    # a repeated dimension would run twice under the same entry names
+    {"sizes": {"identity_dims": [1, 1]}},
+    {"sizes": {"kernel_dims": [2, 2]}},
 ])
 def test_exit_code_wrongly_typed_config_value(tmp_path, capsys, override):
     # json writes the non-finite tolerances as Infinity and NaN, which

@@ -2,10 +2,10 @@
 
 Each test runs in a fresh interpreter, so that the modules it finds loaded
 are the ones its own imports and calls loaded.  A run of the identities
-suite alone loads no evaluator, no quadrature and no grammar, and every
-suite's run imports no module: the evaluators a config needs, and the
-grammar of its declared objects, load while the config is validated, in
-set-up, not in a suite's timed run."""
+suite alone loads no evaluator, no quadrature, no grammar and no numpy,
+and every suite's run imports no cycleval module: the evaluators a config
+needs, and the grammar of its declared objects, load while the config is
+validated, in set-up, not in a suite's timed run."""
 
 import json
 import os
@@ -59,6 +59,7 @@ def _fresh(script: str, *args: str):
 
 
 LOADED = "sorted(k for k in sys.modules if k.startswith('cycleval'))"
+NUMPY = "'numpy' in sys.modules"
 
 
 def test_identities_run_loads_no_evaluator(tmp_path):
@@ -68,20 +69,92 @@ def test_identities_run_loads_no_evaluator(tmp_path):
 import json, sys
 from cycleval import cli, suites
 code = cli.main(["run", sys.argv[1], "--out", sys.argv[2]])
-print(json.dumps([code, {LOADED}]))
+print(json.dumps([code, {LOADED}, {NUMPY}]))
 """, str(cfg), str(tmp_path / "out"))
     assert loaded[0] == 0
     assert (tmp_path / "out" / "report.json").is_file()
     assert not set(EVALUATORS + NUMERIC) & set(loaded[1]), loaded[1]
+    assert loaded[2] is False
+
+
+def test_identities_worker_sequence_loads_no_numpy():
+    # what a benchmark worker does: validate, parse the declared objects,
+    # run the suite
+    numpy = _fresh(f"""
+import json, sys
+from cycleval.suites import ExperimentConfig, run_suite
+config = ExperimentConfig.from_dict(json.loads(sys.argv[1]))
+config.parsed_forms(config.n)
+config.parsed_functions(config.n)
+config.parsed_bodies(config.n)
+result = run_suite("identities", config)
+assert result.entries and all(e.passed for e in result.entries)
+print(json.dumps({NUMPY}))
+""", json.dumps({"suites": ["identities"], "sizes": TINY["identities"]}))
+    assert numpy is False
 
 
 def test_exact_core_and_driver_load_no_quadrature_or_grammar():
     loaded = _fresh(f"""
 import json, sys
 from cycleval import cli, coefficients, exactla, forms, polynomials, report, rumin, suites
-print(json.dumps({LOADED}))
+print(json.dumps([{LOADED}, {NUMPY}]))
 """)
-    assert not set(EVALUATORS + NUMERIC) & set(loaded), loaded
+    assert not set(EVALUATORS + NUMERIC) & set(loaded[0]), loaded[0]
+    assert loaded[1] is False
+
+
+# evaluates a polynomial, a coefficient and a compiled batch in the order
+# sys.argv[1] gives, after importing numpy first if sys.argv[2] says so
+NUMERIC_CALLS = """
+import json, sys
+if sys.argv[2] == "eager":
+    import numpy
+from fractions import Fraction
+from cycleval.coefficients import CoefficientFn, CompiledBatch, ball_bump
+from cycleval.polynomials import Poly
+assert ("numpy" in sys.modules) == (sys.argv[2] == "eager")
+p = Poly.monomial(2, (2, 1), Fraction(3, 7)) + Poly.variable(2, 0)
+c = CoefficientFn.bump(1, ball_bump(1, 2), p) + CoefficientFn.from_poly(1, p)
+pts = [[0.3, -0.7], [1.1, 0.2], [-1.9, 0.5], [2.5, 1.0]]
+
+
+def batch():
+    import numpy as np
+    out = np.zeros((2, len(pts)))
+    CompiledBatch(1, [(0, "w", c, 1), (1, "w", c * c, -1)]).add_to(
+        out, np.ascontiguousarray(np.array(pts).T), {"w": 0.5})
+    return [v for row in out for v in row]
+
+
+calls = {"poly": lambda: p.eval_array(pts), "coefficient": lambda: c.eval_array(pts),
+         "x": lambda: c.eval_x_array([[0.3], [1.9]]), "point": lambda: [c.eval_point(pts[0])],
+         "batch": batch}
+print(json.dumps({name: [float(v).hex() for v in calls[name]()]
+                  for name in sys.argv[1].split(",")}))
+"""
+
+
+@pytest.mark.parametrize("first", ["poly", "coefficient", "batch"])
+def test_numeric_calls_import_numpy_on_first_use(first):
+    # the exact core defers numpy to its numeric methods; called first
+    # thing, they give the bits of a run that imported numpy eagerly
+    order = ",".join([first] + [k for k in ("poly", "coefficient", "x", "point", "batch")
+                                if k != first])
+    lazy = _fresh(NUMERIC_CALLS, order, "lazy")
+    assert lazy == _fresh(NUMERIC_CALLS, order, "eager")
+    assert len(lazy["batch"]) == 8 and any(v != "0x0.0p+0" for v in lazy["coefficient"])
+
+
+def test_kernel_config_loads_numpy_in_validation():
+    numpy = _fresh(f"""
+import json, sys
+from cycleval.suites import ExperimentConfig
+before = {NUMPY}
+ExperimentConfig.from_dict(json.loads(sys.argv[1]))
+print(json.dumps([before, {NUMPY}]))
+""", json.dumps({"suites": ["kernel"], "sizes": TINY["kernel"]}))
+    assert numpy == [False, True]
 
 
 def test_exact_layers_load_no_evaluator():

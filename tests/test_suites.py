@@ -1,6 +1,7 @@
 from fractions import Fraction as Q
 
 import numpy as np
+import pytest
 
 from cycleval.coefficients import CoefficientFn
 from cycleval.forms import Form, exterior_derivative
@@ -178,3 +179,35 @@ def test_hessian_suite_builds_no_3d_box_rule(monkeypatch):
     tau = random_bump_form(np.random.default_rng(5), 3, degree=3)
     eval_smooth(Quadratic(np.eye(3)), [tau], domain=tau.support_box())
     assert boxes.count(3) == 1
+
+
+def test_identity_draws_are_half_open_and_seeded():
+    # the identities suite draws from Python's random through numpy's
+    # half-open integers(hi) and integers(lo, hi)
+    from cycleval.forms import random_bump_form
+    from cycleval.suites import _Draws, _random_poly_form
+
+    rng = _Draws(7)
+    assert {rng.integers(-2, 3) for _ in range(10_000)} == {-2, -1, 0, 1, 2}
+    assert {rng.integers(4) for _ in range(10_000)} == {0, 1, 2, 3}
+
+    def forms(seed):
+        rng = _Draws(seed)
+        return [f for degree in range(5) for f in (random_bump_form(rng, 2, degree=degree),
+                                                   _random_poly_form(rng, 2, degree))]
+
+    assert forms(11) == forms(11)
+    assert forms(11) != forms(12)
+
+
+@pytest.mark.parametrize("seed", [7, 11, 100010, 200013])
+def test_identities_suite_passes_at_workload_seeds(seed):
+    # the exact-identities benchmark config at its first three draws' seeds
+    # (7 + 100003 i) and at 11
+    from cycleval.suites import run_suite
+
+    config = ExperimentConfig(seed=seed, suites=["identities"],
+                              sizes={"identity_dims": [1, 2, 3], "identity_forms": 16})
+    entries = run_suite("identities", config).entries
+    assert len(entries) == 24
+    assert all(e.passed for e in entries), [e.name for e in entries if not e.passed]
