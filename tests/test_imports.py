@@ -104,7 +104,7 @@ print(json.dumps([{LOADED}, {NUMPY}]))
     assert loaded[1] is False
 
 
-# evaluates a polynomial, a coefficient and a compiled batch in the order
+# evaluates the numeric methods of the exact core in the order
 # sys.argv[1] gives, after importing numpy first if sys.argv[2] says so
 NUMERIC_CALLS = """
 import json, sys
