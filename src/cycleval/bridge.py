@@ -32,6 +32,7 @@ from .cycles import eval_smooth
 from .exactla import det
 from .forms import Form
 from .quadrature import EvalResult, integrate
+from .report import scale_of
 
 
 @dataclass
@@ -142,6 +143,6 @@ def bridge_check(K: ConvexBody, tau: Form) -> BridgeReport:
     lhs = conormal_eval(K, tau)
     fK = body_restriction(K)
     rhs = eval_smooth(fK, [tau])[0]
-    scale = max(1.0, abs(float(lhs.value)), abs(float(rhs.value)))
     return BridgeReport(float(lhs.value), float(rhs.value),
-                        abs(float(lhs.value) - float(rhs.value)), scale)
+                        abs(float(lhs.value) - float(rhs.value)),
+                        scale_of([lhs.value, rhs.value]))

@@ -131,16 +131,21 @@ def cmd_run(args) -> int:
 
 def _to_stdout(text: str) -> bool:
     """Write ``text`` to stdout; False, after an ``output error``, when its
-    reader has gone (``head``, say, which stops early)."""
+    reader has gone (``head``, say, which stops early).  A text-only stdout
+    (an ``io.StringIO``, say) takes the text as it is."""
     out = sys.stdout
     if out is None:  # started without a stdout: nothing to write to
         return True
+    buffer = getattr(out, "buffer", None)
     try:
         out.flush()
+        if buffer is None:
+            out.write(text)
+            return True
         data = text.encode(out.encoding, out.errors)
         while data:  # a pipe whose reader leaves takes part of a write
-            data = data[out.buffer.write(data):]
-        out.buffer.flush()
+            data = data[buffer.write(data):]
+        buffer.flush()
     except OSError as exc:
         # the interpreter flushes stdout once more at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())

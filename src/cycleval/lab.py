@@ -71,6 +71,7 @@ from .forms import (
 from .polyhedral import build_polyhedral, eval_polyhedral, window_for
 from .polynomials import Poly, Q, _as_fraction
 from .quadrature import Ellipse, EvalResult, integrate
+from .report import largest, scale_of, within
 from .rumin import RuminResult, rumin_d
 
 
@@ -204,12 +205,6 @@ def _cycle_of(cycles: dict, ma: MaxAffine, box):
         cycle = next((c for c in cycles.values() if c.window == window), None)
         cycles[box] = cycle = cycle or build_polyhedral(ma, window=window)
     return cycle
-
-
-def scale_of(values: Sequence[float]) -> float:
-    """max(1, largest |value|); the reference for relative tolerances."""
-    vals = [abs(float(v)) for v in values]
-    return max(1.0, max(vals, default=0.0))
 
 
 # -- function battery ------------------------------------------------------------
@@ -349,7 +344,8 @@ def random_kernel_form(rng, n: int, radius=2, kind: str = "window") -> Form:
 class KernelReport:
     mode: str                 # "kernel" | "constant" | "nonkernel"
     values: list
-    scale: float
+    gap: float                # largest |value - the mode's constant|
+    scale: float              # the scale of the mode's verdict
     tolerance: float
     passed: bool
     witness: Optional[tuple] = None
@@ -366,28 +362,28 @@ def kernel_check(tau: Form, functions: Sequence, values: Sequence[float],
     ``values`` holds D(f)[tau] for each of ``functions``, as computed by
     :func:`evaluate`.  If rumin_d(tau) vanishes identically and the
     zero-section integral is zero, every battery evaluation must be zero to
-    tolerance; if the operator does not vanish, some battery function must
-    witness a nonzero value.
+    tolerance; if it is not zero, every evaluation must equal it; if the
+    operator does not vanish, some battery function must witness a nonzero
+    value.
     """
     D = rumin_d(tau)
     i0 = float(integrate_zero_section(tau))
     values = [float(v) for v in values]
     scale = scale_of(values)
+    gap = largest(abs(v) for v in values)
     if D.is_zero():
-        if abs(i0) <= tol_zero:
-            passed = all(abs(v) <= tol_zero * scale for v in values)
-            return KernelReport("kernel", values, scale, tol_zero, passed,
-                                zero_section_integral=i0)
-        passed = all(abs(v - i0) <= tol_zero * scale_of(values + [i0])
-                     for v in values)
-        return KernelReport("constant", values, scale, tol_zero, passed,
-                            zero_section_integral=i0)
+        mode = "kernel"
+        if not within(abs(i0), tol_zero):
+            mode, scale = "constant", scale_of(values + [i0])
+            gap = largest(abs(v - i0) for v in values)
+        return KernelReport(mode, values, gap, scale, tol_zero,
+                            within(gap, tol_zero, scale), zero_section_integral=i0)
     witness = None
     for f, v in zip(functions, values):
         if abs(v) > tol_witness * scale:
             witness = (f.describe(), v)
             break
-    return KernelReport("nonkernel", values, scale, tol_witness,
+    return KernelReport("nonkernel", values, gap, scale, tol_witness,
                         witness is not None, witness=witness,
                         zero_section_integral=i0)
 

@@ -23,13 +23,13 @@ from .forms import Form, _rand_frac, exterior_derivative, lie_derivative, random
 from .lab import (
     MixedDiscriminantSpec, Valuation, battery, evaluate, first_variation_check, group_average,
     hessian_form, hessian_valuation, homogeneity_fit, k1_representation, kernel_check,
-    mixed_discriminant, random_kernel_form, random_window_form, scale_of, signed_permutations,
+    mixed_discriminant, random_kernel_form, random_window_form, signed_permutations,
     so_generators, so_projection, volume_contraction_form, window_vanishing_weight,
     _rand_pd_matrix, _wrapped_lse,
 )
 from .polyhedral import build_polyhedral, eval_polyhedral, mass_polyhedral, window_for
 from .polynomials import Poly, Q
-from .report import SuiteEntry
+from .report import SuiteEntry, exact_entry, gap_entry, largest, scale_of, within
 from .rumin import g_invariance_conditions, rumin_d
 
 if TYPE_CHECKING:
@@ -119,11 +119,10 @@ def _kernel_entry(name: str, kind: str, rep, tols: dict,
                   nfunctions: int) -> SuiteEntry:
     """The suite entry of one kernel_check report."""
     if kind == "forward":
-        return SuiteEntry(
-            name=name, passed=rep.mode == "kernel" and rep.passed,
-            residual=rep.max_abs() / rep.scale, tolerance=tols["tol_zero"],
-            details={"mode": rep.mode, "scale": rep.scale,
-                     "functions": nfunctions})
+        return gap_entry(name, rep.gap, tols["tol_zero"], rep.scale,
+                         also=rep.mode == "kernel",
+                         details={"mode": rep.mode, "scale": rep.scale,
+                                  "functions": nfunctions})
     if kind == "contrapositive":
         return SuiteEntry(
             name=name, passed=rep.mode == "nonkernel" and rep.passed,
@@ -131,12 +130,9 @@ def _kernel_entry(name: str, kind: str, rep, tols: dict,
             tolerance=tols["tol_witness"],
             details={"witness": rep.witness, "scale": rep.scale})
     if kind == "constant":
-        return SuiteEntry(
-            name=name, passed=rep.mode == "constant" and rep.passed,
-            residual=max((abs(v - rep.zero_section_integral)
-                          for v in rep.values), default=0.0) / rep.scale,
-            tolerance=tols["tol_zero"],
-            details={"integral": rep.zero_section_integral})
+        return gap_entry(name, rep.gap, tols["tol_zero"], rep.scale,
+                         also=rep.mode == "constant",
+                         details={"integral": rep.zero_section_integral})
     return SuiteEntry(
         name=name, passed=True,
         details={"mode": rep.mode, "max_abs": rep.max_abs(),
@@ -159,13 +155,10 @@ def suite_homogeneity(config: ExperimentConfig) -> list:
                               [_rand_frac(rng, 2, 2) for _ in range(n)],
                               _rand_frac(rng, 2, 2))
                 fit = homogeneity_fit(val, f)
-                others = [abs(c) for i, c in enumerate(fit.coefficients) if i != k]
-                worst = max(others) if others else 0.0
-                entries.append(SuiteEntry(
-                    name=f"homogeneity/n={n}/k={k}/f{j}",
-                    passed=worst < tol * fit.scale,
-                    residual=worst / fit.scale, tolerance=tol,
-                    details={"coefficients": fit.coefficients}))
+                worst = largest(abs(c) for i, c in enumerate(fit.coefficients) if i != k)
+                entries.append(gap_entry(
+                    f"homogeneity/n={n}/k={k}/f{j}", worst, tol, fit.scale,
+                    strict=True, details={"coefficients": fit.coefficients}))
         # dual epi-translation invariance of the same bidegree forms
         tau = random_bump_form(rng, n, bidegree=(n - 1, 1), y_dependent=False)
         val = Valuation(tau)
@@ -173,11 +166,8 @@ def suite_homogeneity(config: ExperimentConfig) -> list:
         shifted = Shifted(f, [_rand_frac(rng, 2, 2) for _ in range(n)],
                           _rand_frac(rng, 2, 2))
         base, v = (float(row[0].value) for row in evaluate([val], [f, shifted]))
-        tol_de = config.tol("dual_epi")
-        entries.append(SuiteEntry(
-            name=f"homogeneity/dual-epi/n={n}",
-            passed=abs(v - base) <= tol_de * max(1.0, abs(base)),
-            residual=abs(v - base) / max(1.0, abs(base)), tolerance=tol_de))
+        entries.append(gap_entry(f"homogeneity/dual-epi/n={n}", abs(v - base),
+                                 config.tol("dual_epi"), scale_of([base])))
     return entries
 
 
@@ -193,11 +183,10 @@ def suite_invariance(config: ExperimentConfig) -> list:
     tau = random_bump_form(rng, n, bidegree=(1, 1), y_dependent=False)
     D4 = signed_permutations(2)
     avg = group_average(tau, D4)
-    ok = all(g_invariance_conditions(avg, g).invariant for g in D4)
-    entries.append(SuiteEntry(
-        name="invariance/finite-group/D4-average", passed=ok,
-        residual=0.0 if ok else None, tolerance=0.0,
-        details={"group_order": len(D4)}))
+    entries.append(exact_entry(
+        "invariance/finite-group/D4-average",
+        all(g_invariance_conditions(avg, g).invariant for g in D4),
+        {"group_order": len(D4)}))
 
     # SO(2) and SO(3), transitive on the sphere: project a random form plus
     # a nonzero multiple of an invariant one and check exactly that the
@@ -217,11 +206,9 @@ def suite_invariance(config: ExperimentConfig) -> list:
             "density_nonzero": not k1_representation(val).is_zero(),
             "density_radial": all(lie_derivative(X, val.rumin.D_bar).is_zero()
                                   for X in gens)}
-        ok = all(checks.values())
-        entries.append(SuiteEntry(
-            name=f"invariance/exact-SO{n}/k1-radial", passed=ok,
-            residual=0.0 if ok else None, tolerance=0.0,
-            details={"generators": len(gens), **checks}))
+        entries.append(exact_entry(f"invariance/exact-SO{n}/k1-radial",
+                                   all(checks.values()),
+                                   {"generators": len(gens), **checks}))
     return entries
 
 
@@ -246,16 +233,13 @@ def suite_hessian(config: ExperimentConfig) -> list:
         f = Quadratic(_rand_pd_matrix(rng, n))
         direct = hessian_valuation(spec, f)
         via = float(evaluate([Valuation(form)], [f])[0][0].value)
-        denom = max(1e-9, abs(direct))
-        entries.append(SuiteEntry(
-            name=f"hessian/cross-check/{i}(n={n},k={k})",
-            passed=abs(via - direct) <= tol * denom,
-            residual=abs(via - direct) / denom, tolerance=tol,
-            details={"direct": direct, "via_form": via}))
+        entries.append(gap_entry(
+            f"hessian/cross-check/{i}(n={n},k={k})", abs(via - direct), tol,
+            scale_of([direct], floor=1e-9), details={"direct": direct, "via_form": via}))
         i += 1
 
     tol_md = config.tol("mixed_discriminant")
-    worst = 0.0
+    gaps = []
     samples = int(config.size("mixed_disc_samples"))
     for j in range(samples):
         n = 2 if j % 2 else 3
@@ -265,18 +249,15 @@ def suite_hessian(config: ExperimentConfig) -> list:
             mats.append(M + M.T)
         got = mixed_discriminant(mats)
         ref = _mixed_disc_bruteforce(mats)
-        worst = max(worst, abs(got - ref))
-    entries.append(SuiteEntry(
-        name="hessian/mixed-discriminant-oracle", passed=worst <= tol_md,
-        residual=worst, tolerance=tol_md, details={"samples": samples}))
+        gaps.append(abs(got - ref))
+    entries.append(gap_entry("hessian/mixed-discriminant-oracle", largest(gaps), tol_md,
+                             details={"samples": samples}))
     # structural spot checks
     A = rng.normal(size=(3, 3))
     A = A + A.T
     dd = mixed_discriminant([A] * 3)
-    entries.append(SuiteEntry(
-        name="hessian/polarization-diagonal",
-        passed=abs(dd - np.linalg.det(A)) < 1e-10,
-        residual=abs(dd - float(np.linalg.det(A))), tolerance=1e-10))
+    entries.append(gap_entry("hessian/polarization-diagonal",
+                             abs(dd - float(np.linalg.det(A))), 1e-10, strict=True))
     return entries
 
 
@@ -318,10 +299,8 @@ def suite_bridge(config: ExperimentConfig) -> list:
         for bname, K in bodies:
             for i, tau in enumerate(forms):
                 rep = bridge_check(K, tau)
-                entries.append(SuiteEntry(
-                    name=f"bridge/n={n}/{bname}/form{i}",
-                    passed=rep.residual <= tol * rep.scale,
-                    residual=rep.residual / rep.scale, tolerance=tol,
+                entries.append(gap_entry(
+                    f"bridge/n={n}/{bname}/form{i}", rep.residual, tol, rep.scale,
                     details={"conormal": rep.conormal, "graph": rep.graph}))
     return entries
 
@@ -347,9 +326,8 @@ def suite_mass(config: ExperimentConfig) -> list:
                 else:
                     m = mass_smooth(f, R)
                 bound = (2 ** n) * omega_n * f.sup_abs_bound(R + 1.0) ** n
-                entries.append(SuiteEntry(
-                    name=f"mass/n={n}/R={R}/f{i}", passed=m <= bound,
-                    residual=m, tolerance=bound,
+                entries.append(gap_entry(
+                    f"mass/n={n}/R={R}/f{i}", m, bound,
                     details={"mass": m, "bound": bound, "f": f.describe()}))
     return entries
 
@@ -366,10 +344,8 @@ def suite_valuation_property(config: ExperimentConfig) -> list:
     phi = Poly.const(2, Q(3, 7)) + Poly.variable(2, 0) ** 2
     tau = Form(1, 1, {(1,): CoefficientFn.from_poly(1, phi, box=((Q(-1), Q(1)),))})
     got = eval_polyline(build_1d(absx), tau).value
-    entries.append(SuiteEntry(
-        name="valuation-property/abs-kink", passed=got == 2 * Q(3, 7),
-        residual=float(abs(got - 2 * Q(3, 7))), tolerance=0.0,
-        details={"value": str(got)}))
+    entries.append(gap_entry("valuation-property/abs-kink", abs(got - 2 * Q(3, 7)), 0.0,
+                             details={"value": str(got)}))
 
     # negative control: a deliberately flipped vertical orientation must be
     # caught by the same identity, with the mismatch reported as a witness
@@ -396,10 +372,8 @@ def suite_valuation_property(config: ExperimentConfig) -> list:
             fails += 1
             witness = witness or {"pair": i,
                                   "lhs": str(vf + vg), "rhs": str(vmax + vmin)}
-    entries.append(SuiteEntry(
-        name="valuation-property/lattice-identity", passed=fails == 0,
-        residual=float(fails), tolerance=0.0,
-        details={"pairs": pairs, "witness": witness}))
+    entries.append(gap_entry("valuation-property/lattice-identity", fails, 0.0,
+                             details={"pairs": pairs, "witness": witness}))
     return entries
 
 
@@ -471,11 +445,9 @@ def suite_first_variation(config: ExperimentConfig) -> list:
         if d1 <= 1e-8 * rep.scale:
             continue  # degenerate draw: truncation term below the noise floor
         made += 1
-        entries.append(SuiteEntry(
-            name=f"first-variation/case{made}(n={n})",
-            passed=(abs(rep.order - 2.0) <= tol_o
-                    and rep.residual <= tol_r * rep.scale),
-            residual=rep.residual / rep.scale, tolerance=tol_r,
+        entries.append(gap_entry(
+            f"first-variation/case{made}(n={n})", rep.residual, tol_r, rep.scale,
+            also=within(abs(rep.order - 2.0), tol_o),
             details={"order": rep.order, "directional": rep.directional,
                      "fd": {str(k): v for k, v in rep.fd_values.items()}}))
     if made < cases:
@@ -526,12 +498,10 @@ def suite_consistency(config: ExperimentConfig) -> list:
         scale = scale_of([exact] + approxes)
         # monotone within quadrature noise; the last gap sits at the floor
         decreasing = gaps[0] >= gaps[1] >= gaps[2] or \
-            (gaps[2] <= 3e-5 * scale and gaps[0] >= gaps[1]) or \
-            max(gaps) <= 1e-9 * scale  # evaluations agree to machine precision
-        entries.append(SuiteEntry(
-            name=f"consistency/case{made}",
-            passed=decreasing and gaps[2] <= tol * scale,
-            residual=gaps[2] / scale, tolerance=tol,
+            (within(gaps[2], 3e-5, scale) and gaps[0] >= gaps[1]) or \
+            within(max(gaps), 1e-9, scale)  # evaluations agree to machine precision
+        entries.append(gap_entry(
+            f"consistency/case{made}", gaps[2], tol, scale, also=decreasing,
             details={"gaps": gaps, "exact": exact, "pieces": ma.m}))
         made += 1
     return entries

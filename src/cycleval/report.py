@@ -33,6 +33,39 @@ class SuiteEntry:
         return out
 
 
+# -- the verdict rule: every entry whose verdict is a gap within a tolerance
+
+
+def scale_of(values, floor: float = 1.0) -> float:
+    """max(floor, largest |value|); the reference for relative tolerances."""
+    return max(floor, max((abs(float(v)) for v in values), default=0.0))
+
+
+def largest(gaps) -> float:
+    """The largest of ``gaps``, 0 for none; NaN if one is NaN, which ``max``
+    may skip, so that the rule fails it."""
+    gaps = list(gaps)
+    return float("nan") if any(g != g for g in gaps) else max(gaps, default=0.0)
+
+
+def within(gap, tol: float, scale: float = 1.0, strict: bool = False) -> bool:
+    """gap <= tol * scale, or gap < tol * scale when ``strict``."""
+    return gap < tol * scale if strict else gap <= tol * scale
+
+
+def gap_entry(name: str, gap, tol: float, scale: float = 1.0, *, strict: bool = False,
+              also: bool = True, details: Optional[dict] = None) -> SuiteEntry:
+    """The entry of ``gap`` judged by :func:`within`: it passes when the rule
+    and its extra condition ``also`` hold, and its residual is gap / scale."""
+    return SuiteEntry(name, within(gap, tol, scale, strict) and also,
+                      gap / scale, tol, details or {})
+
+
+def exact_entry(name: str, ok: bool, details: Optional[dict] = None) -> SuiteEntry:
+    """The entry of an exact pass/fail check."""
+    return SuiteEntry(name, ok, 0.0 if ok else None, 0.0, details or {})
+
+
 def _plain(obj):
     from fractions import Fraction
 

@@ -34,6 +34,7 @@ from .forms import (
 )
 from .exactla import det, inverse
 from .polynomials import Poly, Q, _as_fraction
+from .report import scale_of, within
 
 # Quadrature integrals this close to zero (scaled by max(1, |integral|) for
 # the moments and G-integrals) count as zero; exact ones must be exactly 0.
@@ -197,19 +198,10 @@ def image_of_dbar_membership(a: Form, k: int) -> bool:
     moments = [phi]
     for i in range(n):
         moments.append(phi * Poly.variable(2 * n, i))
-    scale = 1.0
-    vals = []
-    for m in moments:
-        val = integrate_coefficient(m).value
-        vals.append(val)
-        scale = max(scale, abs(float(val)))
-    for val in vals:
-        if isinstance(val, Fraction):
-            if val != 0:
-                return False
-        elif abs(val) > QUAD_ZERO_TOL * scale:
-            return False
-    return True
+    vals = [integrate_coefficient(m).value for m in moments]
+    scale = scale_of(vals)
+    return all(val == 0 if isinstance(val, Fraction)
+               else within(abs(val), QUAD_ZERO_TOL, scale) for val in vals)
 
 
 @dataclass
@@ -242,7 +234,7 @@ def g_invariance_conditions(tau: Form, g: Sequence[Sequence]) -> GInvarianceRepo
         resid = abs(float(left - sgn * right))
     else:
         resid = abs(float(left) - sgn * float(right))
-        int_ok = resid <= QUAD_ZERO_TOL * max(1.0, abs(float(left)))
+        int_ok = within(resid, QUAD_ZERO_TOL, scale_of([left]))
     return GInvarianceReport(pb_ok, int_ok, resid)
 
 

@@ -45,7 +45,7 @@ from .forms import (
     wedge,
 )
 from .polynomials import Poly, Q
-from .report import SuiteEntry, SuiteResult
+from .report import SuiteResult, exact_entry
 from .rumin import rumin_d
 
 
@@ -361,11 +361,9 @@ def suite_identities(config: ExperimentConfig) -> list:
                         failures.setdefault("scaling_intertwiner", (n, i))
                     checks["scaling_intertwiner"] += 1
         for name, num in checks.items():
-            ok = name not in failures
-            entries.append(SuiteEntry(
-                name=f"identities/n={n}/{name}", passed=ok,
-                residual=0.0 if ok else None, tolerance=0.0,
-                details={"checks": num, "witness": failures.get(name)}))
+            entries.append(exact_entry(
+                f"identities/n={n}/{name}", name not in failures,
+                {"checks": num, "witness": failures.get(name)}))
     return entries
 
 

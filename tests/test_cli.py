@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -633,6 +635,20 @@ def test_closed_stdout_is_an_output_error(argv, lines):
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 2
     assert err == "output error: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("command", ["list-catalog", "dump-cycle", "run"])
+def test_text_only_stdout(tmp_path, command):
+    # an in-process caller may swap in a stdout without a binary buffer
+    argv, needle = {
+        "list-catalog": (["list-catalog"], "suites:"),
+        "dump-cycle": (["dump-cycle", "maxaffine pieces=[[[1],0],[[-1],0]]"], '"cells"'),
+        "run": (["run", str(_write_config(tmp_path / "c.json")),
+                 "--out", str(tmp_path / "out")], "overall: PASS"),
+    }[command]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(argv) == 0
+    assert needle in out.getvalue()
 
 
 def test_package_entry_point():

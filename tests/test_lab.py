@@ -38,7 +38,6 @@ from cycleval.lab import (
     mixed_discriminant,
     random_kernel_form,
     random_window_form,
-    scale_of,
     signed_permutations,
     so_generators,
     so_projection,
@@ -46,6 +45,7 @@ from cycleval.lab import (
 )
 from cycleval.polynomials import Poly
 from cycleval.quadrature import integrate_box
+from cycleval.report import scale_of
 from cycleval.rumin import g_invariance_conditions
 
 
