@@ -37,6 +37,7 @@ import json
 import os
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
@@ -186,11 +187,11 @@ def cmd_dump_cycle(args) -> int:
             # [-10, 10], widened to hold every kink and a piece beyond it
             lo = min([-10] + [b - 1 for b in f.breaks])
             hi = max([10] + [b + 1 for b in f.breaks])
-            horiz, vert = build_1d(f).segments(lo, hi)
+            horiz, vert, d = build_1d(f).segments(lo, hi)
             payload = json.dumps({
                 "kind": "polyline",
-                "horizontal": [[str(a), str(b), str(s)] for (a, b), s in horiz],
-                "vertical": [[str(x), str(sl), str(sr)] for x, sl, sr in vert],
+                "horizontal": [[str(Fraction(v, d)) for v in (a, b, s)] for s, a, b in horiz],
+                "vertical": [[str(Fraction(v, d)) for v in seg] for seg in vert],
             }, indent=2, sort_keys=True)
         elif ma is None:
             print("dump-cycle expects a max-affine or piecewise-linear spec",

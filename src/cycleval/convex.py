@@ -573,27 +573,41 @@ class PiecewiseLinear1D:
 
     ``breaks`` strictly increasing; ``slopes`` has one more entry; ``value0``
     anchors the function at x = 0.  Not required to be convex.
+
+    Layout: integers over one positive denominator D = ``den``, as in the
+    packed :class:`~cycleval.polynomials.Poly`.  Break i is ``_b[i] / D``,
+    the slope of piece i is ``_s[i] / D`` and its line s x + o has the
+    offset ``_o[i] / D^2``: at x = X / D it is ``(_s[i] X + _o[i]) / D^2``.
+    ``breaks``, ``slopes``, ``value0``, ``lines`` and :meth:`kinks` are exact
+    Fraction views, built on first use.
     """
 
     def __init__(self, breaks: Sequence, slopes: Sequence, value0):
-        self.breaks = [_as_fraction(b) for b in breaks]
-        if any(b2 <= b1 for b1, b2 in zip(self.breaks, self.breaks[1:])):
+        breaks = [_as_fraction(b) for b in breaks]
+        if any(b2 <= b1 for b1, b2 in zip(breaks, breaks[1:])):
             raise CatalogError("breakpoints must be strictly increasing")
-        self.slopes = [_as_fraction(s) for s in slopes]
-        if len(self.slopes) != len(self.breaks) + 1:
+        slopes = [_as_fraction(s) for s in slopes]
+        if len(slopes) != len(breaks) + 1:
             raise CatalogError("need len(breaks) + 1 slopes")
-        self.value0 = _as_fraction(value0)
-        self._drop_trivial_kinks()
-        self.lines = self._line_table()
+        value0 = _as_fraction(value0)
+        D = math.lcm(value0.denominator, *(q.denominator for q in breaks + slopes))
+        B, S = ([q.numerator * (D // q.denominator) for q in qs] for qs in (breaks, slopes))
+        # offsets by continuity at the breaks, shifted so that the piece at 0
+        # passes through value0
+        O = [0]
+        for i, b in enumerate(B):
+            O.append(O[i] + (S[i] - S[i + 1]) * b)
+        c = value0.numerator * (D // value0.denominator) * D - O[bisect.bisect_right(B, 0)]
+        self._set(D, B, S, [o + c for o in O])
 
-    def _drop_trivial_kinks(self):
-        breaks, slopes = [], [self.slopes[0]]
-        for b, s in zip(self.breaks, self.slopes[1:]):
-            if s == slopes[-1]:
-                continue
-            breaks.append(b)
-            slopes.append(s)
-        self.breaks, self.slopes = breaks, slopes
+    def _set(self, D, B, S, O):
+        """Hold the pieces ``S``, ``O`` between the breaks ``B`` over ``D``,
+        without the breaks where the slope does not change."""
+        keep = [i for i in range(len(B)) if S[i] != S[i + 1]]
+        self.den = D
+        self._b = [B[i] for i in keep]
+        self._s = [S[0]] + [S[i + 1] for i in keep]
+        self._o = [O[0]] + [O[i + 1] for i in keep]
 
     @classmethod
     def from_max_affine(cls, f: MaxAffine) -> "PiecewiseLinear1D":
@@ -622,83 +636,97 @@ class PiecewiseLinear1D:
         idx = sum(1 for b in breaks if b <= 0)
         return cls(breaks, slopes, offs[idx])
 
-    def _segment_index(self, x) -> int:
-        return bisect.bisect_right(self.breaks, x)
+    def over(self, d: int) -> tuple:
+        """Breaks and slopes as integers over d, a multiple of ``den``, and
+        offsets over d²."""
+        k = d // self.den
+        if k == 1:
+            return self._b, self._s, self._o
+        return [b * k for b in self._b], [s * k for s in self._s], [o * k * k for o in self._o]
 
-    def _line_table(self):
+    @cached_property
+    def breaks(self) -> list:
+        return [Q(b, self.den) for b in self._b]
+
+    @cached_property
+    def slopes(self) -> list:
+        return [Q(s, self.den) for s in self._s]
+
+    @cached_property
+    def lines(self) -> list:
         """Per-segment (slope, offset) with f(x) = s x + o on the segment."""
-        idx0 = self._segment_index(Q(0))
-        lines: list = [None] * len(self.slopes)
-        lines[idx0] = (self.slopes[idx0], self.value0)
-        # walk right: the next line agrees at the breakpoint
-        for i in range(idx0 + 1, len(self.slopes)):
-            b = self.breaks[i - 1]
-            s_prev, o_prev = lines[i - 1]
-            v = s_prev * b + o_prev
-            lines[i] = (self.slopes[i], v - self.slopes[i] * b)
-        # walk left
-        for i in range(idx0 - 1, -1, -1):
-            b = self.breaks[i]
-            s_next, o_next = lines[i + 1]
-            v = s_next * b + o_next
-            lines[i] = (self.slopes[i], v - self.slopes[i] * b)
-        return lines
+        return [(s, Q(o, self.den ** 2)) for s, o in zip(self.slopes, self._o)]
+
+    @property
+    def value0(self) -> Fraction:
+        return self.eval_exact(0)
 
     def eval_exact(self, x) -> Fraction:
         x = _as_fraction(x)
-        s, o = self.lines[self._segment_index(x)]
-        return s * x + o
+        p, q, D = x.numerator, x.denominator, self.den
+        # break i lies at or left of x iff _b[i] <= floor(x D)
+        i = bisect.bisect_right(self._b, p * D // q)
+        return Q(self._s[i] * p * D + self._o[i] * q, D * D * q)
 
     def eval_array(self, X):
         X = np.asarray(X, dtype=float).reshape(-1)
-        lines = [(float(s), float(o)) for s, o in self.lines]
-        breaks = [float(b) for b in self.breaks]
-        idx = np.searchsorted(breaks, X, side="right")
+        D = self.den
+        # int / int is correctly rounded, as the float of the Fraction is
+        idx = np.searchsorted([b / D for b in self._b], X, side="right")
         out = np.empty_like(X)
-        for i, (s, o) in enumerate(lines):
+        for i, (s, o) in enumerate(zip(self._s, self._o)):
             m = idx == i
-            out[m] = s * X[m] + o
+            out[m] = s / D * X[m] + o / D ** 2
         return out
 
     def kinks(self):
         """List of (breakpoint, left slope, right slope)."""
-        return [(b, self.slopes[i], self.slopes[i + 1]) for i, b in enumerate(self.breaks)]
+        return list(zip(self.breaks, self.slopes, self.slopes[1:]))
 
     def pointwise(self, other: "PiecewiseLinear1D", take_max: bool) -> "PiecewiseLinear1D":
         """max (``take_max``) or min of two functions, in one left-to-right
-        merge of their breaks.  Between consecutive breaks both are lines,
-        which cross at most once: left of the crossing the smaller slope is
-        the larger line, right of it the larger slope."""
-        fb, gb = self.breaks, other.breaks
+        merge of their breaks over a common denominator D.  Between
+        consecutive breaks both are lines, which cross at most once: left of
+        the crossing the smaller slope is the larger line, right of it the
+        larger slope.  A crossing x = P / (R D) is placed among the breaks by
+        integer cross-multiplication; the result is brought over one
+        denominator at the end."""
+        D = math.lcm(self.den, other.den)
+        fb, fs, fo = self.over(D)
+        gb, gs, go = other.over(D)
         i = j = 0
         lo = None
-        breaks, slopes = [], []
+        cuts, pieces = [], []  # (P, R) with x = P / (R D); (slope, offset)
         while True:
-            (sf, of_), (sg, og) = self.lines[i], other.lines[j]
+            f, g = (fs[i], fo[i]), (gs[j], go[j])
             nf = fb[i] if i < len(fb) else None
             ng = gb[j] if j < len(gb) else None
             hi = ng if nf is None else nf if ng is None else min(nf, ng)
-            if sf == sg:
-                slopes.append(sf)
+            if f[0] == g[0]:
+                pieces.append(max(f, g) if take_max else min(f, g))
             else:
-                low, high = (sf, sg) if sf < sg else (sg, sf)
+                low, high = (f, g) if f[0] < g[0] else (g, f)
                 left, right = (low, high) if take_max else (high, low)
-                x = (og - of_) / (sf - sg)
-                if hi is not None and x >= hi:
-                    slopes.append(left)
-                elif lo is not None and x <= lo:
-                    slopes.append(right)
+                P, R = low[1] - high[1], high[0] - low[0]
+                if hi is not None and P >= hi * R:
+                    pieces.append(left)
+                elif lo is not None and P <= lo * R:
+                    pieces.append(right)
                 else:
-                    slopes += [left, right]
-                    breaks.append(x)
+                    pieces += [left, right]
+                    cuts.append((P, R))
             if hi is None:
                 break
-            breaks.append(hi)
+            cuts.append((hi, 1))
             i += nf == hi
             j += ng == hi
             lo = hi
-        v0 = (max if take_max else min)(self.eval_exact(0), other.eval_exact(0))
-        return PiecewiseLinear1D(breaks, slopes, v0)
+        Dn = math.lcm(D, *(R * D // math.gcd(P, R * D) for P, R in cuts if R != 1))
+        k = Dn // D
+        out = object.__new__(PiecewiseLinear1D)
+        out._set(Dn, [P * k // R for P, R in cuts], [s * k for s, _ in pieces],
+                 [o * k * k for _, o in pieces])
+        return out
 
     def maximum(self, other):
         return self.pointwise(other, True)
@@ -707,7 +735,7 @@ class PiecewiseLinear1D:
         return self.pointwise(other, False)
 
     def describe(self):
-        return f"pwl1d(kinks={len(self.breaks)})"
+        return f"pwl1d(kinks={len(self._b)})"
 
 
 # -- convex bodies via support functions ------------------------------------------

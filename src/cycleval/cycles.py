@@ -43,6 +43,7 @@ graph it reduces to the standard orientation of the base.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -60,7 +61,7 @@ from .convex import (
 )
 from .exactla import det
 from .forms import FREE_PARAMETERS, NO_SUPPORT, Form, merge_sign
-from .polynomials import Q, _unpack, field_sum
+from .polynomials import Q, _as_fraction, _unpack, field_sum
 from .quadrature import (
     ELLIPSE_ORDERS,
     Ellipse,
@@ -328,15 +329,23 @@ class Polyline1DCycle:
     f: PiecewiseLinear1D
     flip_vertical: bool = False
 
-    def segments(self, lo, hi):
-        """Horizontal pieces clipped to [lo, hi] plus vertical kink segments."""
-        lines = [lo] + [b for b in self.f.breaks if lo < b < hi] + [hi]
+    def segments(self, lo, hi) -> tuple:
+        """``(horizontal, vertical, d)``: the pieces of the graph of f' over
+        [lo, hi] and its kink segments, each as (fixed, start, end), all
+        integers over the one denominator d.  A piece runs at y = slope from
+        start to end, a kink at x = kink from the left to the right slope."""
+        lo, hi = _as_fraction(lo), _as_fraction(hi)
+        d = math.lcm(self.f.den, lo.denominator, hi.denominator)
+        B, S, _ = self.f.over(d)
+        L, H = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
         # the slope right of each left end holds up to the next cut
-        horiz = [((a, b), self.f.slopes[self.f._segment_index(a)])
-                 for a, b in zip(lines, lines[1:])]
+        i, j = bisect.bisect_right(B, L), bisect.bisect_left(B, H)
+        cuts = [L] + B[i:j] + [H]
+        horiz = [(s, a, b) for a, b, s in zip(cuts, cuts[1:], S[i:]) if b > a]
+        i, j = bisect.bisect_left(B, L), bisect.bisect_right(B, H)
         vert = [(b, sr, sl) if self.flip_vertical else (b, sl, sr)
-                for b, sl, sr in self.f.kinks() if lo <= b <= hi]
-        return horiz, vert
+                for b, sl, sr in zip(B[i:j], S[i:], S[i + 1:])]
+        return horiz, vert, d
 
 
 def build_1d(f: PiecewiseLinear1D | MaxAffine) -> Polyline1DCycle:
@@ -355,48 +364,47 @@ def eval_polyline(cycle: Polyline1DCycle, form: Form) -> EvalResult:
 
 
 def _polyline_parts(cycle: Polyline1DCycle, coeffs):
-    """Integral of each dx (axis 0) or dy (axis 1) atom over each segment
+    """Integral of each dx (axis 0) or dy (axis 1) atom over the segments
     along its axis: pieces left to right at y = slope, kinks at x = kink
     from left to right slope.  A polynomial atom is integrated in closed
-    form (:func:`_closed_form`), a bump atom by quadrature."""
-    windows = {}  # support box -> its (horizontal, vertical) segments
+    form (:func:`_closed_form`), one exact part per atom; a bump atom by
+    quadrature, one part per segment."""
+    windows = []  # (support box, its (horizontal, vertical, d) segments)
     for axis, coeff in coeffs:
         for sig, poly in coeff.atoms.items():
             atom = CoefficientFn(1, {sig: poly}, declared_box=coeff.declared_box) if sig else None
             box = atom.support_box() if sig else coeff.declared_box
-            if box not in windows:
-                windows[box] = cycle.segments(*box[0])
-            horiz, vert = windows[box]
-            if axis == 0:
-                segments = [(s, a, b) for (a, b), s in horiz if b > a]
-            else:
-                segments = vert
+            # a few boxes: a search by equality costs less than hashing Fractions
+            window = next((w for b, w in windows if b == box), None)
+            if window is None:
+                window = cycle.segments(*box[0])
+                windows.append((box, window))
+            segments, d = window[axis], window[2]
             if not sig:
-                integral = _closed_form(poly, axis)
-                for fixed, start, end in segments:
-                    yield integral(fixed, start, end)
+                nums, den = _closed_form(poly, axis, segments, d)
+                yield Q(sum(nums), den)
                 continue
             for fixed, start, end in segments:
-                ff = float(fixed)
+                ff = fixed / d  # int / int rounds as float() of the Fraction
 
                 def fn(p):
                     cols = [p[:, 0], np.full(p.shape[0], ff)]
                     return atom.eval_array(np.stack(cols[::-1] if axis else cols, axis=1))
 
-                a, b = float(start), float(end)
+                a, b = start / d, end / d
                 res = integrate(fn, [[(min(a, b), max(a, b))]])
                 yield EvalResult((-1.0 if b < a else 1.0) * res.value, res.error)
 
 
-def _closed_form(poly, axis: int):
-    """``(fixed, start, end) ->`` the exact integral of the polynomial atom
-    ``poly`` along ``axis`` over one segment.  Its term c x^a y^b, with i
-    the power along the segment and j that of the fixed coordinate, gives
-    c fixed^j (end^(i+1) - start^(i+1)) / (i+1).  With fixed, start and end
-    written as integers F, S, E over one denominator d, and L the least
-    common multiple of the (i+1), every term is an integer over
-    ``poly.den L d^(top+1)``, top the largest i + j: a segment costs
-    integer arithmetic and one Fraction."""
+def _closed_form(poly, axis: int, segments, d: int) -> tuple:
+    """The exact integral of the polynomial atom ``poly`` along ``axis`` over
+    each segment (F, S, E) of integers over d, fixed at F / d from S / d to
+    E / d: ``(numerators, den)``, one integer numerator per segment over
+    the shared denominator den.  Its term c x^a y^b, with i the power along
+    the segment and j that of the fixed coordinate, gives
+    c fixed^j (end^(i+1) - start^(i+1)) / (i+1).  With L the least common
+    multiple of the (i+1), every term is an integer over
+    ``poly.den L d^(top+1)``, top the largest i + j."""
     powers = []
     for key, c in poly.num.items():
         a, b = _unpack(key, 2)
@@ -404,18 +412,8 @@ def _closed_form(poly, axis: int):
         powers.append((c, i + 1, j))
     top = max((i1 + j - 1 for _, i1, j in powers), default=0)
     lcm = math.lcm(*(i1 for _, i1, _ in powers))
-    # (c L / (i+1), i + 1, j, the power of d that lifts the term to d^(top+1))
-    terms = [(c * (lcm // i1), i1, j, top + 1 - i1 - j) for c, i1, j in powers]
-    den = poly.den * lcm
-
-    def integral(fixed, start, end) -> Q:
-        d = math.lcm(fixed.denominator, start.denominator, end.denominator)
-        F = fixed.numerator * (d // fixed.denominator)
-        S = start.numerator * (d // start.denominator)
-        E = end.numerator * (d // end.denominator)
-        total = 0
-        for c, i1, j, k in terms:
-            total += c * F ** j * (E ** i1 - S ** i1) * d ** k
-        return Q(total, den * d ** (top + 1))
-
-    return integral
+    # c L / (i+1) times the power of d that lifts the term to d^(top+1)
+    terms = [(c * (lcm // i1) * d ** (top + 1 - i1 - j), i1, j) for c, i1, j in powers]
+    nums = [sum(c * F ** j * (E ** i1 - S ** i1) for c, i1, j in terms)
+            for F, S, E in segments]
+    return nums, poly.den * lcm * d ** (top + 1)

@@ -28,7 +28,7 @@ from .coefficients import BoxT, CoefficientFn
 from .convex import MaxAffine, PiecewiseLinear1D
 from .forms import Form
 from .exactla import det, solve
-from .polynomials import Poly, Q, dirichlet_moment
+from .polynomials import Poly, Q, _unpack
 from .quadrature import EvalResult, SimplexProduct, integrate, sum_parts
 
 # the largest n that build_polyhedral constructs cells for
@@ -44,8 +44,6 @@ class DegenerateConfiguration(ValueError):
 
 
 # -- exact 2D polygon helpers ---------------------------------------------------
-
-Point = tuple  # tuple[Fraction, ...]
 
 
 def _dot(a, b):
@@ -272,34 +270,40 @@ class PolyhedralLagrangianCycle:
 
 
 def default_window(f: MaxAffine) -> BoxT:
-    """Box containing the subdivision's vertex structure, inflated by 1."""
+    """Box containing the subdivision's vertex structure, inflated by 1.  On
+    the pieces scaled to integers, each point is an integer vector over an
+    integer denominator; bounds are compared by cross-multiplication."""
     n = f.n
-    pts: list[Point] = [tuple(Q(0) for _ in range(n))]
-    pieces = f.pieces
+    L = math.lcm(*(q.denominator for a, b in f.pieces for q in (*a, b)))
+    pieces = [[q.numerator * (L // q.denominator) for q in (*a, b)] for a, b in f.pieces]
+    pts = []  # (numerators, denominator) of each point but the origin
     if n == 1:
         for (a1, b1), (a2, b2) in _pairs(pieces):
-            if a1[0] != a2[0]:
-                pts.append(((b2 - b1) / (a1[0] - a2[0]),))
+            if a1 != a2:
+                pts.append(((b2 - b1,), a1 - a2))
     else:
         lines = []
-        for (a1, b1), (a2, b2) in _pairs(pieces):
-            nvec = (a1[0] - a2[0], a1[1] - a2[1])
-            if nvec == (Q(0), Q(0)):
+        for (u1, v1, b1), (u2, v2, b2) in _pairs(pieces):
+            nvec, c = (u1 - u2, v1 - v2), b2 - b1
+            if nvec == (0, 0):
                 continue
-            c = b2 - b1
             lines.append((nvec, c))
             # foot of the perpendicular from the origin
-            den = nvec[0] ** 2 + nvec[1] ** 2
-            pts.append((c * nvec[0] / den, c * nvec[1] / den))
+            pts.append(((c * nvec[0], c * nvec[1]), nvec[0] ** 2 + nvec[1] ** 2))
         for (n1, c1), (n2, c2) in _pairs(lines):
             det = n1[0] * n2[1] - n1[1] * n2[0]
             if det != 0:
-                pts.append(((c1 * n2[1] - c2 * n1[1]) / det,
-                            (n1[0] * c2 - n2[0] * c1) / det))
+                pts.append(((c1 * n2[1] - c2 * n1[1], n1[0] * c2 - n2[0] * c1), det))
     box = []
     for k in range(n):
-        vals = [p[k] for p in pts]
-        box.append((min(vals) - 1, max(vals) + 1))
+        lo = hi = (0, 1)  # the origin
+        for v, q in pts:
+            p, q = (v[k], q) if q > 0 else (-v[k], -q)
+            if p * lo[1] < lo[0] * q:
+                lo = (p, q)
+            if p * hi[1] > hi[0] * q:
+                hi = (p, q)
+        box.append((Q(lo[0] - lo[1], lo[1]), Q(hi[0] + hi[1], hi[1])))
     return tuple(box)
 
 
@@ -594,18 +598,24 @@ def _affine_subs_polys(n: int, sx, sy, nvars: int) -> list:
 
 
 def _integrate_poly_cell(poly: Poly, n: int, sx, sy) -> Fraction:
+    """Integral of ``poly`` over the simplex product sx x sy.  In the
+    simplex coordinates s and t, the moment of s^g over the standard
+    dx-simplex is prod g_i! / (dx + |g|)! (the Dirichlet integral), so every
+    term is an integer over ``den (dx + top_s)! (dy + top_t)!``, with top_s
+    and top_t the largest degrees in s and t."""
     dx = len(sx) - 1
     dy = len(sy) - 1
     repl = _affine_subs_polys(n, sx, sy, poly.nvars)
     composed = poly.subs(repl[:poly.nvars])
-    # integrate s over the dx-simplex and t over the dy-simplex
-    total = Q(0)
-    nv = composed.nvars
-    for e, c in composed.terms.items():
-        gs = e[:dx]
-        gt = e[dx:dx + dy]
-        total += c * dirichlet_moment(gs) * dirichlet_moment(gt)
-    return total
+    fact = math.factorial
+    terms = []
+    for key, c in composed.num.items():
+        e = _unpack(key, dx + dy)
+        terms.append((c * math.prod(map(fact, e)), dx + sum(e[:dx]), dy + sum(e[dx:])))
+    fs = fact(max((a for _, a, _ in terms), default=0))
+    ft = fact(max((b for _, _, b in terms), default=0))
+    total = sum(c * (fs // fact(a)) * (ft // fact(b)) for c, a, b in terms)
+    return Q(total, composed.den * fs * ft)
 
 
 # -- mass ----------------------------------------------------------------------------------

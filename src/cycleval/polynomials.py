@@ -470,21 +470,24 @@ class Poly:
         """Integrate over ``prod [lo, hi]`` in the listed variables.
 
         Bounds must be rational; the result no longer depends on ``vars_``.
+        With lo = A / q and hi = H / q, a term c z_v^p gives
+        c (H^(p+1) - A^(p+1)) / ((p + 1) q^(p+1)): an integer over
+        L q^(top+1), L the least common multiple of the p + 1 and top the
+        largest p.  The numerators are summed as integers and reduced once.
         """
-        out = self
+        num, den = self.num, self.den
         for v, (lo, hi) in zip(vars_, box):
-            lo = _as_fraction(lo)
-            hi = _as_fraction(hi)
-            acc: dict[Exponents, Fraction] = {}
-            for e, c in out.terms.items():
-                p = e[v]
-                key = e[:v] + (0,) + e[v + 1:]
-                acc[key] = acc.get(key, 0) + c * (hi ** (p + 1) - lo ** (p + 1)) / (p + 1)
-            out = Poly(out.nvars, acc)
-        return out
-
-
-def dirichlet_moment(g) -> Fraction:
-    """Integral of ``prod t_i^{g_i}`` over the standard d-simplex, d = len(g):
-    ``(prod g_i!) / (d + sum g_i)!``."""
-    return Fraction(math.prod(map(math.factorial, g)), math.factorial(len(g) + sum(g)))
+            lo, hi = _as_fraction(lo), _as_fraction(hi)
+            q = math.lcm(lo.denominator, hi.denominator)
+            A, H = lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator)
+            shift = FIELD_BITS * v
+            split = [(k & ~(_MASK << shift), (k >> shift) & _MASK, c) for k, c in num.items()]
+            top = max((p for _, p, _ in split), default=0)
+            lcm = math.lcm(*(p + 1 for _, p, _ in split))
+            out: dict[int, int] = {}
+            for k, p, c in split:
+                t = c * (lcm // (p + 1)) * (H ** (p + 1) - A ** (p + 1)) * q ** (top - p)
+                out[k] = out.get(k, 0) + t
+            num = {k: c for k, c in out.items() if c}
+            den *= lcm * q ** (top + 1)
+        return _reduced(self.nvars, num, den)

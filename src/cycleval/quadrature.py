@@ -68,9 +68,11 @@ def sum_parts(parts: Iterable[Fraction | EvalResult]) -> EvalResult:
     """Sum of exact parts (Fractions) and quadrature parts (EvalResults).
 
     A Fraction while every part is exact; otherwise the float of the exact
-    sum plus the quadrature values in order, with their errors summed.
+    sum plus the quadrature values in order, with their errors summed.  The
+    exact parts are added as integers over their least common denominator,
+    reduced once.
     """
-    exact = Fraction(0)
+    exact = []
     total = 0.0
     err = 0.0
     inexact = False
@@ -80,7 +82,9 @@ def sum_parts(parts: Iterable[Fraction | EvalResult]) -> EvalResult:
             err += part.error
             inexact = True
         else:
-            exact += part
+            exact.append(part)
+    den = math.lcm(*[q.denominator for q in exact])
+    exact = Fraction(sum(q.numerator * (den // q.denominator) for q in exact), den)
     return EvalResult(float(exact) + total if inexact else exact, err)
 
 

@@ -609,6 +609,67 @@ def test_dump_cycle(tmp_path, capsys):
             f"spec error: polyhedral cycles are built for n = 1 and 2, not n = {n}\n")
 
 
+# dump-cycle's stdout, pinned byte for byte: the command prints
+# json.dumps(document, indent=2, sort_keys=True), here kept compact.  The
+# pwl spec has a trivial kink and kinks beyond [-10, 10]; the 2-D cycle
+# has a five-vertex clipped cell.
+DUMPED_CYCLES = [
+    ('pwl breaks=[-25/2,-1/3,7/2,14] slopes=[1/2,-1/2,-1/2,2,-5/3] v0=2/7', '1',
+     '{"horizontal":[["-27/2","-25/2","1/2"],["-25/2","7/2","-1/2"],["7/2"'
+     ',"14","2"],["14","15","-5/3"]],"kind":"polyline","vertical":[["-25/2'
+     '","1/2","-1/2"],["7/2","-1/2","2"],["14","2","-5/3"]]}'),
+    ('maxaffine pieces=[[[1/2],1/3],[[-3/2],0],[[2],-5/4],[[-1/3],-7]]', '1',
+     '{"cells":[{"active":[0],"clipped":true,"dim_x":1,"orientation":1,"x_'
+     'vertices":[["-7/6"],["-1/6"]],"y_vertices":[["-3/2"]]},{"active":[1]'
+     ',"clipped":false,"dim_x":1,"orientation":1,"x_vertices":[["-1/6"],["'
+     '19/18"]],"y_vertices":[["1/2"]]},{"active":[2],"clipped":true,"dim_x'
+     '":1,"orientation":1,"x_vertices":[["19/18"],["37/18"]],"y_vertices":'
+     '[["2"]]},{"active":[0,1],"clipped":false,"dim_x":0,"orientation":1,"'
+     'x_vertices":[["-1/6"]],"y_vertices":[["-3/2"],["1/2"]]},{"active":[1'
+     ',2],"clipped":false,"dim_x":0,"orientation":1,"x_vertices":[["19/18"'
+     ']],"y_vertices":[["1/2"],["2"]]}],"n":1,"perturbed":false,"pieces":['
+     '[["-3/2"],"0"],[["1/2"],"1/3"],[["2"],"-5/4"]],"window":[["-7/6","37'
+     '/18"]]}'),
+    ('maxaffine pieces=[[[1,0],0],[[-1/2,1],1/3],[[0,-1],-1/2],[[2/3,1/2],-2]]', '2',
+     '{"cells":[{"active":[0],"clipped":true,"dim_x":2,"orientation":1,"x_'
+     'vertices":[["197/35","127/15"],["-58/5","127/15"],["-58/5","-199/60"'
+     '],["-1/15","-13/30"],["26/5","112/15"]],"y_vertices":[["-1/2","1"]]}'
+     ',{"active":[1],"clipped":true,"dim_x":2,"orientation":1,"x_vertices"'
+     ':[["-58/5","-61/15"],["107/30","-61/15"],["-1/15","-13/30"],["-58/5"'
+     ',"-199/60"]],"y_vertices":[["0","-1"]]},{"active":[2],"clipped":true'
+     ',"dim_x":2,"orientation":1,"x_vertices":[["31/5","122/15"],["31/5","'
+     '127/15"],["197/35","127/15"],["26/5","112/15"]],"y_vertices":[["2/3"'
+     ',"1/2"]]},{"active":[3],"clipped":true,"dim_x":2,"orientation":1,"x_'
+     'vertices":[["107/30","-61/15"],["31/5","-61/15"],["31/5","122/15"],['
+     '"26/5","112/15"],["-1/15","-13/30"]],"y_vertices":[["1","0"]]},{"act'
+     'ive":[0,1],"clipped":true,"dim_x":1,"orientation":-1,"x_vertices":[['
+     '"-58/5","-199/60"],["-1/15","-13/30"]],"y_vertices":[["-1/2","1"],["'
+     '0","-1"]]},{"active":[0,2],"clipped":true,"dim_x":1,"orientation":-1'
+     ',"x_vertices":[["26/5","112/15"],["197/35","127/15"]],"y_vertices":['
+     '["-1/2","1"],["2/3","1/2"]]},{"active":[0,3],"clipped":false,"dim_x"'
+     ':1,"orientation":-1,"x_vertices":[["-1/15","-13/30"],["26/5","112/15'
+     '"]],"y_vertices":[["-1/2","1"],["1","0"]]},{"active":[1,3],"clipped"'
+     ':true,"dim_x":1,"orientation":-1,"x_vertices":[["107/30","-61/15"],['
+     '"-1/15","-13/30"]],"y_vertices":[["0","-1"],["1","0"]]},{"active":[2'
+     ',3],"clipped":true,"dim_x":1,"orientation":-1,"x_vertices":[["26/5",'
+     '"112/15"],["31/5","122/15"]],"y_vertices":[["2/3","1/2"],["1","0"]]}'
+     ',{"active":[0,1,3],"clipped":false,"dim_x":0,"orientation":1,"x_vert'
+     'ices":[["-1/15","-13/30"]],"y_vertices":[["-1/2","1"],["0","-1"],["1'
+     '","0"]]},{"active":[0,2,3],"clipped":false,"dim_x":0,"orientation":1'
+     ',"x_vertices":[["26/5","112/15"]],"y_vertices":[["-1/2","1"],["1","0'
+     '"],["2/3","1/2"]]}],"n":2,"perturbed":false,"pieces":[[["-1/2","1"],'
+     '"1/3"],[["0","-1"],"-1/2"],[["2/3","1/2"],"-2"],[["1","0"],"0"]],"wi'
+     'ndow":[["-58/5","31/5"],["-61/15","127/15"]]}'),
+]
+
+
+@pytest.mark.parametrize("spec, n, compact", DUMPED_CYCLES)
+def test_dump_cycle_output_is_pinned(capsys, spec, n, compact):
+    assert main(["dump-cycle", spec, "--n", n]) == 0
+    assert capsys.readouterr().out == json.dumps(json.loads(compact), indent=2,
+                                                 sort_keys=True) + "\n"
+
+
 # a polyline of 2,000 kinks dumps some 200 KB, more than a pipe holds
 LONG_PWL = f"pwl breaks={list(range(2000))} slopes={list(range(-1, 2000))} v0=0"
 

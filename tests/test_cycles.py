@@ -16,6 +16,7 @@ from cycleval.convex import (
 )
 from cycleval.cycles import (
     Polyline1DCycle,
+    _closed_form,
     _polyline_parts,
     build_1d,
     eval_polyline,
@@ -598,18 +599,58 @@ def test_support_domain_routing(monkeypatch):
         assert calls == [rule], (tau, calls)
 
 
+def _fraction_segments(cycle, lo, hi):
+    # reference: the segments in Fractions, read off the breaks, slopes and
+    # kinks of the function
+    f = cycle.f
+    cuts = [lo] + [b for b in f.breaks if lo < b < hi] + [hi]
+    horiz = [(f.slopes[sum(1 for b in f.breaks if b <= a)], a, b)
+             for a, b in zip(cuts, cuts[1:]) if b > a]
+    vert = [(b, sr, sl) if cycle.flip_vertical else (b, sl, sr)
+            for b, sl, sr in f.kinks() if lo <= b <= hi]
+    return [horiz, vert]
+
+
+def _segments_over(cycle, coeffs):
+    # each atom's axis, polynomial, and segments (fixed, start, end) along
+    # its axis as integers over the denominator d
+    for axis, coeff in coeffs:
+        *along, d = cycle.segments(*coeff.declared_box[0])
+        assert [[tuple(Q(v, d) for v in seg) for seg in part] for part in along] == \
+            _fraction_segments(cycle, *coeff.declared_box[0])
+        for poly in coeff.atoms.values():
+            yield axis, poly, along[axis], d
+
+
+def _closed_form_segments(cycle, coeffs):
+    # one list per atom: each segment's integer numerator over the atom's
+    # shared denominator, as a Fraction
+    for axis, poly, segments, d in _segments_over(cycle, coeffs):
+        nums, den = _closed_form(poly, axis, segments, d)
+        assert len(nums) == len(segments) and all(type(v) is int for v in nums)
+        yield [Q(v, den) for v in nums]
+
+
 def _poly_route_parts(cycle, coeffs):
     # reference: each polynomial atom restricted to the segment's line by
-    # Poly.subs, integrated and evaluated exactly
-    for axis, coeff in coeffs:
-        horiz, vert = cycle.segments(*coeff.declared_box[0])
-        segments = [(s, a, b) for (a, b), s in horiz if b > a] if axis == 0 else vert
-        for poly in coeff.atoms.values():
-            for fixed, start, end in segments:
-                line = [Poly.variable(1, 0), Poly.const(1, fixed)]
-                restricted = poly.extend(2).subs(line[::-1] if axis else line)
-                val = restricted.integrate_box([(start, end)], [0])
-                yield val.eval_point([Q(0)] * val.nvars)
+    # Poly.subs, integrated and evaluated exactly, one list per atom
+    for axis, poly, segments, d in _segments_over(cycle, coeffs):
+        parts = []
+        for fixed, start, end in segments:
+            line = [Poly.variable(1, 0), Poly.const(1, Q(fixed, d))]
+            restricted = poly.extend(2).subs(line[::-1] if axis else line)
+            val = restricted.integrate_box([(Q(start, d), Q(end, d))], [0])
+            parts.append(val.eval_point([Q(0)] * val.nvars))
+        yield parts
+
+
+def _check_polyline_segments(cycle, coeffs, reference):
+    # every segment against the reference, and each atom's part against
+    # the sum of its segments
+    want = list(reference(cycle, coeffs))
+    assert list(_closed_form_segments(cycle, coeffs)) == want
+    got = list(_polyline_parts(cycle, coeffs))
+    assert got == [sum(parts, Q(0)) for parts in want] and all(type(v) is Q for v in got)
 
 
 def test_polyline_closed_form_matches_poly_route():
@@ -624,25 +665,23 @@ def test_polyline_closed_form_matches_poly_route():
             box = ((lo, lo + Q(int(rng.integers(1, 12)), 2)),)
             coeffs.append((axis, CoefficientFn.from_poly(1, Poly(2, terms), box=box)))
         for flip in (False, True):
-            cycle = Polyline1DCycle(f, flip_vertical=flip)
-            got = list(_polyline_parts(cycle, coeffs))
-            want = list(_poly_route_parts(cycle, coeffs))
-            assert got == want and all(type(v) is Q for v in got)
+            _check_polyline_segments(Polyline1DCycle(f, flip_vertical=flip), coeffs,
+                                     _poly_route_parts)
 
 
 def _fraction_parts(cycle, coeffs):
     # reference: each term of each polynomial atom integrated in Fraction
-    # arithmetic and summed term by term, one value per segment
-    for axis, coeff in coeffs:
-        horiz, vert = cycle.segments(*coeff.declared_box[0])
-        segments = [(s, a, b) for (a, b), s in horiz if b > a] if axis == 0 else vert
-        for poly in coeff.atoms.values():
-            for fixed, start, end in segments:
-                total = Q(0)
-                for e, c in poly.terms.items():
-                    i, j = (e[1], e[0]) if axis else (e[0], e[1])
-                    total += c * fixed ** j * (end ** (i + 1) - start ** (i + 1)) / (i + 1)
-                yield total
+    # arithmetic and summed term by term, one list per atom
+    for axis, poly, segments, d in _segments_over(cycle, coeffs):
+        parts = []
+        for fixed, start, end in segments:
+            fixed, start, end = Q(fixed, d), Q(start, d), Q(end, d)
+            total = Q(0)
+            for e, c in poly.terms.items():
+                i, j = (e[1], e[0]) if axis else (e[0], e[1])
+                total += c * fixed ** j * (end ** (i + 1) - start ** (i + 1)) / (i + 1)
+            parts.append(total)
+        yield parts
 
 
 def _big_denominator_pwl(rng):
@@ -671,10 +710,8 @@ def test_polyline_integer_sums_match_fractions_at_large_denominators():
             terms[(0, 0)] = Q(7, 3)
             coeffs.append((axis, CoefficientFn.from_poly(1, Poly(2, terms), box=((lo, hi),))))
         for flip in (False, True):
-            cycle = Polyline1DCycle(f, flip_vertical=flip)
-            got = list(_polyline_parts(cycle, coeffs))
-            assert got == list(_fraction_parts(cycle, coeffs))
-            assert all(type(v) is Q for v in got)
+            _check_polyline_segments(Polyline1DCycle(f, flip_vertical=flip), coeffs,
+                                     _fraction_parts)
 
 
 def _meshgrid_triangle_nodes(v0, v1, v2, order, layer):

@@ -1,5 +1,6 @@
 from fractions import Fraction as Q
-from itertools import permutations
+import math
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -133,3 +134,153 @@ def test_convex_combo_rejects_underdetermined_systems():
     # outside the hull: inconsistent, or a negative weight
     assert _convex_combo((Q(1), Q(1)), [e1, e2]) is None
     assert _convex_combo((Q(2), Q(-1)), [e1, e2]) is None
+
+
+# -- the integer elimination against the elimination over Fractions -------------
+
+
+def _gauss_jordan(a, ncols):
+    # reference: Gauss-Jordan over Fractions, the first nonzero entry of each
+    # column as pivot; reduces a in place and returns the pivot columns
+    pivots = []
+    for col in range(ncols):
+        row = len(pivots)
+        if row == len(a):
+            break
+        piv = next((r for r in range(row, len(a)) if a[r][col] != 0), None)
+        if piv is None:
+            continue
+        a[row], a[piv] = a[piv], a[row]
+        pv = a[row][col]
+        a[row] = [v / pv for v in a[row]]
+        for r in range(len(a)):
+            if r != row and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [v - f * w for v, w in zip(a[r], a[row])]
+        pivots.append(col)
+    return pivots
+
+
+def _reference_solve(A, b):
+    ncols = len(A[0])
+    a = [[Q(v) for v in row] + [Q(bi)] for row, bi in zip(A, b)]
+    pivots = _gauss_jordan(a, ncols)
+    if any(row[ncols] != 0 for row in a[len(pivots):]):
+        return None, len(pivots)
+    x = [Q(0)] * ncols
+    for row, col in zip(a, pivots):
+        x[col] = row[ncols]
+    return x, len(pivots)
+
+
+def _reference_inverse(M):
+    n = len(M)
+    a = [[Q(v) for v in row] + [Q(int(k == i)) for k in range(n)] for i, row in enumerate(M)]
+    if len(_gauss_jordan(a, n)) < n:
+        raise ValueError("singular matrix")
+    return [row[n:] for row in a]
+
+
+def _rand_system(rng, big):
+    # up to 4 x 5, a third of the entries 0; some with a zero row or a row
+    # that is a multiple of another; b either A x0 or drawn on its own
+    rows, cols = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+
+    def q():
+        if rng.random() < 0.3:
+            return Q(0)
+        den = int(rng.integers(10 ** 9, 10 ** 10)) if big else int(rng.integers(1, 7))
+        return Q(int(rng.integers(-3 * den, 3 * den + 1)), den)
+
+    A = [[q() for _ in range(cols)] for _ in range(rows)]
+    kind = int(rng.integers(0, 3))
+    if rows > 1 and kind:
+        i, j = rng.choice(rows, size=2, replace=False)
+        A[i] = [Q(0)] * cols if kind == 1 else [v * Q(int(rng.integers(1, 5)), 3) for v in A[j]]
+    if rng.random() < 0.5:
+        x0 = [q() for _ in range(cols)]
+        b = [sum((a * x for a, x in zip(row, x0)), Q(0)) for row in A]
+    else:
+        b = [q() for _ in range(rows)]
+    return A, b
+
+
+@pytest.mark.parametrize("big", [False, True])
+def test_solve_and_inverse_match_fraction_gauss_jordan(big):
+    rng = np.random.default_rng(31 + big)
+    seen = set()
+    for _ in range(600):
+        A, b = _rand_system(rng, big)
+        x, rank = solve(A, b)
+        assert (x, rank) == _reference_solve(A, b)
+        assert x is None or all(type(v) is Q for v in x)
+        seen.add(("inconsistent" if x is None else "solved",
+                  "full rank" if rank == len(A[0]) else "free variables"))
+        if len(A) == len(A[0]):
+            try:
+                want = _reference_inverse(A)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    inverse(A)
+                seen.add("singular")
+            else:
+                got = inverse(A)
+                assert got == want and all(type(v) is Q for row in got for v in row)
+                seen.add("inverse")
+        if max(v.denominator for row in A for v in row) > 10 ** 9:
+            seen.add("denominators above 10^9")
+    assert seen - {"denominators above 10^9"} == {("inconsistent", "full rank"), ("inconsistent", "free variables"),
+                    ("solved", "full rank"), ("solved", "free variables"),
+                    "singular", "inverse"}
+    assert big == ("denominators above 10^9" in seen)
+
+
+def _reference_det(rows):
+    # the first-row Laplace expansion on the entries as given
+    k = len(rows)
+    if k == 0:
+        return 1
+    if k == 1:
+        return rows[0][0]
+    total = None
+    for j in range(k):
+        term = rows[0][j] * _reference_det([row[:j] + row[j + 1:] for row in rows[1:]])
+        if j % 2:
+            term = -term
+        total = term if total is None else total + term
+    return total
+
+
+def _reference_polarized_det(mats):
+    n = len(mats)
+    total = None
+    for r in range(1, n + 1):
+        for S in combinations(range(n), r):
+            M = [list(row) for row in mats[S[0]]]
+            for i in S[1:]:
+                M = [[u + v for u, v in zip(mr, ar)] for mr, ar in zip(M, mats[i])]
+            d = _reference_det(M)
+            total = (-d if (n - r) % 2 else d) if total is None else \
+                total + (-d if (n - r) % 2 else d)
+    return total / math.factorial(n)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_det_and_polarized_det_match_the_expansion_on_every_entry_type(k):
+    rng = np.random.default_rng(40 + k)
+    # float arrays, Python floats beside them, and Polys: bit for bit
+    H = _batched_rows(rng.normal(size=(200, k, k)))
+    A = [[float(v) for v in row] for row in rng.normal(size=(k, k))]
+    for mats in ([H] * k, [H] * (k - 1) + [A], [A] * k):
+        assert np.array_equal(polarized_det(mats), _reference_polarized_det(mats))
+        assert np.array_equal(det(mats[-1]), _reference_det(mats[-1]))
+    P = [[[_rand_poly(rng) for _ in range(k)] for _ in range(k)] for _ in range(k)]
+    assert polarized_det(P) == _reference_polarized_det(P) and det(P[0]) == _reference_det(P[0])
+    # Fractions, up to ten-digit denominators: the same values, as Fractions
+    for big in (False, True):
+        F = [[[Q(int(rng.integers(-10 ** 10, 10 ** 10)),
+                 int(rng.integers(10 ** 9, 10 ** 10))) if big else _rand_frac(rng)
+               for _ in range(k)] for _ in range(k)] for _ in range(k)]
+        got = polarized_det(F)
+        assert got == _reference_polarized_det(F) and type(got) is Q
+        assert det(F[0]) == _reference_det(F[0])

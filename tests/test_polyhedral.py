@@ -10,7 +10,10 @@ from cycleval.cycles import build_1d, eval_polyline
 from cycleval.forms import Form, exterior_derivative, standard_symplectic_form, wedge
 from cycleval.polyhedral import (
     WindowTooSmall,
+    _affine_subs_polys,
+    _integrate_poly_cell,
     build_polyhedral,
+    default_window,
     disk_polygon_area,
     eval_polyhedral,
     mass_polyhedral,
@@ -18,6 +21,7 @@ from cycleval.polyhedral import (
     window_for,
 )
 from cycleval.polynomials import Poly
+from dirichlet import dirichlet_moment
 
 
 def test_cells_absolute_value_1d():
@@ -223,3 +227,61 @@ def test_dump_json():
 
     data = json.loads(cyc.dump_json())
     assert data["n"] == 1 and len(data["cells"]) == 3
+
+
+def _reference_poly_cell(poly, n, sx, sy):
+    # the composed polynomial's Fraction terms, each times two Dirichlet moments
+    dx, dy = len(sx) - 1, len(sy) - 1
+    composed = poly.subs(_affine_subs_polys(n, sx, sy, poly.nvars)[:poly.nvars])
+    return sum((c * dirichlet_moment(e[:dx]) * dirichlet_moment(e[dx:dx + dy])
+                for e, c in composed.terms.items()), Q(0))
+
+
+def test_poly_cell_integrals_match_dirichlet_moments():
+    rng = np.random.default_rng(53)
+
+    def point(n):
+        return tuple(Q(int(rng.integers(-9, 10)), int(rng.integers(1, 5))) for _ in range(n))
+
+    for _ in range(60):
+        n = int(rng.integers(1, 3))
+        dx = int(rng.integers(0, n + 1))
+        sx = [point(n) for _ in range(dx + 1)]
+        sy = [point(n) for _ in range(n - dx + 1)]
+        terms = {tuple(int(rng.integers(0, 3)) for _ in range(2 * n)):
+                 Q(int(rng.integers(-9, 10)), int(rng.integers(1, 9))) for _ in range(4)}
+        poly = Poly(2 * n, terms)
+        got = _integrate_poly_cell(poly, n, sx, sy)
+        assert got == _reference_poly_cell(poly, n, sx, sy) and type(got) is Q
+
+
+def _reference_window(f):
+    # the window in Fraction arithmetic: kinks (1-D), or feet of the
+    # perpendiculars and crossings of the kink lines (2-D), inflated by 1
+    pts = [(Q(0),) * f.n]
+    pairs = [(p, q) for i, p in enumerate(f.pieces) for q in f.pieces[i + 1:]]
+    if f.n == 1:
+        pts += [((b2 - b1) / (a1[0] - a2[0]),) for (a1, b1), (a2, b2) in pairs if a1 != a2]
+    else:
+        lines = [((a1[0] - a2[0], a1[1] - a2[1]), b2 - b1) for (a1, b1), (a2, b2) in pairs]
+        pts += [(c * v[0] / (v[0] ** 2 + v[1] ** 2), c * v[1] / (v[0] ** 2 + v[1] ** 2))
+                for v, c in lines]
+        for i, (n1, c1) in enumerate(lines):
+            for n2, c2 in lines[i + 1:]:
+                det = n1[0] * n2[1] - n1[1] * n2[0]
+                if det:
+                    pts.append(((c1 * n2[1] - c2 * n1[1]) / det, (n1[0] * c2 - n2[0] * c1) / det))
+    return tuple((min(p[k] for p in pts) - 1, max(p[k] for p in pts) + 1) for k in range(f.n))
+
+
+def test_default_window_matches_fraction_routine():
+    rng = np.random.default_rng(59)
+    for _ in range(80):
+        n = int(rng.integers(1, 3))
+        pieces = [([Q(int(rng.integers(-7, 8)), int(rng.integers(1, 6))) for _ in range(n)],
+                   Q(int(rng.integers(-7, 8)), int(rng.integers(1, 6))))
+                  for _ in range(int(rng.integers(1, 6)))]
+        f = MaxAffine(pieces)
+        window = default_window(f)
+        assert window == _reference_window(f)
+        assert all(type(v) is Q for side in window for v in side)

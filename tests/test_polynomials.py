@@ -5,7 +5,8 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
-from cycleval.polynomials import MAX_EXPONENT, Poly, dirichlet_moment
+from cycleval.polynomials import MAX_EXPONENT, Poly
+from dirichlet import dirichlet_moment
 
 
 def test_ring_basics():
@@ -72,6 +73,38 @@ def test_integrate_box():
     out = p.integrate_box([(Q(-1), Q(1)), (Q(0), Q(2))], [0, 1])
     # int x^2 over [-1,1] = 2/3 ; int y over [0,2] = 2
     assert out == Poly.const(2, Q(4, 3))
+
+
+def _reference_integrate_box(p, box, vars_):
+    # the routine on the {exponent tuple: Fraction} view: one Fraction per
+    # term and variable, a new Poly per variable
+    out = p
+    for v, (lo, hi) in zip(vars_, box):
+        lo, hi = Q(lo), Q(hi)
+        acc = {}
+        for e, c in out.terms.items():
+            key = e[:v] + (0,) + e[v + 1:]
+            acc[key] = acc.get(key, 0) + c * (hi ** (e[v] + 1) - lo ** (e[v] + 1)) / (e[v] + 1)
+        out = Poly(out.nvars, acc)
+    return out
+
+
+def test_integrate_box_matches_fraction_routine():
+    # random polynomials in 1..5 variables, some integrated over and the
+    # rest left as parameters, on boxes with int, Fraction and empty sides
+    rnd = random.Random(71)
+    for _ in range(300):
+        nvars = rnd.randint(1, 5)
+        p = Poly(nvars, {tuple(rnd.randint(0, 4) for _ in range(nvars)):
+                         Q(rnd.randint(-9, 9), rnd.randint(1, 12)) for _ in range(rnd.randint(0, 6))})
+        vars_ = rnd.sample(range(nvars), rnd.randint(1, nvars))
+        box = []
+        for _ in vars_:
+            lo = Q(rnd.randint(-20, 20), rnd.randint(1, 6))
+            lo = int(lo) if rnd.random() < 0.2 else lo
+            box.append((lo, lo + Q(rnd.randint(0, 9), rnd.randint(1, 7))))
+        got = p.integrate_box(box, vars_)
+        assert got == _reference_integrate_box(p, box, vars_) and got.nvars == nvars
 
 
 def test_integrate_simplex():

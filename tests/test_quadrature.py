@@ -3,20 +3,22 @@ from fractions import Fraction as Q
 
 import numpy as np
 
-from cycleval.polynomials import dirichlet_moment
 from cycleval.quadrature import (
     _NODE_BLOCK,
     CELL_ORDERS,
     ELLIPSE_ORDERS,
     ORDERS,
     Ellipse,
+    EvalResult,
     GradedSimplex,
     PolynomialBox,
     SimplexProduct,
     integrate,
     integrate_box,
     node_blocks,
+    sum_parts,
 )
+from dirichlet import dirichlet_moment
 
 
 def integrate_ellipsoid(fn, M):
@@ -468,3 +470,18 @@ def test_spherical_rule_sizes_and_its_need_of_a_degree():
     # the volume of the ellipsoid, 4 pi / 3 / sqrt(det M), to rounding
     got = integrate(lambda p: np.ones(p.shape[0]), [Ellipse(M, 0)])
     assert abs(got.value - 4.0 * math.pi / 3.0 / math.sqrt(6.0)) <= 1e-14
+
+
+def test_sum_parts_adds_exact_parts_over_one_denominator():
+    rng = np.random.default_rng(61)
+    for _ in range(50):
+        exact = [Q(int(rng.integers(-10 ** 12, 10 ** 12)), int(rng.integers(1, 10 ** 12)))
+                 for _ in range(int(rng.integers(0, 8)))] + [3, Q(0)]
+        got = sum_parts(iter(exact))
+        assert got.value == sum(exact, Q(0)) and type(got.value) is Q and got.error == 0.0
+        # a quadrature part makes the sum a float: the exact sum's float plus
+        # the sum of the quadrature values in order, their errors summed
+        quad = [EvalResult(float(rng.normal()), float(rng.random())) for _ in range(3)]
+        got = sum_parts(iter(exact[:2] + quad[:1] + exact[2:] + quad[1:]))
+        want = float(sum(exact, Q(0))) + (quad[0].value + quad[1].value + quad[2].value)
+        assert got.value == want and got.error == quad[0].error + quad[1].error + quad[2].error
