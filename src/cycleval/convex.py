@@ -953,3 +953,11 @@ def as_max_affine(f: ConvexFunction) -> Optional[MaxAffine]:
         inner = as_max_affine(f.inner)
         return inner.scale(f.t) if inner is not None else None
     return None
+
+
+def wrapped_lse(f: ConvexFunction) -> Optional[LogSumExp]:
+    """The log-sum-exp smoothing under shifts and scalings of ``f``, if any:
+    its max-affine base marks the Hessian ridges of ``f``."""
+    while isinstance(f, (Shifted, Scaled)):
+        f = f.inner
+    return f if isinstance(f, LogSumExp) else None

@@ -3,7 +3,7 @@
 * smooth gradient graphs (quadrature of the graph pullback, C^2 catalog,
   on the forms' support ellipse or box), plain or ridge-aligned for
   log-sum-exp smoothings (on graded triangles of the max-affine regions),
-  and their mass,
+  and their mass, each with its error estimate,
 * 1D polylines for piecewise-linear f on R, convex or not: exact for
   windowed polynomial atoms, integrated along each segment in closed form
   term by term, and by quadrature for bump atoms.
@@ -58,18 +58,17 @@ from .convex import (
     PiecewiseLinear1D,
     node_matmul,
     unbroadcast,
+    wrapped_lse,
 )
 from .exactla import det
-from .forms import FREE_PARAMETERS, NO_SUPPORT, Form, merge_sign
+from .forms import FREE_PARAMETERS, Form, merge_sign
 from .polynomials import Q, _as_fraction, _unpack, field_sum
 from .quadrature import (
-    ELLIPSE_ORDERS,
     Ellipse,
     EvalResult,
     GradedSimplex,
     PolynomialBox,
     integrate,
-    node_blocks,
     sum_parts,
 )
 
@@ -77,8 +76,6 @@ from .quadrature import (
 def _shared(supports):
     """The one support (box or domain) of forms evaluated together."""
     supports = set(supports)
-    if None in supports:
-        raise SupportError(NO_SUPPORT)
     if len(supports) != 1:
         raise ValueError("forms evaluated together must share one support")
     return supports.pop()
@@ -219,17 +216,18 @@ def graph_pullback_integrand(f: ConvexFunction, forms: Sequence[Form],
     return integrand
 
 
-def eval_smooth(f, forms: Sequence[Form], domain=None,
+def eval_smooth(f, forms: Sequence[Form], domains=None,
                 batch: CompiledBatch | None = None, rows=None) -> list:
     """D(f)[form] for each of ``forms``, for twice-differentiable catalog
     functions: one scalar :class:`EvalResult` per form, in order.
 
-    The forms are integrated over ``domain`` (a box, a
-    :class:`~cycleval.quadrature.PolynomialBox` or an
-    :class:`~cycleval.quadrature.Ellipse`), by default their one shared
-    support domain, on one node stream.  ``batch`` is
-    ``pullback_batch(forms)``, compiled here by default, and ``rows``
-    selects the forms evaluated, by their indices, by default all.
+    Every form must be evaluable (``Form.check_evaluable``).  The forms are
+    integrated over the union of ``domains`` (boxes,
+    :class:`~cycleval.quadrature.PolynomialBox` or
+    :class:`~cycleval.quadrature.Ellipse` domains), by default their one
+    shared support domain, on one node stream, with one error estimate.
+    ``batch`` is ``pullback_batch(forms)``, compiled here by default, and
+    ``rows`` selects the forms evaluated, by their indices, by default all.
 
     ``f`` may be a battery, a list of functions, with ``rows`` one
     selection (or None) per function: all are integrated in one call of
@@ -239,6 +237,8 @@ def eval_smooth(f, forms: Sequence[Form], domain=None,
     the block.  The result is then one list per function, each bit for bit
     what that function alone gives.
     """
+    for form in forms:
+        form.check_evaluable()
     battery = isinstance(f, (list, tuple))
     functions, selections = (f, rows or [None] * len(f)) if battery else ([f], [rows])
     if any(not g.smooth for g in functions):
@@ -253,11 +253,10 @@ def eval_smooth(f, forms: Sequence[Form], domain=None,
         g, forms if sel is None else [forms[r] for r in sel], batch, cache, sel)
         for g, sel in zip(functions, selections)]
     return integrate(integrands if battery else integrands[0],
-                     [domain or _shared(form.support_domain() for form in forms)])
+                     domains or [_shared(form.support_domain() for form in forms)])
 
 
 def eval_smooth_ridge_aligned(f: ConvexFunction, cycle, forms: Sequence[Form],
-                              layer: float, order: int, refine: int,
                               batch: CompiledBatch | None = None) -> list:
     """Smooth-graph evaluation subdivided along the kink loci of a max-affine
     base of ``f``, for forms that share one support box: one scalar
@@ -266,16 +265,18 @@ def eval_smooth_ridge_aligned(f: ConvexFunction, cycle, forms: Sequence[Form],
     ``build_polyhedral(base, window=window_for(base, box))``; a caller that
     also evaluates the base exactly passes the cycle it built for that.
 
-    Intended for log-sum-exp smoothings with large beta: their Hessians
-    concentrate in O(1/beta) layers along the max-affine ridges, invisible to
-    plain tensor quadrature.  The max-affine regions clipped to the box,
-    each 2-D region fanned into triangles from its centroid, are integrated
-    as :class:`~cycleval.quadrature.GradedSimplex` domains graded at
-    ``layer``, at the pass pair ``(order, refine)``.  ``batch`` is that of
+    ``f`` is a log-sum-exp smoothing LSE_beta, shifted or scaled
+    (``convex.wrapped_lse``), whose Hessians concentrate in O(1/beta)
+    layers along the max-affine ridges, invisible to plain tensor
+    quadrature.  The max-affine regions clipped to the box, each 2-D region
+    fanned into triangles from its centroid, are integrated as
+    :class:`~cycleval.quadrature.GradedSimplex` domains graded at the layer
+    min(1/4, 50/beta).  ``batch`` is that of
     :func:`graph_pullback_integrand`.
     """
+    layer = min(0.25, 50.0 / wrapped_lse(f).beta)
     n = f.n
-    box = _shared(form.support_box() for form in forms)
+    box = _shared(form.check_evaluable() for form in forms)
     pieces = []  # float vertices of the intervals or triangles
     for index, cell in enumerate(cycle.cells):
         clipped = cycle.clipped(index, box) if cell.dim_x == n else []
@@ -288,28 +289,26 @@ def eval_smooth_ridge_aligned(f: ConvexFunction, cycle, forms: Sequence[Form],
     if not pieces:  # a box without area, as a zero form has
         return [EvalResult(0.0) for _ in forms]
     return integrate(graph_pullback_integrand(f, forms, batch),
-                     [GradedSimplex(p, layer, (order, refine)) for p in pieces])
+                     [GradedSimplex(p, layer) for p in pieces])
 
 
-def mass_smooth(f: ConvexFunction, R: float) -> float:
-    """Mass of the gradient graph over the ball of radius R (n <= 2): the
-    metric density is made one node block at a time, and its weighted
-    values, collected in one vector, are summed once."""
+def mass_smooth(f: ConvexFunction, R: float) -> EvalResult:
+    """Mass of the gradient graph over the ball of radius R (n <= 2), the
+    integral of its metric density sqrt(det(I + H^T H)), H the Hessian of
+    f, on the interval [-R, R] or the disk's ellipse, with its error
+    estimate."""
     n = f.n
-    if n == 1:
-        domain, order = [(-R, R)], 64
-    elif n == 2:
-        inv_r2 = 1.0 / (R * R)
-        domain, order = Ellipse(((inv_r2, 0.0), (0.0, inv_r2))), ELLIPSE_ORDERS[1]
-    else:
+    if n > 2:
         raise NotImplementedError("mass quadrature implemented for n <= 2")
-    terms = []
-    for pts, wts in node_blocks(domain, order):
+    inv_r2 = 1.0 / (R * R)
+    domain = [(-R, R)] if n == 1 else Ellipse(((inv_r2, 0.0), (0.0, inv_r2)))
+
+    def density(pts):
         H = unbroadcast(f.hessian_array(pts))
         G = np.eye(n)[None, :, :] + node_matmul(H.transpose(0, 2, 1), H)
-        dets = det([[G[:, i, j] for j in range(n)] for i in range(n)])
-        terms.append(wts * np.sqrt(dets))
-    return float(np.concatenate(terms).sum())
+        return np.sqrt(det([[G[:, i, j] for j in range(n)] for i in range(n)]))
+
+    return integrate(density, [domain])
 
 
 # -- 1D polylines ------------------------------------------------------------------

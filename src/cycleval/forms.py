@@ -77,7 +77,7 @@ def merge_sign(a: Key, b: Key) -> tuple[int, Optional[Key]]:
 class Form:
     """Homogeneous-degree differential form with exact coefficients."""
 
-    __slots__ = ("n", "degree", "terms")
+    __slots__ = ("n", "degree", "terms", "_evaluable")
 
     def __init__(self, n: int, degree: int, terms=None):
         if not (1 <= n <= MAX_DIMENSION):
@@ -100,6 +100,7 @@ class Form:
                 if clean[key].is_zero():
                     del clean[key]
         self.terms = clean
+        self._evaluable = None
 
     @classmethod
     def _trusted(cls, n: int, degree: int, terms: dict) -> "Form":
@@ -110,6 +111,7 @@ class Form:
         f.n = n
         f.degree = degree
         f.terms = {k: c for k, c in terms.items() if c.atoms}
+        f._evaluable = None
         return f
 
     # -- constructors -------------------------------------------------------
@@ -185,13 +187,16 @@ class Form:
         """The support box of the form, which every evaluator asks for:
         D(f)[tau] needs a horizontally compact support and no free
         parameters, so an unknown support (a polynomial without a window) or
-        a parameter raises SupportError."""
-        box = self.support_box()
-        if box is None:
-            raise SupportError(NO_SUPPORT)
-        if any(c.has_params() for c in self.terms.values()):
-            raise SupportError(FREE_PARAMETERS)
-        return box
+        a parameter raises SupportError.  A form is never changed after it
+        is built, so the box is found once and kept."""
+        if self._evaluable is None:
+            box = self.support_box()
+            if box is None:
+                raise SupportError(NO_SUPPORT)
+            if any(c.has_params() for c in self.terms.values()):
+                raise SupportError(FREE_PARAMETERS)
+            self._evaluable = box
+        return self._evaluable
 
     def check_windows(self) -> None:
         """Raise SupportError when the coefficients with a polynomial atom

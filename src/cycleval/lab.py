@@ -47,6 +47,7 @@ from .convex import (
     SmoothField,
     as_max_affine,
     unbroadcast,
+    wrapped_lse,
 )
 from .cycles import (
     build_1d,
@@ -93,14 +94,6 @@ class Valuation:
         return self._rumin
 
 
-def _wrapped_lse(f: ConvexFunction) -> Optional[LogSumExp]:
-    """The log-sum-exp smoothing under shifts and scalings of ``f``, if any:
-    its max-affine base marks the Hessian ridges of ``f``."""
-    while isinstance(f, (Shifted, Scaled)):
-        f = f.inner
-    return f if isinstance(f, LogSumExp) else None
-
-
 def evaluate(vals: Sequence[Valuation],
              functions: Sequence[ConvexFunction | PiecewiseLinear1D]) -> list[list[EvalResult]]:
     """D(f)[tau] for each of ``functions`` and the form tau of each
@@ -137,7 +130,7 @@ def evaluate(vals: Sequence[Valuation],
             out[j] = [eval_polyline(cycle, tau) for tau in forms]
         elif (ma := as_max_affine(f)) is not None:
             out[j] = _polyhedral_row(ma, forms)
-        elif (lse := _wrapped_lse(f)) is not None and lse.n <= 2:
+        elif (lse := wrapped_lse(f)) is not None and lse.n <= 2:
             ridge.append(j)
         else:
             smooth.append(j)
@@ -162,7 +155,7 @@ def evaluate(vals: Sequence[Valuation],
             for rule, rows in rules[f.gradient_degree].items():
                 battery.setdefault(rule, []).append((j, rows))
         for rule, on_rule in battery.items():
-            results = eval_smooth([functions[j] for j, _ in on_rule], group, rule,
+            results = eval_smooth([functions[j] for j, _ in on_rule], group, [rule],
                                   batch=batch, rows=[rows for _, rows in on_rule])
             for (j, rows), row in zip(on_rule, results):
                 for r, res in zip(rows, row):
@@ -175,21 +168,19 @@ def evaluate(vals: Sequence[Valuation],
 def _polyhedral_row(ma: MaxAffine, forms: list) -> list:
     """D(ma)[tau] for each of ``forms``, exact on one cycle per window."""
     cycles: dict = {}
-    return [eval_polyhedral(_cycle_of(cycles, ma, tau.support_box()), tau) for tau in forms]
+    return [eval_polyhedral(_cycle_of(cycles, ma, tau.check_evaluable()), tau) for tau in forms]
 
 
 def _ridge_row(f: ConvexFunction, groups: list, batches: list, count: int) -> list:
     """D(f)[tau] for the ``count`` forms of ``groups``, ``(indices, forms)``
     compiled into ``batches``, for a log-sum-exp smoothing ``f`` of a
     max-affine base in n <= 2: ridge-aligned on the cycles of the base."""
-    lse = _wrapped_lse(f)
-    layer = min(0.25, 50.0 / lse.beta)
+    base = wrapped_lse(f).base
     cycles: dict = {}
     row = [None] * count
     for (idx, group), batch in zip(groups, batches):
-        cycle = _cycle_of(cycles, lse.base, group[0].support_box())
-        results = eval_smooth_ridge_aligned(f, cycle, group, layer=layer, order=32,
-                                            refine=44, batch=batch)
+        cycle = _cycle_of(cycles, base, group[0].check_evaluable())
+        results = eval_smooth_ridge_aligned(f, cycle, group, batch=batch)
         for i, res in zip(idx, results):
             row[i] = res
     return row
@@ -222,8 +213,7 @@ def battery(n: int, seed: int = 7, size: int = 32) -> list:
 
     Mix of positive definite quadratics, max-affine functions, their
     log-sum-exp smoothings, closed-form smooth entries, body restrictions
-    and shifted/scaled variants.  Entries are O(1)-sized on the evaluation
-    boxes, which the mass-bound suite relies on.
+    and shifted/scaled variants.
     """
     rng = np.random.default_rng(seed)
     out: list[ConvexFunction] = []
@@ -433,7 +423,9 @@ def first_variation_check(val: Valuation, f: ConvexFunction,
     finite differences do not amplify quadrature error: the perturbed
     functions share one gradient degree, and so one rule
     (``cycles.graph_rule``).  The right-hand side's coefficients carry
-    psi's window or bumps, so it keeps the plain rules of its domains.  For
+    psi's window or bumps, so it keeps the plain rules of its domains.  At
+    n = 1 the domain is cut at psi's support (:func:`_split_at_support`),
+    and each mu is one integral over the pieces, with one error.  For
     n > 1 a bump-type psi puts Hessian layers at its own support sphere, in
     the interior of the integration domain, which fixed nodes do not
     resolve to the check's tolerance; such a psi is refused with a
@@ -451,8 +443,8 @@ def first_variation_check(val: Valuation, f: ConvexFunction,
         domains = [tau.support_domain()]
 
     def mu(g, form):
-        return sum(float(eval_smooth(g, [form], domain=graph_rule(g, form, d))[0].value)
-                   for d in domains)
+        rules = [graph_rule(g, form, d) for d in domains]
+        return float(eval_smooth(g, [form], rules)[0].value)
 
     rhs = mu(f, rhs_form)
     t1, t2 = 1e-2, 1e-3

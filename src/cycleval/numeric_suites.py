@@ -16,7 +16,7 @@ import numpy as np
 from .coefficients import CoefficientFn, ball_bump
 from .convex import (
     EllipsoidBody, LogSumExp, MaxAffine, PiecewiseLinear1D, PointBody, Quadratic, Shifted,
-    SmoothField, as_max_affine,
+    SmoothField, as_max_affine, wrapped_lse,
 )
 from .cycles import Polyline1DCycle, build_1d, eval_polyline, eval_smooth_ridge_aligned, mass_smooth
 from .forms import Form, _rand_frac, exterior_derivative, lie_derivative, random_bump_form
@@ -25,7 +25,7 @@ from .lab import (
     hessian_form, hessian_valuation, homogeneity_fit, k1_representation, kernel_check,
     mixed_discriminant, random_kernel_form, random_window_form, signed_permutations,
     so_generators, so_projection, volume_contraction_form, window_vanishing_weight,
-    _rand_pd_matrix, _wrapped_lse,
+    _rand_pd_matrix,
 )
 from .polyhedral import build_polyhedral, eval_polyhedral, mass_polyhedral, window_for
 from .polynomials import Poly, Q
@@ -58,14 +58,14 @@ def suite_kernel(config: ExperimentConfig) -> list:
         fam += [f for _, f in config.declared("functions", n)]
         # polyhedral and ridge-aligned routes need exact-integrable windows
         # to hit 1e-7; the smooth sub-battery absorbs bump-kind forms
-        smooth_fam = [f for f in fam if f.smooth and _wrapped_lse(f) is None]
+        smooth_fam = [f for f in fam if f.smooth and wrapped_lse(f) is None]
         for offset in _KERNEL_TOP_UP_SEEDS:
             if len(smooth_fam) >= max(_KERNEL_SMOOTH_MIN, len(fam) - 2):
                 break
             extra = battery(n, seed=config.seed + offset,
                             size=int(config.size("kernel_battery")))
             smooth_fam += [f for f in extra
-                           if f.smooth and _wrapped_lse(f) is None]
+                           if f.smooth and wrapped_lse(f) is None]
         # every form of this dimension is drawn first, in the rng order of
         # the entries, then each family is evaluated as one battery on the
         # forms that use it
@@ -309,6 +309,15 @@ def suite_bridge(config: ExperimentConfig) -> list:
 
 
 def suite_mass(config: ExperimentConfig) -> list:
+    """The mass of D(f) over the ball B_R against omega_n (R + 2M)^n, M =
+    ``f.sup_abs_bound(R + 1)``.  For convex f, |x| <= R and a subgradient y
+    at x, |y| <= f(x + y/|y|) - f(x) <= 2M: the subgradients over B_R lie in
+    B_{2M}.  For smooth f the mass is the integral over B_R of
+    sqrt(det(I + H^2)) <= det(I + H), H >= 0 the Hessian: the Jacobian of
+    the one-to-one map x -> x + grad f(x), which carries B_R into B_{R+2M}.
+    A max-affine f is the limit of its smoothings, whose sup |f| tends to
+    that of f, and mass is lower semicontinuous under that limit, so the
+    bound holds for it too."""
     entries = []
     for n in config.size("mass_dims"):
         omega_n = {1: 2.0, 2: math.pi}[n]
@@ -324,8 +333,8 @@ def suite_mass(config: ExperimentConfig) -> list:
                     cyc = build_polyhedral(ma, window=window)
                     m = mass_polyhedral(cyc, R)
                 else:
-                    m = mass_smooth(f, R)
-                bound = (2 ** n) * omega_n * f.sup_abs_bound(R + 1.0) ** n
+                    m = mass_smooth(f, R).value
+                bound = omega_n * (R + 2.0 * f.sup_abs_bound(R + 1.0)) ** n
                 entries.append(gap_entry(
                     f"mass/n={n}/R={R}/f{i}", m, bound,
                     details={"mass": m, "bound": bound, "f": f.describe()}))
@@ -490,9 +499,7 @@ def suite_consistency(config: ExperimentConfig) -> list:
         gaps = []
         approxes = []
         for beta in betas:
-            approx, = eval_smooth_ridge_aligned(
-                LogSumExp(ma, beta), cyc, [tau], layer=50.0 / beta,
-                order=40, refine=56)
+            approx, = eval_smooth_ridge_aligned(LogSumExp(ma, beta), cyc, [tau])
             approxes.append(float(approx.value))
             gaps.append(abs(approx.value - exact))
         scale = scale_of([exact] + approxes)

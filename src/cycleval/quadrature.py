@@ -15,9 +15,9 @@ domain kind owns its rule and its pass pair, the coarse and the fine order:
   2-D, and in 3-D a Gauss product rule on the sphere, both exact in the
   angles; a 3-D ellipse needs its degree;
 * a :class:`GradedSimplex`, a segment or triangle of the ridge-aligned
-  evaluator, at the pass pair its caller sets, and a :class:`SimplexProduct`,
-  a piece of a polyhedral cell, at ``CELL_ORDERS``: both on the one
-  collapsed Gauss-Legendre rule of segments and triangles, ``_simplex_rule``.
+  evaluator, at ``RIDGE_ORDERS``, and a :class:`SimplexProduct`, a piece
+  of a polyhedral cell, at ``CELL_ORDERS``: both on the one collapsed
+  Gauss-Legendre rule of segments and triangles, ``_simplex_rule``.
 
 A pass gathers the nodes of consecutive domains until they reach
 ``_NODE_BLOCK``, cuts them into blocks of ``_NODE_BLOCK`` nodes and adds
@@ -142,6 +142,12 @@ ELLIPSE_ORDERS = ((56, 112), (64, 128))
 # refinement.
 CELL_ORDERS = (64, 88)
 
+# Per-axis orders of the graded segments and triangles of the ridge-aligned
+# route, each order on every piece of the grading.  Measured on the suites'
+# ridge-aligned integrals, this pair keeps the error within
+# 3.7e-6 max(1, |value|), where 16 / 24 reaches 1.4e-3.
+RIDGE_ORDERS = (32, 44)
+
 # Nodes per block: a pass gathers consecutive domains until they hold this
 # many nodes and cuts them into blocks of this size, each made from its
 # pieces of the domains' rules alone and handed to every integrand before
@@ -151,12 +157,12 @@ CELL_ORDERS = (64, 88)
 _NODE_BLOCK = 4096
 
 
-# The Gauss-Legendre rules of the orders named above, of the ridge route and
-# of orders 1-16 for the degree rules, as numpy's leggauss gives them: the
-# nonnegative half of each symmetric rule, nodes ascending then weights, as
-# float.hex strings.  Reading a row spares each process an eigenvalue
-# problem per order, and its bits do not depend on the LAPACK at hand;
-# other orders fall back to leggauss.
+# The Gauss-Legendre rules of the orders named above and of orders 1-16 for
+# the degree rules, as numpy's leggauss gives them: the nonnegative half of
+# each symmetric rule, nodes ascending then weights, as float.hex strings.
+# Reading a row spares each process an eigenvalue problem per order, and its
+# bits do not depend on the LAPACK at hand; other orders fall back to
+# leggauss.
 _GAUSS_TABLE = Path(__file__).with_name("gauss_legendre.json")
 
 
@@ -443,11 +449,11 @@ class Ellipse:
 @dataclass(frozen=True)
 class GradedSimplex:
     """A segment or triangle, float vertices, on the collapsed rule graded
-    at ``layer`` (``_simplex_rule``), at the pass pair ``orders``."""
+    at ``layer`` (``_simplex_rule``), at ``RIDGE_ORDERS``."""
 
     vertices: tuple
     layer: float
-    orders: tuple
+    orders = RIDGE_ORDERS
 
     def rule(self, order) -> _Rule:
         return _simplex_rule(self.vertices, order, self.layer)
@@ -595,9 +601,3 @@ def _cut(rules):
                 yield pieces[0] if len(pieces) == 1 else tuple(map(np.concatenate, zip(*pieces)))
                 pieces, room = [], _NODE_BLOCK
 
-
-def node_blocks(domain, order):
-    """The nodes and weights of the rule of ``domain`` at ``order``, one
-    block of at most ``_NODE_BLOCK`` nodes at a time, for a sum that
-    :func:`integrate` does not make."""
-    return _cut([_rule(domain)[0](order)])

@@ -8,7 +8,7 @@ Each suite turns one family of claims into SuiteEntry records:
   invariance          finite-group exactness and exact SO(2)/SO(3) invariance
   hessian             mixed-discriminant valuations vs their forms
   bridge              conormal cycle vs gradient graph
-  mass                mass of the cycle against the Lipschitz-based bound
+  mass                mass of the cycle against a bound from sup |f|
   valuation-property  exact 1D identities and the lattice identity
   first-variation     finite differences vs the directional pairing
   consistency         smoothing limit of polyhedral evaluations

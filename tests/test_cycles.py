@@ -35,8 +35,9 @@ from cycleval.forms import (
     wedge,
 )
 from cycleval.polynomials import Poly, _as_fraction
-from cycleval.quadrature import GradedSimplex, _gl_pieces, _graded_cuts, node_blocks
+from cycleval.quadrature import RIDGE_ORDERS, GradedSimplex, _gl_pieces, _graded_cuts
 from cycleval.rumin import _det_sign
+from nodes import node_blocks
 
 
 def beta_coeff(n, R=1, poly=None):
@@ -187,10 +188,32 @@ def test_mass_values():
     for n, omega in ((1, 2.0), (2, math.pi)):
         f = Quadratic(np.zeros((n, n)), [0.3] * n, 1.0)
         for R in (1.0, 2.0):
-            assert mass_smooth(f, R) == pytest.approx(omega * R ** n, rel=1e-8)
+            assert mass_smooth(f, R).value == pytest.approx(omega * R ** n, rel=1e-8)
     # n = 1, f = x^2/2: mass over U_1 is the length of the diagonal, 2 sqrt 2
     f = Quadratic([[1]])
-    assert mass_smooth(f, 1.0) == pytest.approx(2 * math.sqrt(2), rel=1e-10)
+    assert mass_smooth(f, 1.0).value == pytest.approx(2 * math.sqrt(2), rel=1e-10)
+
+
+def test_mass_error_covers_the_closed_form():
+    # a quadratic's Hessian A is constant, so the mass of its gradient graph
+    # over the ball of radius R is omega_n R^n sqrt(det(I + A^2)); on every
+    # quadratic, shifted and scaled quadratic of a battery the returned
+    # value lies within its error estimate of it, up to rounding
+    from cycleval.convex import Scaled, Shifted
+    from cycleval.lab import battery
+
+    checked = 0
+    for n, omega in ((1, 2.0), (2, math.pi)):
+        for f in battery(n, 7, 16):
+            if not isinstance(f, (Quadratic, Shifted, Scaled)):
+                continue
+            A = f.hessian(np.zeros(n))
+            want = omega * math.sqrt(np.linalg.det(np.eye(n) + A @ A))
+            for R in (1.0, 2.0):
+                got = mass_smooth(f, R)
+                assert abs(got.value - want * R ** n) <= got.error + 1e-13 * abs(got.value)
+                checked += 1
+    assert checked == 2 * 2 * 8
 
 
 # -- transform identities: D(f) under f + quadratic, f o g and c f ----------------
@@ -333,8 +356,7 @@ def test_lse_consistency_converges():
 
     gaps = []
     for beta in (10.0, 100.0, 1000.0):
-        approx, = eval_smooth_ridge_aligned(LogSumExp(ma, beta), cyc, [tau],
-                                            layer=50.0 / beta, order=32, refine=44)
+        approx, = eval_smooth_ridge_aligned(LogSumExp(ma, beta), cyc, [tau])
         gaps.append(abs(approx.value - exact))
     assert gaps[0] > gaps[1]
     assert gaps[2] < 1e-4
@@ -354,7 +376,7 @@ def test_ridge_aligned_batches_match_per_triangle_sum():
     tau = (Form.monomial(n, [1], [2], beta_coeff(n, 2, Poly.const(4, 1) + x1))
            + Form.monomial(n, [1, 2], [], beta_coeff(n, Q(3, 2), x1 * x1))
            + Form.monomial(n, [], [1, 2], beta_coeff(n, 2)))
-    layer = 0.05
+    layer = min(0.25, 50.0 / f.beta)  # the layer the route reads off f
 
     def reference(o):
         # one integrand call per (u, r) sub-rectangle of each triangle
@@ -390,8 +412,8 @@ def test_ridge_aligned_batches_match_per_triangle_sum():
         return total
 
     cycle = build_polyhedral(ma, window=window_for(ma, tau.support_box()))
-    got, = eval_smooth_ridge_aligned(f, cycle, [tau], layer=layer, order=12, refine=40)
-    coarse, fine = reference(12), reference(40)
+    got, = eval_smooth_ridge_aligned(f, cycle, [tau])
+    coarse, fine = (reference(o) for o in RIDGE_ORDERS)
     assert abs(fine) > 1e-3
     assert abs(got.value - fine) <= 1e-12 * max(1.0, abs(fine))
     assert abs(got.error - abs(fine - coarse)) <= 1e-12 * max(1.0, abs(fine))
@@ -737,12 +759,12 @@ def test_triangle_nodes_match_meshgrid_bitwise():
         v0, v1, v2 = rng.uniform(-3, 3, size=(3, 2))
         order = int(rng.integers(2, 33))
         layer = float(10.0 ** rng.uniform(-4, 0))
-        triangle = GradedSimplex((tuple(v0), tuple(v1), tuple(v2)), layer, (order, order))
+        triangle = GradedSimplex((tuple(v0), tuple(v1), tuple(v2)), layer)
         pts, wts = map(np.concatenate, zip(*node_blocks(triangle, order)))
         want_pts, want_wts = _meshgrid_triangle_nodes(v0, v1, v2, order, layer)
         assert pts.flags.c_contiguous
         assert np.array_equal(pts, want_pts) and np.array_equal(wts, want_wts)
-    flat = GradedSimplex(((0, 0), (1, 1), (2, 2)), 1e-2, (8, 8))
+    flat = GradedSimplex(((0, 0), (1, 1), (2, 2)), 1e-2)
     assert not list(node_blocks(flat, 8))
 
 

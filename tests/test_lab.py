@@ -222,7 +222,8 @@ def test_degree_rule_agrees_with_the_plain_ellipse_pair_and_a_reference():
     # so value and error agree with the plain pair to rounding, and the
     # value with a 160 x 256 polar reference within its error estimate
     from cycleval.cycles import eval_smooth, graph_pullback_integrand, pullback_degree
-    from cycleval.quadrature import Ellipse, node_blocks
+    from cycleval.quadrature import Ellipse
+    from nodes import node_blocks
 
     for tau in _ellipse_forms(np.random.default_rng(12)):
         domain = tau.support_domain()
@@ -510,19 +511,19 @@ def test_first_variation_perturbations_share_one_rule(monkeypatch):
     calls = []
     real = lab.eval_smooth
 
-    def eval_smooth(g, forms, domain=None, **kw):
-        calls.append((g, domain))
-        return real(g, forms, domain, **kw)
+    def eval_smooth(g, forms, domains=None, **kw):
+        calls.append((g, tuple(domains)))
+        return real(g, forms, domains, **kw)
 
     monkeypatch.setattr(lab, "eval_smooth", eval_smooth)
     rep = first_variation_check(Valuation(tau), f, psi)
-    perturbed = {domain for g, domain in calls if isinstance(g, Perturbed)}
+    perturbed = {domains for g, domains in calls if isinstance(g, Perturbed)}
     assert len(calls) == 7 and len(perturbed) == 1
     M = tau.support_domain().M
     probe = Perturbed(f, psi, 0.01, window=0.01, box=tau.support_box(), check=False)
     assert probe.gradient_degree == 2
-    assert perturbed == {Ellipse(M, pullback_degree(probe, tau))}
-    assert [domain for g, domain in calls if g is f] == [Ellipse(M)]
+    assert perturbed == {(Ellipse(M, pullback_degree(probe, tau)),)}
+    assert [domains for g, domains in calls if g is f] == [(Ellipse(M),)]
     assert abs(rep.order - 2.0) < 0.2 and rep.residual < 1e-5 * rep.scale
 
 
@@ -587,7 +588,7 @@ def test_3d_bump_forms_on_the_spherical_rule_agree_with_the_box_pair():
         for f in functions:
             assert pullback_degree(f, tau) is not None
             got = evaluate([Valuation(tau)], [f])[0][0]
-            pair = eval_smooth(f, [tau], domain=box)[0]
+            pair = eval_smooth(f, [tau], [box])[0]
             scale = max(1.0, abs(pair.value))
             assert abs(got.value - pair.value) <= pair.error + 1e-12 * scale
             assert got.error <= 1e-3 * pair.error + 1e-12 * scale

@@ -8,6 +8,7 @@ from cycleval.quadrature import (
     CELL_ORDERS,
     ELLIPSE_ORDERS,
     ORDERS,
+    RIDGE_ORDERS,
     Ellipse,
     EvalResult,
     GradedSimplex,
@@ -15,10 +16,17 @@ from cycleval.quadrature import (
     SimplexProduct,
     integrate,
     integrate_box,
-    node_blocks,
     sum_parts,
 )
 from dirichlet import dirichlet_moment
+from nodes import node_blocks
+
+
+class _Graded(GradedSimplex):
+    """A graded simplex at a pass pair of fewer nodes than RIDGE_ORDERS, so
+    that several fit in one block."""
+
+    orders = (20, 28)
 
 
 def integrate_ellipsoid(fn, M):
@@ -56,7 +64,7 @@ def test_integrand_never_gets_more_than_one_block():
     # a 160^2 box, a 3-D box and a gather of graded triangles, as the ridge
     # route integrates them: every call holds at most one block, and the
     # calls of both passes cover every node once
-    triangles = [GradedSimplex(((0.0, 0.0), (1.0, k / 3), (1.0, (k + 1) / 3)), 0.05, (20, 28))
+    triangles = [_Graded(((0.0, 0.0), (1.0, k / 3), (1.0, (k + 1) / 3)), 0.05)
                  for k in range(3)]
     cases = [([[(-2.0, 2.0), (-1.0, 3.0)]], 128 ** 2 + 160 ** 2),
              ([[(-1.0, 1.0)] * 3], 32 ** 3 + 48 ** 3),
@@ -193,8 +201,7 @@ def _triangle_whole(vertices, order, layer):
 def _product_whole(x, y, order):
     sides = []
     for simplex in (x, y):
-        params, wts = whole(GradedSimplex(tuple(_STANDARD[len(simplex) - 1]), None,
-                                          (order, order)), order)
+        params, wts = whole(GradedSimplex(tuple(_STANDARD[len(simplex) - 1]), None), order)
         frame = np.array([[float(a - b) for a, b in zip(v, simplex[0])] for v in simplex])
         offset = np.zeros((len(wts), frame.shape[1]))
         for k in range(1, len(frame)):
@@ -225,8 +232,8 @@ def test_blocks_of_every_domain_kind_equal_the_rule_built_whole():
     cases += [(Ellipse(M), orders, _ellipse_whole(M, orders)) for orders in ELLIPSE_ORDERS]
     cases += [(Ellipse(Mk, degree), orders, _ellipse_whole(Mk, orders))
               for Mk, degree in ((M, 3), (M3, 6)) for orders in Ellipse(Mk, degree).orders]
-    cases += [(GradedSimplex(triangle, 0.05, (32, 44)), order,
-               _triangle_whole(triangle, order, 0.05)) for order in (32, 44)]
+    cases += [(GradedSimplex(triangle, 0.05), order,
+               _triangle_whole(triangle, order, 0.05)) for order in RIDGE_ORDERS]
     cases += [(SimplexProduct(x, y), order, _product_whole(x, y, order))
               for x, y in (((O, E1, E2), (p,)), ((O, E1), (O, E2)), ((p,), (O, E1, E2)))
               for order in CELL_ORDERS]
@@ -241,13 +248,13 @@ def test_blocks_of_every_domain_kind_equal_the_rule_built_whole():
     for arr in next(node_blocks(Ellipse(M, 3), Ellipse(M, 3).orders[0])):
         with np.testing.assert_raises(ValueError):
             arr[0] = 1.0
-    flat = GradedSimplex(((0.0, 0.0), (1.0, 1.0), (2.0, 2.0)), 0.1, (4, 6))
+    flat = GradedSimplex(((0.0, 0.0), (1.0, 1.0), (2.0, 2.0)), 0.1)
     assert list(node_blocks(flat, 4)) == []
     # the blocks of a pass over several domains are their node sets, one
     # after the other, gathered until they hold a block and cut at its
     # multiples from the start of the gathering: 2,400-node triangles at
     # order 20, 4,704-node ones at 28
-    triangles = [GradedSimplex(((0.0, 0.0), (1.0, k / 3), (1.0, (k + 1) / 3)), 0.05, (20, 28))
+    triangles = [_Graded(((0.0, 0.0), (1.0, k / 3), (1.0, (k + 1) / 3)), 0.05)
                  for k in range(3)]
     seen = []
     integrate(lambda p: seen.append(p) or p[:, 0], triangles + [flat])
@@ -284,7 +291,7 @@ def test_large_rules_integrate_below_one_megabyte_and_are_not_kept():
 def test_integral_over_no_nodes_is_zero():
     # no domain, or one triangle of zero area: zero results, one per row
     # of the integrand, whose row count a call on zero nodes gives
-    flat = GradedSimplex(((0.0, 0.0), (1.0, 1.0), (2.0, 2.0)), 0.1, (4, 6))
+    flat = GradedSimplex(((0.0, 0.0), (1.0, 1.0), (2.0, 2.0)), 0.1)
     for domains in ([], [flat]):
         got = integrate(lambda p: np.ones(len(p)), domains)
         assert (got.value, got.error) == (0.0, 0.0)
@@ -299,7 +306,7 @@ def test_several_integrands_are_integrated_as_each_alone():
     # results it gets alone, bit for bit
     fns = [lambda p: np.exp(p[:, 0]) * np.cos(3 * p[:, 1]),
            lambda p: np.stack([p[:, 0] ** 2 * p[:, 1], np.sin(p[:, 0] + p[:, 1])])]
-    triangles = [GradedSimplex(((0.0, 0.0), (1.0, k / 3), (1.0, (k + 1) / 3)), 0.05, (20, 28))
+    triangles = [_Graded(((0.0, 0.0), (1.0, k / 3), (1.0, (k + 1) / 3)), 0.05)
                  for k in range(3)]
     for domains in ([[(-1.0, 0.5), (0.25, 2.0)]], [Ellipse(((Q(1), Q(0)), (Q(0), Q(2))))],
                     triangles):
@@ -334,7 +341,7 @@ def test_collapsed_rule_is_exact_on_monomials_of_segment_and_triangle():
     segment = [[0.0], [1.0]]
     triangle = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
     rings = [segment] + [triangle[k:] + triangle[:k] for k in range(3)]
-    rules = [whole(GradedSimplex(tuple(vertices), layer, (order, order)), order)
+    rules = [whole(GradedSimplex(tuple(vertices), layer), order)
              for vertices in rings for layer in (None, 0.05)]
     for pts, wts in rules:
         dim = pts.shape[1]
@@ -373,7 +380,7 @@ def test_gauss_legendre_table_is_leggauss_bit_for_bit():
 
     named = {o for pair in ORDERS.values() for o in pair}
     named |= {radii for radii, _ in ELLIPSE_ORDERS} | set(CELL_ORDERS)
-    named |= {32, 44, 40, 56}  # the ridge route's pass pairs
+    named |= set(RIDGE_ORDERS)
     assert set(map(int, _gauss_table())) == named | set(range(1, 17))
     for order in sorted(map(int, _gauss_table())) + [80]:
         got, want = _leggauss(order), leggauss(order)

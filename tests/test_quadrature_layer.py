@@ -37,6 +37,29 @@ def test_node_block_is_named_in_quadrature_alone():
     assert naming == ["quadrature"]
 
 
+# the evaluator and suite modules, and the names of a rule's orders and
+# grading: quadrature's domains carry their pass pairs, and the
+# ridge-aligned route reads its grading off the smoothing
+EVALUATORS = ("cycles", "lab", "polyhedral", "bridge", "numeric_suites")
+RULE_ARGUMENTS = {"order", "orders", "refine", "layer"}
+
+
+def test_no_evaluator_takes_or_passes_a_rule_argument():
+    found = []
+    for module in EVALUATORS:
+        for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                params = args.posonlyargs + args.args + args.kwonlyargs
+                params += [a for a in (args.vararg, args.kwarg) if a is not None]
+                found += [f"{module}:{node.lineno} parameter {a.arg}"
+                          for a in params if a.arg in RULE_ARGUMENTS]
+            elif isinstance(node, ast.Call):
+                found += [f"{module}:{node.lineno} keyword {k.arg}"
+                          for k in node.keywords if k.arg in RULE_ARGUMENTS]
+    assert not found, found
+
+
 def _strings(tree: ast.AST):
     return {node.value for node in ast.walk(tree)
             if isinstance(node, ast.Constant) and isinstance(node.value, str)}

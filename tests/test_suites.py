@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from cycleval.coefficients import CoefficientFn
+from cycleval.convex import wrapped_lse
 from cycleval.forms import Form, exterior_derivative
 from cycleval.lab import (
     Valuation,
-    _wrapped_lse,
     battery,
     evaluate,
     kernel_check,
@@ -40,12 +40,12 @@ def _reference_kernel(config):
         rng = np.random.default_rng(config.seed + 101 * n)
         fam = battery(n, seed=config.seed + n, size=size)
         fam += [f for f in config.parsed_functions(n) if getattr(f, "n", None) == n]
-        smooth_fam = [f for f in fam if f.smooth and _wrapped_lse(f) is None]
+        smooth_fam = [f for f in fam if f.smooth and wrapped_lse(f) is None]
         for offset in _KERNEL_TOP_UP_SEEDS:
             if len(smooth_fam) >= max(_KERNEL_SMOOTH_MIN, len(fam) - 2):
                 break
             smooth_fam += [f for f in battery(n, seed=config.seed + offset, size=size)
-                           if f.smooth and _wrapped_lse(f) is None]
+                           if f.smooth and wrapped_lse(f) is None]
 
         def check(tau, functions, **tols):
             values = [float(evaluate([Valuation(tau)], [f])[0][0].value) for f in functions]
@@ -177,7 +177,7 @@ def test_hessian_suite_builds_no_3d_box_rule(monkeypatch):
     from cycleval.forms import random_bump_form
 
     tau = random_bump_form(np.random.default_rng(5), 3, degree=3)
-    eval_smooth(Quadratic(np.eye(3)), [tau], domain=tau.support_box())
+    eval_smooth(Quadratic(np.eye(3)), [tau], [tau.support_box()])
     assert boxes.count(3) == 1
 
 
@@ -210,4 +210,18 @@ def test_identities_suite_passes_at_workload_seeds(seed):
                               sizes={"identity_dims": [1, 2, 3], "identity_forms": 16})
     entries = run_suite("identities", config).entries
     assert len(entries) == 24
+    assert all(e.passed for e in entries), [e.name for e in entries if not e.passed]
+
+
+def test_mass_bound_holds_at_a_seed_where_the_old_bound_failed():
+    # the mass suite at cli-breadth sizes and config seed 100004: the bound
+    # 2^n omega_n M^n left out the base's own measure, and
+    # scaled(quadratic(n=1), t=1/2), whose mass over [-R, R] is above 2R,
+    # failed it at both radii; omega_n (R + 2M)^n holds for every entry
+    from cycleval.suites import run_suite
+
+    config = ExperimentConfig(seed=100004, suites=["mass"],
+                              sizes={"mass_dims": [1, 2], "mass_battery": 16})
+    entries = run_suite("mass", config).entries
+    assert len(entries) == 64
     assert all(e.passed for e in entries), [e.name for e in entries if not e.passed]
