@@ -39,7 +39,10 @@ constructor canonicalises every atom it is given.  The algebra divides by
 summed (atoms present on both sides of ``+``, and ``*``, ``diff`` and
 ``subs_linear``, which also bring in new polynomial factors).  Negation,
 scaling by a nonzero constant and atoms of ``+`` present on one side only
-keep canonical atoms canonical and are taken over without a division.
+keep canonical atoms canonical and are taken over without a division,
+as are products with one monomial (a one-term ``Poly``, or a coefficient
+whose one atom is a monomial without a bump factor): q_M(0) = 1, so q_M
+shares no factor with a monomial m and divides p m only if it divides p.
 A division is tried only when the x-degrees of the polynomial's terms span
 at least 2: ``q_M r`` holds the lowest x-degree part of ``r`` and a part
 two degrees above its highest one.
@@ -696,10 +699,15 @@ class CoefficientFn:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if isinstance(other, Poly):
-            return CoefficientFn._canonicalised(
-                self.n, {s: p * other for s, p in self.atoms.items()}, self.declared_box)
+            # a monomial keeps atoms canonical (see the module docstring)
+            wrap = CoefficientFn._trusted if len(other.num) == 1 else CoefficientFn._canonicalised
+            return wrap(self.n, {s: p * other for s, p in self.atoms.items()}, self.declared_box)
         if self.n != other.n:
             raise ValueError("dimension mismatch")
+        box = _box_intersection(self.declared_box, other.declared_box)
+        for a, b in ((self, other), (other, self)):
+            if list(b.atoms) == [()] and len(b.atoms[()].num) == 1:
+                return CoefficientFn._trusted(self.n, (a * b.atoms[()]).atoms, box)
         out: dict[Signature, Poly] = {}
         for s1, p1 in self.atoms.items():
             for s2, p2 in other.atoms.items():
@@ -709,8 +717,7 @@ class CoefficientFn:
                     out[sig] = out[sig] + poly
                 else:
                     out[sig] = poly
-        return CoefficientFn._canonicalised(
-            self.n, out, _box_intersection(self.declared_box, other.declared_box))
+        return CoefficientFn._canonicalised(self.n, out, box)
 
     __rmul__ = __mul__
 
@@ -765,9 +772,10 @@ class CoefficientFn:
         x-part linear in x.
 
         ``F.components[v]`` is the expression substituted for variable
-        ``v``; trailing parameter slots map to themselves.  A bump factor
-        is transformed by the interned matrix ``F.x_matrix_id()``, read
-        only when an atom has one.
+        ``v``; trailing parameter slots map to themselves.  Their powers
+        are kept in ``F.powers`` across calls.  A bump factor is
+        transformed by the interned matrix ``F.x_matrix_id()``, read only
+        when an atom has one.
         """
         n = self.n
         repl = F.components
@@ -782,7 +790,7 @@ class CoefficientFn:
             new_sig = tuple(sorted(
                 (_factor(_transformed_id(f.mid, gid), f.beta_pow, f.denom_pow) for f in sig),
                 key=_ORDER)) if sig else sig
-            newp = poly.extend(m).subs(full_repl[:m])
+            newp = poly.extend(m).subs(full_repl[:m], F.powers)
             if new_sig in out:
                 out[new_sig] = out[new_sig] + newp
             else:

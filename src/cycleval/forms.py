@@ -15,10 +15,14 @@ exterior derivative of the form, where Cartan's d i_X + i_X d takes two.
 Both d and L_X differentiate a coefficient only in the variables it can
 depend on (:meth:`CoefficientFn.diff_variables`).
 
-Caches.  The Koszul sign of a pair of keys is memoised: for n <= 4 there
-are at most (2^8)^2 pairs.  A :class:`PolynomialMap` is immutable and keeps
-the expansion of dF_k1 ^ .. ^ dF_kp for each key it has pulled back, so a
-pullback costs one substitution and one product per term and minor.
+Caches.  The Koszul sign of a pair of keys is memoised (for n <= 4 there
+are at most (2^8)^2 pairs), as are omega_s and the keys of each degree.  A
+:class:`PolynomialMap` is immutable and keeps the expansion of
+dF_k1 ^ .. ^ dF_kp for each key it has pulled back and the powers of its
+components, so a pullback costs products of kept powers and one product per
+term and minor.  A :class:`Form` is never changed and keeps its d, which
+d^2, Leibniz and the Rumin operator on one form share.  Caches are written
+by whole-value stores only, so threads may share them.
 ``wedge``, ``exterior_derivative``, ``pullback``, ``lie_derivative`` and
 ``lefschetz_L_inverse`` build sorted keys of the right degree themselves;
 they wrap their results with ``Form._trusted``, which only drops zero
@@ -77,7 +81,7 @@ def merge_sign(a: Key, b: Key) -> tuple[int, Optional[Key]]:
 class Form:
     """Homogeneous-degree differential form with exact coefficients."""
 
-    __slots__ = ("n", "degree", "terms", "_evaluable")
+    __slots__ = ("n", "degree", "terms", "_evaluable", "_d")
 
     def __init__(self, n: int, degree: int, terms=None):
         if not (1 <= n <= MAX_DIMENSION):
@@ -101,6 +105,7 @@ class Form:
                     del clean[key]
         self.terms = clean
         self._evaluable = None
+        self._d = None
 
     @classmethod
     def _trusted(cls, n: int, degree: int, terms: dict) -> "Form":
@@ -112,6 +117,7 @@ class Form:
         f.degree = degree
         f.terms = {k: c for k, c in terms.items() if c.atoms}
         f._evaluable = None
+        f._d = None
         return f
 
     # -- constructors -------------------------------------------------------
@@ -297,10 +303,11 @@ def wedge(a: Form, b: Form) -> Form:
 
 
 def exterior_derivative(a: Form) -> Form:
-    """d, acting on coefficients by exact partial differentiation."""
+    """d, acting on coefficients by exact partial differentiation (zero on
+    top degree, where every dz_v repeats); found once per form and kept."""
+    if a._d is not None:
+        return a._d
     n = a.n
-    if a.degree >= 2 * n:
-        return Form.zero(n, 2 * n)
     out: dict[Key, CoefficientFn] = {}
     for key, c in a.terms.items():
         for v in c.diff_variables():
@@ -312,7 +319,8 @@ def exterior_derivative(a: Form) -> Form:
                 continue
             dc = dc.scale(s)
             out[newkey] = out[newkey] + dc if newkey in out else dc
-    return Form._trusted(n, a.degree + 1, out)
+    d = a._d = Form._trusted(n, min(a.degree + 1, 2 * n), out)
+    return d
 
 
 def interior_product(X: Sequence[Poly], a: Form) -> Form:
@@ -370,10 +378,11 @@ class PolynomialMap:
 
     ``components[k]`` is the k-th target coordinate as a polynomial in the
     source variables; slots beyond 2n are parameters (never differentiated).
-    A map is immutable and keeps the minors it has expanded.
+    A map is immutable and keeps the minors it has expanded and the powers
+    of its components that its substitutions have used.
     """
 
-    __slots__ = ("n", "components", "_minors", "_gid")
+    __slots__ = ("n", "components", "_minors", "_gid", "powers")
 
     def __init__(self, n: int, components: Sequence[Poly]):
         if len(components) != 2 * n:
@@ -383,6 +392,7 @@ class PolynomialMap:
         self.components = [p.extend(m) for p in components]
         self._minors: dict[Key, list[tuple[Key, Poly]]] = {}
         self._gid: Optional[int] = None
+        self.powers: dict[tuple[int, int], Poly] = {}  # of ``Poly.subs``
 
     def x_matrix_id(self) -> int:
         """Interned id of the matrix G of the x-components, x -> G x,
@@ -448,8 +458,9 @@ def pullback(F: PolynomialMap, a: Form) -> Form:
 # -- canonical symplectic objects ----------------------------------------------
 
 
+@cache
 def standard_symplectic_form(n: int) -> Form:
-    """omega_s = sum_i dx_i ^ dy_i."""
+    """omega_s = sum_i dx_i ^ dy_i, built once per n."""
     terms = {}
     for i in range(n):
         terms[(i, n + i)] = CoefficientFn.constant(n, 1)
@@ -504,15 +515,16 @@ def lefschetz_L(a: Form) -> Form:
     return wedge(standard_symplectic_form(a.n), a)
 
 
-_LEF_CACHE: dict[int, tuple[list[Key], list[Key], list[list[Fraction]]]] = {}
+_LEF_CACHE: dict[int, tuple[tuple[Key, ...], tuple[Key, ...], list[list[Fraction]]]] = {}
 
 
-def _subset_keys(n: int, degree: int) -> list:
+@cache
+def _subset_keys(n: int, degree: int) -> tuple:
     """Every key of degree ``degree`` on T*R^n, in lexicographic order."""
     out = [()]
     for _ in range(degree):
         out = [s + (v,) for s in out for v in range(2 * n) if not s or v > s[-1]]
-    return out
+    return tuple(out)
 
 
 def _lefschetz_inverse_matrix(n: int):

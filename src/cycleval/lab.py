@@ -354,7 +354,7 @@ def kernel_check(tau: Form, functions: Sequence, values: Sequence[float],
     zero-section integral is zero, every battery evaluation must be zero to
     tolerance; if it is not zero, every evaluation must equal it; if the
     operator does not vanish, some battery function must witness a nonzero
-    value.
+    value.  Without any value, no probe passes.
     """
     D = rumin_d(tau)
     i0 = float(integrate_zero_section(tau))
@@ -367,7 +367,8 @@ def kernel_check(tau: Form, functions: Sequence, values: Sequence[float],
             mode, scale = "constant", scale_of(values + [i0])
             gap = largest(abs(v - i0) for v in values)
         return KernelReport(mode, values, gap, scale, tol_zero,
-                            within(gap, tol_zero, scale), zero_section_integral=i0)
+                            bool(values) and within(gap, tol_zero, scale),
+                            zero_section_integral=i0)
     witness = None
     for f, v in zip(functions, values):
         if abs(v) > tol_witness * scale:

@@ -120,7 +120,7 @@ def _kernel_entry(name: str, kind: str, rep, tols: dict,
     """The suite entry of one kernel_check report."""
     if kind == "forward":
         return gap_entry(name, rep.gap, tols["tol_zero"], rep.scale,
-                         also=rep.mode == "kernel",
+                         also=rep.mode == "kernel" and rep.passed,
                          details={"mode": rep.mode, "scale": rep.scale,
                                   "functions": nfunctions})
     if kind == "contrapositive":
@@ -131,7 +131,7 @@ def _kernel_entry(name: str, kind: str, rep, tols: dict,
             details={"witness": rep.witness, "scale": rep.scale})
     if kind == "constant":
         return gap_entry(name, rep.gap, tols["tol_zero"], rep.scale,
-                         also=rep.mode == "constant",
+                         also=rep.mode == "constant" and rep.passed,
                          details={"integral": rep.zero_section_integral})
     return SuiteEntry(
         name=name, passed=True,

@@ -118,6 +118,18 @@ def _reduced(nvars: int, num: dict, den: int) -> "Poly":
     return _new(nvars, num, den)
 
 
+def _power(powers: dict, base: "Poly", v: int, p: int) -> "Poly":
+    """``base ** p`` as ``base ** (p - 1) * base``, each power from the
+    highest one in ``powers`` up stored there under ``(v, power)``."""
+    low = p - 1
+    while low and (v, low) not in powers:
+        low -= 1
+    out = powers[(v, low)] if low else None
+    for k in range(low + 1, p + 1):
+        out = powers.setdefault((v, k), base if out is None else out * base)
+    return out
+
+
 class Poly:
     """Immutable sparse polynomial ``sum_k num[k] / den * z^k``."""
 
@@ -319,12 +331,14 @@ class Poly:
                 out[k - unit] = c * p  # distinct keys give distinct keys
         return _reduced(self.nvars, out, self.den)
 
-    def subs(self, repl: Sequence["Poly"]) -> "Poly":
+    def subs(self, repl: Sequence["Poly"], powers: dict | None = None) -> "Poly":
         """Substitute ``z_v -> repl[v]``; all replacements share one ring.
 
         Each term's product of replacement powers is summed, times its
         numerator, into one integer dict over the least common denominator
-        of the products, and the sum is reduced once.
+        of the products, and the sum is reduced once.  ``powers`` maps
+        ``(v, p)`` to ``repl[v] ** p`` across calls with the same ``repl``;
+        only ``setdefault`` of a finished power writes it, so threads may share it.
         """
         if len(repl) != self.nvars:
             raise ValueError("need one replacement per variable")
@@ -333,8 +347,7 @@ class Poly:
             return Poly.zero(nv)
         nv = max(p.nvars for p in repl)
         one = Poly.const(nv, 1)
-        # cache powers of each replacement
-        powers: list[list[Poly]] = [[one] for _ in range(self.nvars)]
+        powers = {} if powers is None else powers
         products = []
         for key, c in self.num.items():
             term = None
@@ -342,10 +355,10 @@ class Poly:
             while key:
                 p = key & _MASK
                 if p:
-                    cache = powers[v]
-                    while len(cache) <= p:
-                        cache.append(cache[-1] * repl[v])
-                    term = cache[p] if term is None else term * cache[p]
+                    power = powers.get((v, p))
+                    if power is None:
+                        power = _power(powers, repl[v], v, p)
+                    term = power if term is None else term * power
                 key >>= FIELD_BITS
                 v += 1
             products.append((c, one if term is None else term))

@@ -142,6 +142,10 @@ class ExperimentConfig:
                 want = "a non-negative integer"
             if not ok:
                 raise ValueError(f"size {key} must be {want}, got {value!r}")
+        if ("consistency" in self.suites and self.size("consistency_functions")
+                and not self.size("consistency_forms")):
+            raise ValueError("size consistency_forms must be at least 1 when "
+                             "consistency_functions is not 0")
         # the layers a run uses load in set-up, not in a suite
         if set(self.suites) != {"identities"}:
             _numeric_suites()

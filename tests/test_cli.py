@@ -468,6 +468,23 @@ def test_declared_objects_of_bundled_and_benchmark_configs_are_evaluated():
     assert breadth.declared("bodies", 2) == []
 
 
+def test_exit_code_consistency_functions_without_forms(tmp_path, capsys):
+    # each consistency case smooths one of the drawn forms: none to draw is
+    # a config error, not a runtime error
+    sizes = {**QUICK_SIZES, "consistency_forms": 0}
+    cfg = _write_config(tmp_path / "cfg.json", suites=["consistency"], sizes=sizes)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "consistency_forms" in err
+    assert not out.exists()
+    # without consistency cases, or without the suite, no form is needed
+    for suites, functions in ((["consistency"], 0), (["valuation-property"], 2)):
+        cfg = _write_config(tmp_path / "cfg.json", suites=suites, sizes={
+            **sizes, "consistency_functions": functions})
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+
+
 @pytest.mark.parametrize("key", ["kernel_dims", "mass_dims"])
 def test_exit_code_dimension_beyond_suite_limit(tmp_path, capsys, key):
     # the polyhedral cycle and the mass quadrature exist for n <= 2 only

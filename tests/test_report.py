@@ -12,8 +12,9 @@ import numpy as np
 from cycleval.coefficients import CoefficientFn, ball_bump
 from cycleval.forms import Form, integrate_zero_section
 from cycleval.lab import kernel_check, random_kernel_form
-from cycleval.numeric_suites import _kernel_entry
+from cycleval.numeric_suites import _kernel_entry, suite_kernel
 from cycleval.report import exact_entry, gap_entry, largest, scale_of, within
+from cycleval.suites import ExperimentConfig
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cycleval"
 
@@ -66,6 +67,25 @@ def test_a_nan_gap_fails_the_rule():
         assert not gap_entry("e", largest(gaps), 1.0).passed
     tau = random_kernel_form(np.random.default_rng(5), 1)
     assert not kernel_check(tau, [], [0.0, float("nan")]).passed
+
+
+def test_a_kernel_entry_judged_on_no_evaluation_fails():
+    # with no function at n, largest([]) reads 0: a gap that judges nothing
+    tols = {"tol_zero": 1e-7, "tol_witness": 1e-3}
+    tau = random_kernel_form(np.random.default_rng(5), 1)
+    rep = kernel_check(tau, [], [], **tols)
+    assert rep.mode == "kernel" and rep.gap == 0.0 and not rep.passed
+    assert not _kernel_entry("kernel/forward", "forward", rep, tols, 0).passed
+    const = Form(1, 1, {(0,): CoefficientFn.bump(1, ball_bump(1, 2)).scale(40)})
+    rep = kernel_check(const, [], [], tol_zero=0.5)
+    assert rep.mode == "constant" and not rep.passed
+    assert not _kernel_entry("kernel/constant", "constant", rep, {"tol_zero": 0.5}, 0).passed
+    config = ExperimentConfig(n=1, seed=3, suites=["kernel"], sizes={
+        "kernel_dims": [1], "kernel_forms": 1, "kernel_nonkernel": 0,
+        "constant_forms": 1, "kernel_battery": 0})
+    entries = suite_kernel(config)
+    assert [e.name for e in entries] == ["kernel/forward/n=1/0(bump)", "kernel/constant/n=1/0"]
+    assert not any(e.passed for e in entries)
 
 
 def test_passing_constant_entry_reports_a_residual_within_its_tolerance():
