@@ -515,9 +515,6 @@ def lefschetz_L(a: Form) -> Form:
     return wedge(standard_symplectic_form(a.n), a)
 
 
-_LEF_CACHE: dict[int, tuple[tuple[Key, ...], tuple[Key, ...], list[list[Fraction]]]] = {}
-
-
 @cache
 def _subset_keys(n: int, degree: int) -> tuple:
     """Every key of degree ``degree`` on T*R^n, in lexicographic order."""
@@ -527,10 +524,9 @@ def _subset_keys(n: int, degree: int) -> tuple:
     return tuple(out)
 
 
+@cache
 def _lefschetz_inverse_matrix(n: int):
     """Inverse of the basis matrix of L: Lambda^{n-1} -> Lambda^{n+1}."""
-    if n in _LEF_CACHE:
-        return _LEF_CACHE[n]
     src = _subset_keys(n, n - 1)
     dst = _subset_keys(n, n + 1)
     dst_index = {k: i for i, k in enumerate(dst)}
@@ -545,8 +541,7 @@ def _lefschetz_inverse_matrix(n: int):
             if s == 0:
                 continue
             mat[dst_index[merged]][j] += s
-    _LEF_CACHE[n] = (src, dst, inverse(mat))
-    return _LEF_CACHE[n]
+    return src, dst, inverse(mat)
 
 
 def lefschetz_L_inverse(a: Form) -> Form:

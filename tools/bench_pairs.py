@@ -2,14 +2,14 @@
 
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload NAME \\
         [--workload NAME ...] --seeds 1-10 --label LABEL \\
-        [--seconds 30] [--claim TEXT] [--parent-name REV] [--change-name REV] \\
-        [--out DIR]
+        [--claim TEXT] [--parent-name REV] [--change-name REV] [--out DIR]
 
 PARENT_DIR and CHANGE_DIR are extracted source trees (``git archive REV |
 tar -x -C DIR``), each with its own ``perfbench/run.py``.  For every
 workload and seed, each tree's benchmark runs once with
-``PYTHONDONTWRITEBYTECODE=1``, in a fresh process started in that tree; the
-parent runs first at odd seeds and the change at even ones.  Neither tree
+``PYTHONDONTWRITEBYTECODE=1``, in a fresh process started in that tree and
+at run.py's own run length; the parent runs first at odd seeds and the
+change at even ones.  Neither tree
 may hold a ``__pycache__`` directory before the runs, and one found after
 them is reported and fails the command.
 
@@ -19,8 +19,12 @@ and end-to-end metric, the number of pairs, the median and quartiles of
 each side, the pairs in which the change reads lower and the gap between
 the medians (change minus parent).  Quartiles are those of
 ``statistics.quantiles`` (its default, exclusive method).  The verdict
-line of each metric says whether that gap is larger than the parent's
-interquartile range.  Only the standard library is used.
+line of each metric sets that gap against the parent's interquartile range
+and against the metric's bound in the parent tree's ``BENCHMARK.json``, a
+share of the parent's median as ``perfbench/NOTES.md`` reads it; it calls
+the metric unresolved when the parent's IQR is wider than the bound, since
+such runs cannot tell a shift of the bound's size from noise.  Only the
+standard library is used.
 """
 
 from __future__ import annotations
@@ -51,11 +55,11 @@ def bytecode_dirs(tree: Path) -> list[str]:
     return sorted(str(p.relative_to(tree)) for p in tree.rglob("__pycache__"))
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, str]:
+def run_once(tree: Path, workload: str, seed: int) -> tuple[dict, str]:
     """The JSON result line of one benchmark run and its host, as JSON text."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{tree}: {' '.join(cmd[1:])} exited {proc.returncode}:\n"
@@ -95,18 +99,37 @@ def _quartiles(values: list) -> list:
     return statistics.quantiles(values, n=4)
 
 
-def verdict(summary: dict) -> list:
-    """One line per workload and metric: the gap against the parent's IQR."""
+def bounds(tree: Path) -> dict:
+    """The bound of each end-to-end metric in the tree's BENCHMARK.json."""
+    spec = json.loads((tree / "BENCHMARK.json").read_text())
+    return {m["name"]: m["bound"] for m in spec["end_to_end"]}
+
+
+def _side(gap: float, width: float) -> str:
+    return "beyond" if abs(gap) > width else "within"
+
+
+def verdict(summary: dict, bound: dict) -> list:
+    """One line per workload and metric: the gap against the parent's IQR
+    and the metric's bound (times the parent's median), or unresolved where
+    that IQR exceeds the bound."""
     lines = []
     for workload, metrics in summary.items():
         for name in METRICS:
             m = metrics[name]
-            iqr = m["parent_q3"] - m["parent_q1"]
-            resolved = "beyond" if abs(m["median_gap"]) > iqr else "within"
+            gap, iqr = m["median_gap"], m["parent_q3"] - m["parent_q1"]
+            limit = bound[name] * m["parent_median"]
+            if iqr > limit:
+                judged = (f"unresolved, the parent's IQR of {iqr:.4f} being wider "
+                          f"than the bound of {limit:.4f} ({bound[name]:g} of its median)")
+            else:
+                judged = (f"{_side(gap, iqr)} the parent's IQR of {iqr:.4f}, "
+                          f"{_side(gap, limit)} the bound of {limit:.4f} "
+                          f"({bound[name]:g} of its median)")
             lines.append(
                 f"{workload} {name}: {m['parent_median']:.4f} -> {m['change_median']:.4f} "
                 f"(change lower in {m['change_lower_in']}/{m['pairs']}, gap "
-                f"{m['median_gap']:+.4f} {resolved} the parent's IQR of {iqr:.4f})")
+                f"{gap:+.4f}: {judged})")
         fails = metrics["failed_over_attempted"]
         lines.append(f"{workload} failed entries: parent {fails['parent'][0]} of "
                      f"{fails['parent'][1]}, change {fails['change'][0]} of "
@@ -121,7 +144,6 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", action="append", required=True)
     ap.add_argument("--seeds", type=seed_list, required=True)
     ap.add_argument("--label", required=True)
-    ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--claim", default="none")
     ap.add_argument("--parent-name", help="what the parent tree is, e.g. its git "
                     "revision (default: the directory's name)")
@@ -134,6 +156,9 @@ def main(argv=None) -> int:
         if not (tree / "perfbench" / "run.py").is_file():
             print(f"{side} tree {tree} has no perfbench/run.py", file=sys.stderr)
             return 2
+        if not (tree / "BENCHMARK.json").is_file():
+            print(f"{side} tree {tree} has no BENCHMARK.json", file=sys.stderr)
+            return 2
         found = bytecode_dirs(tree)
         if found:
             print(f"{side} tree holds __pycache__ before the runs: {found}", file=sys.stderr)
@@ -144,7 +169,7 @@ def main(argv=None) -> int:
         for seed in args.seeds:
             order = ("parent", "change") if seed % 2 else ("change", "parent")
             for side in order:
-                result, environment = run_once(trees[side], workload, seed, args.seconds)
+                result, environment = run_once(trees[side], workload, seed)
                 environments.add(environment)
                 runs.append({"workload": workload, "seed": seed, "side": side,
                              "ran_first": side == order[0], "result": result})
@@ -159,8 +184,8 @@ def main(argv=None) -> int:
         "claim": args.claim,
         "parent": args.parent_name or trees["parent"].name,
         "change": args.change_name or trees["change"].name,
-        "command": f"python3 perfbench/run.py --workload <workload> --seed <seed> "
-                   f"--seconds {args.seconds:g} --trace 0",
+        "command": "python3 perfbench/run.py --workload <workload> --seed <seed> "
+                   "--trace 0",
         "host": " / ".join(sorted(environments)),
         "bytecode_state": (
             "both trees run with PYTHONDONTWRITEBYTECODE=1; no __pycache__ under "
@@ -170,7 +195,7 @@ def main(argv=None) -> int:
         "method": f"one run per (side, workload, seed) at seeds {args.seeds}, the side "
                   "that runs first alternating (parent first at odd seeds)",
         f"summary_seeds_{seeds}": summary,
-        "verdict": verdict(summary),
+        "verdict": verdict(summary, bounds(trees["parent"])),
         "runs": runs,
     }
     path = args.out / f"BENCH_{args.label}.json"
