@@ -16,13 +16,13 @@ Both d and L_X differentiate a coefficient only in the variables it can
 depend on (:meth:`CoefficientFn.diff_variables`).
 
 Caches.  The Koszul sign of a pair of keys is memoised (for n <= 4 there
-are at most (2^8)^2 pairs), as are omega_s and the keys of each degree.  A
-:class:`PolynomialMap` is immutable and keeps the expansion of
-dF_k1 ^ .. ^ dF_kp for each key it has pulled back and the powers of its
-components, so a pullback costs products of kept powers and one product per
-term and minor.  A :class:`Form` is never changed and keeps its d, which
-d^2, Leibniz and the Rumin operator on one form share.  Caches are written
-by whole-value stores only, so threads may share them.
+are at most (2^8)^2 pairs), as are omega_s, the keys of each degree and the
+Lefschetz inverse matrix.  A :class:`PolynomialMap` is immutable and keeps
+the expansion of dF_k1 ^ .. ^ dF_kp for each key it has pulled back and the
+powers of its components, so a pullback costs products of kept powers and
+one product per term and minor.  A :class:`Form` is never changed and keeps
+its d, which d^2, Leibniz and the Rumin operator on one form share.  Caches
+are written by whole-value stores only, so threads may share them.
 ``wedge``, ``exterior_derivative``, ``pullback``, ``lie_derivative`` and
 ``lefschetz_L_inverse`` build sorted keys of the right degree themselves;
 they wrap their results with ``Form._trusted``, which only drops zero
