@@ -541,7 +541,7 @@ def _lefschetz_inverse_matrix(n: int):
             if s == 0:
                 continue
             mat[dst_index[merged]][j] += s
-    return src, dst, inverse(mat)
+    return src, dst, tuple(map(tuple, inverse(mat)))
 
 
 def lefschetz_L_inverse(a: Form) -> Form:
