@@ -94,7 +94,6 @@ def conormal_eval(K: ConvexBody, tau: Form) -> EvalResult:
         raise ValueError("body must live in R^{n+1}")
     if tau.degree != n:
         raise ValueError("expected an n-form on T*R^n")
-    tau.check_evaluable()
     # every term is integrated over the one support domain, as on the
     # graph routes, which is right for a polynomial only on its own window
     tau.check_windows()

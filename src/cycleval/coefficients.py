@@ -19,16 +19,22 @@ identity asserted by the workbench (claimed zeros are genuine zeros).
 
 Interning and caches.  Every distinct bump matrix (entries compared as
 fractions, so ``1`` and ``Fraction(2, 2)`` give the same matrix) is interned
-once per process, under a lock, as a small integer id; a
-:class:`BumpFactor` hashes and compares by ``(id, beta_pow, denom_pow)``
-and never rehashes its matrix.  ``q_M`` is built once per (id, number of
-ring variables), the x-gradient of ``q_M`` once per (id, ring size,
-variable), ``G^T M G`` once per (id, id of G) and the ellipsoid's bounding
-box, the support box of its atoms, once per id.  A substitution interns its
+once per process, under a lock, as a small integer id, and each factor is
+one shared object per ``(id, beta_pow, denom_pow)``; a :class:`BumpFactor`
+hashes and compares by that triple and never rehashes its matrix.  What a
+matrix fixes is a ``functools.cache``d function of its id: ``q_M`` per
+(id, number of ring variables), the x-gradient of ``q_M`` per (id, ring
+size, variable), ``G^T M G`` per (id, id of G), the ellipsoid's bounding
+box and the float copy of the matrix per id.  A substitution interns its
 linear x-matrix G like a bump matrix, once per call, so that a transformed
 factor is looked up by two ints.  Each factor keeps the factors with
 ``denom_pow`` raised by one and by two, which differentiation produces.  The
-caches hold only such small exact objects and are never evicted.
+caches hold only such small objects and are never evicted.
+
+Supports.  Over which box each atom is integrated is decided in one place,
+:meth:`CoefficientFn.atom_supports`; :meth:`CoefficientFn.support_box`,
+``Form.check_windows`` and the polyhedral, polyline and zero-section routes
+read the atoms and their boxes from it.
 
 Canonical by construction.  An atom is canonical when no ``q_M`` with
 ``denom_pow > 0`` in its signature divides its polynomial; a
@@ -48,8 +54,7 @@ at least 2: ``q_M r`` holds the lowest x-degree part of ``r`` and a part
 two degrees above its highest one.
 
 Numerics.  The numeric code imports numpy when it is called, so the exact
-algebra runs without it.  The float copy of each bump matrix is cached per
-matrix id, next to the exact caches.  :meth:`CoefficientFn.eval_array`
+algebra runs without it.  :meth:`CoefficientFn.eval_array`
 evaluates one coefficient: it keeps what it computes on its nodes in an
 :class:`EvalCache` (the power columns ``x_v^p`` that
 :meth:`Poly.eval_array` builds, ``q_M`` once per matrix id and
@@ -72,7 +77,7 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from operator import attrgetter, or_
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -107,11 +112,6 @@ _INTERN_LOCK = threading.Lock()
 _MATRICES: list = []                 # id -> matrix of Fractions
 _MATRIX_IDS: dict = {}               # matrix -> id
 _FACTORS: dict = {}                  # (id, beta_pow, denom_pow) -> BumpFactor
-_Q_POLYS: dict = {}                  # (id, nvars) -> q_M
-_Q_GRADS: dict = {}                  # (id, nvars, var) -> dq_M / dx_var
-_TRANSFORMS: dict = {}               # (id of M, id of G) -> id of G^T M G
-_FLOAT_MATRICES: dict = {}           # id -> matrix as a float array
-_BBOXES: dict = {}                   # id -> bounding box of the ellipsoid
 
 
 def _matrix_key(M) -> Matrix:
@@ -194,33 +194,14 @@ class BumpFactor:
         return (BumpFactor, (self.M, self.beta_pow, self.denom_pow))
 
     def q_poly(self, nvars: int) -> Poly:
-        key = (self.mid, nvars)
-        p = _Q_POLYS.get(key)
-        if p is None:
-            p = _Q_POLYS.setdefault(key, _build_q_poly(self.M, nvars))
-        return p
+        return _q_poly(self.mid, nvars)
 
     def q_grad(self, var: int, nvars: int) -> Poly:
         """``dq_M / dx_var = -2 (M x)_var`` in a ring of ``nvars`` variables."""
-        key = (self.mid, nvars, var)
-        p = _Q_GRADS.get(key)
-        if p is None:
-            terms = {}
-            for j, m in enumerate(self.M[var]):
-                if m:
-                    e = [0] * nvars
-                    e[j] = 1
-                    terms[tuple(e)] = -2 * m
-            p = _Q_GRADS.setdefault(key, Poly(nvars, terms))
-        return p
+        return _q_grad(self.mid, nvars, var)
 
     def bbox(self) -> BoxT:
-        box = _BBOXES.get(self.mid)
-        if box is None:
-            inv = inverse(self.M)
-            half = [_sqrt_upper(inv[i][i]) for i in range(len(self.M))]
-            box = _BBOXES.setdefault(self.mid, tuple((-h, h) for h in half))
-        return box
+        return _bbox(self.mid)
 
     def raised(self) -> tuple["BumpFactor", "BumpFactor"]:
         """This factor with ``denom_pow`` raised by one and by two."""
@@ -236,7 +217,10 @@ class BumpFactor:
         return _factor(_transformed_id(self.mid, _intern(G)), self.beta_pow, self.denom_pow)
 
 
-def _build_q_poly(M: Matrix, nvars: int) -> Poly:
+@cache
+def _q_poly(mid: int, nvars: int) -> Poly:
+    """``q_M`` of the interned matrix ``M`` in a ring of ``nvars`` variables."""
+    M = _MATRICES[mid]
     n = len(M)
     p = Poly.const(nvars, 1)
     for i in range(n):
@@ -249,31 +233,46 @@ def _build_q_poly(M: Matrix, nvars: int) -> Poly:
     return p
 
 
+@cache
+def _q_grad(mid: int, nvars: int, var: int) -> Poly:
+    terms = {}
+    for j, m in enumerate(_MATRICES[mid][var]):
+        if m:
+            e = [0] * nvars
+            e[j] = 1
+            terms[tuple(e)] = -2 * m
+    return Poly(nvars, terms)
+
+
+@cache
+def _bbox(mid: int) -> BoxT:
+    """The bounding box of the ellipsoid x^T M x < 1, the support box of
+    its atoms."""
+    inv = inverse(_MATRICES[mid])
+    half = [_sqrt_upper(inv[i][i]) for i in range(len(inv))]
+    return tuple((-h, h) for h in half)
+
+
+@cache
 def _transformed_id(mid: int, gid: int) -> int:
     """Id of ``G^T M G`` for the interned matrices ``M`` and ``G``."""
-    key = (mid, gid)
-    out = _TRANSFORMS.get(key)
-    if out is None:
-        M, G = _MATRICES[mid], _MATRICES[gid]
-        n = len(M)
-        GT_M_G = tuple(
-            tuple(
-                sum(G[a][i] * M[a][b] * G[b][j] for a in range(n) for b in range(n))
-                for j in range(n)
-            )
-            for i in range(n)
+    M, G = _MATRICES[mid], _MATRICES[gid]
+    n = len(M)
+    GT_M_G = tuple(
+        tuple(
+            sum(G[a][i] * M[a][b] * G[b][j] for a in range(n) for b in range(n))
+            for j in range(n)
         )
-        out = _TRANSFORMS.setdefault(key, _intern(GT_M_G))
-    return out
+        for i in range(n)
+    )
+    return _intern(GT_M_G)
 
 
+@cache
 def _float_matrix(mid: int) -> np.ndarray:
-    M = _FLOAT_MATRICES.get(mid)
-    if M is None:
-        import numpy as np
+    import numpy as np
 
-        M = _FLOAT_MATRICES.setdefault(mid, np.array(_MATRICES[mid], dtype=float))
-    return M
+    return np.array(_MATRICES[mid], dtype=float)
 
 
 class EvalCache:
@@ -845,27 +844,25 @@ class CoefficientFn:
                 out[sig] = _reduced(poly.nvars, kept, poly.den)
         return CoefficientFn._canonicalised(self.n, out, self.declared_box)
 
+    def atom_supports(self) -> list:
+        """Each atom, in order, with the box it is integrated over: pairs
+        ``(atom, box)`` of the atom alone, as a coefficient on this
+        coefficient's window, and the bump boxes of its signature
+        intersected in order and then with the window.  A polynomial atom's
+        box is the window, None without one.  Every evaluator and check
+        reads an atom's support here."""
+        window = self.declared_box
+        return [(CoefficientFn._trusted(self.n, {sig: poly}, window),
+                 reduce(_box_intersection, [f.bbox() for f in sig] + [window]))
+                for sig, poly in self.atoms.items()]
+
     def support_box(self) -> Optional[BoxT]:
-        """Axis-aligned over-cover of the horizontal support, if known."""
+        """Axis-aligned over-cover of the horizontal support, if known: the
+        union of the :meth:`atom_supports` boxes, None if one is None."""
         if self.is_zero():
             return tuple((Q(0), Q(0)) for _ in range(self.n))
-        boxes = []
-        for sig in self.atoms:
-            if sig:
-                b = sig[0].bbox()
-                for f in sig[1:]:
-                    b = _box_intersection(b, f.bbox())
-                if self.declared_box is not None:
-                    b = _box_intersection(b, self.declared_box)
-                boxes.append(b)
-            elif self.declared_box is not None:
-                boxes.append(self.declared_box)
-            else:
-                return None
-        out = boxes[0]
-        for b in boxes[1:]:
-            out = _box_union(out, b)
-        return out
+        boxes = [box for _, box in self.atom_supports()]
+        return None if None in boxes else reduce(_box_union, boxes)
 
     def bump_matrix(self):
         """The matrix M, as nested tuples, when no window is declared and
@@ -881,7 +878,9 @@ class CoefficientFn:
         """The support :class:`~cycleval.quadrature.Ellipse` of the
         :meth:`bump_matrix` when n = 2, otherwise :meth:`support_box`: the
         plain ellipse rule is 2-D, and the 3-D one takes an integrand's
-        degree (``cycles.graph_rule``)."""
+        degree (``cycles.graph_rule``).  It reads only ``n``,
+        ``bump_matrix`` and ``support_box``, and is a :class:`~cycleval.forms.Form`
+        method as well."""
         M = self.bump_matrix() if self.n == 2 else None
         if M is None:
             return self.support_box()

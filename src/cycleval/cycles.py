@@ -85,13 +85,12 @@ def pullback_batch(forms: Sequence[Form]) -> CompiledBatch:
     """The forms' graph-pullback coefficients compiled into one
     :class:`CompiledBatch`, one row per form, weighted by the Hessian
     minors ``det H[J, Ic]``: compiled once for every function that the
-    forms are evaluated on.  Every graph evaluation compiles its forms
-    here, and the graph evaluators integrate every term of a form over one
-    box, so a form whose polynomial coefficients carry different windows
-    raises SupportError (``Form.check_windows``)."""
+    forms are evaluated on.  A form with a free parameter raises
+    SupportError: the batch has no slot for it.  The integrand of a form
+    without a known support is compiled, and the graph evaluators refuse
+    to integrate it (``Form.check_windows``)."""
     pieces = []
     for row, form in enumerate(forms):
-        form.check_windows()
         n = form.n
         for key, coeff in form.terms.items():
             if coeff.has_params():
@@ -221,8 +220,8 @@ def eval_smooth(f, forms: Sequence[Form], domains=None,
     """D(f)[form] for each of ``forms``, for twice-differentiable catalog
     functions: one scalar :class:`EvalResult` per form, in order.
 
-    Every form must be evaluable (``Form.check_evaluable``).  The forms are
-    integrated over the union of ``domains`` (boxes,
+    Every form must be evaluable over one box (``Form.check_windows``).
+    The forms are integrated over the union of ``domains`` (boxes,
     :class:`~cycleval.quadrature.PolynomialBox` or
     :class:`~cycleval.quadrature.Ellipse` domains), by default their one
     shared support domain, on one node stream, with one error estimate.
@@ -238,7 +237,7 @@ def eval_smooth(f, forms: Sequence[Form], domains=None,
     what that function alone gives.
     """
     for form in forms:
-        form.check_evaluable()
+        form.check_windows()
     battery = isinstance(f, (list, tuple))
     functions, selections = (f, rows or [None] * len(f)) if battery else ([f], [rows])
     if any(not g.smooth for g in functions):
@@ -276,7 +275,7 @@ def eval_smooth_ridge_aligned(f: ConvexFunction, cycle, forms: Sequence[Form],
     """
     layer = min(0.25, 50.0 / wrapped_lse(f).beta)
     n = f.n
-    box = _shared(form.check_evaluable() for form in forms)
+    box = _shared(form.check_windows() for form in forms)
     pieces = []  # float vertices of the intervals or triangles
     for index, cell in enumerate(cycle.cells):
         clipped = cycle.clipped(index, box) if cell.dim_x == n else []
@@ -370,16 +369,15 @@ def _polyline_parts(cycle: Polyline1DCycle, coeffs):
     quadrature, one part per segment."""
     windows = []  # (support box, its (horizontal, vertical, d) segments)
     for axis, coeff in coeffs:
-        for sig, poly in coeff.atoms.items():
-            atom = CoefficientFn(1, {sig: poly}, declared_box=coeff.declared_box) if sig else None
-            box = atom.support_box() if sig else coeff.declared_box
+        for atom, box in coeff.atom_supports():
+            poly = atom.atoms.get(())
             # a few boxes: a search by equality costs less than hashing Fractions
             window = next((w for b, w in windows if b == box), None)
             if window is None:
                 window = cycle.segments(*box[0])
                 windows.append((box, window))
             segments, d = window[axis], window[2]
-            if not sig:
+            if poly is not None:
                 nums, den = _closed_form(poly, axis, segments, d)
                 yield Q(sum(nums), den)
                 continue

@@ -21,12 +21,18 @@ Lefschetz inverse matrix.  A :class:`PolynomialMap` is immutable and keeps
 the expansion of dF_k1 ^ .. ^ dF_kp for each key it has pulled back and the
 powers of its components, so a pullback costs products of kept powers and
 one product per term and minor.  A :class:`Form` is never changed and keeps
-its d, which d^2, Leibniz and the Rumin operator on one form share.  Caches
-are written by whole-value stores only, so threads may share them.
+its d, which d^2, Leibniz and the Rumin operator on one form share, and the
+support box that :meth:`Form.check_evaluable` finds.  Caches are written by
+whole-value stores only, so threads may share them.
 ``wedge``, ``exterior_derivative``, ``pullback``, ``lie_derivative`` and
 ``lefschetz_L_inverse`` build sorted keys of the right degree themselves;
 they wrap their results with ``Form._trusted``, which only drops zero
 coefficients, while ``Form(n, degree, terms)`` checks every key it is given.
+
+Supports.  An evaluator refuses a form it cannot integrate with one call:
+:meth:`Form.check_evaluable` where each atom is integrated on its own box
+(``CoefficientFn.atom_supports``), :meth:`Form.check_windows` where every
+term is integrated over the form's one box.
 """
 
 from __future__ import annotations
@@ -204,22 +210,22 @@ class Form:
             self._evaluable = box
         return self._evaluable
 
-    def check_windows(self) -> None:
-        """Raise SupportError when the coefficients with a polynomial atom
-        carry different windows: the graph evaluators integrate every term
-        over the one support box, which is right for a polynomial only on
-        its own window (:meth:`check_evaluable` refuses one without)."""
-        first = None
-        for c in self.terms.values():
-            if () not in c.atoms or c.declared_box is None:
-                continue
-            if first is None:
-                first = c.declared_box
-            elif c.declared_box != first:
-                raise SupportError(
-                    f"the polynomial coefficients of one form have the windows "
-                    f"{_box_text(first)} and {_box_text(c.declared_box)}; the graph "
-                    "evaluators integrate every term over one box")
+    def check_windows(self) -> BoxT:
+        """The box of :meth:`check_evaluable`, for evaluators that
+        integrate every term over it, as the graph routes and the conormal
+        bridge do: that is right for a polynomial atom only on its own
+        window, so polynomial atoms on different windows raise
+        SupportError."""
+        box = self.check_evaluable()
+        windows = [window for c in self.terms.values()
+                   for atom, window in c.atom_supports() if not atom.has_bump()]
+        other = next((w for w in windows if w != windows[0]), None)
+        if other is not None:
+            raise SupportError(
+                f"the polynomial coefficients of one form have the windows "
+                f"{_box_text(windows[0])} and {_box_text(other)}; the graph "
+                "evaluators integrate every term over one box")
+        return box
 
     def bump_matrix(self):
         """The one :meth:`CoefficientFn.bump_matrix` of every coefficient,
@@ -227,15 +233,8 @@ class Form:
         matrices = {c.bump_matrix() for c in self.terms.values()}
         return matrices.pop() if len(matrices) == 1 else None
 
-    def support_domain(self):
-        """The support ellipse of the :meth:`bump_matrix` when n = 2 (see
-        :meth:`CoefficientFn.support_domain`), else :meth:`support_box`."""
-        M = self.bump_matrix() if self.n == 2 else None
-        if M is None:
-            return self.support_box()
-        from .quadrature import Ellipse  # numeric code alone needs the rules
-
-        return Ellipse(M)
+    # one implementation: it reads only n, bump_matrix and support_box
+    support_domain = CoefficientFn.support_domain
 
     # -- linear structure -----------------------------------------------------
 
@@ -576,8 +575,8 @@ def zero_section_coefficient(a: Form) -> CoefficientFn:
     n = a.n
     if a.degree != n:
         raise DegreeError("zero-section integration needs an n-form")
-    key = tuple(range(n))
-    return a.terms.get(key, CoefficientFn.zero(n)).restrict_y_zero()
+    c = a.terms.get(tuple(range(n)))
+    return CoefficientFn.zero(n) if c is None else c.restrict_y_zero()
 
 
 def integrate_zero_section(a: Form) -> EvalResult:
@@ -601,19 +600,18 @@ def integrate_coefficient(c: CoefficientFn) -> EvalResult:
 
     if c.has_params():
         raise SupportError(FREE_PARAMETERS)
-    if () in c.atoms and c.declared_box is None:
+    if c.support_box() is None:
         raise SupportError(NO_SUPPORT)
 
     def parts():
-        for sig, poly in c.atoms.items():
-            if not sig:
-                val = poly.integrate_box(c.declared_box, list(range(c.n)))
+        for atom, box in c.atom_supports():
+            poly = atom.atoms.get(())
+            if poly is not None:
+                val = poly.integrate_box(box, list(range(c.n)))
                 yield val.eval_point([Q(0)] * val.nvars)
-                continue
-            part = CoefficientFn(c.n, {sig: poly}, declared_box=c.declared_box)
-            if not part.integral_vanishes_by_parity():
-                rule = graph_rule(None, part, part.support_domain())
-                yield integrate(part.eval_x_array, [rule])
+            elif not atom.integral_vanishes_by_parity():
+                rule = graph_rule(None, atom, atom.support_domain())
+                yield integrate(atom.eval_x_array, [rule])
 
     return sum_parts(parts())
 

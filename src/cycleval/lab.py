@@ -287,7 +287,10 @@ def random_window_form(rng, n: int, degree: int, R=2, nterms: int = 2,
     return Form(n, degree, terms)
 
 
-def random_kernel_form(rng, n: int, radius=2, kind: str = "window") -> Form:
+_KERNEL_FORM_RADIUS = 2  # half-width of the window forms, radius of the bumps
+
+
+def random_kernel_form(rng, n: int, kind: str = "window") -> Form:
     """tau = d(rho) + omega_s ^ xi, corrected to zero zero-section integral.
 
     Lies in the kernel of the induced valuation by construction.  The
@@ -297,6 +300,7 @@ def random_kernel_form(rng, n: int, radius=2, kind: str = "window") -> Form:
     """
     from .forms import exterior_derivative, standard_symplectic_form, wedge
 
+    radius = _KERNEL_FORM_RADIUS
     if kind == "window":
         rho = random_window_form(rng, n, n - 1, R=radius, nterms=2)
         tau = exterior_derivative(rho)
@@ -346,7 +350,7 @@ class KernelReport:
 
 
 def kernel_check(tau: Form, functions: Sequence, values: Sequence[float],
-                 tol_zero: float = 1e-7, tol_witness: float = 1e-3) -> KernelReport:
+                 tol_zero: float, tol_witness: float) -> KernelReport:
     """Forward and contrapositive probes of the kernel description.
 
     ``values`` holds D(f)[tau] for each of ``functions``, as computed by
@@ -421,16 +425,17 @@ def first_variation_check(val: Valuation, f: ConvexFunction,
     at steps t = 1e-2 and 1e-3.
 
     The same quadrature nodes evaluate every perturbed function, so the
-    finite differences do not amplify quadrature error: the perturbed
-    functions share one gradient degree, and so one rule
-    (``cycles.graph_rule``).  The right-hand side's coefficients carry
-    psi's window or bumps, so it keeps the plain rules of its domains.  At
-    n = 1 the domain is cut at psi's support (:func:`_split_at_support`),
-    and each mu is one integral over the pieces, with one error.  For
-    n > 1 a bump-type psi puts Hessian layers at its own support sphere, in
-    the interior of the integration domain, which fixed nodes do not
-    resolve to the check's tolerance; such a psi is refused with a
-    ValueError.
+    finite differences do not amplify quadrature error: the six perturbed
+    functions f +- t psi share one gradient degree, and so one rule
+    (``cycles.graph_rule``), and are integrated together in one battery
+    call of ``eval_smooth``, each with the bits it gets alone.  The
+    right-hand side's coefficients carry psi's window or bumps, so it keeps
+    the plain rules of its domains.  At n = 1 the domain is cut at psi's
+    support (:func:`_split_at_support`), and each mu is one integral over
+    the pieces, with one error.  For n > 1 a bump-type psi puts Hessian
+    layers at its own support sphere, in the interior of the integration
+    domain, which fixed nodes do not resolve to the check's tolerance; such
+    a psi is refused with a ValueError.
     """
     tau = val.tau
     n = val.n
@@ -443,21 +448,18 @@ def first_variation_check(val: Valuation, f: ConvexFunction,
     else:
         domains = [tau.support_domain()]
 
-    def mu(g, form):
-        rules = [graph_rule(g, form, d) for d in domains]
-        return float(eval_smooth(g, [form], rules)[0].value)
-
-    rhs = mu(f, rhs_form)
+    rhs_rules = [graph_rule(f, rhs_form, d) for d in domains]
+    rhs = float(eval_smooth(f, [rhs_form], rhs_rules)[0].value)
     t1, t2 = 1e-2, 1e-3
     tm = math.sqrt(t1 * t2)  # auxiliary geometric step for the order estimate
     window = max(t1, t2, tm) * 1.05
-    fd = {}
-    first = True
-    for t in (t1, tm, t2):
-        up = Perturbed(f, psi, t, window=window, box=box, check=first)
-        dn = Perturbed(f, psi, -t, window=window, box=box, check=False)
-        fd[t] = (mu(up, tau) - mu(dn, tau)) / (2 * t)
-        first = False
+    steps = (t1, tm, t2)
+    # f + t psi and f - t psi for each step, in one battery on one rule
+    perturbed = [Perturbed(f, psi, s * t, window=window, box=box, check=k == 0 and s > 0)
+                 for k, t in enumerate(steps) for s in (1, -1)]
+    rules = [graph_rule(perturbed[0], tau, d) for d in domains]
+    mus = [float(row[0].value) for row in eval_smooth(perturbed, [tau], rules)]
+    fd = {t: (mus[2 * k] - mus[2 * k + 1]) / (2 * t) for k, t in enumerate(steps)}
     scale = scale_of([rhs] + list(fd.values()))
     # order from successive differences: shared quadrature bias cancels
     d1, d2 = abs(fd[t1] - fd[tm]), abs(fd[tm] - fd[t2])

@@ -95,7 +95,7 @@ def suite_kernel(config: ExperimentConfig) -> list:
                 n, window_vanishing_weight(n, 2, power=2),
                 box=((Q(-2), Q(2)),) * n)})
             checks.append((f"kernel/constant/n={n}/{i}", "constant", tau, fam,
-                           {"tol_zero": tol_c}))
+                           {"tol_zero": tol_c, "tol_witness": tol_w}))
         # user-declared forms are classified and reported, never asserted
         for j, tau in config.declared("forms", n):
             checks.append((f"kernel/declared/n={n}/{j}", "declared", tau, fam,

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .coefficients import BoxT, CoefficientFn
+from .coefficients import BoxT
 from .convex import MaxAffine, PiecewiseLinear1D
 from .forms import Form
 from .exactla import det, solve
@@ -561,15 +561,14 @@ def _polyhedral_parts(cycle: PolyhedralLagrangianCycle, form: Form):
         J = [v - n for v in key if v >= n]
         cells = [i for i, cell in enumerate(cycle.cells)
                  if cell.dim_x == len(I) and cell.dim_y == len(J)]
-        for sig, poly in coeff.atoms.items():
-            atom = CoefficientFn(n, {sig: poly}, declared_box=coeff.declared_box)
-            box = atom.support_box()
+        for atom, box in coeff.atom_supports():
+            poly = atom.atoms.get(())
             for index in cells:
                 for U, W, sx, sy, sign in cycle.simplex_products(index, box):
                     scale = sign * _submatrix_det(U, I) * _submatrix_det(W, J)
                     if scale == 0:
                         continue
-                    if not sig:
+                    if poly is not None:
                         yield scale * _integrate_poly_cell(poly, n, sx, sy)
                     else:
                         res = integrate(atom.eval_array, [SimplexProduct(sx, sy)])

@@ -235,10 +235,8 @@ class ExperimentConfig:
 
 def _declared_form(spec: str, n: int) -> Form:
     """A declared form; SupportError when the kernel suite cannot evaluate
-    it (``Form.check_evaluable``, and ``Form.check_windows`` for its
-    quadrature routes)."""
+    it on its quadrature routes (``Form.check_windows``)."""
     tau = _grammar().parse_form(spec, n)
-    tau.check_evaluable()
     tau.check_windows()
     return tau
 

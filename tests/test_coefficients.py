@@ -506,3 +506,47 @@ def test_sum_on_different_windows_is_refused():
     assert (on(-2, 2) + on(-2, 2)).declared_box == on(-2, 2).declared_box
     assert (on(0, 1) + CoefficientFn.constant(1, 3)).declared_box == on(0, 1).declared_box
     assert (CoefficientFn.constant(1, 3) + on(0, 1)).declared_box == on(0, 1).declared_box
+
+
+def _atom_matrix(n, rng):
+    """A rational positive definite n x n matrix, L L^T + I over an integer."""
+    L = [[int(rng.integers(-2, 3)) if j <= i else 0 for j in range(n)] for i in range(n)]
+    den = int(rng.integers(1, 6))
+    return [[Q(sum(L[i][k] * L[j][k] for k in range(n)) + (i == j), den) for j in range(n)]
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_atom_supports_match_a_rebuild_of_each_atom(n):
+    # each atom and its box equal those of the atom rebuilt alone through
+    # the canonicalising constructor on the coefficient's window: windows,
+    # one-matrix and two-matrix bumps, windowed bumps (one of them on a
+    # window disjoint from its bump box) and mixed coefficients
+    rng = np.random.default_rng(70 + n)
+    window = tuple((Q(-int(rng.integers(1, 4))), Q(int(rng.integers(1, 4)), 2))
+                   for _ in range(n))
+    far = ((Q(5), Q(7)),) * n  # off every bump box below
+    coeffs = []
+    for _ in range(4):
+        f1 = BumpFactor(_atom_matrix(n, rng))
+        f2 = ball_bump(n, int(rng.integers(1, 4)))
+        p = [_random_poly(rng, 2 * n, nterms=2) for _ in range(9)]
+        coeffs += [
+            CoefficientFn.from_poly(n, p[0], box=window),
+            CoefficientFn(n, {(f1,): p[1]}),
+            CoefficientFn(n, {(f1, f2): p[2]}),
+            CoefficientFn(n, {(f2,): p[3]}, declared_box=window),
+            CoefficientFn(n, {(f1,): p[4]}, declared_box=far),
+            CoefficientFn(n, {(): p[5], (f1,): p[6], (f1, f2): p[7]}, declared_box=window),
+            CoefficientFn(n, {(): p[8], (f2,): p[0]}),
+        ]
+    for c in coeffs:
+        view = c.atom_supports()
+        assert len(view) == len(c.atoms)
+        for (sig, poly), (atom, box) in zip(c.atoms.items(), view):
+            rebuilt = CoefficientFn(n, {sig: poly}, declared_box=c.declared_box)
+            assert atom == rebuilt and list(atom.atoms) == [sig]
+            assert atom.declared_box == rebuilt.declared_box
+            assert box == rebuilt.support_box()
+    disjoint = [box for c in coeffs if c.declared_box == far for _, box in c.atom_supports()]
+    assert disjoint and all(box == ((Q(0), Q(0)),) * n for box in disjoint)

@@ -882,3 +882,42 @@ def test_pullback_degree_is_read_off_the_form():
     assert pullback_degree(quadratic[1], bump) is None
     assert pullback_degree(SmoothCatalog("sqrt1p", 1), mixed) is None
     assert pullback_degree(quartic[2], Form.zero(2, 2)) == 0
+
+
+def test_exact_routes_read_atoms_without_building_coefficients(monkeypatch):
+    # the polyhedral, polyline and zero-section routes take each atom and
+    # its box from CoefficientFn.atom_supports: integrating a mixed form
+    # (a window polynomial, a bump on a window and a bump of two matrices)
+    # calls the canonicalising constructor not once
+    from cycleval.coefficients import BumpFactor
+    from cycleval.forms import integrate_zero_section
+    from cycleval.polyhedral import build_polyhedral, eval_polyhedral, window_for
+
+    def mixed(n):
+        nv = 2 * n
+        window = ((Q(-2), Q(2)),) * n
+        M = [[Q(1 + (i == j), 3) for j in range(n)] for i in range(n)]
+        return CoefficientFn(n, {
+            (): Poly.const(nv, 1) + Poly.monomial(nv, [1] + [0] * (nv - 1), Q(1, 2)),
+            (ball_bump(n, 1),): Poly.monomial(nv, [0] * (nv - 1) + [1], Q(2, 3)),
+            (ball_bump(n, 3), BumpFactor(M)): Poly.const(nv, Q(3, 4)),
+        }, declared_box=window)
+
+    line = Form(1, 1, {(0,): mixed(1), (1,): mixed(1).scale(2)})
+    plane = Form(2, 2, {(0, 1): mixed(2), (2, 3): mixed(2).scale(-1)})
+    zero = Form(3, 3, {(0, 1, 2): mixed(3)})
+    polyline = build_1d(PiecewiseLinear1D([Q(0)], [-1, 1], 0))
+    ma = MaxAffine([([1, 0], 0), ([0, 1], 0), ([-1, -1], 1)])
+    polyhedral = build_polyhedral(ma, window=window_for(ma, plane.support_box()))
+    calls = []
+    real = CoefficientFn.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(CoefficientFn, "__init__", counted)
+    values = [eval_polyline(polyline, line), eval_polyhedral(polyhedral, plane),
+              integrate_zero_section(zero)]
+    assert calls == []
+    assert all(abs(float(v)) > 0 for v in values)

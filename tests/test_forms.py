@@ -500,3 +500,68 @@ def test_lie_derivative_termwise_equals_cartan():
                     assert got == want
                     assert {k: c.declared_box for k, c in got.terms.items()} == \
                         {k: c.declared_box for k, c in want.terms.items()}
+
+
+def _check_windows_reference(tau):
+    """The window check as it stood beside ``check_evaluable``, kept as the
+    reference: the windows of the coefficients with a polynomial atom, in
+    term order, must agree."""
+    from cycleval.coefficients import SupportError, _box_text
+
+    first = None
+    for c in tau.terms.values():
+        if () not in c.atoms or c.declared_box is None:
+            continue
+        if first is None:
+            first = c.declared_box
+        elif c.declared_box != first:
+            raise SupportError(
+                f"the polynomial coefficients of one form have the windows "
+                f"{_box_text(first)} and {_box_text(c.declared_box)}; the graph "
+                "evaluators integrate every term over one box")
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_check_windows_refuses_as_the_checks_it_replaces(n):
+    # one check_windows call refuses exactly the forms that check_evaluable
+    # and the reference window check refused, with the same message, and
+    # otherwise returns check_evaluable's box
+    from cycleval.coefficients import SupportError
+    from cycleval.forms import FREE_PARAMETERS, NO_SUPPORT
+
+    nv = 2 * n
+    x = Poly.variable(nv, 0)
+    one = Poly.const(nv, 1)
+    wa, wb = ((Q(-2), Q(2)),) * n, ((Q(0), Q(1)),) * n
+    kinds = [
+        CoefficientFn.from_poly(n, x + one, box=wa),
+        CoefficientFn.from_poly(n, x, box=wb),
+        CoefficientFn.from_poly(n, one),  # no window
+        CoefficientFn.bump(n, ball_bump(n, 1), x),
+        CoefficientFn(n, {(ball_bump(n, 3),): one}, declared_box=wb),
+        CoefficientFn(n, {(): x, (ball_bump(n, 2),): one}, declared_box=wa),
+        CoefficientFn.bump(n, ball_bump(n, 2), Poly.variable(nv + 1, nv)),  # a parameter
+    ]
+    rng = np.random.default_rng(90 + n)
+    outcomes = set()
+    for _ in range(150):
+        keys = rng.choice(nv, size=int(rng.integers(1, nv + 1)), replace=False)
+        terms = {(int(k),): kinds[int(rng.integers(len(kinds)))] for k in keys}
+
+        def reference():
+            tau = Form(n, 1, terms)
+            box = tau.check_evaluable()
+            _check_windows_reference(tau)
+            return box
+
+        want, got = [], []
+        for out, call in ((want, reference), (got, Form(n, 1, terms).check_windows)):
+            try:
+                out.append(call())
+            except SupportError as err:
+                out.append(str(err))
+        assert got == want
+        outcomes.add(want[0] if isinstance(want[0], str) else "box")
+    # forms are accepted, and refused for each reason
+    assert {"box", FREE_PARAMETERS, NO_SUPPORT} < outcomes
+    assert any(o.startswith("the polynomial coefficients") for o in outcomes)

@@ -387,7 +387,7 @@ def test_kernel_forward_small():
     fam = battery(1, seed=2, size=10) + battery(1, seed=9, size=4)
     for _ in range(3):
         tau = random_kernel_form(rng, 1)
-        rep = kernel_check(tau, fam, _values(tau, fam))
+        rep = kernel_check(tau, fam, _values(tau, fam), tol_zero=1e-7, tol_witness=1e-3)
         assert rep.mode == "kernel"
         assert rep.passed, (rep.values, rep.scale)
 
@@ -399,7 +399,7 @@ def test_kernel_contrapositive_witness():
     psi = CoefficientFn.bump(n, ball_bump(n, 2), Poly.const(2, 2))
     tau = Form(n, 1, {(1,): psi})
     fam = battery(n, seed=4, size=12)
-    rep = kernel_check(tau, fam, _values(tau, fam))
+    rep = kernel_check(tau, fam, _values(tau, fam), tol_zero=1e-7, tol_witness=1e-3)
     assert rep.mode == "nonkernel"
     assert rep.passed and rep.witness is not None
 
@@ -517,13 +517,16 @@ def test_first_variation_perturbations_share_one_rule(monkeypatch):
 
     monkeypatch.setattr(lab, "eval_smooth", eval_smooth)
     rep = first_variation_check(Valuation(tau), f, psi)
-    perturbed = {domains for g, domains in calls if isinstance(g, Perturbed)}
-    assert len(calls) == 7 and len(perturbed) == 1
+    # the right-hand side on f, then one battery of the six perturbed f
+    assert len(calls) == 2
+    (rhs_f, rhs_domains), (battery, domains) = calls
+    assert rhs_f is f and len(battery) == 6
+    assert all(isinstance(g, Perturbed) for g in battery)
     M = tau.support_domain().M
     probe = Perturbed(f, psi, 0.01, window=0.01, box=tau.support_box(), check=False)
     assert probe.gradient_degree == 2
-    assert perturbed == {(Ellipse(M, pullback_degree(probe, tau)),)}
-    assert [domains for g, domains in calls if g is f] == [(Ellipse(M),)]
+    assert domains == (Ellipse(M, pullback_degree(probe, tau)),)
+    assert rhs_domains == (Ellipse(M),)
     assert abs(rep.order - 2.0) < 0.2 and rep.residual < 1e-5 * rep.scale
 
 

@@ -66,7 +66,7 @@ def test_a_nan_gap_fails_the_rule():
     for gaps in ([0.0, float("nan")], [float("nan"), 0.0]):
         assert not gap_entry("e", largest(gaps), 1.0).passed
     tau = random_kernel_form(np.random.default_rng(5), 1)
-    assert not kernel_check(tau, [], [0.0, float("nan")]).passed
+    assert not kernel_check(tau, [], [0.0, float("nan")], tol_zero=1e-7, tol_witness=1e-3).passed
 
 
 def test_a_kernel_entry_judged_on_no_evaluation_fails():
@@ -77,7 +77,7 @@ def test_a_kernel_entry_judged_on_no_evaluation_fails():
     assert rep.mode == "kernel" and rep.gap == 0.0 and not rep.passed
     assert not _kernel_entry("kernel/forward", "forward", rep, tols, 0).passed
     const = Form(1, 1, {(0,): CoefficientFn.bump(1, ball_bump(1, 2)).scale(40)})
-    rep = kernel_check(const, [], [], tol_zero=0.5)
+    rep = kernel_check(const, [], [], tol_zero=0.5, tol_witness=1e-3)
     assert rep.mode == "constant" and not rep.passed
     assert not _kernel_entry("kernel/constant", "constant", rep, {"tol_zero": 0.5}, 0).passed
     config = ExperimentConfig(n=1, seed=3, suites=["kernel"], sizes={
@@ -94,7 +94,7 @@ def test_passing_constant_entry_reports_a_residual_within_its_tolerance():
     tau = Form(1, 1, {(0,): CoefficientFn.bump(1, ball_bump(1, 2)).scale(40)})
     i0 = float(integrate_zero_section(tau))
     assert i0 > 2
-    rep = kernel_check(tau, [], [0.6 * i0], tol_zero=0.5)
+    rep = kernel_check(tau, [], [0.6 * i0], tol_zero=0.5, tol_witness=1e-3)
     assert rep.mode == "constant" and rep.passed and rep.scale == i0
     entry = _kernel_entry("kernel/constant", "constant", rep, {"tol_zero": 0.5}, 1)
     assert entry.passed and entry.residual <= entry.tolerance

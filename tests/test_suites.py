@@ -80,7 +80,7 @@ def _reference_kernel(config):
             tau = exterior_derivative(random_window_form(rng, n, n - 1))
             tau = tau + Form(n, n, {tuple(range(n)): CoefficientFn.from_poly(
                 n, window_vanishing_weight(n, 2, power=2), box=window)})
-            rep = check(tau, fam, tol_zero=tol_c)
+            rep = check(tau, fam, tol_zero=tol_c, tol_witness=tol_w)
             entries.append(SuiteEntry(
                 name=f"kernel/constant/n={n}/{i}",
                 passed=rep.mode == "constant" and rep.passed,
